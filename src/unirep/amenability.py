@@ -4,9 +4,14 @@ The probes are one-sided numerical certificates: return probabilities of
 the symmetric walk (exact rational convolution up to a configurable
 step), the smallest eigenvalue of the averaged shift-defect form on
 Cayley balls, and a certified interval for the walk's spectral radius.
-For the free kinds on their standard generators the walk distribution is
-constant on spheres, so the convolution runs on the exact radial chain
-instead of the full (exponentially growing) support.
+The last two are one number (Kesten): the minimum defect on a ball is
+2(1 - lambda_max(M)) for the ball-compressed walk operator M, so both come
+from one Perron solve. Its Rayleigh quotient bounds lambda_max(M) from
+below and the Collatz-Wielandt bound of its positive iterate bounds it
+from above, which certifies the defect from both sides. For the free
+kinds on their standard generators the walk distribution is constant on
+spheres, so the convolution runs on the exact radial chain instead of the
+full (exponentially growing) support.
 """
 
 from __future__ import annotations
@@ -17,13 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ConvergenceError, PreconditionError, ResourceLimitError
-from .groups import (
-    Ball,
-    FreeGroupOracle,
-    GroupOracle,
-    ball,
-    symmetric_generators,
-)
+from .groups import FreeGroupOracle, GroupOracle, ball, symmetric_generators
 from .reps import Regular
 from .vectors import SparseVector
 
@@ -61,10 +60,6 @@ class ReturnProbabilityTable:
     @property
     def final_ratio(self) -> float:
         return self.ratio_estimates[max(self.ratio_estimates)]
-
-    @property
-    def final_root(self) -> float:
-        return self.root_estimates[max(self.root_estimates)]
 
 
 def _free_radial_returns(rank: int, n_max: int) -> dict:
@@ -139,45 +134,41 @@ def return_probabilities(oracle: GroupOracle, S=None, n_max: int = DEFAULT_EXACT
     return ReturnProbabilityTable(n_max, p, min(n_max, exact_steps))
 
 
-def _compressed_markov(oracle, S, r, ball_cap):
-    """Index arrays of the ball-compressed averaged shift operator."""
+def _perron_solve(oracle, steps, r, tol, max_iter, ball_cap):
+    """Power iteration on I + M for the ball-compressed averaged shift operator M.
+
+    M is symmetric, nonnegative and irreducible (the ball is connected), so
+    I + M is positive semidefinite and its iterates from the constant
+    vector stay positive. Stops once the residual of the defect form
+    2(I - M) at the iterate is at most ``tol``. Returns the ball, the
+    Rayleigh quotient mu of M, the Collatz-Wielandt upper bound
+    max_i (Mv)_i / v_i on the top eigenvalue of M, the defect-form residual,
+    the iterate and the iteration count.
+    """
     B = ball(oracle, r, ball_cap)
-    steps = symmetric_generators(oracle, S)
     index = {x: i for i, x in enumerate(B.elements)}
     rows, cols = [], []
     for x, ix in index.items():
         for s in steps:
-            y = oracle.multiply(s, x)
-            iy = index.get(y)
+            iy = index.get(oracle.multiply(s, x))
             if iy is not None:
                 rows.append(iy)
                 cols.append(ix)
-    return B, len(steps), np.asarray(rows), np.asarray(cols)
-
-
-def _top_eigenpair(matvec, dim, tol, max_iter):
-    """Power iteration for the top eigenvalue of a PSD operator.
-
-    Starts from the constant vector, which has positive overlap with the
-    Perron eigenvector of a connected nonnegative operator. Returns the
-    Rayleigh quotient and residual norm; the Rayleigh quotient of any
-    vector is a certified lower bound for the top eigenvalue.
-    """
-    v = np.full(dim, 1.0 / dim ** 0.5)
-    rayleigh = 0.0
+    dim, deg = len(index), len(steps)
+    rows, cols = np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
+    v = np.full(dim, dim ** -0.5)
+    mu = 0.0
     for it in range(1, max_iter + 1):
-        w = matvec(v)
-        rayleigh = float(np.real(np.dot(v, w)))
-        residual = float(np.linalg.norm(w - rayleigh * v))
+        mv = np.bincount(rows, weights=v[cols], minlength=dim) / deg
+        mu = float(np.dot(v, mv))
+        residual = 2.0 * float(np.linalg.norm(mv - mu * v))
         if residual <= tol:
-            return rayleigh, residual, v, it
-        norm = np.linalg.norm(w)
-        if norm == 0:
-            return 0.0, 0.0, v, it
-        v = w / norm
+            return B, mu, float(np.max(mv / v)), residual, v, it
+        w = v + mv
+        v = w / np.linalg.norm(w)
     raise ConvergenceError(
         f"power iteration did not reach residual {tol} in {max_iter} steps",
-        best=rayleigh,
+        best=2.0 * (1.0 - mu),
     )
 
 
@@ -199,9 +190,15 @@ def min_defect(oracle: GroupOracle, S=None, r: int = 4, tol: float = 1e-9,
     """Minimum of (1/|S+S^-1|) sum_s ||shift_s(w) - w||^2 over unit w on the ball.
 
     The quadratic form equals 2(I - M) with M the ball-compressed averaged
-    shift operator, assembled exactly from ball adjacency; its smallest
-    eigenvalue is located by shifted power iteration with a residual-based
-    certificate: the true minimum lies within ``residual`` of the value.
+    shift operator, assembled exactly from ball adjacency, so the minimum
+    is 2(1 - lambda_max(M)) (Kesten). The value is 2(1 - mu) for the
+    Rayleigh quotient mu of the Perron iterate, once the defect-form
+    residual is at most ``tol``; as a Rayleigh quotient it bounds the
+    minimum from above. The certified lower bound is 2(1 - cw) for the
+    Collatz-Wielandt bound cw = max_i (Mv)_i / v_i >= lambda_max(M) of the
+    positive iterate v (Wielandt 1950). A solve that does not converge in
+    ``max_iter`` steps raises ``ConvergenceError`` whose ``best`` is the
+    last defect value.
     """
     if r < 0:
         raise PreconditionError("radius must be non-negative")
@@ -210,32 +207,33 @@ def min_defect(oracle: GroupOracle, S=None, r: int = 4, tol: float = 1e-9,
     if not steps:
         e = oracle.identity()
         return DefectReport(r, 0.0, SparseVector(space, {(0, e): 1.0}), 0.0, 0.0, True, 0)
-    B, deg, rows, cols = _compressed_markov(oracle, S, r, ball_cap)
-    dim = len(B.elements)
-
-    def matvec(v):
-        # 2I + 2M, the positive shift of the defect form 2(I - M)
-        mv = np.zeros(dim)
-        np.add.at(mv, rows, v[cols])
-        return 2.0 * v + 2.0 * mv / deg
-
-    top, residual, vec, iters = _top_eigenpair(matvec, dim, tol, max_iter)
-    value = 4.0 - top
+    B, mu, cw_upper, residual, vec, iters = _perron_solve(oracle, steps, r, tol, max_iter,
+                                                          ball_cap)
     argmin = SparseVector(space, {(0, x): vec[i] for i, x in enumerate(B.elements)})
-    lower = max(0.0, value - residual)
-    return DefectReport(r, value, argmin, residual, lower, residual <= tol, iters)
+    lower = max(0.0, 2.0 * (1.0 - cw_upper))
+    return DefectReport(r, 2.0 * (1.0 - mu), argmin, residual, lower, True, iters)
 
 
 @dataclass
 class SpectralRadiusInterval:
-    """Certified interval for the norm of the averaged shift operator."""
+    """Certified interval for the norm of the averaged shift operator.
+
+    ``defect`` is the defect solve on the ball that gives the lower end.
+    """
 
     radius: int
     lower: float
     upper: float
-    lower_residual: float
-    iterations: int
+    defect: DefectReport
     table: ReturnProbabilityTable | None = None
+
+    @property
+    def lower_residual(self) -> float:
+        return self.defect.residual / 2.0  # the residual on the scale of M
+
+    @property
+    def iterations(self) -> int:
+        return self.defect.iterations
 
     @property
     def width(self) -> float:
@@ -245,7 +243,7 @@ class SpectralRadiusInterval:
         return self.lower <= x <= self.upper
 
 
-def _certified_upper(oracle, S) -> float:
+def _certified_upper(oracle, steps) -> float:
     """Upper bound for the walk's spectral radius.
 
     The operator norm of an average of unitaries is at most 1. On a free
@@ -253,7 +251,7 @@ def _certified_upper(oracle, S) -> float:
     tree, where the weight function (2k-1)^(-|x|/2) witnesses the sharp
     Schur-test bound sqrt(2k-1)/k.
     """
-    if isinstance(oracle, FreeGroupOracle) and set(symmetric_generators(oracle, S)) == set(
+    if steps and isinstance(oracle, FreeGroupOracle) and set(steps) == set(
         symmetric_generators(oracle)
     ):
         k = oracle.rank
@@ -268,28 +266,18 @@ def spectral_radius_bound(oracle: GroupOracle, S=None, r: int = 6, n_max: int | 
                           support_cap: int = DEFAULT_SUPPORT_CAP) -> SpectralRadiusInterval:
     """Certified spectral-radius interval from ball compression and norm bounds.
 
-    The lower end is the Rayleigh quotient of the converged power-iteration
-    vector for the ball-compressed averaged shift operator (any Rayleigh
-    quotient is a true lower bound); the upper end is a certified norm
-    bound. Optionally attaches the return-probability table with its
-    monotone ratio trace for ``n_max`` steps.
+    The lower end is 1 - d/2 for the defect d = ``min_defect(oracle, S, r,
+    tol, max_iter, ball_cap)``: the Rayleigh quotient of the Perron iterate
+    for the ball-compressed averaged shift operator, and any Rayleigh
+    quotient is a true lower bound. ``tol`` is therefore the defect-form
+    residual. The upper end is a certified norm bound. The defect solve is
+    attached as ``defect``. Optionally attaches the return-probability
+    table with its monotone ratio trace for ``n_max`` steps.
     """
-    steps = symmetric_generators(oracle, S)
     table = None
     if n_max is not None:
         table = return_probabilities(oracle, S, n_max, exact_steps, support_cap)
-    if not steps:
-        return SpectralRadiusInterval(r, 1.0, 1.0, 0.0, 0, table)
-    B, deg, rows, cols = _compressed_markov(oracle, S, r, ball_cap)
-    dim = len(B.elements)
-
-    def matvec(v):
-        # I + M keeps the spectrum nonnegative for the power iteration
-        mv = np.zeros(dim)
-        np.add.at(mv, rows, v[cols])
-        return v + mv / deg
-
-    top, residual, _vec, iters = _top_eigenpair(matvec, dim, tol, max_iter)
-    lower = top - 1.0
-    upper = _certified_upper(oracle, S)
-    return SpectralRadiusInterval(r, lower, min(1.0, max(upper, lower)), residual, iters, table)
+    defect = min_defect(oracle, S, r, tol, max_iter, ball_cap)
+    lower = 1.0 - defect.min_avg_sq_defect / 2.0
+    upper = _certified_upper(oracle, symmetric_generators(oracle, S))
+    return SpectralRadiusInterval(r, lower, min(1.0, max(upper, lower)), defect, table)

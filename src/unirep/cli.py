@@ -56,13 +56,23 @@ def _write_report(report, out_path):
         fh.write(text)
 
 
-def _task_value(cfg, args, name, default=None, cast=None):
+def _task_value(cfg, args, name, default=None, cast=None, block=None):
+    """Task value ``name`` (in the nested ``block`` if given), cast by ``cast``.
+
+    The one place task values are cast: a bad value is a config error at its field.
+    """
+    field = f"task.{name}" if block is None else f"task.{block}.{name}"
     value = getattr(args, name.replace("-", "_"), None)
     if value is None:
-        value = cfg.task.get(name, default)
+        value = (cfg.task if block is None else cfg.task[block]).get(name, default)
     if value is None:
-        raise ConfigError("missing required parameter", field=f"task.{name}")
-    return cast(value) if cast else value
+        raise ConfigError("missing required parameter", field=field)
+    if cast is None:
+        return value
+    try:
+        return cast(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"expected {cast.__name__}, got {value!r}", field=field) from None
 
 
 def _elements(cfg, raw, where):
@@ -87,15 +97,17 @@ def _base_report(name, cfg):
 def run_probe(cfg, args):
     nmax = _task_value(cfg, args, "nmax", 50, int)
     radius = _task_value(cfg, args, "radius", 6, int)
-    exact_steps = int(cfg.task.get("exact-steps", 40))
+    exact_steps = _task_value(cfg, args, "exact-steps", 40, int)
     table = return_probabilities(
         cfg.oracle, None, nmax, exact_steps=exact_steps, support_cap=cfg.caps["support"]
     )
     steps = sorted(table.p)
-    defects = []
-    for rr in range(1, radius + 1):
-        defects.append(min_defect(cfg.oracle, None, rr, ball_cap=cfg.caps["ball"]))
+    # the spectral bound's defect solve on the radius-R ball is the table's last row
+    defects = [min_defect(cfg.oracle, None, rr, ball_cap=cfg.caps["ball"])
+               for rr in range(1, radius)]
     interval = spectral_radius_bound(cfg.oracle, None, radius, ball_cap=cfg.caps["ball"])
+    if radius >= 1:
+        defects.append(interval.defect)
     report = _base_report("probe-amenability", cfg)
     report["inputs"].update({"nmax": nmax, "radius": radius, "exact-steps": exact_steps})
     report["outputs"] = {
@@ -174,11 +186,11 @@ def run_contain(cfg, args):
         target_obj = _load_json(args.target, "target")
     if target_obj is None:
         raise ConfigError("missing target", field="task.target")
-    target = _parse_target(cfg, target_obj)
     radius = _task_value(cfg, args, "radius", 4, int)
     tol = _task_value(cfg, args, "tol", 1e-2, float)
-    budget = int(cfg.task.get("budget", 1500))
-    restarts = int(cfg.task.get("restarts", 8))
+    budget = _task_value(cfg, args, "budget", 1500, int)
+    restarts = _task_value(cfg, args, "restarts", 8, int)
+    target = _parse_target(cfg, target_obj)
     pi = cfg.representation
     if "basis" in cfg.task:
         basis = Subspace(
@@ -333,20 +345,20 @@ def _build_closure(cfg, pi, where="task.closure"):
     block = cfg.task.get("closure")
     if not isinstance(block, dict):
         raise ConfigError("missing closure block", field=where)
+    radius = _task_value(cfg, None, "radius", 2, int, block="closure")
     vectors = [
         parse_vector(raw, pi, f"{where}.vectors[{i}]")
         for i, raw in enumerate(block.get("vectors", []))
     ]
     if not vectors:
         raise ConfigError("closure needs generating vectors", field=f"{where}.vectors")
-    radius = block.get("radius", 2)
-    return stability.closure(pi, vectors, int(radius), dim_cap=cfg.caps["dimension"])
+    return stability.closure(pi, vectors, radius, dim_cap=cfg.caps["dimension"])
 
 
 def run_nondividing(cfg, args):
     pi = cfg.representation
+    tol = _task_value(cfg, args, "tol", 1e-6, float)
     C = _build_closure(cfg, pi)
-    tol = float(cfg.task.get("tol", 1e-6))
     a_vec = [parse_vector(raw, pi, f"task.a[{i}]") for i, raw in enumerate(cfg.task.get("a", []))]
     B = [parse_vector(raw, pi, f"task.B[{i}]") for i, raw in enumerate(cfg.task.get("B", []))]
     if not a_vec:
@@ -484,10 +496,10 @@ def verify_superstable(report):
 
 
 def run_amalgamate(cfg, args):
+    check_radius = _task_value(cfg, args, "check-radius", 3, int)
     pi = parse_representation(cfg.task.get("pi"), cfg.oracle, "task.pi")
     rho = parse_representation(cfg.task.get("rho"), cfg.oracle, "task.rho")
     eta = parse_representation(cfg.task.get("eta"), cfg.oracle, "task.eta")
-    check_radius = int(cfg.task.get("check-radius", 3))
 
     def build_embedding(rep, key):
         raw = cfg.task.get(key)

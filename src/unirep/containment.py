@@ -23,6 +23,7 @@ from .errors import (
     PreconditionError,
     ResourceLimitError,
     UnsupportedKindError,
+    WorkbenchError,
 )
 from .groups import GroupOracle, ball, symmetric_generators
 from .reps import (
@@ -31,7 +32,6 @@ from .reps import (
     Regular,
     Representation,
     Subspace,
-    Trivial,
 )
 from .vectors import SparseVector, delta, inner, orthonormalize
 
@@ -293,9 +293,10 @@ def folner_witness(oracle: GroupOracle, F, eps: float,
     # certify by exact counting on the realized support
     for g in F:
         exact = shift_defect_exact(oracle, support, g)
-        assert exact == _box_defect_sq(oracle, g, N)
-        if exact > eps_frac:
-            raise PreconditionError("certified defect bound violated (unreachable)")
+        closed = _box_defect_sq(oracle, g, N)
+        if exact != closed or exact > eps_frac:
+            raise WorkbenchError(f"counted box defect {exact} for {g!r} disagrees with "
+                                 f"the closed form {closed} or exceeds eps {eps_frac}")
     amp = 1.0 / len(support) ** 0.5
     return SparseVector(space, {(0, x): amp for x in support})
 

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import KindMismatchError, PreconditionError, ResourceLimitError
 from .groups import GroupOracle, ball
 from .reps import Representation, Subspace
-from .vectors import SparseVector, inner, orthonormalize
+from .vectors import SparseVector, inner, orthonormal_residual, orthonormalize
 
 DEFAULT_DIM_CAP = 2000
 DROP_TOL = 1e-10
@@ -62,8 +62,8 @@ def closure(pi: Representation, A, r: int, probes=None,
             dim_cap: int = DEFAULT_DIM_CAP) -> ClosureSpec:
     """Orthonormal basis of span{pi(g)a : |g| <= r, a in A}.
 
-    Orbit vectors are enumerated shell by shell and orthonormalized with
-    modified Gram-Schmidt plus a re-orthogonalization pass; vectors whose
+    Orbit vectors are enumerated shell by shell and each contributes its
+    ``orthonormal_residual`` against the basis so far; vectors whose
     residual norm falls below 1e-10 are linearly dependent and dropped.
     """
     A = list(A)
@@ -88,16 +88,11 @@ def closure(pi: Representation, A, r: int, probes=None,
         shells = [B.sphere(k) for k in range(r + 1)]
 
     def add_vector(v):
-        w = v
-        for _ in range(2):
-            for b in basis:
-                w = w - inner(w, b) * b
-        nrm = w.norm()
-        if nrm < DROP_TOL:
+        w = orthonormal_residual(v, basis, DROP_TOL)
+        if w is None:
             return
         if len(basis) >= dim_cap:
             raise ResourceLimitError(f"closure dimension cap {dim_cap} exceeded")
-        w = w * (1.0 / nrm)
         basis.append(w)
         for i, p in enumerate(probes):
             acc[i] += abs(inner(p, w)) ** 2

@@ -77,10 +77,6 @@ class SparseVector:
         """Keep only entries whose (copy, key) satisfies the predicate."""
         return SparseVector(self.space, {k: v for k, v in self.entries.items() if keep(k)})
 
-    def prune(self, tol: float) -> "SparseVector":
-        """Drop amplitudes with modulus below ``tol``."""
-        return SparseVector(self.space, {k: v for k, v in self.entries.items() if abs(v) >= tol})
-
     def amplitude(self, copy, key):
         return self.entries.get((copy, key), 0j)
 
@@ -113,19 +109,30 @@ def zero(space) -> SparseVector:
     return SparseVector(space, {})
 
 
-def orthonormalize(vectors, drop_tol: float = 1e-10) -> list:
-    """Modified Gram-Schmidt with one re-orthogonalization pass.
+def orthonormal_residual(v: SparseVector, basis, drop_tol: float = 1e-10):
+    """Unit residual of ``v`` against the orthonormal ``basis``, or None.
 
-    Vectors whose residual norm falls below ``drop_tol`` are treated as
-    linearly dependent on the ones already kept and dropped.
+    Modified Gram-Schmidt with one re-orthogonalization pass. A residual
+    whose norm falls below ``drop_tol`` means ``v`` is linearly dependent
+    on ``basis``, and None is returned.
+    """
+    w = v
+    for _ in range(2):
+        for b in basis:
+            w = w - inner(w, b) * b
+    n = w.norm()
+    return w * (1.0 / n) if n >= drop_tol else None
+
+
+def orthonormalize(vectors, drop_tol: float = 1e-10) -> list:
+    """Orthonormal basis of the span of ``vectors``, kept in order.
+
+    Each vector contributes its ``orthonormal_residual`` against the ones
+    already kept; linearly dependent vectors are dropped.
     """
     basis = []
     for v in vectors:
-        w = v
-        for _ in range(2):
-            for b in basis:
-                w = w - inner(w, b) * b
-        n = w.norm()
-        if n >= drop_tol:
-            basis.append(w * (1.0 / n))
+        w = orthonormal_residual(v, basis, drop_tol)
+        if w is not None:
+            basis.append(w)
     return basis

@@ -148,7 +148,19 @@ def test_min_defect_dense_oracle_small_radius():
                 if iy is not None:
                     M[iy, ix] += 1 / len(steps)
         dense = float(np.linalg.eigvalsh(2 * (np.eye(len(B)) - M))[0])
-        assert abs(min_defect(F2, None, r).min_avg_sq_defect - dense) < 1e-9
+        report = min_defect(F2, None, r)
+        assert abs(report.min_avg_sq_defect - dense) < 1e-9
+        # Collatz-Wielandt: a proven lower bound, and a tight one
+        assert report.certified_lower_bound <= dense
+        assert report.min_avg_sq_defect - report.certified_lower_bound < 1e-8
+
+
+def test_min_defect_nonconvergence_reports_best():
+    with pytest.raises(ConvergenceError) as info:
+        min_defect(z_oracle(), None, 5, max_iter=1)
+    # one step leaves the constant vector on the 11-point path, whose
+    # defect Rayleigh quotient is 2(1 - 10/11)
+    assert abs(info.value.best - 2 / 11) < 1e-12
 
 
 def test_consistency_defect_vs_compression():

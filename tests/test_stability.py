@@ -147,6 +147,12 @@ def test_nondividing_distant_deltas():
 # -- dense brute-force reference ------------------------------------------
 
 
+def span_basis(X):
+    """Orthonormal basis of the column span of X, rank-revealing via the SVD."""
+    u, s, _ = np.linalg.svd(X, full_matrices=False)
+    return u[:, s > 1e-10]
+
+
 class DenseModel:
     """Explicit-matrix mirror of a finite-dimensional action for cross-checks."""
 
@@ -170,10 +176,7 @@ class DenseModel:
                 cols.append(self.matrix(g) @ self.vec(a))
         if not cols:
             return np.zeros((self.dim, 0), dtype=complex)
-        X = np.array(cols).T
-        q, r = np.linalg.qr(X)
-        keep = [i for i in range(r.shape[0]) if abs(r[i, i]) > 1e-10]
-        return q[:, keep]
+        return span_basis(np.array(cols).T)
 
     def residual(self, Q, x):
         return x - Q @ (Q.conj().T @ x)
@@ -197,10 +200,7 @@ class DenseModel:
             for a in a_vec:
                 x = self.matrix(g) @ self.vec(a)
                 cols.append(Q @ (Q.conj().T @ x))
-        X = np.array(cols).T
-        q, r = np.linalg.qr(X)
-        keep = [i for i in range(r.shape[0]) if abs(r[i, i]) > 1e-10]
-        return q[:, keep]
+        return span_basis(np.array(cols).T)
 
 
 def random_instance(rng, dim):
