@@ -4,6 +4,7 @@ from .amenability import (
     DefectReport,
     ReturnProbabilityTable,
     SpectralRadiusInterval,
+    defect_table,
     min_defect,
     return_probabilities,
     spectral_radius_bound,

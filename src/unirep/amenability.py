@@ -8,10 +8,17 @@ The last two are one number (Kesten): the minimum defect on a ball is
 2(1 - lambda_max(M)) for the ball-compressed walk operator M, so both come
 from one Perron solve. Its Rayleigh quotient bounds lambda_max(M) from
 below and the Collatz-Wielandt bound of its positive iterate bounds it
-from above, which certifies the defect from both sides. For the free
-kinds on their standard generators the walk distribution is constant on
-spheres, so the convolution runs on the exact radial chain instead of the
-full (exponentially growing) support.
+from above, which certifies the defect from both sides.
+
+``defect_table`` gives the defect for every radius 1..r from one ball
+operator: the ball enumerates in breadth-first order, so the radius-rho
+ball is a prefix of the radius-r ball and its edges are the radius-r
+edges with both ends in that prefix, in the same order. Each radius
+therefore solves the same arrays as a ball built for it alone, and the
+probe builds one ball per run. For the free kinds on their standard
+generators the walk distribution is constant on spheres, so the
+convolution runs on the exact radial chain instead of the full
+(exponentially growing) support.
 """
 
 from __future__ import annotations
@@ -122,7 +129,7 @@ def return_probabilities(oracle: GroupOracle, S=None, n_max: int = DEFAULT_EXACT
         for x, m in dist.items():
             mw = m * w
             for s in steps:
-                y = oracle.multiply(s, x)
+                y = oracle._mul(s, x)
                 new[y] = new.get(y, 0) + mw
         if len(new) > support_cap:
             raise ResourceLimitError(
@@ -134,28 +141,40 @@ def return_probabilities(oracle: GroupOracle, S=None, n_max: int = DEFAULT_EXACT
     return ReturnProbabilityTable(n_max, p, min(n_max, exact_steps))
 
 
-def _perron_solve(oracle, steps, r, tol, max_iter, ball_cap):
-    """Power iteration on I + M for the ball-compressed averaged shift operator M.
+def _ball_operator(oracle, steps, r, cap):
+    """The radius-r ball with the edge arrays of its compressed walk operator.
 
-    M is symmetric, nonnegative and irreducible (the ball is connected), so
-    I + M is positive semidefinite and its iterates from the constant
-    vector stay positive. Stops once the residual of the defect form
-    2(I - M) at the iterate is at most ``tol``. Returns the ball, the
-    Rayleigh quotient mu of M, the Collatz-Wielandt upper bound
-    max_i (Mv)_i / v_i on the top eigenvalue of M, the defect-form residual,
-    the iterate and the iteration count.
+    Returns the ball, the ``rows``/``cols`` index arrays of the edges
+    x -> s x with both ends in the ball (``cols`` ascending), and ``sizes``
+    with ``sizes[rho]`` the number of elements of the radius-rho ball, a
+    prefix of the breadth-first enumeration.
     """
-    B = ball(oracle, r, ball_cap)
+    B = ball(oracle, r, cap)
     index = {x: i for i, x in enumerate(B.elements)}
+    mul = oracle._mul
     rows, cols = [], []
     for x, ix in index.items():
         for s in steps:
-            iy = index.get(oracle.multiply(s, x))
+            iy = index.get(mul(s, x))
             if iy is not None:
                 rows.append(iy)
                 cols.append(ix)
-    dim, deg = len(index), len(steps)
-    rows, cols = np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
+    sizes = np.cumsum(np.bincount([B.word_length[x] for x in B.elements], minlength=r + 1))
+    return B, np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp), sizes
+
+
+def _perron_solve(rows, cols, dim, deg, tol, max_iter):
+    """Power iteration on I + M for the ball-compressed averaged shift operator M.
+
+    M has entries 1/deg on the edges ``rows[i] <- cols[i]``. It is
+    symmetric, nonnegative and irreducible (the ball is connected), so
+    I + M is positive semidefinite and its iterates from the constant
+    vector stay positive. Stops once the residual of the defect form
+    2(I - M) at the iterate is at most ``tol``. Returns the Rayleigh
+    quotient mu of M, the Collatz-Wielandt upper bound max_i (Mv)_i / v_i
+    on the top eigenvalue of M, the defect-form residual, the iterate and
+    the iteration count.
+    """
     v = np.full(dim, dim ** -0.5)
     mu = 0.0
     for it in range(1, max_iter + 1):
@@ -163,7 +182,7 @@ def _perron_solve(oracle, steps, r, tol, max_iter, ball_cap):
         mu = float(np.dot(v, mv))
         residual = 2.0 * float(np.linalg.norm(mv - mu * v))
         if residual <= tol:
-            return B, mu, float(np.max(mv / v)), residual, v, it
+            return mu, float(np.max(mv / v)), residual, v, it
         w = v + mv
         v = w / np.linalg.norm(w)
     raise ConvergenceError(
@@ -185,33 +204,59 @@ class DefectReport:
     iterations: int
 
 
-def min_defect(oracle: GroupOracle, S=None, r: int = 4, tol: float = 1e-9,
-               max_iter: int = 500_000, ball_cap: int = DEFAULT_SUPPORT_CAP) -> DefectReport:
-    """Minimum of (1/|S+S^-1|) sum_s ||shift_s(w) - w||^2 over unit w on the ball.
-
-    The quadratic form equals 2(I - M) with M the ball-compressed averaged
-    shift operator, assembled exactly from ball adjacency, so the minimum
-    is 2(1 - lambda_max(M)) (Kesten). The value is 2(1 - mu) for the
-    Rayleigh quotient mu of the Perron iterate, once the defect-form
-    residual is at most ``tol``; as a Rayleigh quotient it bounds the
-    minimum from above. The certified lower bound is 2(1 - cw) for the
-    Collatz-Wielandt bound cw = max_i (Mv)_i / v_i >= lambda_max(M) of the
-    positive iterate v (Wielandt 1950). A solve that does not converge in
-    ``max_iter`` steps raises ``ConvergenceError`` whose ``best`` is the
-    last defect value.
-    """
+def _defects(oracle, S, r, radii, tol, max_iter, ball_cap):
+    """DefectReports for ``radii`` (each at most r), from one radius-r ball operator."""
     if r < 0:
         raise PreconditionError("radius must be non-negative")
     space = Regular(oracle)
     steps = symmetric_generators(oracle, S)
     if not steps:
         e = oracle.identity()
-        return DefectReport(r, 0.0, SparseVector(space, {(0, e): 1.0}), 0.0, 0.0, True, 0)
-    B, mu, cw_upper, residual, vec, iters = _perron_solve(oracle, steps, r, tol, max_iter,
-                                                          ball_cap)
-    argmin = SparseVector(space, {(0, x): vec[i] for i, x in enumerate(B.elements)})
-    lower = max(0.0, 2.0 * (1.0 - cw_upper))
-    return DefectReport(r, 2.0 * (1.0 - mu), argmin, residual, lower, True, iters)
+        return [DefectReport(rho, 0.0, SparseVector(space, {(0, e): 1.0}), 0.0, 0.0, True, 0)
+                for rho in radii]
+    B, rows, cols, sizes = _ball_operator(oracle, steps, r, ball_cap)
+    reports = []
+    for rho in radii:
+        n = int(sizes[rho])
+        m = int(np.searchsorted(cols, n))  # cols ascend: edges out of the prefix come first
+        inside = rows[:m] < n
+        mu, cw_upper, residual, vec, iters = _perron_solve(
+            rows[:m][inside], cols[:m][inside], n, len(steps), tol, max_iter)
+        argmin = SparseVector(space, {(0, x): vec[i] for i, x in enumerate(B.elements[:n])})
+        # the form is PSD: a Rayleigh quotient a rounding step past the top clamps to 0
+        value = max(0.0, 2.0 * (1.0 - mu))
+        lower = max(0.0, 2.0 * (1.0 - cw_upper))
+        reports.append(DefectReport(rho, value, argmin, residual, lower, True, iters))
+    return reports
+
+
+def min_defect(oracle: GroupOracle, S=None, r: int = 4, tol: float = 1e-9,
+               max_iter: int = 500_000, ball_cap: int = DEFAULT_SUPPORT_CAP) -> DefectReport:
+    """Minimum of (1/|S+S^-1|) sum_s ||shift_s(w) - w||^2 over unit w on the ball.
+
+    The quadratic form equals 2(I - M) with M the ball-compressed averaged
+    shift operator, assembled exactly from ball adjacency, so the minimum
+    is 2(1 - lambda_max(M)) (Kesten). The value is max(0, 2(1 - mu)) for
+    the Rayleigh quotient mu of the Perron iterate, once the defect-form
+    residual is at most ``tol``; the form is positive semidefinite, so it
+    bounds the minimum from above. The certified lower bound is 2(1 - cw)
+    for the Collatz-Wielandt bound cw = max_i (Mv)_i / v_i >= lambda_max(M)
+    of the positive iterate v (Wielandt 1950). A solve that does not
+    converge in ``max_iter`` steps raises ``ConvergenceError`` whose
+    ``best`` is the last defect value.
+    """
+    return _defects(oracle, S, r, [r], tol, max_iter, ball_cap)[0]
+
+
+def defect_table(oracle: GroupOracle, S=None, r: int = 4, tol: float = 1e-9,
+                 max_iter: int = 500_000,
+                 ball_cap: int = DEFAULT_SUPPORT_CAP) -> list[DefectReport]:
+    """``min_defect`` at every radius 1..r, from one radius-r ball and edge list.
+
+    Each row equals ``min_defect(oracle, S, rho, tol, max_iter, ball_cap)``
+    exactly: the radius-rho operator is read off the radius-r one.
+    """
+    return _defects(oracle, S, r, range(1, r + 1), tol, max_iter, ball_cap)
 
 
 @dataclass
@@ -242,15 +287,24 @@ class SpectralRadiusInterval:
     def __contains__(self, x) -> bool:
         return self.lower <= x <= self.upper
 
+    @classmethod
+    def from_defect(cls, oracle: GroupOracle, S, defect: DefectReport,
+                    table: ReturnProbabilityTable | None = None) -> SpectralRadiusInterval:
+        """The interval whose lower end is 1 - d/2 for the defect solve ``defect``."""
+        lower = 1.0 - defect.min_avg_sq_defect / 2.0
+        upper = min(1.0, max(certified_upper(oracle, S), lower))
+        return cls(defect.radius, lower, upper, defect, table)
 
-def _certified_upper(oracle, steps) -> float:
-    """Upper bound for the walk's spectral radius.
+
+def certified_upper(oracle: GroupOracle, S=None) -> float:
+    """Upper bound for the spectral radius of the walk on S union S^-1.
 
     The operator norm of an average of unitaries is at most 1. On a free
     group with its standard generators the Cayley graph is the 2k-regular
     tree, where the weight function (2k-1)^(-|x|/2) witnesses the sharp
     Schur-test bound sqrt(2k-1)/k.
     """
+    steps = symmetric_generators(oracle, S)
     if steps and isinstance(oracle, FreeGroupOracle) and set(steps) == set(
         symmetric_generators(oracle)
     ):
@@ -278,6 +332,4 @@ def spectral_radius_bound(oracle: GroupOracle, S=None, r: int = 6, n_max: int | 
     if n_max is not None:
         table = return_probabilities(oracle, S, n_max, exact_steps, support_cap)
     defect = min_defect(oracle, S, r, tol, max_iter, ball_cap)
-    lower = 1.0 - defect.min_avg_sq_defect / 2.0
-    upper = _certified_upper(oracle, symmetric_generators(oracle, S))
-    return SpectralRadiusInterval(r, lower, min(1.0, max(upper, lower)), defect, table)
+    return SpectralRadiusInterval.from_defect(oracle, S, defect, table)

@@ -16,7 +16,13 @@ import sys
 from datetime import datetime, timezone
 
 from . import containment, stability
-from .amenability import min_defect, return_probabilities, spectral_radius_bound
+from .amenability import (
+    SpectralRadiusInterval,
+    certified_upper,
+    defect_table,
+    min_defect,
+    return_probabilities,
+)
 from .containment import discrepancy, folner_witness, gram, search_witness, transfer_witness
 from .errors import ConfigError, PreconditionError, ResourceLimitError, WorkbenchError
 from .groups import symmetric_generators
@@ -60,6 +66,7 @@ def _task_value(cfg, args, name, default=None, cast=None, block=None):
     """Task value ``name`` (in the nested ``block`` if given), cast by ``cast``.
 
     The one place task values are cast: a bad value is a config error at its field.
+    An ``int`` field takes no bool and no number with a fractional part.
     """
     field = f"task.{name}" if block is None else f"task.{block}.{name}"
     value = getattr(args, name.replace("-", "_"), None)
@@ -70,6 +77,9 @@ def _task_value(cfg, args, name, default=None, cast=None, block=None):
     if cast is None:
         return value
     try:
+        if cast is int and (isinstance(value, bool)
+                            or isinstance(value, float) and not value.is_integer()):
+            raise ValueError(value)
         return cast(value)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"expected {cast.__name__}, got {value!r}", field=field) from None
@@ -102,12 +112,11 @@ def run_probe(cfg, args):
         cfg.oracle, None, nmax, exact_steps=exact_steps, support_cap=cfg.caps["support"]
     )
     steps = sorted(table.p)
-    # the spectral bound's defect solve on the radius-R ball is the table's last row
-    defects = [min_defect(cfg.oracle, None, rr, ball_cap=cfg.caps["ball"])
-               for rr in range(1, radius)]
-    interval = spectral_radius_bound(cfg.oracle, None, radius, ball_cap=cfg.caps["ball"])
-    if radius >= 1:
-        defects.append(interval.defect)
+    defects = defect_table(cfg.oracle, None, radius, ball_cap=cfg.caps["ball"])
+    # the spectral bound's lower end is the last row's defect; radius 0 has no row
+    last = defects[-1] if defects else min_defect(cfg.oracle, None, radius,
+                                                  ball_cap=cfg.caps["ball"])
+    interval = SpectralRadiusInterval.from_defect(cfg.oracle, None, last)
     report = _base_report("probe-amenability", cfg)
     report["inputs"].update({"nmax": nmax, "radius": radius, "exact-steps": exact_steps})
     report["outputs"] = {
@@ -139,14 +148,34 @@ def run_probe(cfg, args):
 
 
 def _defect_rayleigh(oracle, w):
-    """Average squared shift defect of w, recomputed through the sparse action."""
-    space = Regular(oracle)
+    """Average squared shift defect of w and the certified lower bound w gives.
+
+    The shifts of w are summed once over the support of w into deg * Mw,
+    for M the average of the shifts. They are unitary, so the defect is
+    2(1 - Re<Mw, w>/|w|^2). The bound is max(0, 2(1 - cw)) for the
+    Collatz-Wielandt bound cw = max_x Re Mw(x)/w(x), which holds only for a
+    positive w: if an entry is not a positive real, the bound is nan.
+    """
     steps = symmetric_generators(oracle)
     if not steps:
-        return 0.0
+        return 0.0, 0.0
     n2 = w.norm2()
-    total = sum((space.apply(s, w) - w).norm2() for s in steps)
-    return total / (len(steps) * n2)
+    if n2 == 0:
+        return float("nan"), float("nan")
+    local = {key: amp for (_copy, key), amp in w.entries.items()}
+    shifted = dict.fromkeys(local, 0.0)
+    for x, amp in local.items():
+        for s in steps:
+            y = oracle._mul(s, x)
+            if y in shifted:
+                shifted[y] += amp
+    deg = len(steps)
+    overlap = sum((shifted[x] * amp.conjugate()).real for x, amp in local.items()) / deg
+    defect = 2.0 * (1.0 - overlap / n2)
+    if not all(amp.imag == 0 and amp.real > 0 for amp in local.values()):
+        return defect, float("nan")
+    cw = max(shifted[x].real / (deg * amp.real) for x, amp in local.items())
+    return defect, max(0.0, 2.0 * (1.0 - cw))
 
 
 def verify_probe(report):
@@ -157,9 +186,18 @@ def verify_probe(report):
         checks.append(("final-ratio", (p[-1] / p[-2]) ** 0.5, out["final-ratio"]))
     oracle = parse_config({"group": report["inputs"]["group"]}).oracle
     space = Regular(oracle)
+    value = None
     for row in out["defect-table"]:
         w = parse_vector(row["argmin"], space)
-        checks.append((f"defect-r{row['radius']}", _defect_rayleigh(oracle, w), row["value"]))
+        value, certified = _defect_rayleigh(oracle, w)
+        checks.append((f"defect-r{row['radius']}", value, row["value"]))
+        checks.append((f"certified-lower-r{row['radius']}", certified, row["certified-lower"]))
+    spectral = out["spectral"]
+    if value is not None:
+        lower = 1.0 - value / 2.0
+        checks.append(("spectral-lower", lower, spectral["lower"]))
+        checks.append(("spectral-upper", min(1.0, max(certified_upper(oracle), lower)),
+                       spectral["upper"]))
     checks.append(("headline", out["final-ratio"], report["headline"]))
     return checks
 
@@ -599,7 +637,7 @@ def run_verify(args):
     checks = VERIFIERS[task](report)
     failures = []
     for name, recomputed, stored in checks:
-        if abs(float(recomputed) - float(stored)) > VERIFY_TOL:
+        if not abs(float(recomputed) - float(stored)) <= VERIFY_TOL:  # nan fails too
             failures.append((name, recomputed, stored))
     if failures:
         for name, recomputed, stored in failures:

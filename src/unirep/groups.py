@@ -12,6 +12,15 @@ Group elements are plain hashable payloads in canonical form:
 
 An oracle interprets payloads of its own kind only; feeding it a payload
 that is not canonical for that kind raises ``KindMismatchError``.
+
+Validation happens at the boundary. The public operations (``multiply``,
+``invert``, ``check_element``, ``element_from_str`` and the rewriting
+oracle's ``normalize``) check every payload they are given. Each oracle's
+private ``_mul`` is the same product without the checks: it trusts its
+operands to be canonical, and is called only on elements the oracle
+produced (the identity, generators, step sets already passed through the
+validating ``invert``, and products of these) or that a public check has
+already accepted.
 """
 
 from __future__ import annotations
@@ -48,6 +57,10 @@ class GroupOracle:
         raise NotImplementedError
 
     def multiply(self, a, b):
+        raise NotImplementedError
+
+    def _mul(self, a, b):
+        """The product of canonical ``a`` and ``b``, with no checks."""
         raise NotImplementedError
 
     def invert(self, a):
@@ -109,7 +122,7 @@ class GroupOracle:
             for x in frontier:
                 wx = cache[x]
                 for letter, g in letters:
-                    y = self.multiply(x, g)
+                    y = self._mul(x, g)
                     if y not in cache:
                         cache[y] = wx + (letter,)
                         new_frontier.append(y)
@@ -160,13 +173,14 @@ class FreeGroupOracle(GroupOracle):
     def multiply(self, a, b):
         self.check_element(a)
         self.check_element(b)
-        out = list(a)
-        for x in b:
-            if out and out[-1] == -x:
-                out.pop()
-            else:
-                out.append(x)
-        return tuple(out)
+        return self._mul(a, b)
+
+    def _mul(self, a, b):
+        # both words are reduced, so cancellation happens only at the junction
+        k, n = 0, min(len(a), len(b))
+        while k < n and a[-1 - k] == -b[k]:
+            k += 1
+        return a[: len(a) - k] + b[k:]
 
     def invert(self, a):
         self.check_element(a)
@@ -236,6 +250,9 @@ class FgAbelianOracle(GroupOracle):
     def multiply(self, a, b):
         self.check_element(a)
         self.check_element(b)
+        return self._mul(a, b)
+
+    def _mul(self, a, b):
         return self._reduce(tuple(x + y for x, y in zip(a, b)))
 
     def invert(self, a):
@@ -384,6 +401,9 @@ class FiniteTableOracle(GroupOracle):
     def multiply(self, a, b):
         self.check_element(a)
         self.check_element(b)
+        return self._mul(a, b)
+
+    def _mul(self, a, b):
         return self.table[a][b]
 
     def invert(self, a):
@@ -430,8 +450,15 @@ class RewritingOracle(GroupOracle):
     """Group presented by a complete rewriting system over a signed letter alphabet.
 
     The system must be supplied already terminating and confluent; the free
-    cancellation rules ``x x^-1 -> e`` are added automatically. Rewriting that
-    does not terminate within the step cap raises ResourceLimitError.
+    cancellation rules ``x x^-1 -> e`` are added automatically. Normal forms
+    are computed in one left-to-right pass: input letters are pushed one at
+    a time onto an output stack, which stays irreducible, so after each push
+    only the stack's suffixes of the left-hand-side lengths can match. A
+    match pops the left-hand side and pushes the right-hand side back onto
+    the input. For a complete system every reduction strategy reaches the
+    same normal form. Each rewrite counts one step against
+    ``max_rewrite_steps``; rewriting that does not terminate within that cap
+    raises ResourceLimitError naming it.
     """
 
     kind = "rewriting-presented"
@@ -456,32 +483,39 @@ class RewritingOracle(GroupOracle):
         for i in range(1, num_generators + 1):
             cancel.append(((i, -i), ()))
             cancel.append(((-i, i), ()))
-        all_rules = cancel + [r for r in norm_rules if r not in cancel]
+        self._rhs = {}
+        for lhs, rhs in cancel + norm_rules:
+            self._rhs.setdefault(lhs, rhs)  # the first rule for a left-hand side wins
         # longest left-hand side first so overlapping rules fire deterministically
-        self.rules = sorted(all_rules, key=lambda r: (-len(r[0]), all_rules.index(r)))
+        self._lhs_lengths = sorted({len(lhs) for lhs in self._rhs}, reverse=True)
         self.generators = [(i,) for i in range(1, num_generators + 1)]
+
+    def _rewrite(self, stack, word):
+        """Normal form of ``stack + word`` for an irreducible ``stack``."""
+        out = list(stack)
+        todo = list(reversed(word))  # the input, next letter last
+        rhs_of, lengths = self._rhs, self._lhs_lengths
+        steps = 0
+        while todo:
+            out.append(todo.pop())
+            n = len(out)
+            for k in lengths:
+                rhs = rhs_of.get(tuple(out[n - k:])) if k <= n else None
+                if rhs is not None:
+                    del out[n - k:]
+                    todo.extend(reversed(rhs))
+                    steps += 1
+                    if steps > self.max_rewrite_steps:
+                        raise ResourceLimitError(
+                            f"rewriting step cap {self.max_rewrite_steps} exceeded"
+                        )
+                    break
+        return tuple(out)
 
     def normalize(self, word):
         word = tuple(word)
         _check_word(word, self.num_generators, reduced=False)
-        steps = 0
-        changed = True
-        while changed:
-            changed = False
-            for pos in range(len(word)):
-                for lhs, rhs in self.rules:
-                    if word[pos : pos + len(lhs)] == lhs:
-                        word = word[:pos] + rhs + word[pos + len(lhs) :]
-                        steps += 1
-                        if steps > self.max_rewrite_steps:
-                            raise ResourceLimitError(
-                                f"rewriting step cap {self.max_rewrite_steps} exceeded"
-                            )
-                        changed = True
-                        break
-                if changed:
-                    break
-        return word
+        return self._rewrite((), word)
 
     def identity(self):
         return ()
@@ -489,15 +523,18 @@ class RewritingOracle(GroupOracle):
     def multiply(self, a, b):
         self.check_element(a)
         self.check_element(b)
-        return self.normalize(a + b)
+        return self._mul(a, b)
+
+    def _mul(self, a, b):
+        return self._rewrite(a, b)
 
     def invert(self, a):
         self.check_element(a)
-        return self.normalize(tuple(-x for x in reversed(a)))
+        return self._rewrite((), tuple(-x for x in reversed(a)))
 
     def check_element(self, a):
         _check_word(a, self.num_generators, reduced=False)
-        if self.normalize(a) != a:
+        if self._rewrite((), a) != a:
             raise KindMismatchError(f"word {a} is not in rewriting normal form")
 
     def as_word(self, a, cap: int = DEFAULT_BALL_CAP):
@@ -573,7 +610,7 @@ def ball(oracle: GroupOracle, r: int, cap: int = DEFAULT_BALL_CAP) -> Ball:
         new = []
         for x in frontier:
             for s in steps:
-                y = oracle.multiply(x, s)
+                y = oracle._mul(x, s)
                 if y not in word_length:
                     word_length[y] = radius
                     elements.append(y)

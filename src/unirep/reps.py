@@ -98,8 +98,13 @@ class Regular(Representation):
         return self.oracle.order()
 
     def leaf_apply(self, g, local):
-        mult = self.oracle.multiply
-        return {mult(g, x): amp for x, amp in local.items()}
+        # apply has checked g; each key is checked once, then multiplied unchecked
+        check, mul = self.oracle.check_element, self.oracle._mul
+        out = {}
+        for x, amp in local.items():
+            check(x)
+            out[mul(g, x)] = amp
+        return out
 
     def leaf_basis_keys(self):
         return self.oracle.elements_in_order()

@@ -13,12 +13,13 @@ from unirep import (
     Regular,
     ResourceLimitError,
     ball,
+    defect_table,
     min_defect,
     return_probabilities,
     spectral_radius_bound,
     symmetric_generators,
 )
-from util import cyclic_table, f2_oracle, z2_oracle, z_oracle
+from util import cyclic_table, f2_oracle, z2_oracle, z2_rewriting, z_oracle
 
 
 def test_z_binomial_closed_form_exact():
@@ -108,6 +109,28 @@ def test_min_defect_finite_group_zero():
     report = min_defect(Z5, None, 4)
     assert report.min_avg_sq_defect < 1e-12
     assert report.certified_lower_bound_used
+
+
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_finite_group_defect_clamped_at_zero(n):
+    report = min_defect(cyclic_table(n), None, 4)
+    assert report.min_avg_sq_defect >= 0
+    interval = spectral_radius_bound(cyclic_table(n), None, 4)
+    assert interval.lower in interval
+
+
+@pytest.mark.parametrize("make", [z_oracle, f2_oracle, z2_rewriting])
+def test_defect_table_rows_equal_min_defect(make):
+    oracle = make()
+    table = defect_table(oracle, None, 5)
+    assert [row.radius for row in table] == [1, 2, 3, 4, 5]
+    for row in table:
+        single = min_defect(oracle, None, row.radius)
+        assert row.min_avg_sq_defect == single.min_avg_sq_defect
+        assert row.certified_lower_bound == single.certified_lower_bound
+        assert row.residual == single.residual
+        assert row.iterations == single.iterations
+        assert row.argmin.entries == single.argmin.entries
 
 
 def test_min_defect_argmin_rayleigh_matches():

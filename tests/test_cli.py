@@ -10,6 +10,8 @@ import pytest
 from unirep.cli import main
 
 Z = {"kind": "fg-abelian", "rank": 1, "torsion": []}
+Z2_REWRITING = {"kind": "rewriting-presented", "num_generators": 2, "rules": [
+    [[2, 1], [1, 2]], [[2, -1], [-1, 2]], [[-2, 1], [1, -2]], [[-2, -1], [-1, -2]]]}
 
 
 def run_task(tmp_path, task, config):
@@ -33,9 +35,63 @@ def test_probe_round_trip_one_defect_per_radius(tmp_path):
     assert all(0 <= row["certified-lower"] <= row["value"] for row in table)
 
 
+def test_probe_round_trip_on_rewriting_oracle(tmp_path):
+    code, out = run_task(tmp_path, "probe-amenability",
+                         {"group": Z2_REWRITING, "task": {"nmax": 8, "radius": 3}})
+    assert code == 0
+    assert main(["verify", "--report", str(out)]) == 0
+    table = json.loads(out.read_text())["outputs"]["defect-table"]
+    assert [row["radius"] for row in table] == [1, 2, 3]
+
+
+def _raise_certified_lower(out):
+    out["defect-table"][0]["certified-lower"] = 5.0  # above the row's value
+
+
+def _lower_spectral_lower(out):
+    out["spectral"]["lower"] = 0.1
+
+
+def _negate_argmin_entry(out):
+    out["defect-table"][0]["argmin"][0][2] = -1.0
+
+
+def _rotate_argmin_entry(out):
+    out["defect-table"][0]["argmin"][0][3] = 0.5
+
+
+def _zero_argmin(out):
+    for entry in out["defect-table"][0]["argmin"]:
+        entry[2] = 0.0
+
+
+@pytest.mark.parametrize("tamper, check", [
+    (_raise_certified_lower, "certified-lower-r1"),
+    (_lower_spectral_lower, "spectral-lower"),
+    (_negate_argmin_entry, "certified-lower-r1"),
+    (_rotate_argmin_entry, "certified-lower-r1"),
+    (_zero_argmin, "defect-r1"),
+])
+def test_verify_probe_rejects_tampered_certificates(tmp_path, capsys, tamper, check):
+    code, out = run_task(tmp_path, "probe-amenability",
+                         {"group": Z, "task": {"nmax": 4, "radius": 2}})
+    assert code == 0
+    report = json.loads(out.read_text())
+    tamper(report["outputs"])
+    out.write_text(json.dumps(report))
+    capsys.readouterr()
+    assert main(["verify", "--report", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"FAILED {check}:" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("task, block, field", [
     ("probe-amenability", {"nmax": "abc"}, "task.nmax"),
     ("probe-amenability", {"exact-steps": "x"}, "task.exact-steps"),
+    ("probe-amenability", {"nmax": 4.7}, "task.nmax"),
+    ("probe-amenability", {"radius": 2.9}, "task.radius"),
+    ("probe-amenability", {"radius": True}, "task.radius"),
     ("contain", {"target": {}, "budget": "many"}, "task.budget"),
     ("contain", {"target": {}, "restarts": [1]}, "task.restarts"),
     ("nondividing", {"tol": "tight"}, "task.tol"),

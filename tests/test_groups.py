@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from unirep import (
     FgAbelianOracle,
@@ -10,6 +12,7 @@ from unirep import (
     KindMismatchError,
     PreconditionError,
     ResourceLimitError,
+    RewritingOracle,
     ball,
     symmetric_generators,
 )
@@ -111,6 +114,44 @@ def test_rewriting_z3_normal_forms():
     assert RW3.multiply(a, a) == (-1,)
     assert RW3.multiply(RW3.multiply(a, a), a) == ()
     assert len(ball(RW3, 5)) == 3
+
+
+@settings(derandomize=True, database=None, max_examples=300)
+@given(st.lists(st.sampled_from([1, -1, 2, -2]), max_size=30))
+def test_rewriting_normal_form_is_exponent_sums(word):
+    a = sum(1 if x == 1 else -1 for x in word if abs(x) == 1)
+    b = sum(1 if x == 2 else -1 for x in word if abs(x) == 2)
+    sorted_word = (1 if a > 0 else -1,) * abs(a) + (2 if b > 0 else -2,) * abs(b)
+    assert z2_rewriting().normalize(word) == sorted_word
+    z3_word = [x for x in word if abs(x) == 1]
+    assert z3_rewriting().normalize(z3_word) == [(), (1,), (-1,)][sum(z3_word) % 3]
+
+
+@pytest.mark.parametrize("oracle", all_oracles(), ids=lambda o: o.kind + str(id(o) % 97))
+def test_unchecked_product_matches_multiply(oracle):
+    pool = ball(oracle, 3).elements
+    for a in pool:
+        for b in pool:
+            assert oracle._mul(a, b) == oracle.multiply(a, b)
+
+
+@pytest.mark.parametrize("oracle", all_oracles(), ids=lambda o: o.kind + str(id(o) % 97))
+def test_smaller_ball_is_a_prefix(oracle):
+    big = ball(oracle, 4)
+    for r in range(4):
+        n_r = sum(1 for x in big.elements if big.word_length[x] <= r)
+        assert big.elements[:n_r] == ball(oracle, r).elements
+
+
+def test_rewriting_step_cap_names_the_cap():
+    looping = RewritingOracle(2, [[[1], [2]], [[2], [1]]], max_rewrite_steps=50)
+    with pytest.raises(ResourceLimitError, match="step cap 50"):
+        looping.normalize((1,))
+
+
+def test_rewriting_multiply_checks_normal_form():
+    with pytest.raises(KindMismatchError):
+        z2_rewriting().multiply((2, 1), ())  # 2 1 rewrites to 1 2
 
 
 def test_kind_mismatch_errors():

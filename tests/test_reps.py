@@ -45,6 +45,12 @@ def test_regular_shift_examples():
     assert moved.entries == {(0, (1, 2)): 1.0 + 0j}
 
 
+def test_regular_shift_checks_vector_keys():
+    regf = Regular(f2_oracle())
+    with pytest.raises(KindMismatchError):
+        regf.apply((1,), delta(regf, 0, (1, -1)))  # not freely reduced
+
+
 def test_trivial_identity_action():
     triv = Trivial(3)
     v = SparseVector(triv, {(0, 0): 1, (0, 1): 2j})
