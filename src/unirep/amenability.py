@@ -6,9 +6,12 @@ step), the smallest eigenvalue of the averaged shift-defect form on
 Cayley balls, and a certified interval for the walk's spectral radius.
 The last two are one number (Kesten): the minimum defect on a ball is
 2(1 - lambda_max(M)) for the ball-compressed walk operator M, so both come
-from one Perron solve. Its Rayleigh quotient bounds lambda_max(M) from
-below and the Collatz-Wielandt bound of its positive iterate bounds it
-from above, which certifies the defect from both sides.
+from one Perron solve, a restarted Lanczos iteration (Lanczos 1950) that
+needs about O(r) products with M on an amenable ball where power
+iteration needs O(r^2). Its Rayleigh quotient bounds lambda_max(M) from
+below and the Collatz-Wielandt bound of its positive final vector bounds
+it from above; the solve stops only once the two are within the
+tolerance, which certifies the defect from both sides.
 
 ``defect_table`` gives the defect for every radius 1..r from one ball
 operator: the ball enumerates in breadth-first order, so the radius-rho
@@ -36,6 +39,8 @@ from .vectors import SparseVector
 DEFAULT_EXACT_STEPS = 40
 DEFAULT_SUPPORT_CAP = 100_000
 RATIO_SLACK = 1e-12
+RESTART = 24       # Krylov vectors per Lanczos cycle
+BREAKDOWN = 1e-14  # a Lanczos beta this small (|M| <= 1) ends the cycle
 
 
 @dataclass
@@ -164,31 +169,62 @@ def _ball_operator(oracle, steps, r, cap):
 
 
 def _perron_solve(rows, cols, dim, deg, tol, max_iter):
-    """Power iteration on I + M for the ball-compressed averaged shift operator M.
+    """Restarted Lanczos solve for the Perron eigenpair of the ball-compressed operator M.
 
     M has entries 1/deg on the edges ``rows[i] <- cols[i]``. It is
-    symmetric, nonnegative and irreducible (the ball is connected), so
-    I + M is positive semidefinite and its iterates from the constant
-    vector stay positive. Stops once the residual of the defect form
-    2(I - M) at the iterate is at most ``tol``. Returns the Rayleigh
-    quotient mu of M, the Collatz-Wielandt upper bound max_i (Mv)_i / v_i
-    on the top eigenvalue of M, the defect-form residual, the iterate and
-    the iteration count.
+    symmetric, nonnegative and irreducible (the ball is connected), so its
+    top eigenvector is positive. Each cycle checks the unit vector v (first
+    the constant vector) and stops once v is positive and both the
+    defect-form residual 2|Mv - mu v| and the certified gap 2(cw - mu) are
+    at most ``tol``, for the Rayleigh quotient mu and the Collatz-Wielandt
+    bound cw = max(max_i (Mv)_i / v_i, mu) (mu bounds the top eigenvalue
+    from below, so it only lifts a ratio rounded under it). Otherwise the
+    cycle builds a Krylov block of at most ``RESTART`` vectors from v with
+    two-pass full reorthogonalization, ending early where the block spans an
+    invariant subspace, and restarts from the top Ritz vector signed to a
+    positive sum. Returns mu, cw, the residual, v and the number of products
+    with M, at most ``max_iter``.
     """
+    def matvec(x):
+        return np.bincount(rows, weights=x[cols], minlength=dim) / deg
+
     v = np.full(dim, dim ** -0.5)
-    mu = 0.0
-    for it in range(1, max_iter + 1):
-        mv = np.bincount(rows, weights=v[cols], minlength=dim) / deg
+    products, stalled = 0, False
+    while True:
+        mv = matvec(v)
+        products += 1
         mu = float(np.dot(v, mv))
-        residual = 2.0 * float(np.linalg.norm(mv - mu * v))
-        if residual <= tol:
-            return mu, float(np.max(mv / v)), residual, v, it
-        w = v + mv
-        v = w / np.linalg.norm(w)
-    raise ConvergenceError(
-        f"power iteration did not reach residual {tol} in {max_iter} steps",
-        best=2.0 * (1.0 - mu),
-    )
+        w = mv - mu * v
+        residual = 2.0 * float(np.linalg.norm(w))
+        if residual <= tol and np.all(v > 0):
+            cw = max(float(np.max(mv / v)), mu)
+            if 2.0 * (cw - mu) <= tol:
+                return mu, cw, residual, v, products
+        # a cycle needs one product past v and one to check its restart vector
+        if stalled or products + 2 > max_iter:
+            raise ConvergenceError(
+                f"Lanczos did not reach residual and gap {tol} in {products} products",
+                best=2.0 * (1.0 - mu),
+            )
+        Q = np.empty((min(RESTART, dim, max_iter - products), dim))
+        Q[0] = v
+        alpha, beta = [mu], []
+        for j in range(1, len(Q)):
+            for _ in range(2):  # twice is enough (Kahan-Parlett)
+                w -= Q[:j].T @ (Q[:j] @ w)
+            b = float(np.linalg.norm(w))
+            if b <= BREAKDOWN:
+                break
+            Q[j] = w / b
+            mq = matvec(Q[j])
+            products += 1
+            alpha.append(float(np.dot(Q[j], mq)))
+            beta.append(b)
+            w = mq - alpha[-1] * Q[j] - b * Q[j - 1]
+        stalled = not beta  # v is an eigenvector to rounding, yet fails the check
+        T = np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
+        v = np.linalg.eigh(T)[1][:, -1] @ Q[:len(alpha)]
+        v /= np.linalg.norm(v) if v.sum() > 0 else -np.linalg.norm(v)
 
 
 @dataclass
@@ -201,7 +237,7 @@ class DefectReport:
     residual: float
     certified_lower_bound: float
     certified_lower_bound_used: bool
-    iterations: int
+    iterations: int  # products with the ball operator
 
 
 def _defects(oracle, S, r, radii, tol, max_iter, ball_cap):
@@ -236,14 +272,16 @@ def min_defect(oracle: GroupOracle, S=None, r: int = 4, tol: float = 1e-9,
 
     The quadratic form equals 2(I - M) with M the ball-compressed averaged
     shift operator, assembled exactly from ball adjacency, so the minimum
-    is 2(1 - lambda_max(M)) (Kesten). The value is max(0, 2(1 - mu)) for
-    the Rayleigh quotient mu of the Perron iterate, once the defect-form
-    residual is at most ``tol``; the form is positive semidefinite, so it
-    bounds the minimum from above. The certified lower bound is 2(1 - cw)
-    for the Collatz-Wielandt bound cw = max_i (Mv)_i / v_i >= lambda_max(M)
-    of the positive iterate v (Wielandt 1950). A solve that does not
-    converge in ``max_iter`` steps raises ``ConvergenceError`` whose
-    ``best`` is the last defect value.
+    is 2(1 - lambda_max(M)) (Kesten). A restarted Lanczos solve returns a
+    positive unit vector v whose defect-form residual and certified gap are
+    both at most ``tol``. The value is max(0, 2(1 - mu)) for the Rayleigh
+    quotient mu of v; the form is positive semidefinite, so it bounds the
+    minimum from above. The certified lower bound is max(0, 2(1 - cw)) for
+    the Collatz-Wielandt bound cw = max(max_i (Mv)_i / v_i, mu) >=
+    lambda_max(M) (Wielandt 1950), so value - certified lower bound <= tol.
+    ``max_iter`` is a budget of products with M, and ``iterations`` counts
+    them. A solve that does not converge within it raises
+    ``ConvergenceError`` whose ``best`` is the last defect value.
     """
     return _defects(oracle, S, r, [r], tol, max_iter, ball_cap)[0]
 
@@ -321,12 +359,14 @@ def spectral_radius_bound(oracle: GroupOracle, S=None, r: int = 6, n_max: int | 
     """Certified spectral-radius interval from ball compression and norm bounds.
 
     The lower end is 1 - d/2 for the defect d = ``min_defect(oracle, S, r,
-    tol, max_iter, ball_cap)``: the Rayleigh quotient of the Perron iterate
-    for the ball-compressed averaged shift operator, and any Rayleigh
-    quotient is a true lower bound. ``tol`` is therefore the defect-form
-    residual. The upper end is a certified norm bound. The defect solve is
-    attached as ``defect``. Optionally attaches the return-probability
-    table with its monotone ratio trace for ``n_max`` steps.
+    tol, max_iter, ball_cap)``: the Rayleigh quotient of the final Lanczos
+    vector for the ball-compressed averaged shift operator, and any
+    Rayleigh quotient is a true lower bound. ``tol`` is therefore the
+    defect-form residual and certified gap, and ``max_iter`` the budget of
+    products with the operator. The upper end is a certified norm bound.
+    The defect solve is attached as ``defect``. Optionally attaches the
+    return-probability table with its monotone ratio trace for ``n_max``
+    steps.
     """
     table = None
     if n_max is not None:

@@ -4,6 +4,7 @@ Every run writes a JSON report (sorted keys, UTF-8) echoing its inputs,
 outputs, tolerances, and enough witness data for the ``verify``
 subcommand to recompute the headline number independently. Exit codes:
 0 success, 2 precondition or config error, 3 resource cap exceeded,
+4 an iterative solver did not converge (its best value goes to stderr),
 1 internal error.
 """
 
@@ -24,7 +25,13 @@ from .amenability import (
     return_probabilities,
 )
 from .containment import discrepancy, folner_witness, gram, search_witness, transfer_witness
-from .errors import ConfigError, PreconditionError, ResourceLimitError, WorkbenchError
+from .errors import (
+    ConfigError,
+    ConvergenceError,
+    PreconditionError,
+    ResourceLimitError,
+    WorkbenchError,
+)
 from .groups import symmetric_generators
 from .reps import DirectSum, Embedding, Multiple, Regular, Subspace, amalgamate
 from .serialize import (
@@ -192,12 +199,16 @@ def verify_probe(report):
         value, certified = _defect_rayleigh(oracle, w)
         checks.append((f"defect-r{row['radius']}", value, row["value"]))
         checks.append((f"certified-lower-r{row['radius']}", certified, row["certified-lower"]))
+    radius = report["inputs"]["radius"]
+    checks.append(("defect-rows", len(out["defect-table"]), radius))
     spectral = out["spectral"]
-    if value is not None:
-        lower = 1.0 - value / 2.0
-        checks.append(("spectral-lower", lower, spectral["lower"]))
-        checks.append(("spectral-upper", min(1.0, max(certified_upper(oracle), lower)),
-                       spectral["upper"]))
+    checks.append(("spectral-radius", radius, spectral["radius"]))
+    if value is None:  # radius 0 has no row: solve the one-point ball
+        value = min_defect(oracle, None, 0).min_avg_sq_defect
+    lower = 1.0 - value / 2.0
+    checks.append(("spectral-lower", lower, spectral["lower"]))
+    checks.append(("spectral-upper", min(1.0, max(certified_upper(oracle), lower)),
+                   spectral["upper"]))
     checks.append(("headline", out["final-ratio"], report["headline"]))
     return checks
 
@@ -746,6 +757,9 @@ def main(argv=None) -> int:
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return 3
+    except ConvergenceError as exc:
+        print(f"no convergence: {exc}; best {exc.best!r}", file=sys.stderr)
+        return 4
     except PreconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -2,7 +2,9 @@
 
 Exit-code mapping used by the CLI: PreconditionError (and subclasses)
 means the caller supplied bad input (exit 2), ResourceLimitError means a
-configured cap was exceeded (exit 3), anything else is internal (exit 1).
+configured cap was exceeded (exit 3), ConvergenceError means an iterative
+solver ran out of its budget (exit 4, with its ``best`` value), anything
+else is internal (exit 1).
 """
 
 

@@ -178,6 +178,53 @@ def test_min_defect_dense_oracle_small_radius():
         assert report.min_avg_sq_defect - report.certified_lower_bound < 1e-8
 
 
+def dense_min_defect(oracle, r):
+    """Smallest eigenvalue of 2(I - M) for the dense ball-compressed operator M."""
+    B = ball(oracle, r)
+    steps = symmetric_generators(oracle)
+    index = {x: i for i, x in enumerate(B.elements)}
+    M = np.zeros((len(B), len(B)))
+    for x, ix in index.items():
+        for s in steps:
+            iy = index.get(oracle.multiply(s, x))
+            if iy is not None:
+                M[iy, ix] += 1 / len(steps)
+    return float(np.linalg.eigvalsh(2 * (np.eye(len(B)) - M))[0])
+
+
+SOLVER_CASES = (
+    [pytest.param(z_oracle, r, id=f"Z-r{r}") for r in range(9)]
+    + [pytest.param(z2_oracle, r, id=f"Z2-r{r}") for r in range(1, 7)]
+    + [pytest.param(f2_oracle, r, id=f"F2-r{r}") for r in range(1, 5)]
+    + [pytest.param(z2_rewriting, r, id=f"Z2-rewriting-r{r}") for r in range(1, 6)]
+    # saturated balls: the Krylov block breaks down
+    + [pytest.param(lambda n=n: cyclic_table(n), 4, id=f"Z{n}-r4") for n in (3, 5, 7)]
+)
+
+
+@pytest.mark.parametrize("make, r", SOLVER_CASES)
+def test_lanczos_matches_dense_with_certified_gap(make, r):
+    oracle = make()
+    tol = 1e-9
+    report = min_defect(oracle, None, r, tol=tol)
+    value, lower = report.min_avg_sq_defect, report.certified_lower_bound
+    assert abs(value - dense_min_defect(oracle, r)) <= 1e-9
+    assert 0 <= lower <= value
+    assert value - lower <= tol
+    assert all(a.imag == 0 and a.real > 0 for a in report.argmin.entries.values())
+
+
+def test_lanczos_products_on_amenable_ball():
+    # power iteration needs 3,132 products with the ball operator here
+    assert min_defect(z2_oracle(), None, 30).iterations <= 3132 // 4
+
+
+def test_lanczos_below_rounding_raises_instead_of_looping():
+    with pytest.raises(ConvergenceError) as info:
+        min_defect(z2_oracle(), None, 20, tol=1e-16)
+    assert 0 < info.value.best < 0.02
+
+
 def test_min_defect_nonconvergence_reports_best():
     with pytest.raises(ConvergenceError) as info:
         min_defect(z_oracle(), None, 5, max_iter=1)

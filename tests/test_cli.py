@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from unirep import ConvergenceError
 from unirep.cli import main
 
 Z = {"kind": "fg-abelian", "rank": 1, "torsion": []}
@@ -83,6 +84,50 @@ def test_verify_probe_rejects_tampered_certificates(tmp_path, capsys, tamper, ch
     assert main(["verify", "--report", str(out)]) == 1
     err = capsys.readouterr().err
     assert f"FAILED {check}:" in err
+    assert "Traceback" not in err
+
+
+def _claim_radius_seven(out):
+    out["spectral"].update({"lower": 0.9, "radius": 7})
+
+
+def _drop_defect_rows(out):
+    out["defect-table"] = []
+    out["spectral"].update({"lower": 0.0, "upper": 1.0})  # the one-point ball's interval
+
+
+@pytest.mark.parametrize("radius, tamper, failed", [
+    (0, _claim_radius_seven, ["spectral-radius", "spectral-lower"]),
+    (2, _drop_defect_rows, ["defect-rows"]),
+])
+def test_verify_probe_checks_radius_and_rows(tmp_path, capsys, radius, tamper, failed):
+    code, out = run_task(tmp_path, "probe-amenability",
+                         {"group": Z, "task": {"nmax": 4, "radius": radius}})
+    assert code == 0
+    assert main(["verify", "--report", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert len(report["outputs"]["defect-table"]) == radius
+    tamper(report["outputs"])
+    out.write_text(json.dumps(report))
+    capsys.readouterr()
+    assert main(["verify", "--report", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert [line.split(":")[0] for line in err.splitlines()] == [
+        f"verify FAILED {check}" for check in failed]
+    assert "Traceback" not in err
+
+
+def test_convergence_error_exits_4_with_best(tmp_path, capsys, monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise ConvergenceError("Lanczos did not converge", best=0.123456)
+
+    monkeypatch.setattr("unirep.cli.defect_table", no_convergence)
+    code, _out = run_task(tmp_path, "probe-amenability",
+                          {"group": Z, "task": {"nmax": 4, "radius": 2}})
+    err = capsys.readouterr().err
+    assert code == 4
+    assert "0.123456" in err
+    assert "internal error" not in err
     assert "Traceback" not in err
 
 
