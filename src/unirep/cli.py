@@ -1,8 +1,9 @@
 """Batch front end: parse configs, dispatch, emit machine-readable reports.
 
-Every run writes a JSON report (sorted keys, UTF-8) echoing its inputs,
-outputs, tolerances, and enough witness data for the ``verify``
-subcommand to recompute the headline number independently. Exit codes:
+Every run writes a compact JSON report (sorted keys, no indentation or
+spaces, UTF-8) echoing its inputs, outputs, tolerances, and enough
+witness data for the ``verify`` subcommand to recompute the headline
+number independently. Exit codes:
 0 success, 2 precondition or config error, 3 resource cap exceeded,
 4 an iterative solver did not converge (its best value goes to stderr),
 1 internal error.
@@ -64,7 +65,7 @@ def _load_json(path, what):
 
 
 def _write_report(report, out_path):
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    text = json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
     with open(out_path, "w", encoding="utf-8") as fh:
         fh.write(text)
 
@@ -463,12 +464,8 @@ def run_canonical_base(cfg, args):
     a_vec = [parse_vector(raw, pi, f"task.a[{i}]") for i, raw in enumerate(cfg.task.get("a", []))]
     if not a_vec:
         raise ConfigError("missing tuple vectors", field="task.a")
-    base = stability.canonical_base(pi, a_vec, C)
-    projected = []
-    for g in C.ball_elements:
-        for a in a_vec:
-            v = a if g is None else pi.apply(g, a)
-            projected.append(C.realized.project(v))
+    projected = stability.projected_orbit(pi, a_vec, C)
+    base = orthonormalize(projected)
     base_sub = Subspace(pi, base, validate=False)
     worst = max((base_sub.residual(p).norm() for p in projected), default=0.0)
     report = _base_report("canonical-base", cfg)
@@ -641,14 +638,27 @@ HANDLERS = {
 
 
 def run_verify(args):
+    """Recompute a report's checks; a malformed report is a config error at its field."""
     report = _load_json(args.report, "report")
+    if not isinstance(report, dict):
+        raise ConfigError("expected a JSON object", field="report")
     task = report.get("task")
     if task not in VERIFIERS:
         raise ConfigError(f"unknown task '{task}' in report", field="report.task")
-    checks = VERIFIERS[task](report)
+    try:
+        checks = VERIFIERS[task](report)
+    except KeyError as exc:
+        raise ConfigError("missing field", field=f"report.{exc.args[0]}") from None
+    except (IndexError, TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed value: {exc}", field="report") from None
     failures = []
     for name, recomputed, stored in checks:
-        if not abs(float(recomputed) - float(stored)) <= VERIFY_TOL:  # nan fails too
+        try:
+            difference = abs(float(recomputed) - float(stored))
+        except (TypeError, ValueError):
+            raise ConfigError(f"stored value {stored!r} of check '{name}' is not a number",
+                              field=f"report.{name}") from None
+        if not difference <= VERIFY_TOL:  # nan fails too
             failures.append((name, recomputed, stored))
     if failures:
         for name, recomputed, stored in failures:

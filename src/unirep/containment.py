@@ -33,7 +33,7 @@ from .reps import (
     Representation,
     Subspace,
 )
-from .vectors import SparseVector, delta, inner, orthonormalize
+from .vectors import KeyIndex, SparseVector, delta, inner, orthonormalize, same_space, to_dense
 
 GRAM_SYMMETRY_TOL = 1e-8
 DEFAULT_SUPPORT_CAP = 100_000
@@ -85,7 +85,7 @@ def gram(rep: Representation, vectors, F, oracle=None) -> GramFunction:
     if not vectors:
         raise PreconditionError("gram needs at least one vector")
     for v in vectors:
-        if v.space != rep:
+        if not same_space(v.space, rep):
             raise KindMismatchError("gram vector lives outside the representation space")
     F = list(F)
     M = {}
@@ -94,6 +94,20 @@ def gram(rep: Representation, vectors, F, oracle=None) -> GramFunction:
         # M[g][i][j] = <rep(g)v_i, v_j>
         M[g] = np.array([[inner(mv, w) for w in vectors] for mv in moved], dtype=complex)
     return GramFunction(oracle if oracle is not None else rep.oracle, F, len(vectors), M)
+
+
+def _gram_tensor(rep: Representation, vectors, F) -> np.ndarray:
+    """``(|F|, n, n)`` stack of T_g[i, j] = <rep(g)v_i, v_j>, one product ``Moved_g @ V^H`` per g.
+
+    The dense-block form of ``gram`` for the witness search. ``gram`` keeps
+    the sparse ``inner`` formula, which ``discrepancy`` reproduces exactly.
+    Moved vectors are stacked over the columns of the vectors' own support;
+    entries off it pair with zero and are left out.
+    """
+    index = KeyIndex(vectors)
+    Vh = to_dense(vectors, index).conj().T
+    return np.array([to_dense([rep.apply(g, v) for v in vectors], index) @ Vh for g in F],
+                    dtype=complex)
 
 
 def discrepancy(target: GramFunction, rep: Representation, witnesses) -> float:
@@ -136,16 +150,20 @@ class WitnessReport:
 
 
 def _objective_and_gradient(C, tensors, targets):
-    """Sum of squared deviations and its matrix gradient for coefficients C."""
-    f = 0.0
-    G = np.zeros_like(C)
-    worst = 0.0
-    for T, M in zip(tensors, targets):
-        D = C @ T @ C.conj().T - M
-        f += float(np.sum(np.abs(D) ** 2))
-        worst = max(worst, float(np.max(np.abs(D))))
-        G += D.conj().T @ C @ T + D @ C @ T.conj().T
-    return f, 2.0 * G, worst
+    """Sum of squared deviations and its matrix gradient for coefficients C.
+
+    ``tensors`` and ``targets`` stack to ``(|F|, K, K)`` and ``(|F|, n, n)``;
+    every g is one slice of a batched product. With D_g = C T_g C^H - M_g the
+    gradient is 2 sum_g (D_g^H C T_g + D_g C T_g^H), and the second term is
+    taken as the adjoint of T_g C^H D_g^H, so T is never conjugated.
+    """
+    T = np.asarray(tensors)
+    CT = C @ T
+    D = CT @ C.conj().T - np.asarray(targets)
+    absD = np.abs(D)
+    Dh = D.conj().transpose(0, 2, 1)
+    G = np.sum(Dh @ CT, axis=0) + np.sum(T @ (C.conj().T @ Dh), axis=0).conj().T
+    return float(np.sum(absD ** 2)), 2.0 * G, float(np.max(absD))
 
 
 def search_witness(target: GramFunction, pi: Representation, basis: Subspace,
@@ -165,13 +183,8 @@ def search_witness(target: GramFunction, pi: Representation, basis: Subspace,
     if K == 0:
         raise PreconditionError("witness search needs a nonempty basis")
     n = target.n
-    tensors = []
-    targets = []
-    for g in target.F:
-        moved = [pi.apply(g, b) for b in basis.basis]
-        T = np.array([[inner(mb, b) for b in basis.basis] for mb in moved], dtype=complex)
-        tensors.append(T)
-        targets.append(target.M[g])
+    tensors = _gram_tensor(pi, basis.basis, target.F)
+    targets = np.array([target.M[g] for g in target.F])
     rng = np.random.default_rng(seed)
     scale = max(target.max_abs(), 1e-6) ** 0.5 / max(K, 1) ** 0.5
     best_C, best_disc, total_iters = None, float("inf"), 0
@@ -342,7 +355,7 @@ def transfer_witness(rho: Representation, params, targets, F, eps: float,
     params = list(params)
     targets = list(targets)
     for v in params + targets:
-        if v.space != rho:
+        if not same_space(v.space, rho):
             raise KindMismatchError("transfer vectors must live in the extension space")
     F = list(F)
     tail_offset = rho.part_offset(len(rho.parts) - 1)

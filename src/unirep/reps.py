@@ -21,7 +21,17 @@ import numpy as np
 from .errors import KindMismatchError, PreconditionError
 from .groups import GroupOracle
 # orthonormalize is kept bound here: the benchmark tracer checks every module binding of it
-from .vectors import SparseVector, delta, inner, orthonormal_residual, orthonormalize  # noqa: F401
+from .vectors import (  # noqa: F401
+    KeyIndex,
+    SparseVector,
+    delta,
+    from_dense,
+    gram_schmidt,
+    inner,
+    orthonormalize,
+    same_space,
+    to_dense,
+)
 
 UNITARY_TOL = 1e-10
 RELATION_TOL = 1e-8
@@ -48,7 +58,7 @@ class Representation:
     # -- action ---------------------------------------------------------------
     def apply(self, g, v: SparseVector) -> SparseVector:
         """Act by the group element ``g``; exact for regular and trivial atoms."""
-        if v.space != self:
+        if not same_space(v.space, self):
             raise KindMismatchError("vector does not belong to this representation's space")
         if self.oracle is not None:
             self.oracle.check_element(g)
@@ -425,57 +435,69 @@ def multiple(rep: Representation, count: int | None) -> Multiple:
 def embed(rep: Representation, index: int, v: SparseVector) -> SparseVector:
     """Isometric inclusion of part/copy ``index`` into the composite space."""
     if isinstance(rep, DirectSum):
-        if v.space != rep.parts[index]:
+        if not same_space(v.space, rep.parts[index]):
             raise KindMismatchError("vector does not belong to the addressed summand")
         offset = rep.part_offset(index)
     elif isinstance(rep, Multiple):
-        if v.space != rep.base:
+        if not same_space(v.space, rep.base):
             raise KindMismatchError("vector does not belong to the base representation")
         if index < 0 or (rep.count is not None and index >= rep.count):
             raise PreconditionError(f"copy index {index} out of range")
         offset = index * rep.base.leaf_count()
         rep.note_used(index)
     else:
-        if index != 0 or v.space != rep:
+        if index != 0 or not same_space(v.space, rep):
             raise KindMismatchError("atomic representation admits only the identity embedding")
         return v
     return SparseVector(rep, {(c + offset, k): amp for (c, k), amp in v.entries.items()})
 
 
 class Subspace:
-    """Finite-dimensional closed subspace given by an orthonormal basis."""
+    """Finite-dimensional closed subspace given by an orthonormal basis.
+
+    The basis is stacked once, on first use, into a ``(dim x keys)`` block
+    ``Q`` over a ``KeyIndex`` of its support: coordinates are ``Q.conj() @ v``
+    and ``from_coords(c)`` is ``c @ Q``. The basis must not be mutated.
+    """
 
     def __init__(self, ambient: Representation, basis, *, validate=True, tol=1e-10):
         self.ambient = ambient
         self.basis = list(basis)
+        self._block = None
         for b in self.basis:
-            if b.space != ambient:
+            if not same_space(b.space, ambient):
                 raise KindMismatchError("basis vector lives outside the ambient space")
         if validate:
-            for i, u in enumerate(self.basis):
-                for j, v in enumerate(self.basis[: i + 1]):
-                    target = 1.0 if i == j else 0.0
-                    if abs(inner(u, v) - target) > tol:
-                        raise PreconditionError(
-                            f"subspace basis not orthonormal at pair ({i}, {j})"
-                        )
+            _index, Q, Qc = self.block()
+            defect = np.tril(np.abs(Q @ Qc.T - np.eye(self.dim)) > tol)
+            if defect.any():
+                i, j = (int(t) for t in np.argwhere(defect)[0])
+                raise PreconditionError(f"subspace basis not orthonormal at pair ({i}, {j})")
 
     @property
     def dim(self):
         return len(self.basis)
 
+    def block(self):
+        """``(index, Q, Q.conj())`` for the stacked basis, built once."""
+        if self._block is None:
+            index = KeyIndex(self.basis)
+            Q = to_dense(self.basis, index)
+            self._block = (index, Q, Q.conj())
+        return self._block
+
     def coords(self, v: SparseVector) -> np.ndarray:
-        return np.array([inner(v, b) for b in self.basis], dtype=complex)
+        if not same_space(v.space, self.ambient):
+            raise KindMismatchError("vector lives outside this subspace's ambient space")
+        index, _Q, Qc = self.block()
+        return Qc @ to_dense([v], index)[0]
 
     def from_coords(self, c) -> SparseVector:
-        out = SparseVector(self.ambient, {})
-        for coeff, b in zip(c, self.basis):
-            if coeff != 0:
-                out = out + complex(coeff) * b
-        return out
+        index, Q, _Qc = self.block()
+        return from_dense(self.ambient, index, [np.asarray(c, dtype=complex) @ Q])[0]
 
     def project(self, v: SparseVector) -> SparseVector:
-        if v.space != self.ambient:
+        if not same_space(v.space, self.ambient):
             raise KindMismatchError("vector lives outside this subspace's ambient space")
         return self.from_coords(self.coords(v))
 
@@ -500,7 +522,7 @@ class Embedding:
                 f"expected {source.total_dim()} basis images, got {len(images)}"
             )
         for w in images:
-            if w.space != target:
+            if not same_space(w.space, target):
                 raise KindMismatchError("image vector lives outside the target space")
         if validate:
             for i, u in enumerate(images):
@@ -526,7 +548,7 @@ class Embedding:
         return cls(part, sum_rep, images, validate=False)
 
     def __call__(self, v: SparseVector) -> SparseVector:
-        if v.space != self.source:
+        if not same_space(v.space, self.source):
             raise KindMismatchError("vector does not belong to the embedding source")
         out = SparseVector(self.target, {})
         for key, amp in v.entries.items():
@@ -559,22 +581,18 @@ class Amalgam:
 
 def _complement_rep(big: Representation, images, oracle, tol):
     """Orthocomplement of the embedded subspace, compressed to a matrix action."""
-    comp = []
-    for b in big.canonical_basis():
-        w = orthonormal_residual(b, list(images) + comp)
-        if w is not None:
-            comp.append(w)
+    images = list(images)
+    basis = big.canonical_basis()
+    index = KeyIndex(images + basis)
+    Q = gram_schmidt(to_dense(basis, index), seed=to_dense(images, index))[len(images):]
+    comp = from_dense(big, index, Q)
     if not comp:
         return None, []
     if oracle is None:
         return Trivial(len(comp)), comp
-    mats = []
-    for s in oracle.generators:
-        U = np.array(
-            [[inner(big.apply(s, q_j), q_i) for q_j in comp] for q_i in comp],
-            dtype=complex,
-        )
-        mats.append(U)
+    # U[i, j] = <pi(s) q_j, q_i>
+    mats = [Q.conj() @ to_dense([big.apply(s, q) for q in comp], index).T
+            for s in oracle.generators]
     return MatrixRep(oracle, mats, unitary_tol=max(UNITARY_TOL, 10 * tol)), comp
 
 

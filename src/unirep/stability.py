@@ -2,11 +2,15 @@
 
 The closed subspace generated by a set A under the group action is
 approached along the Cayley-ball filtration: ``closure`` orthonormalizes
-the orbit vectors over a ball of explicit radius and records how the
-projections of probe vectors grow with the radius, so callers can pick a
-radius where the trace has stabilized. Independence of tuples over a
-closure is the orthogonality of their residuals, checked pairwise over
-the ball orbit with an explicit tolerance.
+the orbit vectors over a ball of explicit radius, one sphere at a time,
+and records how the projections of probe vectors grow with the radius, so
+callers can pick a radius where the trace has stabilized. Independence of
+tuples over a closure is the orthogonality of their residuals, checked
+for every pair of ball translates with an explicit tolerance.
+
+All of it runs on the dense block kernel of ``vectors``: orbit vectors are
+stacked as rows over a ``KeyIndex``, orthonormalized by ``gram_schmidt``,
+and projected or paired by matrix products.
 """
 
 from __future__ import annotations
@@ -18,10 +22,20 @@ import numpy as np
 from .errors import KindMismatchError, PreconditionError, ResourceLimitError
 from .groups import GroupOracle, ball
 from .reps import Representation, Subspace
-from .vectors import SparseVector, inner, orthonormal_residual, orthonormalize
+# inner is kept bound here: the benchmark tracer checks every module binding of it
+from .vectors import (  # noqa: F401
+    DROP_TOL,
+    KeyIndex,
+    SparseVector,
+    from_dense,
+    gram_schmidt,
+    inner,
+    orthonormalize,
+    same_space,
+    to_dense,
+)
 
 DEFAULT_DIM_CAP = 2000
-DROP_TOL = 1e-10
 
 
 @dataclass
@@ -62,49 +76,57 @@ def closure(pi: Representation, A, r: int, probes=None,
             dim_cap: int = DEFAULT_DIM_CAP) -> ClosureSpec:
     """Orthonormal basis of span{pi(g)a : |g| <= r, a in A}.
 
-    Orbit vectors are enumerated shell by shell and each contributes its
-    ``orthonormal_residual`` against the basis so far; vectors whose
-    residual norm falls below 1e-10 are linearly dependent and dropped.
+    Orbit vectors are stacked one sphere at a time and ``gram_schmidt``
+    extends the basis so far with them, in enumeration order; a vector
+    whose residual norm falls below ``DROP_TOL`` is linearly dependent and
+    dropped. The dimension cap raises ``ResourceLimitError`` in the sphere
+    where it is hit, and later spheres are never applied.
     """
     A = list(A)
     if not A:
         raise PreconditionError("closure needs at least one generating vector")
-    for a in A:
-        if a.space != pi:
-            raise KindMismatchError("closure generator lives outside the representation space")
+    probes = list(probes) if probes is not None else A
+    _check_space(pi, A + probes, "closure vector")
     if r < 0:
         raise PreconditionError("closure radius must be non-negative")
-    probes = list(probes) if probes is not None else list(A)
-    acc = [0.0] * len(probes)
-    basis: list[SparseVector] = []
+    acc = np.zeros(len(probes))
     trace = []
 
     if pi.oracle is None:
         elements = [None]
-        shells = [[None]] if r >= 0 else []
+        shells = [[None]]
     else:
         B = ball(pi.oracle, r)
         elements = B.elements
         shells = [B.sphere(k) for k in range(r + 1)]
 
-    def add_vector(v):
-        w = orthonormal_residual(v, basis, DROP_TOL)
-        if w is None:
-            return
-        if len(basis) >= dim_cap:
+    def check_cap(kept):
+        if kept >= dim_cap:
             raise ResourceLimitError(f"closure dimension cap {dim_cap} exceeded")
-        basis.append(w)
-        for i, p in enumerate(probes):
-            acc[i] += abs(inner(p, w)) ** 2
 
+    index = KeyIndex()
+    Q = np.zeros((0, 0), dtype=complex)
     for shell in shells:
-        for g in shell:
-            for a in A:
-                add_vector(a if g is None else pi.apply(g, a))
-        trace.append([acc[i] ** 0.5 for i in range(len(probes))])
+        orbit = _orbit(pi, A, shell)
+        index.add(orbit)
+        start = len(Q)
+        Q = gram_schmidt(to_dense(orbit, index), DROP_TOL, seed=Q, on_keep=check_cap)
+        acc += np.sum(np.abs(to_dense(probes, index) @ Q[start:].conj().T) ** 2, axis=1)
+        trace.append(np.sqrt(acc).tolist())
 
-    realized = Subspace(pi, basis, validate=False)
+    realized = Subspace(pi, from_dense(pi, index, Q), validate=False)
     return ClosureSpec(A, r, realized, trace, elements)
+
+
+def _check_space(pi, vectors, what):
+    for v in vectors:
+        if not same_space(v.space, pi):
+            raise KindMismatchError(f"{what} lives outside the representation space")
+
+
+def _orbit(pi, vectors, elements) -> list:
+    """pi(g)v for g in ``elements`` (outer) and v in ``vectors``; None is the identity."""
+    return [v if g is None else pi.apply(g, v) for g in elements for v in vectors]
 
 
 def project(v: SparseVector, C) -> SparseVector:
@@ -139,50 +161,53 @@ def nondividing(pi: Representation, a_vec, B, C: ClosureSpec,
 
     For every ball translate g, h recorded in C and every pair (a_i, b),
     the inner product of the residuals of pi(g)a_i and pi(h)b over C must
-    stay within ``tol``; the worst pair is reported with both residuals.
+    stay within ``tol``; the worst pair (the first largest in the order
+    i, g, j, h) is reported with both residuals. The residuals are stacked
+    as rows and every pair is one entry of ``Ra @ Rb^H``.
     """
     a_vec = list(a_vec)
     B = list(B)
+    _check_space(pi, a_vec + B, "nondividing vector")
     sub = C.realized
-    elements = C.ball_elements
+    elements = C.ball_elements if pi.oracle is not None else [None]
 
-    def translates(v):
-        if pi.oracle is None:
-            return [(None, v)]
-        return [(g, pi.apply(g, v)) for g in elements]
+    def translates(vectors):
+        labels = [(i, g) for i in range(len(vectors)) for g in elements]
+        return labels, [v if g is None else pi.apply(g, v) for v in vectors for g in elements]
 
-    resid_a = []
-    for i, a in enumerate(a_vec):
-        for g, va in translates(a):
-            resid_a.append((i, g, sub.residual(va)))
-    resid_b = []
-    for j, b in enumerate(B):
-        for h, vb in translates(b):
-            resid_b.append((j, h, sub.residual(vb)))
-
-    worst = None
-    worst_abs = -1.0
-    for i, g, ra in resid_a:
-        for j, h, rb in resid_b:
-            val = inner(ra, rb)
-            if abs(val) > worst_abs:
-                worst_abs = abs(val)
-                worst = WorstPair(i, g, j, h, val, ra, rb)
-    if worst is None:
+    labels_a, xa = translates(a_vec)
+    labels_b, xb = translates(B)
+    if not xa or not xb:
         return IndependenceVerdict(True, None, tol)
-    return IndependenceVerdict(worst_abs <= tol, worst, tol)
+    index = KeyIndex(sub.basis + xa + xb)
+    Q = to_dense(sub.basis, index)
+
+    def residuals(xs):
+        X = to_dense(xs, index)
+        return X - (X @ Q.conj().T) @ Q
+
+    Ra, Rb = residuals(xa), residuals(xb)
+    values = Ra @ Rb.conj().T
+    p, q = np.unravel_index(int(np.argmax(np.abs(values))), values.shape)
+    (i, g), (j, h) = labels_a[p], labels_b[q]
+    ra, rb = from_dense(pi, index, [Ra[p], Rb[q]])
+    worst = WorstPair(i, g, j, h, complex(values[p, q]), ra, rb)
+    return IndependenceVerdict(abs(worst.value) <= tol, worst, tol)
+
+
+def projected_orbit(pi: Representation, a_vec, C: ClosureSpec) -> list:
+    """P_C pi(g) a_i for g in the ball recorded in C (outer) and each a_i."""
+    a_vec = list(a_vec)
+    _check_space(pi, a_vec, "tuple vector")
+    index, Q, Qc = C.realized.block()
+    X = to_dense(_orbit(pi, a_vec, C.ball_elements), index)
+    return from_dense(pi, index, (X @ Qc.T) @ Q)
 
 
 def canonical_base(pi: Representation, a_vec, C: ClosureSpec,
                    drop_tol: float = DROP_TOL) -> list:
     """Orthonormal spanning set of the projected orbit {P_C pi(g) a_i}."""
-    a_vec = list(a_vec)
-    projected = []
-    for g in C.ball_elements:
-        for a in a_vec:
-            v = a if g is None else pi.apply(g, a)
-            projected.append(C.realized.project(v))
-    return orthonormalize(projected, drop_tol)
+    return orthonormalize(projected_orbit(pi, a_vec, C), drop_tol)
 
 
 @dataclass
@@ -209,22 +234,18 @@ def superstable_approx(pi: Representation, a_vec, A, eps: float, r: int,
     if eps <= 0:
         raise PreconditionError("eps must be positive")
     a_vec = list(a_vec)
+    _check_space(pi, a_vec, "tuple vector")
+    A = list(A)
     C = closure(pi, A, r, dim_cap=dim_cap)
-    basis = C.realized.basis
-    D = len(basis)
+    D = C.dim
 
-    labels = []
-    orbit = []
-    for g in C.ball_elements:
-        for ai, a in enumerate(list(A)):
-            labels.append((g, ai))
-            orbit.append(a if g is None else pi.apply(g, a))
+    labels = [(g, ai) for g in C.ball_elements for ai in range(len(A))]
+    orbit = _orbit(pi, A, C.ball_elements)
 
     # all work happens in coordinates over the realized closure basis
-    X = np.array([C.realized.coords(v) for v in orbit], dtype=complex) if D else \
-        np.zeros((len(orbit), 0), dtype=complex)
-    T = np.array([C.realized.coords(a) for a in a_vec], dtype=complex) if D else \
-        np.zeros((len(a_vec), 0), dtype=complex)
+    index, _Q, Qc = C.realized.block()
+    X = to_dense(orbit, index) @ Qc.T
+    T = to_dense(a_vec, index) @ Qc.T
 
     R = X.copy()
     Tres = T.copy()

@@ -5,11 +5,23 @@ leaf of the ambient representation's direct-sum tree and ``key`` is a
 group element (regular leaves) or a coordinate index (finite leaves).
 Amplitudes are complex; arithmetic never truncates, so the shift action
 on these vectors is exact.
+
+Linear algebra over many vectors runs on one dense block kernel: a
+``KeyIndex`` maps the ``(copy, key)`` entries of a family of vectors to
+columns, ``to_dense`` and ``from_dense`` convert between vector lists and
+``(rows x keys)`` complex arrays, and ``gram_schmidt`` orthonormalizes the
+rows of a block in order. Inner products of whole families are then one
+matrix product, ``X @ Y.conj().T``; ``inner`` remains the sparse formula
+for a single pair.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from .errors import KindMismatchError
+
+DROP_TOL = 1e-10
 
 
 class SparseVector:
@@ -87,8 +99,18 @@ class SparseVector:
         return f"SparseVector({{{body}{more}}})"
 
 
+def same_space(a, b) -> bool:
+    """Whether ``a`` and ``b`` are the same ambient space.
+
+    Identity is tested first, so the structural ``__eq__`` (for a
+    ``MatrixRep`` a comparison of every generator matrix) runs only for
+    distinct objects.
+    """
+    return a is b or a == b
+
+
 def _check_same_space(u: SparseVector, v: SparseVector):
-    if u.space != v.space:
+    if not same_space(u.space, v.space):
         raise KindMismatchError("vectors live in different ambient spaces")
 
 
@@ -109,30 +131,108 @@ def zero(space) -> SparseVector:
     return SparseVector(space, {})
 
 
-def orthonormal_residual(v: SparseVector, basis, drop_tol: float = 1e-10):
-    """Unit residual of ``v`` against the orthonormal ``basis``, or None.
+class KeyIndex:
+    """Columns of a dense block: ``(copy, key)`` -> column, grown as vectors are added."""
 
-    Modified Gram-Schmidt with one re-orthogonalization pass. A residual
-    whose norm falls below ``drop_tol`` means ``v`` is linearly dependent
-    on ``basis``, and None is returned.
+    __slots__ = ("keys", "column")
+
+    def __init__(self, vectors=()):
+        self.keys = []
+        self.column = {}
+        self.add(vectors)
+
+    def __len__(self):
+        return len(self.keys)
+
+    def add(self, vectors):
+        """Give every entry key of ``vectors`` not yet indexed the next column."""
+        keys, column = self.keys, self.column
+        for v in vectors:
+            for k in v.entries:
+                if k not in column:
+                    column[k] = len(keys)
+                    keys.append(k)
+
+
+def to_dense(vectors, index: KeyIndex) -> np.ndarray:
+    """``(len(vectors) x len(index))`` block with one vector per row.
+
+    Entries whose key has no column are left out. This leaves every inner
+    product with a vector supported on the index unchanged, which is what
+    projecting onto a block built over the same index needs.
     """
-    w = v
-    for _ in range(2):
-        for b in basis:
-            w = w - inner(w, b) * b
-    n = w.norm()
-    return w * (1.0 / n) if n >= drop_tol else None
+    vectors = list(vectors)
+    column = index.column
+    rows, cols, amps = [], [], []
+    for i, v in enumerate(vectors):
+        for k, amp in v.entries.items():
+            j = column.get(k)
+            if j is not None:
+                rows.append(i)
+                cols.append(j)
+                amps.append(amp)
+    X = np.zeros((len(vectors), len(index)), dtype=complex)
+    X[rows, cols] = amps
+    return X
 
 
-def orthonormalize(vectors, drop_tol: float = 1e-10) -> list:
+def from_dense(space, index: KeyIndex, X) -> list:
+    """Sparse vectors in ``space`` from the rows of a block over ``index``; zeros are dropped."""
+    keys = index.keys
+    out = []
+    for row in np.asarray(X):
+        amps = row.tolist()
+        out.append(SparseVector(space, {keys[j]: amps[j] for j in np.flatnonzero(row).tolist()}))
+    return out
+
+
+def gram_schmidt(X, drop_tol: float = DROP_TOL, seed=None, on_keep=None) -> np.ndarray:
+    """Orthonormal rows spanning ``seed`` and the rows of ``X``, kept in order.
+
+    Row-wise classical Gram-Schmidt with one reorthogonalization pass
+    ("twice is enough"): each row of ``X`` in turn loses its components
+    along the rows kept so far, twice, and is kept, normalized, unless the
+    norm left is below ``drop_tol`` (the row is then linearly dependent on
+    the kept ones). The orthonormal rows of ``seed`` come first, verbatim;
+    a seed narrower than ``X`` was built before the index grew and is
+    padded with zero columns. ``on_keep(k)`` is called before a row is kept
+    with the number ``k`` of rows kept so far, seed included, so it can
+    enforce a dimension cap by raising. Returns the ``(kept x columns)``
+    block, seed rows first.
+    """
+    X = np.asarray(X, dtype=complex)
+    n = X.shape[1]
+    k = 0 if seed is None else len(seed)
+    Q = np.zeros((k + len(X), n), dtype=complex)
+    if k:
+        Q[:k, : seed.shape[1]] = seed
+    Qc = Q.conj()
+    for x in X:
+        w = x - (Qc[:k] @ x) @ Q[:k]
+        w -= (Qc[:k] @ w) @ Q[:k]
+        norm = np.sqrt(np.vdot(w, w).real)
+        if norm < drop_tol:
+            continue
+        if on_keep is not None:
+            on_keep(k)
+        Q[k] = w / norm
+        Qc[k] = Q[k].conj()
+        k += 1
+    return Q[:k]
+
+
+def orthonormalize(vectors, drop_tol: float = DROP_TOL) -> list:
     """Orthonormal basis of the span of ``vectors``, kept in order.
 
-    Each vector contributes its ``orthonormal_residual`` against the ones
-    already kept; linearly dependent vectors are dropped.
+    One ``gram_schmidt`` pass over the stacked block; linearly dependent
+    vectors are dropped.
     """
-    basis = []
+    vectors = list(vectors)
+    if not vectors:
+        return []
+    space = vectors[0].space
     for v in vectors:
-        w = orthonormal_residual(v, basis, drop_tol)
-        if w is not None:
-            basis.append(w)
-    return basis
+        if not same_space(v.space, space):
+            raise KindMismatchError("vectors live in different ambient spaces")
+    index = KeyIndex(vectors)
+    return from_dense(space, index, gram_schmidt(to_dense(vectors, index), drop_tol))

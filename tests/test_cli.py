@@ -5,12 +5,15 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from unirep import ConvergenceError
 from unirep.cli import main
+from util import random_unitary
 
 Z = {"kind": "fg-abelian", "rank": 1, "torsion": []}
+F2 = {"kind": "free", "rank": 2}
 Z2_REWRITING = {"kind": "rewriting-presented", "num_generators": 2, "rules": [
     [[2, 1], [1, 2]], [[2, -1], [-1, 2]], [[-2, 1], [1, -2]], [[-2, -1], [-1, -2]]]}
 
@@ -43,6 +46,97 @@ def test_probe_round_trip_on_rewriting_oracle(tmp_path):
     assert main(["verify", "--report", str(out)]) == 0
     table = json.loads(out.read_text())["outputs"]["defect-table"]
     assert [row["radius"] for row in table] == [1, 2, 3]
+
+
+def test_report_is_written_compact(tmp_path):
+    code, out = run_task(tmp_path, "probe-amenability",
+                         {"group": Z, "task": {"nmax": 4, "radius": 2}})
+    assert code == 0
+    text = out.read_text()
+    assert text.endswith("}\n") and "\n" not in text[:-1]
+    assert ": " not in text and ", " not in text
+    assert json.loads(text)["task"] == "probe-amenability"
+
+
+def _matrix_json(U):
+    return [[[float(z.real), float(z.imag)] for z in row] for row in U]
+
+
+def _unit_vector(rng, copies, dim):
+    """Unit vector literal ``[copy, coordinate, re, im]`` over the given summands."""
+    amps = rng.standard_normal((len(copies), dim)) + 1j * rng.standard_normal((len(copies), dim))
+    amps /= np.linalg.norm(amps)
+    return [[c, str(k), float(amps[i, k].real), float(amps[i, k].imag)]
+            for i, c in enumerate(copies) for k in range(dim)]
+
+
+def _stability_configs(dim=8, seed=3):
+    """Small versions of the witness search and stability tasks on two dim-dimensional F2 actions."""
+    rng = np.random.default_rng(seed)
+    rep = {"kind": "direct-sum", "parts": [
+        {"kind": "matrix", "matrices": [_matrix_json(random_unitary(rng, dim)) for _ in range(2)]}
+        for _ in range(2)]}
+    first = _unit_vector(rng, [0], dim)
+    closure = {"vectors": [first], "radius": 2}
+
+    def config(task):
+        return {"group": F2, "representation": rep, "seed": seed, "task": task}
+
+    return {
+        "contain": config({
+            "target": {"F": ["e", "1", "-1", "2", "-2"], "n": 1, "matrices": [[[[1.0, 0.0]]]] * 5},
+            "basis": [_unit_vector(rng, [0, 1], dim) for _ in range(3)],
+            "tol": 1e-2, "budget": 50, "restarts": 2}),
+        "canonical-base": config({"closure": closure, "a": [_unit_vector(rng, [0, 1], dim)]}),
+        "nondividing": config({"closure": closure, "a": [_unit_vector(rng, [0, 1], dim)],
+                               "B": [_unit_vector(rng, [0, 1], dim)]}),
+        "superstable": config({"A": [first], "a": [_unit_vector(rng, [0, 1], dim)],
+                               "eps": 1e-3, "radius": 2}),
+    }
+
+
+@pytest.mark.parametrize("task", ["contain", "canonical-base", "nondividing", "superstable"])
+def test_stability_and_witness_round_trips(tmp_path, task):
+    code, out = run_task(tmp_path, task, _stability_configs()[task])
+    assert code == 0
+    assert main(["verify", "--report", str(out)]) == 0
+    report = json.loads(out.read_text())
+    outputs = report["outputs"]
+    if task == "contain":
+        assert outputs["iterations"] >= 1
+        assert report["headline"] == outputs["discrepancy"]
+    elif task == "canonical-base":
+        # the closure of an 8-dim irreducible summand at radius 2 is the whole summand
+        assert len(outputs["base"]) == 8
+        assert outputs["worst-residual"] <= report["tolerances"]["reproduction"]
+    elif task == "nondividing":
+        assert report["headline"] == abs(complex(*outputs["worst"]["value"]))
+    else:
+        assert max(outputs["gaps"]) < report["tolerances"]["eps"]
+        assert outputs["independent"]
+
+
+def _set_spectral_radius_to_string(report):
+    report["outputs"]["spectral"]["radius"] = "x"
+
+
+def _delete_spectral(report):
+    del report["outputs"]["spectral"]
+
+
+@pytest.mark.parametrize("tamper", [_set_spectral_radius_to_string, _delete_spectral])
+def test_malformed_report_exits_2_with_field(tmp_path, capsys, tamper):
+    code, out = run_task(tmp_path, "probe-amenability",
+                         {"group": Z, "task": {"nmax": 4, "radius": 2}})
+    assert code == 0
+    report = json.loads(out.read_text())
+    tamper(report)
+    out.write_text(json.dumps(report))
+    capsys.readouterr()
+    assert main(["verify", "--report", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config field 'report." in err
+    assert "Traceback" not in err
 
 
 def _raise_certified_lower(out):

@@ -30,8 +30,15 @@ from unirep import (
     transfer_witness,
     trivial_target,
 )
-from unirep.containment import _objective_and_gradient
-from util import f2_oracle, random_elements, random_sparse, z2_oracle, z_oracle
+from unirep.containment import _gram_tensor, _objective_and_gradient
+from util import (
+    f2_oracle,
+    random_elements,
+    random_matrix_rep,
+    random_sparse,
+    z2_oracle,
+    z_oracle,
+)
 
 
 def test_gram_trivial_rep_constant_in_g():
@@ -130,6 +137,26 @@ def test_direct_sum_monotonicity():
         d_small = discrepancy(target, reg, wit)
         d_big = discrepancy(target, big, [embed(big, 0, wit[0])])
         assert abs(d_small - d_big) < 1e-12
+
+
+@pytest.mark.parametrize("kind", ["regular", "matrix"])
+def test_gram_tensor_matches_inner_formula(kind):
+    rng = np.random.default_rng(6)
+    F2 = f2_oracle()
+    if kind == "regular":
+        rep = Regular(F2)
+        keys = [(0, x) for x in ball(F2, 2).elements]
+    else:
+        rep = random_matrix_rep(rng, F2, 5)
+        keys = [(0, i) for i in range(5)]
+    vectors = [random_sparse(rng, rep, keys, 3) for _ in range(4)]
+    F = ball(F2, 1).elements
+    T = _gram_tensor(rep, vectors, F)
+    assert T.shape == (len(F), 4, 4)
+    for t, g in enumerate(F):
+        moved = [rep.apply(g, v) for v in vectors]
+        ref = np.array([[inner(mv, w) for w in vectors] for mv in moved])
+        assert np.max(np.abs(T[t] - ref)) < 1e-12
 
 
 def test_gradient_matches_finite_differences():

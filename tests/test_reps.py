@@ -206,6 +206,75 @@ def test_subspace_validation_and_projection():
     assert abs(v.norm2() - (p.norm2() + (v - p).norm2())) < 1e-10
 
 
+def _dense_rows(vectors, keys):
+    col = {k: i for i, k in enumerate(keys)}
+    X = np.zeros((len(vectors), len(keys)), dtype=complex)
+    for i, v in enumerate(vectors):
+        for k, amp in v.entries.items():
+            X[i, col[k]] = amp
+    return X
+
+
+def _svd_projector(X):
+    """Projector onto the row span of X, rank-revealing via the SVD."""
+    _u, s, vh = np.linalg.svd(X, full_matrices=False)
+    V = vh[s > 1e-10]
+    return V.T @ V.conj(), len(V)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_orthonormalize_matches_svd_span_on_rank_deficient_families(seed):
+    rng = np.random.default_rng(seed)
+    Z = z_oracle()
+    space = DirectSum([Regular(Z), Trivial(3), Regular(Z)])
+    keys = ([(0, (k,)) for k in range(-3, 4)] + [(1, i) for i in range(3)]
+            + [(2, (k,)) for k in range(-2, 3)])
+    rank = int(rng.integers(1, 5))
+    spanning = [random_sparse(rng, space, keys, 4) for _ in range(rank)]
+    family = [SparseVector(space, {})]
+    for _ in range(rank + 4):
+        v = SparseVector(space, {})
+        for b in spanning:
+            v = v + complex(rng.standard_normal(), rng.standard_normal()) * b
+        family.append(v)
+    family.insert(2, family[1])
+    basis = orthonormalize(family)
+    Q = _dense_rows(basis, keys)
+    P_ref, dim_ref = _svd_projector(_dense_rows(family, keys))
+    assert len(basis) == dim_ref
+    assert np.max(np.abs(Q.conj() @ Q.T - np.eye(len(basis)))) < 1e-12
+    assert np.max(np.abs(Q.T @ Q.conj() - P_ref)) < 1e-12
+
+
+def _subspace_cases():
+    rng = np.random.default_rng(11)
+    Z = z_oracle()
+    reg = Regular(Z)
+    reg_keys = [(0, (k,)) for k in range(-3, 4)]
+    yield reg, reg_keys[2:5], reg_keys
+    mat = random_matrix_rep(rng, f2_oracle(), 6)
+    mat_keys = [(0, i) for i in range(6)]
+    yield mat, mat_keys[:3], mat_keys
+
+
+@pytest.mark.parametrize("space, basis_keys, all_keys", list(_subspace_cases()))
+def test_subspace_coords_and_projection_match_inner_formula(space, basis_keys, all_keys):
+    rng = np.random.default_rng(12)
+    basis = orthonormalize([random_sparse(rng, space, basis_keys, 2) for _ in range(2)])
+    S = Subspace(space, basis)
+    # keys outside the basis support as well as inside it
+    v = random_sparse(rng, space, all_keys, 6)
+    assert any(k not in basis_keys for k in v.entries)
+    c_ref = np.array([inner(v, b) for b in basis])
+    assert np.max(np.abs(S.coords(v) - c_ref)) < 1e-12
+    p_ref = SparseVector(space, {})
+    for coeff, b in zip(c_ref, basis):
+        p_ref = p_ref + coeff * b
+    assert (S.from_coords(c_ref) - p_ref).norm() < 1e-12
+    assert (S.project(v) - p_ref).norm() < 1e-12
+    assert (S.residual(v) - (v - p_ref)).norm() < 1e-12
+
+
 def test_embedding_isometry_check():
     Z = z_oracle()
     reg = Regular(Z)

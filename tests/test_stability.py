@@ -7,6 +7,7 @@ import pytest
 
 from unirep import (
     ClosureSpec,
+    KindMismatchError,
     PreconditionError,
     Regular,
     ResourceLimitError,
@@ -90,6 +91,43 @@ def test_closure_dim_cap():
     reg = Regular(Z)
     with pytest.raises(ResourceLimitError):
         closure(reg, [dz(reg, 0)], 5, dim_cap=4)
+
+
+class CountingRegular(Regular):
+    """Regular representation that records every element it is applied with."""
+
+    def __init__(self, oracle):
+        super().__init__(oracle)
+        self.applied = []
+
+    def apply(self, g, v):
+        self.applied.append(g)
+        return super().apply(g, v)
+
+
+def test_closure_dim_cap_raises_in_the_sphere_where_it_is_hit():
+    F2 = f2_oracle()
+    reg = CountingRegular(F2)
+    # sphere 0 keeps 1 vector, sphere 1 offers 4 more: the 4th kept vector hits cap 3
+    with pytest.raises(ResourceLimitError, match="cap 3"):
+        closure(reg, [delta(reg, 0, ())], 3, dim_cap=3)
+    assert reg.applied
+    assert all(len(g) <= 1 for g in reg.applied)
+    assert len(closure(reg, [delta(reg, 0, ())], 1, dim_cap=5).realized.basis) == 5
+
+
+def test_vectors_outside_the_space_are_rejected():
+    reg = Regular(z_oracle())
+    foreign = delta(Trivial(2), 0, 0)
+    C = closure(reg, [dz(reg, 0)], 1)
+    with pytest.raises(KindMismatchError):
+        closure(reg, [dz(reg, 0)], 1, probes=[foreign])
+    with pytest.raises(KindMismatchError):
+        nondividing(reg, [dz(reg, 0)], [foreign], C)
+    with pytest.raises(KindMismatchError):
+        canonical_base(reg, [foreign], C)
+    with pytest.raises(KindMismatchError):
+        superstable_approx(reg, [foreign], [dz(reg, 0)], 1e-3, 1)
 
 
 def test_project_examples():
