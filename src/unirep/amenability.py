@@ -13,15 +13,17 @@ below and the Collatz-Wielandt bound of its positive final vector bounds
 it from above; the solve stops only once the two are within the
 tolerance, which certifies the defect from both sides.
 
-``defect_table`` gives the defect for every radius 1..r from one ball
-operator: the ball enumerates in breadth-first order, so the radius-rho
-ball is a prefix of the radius-r ball and its edges are the radius-r
-edges with both ends in that prefix, in the same order. Each radius
-therefore solves the same arrays as a ball built for it alone, and the
-probe builds one ball per run. For the free kinds on their standard
-generators the walk distribution is constant on spheres, so the
-convolution runs on the exact radial chain instead of the full
-(exponentially growing) support.
+The operator is read off the ball's neighbour table: the edges of M are
+x -> s x for the ball's ``left`` entries, with no product recomputed.
+``defect_table`` gives the defect for every radius 1..r from one ball:
+the ball enumerates in breadth-first order, so the radius-rho ball is a
+prefix of the radius-r ball and its edges are the radius-r edges with
+both ends in that prefix, in the same order. Each radius therefore
+solves the same arrays as a ball built for it alone, and the probe
+builds one ball per run. Each minimizer is kept as its amplitudes in
+ball order. For the free kinds on their standard generators the walk
+distribution is constant on spheres, so the convolution runs on the
+exact radial chain instead of the full (exponentially growing) support.
 """
 
 from __future__ import annotations
@@ -146,28 +148,6 @@ def return_probabilities(oracle: GroupOracle, S=None, n_max: int = DEFAULT_EXACT
     return ReturnProbabilityTable(n_max, p, min(n_max, exact_steps))
 
 
-def _ball_operator(oracle, steps, r, cap):
-    """The radius-r ball with the edge arrays of its compressed walk operator.
-
-    Returns the ball, the ``rows``/``cols`` index arrays of the edges
-    x -> s x with both ends in the ball (``cols`` ascending), and ``sizes``
-    with ``sizes[rho]`` the number of elements of the radius-rho ball, a
-    prefix of the breadth-first enumeration.
-    """
-    B = ball(oracle, r, cap)
-    index = {x: i for i, x in enumerate(B.elements)}
-    mul = oracle._mul
-    rows, cols = [], []
-    for x, ix in index.items():
-        for s in steps:
-            iy = index.get(mul(s, x))
-            if iy is not None:
-                rows.append(iy)
-                cols.append(ix)
-    sizes = np.cumsum(np.bincount([B.word_length[x] for x in B.elements], minlength=r + 1))
-    return B, np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp), sizes
-
-
 def _perron_solve(rows, cols, dim, deg, tol, max_iter):
     """Restarted Lanczos solve for the Perron eigenpair of the ball-compressed operator M.
 
@@ -229,40 +209,47 @@ def _perron_solve(rows, cols, dim, deg, tol, max_iter):
 
 @dataclass
 class DefectReport:
-    """Smallest averaged squared shift defect over unit vectors on a Cayley ball."""
+    """Smallest averaged squared shift defect over unit vectors on a Cayley ball.
+
+    ``amplitudes`` is the minimizer in ball order: entry i is its amplitude
+    at ``elements[i]``, a prefix of the ball's enumeration. ``argmin`` is the
+    same vector as a ``SparseVector`` of the regular representation.
+    """
 
     radius: int
     min_avg_sq_defect: float
-    argmin: SparseVector
+    amplitudes: np.ndarray
     residual: float
     certified_lower_bound: float
-    certified_lower_bound_used: bool
     iterations: int  # products with the ball operator
+    space: Regular = field(repr=False)
+    elements: list = field(repr=False)
+
+    @property
+    def argmin(self) -> SparseVector:
+        entries = {(0, x): a for x, a in zip(self.elements, self.amplitudes)}
+        return SparseVector(self.space, entries)
 
 
 def _defects(oracle, S, r, radii, tol, max_iter, ball_cap):
-    """DefectReports for ``radii`` (each at most r), from one radius-r ball operator."""
+    """DefectReports for ``radii`` (each at most r), from one radius-r ball."""
     if r < 0:
         raise PreconditionError("radius must be non-negative")
     space = Regular(oracle)
-    steps = symmetric_generators(oracle, S)
-    if not steps:
-        e = oracle.identity()
-        return [DefectReport(rho, 0.0, SparseVector(space, {(0, e): 1.0}), 0.0, 0.0, True, 0)
+    B = ball(oracle, r, ball_cap, S)
+    deg = len(B.steps)
+    if not deg:  # no steps: every vector is invariant
+        return [DefectReport(rho, 0.0, np.ones(1), 0.0, 0.0, 0, space, B.elements)
                 for rho in radii]
-    B, rows, cols, sizes = _ball_operator(oracle, steps, r, ball_cap)
     reports = []
     for rho in radii:
-        n = int(sizes[rho])
-        m = int(np.searchsorted(cols, n))  # cols ascend: edges out of the prefix come first
-        inside = rows[:m] < n
-        mu, cw_upper, residual, vec, iters = _perron_solve(
-            rows[:m][inside], cols[:m][inside], n, len(steps), tol, max_iter)
-        argmin = SparseVector(space, {(0, x): vec[i] for i, x in enumerate(B.elements[:n])})
+        n = int(B.sizes[rho])
+        rows, cols = B.edges(n)
+        mu, cw_upper, residual, vec, iters = _perron_solve(rows, cols, n, deg, tol, max_iter)
         # the form is PSD: a Rayleigh quotient a rounding step past the top clamps to 0
         value = max(0.0, 2.0 * (1.0 - mu))
         lower = max(0.0, 2.0 * (1.0 - cw_upper))
-        reports.append(DefectReport(rho, value, argmin, residual, lower, True, iters))
+        reports.append(DefectReport(rho, value, vec, residual, lower, iters, space, B.elements))
     return reports
 
 
@@ -309,10 +296,6 @@ class SpectralRadiusInterval:
     upper: float
     defect: DefectReport
     table: ReturnProbabilityTable | None = None
-
-    @property
-    def lower_residual(self) -> float:
-        return self.defect.residual / 2.0  # the residual on the scale of M
 
     @property
     def iterations(self) -> int:

@@ -3,7 +3,11 @@
 Every run writes a compact JSON report (sorted keys, no indentation or
 spaces, UTF-8) echoing its inputs, outputs, tolerances, and enough
 witness data for the ``verify`` subcommand to recompute the headline
-number independently. Exit codes:
+number independently. Vectors are written as ``[copy, element, re, im]``
+entries, except the probe's minimizers: each ``defect-table`` row's
+``argmin`` is the list of its real amplitudes in ball order, the first
+``sizes[radius]`` elements of the breadth-first Cayley ball, which
+``verify`` rebuilds. Exit codes:
 0 success, 2 precondition or config error, 3 resource cap exceeded,
 4 an iterative solver did not converge (its best value goes to stderr),
 1 internal error.
@@ -16,6 +20,8 @@ import csv
 import json
 import sys
 from datetime import datetime, timezone
+
+import numpy as np
 
 from . import containment, stability
 from .amenability import (
@@ -33,7 +39,7 @@ from .errors import (
     ResourceLimitError,
     WorkbenchError,
 )
-from .groups import symmetric_generators
+from .groups import DEFAULT_BALL_CAP, ball
 from .reps import DirectSum, Embedding, Multiple, Regular, Subspace, amalgamate
 from .serialize import (
     gram_to_json,
@@ -144,7 +150,7 @@ def run_probe(cfg, args):
                 "value": d.min_avg_sq_defect,
                 "certified-lower": d.certified_lower_bound,
                 "residual": d.residual,
-                "argmin": vector_to_json(d.argmin),
+                "argmin": d.amplitudes.tolist(),
             }
             for d in defects
         ],
@@ -155,35 +161,42 @@ def run_probe(cfg, args):
     return report
 
 
-def _defect_rayleigh(oracle, w):
-    """Average squared shift defect of w and the certified lower bound w gives.
+def _defect_rayleigh(B, w):
+    """Average squared shift defect of w on the first len(w) elements of B, and its bound.
 
-    The shifts of w are summed once over the support of w into deg * Mw,
-    for M the average of the shifts. They are unitary, so the defect is
-    2(1 - Re<Mw, w>/|w|^2). The bound is max(0, 2(1 - cw)) for the
-    Collatz-Wielandt bound cw = max_x Re Mw(x)/w(x), which holds only for a
-    positive w: if an entry is not a positive real, the bound is nan.
+    ``w`` holds real amplitudes in ball order. Summing the shifts of w over
+    the ball's left table gives deg * Mw, for M the average of the shifts.
+    They are unitary, so the defect is 2(1 - <Mw, w>/|w|^2). The bound is
+    max(0, 2(1 - cw)) for the Collatz-Wielandt bound cw = max_x Mw(x)/w(x),
+    which holds only for a positive w: otherwise the bound is nan.
     """
-    steps = symmetric_generators(oracle)
-    if not steps:
+    deg = len(B.steps)
+    if not deg:
         return 0.0, 0.0
-    n2 = w.norm2()
+    n2 = float(np.dot(w, w))
     if n2 == 0:
         return float("nan"), float("nan")
-    local = {key: amp for (_copy, key), amp in w.entries.items()}
-    shifted = dict.fromkeys(local, 0.0)
-    for x, amp in local.items():
-        for s in steps:
-            y = oracle._mul(s, x)
-            if y in shifted:
-                shifted[y] += amp
-    deg = len(steps)
-    overlap = sum((shifted[x] * amp.conjugate()).real for x, amp in local.items()) / deg
-    defect = 2.0 * (1.0 - overlap / n2)
-    if not all(amp.imag == 0 and amp.real > 0 for amp in local.values()):
+    rows, cols = B.edges(len(w))
+    shifted = np.bincount(rows, weights=w[cols], minlength=len(w))
+    defect = 2.0 * (1.0 - float(np.dot(shifted, w)) / (deg * n2))
+    if not np.all(w > 0):
         return defect, float("nan")
-    cw = max(shifted[x].real / (deg * amp.real) for x, amp in local.items())
+    cw = float(np.max(shifted / w)) / deg
     return defect, max(0.0, 2.0 * (1.0 - cw))
+
+
+def _row_amplitudes(row, i, radius):
+    """The amplitudes of defect-table row ``i``, which must be the radius-(i + 1) row."""
+    where = f"report.outputs.defect-table[{i}]"
+    if row["radius"] != i + 1 or i + 1 > radius:
+        raise ConfigError(f"expected radius {i + 1} in 1..{radius}", field=f"{where}.radius")
+    try:
+        w = np.array(row["argmin"], dtype=float)
+        if w.ndim == 1:
+            return w
+    except (TypeError, ValueError):
+        pass
+    raise ConfigError("expected a list of numbers", field=f"{where}.argmin")
 
 
 def verify_probe(report):
@@ -193,19 +206,23 @@ def verify_probe(report):
     if len(p) >= 2:
         checks.append(("final-ratio", (p[-1] / p[-2]) ** 0.5, out["final-ratio"]))
     oracle = parse_config({"group": report["inputs"]["group"]}).oracle
-    space = Regular(oracle)
-    value = None
-    for row in out["defect-table"]:
-        w = parse_vector(row["argmin"], space)
-        value, certified = _defect_rayleigh(oracle, w)
-        checks.append((f"defect-r{row['radius']}", value, row["value"]))
-        checks.append((f"certified-lower-r{row['radius']}", certified, row["certified-lower"]))
     radius = report["inputs"]["radius"]
-    checks.append(("defect-rows", len(out["defect-table"]), radius))
+    table = out["defect-table"]
+    amplitudes = [_row_amplitudes(row, i, radius) for i, row in enumerate(table)]
+    # the run's ball held its longest row, also under a raised cap
+    B = ball(oracle, radius, max([DEFAULT_BALL_CAP] + [len(w) for w in amplitudes]))
+    value = None
+    for rho, (row, w) in enumerate(zip(table, amplitudes), start=1):
+        n = int(B.sizes[rho])
+        checks.append((f"argmin-length-r{rho}", n, len(w)))
+        value, certified = _defect_rayleigh(B, w) if len(w) == n else (float("nan"),) * 2
+        checks.append((f"defect-r{rho}", value, row["value"]))
+        checks.append((f"certified-lower-r{rho}", certified, row["certified-lower"]))
+    checks.append(("defect-rows", len(table), radius))
     spectral = out["spectral"]
     checks.append(("spectral-radius", radius, spectral["radius"]))
-    if value is None:  # radius 0 has no row: solve the one-point ball
-        value = min_defect(oracle, None, 0).min_avg_sq_defect
+    if value is None:  # radius 0 has no row: the one-point ball
+        value = _defect_rayleigh(B, np.ones(1))[0]
     lower = 1.0 - value / 2.0
     checks.append(("spectral-lower", lower, spectral["lower"]))
     checks.append(("spectral-upper", min(1.0, max(certified_upper(oracle), lower)),

@@ -31,6 +31,8 @@ import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .errors import (
     KindMismatchError,
     PreconditionError,
@@ -581,45 +583,91 @@ def symmetric_generators(oracle: GroupOracle, steps=None) -> list:
 
 @dataclass
 class Ball:
-    """Cayley ball: BFS enumeration of all products of at most ``radius`` steps."""
+    """Cayley ball: breadth-first enumeration of all products of at most ``radius`` steps.
+
+    ``steps`` is the step list S union S^-1 the search walks, ``index`` maps
+    each element to its position in ``elements``, and ``sizes[k]`` is the
+    number of elements of word length at most k, for k = 0..radius: the
+    radius-k ball is the prefix ``elements[:sizes[k]]``. The neighbour
+    tables are ``(len(elements), len(steps))`` intp arrays: ``right[i, j]``
+    is the position of ``elements[i] * steps[j]`` and ``left[i, j]`` that of
+    ``steps[j] * elements[i]``, or -1 where the product lies outside the ball.
+    """
 
     radius: int
     elements: list
-    word_length: dict
+    index: dict
+    steps: list
+    sizes: np.ndarray
+    right: np.ndarray
+    left: np.ndarray
 
     def __len__(self):
         return len(self.elements)
 
     def __contains__(self, x):
-        return x in self.word_length
+        return x in self.index
 
     def sphere(self, k: int) -> list:
-        return [x for x in self.elements if self.word_length[x] == k]
+        return self.elements[self.sizes[k - 1] if k else 0:self.sizes[k]]
+
+    def edges(self, n: int):
+        """``rows``, ``cols`` of the edges x -> s x with both ends among the first ``n`` elements.
+
+        ``cols`` ascend, and the edges out of one element follow the step order.
+        """
+        rows = self.left[:n].ravel()
+        cols = np.repeat(np.arange(n), len(self.steps))
+        inside = (rows >= 0) & (rows < n)
+        return rows[inside], cols[inside]
 
 
-def ball(oracle: GroupOracle, r: int, cap: int = DEFAULT_BALL_CAP) -> Ball:
-    """Breadth-first Cayley ball of radius ``r`` over S union S^-1."""
+def ball(oracle: GroupOracle, r: int, cap: int = DEFAULT_BALL_CAP, S=None) -> Ball:
+    """Breadth-first Cayley ball of radius ``r`` over S union S^-1 (the generators by default).
+
+    The search multiplies every element on the right by every step, the
+    last sphere included, whose products only fill its rows of ``right``.
+    ``left`` needs no further product: an element x found as p * steps[a]
+    from its parent p one sphere closer has s * x = (s * p) * steps[a],
+    where s * p lies in the ball, so each sphere's rows are one gather of
+    ``right`` at its parents' ``left`` rows.
+    """
     if not isinstance(r, int) or r < 0:
         raise PreconditionError("ball radius must be a non-negative integer")
+    steps = symmetric_generators(oracle, S)
+    mul = oracle._mul
     e = oracle.identity()
-    elements = [e]
-    word_length = {e: 0}
-    frontier = [e]
-    steps = symmetric_generators(oracle)
+    elements, index = [e], {e: 0}
+    parent, letter = [0], [0]
+    right = []  # row-major (element, step) positions
+    sizes = [1]
+    lo = 0
     for radius in range(1, r + 1):
-        new = []
-        for x in frontier:
-            for s in steps:
-                y = oracle._mul(x, s)
-                if y not in word_length:
-                    word_length[y] = radius
+        hi = len(elements)
+        for i in range(lo, hi):
+            x = elements[i]
+            for j, s in enumerate(steps):
+                y = mul(x, s)
+                k = index.get(y)
+                if k is None:
+                    k = index[y] = len(elements)
                     elements.append(y)
-                    new.append(y)
-                    if len(elements) > cap:
+                    parent.append(i)
+                    letter.append(j)
+                    if k >= cap:
                         raise ResourceLimitError(
                             f"ball element cap {cap} exceeded at radius {radius}"
                         )
-        frontier = new
-        if not new:
-            break
-    return Ball(r, elements, word_length)
+                right.append(k)
+        lo = hi
+        sizes.append(len(elements))
+    for x in elements[lo:]:  # the last sphere adds nothing; its products fill its rows
+        right.extend([index.get(mul(x, s), -1) for s in steps])
+    right = np.array(right, dtype=np.intp).reshape(len(elements), len(steps))
+    parent = np.array(parent, dtype=np.intp)
+    letter = np.array(letter, dtype=np.intp)
+    left = np.empty_like(right)
+    left[0] = right[0]
+    for a, b in zip(sizes, sizes[1:]):
+        left[a:b] = right[left[parent[a:b]], letter[a:b, None]]
+    return Ball(r, elements, index, steps, np.array(sizes), right, left)

@@ -181,11 +181,11 @@ def parse_vector(raw, space, where="vector") -> SparseVector:
             raise ConfigError("copy index must be a non-negative integer", field=f"{where}[{i}]")
         try:
             key = _key_from_str(space, copy, str(elem), f"{where}[{i}]")
+            entries[(copy, key)] = complex(float(re), float(im))
         except ConfigError:
             raise
         except Exception as exc:
             raise ConfigError(str(exc), field=f"{where}[{i}]") from exc
-        entries[(copy, key)] = complex(float(re), float(im))
     return SparseVector(space, entries)
 
 

@@ -108,7 +108,7 @@ def test_min_defect_finite_group_zero():
     Z5 = cyclic_table(5)
     report = min_defect(Z5, None, 4)
     assert report.min_avg_sq_defect < 1e-12
-    assert report.certified_lower_bound_used
+    assert 0 <= report.certified_lower_bound <= report.min_avg_sq_defect
 
 
 @pytest.mark.parametrize("n", [3, 5, 7])
@@ -141,6 +141,18 @@ def test_min_defect_argmin_rayleigh_matches():
     steps = symmetric_generators(Z)
     rayleigh = sum((reg.apply(s, w) - w).norm2() for s in steps) / (len(steps) * w.norm2())
     assert abs(rayleigh - report.min_avg_sq_defect) < 1e-9
+
+
+def test_min_defect_with_custom_steps_walks_its_own_ball():
+    F2 = f2_oracle()
+    path = min_defect(F2, [(1,)], 3)  # the ball of one free generator is a path of 7 points
+    assert abs(path.min_avg_sq_defect - (2 - 2 * math.cos(math.pi / 8))) < 1e-9
+    assert 0 <= path.certified_lower_bound <= path.min_avg_sq_defect
+    square = min_defect(F2, [(1, 1), (2,)], 3)  # a^2 and b freely generate a copy of F2
+    standard = min_defect(F2, None, 3)
+    assert abs(square.min_avg_sq_defect - standard.min_avg_sq_defect) < 1e-12
+    assert 0 <= square.certified_lower_bound <= square.min_avg_sq_defect
+    assert square.min_avg_sq_defect - square.certified_lower_bound <= 1e-9
 
 
 def test_min_defect_monotone_in_radius():

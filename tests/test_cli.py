@@ -48,6 +48,22 @@ def test_probe_round_trip_on_rewriting_oracle(tmp_path):
     assert [row["radius"] for row in table] == [1, 2, 3]
 
 
+@pytest.mark.parametrize("group, radius, sizes", [
+    ({"kind": "fg-abelian", "rank": 0, "torsion": []}, 2, [1, 1]),
+    ({"kind": "finite-table", "table": [[(i + j) % 3 for j in range(3)] for i in range(3)],
+      "generators": [1]}, 4, [3, 3, 3, 3]),
+])
+def test_probe_round_trip_on_finite_groups(tmp_path, group, radius, sizes):
+    """The trivial group has no steps; the cyclic group of order 3 saturates at radius 1."""
+    code, out = run_task(tmp_path, "probe-amenability",
+                         {"group": group, "task": {"nmax": 6, "radius": radius}})
+    assert code == 0
+    assert main(["verify", "--report", str(out)]) == 0
+    table = json.loads(out.read_text())["outputs"]["defect-table"]
+    assert [len(row["argmin"]) for row in table] == sizes
+    assert all(row["value"] <= 1e-9 for row in table)
+
+
 def test_report_is_written_compact(tmp_path):
     code, out = run_task(tmp_path, "probe-amenability",
                          {"group": Z, "task": {"nmax": 4, "radius": 2}})
@@ -124,7 +140,16 @@ def _delete_spectral(report):
     del report["outputs"]["spectral"]
 
 
-@pytest.mark.parametrize("tamper", [_set_spectral_radius_to_string, _delete_spectral])
+def _set_amplitude_to_string(report):
+    report["outputs"]["defect-table"][1]["argmin"][2] = "x"
+
+
+def _set_row_radius_past_input(report):
+    report["outputs"]["defect-table"][1]["radius"] = 3
+
+
+@pytest.mark.parametrize("tamper", [_set_spectral_radius_to_string, _delete_spectral,
+                                    _set_amplitude_to_string, _set_row_radius_past_input])
 def test_malformed_report_exits_2_with_field(tmp_path, capsys, tamper):
     code, out = run_task(tmp_path, "probe-amenability",
                          {"group": Z, "task": {"nmax": 4, "radius": 2}})
@@ -148,23 +173,24 @@ def _lower_spectral_lower(out):
 
 
 def _negate_argmin_entry(out):
-    out["defect-table"][0]["argmin"][0][2] = -1.0
+    argmin = out["defect-table"][0]["argmin"]
+    argmin[0] = -argmin[0]
 
 
-def _rotate_argmin_entry(out):
-    out["defect-table"][0]["argmin"][0][3] = 0.5
+def _truncate_argmin(out):
+    out["defect-table"][0]["argmin"].pop()
 
 
 def _zero_argmin(out):
-    for entry in out["defect-table"][0]["argmin"]:
-        entry[2] = 0.0
+    argmin = out["defect-table"][0]["argmin"]
+    argmin[:] = [0.0] * len(argmin)
 
 
 @pytest.mark.parametrize("tamper, check", [
     (_raise_certified_lower, "certified-lower-r1"),
     (_lower_spectral_lower, "spectral-lower"),
     (_negate_argmin_entry, "certified-lower-r1"),
-    (_rotate_argmin_entry, "certified-lower-r1"),
+    (_truncate_argmin, "argmin-length-r1"),
     (_zero_argmin, "defect-r1"),
 ])
 def test_verify_probe_rejects_tampered_certificates(tmp_path, capsys, tamper, check):
@@ -208,6 +234,16 @@ def test_verify_probe_checks_radius_and_rows(tmp_path, capsys, radius, tamper, f
     err = capsys.readouterr().err
     assert [line.split(":")[0] for line in err.splitlines()] == [
         f"verify FAILED {check}" for check in failed]
+    assert "Traceback" not in err
+
+
+def test_non_numeric_vector_amplitude_exits_2_with_field(tmp_path, capsys):
+    config = {"group": Z, "task": {"closure": {"vectors": [[[0, "0", 1.0, 0.0]]], "radius": 1},
+                                   "a": [[[0, "0", "x", 0]]]}}
+    code, _out = run_task(tmp_path, "canonical-base", config)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "'task.a[0][0]'" in err
     assert "Traceback" not in err
 
 

@@ -139,8 +139,20 @@ def test_unchecked_product_matches_multiply(oracle):
 def test_smaller_ball_is_a_prefix(oracle):
     big = ball(oracle, 4)
     for r in range(4):
-        n_r = sum(1 for x in big.elements if big.word_length[x] <= r)
-        assert big.elements[:n_r] == ball(oracle, r).elements
+        assert big.elements[:big.sizes[r]] == ball(oracle, r).elements
+
+
+@pytest.mark.parametrize("oracle", all_oracles() + [FgAbelianOracle(0)], ids=lambda o: o.kind)
+def test_neighbour_tables_match_multiply(oracle):
+    B = ball(oracle, 3)
+    position = {x: i for i, x in enumerate(B.elements)}
+    assert B.index == position
+    assert B.right.shape == B.left.shape == (len(B), len(B.steps))
+    assert len(B.sizes) == 4 and B.sizes[-1] == len(B)
+    for i, x in enumerate(B.elements):
+        for j, s in enumerate(B.steps):
+            assert B.right[i, j] == position.get(oracle.multiply(x, s), -1)
+            assert B.left[i, j] == position.get(oracle.multiply(s, x), -1)
 
 
 def test_rewriting_step_cap_names_the_cap():
