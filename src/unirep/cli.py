@@ -1,5 +1,12 @@
 """Batch front end: parse configs, dispatch, emit machine-readable reports.
 
+The task registry (``_declare`` calls near the end of this module) is the
+one place a task is declared: its subcommand name, help text, typed
+parameters (``Param``), run function and verify function. The subcommand's
+flags, each parameter's config lookup and cast, and the echo of the cast
+values into the report all come from that declaration. A run function
+receives the cast values and returns only its own report parts.
+
 Every run writes a compact JSON report (sorted keys, no indentation or
 spaces, UTF-8) echoing its inputs, outputs, tolerances, and enough
 witness data for the ``verify`` subcommand to recompute the headline
@@ -19,6 +26,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import dataclass
 from datetime import datetime, timezone
 
 import numpy as np
@@ -42,10 +50,13 @@ from .errors import (
 from .groups import DEFAULT_BALL_CAP, ball
 from .reps import DirectSum, Embedding, Multiple, Regular, Subspace, amalgamate
 from .serialize import (
+    DEFAULT_CAPS,
     gram_to_json,
     group_to_json,
     parse_config,
+    parse_elements,
     parse_gram,
+    parse_group,
     parse_representation,
     parse_vector,
     rep_to_json,
@@ -54,10 +65,6 @@ from .serialize import (
 from .vectors import inner, orthonormalize
 
 VERIFY_TOL = 1e-9
-
-
-def _now() -> str:
-    return datetime.now(timezone.utc).isoformat()
 
 
 def _load_json(path, what):
@@ -76,52 +83,85 @@ def _write_report(report, out_path):
         fh.write(text)
 
 
-def _task_value(cfg, args, name, default=None, cast=None, block=None):
-    """Task value ``name`` (in the nested ``block`` if given), cast by ``cast``.
+@dataclass(frozen=True)
+class Param:
+    """Task parameter ``task.<name>``, cast by ``cast``; ``default`` None means required.
+
+    A dotted name (``closure.radius``) lies in a nested block. A top-level
+    parameter has the flag ``--<name>``, which overrides its config value, and
+    the report echoes it: an ``int`` into ``inputs``, a ``float`` into ``tolerances``.
+    """
+
+    name: str
+    cast: type
+    default: object = None
+
+    @property
+    def kwarg(self):
+        """The handler's keyword for the cast value."""
+        return self.name.replace(".", "_").replace("-", "_")
+
+
+def _task_value(cfg, args, param):
+    """The value of ``param``: its flag, else its config key, else its default; cast.
 
     The one place task values are cast: a bad value is a config error at its field.
     An ``int`` field takes no bool and no number with a fractional part.
     """
-    field = f"task.{name}" if block is None else f"task.{block}.{name}"
-    value = getattr(args, name.replace("-", "_"), None)
+    field = f"task.{param.name}"
+    block_name, _, key = param.name.rpartition(".")
+    block = cfg.task.get(block_name) if block_name else cfg.task
+    if not isinstance(block, dict):
+        raise ConfigError(f"missing {block_name} block", field=f"task.{block_name}")
+    value = getattr(args, param.kwarg, None)  # a nested parameter has no flag
     if value is None:
-        value = (cfg.task if block is None else cfg.task[block]).get(name, default)
+        value = block.get(key, param.default)
     if value is None:
         raise ConfigError("missing required parameter", field=field)
-    if cast is None:
-        return value
     try:
-        if cast is int and (isinstance(value, bool)
-                            or isinstance(value, float) and not value.is_integer()):
+        if param.cast is int and (isinstance(value, bool)
+                                  or isinstance(value, float) and not value.is_integer()):
             raise ValueError(value)
-        return cast(value)
+        return param.cast(value)
     except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"expected {cast.__name__}, got {value!r}", field=field) from None
+        raise ConfigError(f"expected {param.cast.__name__}, got {value!r}", field=field) from None
 
 
-def _elements(cfg, raw, where):
-    return [cfg.oracle.element_from_str(s) for s in raw]
+def _report(task, cfg, own, values):
+    """A run's report: the handler's own parts, the group, the seed and the echoed parameters."""
+    report = {"task": task, "timestamp": datetime.now(timezone.utc).isoformat(),
+              "seed": cfg.seed, "tolerances": {}, **own}
+    report["inputs"] = {"group": group_to_json(cfg.oracle), **own.get("inputs", {})}
+    for param, value in values.items():
+        if "." not in param.name:
+            report["inputs" if param.cast is int else "tolerances"][param.name] = value
+    return report
 
 
-def _base_report(name, cfg):
-    return {
-        "task": name,
-        "timestamp": _now(),
-        "seed": cfg.seed,
-        "inputs": {"group": group_to_json(cfg.oracle)},
-        "tolerances": {},
-        "outputs": {},
-    }
+def _vectors(block, key, space, where, required=True):
+    """The vector list ``block[key]`` in ``space``; errors name ``<where>.<key>[i]``."""
+    raw = block.get(key, [])
+    if not isinstance(raw, list):
+        raise ConfigError("expected a list of vectors", field=f"{where}.{key}")
+    vectors = [parse_vector(r, space, f"{where}.{key}[{i}]") for i, r in enumerate(raw)]
+    if required and not vectors:
+        raise ConfigError("missing vectors", field=f"{where}.{key}")
+    return vectors
+
+
+def _report_inputs(report, *reps):
+    """Verify's preamble: the report's group oracle, then its representations ``inputs[r]``."""
+    inputs = report["inputs"]
+    oracle = parse_group(inputs["group"], "report.inputs.group")
+    return [oracle] + [parse_representation(inputs[r], oracle, f"report.inputs.{r}")
+                       for r in reps]
 
 
 # ---------------------------------------------------------------------------
 # handlers
 
 
-def run_probe(cfg, args):
-    nmax = _task_value(cfg, args, "nmax", 50, int)
-    radius = _task_value(cfg, args, "radius", 6, int)
-    exact_steps = _task_value(cfg, args, "exact-steps", 40, int)
+def run_probe(cfg, nmax, radius, exact_steps):
     table = return_probabilities(
         cfg.oracle, None, nmax, exact_steps=exact_steps, support_cap=cfg.caps["support"]
     )
@@ -131,9 +171,7 @@ def run_probe(cfg, args):
     last = defects[-1] if defects else min_defect(cfg.oracle, None, radius,
                                                   ball_cap=cfg.caps["ball"])
     interval = SpectralRadiusInterval.from_defect(cfg.oracle, None, last)
-    report = _base_report("probe-amenability", cfg)
-    report["inputs"].update({"nmax": nmax, "radius": radius, "exact-steps": exact_steps})
-    report["outputs"] = {
+    outputs = {
         "return-probabilities": {
             "steps": steps,
             "p": [float(table.p[s]) for s in steps],
@@ -156,9 +194,8 @@ def run_probe(cfg, args):
         ],
         "spectral": {"radius": interval.radius, "lower": interval.lower, "upper": interval.upper},
     }
-    report["tolerances"] = {"eigen-residual": 1e-9}
-    report["headline"] = table.final_ratio
-    return report
+    return {"outputs": outputs, "tolerances": {"eigen-residual": 1e-9},
+            "headline": table.final_ratio}
 
 
 def _defect_rayleigh(B, w):
@@ -205,7 +242,7 @@ def verify_probe(report):
     checks = []
     if len(p) >= 2:
         checks.append(("final-ratio", (p[-1] / p[-2]) ** 0.5, out["final-ratio"]))
-    oracle = parse_config({"group": report["inputs"]["group"]}).oracle
+    oracle = _report_inputs(report)[0]
     radius = report["inputs"]["radius"]
     table = out["defect-table"]
     amplitudes = [_row_amplitudes(row, i, radius) for i, row in enumerate(table)]
@@ -235,78 +272,54 @@ def _parse_target(cfg, obj):
     if "matrices" in obj:
         return parse_gram(obj, cfg.oracle, "target")
     rep = parse_representation(obj.get("representation"), cfg.oracle, "target.representation")
-    F = _elements(cfg, obj.get("F", []), "target.F")
+    F = parse_elements(obj.get("F", []), cfg.oracle, "target.F")
     if not F:
         raise ConfigError("missing element set", field="target.F")
-    vectors = [
-        parse_vector(raw, rep, f"target.vectors[{i}]")
-        for i, raw in enumerate(obj.get("vectors", []))
-    ]
-    if not vectors:
-        raise ConfigError("missing vectors", field="target.vectors")
-    return gram(rep, vectors, F, oracle=cfg.oracle)
+    return gram(rep, _vectors(obj, "vectors", rep, "target"), F, oracle=cfg.oracle)
 
 
-def run_contain(cfg, args):
+def run_contain(cfg, radius, tol, budget, restarts):
     target_obj = cfg.task.get("target")
-    if getattr(args, "target", None):
-        target_obj = _load_json(args.target, "target")
     if target_obj is None:
         raise ConfigError("missing target", field="task.target")
-    radius = _task_value(cfg, args, "radius", 4, int)
-    tol = _task_value(cfg, args, "tol", 1e-2, float)
-    budget = _task_value(cfg, args, "budget", 1500, int)
-    restarts = _task_value(cfg, args, "restarts", 8, int)
     target = _parse_target(cfg, target_obj)
     pi = cfg.representation
     if "basis" in cfg.task:
-        basis = Subspace(
-            pi,
-            orthonormalize(
-                [parse_vector(raw, pi, f"task.basis[{i}]") for i, raw in enumerate(cfg.task["basis"])]
-            ),
-            validate=False,
-        )
+        vectors = _vectors(cfg.task, "basis", pi, "task", required=False)
+        basis = Subspace(pi, orthonormalize(vectors), validate=False)
     else:
         basis = containment.ball_delta_basis(pi, radius, cap=cfg.caps["ball"])
     report_data = search_witness(target, pi, basis, tol, budget=budget,
                                  seed=cfg.seed, restarts=restarts)
-    report = _base_report("contain", cfg)
-    report["inputs"].update({
-        "representation": rep_to_json(pi),
-        "target": gram_to_json(target),
-        "radius": radius,
-        "budget": budget,
-        "restarts": restarts,
-    })
-    report["tolerances"] = {"tol": tol}
-    report["outputs"] = {
+    inputs = {"representation": rep_to_json(pi), "target": gram_to_json(target)}
+    outputs = {
         "witnesses": [vector_to_json(w) for w in report_data.witnesses],
         "witness-gram": gram_to_json(gram(pi, report_data.witnesses, target.F, oracle=cfg.oracle)),
         "discrepancy": report_data.discrepancy,
         "iterations": report_data.iterations,
         "converged": report_data.converged,
     }
-    report["headline"] = report_data.discrepancy
-    return report
+    return {"inputs": inputs, "outputs": outputs, "headline": report_data.discrepancy}
 
 
-def verify_contain(report):
-    cfg = parse_config({"group": report["inputs"]["group"]})
-    pi = parse_representation(report["inputs"]["representation"], cfg.oracle)
-    target = parse_gram(report["inputs"]["target"], cfg.oracle, "target")
-    witnesses = [parse_vector(raw, pi) for raw in report["outputs"]["witnesses"]]
-    disc = discrepancy(target, pi, witnesses)
+def _discrepancy_checks(report, target, space):
+    """The stored witnesses' discrepancy from ``target`` in ``space``, recomputed."""
+    witnesses = [parse_vector(raw, space) for raw in report["outputs"]["witnesses"]]
     return [
-        ("discrepancy", disc, report["outputs"]["discrepancy"]),
+        ("discrepancy", discrepancy(target, space, witnesses), report["outputs"]["discrepancy"]),
         ("headline", report["outputs"]["discrepancy"], report["headline"]),
     ]
 
 
-def run_folner(cfg, args):
-    eps = _task_value(cfg, args, "eps", None, float)
+def verify_contain(report):
+    oracle, pi = _report_inputs(report, "representation")
+    target = parse_gram(report["inputs"]["target"], oracle, "report.inputs.target")
+    return _discrepancy_checks(report, target, pi)
+
+
+def run_folner(cfg, eps):
     raw_f = cfg.task.get("F")
-    F = _elements(cfg, raw_f, "task.F") if raw_f else list(cfg.oracle.generators)
+    F = parse_elements(raw_f, cfg.oracle, "task.F") if raw_f else list(cfg.oracle.generators)
     w = folner_witness(cfg.oracle, F, eps, support_cap=cfg.caps["support"])
     space = Regular(cfg.oracle)
     defects = []
@@ -320,127 +333,91 @@ def run_folner(cfg, args):
             "value-exact": str(exact),
         })
     worst = max((d["value"] for d in defects), default=0.0)
-    report = _base_report("folner-witness", cfg)
-    report["inputs"].update({"F": [cfg.oracle.element_to_str(g) for g in F]})
-    report["tolerances"] = {"eps": eps}
-    report["outputs"] = {
+    inputs = {"F": [cfg.oracle.element_to_str(g) for g in F]}
+    outputs = {
         "witness": vector_to_json(w),
         "defects": defects,
         "max-defect": worst,
         "support-size": len(w.entries),
     }
-    report["headline"] = worst
-    return report
+    return {"inputs": inputs, "outputs": outputs, "headline": worst}
 
 
 def verify_folner(report):
-    cfg = parse_config({"group": report["inputs"]["group"]})
-    space = Regular(cfg.oracle)
+    oracle = _report_inputs(report)[0]
+    space = Regular(oracle)
     w = parse_vector(report["outputs"]["witness"], space)
     checks = []
     for row in report["outputs"]["defects"]:
-        g = cfg.oracle.element_from_str(row["element"])
+        g = oracle.element_from_str(row["element"])
         checks.append((f"defect-{row['element']}", (space.apply(g, w) - w).norm2(), row["value"]))
     checks.append(("headline", report["outputs"]["max-defect"], report["headline"]))
     return checks
 
 
-def _build_transfer_space(cfg):
-    pi = parse_representation(cfg.task.get("pi"), cfg.oracle, "task.pi")
-    parts = [pi]
-    if cfg.task.get("complement") is not None:
-        parts.append(parse_representation(cfg.task["complement"], cfg.oracle, "task.complement"))
-    parts.append(Multiple(Regular(cfg.oracle), None))
+def _transfer_space(oracle, block, where):
+    """pi (``block["pi"]``), then the complement if any, then infinitely many regular copies."""
+    parts = [parse_representation(block.get("pi"), oracle, f"{where}.pi")]
+    if block.get("complement") is not None:
+        parts.append(parse_representation(block["complement"], oracle, f"{where}.complement"))
+    parts.append(Multiple(Regular(oracle), None))
     return DirectSum(parts)
 
 
-def run_transfer(cfg, args):
-    rho = _build_transfer_space(cfg)
-    eps = _task_value(cfg, args, "eps", None, float)
-    F = _elements(cfg, cfg.task.get("F", []), "task.F")
+def run_transfer(cfg, eps):
+    rho = _transfer_space(cfg.oracle, cfg.task, "task")
+    F = parse_elements(cfg.task.get("F", []), cfg.oracle, "task.F")
     if not F:
         raise ConfigError("missing element set", field="task.F")
-    params = [
-        parse_vector(raw, rho, f"task.params[{i}]")
-        for i, raw in enumerate(cfg.task.get("params", []))
-    ]
-    targets = [
-        parse_vector(raw, rho, f"task.targets[{i}]")
-        for i, raw in enumerate(cfg.task.get("targets", []))
-    ]
-    if not targets:
-        raise ConfigError("missing targets", field="task.targets")
+    params = _vectors(cfg.task, "params", rho, "task", required=False)
+    targets = _vectors(cfg.task, "targets", rho, "task")
     result = transfer_witness(rho, params, targets, F, eps,
                               fresh_cap=cfg.caps["fresh-copies"],
                               support_cap=cfg.caps["support"])
     target_gram = gram(rho, params + targets, F, oracle=cfg.oracle)
-    report = _base_report("transfer", cfg)
-    report["inputs"].update({
+    inputs = {
         "pi": cfg.task.get("pi"),
         "complement": cfg.task.get("complement"),
         "F": [cfg.oracle.element_to_str(g) for g in F],
         "params": [vector_to_json(v) for v in params],
         "targets": [vector_to_json(v) for v in targets],
-    })
-    report["tolerances"] = {"eps": eps}
-    report["outputs"] = {
+    }
+    outputs = {
         "witnesses": [vector_to_json(w) for w in result.witnesses],
         "target-gram": gram_to_json(target_gram),
         "discrepancy": result.discrepancy,
         "converged": result.converged,
     }
-    report["headline"] = result.discrepancy
-    return report
+    return {"inputs": inputs, "outputs": outputs, "headline": result.discrepancy}
 
 
 def verify_transfer(report):
-    cfg = parse_config({
-        "group": report["inputs"]["group"],
-        "task": {"pi": report["inputs"]["pi"], "complement": report["inputs"]["complement"]},
-    })
-    rho = _build_transfer_space(cfg)
-    target = parse_gram(report["outputs"]["target-gram"], cfg.oracle, "target-gram")
-    witnesses = [parse_vector(raw, rho) for raw in report["outputs"]["witnesses"]]
-    disc = discrepancy(target, rho, witnesses)
-    return [
-        ("discrepancy", disc, report["outputs"]["discrepancy"]),
-        ("headline", report["outputs"]["discrepancy"], report["headline"]),
-    ]
+    oracle = _report_inputs(report)[0]
+    rho = _transfer_space(oracle, report["inputs"], "report.inputs")
+    target = parse_gram(report["outputs"]["target-gram"], oracle, "report.outputs.target-gram")
+    return _discrepancy_checks(report, target, rho)
 
 
-def _build_closure(cfg, pi, where="task.closure"):
-    block = cfg.task.get("closure")
-    if not isinstance(block, dict):
-        raise ConfigError("missing closure block", field=where)
-    radius = _task_value(cfg, None, "radius", 2, int, block="closure")
-    vectors = [
-        parse_vector(raw, pi, f"{where}.vectors[{i}]")
-        for i, raw in enumerate(block.get("vectors", []))
-    ]
-    if not vectors:
-        raise ConfigError("closure needs generating vectors", field=f"{where}.vectors")
+def _build_closure(cfg, pi, radius):
+    """The closure of ``task.closure.vectors``; ``Param("closure.radius")`` checked the block."""
+    vectors = _vectors(cfg.task["closure"], "vectors", pi, "task.closure")
     return stability.closure(pi, vectors, radius, dim_cap=cfg.caps["dimension"])
 
 
-def run_nondividing(cfg, args):
+def run_nondividing(cfg, tol, closure_radius):
     pi = cfg.representation
-    tol = _task_value(cfg, args, "tol", 1e-6, float)
-    C = _build_closure(cfg, pi)
-    a_vec = [parse_vector(raw, pi, f"task.a[{i}]") for i, raw in enumerate(cfg.task.get("a", []))]
-    B = [parse_vector(raw, pi, f"task.B[{i}]") for i, raw in enumerate(cfg.task.get("B", []))]
-    if not a_vec:
-        raise ConfigError("missing tuple vectors", field="task.a")
+    C = _build_closure(cfg, pi, closure_radius)
+    a_vec = _vectors(cfg.task, "a", pi, "task")
+    B = _vectors(cfg.task, "B", pi, "task", required=False)
     verdict = stability.nondividing(pi, a_vec, B, C, tol)
-    report = _base_report("nondividing", cfg)
-    report["inputs"].update({
+    inputs = {
         "representation": rep_to_json(pi),
         "closure": cfg.task.get("closure"),
         "a": [vector_to_json(v) for v in a_vec],
         "B": [vector_to_json(v) for v in B],
-    })
-    report["tolerances"] = {"tol": tol}
+    }
     worst = verdict.worst
-    report["outputs"] = {
+    outputs = {
         "independent": verdict.independent,
         "worst": None if worst is None else {
             "tuple-index": worst.tuple_index,
@@ -452,8 +429,8 @@ def run_nondividing(cfg, args):
             "residual-b": vector_to_json(worst.residual_b),
         },
     }
-    report["headline"] = 0.0 if worst is None else abs(worst.value)
-    return report
+    return {"inputs": inputs, "outputs": outputs,
+            "headline": 0.0 if worst is None else abs(worst.value)}
 
 
 def _elem_str(cfg, g):
@@ -461,8 +438,7 @@ def _elem_str(cfg, g):
 
 
 def verify_nondividing(report):
-    cfg = parse_config({"group": report["inputs"]["group"]})
-    pi = parse_representation(report["inputs"]["representation"], cfg.oracle)
+    _oracle, pi = _report_inputs(report, "representation")
     worst = report["outputs"]["worst"]
     if worst is None:
         return [("headline", 0.0, report["headline"])]
@@ -475,35 +451,30 @@ def verify_nondividing(report):
     ]
 
 
-def run_canonical_base(cfg, args):
+def run_canonical_base(cfg, closure_radius):
     pi = cfg.representation
-    C = _build_closure(cfg, pi)
-    a_vec = [parse_vector(raw, pi, f"task.a[{i}]") for i, raw in enumerate(cfg.task.get("a", []))]
-    if not a_vec:
-        raise ConfigError("missing tuple vectors", field="task.a")
+    C = _build_closure(cfg, pi, closure_radius)
+    a_vec = _vectors(cfg.task, "a", pi, "task")
     projected = stability.projected_orbit(pi, a_vec, C)
     base = orthonormalize(projected)
     base_sub = Subspace(pi, base, validate=False)
     worst = max((base_sub.residual(p).norm() for p in projected), default=0.0)
-    report = _base_report("canonical-base", cfg)
-    report["inputs"].update({
+    inputs = {
         "representation": rep_to_json(pi),
         "closure": cfg.task.get("closure"),
         "a": [vector_to_json(v) for v in a_vec],
-    })
-    report["tolerances"] = {"reproduction": 1e-8}
-    report["outputs"] = {
+    }
+    outputs = {
         "base": [vector_to_json(b) for b in base],
         "projected-orbit": [vector_to_json(p) for p in projected],
         "worst-residual": worst,
     }
-    report["headline"] = worst
-    return report
+    return {"inputs": inputs, "outputs": outputs, "tolerances": {"reproduction": 1e-8},
+            "headline": worst}
 
 
 def verify_canonical_base(report):
-    cfg = parse_config({"group": report["inputs"]["group"]})
-    pi = parse_representation(report["inputs"]["representation"], cfg.oracle)
+    _oracle, pi = _report_inputs(report, "representation")
     base = [parse_vector(raw, pi) for raw in report["outputs"]["base"]]
     projected = [parse_vector(raw, pi) for raw in report["outputs"]["projected-orbit"]]
     base_sub = Subspace(pi, base, validate=False)
@@ -514,40 +485,32 @@ def verify_canonical_base(report):
     ]
 
 
-def run_superstable(cfg, args):
+def run_superstable(cfg, eps, radius):
     pi = cfg.representation
-    eps = _task_value(cfg, args, "eps", None, float)
-    radius = _task_value(cfg, args, "radius", 2, int)
-    A = [parse_vector(raw, pi, f"task.A[{i}]") for i, raw in enumerate(cfg.task.get("A", []))]
-    a_vec = [parse_vector(raw, pi, f"task.a[{i}]") for i, raw in enumerate(cfg.task.get("a", []))]
-    if not A or not a_vec:
-        raise ConfigError("missing vectors", field="task.A")
+    A = _vectors(cfg.task, "A", pi, "task")
+    a_vec = _vectors(cfg.task, "a", pi, "task")
     result = stability.superstable_approx(pi, a_vec, A, eps, radius,
                                           dim_cap=cfg.caps["dimension"])
     core_closure = stability.ClosureSpec.from_subspace(result.core)
     verdict = stability.nondividing(pi, result.b_vec, A, core_closure, tol=eps)
-    report = _base_report("superstable", cfg)
-    report["inputs"].update({
+    inputs = {
         "representation": rep_to_json(pi),
         "A": [vector_to_json(v) for v in A],
         "a": [vector_to_json(v) for v in a_vec],
-        "radius": radius,
-    })
-    report["tolerances"] = {"eps": eps}
-    report["outputs"] = {
+    }
+    outputs = {
         "selected": [[_elem_str(cfg, g), ai] for (g, ai) in result.selected],
         "b": [vector_to_json(v) for v in result.b_vec],
         "gaps": result.gaps,
         "independent": verdict.independent,
         "independence-worst": 0.0 if verdict.worst is None else abs(verdict.worst.value),
     }
-    report["headline"] = max(result.gaps) if result.gaps else 0.0
-    return report
+    return {"inputs": inputs, "outputs": outputs,
+            "headline": max(result.gaps) if result.gaps else 0.0}
 
 
 def verify_superstable(report):
-    cfg = parse_config({"group": report["inputs"]["group"]})
-    pi = parse_representation(report["inputs"]["representation"], cfg.oracle)
+    _oracle, pi = _report_inputs(report, "representation")
     a_vec = [parse_vector(raw, pi) for raw in report["inputs"]["a"]]
     b_vec = [parse_vector(raw, pi) for raw in report["outputs"]["b"]]
     checks = []
@@ -558,17 +521,29 @@ def verify_superstable(report):
     return checks
 
 
-def run_amalgamate(cfg, args):
-    check_radius = _task_value(cfg, args, "check-radius", 3, int)
+def _gram_defect(oracle, F, amalgam, embedded):
+    """Largest change of a Gram entry on ``F`` from a factor into ``amalgam``.
+
+    ``embedded`` holds ``(factor, images)`` pairs, the images of the factor's
+    canonical basis in ``amalgam``.
+    """
+    worst = 0.0
+    for rep, images in embedded:
+        before = gram(rep, rep.canonical_basis(), F, oracle=oracle)
+        after = gram(amalgam, images, F, oracle=oracle)
+        for g in F:
+            worst = max(worst, float(abs(before.M[g] - after.M[g]).max()))
+    return worst
+
+
+def run_amalgamate(cfg, check_radius):
     pi = parse_representation(cfg.task.get("pi"), cfg.oracle, "task.pi")
     rho = parse_representation(cfg.task.get("rho"), cfg.oracle, "task.rho")
     eta = parse_representation(cfg.task.get("eta"), cfg.oracle, "task.eta")
 
     def build_embedding(rep, key):
-        raw = cfg.task.get(key)
-        if raw is not None:
-            images = [parse_vector(r, rep, f"task.{key}[{i}]") for i, r in enumerate(raw)]
-            return Embedding(pi, rep, images)
+        if cfg.task.get(key) is not None:
+            return Embedding(pi, rep, _vectors(cfg.task, key, rep, "task", required=False))
         if isinstance(rep, DirectSum) and rep.parts[0] == pi:
             return Embedding.into_summand(rep, 0)
         if rep == pi:
@@ -578,80 +553,86 @@ def run_amalgamate(cfg, args):
     emb_rho = build_embedding(rho, "rho-images")
     emb_eta = build_embedding(eta, "eta-images")
     result = amalgamate(pi, emb_rho, emb_eta)
-    from .groups import ball as _ball
-
-    F = _ball(cfg.oracle, check_radius, cfg.caps["ball"]).elements
-    worst = 0.0
-    for rep, emb in ((rho, result.embed_first), (eta, result.embed_second)):
-        basis = rep.canonical_basis()
-        before = gram(rep, basis, F, oracle=cfg.oracle)
-        after = gram(result.rep, [emb(b) for b in basis], F, oracle=cfg.oracle)
-        for g in F:
-            worst = max(worst, float(abs(before.M[g] - after.M[g]).max()))
-    report = _base_report("amalgamate", cfg)
-    report["inputs"].update({
+    F = ball(cfg.oracle, check_radius, cfg.caps["ball"]).elements
+    worst = _gram_defect(cfg.oracle, F, result.rep, [
+        (rep, [emb(b) for b in rep.canonical_basis()])
+        for rep, emb in ((rho, result.embed_first), (eta, result.embed_second))])
+    inputs = {
         "pi": rep_to_json(pi),
         "rho": rep_to_json(rho),
         "eta": rep_to_json(eta),
         "rho-images": [vector_to_json(v) for v in emb_rho.images],
         "eta-images": [vector_to_json(v) for v in emb_eta.images],
-        "check-radius": check_radius,
-    })
-    report["tolerances"] = {"gram-preservation": 1e-8}
-    report["outputs"] = {
+    }
+    outputs = {
         "amalgam": rep_to_json(result.rep),
         "rho-amalgam-images": [vector_to_json(v) for v in result.embed_first.images],
         "eta-amalgam-images": [vector_to_json(v) for v in result.embed_second.images],
         "gram-defect": worst,
         "dim": result.rep.total_dim(),
     }
-    report["headline"] = worst
-    return report
+    return {"inputs": inputs, "outputs": outputs, "tolerances": {"gram-preservation": 1e-8},
+            "headline": worst}
 
 
 def verify_amalgamate(report):
-    cfg = parse_config({"group": report["inputs"]["group"]})
-    oracle = cfg.oracle
-    from .groups import ball as _ball
-
-    F = _ball(oracle, report["inputs"]["check-radius"]).elements
+    oracle, rho, eta = _report_inputs(report, "rho", "eta")
+    F = ball(oracle, report["inputs"]["check-radius"]).elements
     amalgam = parse_representation(report["outputs"]["amalgam"], oracle)
-    worst = 0.0
-    for key, img_key in (("rho", "rho-amalgam-images"), ("eta", "eta-amalgam-images")):
-        rep = parse_representation(report["inputs"][key], oracle)
-        basis = rep.canonical_basis()
-        images = [parse_vector(raw, amalgam) for raw in report["outputs"][img_key]]
-        before = gram(rep, basis, F, oracle=oracle)
-        after = gram(amalgam, images, F, oracle=oracle)
-        for g in F:
-            worst = max(worst, float(abs(before.M[g] - after.M[g]).max()))
+    worst = _gram_defect(oracle, F, amalgam, [
+        (rep, [parse_vector(raw, amalgam) for raw in report["outputs"][key]])
+        for rep, key in ((rho, "rho-amalgam-images"), (eta, "eta-amalgam-images"))])
     return [
         ("gram-defect", worst, report["outputs"]["gram-defect"]),
         ("headline", worst, report["headline"]),
     ]
 
 
-VERIFIERS = {
-    "probe-amenability": verify_probe,
-    "contain": verify_contain,
-    "folner-witness": verify_folner,
-    "transfer": verify_transfer,
-    "nondividing": verify_nondividing,
-    "canonical-base": verify_canonical_base,
-    "superstable": verify_superstable,
-    "amalgamate": verify_amalgamate,
-}
+# ---------------------------------------------------------------------------
+# task registry
 
-HANDLERS = {
-    "probe-amenability": run_probe,
-    "contain": run_contain,
-    "folner-witness": run_folner,
-    "transfer": run_transfer,
-    "nondividing": run_nondividing,
-    "canonical-base": run_canonical_base,
-    "superstable": run_superstable,
-    "amalgamate": run_amalgamate,
-}
+
+@dataclass(frozen=True)
+class Task:
+    """A subcommand's declaration; its functions are in ``HANDLERS`` and ``VERIFIERS``."""
+
+    help: str
+    params: tuple
+    files: dict  # file flag name -> help
+
+
+TASKS = {}
+# Task name -> run and verify functions. ``main`` and ``run_verify`` call
+# through these two dicts only, so a wrapper put in them sees every call.
+HANDLERS = {}
+VERIFIERS = {}
+
+
+def _declare(name, help, run, verify, *params, files=None):
+    TASKS[name] = Task(help, params, files or {})
+    HANDLERS[name] = run
+    VERIFIERS[name] = verify
+
+
+_declare("probe-amenability", "Random-walk and defect probes.", run_probe, verify_probe,
+         Param("nmax", int, 50), Param("radius", int, 6), Param("exact-steps", int, 40),
+         files={"csv": "Also export estimator traces as CSV."})
+_declare("contain", "Witness search for finite containment data.", run_contain, verify_contain,
+         Param("radius", int, 4), Param("tol", float, 1e-2), Param("budget", int, 1500),
+         Param("restarts", int, 8),
+         files={"target": "Target Gram data JSON path; overrides task.target."})
+_declare("folner-witness", "Certified almost-invariant box vector.", run_folner, verify_folner,
+         Param("eps", float))
+_declare("transfer", "Realize extension data in fresh shift copies.", run_transfer,
+         verify_transfer, Param("eps", float))
+_declare("nondividing", "Residual-orthogonality independence verdict.", run_nondividing,
+         verify_nondividing, Param("tol", float, 1e-6), Param("closure.radius", int, 2))
+_declare("canonical-base", "Orthonormal projected-orbit spanning set.", run_canonical_base,
+         verify_canonical_base, Param("closure.radius", int, 2))
+_declare("superstable", "Finite-support perturbation of a tuple.", run_superstable,
+         verify_superstable, Param("eps", float), Param("radius", int, 2))
+_declare("amalgamate", "Glue two extensions over a common part.", run_amalgamate,
+         verify_amalgamate, Param("check-radius", int, 3))
 
 
 def run_verify(args):
@@ -706,48 +687,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    for name, task in TASKS.items():
+        p = sub.add_parser(name, help=task.help)
         p.add_argument("--config", required=True, help="Workbench config JSON path.")
         p.add_argument("--out", required=True, help="Report JSON output path.")
         p.add_argument("--seed", type=int, default=None, help="Override the config seed.")
-        p.add_argument("--cap-ball", type=int, default=None)
-        p.add_argument("--cap-dimension", type=int, default=None)
-        p.add_argument("--cap-support", type=int, default=None)
-        p.add_argument("--cap-fresh-copies", type=int, default=None)
-
-    p = sub.add_parser("probe-amenability", help="Random-walk and defect probes.")
-    add_common(p)
-    p.add_argument("--nmax", type=int, default=None)
-    p.add_argument("--radius", type=int, default=None)
-    p.add_argument("--csv", default=None, help="Also export estimator traces as CSV.")
-
-    p = sub.add_parser("contain", help="Witness search for finite containment data.")
-    add_common(p)
-    p.add_argument("--target", default=None, help="Target Gram data JSON path.")
-    p.add_argument("--radius", type=int, default=None)
-    p.add_argument("--tol", type=float, default=None)
-
-    p = sub.add_parser("folner-witness", help="Certified almost-invariant box vector.")
-    add_common(p)
-    p.add_argument("--eps", type=float, default=None)
-
-    p = sub.add_parser("transfer", help="Realize extension data in fresh shift copies.")
-    add_common(p)
-    p.add_argument("--eps", type=float, default=None)
-
-    p = sub.add_parser("nondividing", help="Residual-orthogonality independence verdict.")
-    add_common(p)
-
-    p = sub.add_parser("canonical-base", help="Orthonormal projected-orbit spanning set.")
-    add_common(p)
-
-    p = sub.add_parser("superstable", help="Finite-support perturbation of a tuple.")
-    add_common(p)
-    p.add_argument("--eps", type=float, default=None)
-    p.add_argument("--radius", type=int, default=None)
-
-    p = sub.add_parser("amalgamate", help="Glue two extensions over a common part.")
-    add_common(p)
+        for cap in DEFAULT_CAPS:
+            p.add_argument(f"--cap-{cap}", type=int, default=None, help=f"Override caps.{cap}.")
+        for param in task.params:
+            if "." not in param.name:
+                p.add_argument(f"--{param.name}", type=param.cast, default=None,
+                               help=f"Override task.{param.name}.")
+        for flag, flag_help in task.files.items():
+            p.add_argument(f"--{flag}", default=None, help=flag_help)
 
     p = sub.add_parser("verify", help="Recompute a report's headline from its witness data.")
     p.add_argument("--report", required=True, help="Report JSON path.")
@@ -763,31 +715,27 @@ def main(argv=None) -> int:
         cfg = parse_config(_load_json(args.config, "config"))
         if args.seed is not None:
             cfg.seed = args.seed
-        for cap, flag in (
-            ("ball", "cap_ball"),
-            ("dimension", "cap_dimension"),
-            ("support", "cap_support"),
-            ("fresh-copies", "cap_fresh_copies"),
-        ):
-            value = getattr(args, flag, None)
+        for cap in DEFAULT_CAPS:
+            value = getattr(args, "cap_" + cap.replace("-", "_"))
             if value is not None:
                 cfg.caps[cap] = value
-        report = HANDLERS[args.command](cfg, args)
+        if getattr(args, "target", None):
+            cfg.task["target"] = _load_json(args.target, "target")
+        values = {param: _task_value(cfg, args, param) for param in TASKS[args.command].params}
+        own = HANDLERS[args.command](cfg, **{p.kwarg: v for p, v in values.items()})
+        report = _report(args.command, cfg, own, values)
         _write_report(report, args.out)
-        if args.command == "probe-amenability" and getattr(args, "csv", None):
+        if getattr(args, "csv", None):
             _export_csv(report, args.csv)
         print(f"{args.command}: headline = {report['headline']}")
         return 0
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return 3
     except ConvergenceError as exc:
         print(f"no convergence: {exc}; best {exc.best!r}", file=sys.stderr)
         return 4
-    except PreconditionError as exc:
+    except PreconditionError as exc:  # ConfigError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except WorkbenchError as exc:

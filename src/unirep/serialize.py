@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .containment import GramFunction
-from .errors import ConfigError
+from .errors import ConfigError, PreconditionError
 from .groups import (
     FgAbelianOracle,
     FiniteTableOracle,
@@ -205,8 +205,21 @@ def gram_to_json(gf: GramFunction) -> dict:
     }
 
 
+def parse_elements(raw, oracle, where) -> list:
+    """Group elements from their strings; a malformed one is a config error at ``where[i]``."""
+    if not isinstance(raw, list):
+        raise ConfigError("expected a list of element strings", field=where)
+    elements = []
+    for i, s in enumerate(raw):
+        try:
+            elements.append(oracle.element_from_str(s))
+        except (AttributeError, TypeError, ValueError, PreconditionError) as exc:
+            raise ConfigError(str(exc), field=f"{where}[{i}]") from exc
+    return elements
+
+
 def parse_gram(obj, oracle, where="gram") -> GramFunction:
-    F = [oracle.element_from_str(s) for s in _require(obj, "F", list, where)]
+    F = parse_elements(_require(obj, "F", list, where), oracle, f"{where}.F")
     n = _require(obj, "n", int, where)
     mats = _require(obj, "matrices", list, where)
     if len(mats) != len(F):

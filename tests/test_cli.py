@@ -1,5 +1,8 @@
 """Command-line round trips, config error reporting, and import cost."""
 
+import argparse
+import copy
+import csv
 import json
 import os
 import subprocess
@@ -9,7 +12,7 @@ import numpy as np
 import pytest
 
 from unirep import ConvergenceError
-from unirep.cli import main
+from unirep.cli import HANDLERS, TASKS, VERIFIERS, build_parser, main
 from util import random_unitary
 
 Z = {"kind": "fg-abelian", "rank": 1, "torsion": []}
@@ -18,11 +21,16 @@ Z2_REWRITING = {"kind": "rewriting-presented", "num_generators": 2, "rules": [
     [[2, 1], [1, 2]], [[2, -1], [-1, 2]], [[-2, 1], [1, -2]], [[-2, -1], [-1, -2]]]}
 
 
-def run_task(tmp_path, task, config):
-    cfg = tmp_path / "config.json"
+Z2 = {"kind": "fg-abelian", "rank": 2, "torsion": []}
+C3 = {"kind": "finite-table", "table": [[(i + j) % 3 for j in range(3)] for i in range(3)],
+      "generators": [1]}
+
+
+def run_task(tmp_path, task, config, *flags, name="report"):
+    cfg = tmp_path / f"{name}.config.json"
     cfg.write_text(json.dumps(config))
-    out = tmp_path / "report.json"
-    return main([task, "--config", str(cfg), "--out", str(out)]), out
+    out = tmp_path / f"{name}.json"
+    return main([task, "--config", str(cfg), "--out", str(out), *flags]), out
 
 
 def test_probe_round_trip_one_defect_per_radius(tmp_path):
@@ -50,8 +58,7 @@ def test_probe_round_trip_on_rewriting_oracle(tmp_path):
 
 @pytest.mark.parametrize("group, radius, sizes", [
     ({"kind": "fg-abelian", "rank": 0, "torsion": []}, 2, [1, 1]),
-    ({"kind": "finite-table", "table": [[(i + j) % 3 for j in range(3)] for i in range(3)],
-      "generators": [1]}, 4, [3, 3, 3, 3]),
+    (C3, 4, [3, 3, 3, 3]),
 ])
 def test_probe_round_trip_on_finite_groups(tmp_path, group, radius, sizes):
     """The trivial group has no steps; the cyclic group of order 3 saturates at radius 1."""
@@ -130,6 +137,83 @@ def test_stability_and_witness_round_trips(tmp_path, task):
     else:
         assert max(outputs["gaps"]) < report["tolerances"]["eps"]
         assert outputs["independent"]
+
+
+@pytest.mark.parametrize("task, config, check", [
+    ("folner-witness", {"group": Z2, "task": {"eps": 0.3}},
+     lambda out: out["max-defect"] <= 0.3 and len(out["defects"]) == 2),
+    ("transfer", {"group": Z, "task": {
+        "pi": {"kind": "trivial", "dim": 1}, "F": ["0", "1", "-1"],
+        "params": [[[1, "0", 1, 0]]], "targets": [[[2, "5", 1, 0]]], "eps": 0.05}},
+     lambda out: out["converged"] and out["discrepancy"] <= 0.05),
+    ("amalgamate", {"group": C3, "task": {
+        "pi": {"kind": "regular"},
+        "rho": {"kind": "direct-sum",
+                "parts": [{"kind": "regular"}, {"kind": "trivial", "dim": 1}]},
+        "eta": {"kind": "regular"}, "check-radius": 2}},
+     lambda out: out["dim"] == 4 and out["gram-defect"] <= 1e-8),
+])
+def test_folner_transfer_amalgamate_round_trips(tmp_path, task, config, check):
+    code, out = run_task(tmp_path, task, config)
+    assert code == 0
+    assert main(["verify", "--report", str(out)]) == 0
+    assert check(json.loads(out.read_text())["outputs"])
+
+
+def _without_timestamp(path):
+    report = json.loads(path.read_text())
+    del report["timestamp"]
+    return report
+
+
+@pytest.mark.parametrize("task, config, flags, overridden", [
+    ("probe-amenability", {"group": Z, "task": {"nmax": 4, "radius": 4}}, ["--radius", "2"],
+     {"radius": 2}),
+    ("nondividing", _stability_configs()["nondividing"], ["--tol", "1e-3"], {"tol": 1e-3}),
+])
+def test_flag_overrides_its_config_key(tmp_path, task, config, flags, overridden):
+    """A run with the flag writes the report of a config that holds the flag's value."""
+    code, out = run_task(tmp_path, task, config, *flags, name="flag")
+    assert code == 0
+    report = _without_timestamp(out)
+    assert {**report["inputs"], **report["tolerances"]}.items() >= overridden.items()
+    expected = copy.deepcopy(config)
+    expected["task"].update(overridden)
+    code, expected_out = run_task(tmp_path, task, expected, name="config")
+    assert code == 0
+    assert report == _without_timestamp(expected_out)
+
+
+def test_csv_export_writes_step_and_radius_tables(tmp_path):
+    table = tmp_path / "traces.csv"
+    code, out = run_task(tmp_path, "probe-amenability",
+                         {"group": Z, "task": {"nmax": 4, "radius": 2}}, "--csv", str(table))
+    assert code == 0
+    outputs = json.loads(out.read_text())["outputs"]
+    with open(table, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    steps = outputs["return-probabilities"]["steps"]
+    blank = rows.index([])
+    assert rows[0] == ["step", "p", "root-estimate", "ratio-estimate"]
+    assert [int(r[0]) for r in rows[1:blank]] == steps
+    assert rows[blank + 1] == ["radius", "min-defect", "certified-lower"]
+    assert [[int(r[0]), float(r[1])] for r in rows[blank + 2:]] == [
+        [row["radius"], row["value"]] for row in outputs["defect-table"]]
+
+
+def test_registry_declares_each_subcommand_once():
+    """Subcommands, handlers and verifiers agree; each task's flags are its declared ones."""
+    parser = build_parser()
+    subcommands = next(a for a in parser._actions
+                       if isinstance(a, argparse._SubParsersAction)).choices
+    assert set(subcommands) == set(HANDLERS) | {"verify"}
+    assert HANDLERS.keys() == VERIFIERS.keys() == TASKS.keys()
+    common = {"--config", "--out", "--seed", "--cap-ball", "--cap-dimension", "--cap-support",
+              "--cap-fresh-copies"}
+    for name, task in TASKS.items():
+        flags = {s for a in subcommands[name]._actions for s in a.option_strings}
+        declared = {f"--{p.name}" for p in task.params if "." not in p.name}
+        assert flags - {"-h", "--help"} == common | declared | {f"--{f}" for f in task.files}
 
 
 def _set_spectral_radius_to_string(report):
@@ -273,8 +357,13 @@ def test_convergence_error_exits_4_with_best(tmp_path, capsys, monkeypatch):
     ("nondividing", {"closure": {"radius": "x"}}, "task.closure.radius"),
     ("canonical-base", {"closure": {"radius": "x"}}, "task.closure.radius"),
     ("amalgamate", {"check-radius": "x"}, "task.check-radius"),
+    ("folner-witness", {"eps": 0.1, "F": ["x"]}, "task.F[0]"),
+    ("contain", {"target": {"F": ["0", "x"], "n": 1, "matrices": [[[[1.0, 0.0]]]] * 2}},
+     "target.F[1]"),
+    ("superstable", {"eps": 1e-3, "A": [[[0, "0", 1.0, 0.0]]]}, "task.a"),
 ])
 def test_malformed_number_exits_2_with_field(tmp_path, capsys, task, block, field):
+    """A malformed number or element string, or a missing vector list, exits 2 at its field."""
     code, _out = run_task(tmp_path, task, {"group": Z, "task": block})
     err = capsys.readouterr().err
     assert code == 2
