@@ -51,9 +51,7 @@ from .reps import (
     Subspace,
     Trivial,
     amalgamate,
-    direct_sum,
     embed,
-    multiple,
 )
 from .stability import (
     ClosureSpec,

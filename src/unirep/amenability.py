@@ -34,7 +34,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ConvergenceError, PreconditionError, ResourceLimitError
-from .groups import FreeGroupOracle, GroupOracle, ball, symmetric_generators
+from .groups import DEFAULT_BALL_CAP, FreeGroupOracle, GroupOracle, ball, symmetric_generators
 from .reps import Regular
 from .vectors import SparseVector
 
@@ -254,7 +254,7 @@ def _defects(oracle, S, r, radii, tol, max_iter, ball_cap):
 
 
 def min_defect(oracle: GroupOracle, S=None, r: int = 4, tol: float = 1e-9,
-               max_iter: int = 500_000, ball_cap: int = DEFAULT_SUPPORT_CAP) -> DefectReport:
+               max_iter: int = 500_000, ball_cap: int = DEFAULT_BALL_CAP) -> DefectReport:
     """Minimum of (1/|S+S^-1|) sum_s ||shift_s(w) - w||^2 over unit w on the ball.
 
     The quadratic form equals 2(I - M) with M the ball-compressed averaged
@@ -275,7 +275,7 @@ def min_defect(oracle: GroupOracle, S=None, r: int = 4, tol: float = 1e-9,
 
 def defect_table(oracle: GroupOracle, S=None, r: int = 4, tol: float = 1e-9,
                  max_iter: int = 500_000,
-                 ball_cap: int = DEFAULT_SUPPORT_CAP) -> list[DefectReport]:
+                 ball_cap: int = DEFAULT_BALL_CAP) -> list[DefectReport]:
     """``min_defect`` at every radius 1..r, from one radius-r ball and edge list.
 
     Each row equals ``min_defect(oracle, S, rho, tol, max_iter, ball_cap)``
@@ -336,7 +336,7 @@ def certified_upper(oracle: GroupOracle, S=None) -> float:
 
 def spectral_radius_bound(oracle: GroupOracle, S=None, r: int = 6, n_max: int | None = None,
                           tol: float = 1e-9, max_iter: int = 500_000,
-                          ball_cap: int = DEFAULT_SUPPORT_CAP,
+                          ball_cap: int = DEFAULT_BALL_CAP,
                           exact_steps: int = DEFAULT_EXACT_STEPS,
                           support_cap: int = DEFAULT_SUPPORT_CAP) -> SpectralRadiusInterval:
     """Certified spectral-radius interval from ball compression and norm bounds.

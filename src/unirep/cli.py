@@ -127,6 +127,23 @@ def _task_value(cfg, args, param):
         raise ConfigError(f"expected {param.cast.__name__}, got {value!r}", field=field) from None
 
 
+def _with_flags(raw, args):
+    """The config object with ``--seed`` and each ``--cap-*`` flag folded in.
+
+    ``parse_config`` then checks a flag's value as it checks the config's own.
+    """
+    if not isinstance(raw, dict):
+        return raw
+    raw = dict(raw)
+    if args.seed is not None:
+        raw["seed"] = args.seed
+    for cap in DEFAULT_CAPS:
+        value = getattr(args, "cap_" + cap.replace("-", "_"))
+        if value is not None and isinstance(raw.get("caps", {}), dict):
+            raw["caps"] = {**raw.get("caps", {}), cap: value}
+    return raw
+
+
 def _report(task, cfg, own, values):
     """A run's report: the handler's own parts, the group, the seed and the echoed parameters."""
     report = {"task": task, "timestamp": datetime.now(timezone.utc).isoformat(),
@@ -304,7 +321,7 @@ def run_contain(cfg, radius, tol, budget, restarts):
 
 def _discrepancy_checks(report, target, space):
     """The stored witnesses' discrepancy from ``target`` in ``space``, recomputed."""
-    witnesses = [parse_vector(raw, space) for raw in report["outputs"]["witnesses"]]
+    witnesses = _vectors(report["outputs"], "witnesses", space, "report.outputs", required=False)
     return [
         ("discrepancy", discrepancy(target, space, witnesses), report["outputs"]["discrepancy"]),
         ("headline", report["outputs"]["discrepancy"], report["headline"]),
@@ -346,7 +363,7 @@ def run_folner(cfg, eps):
 def verify_folner(report):
     oracle = _report_inputs(report)[0]
     space = Regular(oracle)
-    w = parse_vector(report["outputs"]["witness"], space)
+    w = parse_vector(report["outputs"]["witness"], space, "report.outputs.witness")
     checks = []
     for row in report["outputs"]["defects"]:
         g = oracle.element_from_str(row["element"])
@@ -442,8 +459,8 @@ def verify_nondividing(report):
     worst = report["outputs"]["worst"]
     if worst is None:
         return [("headline", 0.0, report["headline"])]
-    ra = parse_vector(worst["residual-a"], pi)
-    rb = parse_vector(worst["residual-b"], pi)
+    ra = parse_vector(worst["residual-a"], pi, "report.outputs.worst.residual-a")
+    rb = parse_vector(worst["residual-b"], pi, "report.outputs.worst.residual-b")
     val = inner(ra, rb)
     return [
         ("worst-value", abs(val), abs(complex(worst["value"][0], worst["value"][1]))),
@@ -475,8 +492,9 @@ def run_canonical_base(cfg, closure_radius):
 
 def verify_canonical_base(report):
     _oracle, pi = _report_inputs(report, "representation")
-    base = [parse_vector(raw, pi) for raw in report["outputs"]["base"]]
-    projected = [parse_vector(raw, pi) for raw in report["outputs"]["projected-orbit"]]
+    base = _vectors(report["outputs"], "base", pi, "report.outputs", required=False)
+    projected = _vectors(report["outputs"], "projected-orbit", pi, "report.outputs",
+                         required=False)
     base_sub = Subspace(pi, base, validate=False)
     worst = max((base_sub.residual(p).norm() for p in projected), default=0.0)
     return [
@@ -511,8 +529,8 @@ def run_superstable(cfg, eps, radius):
 
 def verify_superstable(report):
     _oracle, pi = _report_inputs(report, "representation")
-    a_vec = [parse_vector(raw, pi) for raw in report["inputs"]["a"]]
-    b_vec = [parse_vector(raw, pi) for raw in report["outputs"]["b"]]
+    a_vec = _vectors(report["inputs"], "a", pi, "report.inputs", required=False)
+    b_vec = _vectors(report["outputs"], "b", pi, "report.outputs", required=False)
     checks = []
     for i, (a, b) in enumerate(zip(a_vec, b_vec)):
         checks.append((f"gap-{i}", (a - b).norm(), report["outputs"]["gaps"][i]))
@@ -580,7 +598,7 @@ def verify_amalgamate(report):
     F = ball(oracle, report["inputs"]["check-radius"]).elements
     amalgam = parse_representation(report["outputs"]["amalgam"], oracle)
     worst = _gram_defect(oracle, F, amalgam, [
-        (rep, [parse_vector(raw, amalgam) for raw in report["outputs"][key]])
+        (rep, _vectors(report["outputs"], key, amalgam, "report.outputs", required=False))
         for rep, key in ((rho, "rho-amalgam-images"), (eta, "eta-amalgam-images"))])
     return [
         ("gram-defect", worst, report["outputs"]["gram-defect"]),
@@ -712,13 +730,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "verify":
             return run_verify(args)
-        cfg = parse_config(_load_json(args.config, "config"))
-        if args.seed is not None:
-            cfg.seed = args.seed
-        for cap in DEFAULT_CAPS:
-            value = getattr(args, "cap_" + cap.replace("-", "_"))
-            if value is not None:
-                cfg.caps[cap] = value
+        cfg = parse_config(_with_flags(_load_json(args.config, "config"), args))
         if getattr(args, "target", None):
             cfg.task["target"] = _load_json(args.target, "target")
         values = {param: _task_value(cfg, args, param) for param in TASKS[args.command].params}

@@ -25,7 +25,8 @@ from .errors import (
     UnsupportedKindError,
     WorkbenchError,
 )
-from .groups import GroupOracle, ball, symmetric_generators
+from .amenability import DEFAULT_SUPPORT_CAP
+from .groups import DEFAULT_BALL_CAP, GroupOracle, ball, symmetric_generators
 from .reps import (
     DirectSum,
     Multiple,
@@ -36,7 +37,6 @@ from .reps import (
 from .vectors import KeyIndex, SparseVector, delta, inner, orthonormalize, same_space, to_dense
 
 GRAM_SYMMETRY_TOL = 1e-8
-DEFAULT_SUPPORT_CAP = 100_000
 DEFAULT_FRESH_CAP = 256
 
 
@@ -79,6 +79,15 @@ class GramFunction:
         return max(float(np.max(np.abs(self.M[g]))) for g in self.F)
 
 
+def _gram_matrices(rep: Representation, vectors, F) -> dict:
+    """``M[g][i][j] = <rep(g)v_i, v_j>`` for each g in F, by the sparse ``inner`` formula."""
+    M = {}
+    for g in F:
+        moved = [rep.apply(g, v) for v in vectors]
+        M[g] = np.array([[inner(mv, w) for w in vectors] for mv in moved], dtype=complex)
+    return M
+
+
 def gram(rep: Representation, vectors, F, oracle=None) -> GramFunction:
     """Gram function of the vectors under ``rep`` over the element set ``F``."""
     vectors = list(vectors)
@@ -88,19 +97,16 @@ def gram(rep: Representation, vectors, F, oracle=None) -> GramFunction:
         if not same_space(v.space, rep):
             raise KindMismatchError("gram vector lives outside the representation space")
     F = list(F)
-    M = {}
-    for g in F:
-        moved = [rep.apply(g, v) for v in vectors]
-        # M[g][i][j] = <rep(g)v_i, v_j>
-        M[g] = np.array([[inner(mv, w) for w in vectors] for mv in moved], dtype=complex)
-    return GramFunction(oracle if oracle is not None else rep.oracle, F, len(vectors), M)
+    return GramFunction(oracle if oracle is not None else rep.oracle, F, len(vectors),
+                        _gram_matrices(rep, vectors, F))
 
 
 def _gram_tensor(rep: Representation, vectors, F) -> np.ndarray:
     """``(|F|, n, n)`` stack of T_g[i, j] = <rep(g)v_i, v_j>, one product ``Moved_g @ V^H`` per g.
 
-    The dense-block form of ``gram`` for the witness search. ``gram`` keeps
-    the sparse ``inner`` formula, which ``discrepancy`` reproduces exactly.
+    The dense-block form of ``gram`` for the witness search. ``gram`` and
+    ``discrepancy`` keep the sparse ``inner`` formula (``_gram_matrices``),
+    so ``verify`` stays independent of the dense kernel.
     Moved vectors are stacked over the columns of the vectors' own support;
     entries off it pair with zero and are left out.
     """
@@ -117,15 +123,10 @@ def discrepancy(target: GramFunction, rep: Representation, witnesses) -> float:
         raise PreconditionError(
             f"expected {target.n} witnesses, got {len(witnesses)}"
         )
-    worst = 0.0
-    for g in target.F:
-        moved = [rep.apply(g, w) for w in witnesses]
-        for i in range(target.n):
-            for j in range(target.n):
-                dev = abs(complex(target.M[g][i, j]) - inner(moved[i], witnesses[j]))
-                if dev > worst:
-                    worst = dev
-    return float(worst)
+    M = _gram_matrices(rep, witnesses, target.F)
+    D = np.array([target.M[g] - M[g] for g in target.F])
+    # hypot rounds as Python's abs(complex) does; np.abs can differ in the last bit
+    return float(np.max(np.hypot(D.real, D.imag)))
 
 
 def trivial_target(oracle: GroupOracle, F=None) -> GramFunction:
@@ -221,7 +222,7 @@ def search_witness(target: GramFunction, pi: Representation, basis: Subspace,
 
 
 def ball_delta_basis(rep: Representation, r: int, copy: int = 0,
-                     cap: int = DEFAULT_SUPPORT_CAP) -> Subspace:
+                     cap: int = DEFAULT_BALL_CAP) -> Subspace:
     """Delta vectors on the Cayley ball of one shift copy; exactly orthonormal."""
     atom = rep.resolve(copy)
     if not isinstance(atom, Regular):
@@ -315,7 +316,7 @@ def folner_witness(oracle: GroupOracle, F, eps: float,
 
 
 def _tail_structure(rho):
-    """Split rho into (head parts, infinite shift tail); validate the shape."""
+    """The infinite shift tail of rho; validate the shape."""
     if not isinstance(rho, DirectSum) or len(rho.parts) < 2:
         raise PreconditionError(
             "transfer expects a direct sum ending in an infinite stack of shift copies"
@@ -326,7 +327,7 @@ def _tail_structure(rho):
         raise PreconditionError(
             "transfer expects the last summand to be an infinite stack of shift copies"
         )
-    return rho.parts[:-1], tail
+    return tail
 
 
 def transfer_witness(rho: Representation, params, targets, F, eps: float,
@@ -343,10 +344,15 @@ def transfer_witness(rho: Representation, params, targets, F, eps: float,
     an almost-invariant box vector; the per-entry error is exactly
     max|M| * defect^2 / 2, which the box size is chosen to keep below
     ``eps``.
+
+    The fresh copies are the stack copies right after the highest one that
+    a parameter or target touches, one per vector of the orthonormal frame
+    of the shifted remainders. They depend on the inputs only, so repeated
+    calls on the same ``rho`` return the same witnesses.
     """
     if eps <= 0:
         raise PreconditionError("eps must be positive")
-    head_parts, tail = _tail_structure(rho)
+    tail = _tail_structure(rho)
     oracle = tail.base.oracle
     if oracle.kind not in ("finite-table", "fg-abelian"):
         raise UnsupportedKindError(
@@ -405,33 +411,19 @@ def transfer_witness(rho: Representation, params, targets, F, eps: float,
         f_vec = folner_witness(oracle, F, eps_box, support_cap=support_cap)
         phi = [x for (_c, x) in f_vec.entries.keys()]
         f_amp = 1.0 / len(phi) ** 0.5
-        shifted = []
-        labels = []
-        for i, w in enumerate(remainders):
-            for h in phi:
-                shifted.append(rho.apply(oracle.invert(h), w))
-                labels.append((i, h))
+        shifted = [rho.apply(oracle.invert(h), w) for w in remainders for h in phi]
         frame = orthonormalize(shifted, drop_tol=1e-10)
-        if len(frame) > fresh_cap:
-            raise ResourceLimitError(
-                f"transfer needs {len(frame)} fresh copies, cap is {fresh_cap}"
-            )
-        tail.note_used(max_touched)
-        fresh = [tail.fresh_copy() for _ in frame]
-        coeffs = {}
-        for (i, h), sv in zip(labels, shifted):
-            coeffs[(i, h)] = [inner(sv, e) for e in frame]
-        new_witnesses = []
-        for i in range(m):
-            entries = {}
-            for h in phi:
-                row = coeffs[(i, h)]
-                for k, c in enumerate(row):
-                    amp = f_amp * c
-                    if amp != 0:
-                        entries[(tail_offset + fresh[k], h)] = \
-                            entries.get((tail_offset + fresh[k], h), 0) + amp
-            new_witnesses.append(kept[i] + SparseVector(rho, entries))
-        witnesses = list(params) + new_witnesses
+        K = len(frame)
+        if K > fresh_cap:
+            raise ResourceLimitError(f"transfer needs {K} fresh copies, cap is {fresh_cap}")
+        # amps[i, j, k] = f_amp <lambda(phi_j)^-1 w_i, e_k>, the amplitude at (fresh copy k, phi_j)
+        index = KeyIndex(shifted)
+        amps = f_amp * (to_dense(shifted, index) @ to_dense(frame, index).conj().T)
+        amps = amps.reshape(m, len(phi), K)
+        first = tail_offset + max_touched + 1
+        witnesses = list(params) + [
+            kept[i] + SparseVector(rho, {(first + k, h): amps[i, j, k]
+                                         for j, h in enumerate(phi) for k in range(K)})
+            for i in range(m)]
     disc = discrepancy(total_target, rho, witnesses)
     return WitnessReport(witnesses, disc, 0, bool(disc <= eps))

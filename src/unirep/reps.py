@@ -3,8 +3,12 @@
 A representation is a tree whose atoms are ``Regular`` (left shift on
 square-summable functions of the group), ``Trivial`` (identity action on
 a finite-dimensional space), and ``MatrixRep`` (explicit unitary
-generator matrices). Composites are ``DirectSum`` and ``Multiple``; an
-infinite multiple is lazy and only ever touches finitely many copies.
+generator matrices). The atoms share one base: an atom is its own single
+leaf, and the two finite atoms also share their coordinates ``0..dim-1``.
+Composites are ``DirectSum`` and ``Multiple``; an infinite multiple is
+lazy and only ever touches finitely many copies. It carries no
+allocation state: a caller that needs untouched copies takes them past
+the highest copy its own vectors touch.
 
 Vector entries are addressed by the global leaf index ("copy index") of
 the atom they belong to, obtained by depth-first enumeration of the
@@ -20,7 +24,8 @@ import numpy as np
 
 from .errors import KindMismatchError, PreconditionError
 from .groups import GroupOracle
-# orthonormalize is kept bound here: the benchmark tracer checks every module binding of it
+# inner and orthonormalize are kept bound here: the benchmark tracer checks every
+# module binding of them
 from .vectors import (  # noqa: F401
     KeyIndex,
     SparseVector,
@@ -90,11 +95,8 @@ class Representation:
         return f"<{type(self).__name__}>"
 
 
-class Regular(Representation):
-    """Left-shift action on finitely supported functions of the group."""
-
-    def __init__(self, oracle: GroupOracle):
-        self.oracle = oracle
+class _Atom(Representation):
+    """A representation that is its own single leaf."""
 
     def leaf_count(self):
         return 1
@@ -103,6 +105,33 @@ class Regular(Representation):
         if copy != 0:
             raise PreconditionError(f"copy index {copy} out of range for a single leaf")
         return self
+
+
+class _FiniteAtom(_Atom):
+    """An atom on the coordinates ``0..dim-1``."""
+
+    dim: int
+
+    def total_dim(self):
+        return self.dim
+
+    def leaf_basis_keys(self):
+        return list(range(self.dim))
+
+    def _coordinates(self, local) -> list:
+        """The keys of ``local``, each checked to be a coordinate."""
+        dim = self.dim
+        for k in local:
+            if not (isinstance(k, int) and 0 <= k < dim):
+                raise KindMismatchError(f"coordinate {k!r} out of range for dim {dim}")
+        return list(local)
+
+
+class Regular(_Atom):
+    """Left-shift action on finitely supported functions of the group."""
+
+    def __init__(self, oracle: GroupOracle):
+        self.oracle = oracle
 
     def total_dim(self):
         return self.oracle.order()
@@ -126,7 +155,7 @@ class Regular(Representation):
         return hash(("regular", self.oracle))
 
 
-class Trivial(Representation):
+class Trivial(_FiniteAtom):
     """Identity action on a finite-dimensional space; compatible with any group."""
 
     def __init__(self, dim: int):
@@ -134,25 +163,9 @@ class Trivial(Representation):
             raise PreconditionError("trivial representation needs dimension >= 1")
         self.dim = dim
 
-    def leaf_count(self):
-        return 1
-
-    def resolve(self, copy):
-        if copy != 0:
-            raise PreconditionError(f"copy index {copy} out of range for a single leaf")
-        return self
-
-    def total_dim(self):
-        return self.dim
-
     def leaf_apply(self, g, local):
-        for k in local:
-            if not (isinstance(k, int) and 0 <= k < self.dim):
-                raise KindMismatchError(f"coordinate {k!r} out of range for dim {self.dim}")
+        self._coordinates(local)
         return dict(local)
-
-    def leaf_basis_keys(self):
-        return list(range(self.dim))
 
     def __eq__(self, other):
         return isinstance(other, Trivial) and other.dim == self.dim
@@ -161,7 +174,7 @@ class Trivial(Representation):
         return hash(("trivial", self.dim))
 
 
-class MatrixRep(Representation):
+class MatrixRep(_FiniteAtom):
     """Finite-dimensional representation given by one unitary matrix per generator.
 
     Generator matrices must be unitary to ``unitary_tol``; every word in
@@ -250,28 +263,11 @@ class MatrixRep(Representation):
             self._element_cache[g] = self.evaluate_word(self.oracle.as_word(g))
         return self._element_cache[g]
 
-    def leaf_count(self):
-        return 1
-
-    def resolve(self, copy):
-        if copy != 0:
-            raise PreconditionError(f"copy index {copy} out of range for a single leaf")
-        return self
-
-    def total_dim(self):
-        return self.dim
-
     def leaf_apply(self, g, local):
         vec = np.zeros(self.dim, dtype=complex)
-        for k, amp in local.items():
-            if not (isinstance(k, int) and 0 <= k < self.dim):
-                raise KindMismatchError(f"coordinate {k!r} out of range for dim {self.dim}")
-            vec[k] = amp
+        vec[self._coordinates(local)] = list(local.values())
         w = self.matrix_of(g) @ vec
         return {int(i): complex(w[i]) for i in np.nonzero(w)[0]}
-
-    def leaf_basis_keys(self):
-        return list(range(self.dim))
 
     def __eq__(self, other):
         return (
@@ -364,9 +360,7 @@ class Multiple(Representation):
     """``count`` copies of a base representation; ``count=None`` means countably many.
 
     Infinite multiples are lazy: copies exist only through their leaf
-    indices. ``fresh_copy`` hands out the lowest copy index never touched
-    through it; callers that inject vectors directly should first advance
-    the counter with ``note_used``.
+    indices, and the multiple records none of them.
     """
 
     def __init__(self, base: Representation, count: int | None):
@@ -377,7 +371,6 @@ class Multiple(Representation):
         self.base = base
         self.count = count
         self.oracle = base.oracle
-        self._next_fresh = 0
 
     def leaf_count(self):
         if self.count is None:
@@ -401,16 +394,6 @@ class Multiple(Representation):
         d = self.base.total_dim()
         return None if d is None else d * self.count
 
-    def fresh_copy(self) -> int:
-        j = self._next_fresh
-        if self.count is not None and j >= self.count:
-            raise PreconditionError("no untouched copies left in a finite multiple")
-        self._next_fresh += 1
-        return j
-
-    def note_used(self, copy: int):
-        self._next_fresh = max(self._next_fresh, copy + 1)
-
     def __eq__(self, other):
         return (
             isinstance(other, Multiple)
@@ -420,16 +403,6 @@ class Multiple(Representation):
 
     def __hash__(self):
         return hash(("multiple", self.base, self.count))
-
-
-def direct_sum(*parts) -> DirectSum:
-    if len(parts) == 1 and isinstance(parts[0], (list, tuple)):
-        parts = tuple(parts[0])
-    return DirectSum(parts)
-
-
-def multiple(rep: Representation, count: int | None) -> Multiple:
-    return Multiple(rep, count)
 
 
 def embed(rep: Representation, index: int, v: SparseVector) -> SparseVector:
@@ -444,7 +417,6 @@ def embed(rep: Representation, index: int, v: SparseVector) -> SparseVector:
         if index < 0 or (rep.count is not None and index >= rep.count):
             raise PreconditionError(f"copy index {index} out of range")
         offset = index * rep.base.leaf_count()
-        rep.note_used(index)
     else:
         if index != 0 or not same_space(v.space, rep):
             raise KindMismatchError("atomic representation admits only the identity embedding")
@@ -508,9 +480,11 @@ class Subspace:
 class Embedding:
     """Linear isometry from a finite-dimensional representation into another.
 
-    ``images`` are the images of the source's canonical basis; they must
-    be orthonormal in the target (checked to ``tol``). Equivariance is a
-    separate check used as a precondition by amalgamation.
+    ``images`` are the images of the source's canonical basis; they span a
+    ``Subspace`` of the target, so they must be orthonormal there (checked
+    to ``tol``), and a vector maps to the combination of the images by its
+    coordinates. Equivariance is a separate check used as a precondition
+    by amalgamation.
     """
 
     def __init__(self, source, target, images, *, validate=True, tol=1e-10):
@@ -521,21 +495,11 @@ class Embedding:
             raise PreconditionError(
                 f"expected {source.total_dim()} basis images, got {len(images)}"
             )
-        for w in images:
-            if not same_space(w.space, target):
-                raise KindMismatchError("image vector lives outside the target space")
-        if validate:
-            for i, u in enumerate(images):
-                for j, v in enumerate(images[: i + 1]):
-                    t = 1.0 if i == j else 0.0
-                    if abs(inner(u, v) - t) > tol:
-                        raise PreconditionError(
-                            f"embedding is not isometric at image pair ({i}, {j})"
-                        )
         self.source = source
         self.target = target
-        self.images = images
-        self._index = {key: i for i, key in enumerate(source.basis_keys())}
+        self._span = Subspace(target, images, validate=validate, tol=tol)
+        self.images = self._span.basis
+        self._index = KeyIndex(source.canonical_basis())
 
     @classmethod
     def identity(cls, rep):
@@ -550,10 +514,7 @@ class Embedding:
     def __call__(self, v: SparseVector) -> SparseVector:
         if not same_space(v.space, self.source):
             raise KindMismatchError("vector does not belong to the embedding source")
-        out = SparseVector(self.target, {})
-        for key, amp in v.entries.items():
-            out = out + amp * self.images[self._index[key]]
-        return out
+        return self._span.from_coords(to_dense([v], self._index)[0])
 
     def equivariance_defect(self):
         """Worst generator and defect of intertwining over the source basis."""
@@ -580,20 +541,28 @@ class Amalgam:
 
 
 def _complement_rep(big: Representation, images, oracle, tol):
-    """Orthocomplement of the embedded subspace, compressed to a matrix action."""
-    images = list(images)
+    """Orthocomplement of the embedded subspace, compressed to a matrix action.
+
+    The frame is the images followed by an orthonormal basis of their
+    complement. Returns the complement's representation (None when it is
+    zero) and the ``(dim big x dim frame)`` coordinates of ``big``'s
+    canonical basis in the frame.
+    """
     basis = big.canonical_basis()
     index = KeyIndex(images + basis)
-    Q = gram_schmidt(to_dense(basis, index), seed=to_dense(images, index))[len(images):]
-    comp = from_dense(big, index, Q)
-    if not comp:
-        return None, []
+    B = to_dense(basis, index)
+    frame = gram_schmidt(B, seed=to_dense(images, index))
+    coords = B @ frame.conj().T
+    Q = frame[len(images):]
+    if not len(Q):
+        return None, coords
     if oracle is None:
-        return Trivial(len(comp)), comp
+        return Trivial(len(Q)), coords
+    comp = from_dense(big, index, Q)
     # U[i, j] = <pi(s) q_j, q_i>
     mats = [Q.conj() @ to_dense([big.apply(s, q) for q in comp], index).T
             for s in oracle.generators]
-    return MatrixRep(oracle, mats, unitary_tol=max(UNITARY_TOL, 10 * tol)), comp
+    return MatrixRep(oracle, mats, unitary_tol=max(UNITARY_TOL, 10 * tol)), coords
 
 
 def amalgamate(pi: Representation, into_first: Embedding, into_second: Embedding,
@@ -618,38 +587,19 @@ def amalgamate(pi: Representation, into_first: Embedding, into_second: Embedding
                 f"worst generator {s} with defect {d:.3g}"
             )
     oracle = _common_oracle([pi, into_first.target, into_second.target])
-    comp_rep_1, comp_basis_1 = _complement_rep(into_first.target, into_first.images, oracle, tol)
-    comp_rep_2, comp_basis_2 = _complement_rep(into_second.target, into_second.images, oracle, tol)
-
-    parts = [pi]
-    offsets = {}
-    if comp_rep_1 is not None:
-        offsets["first"] = len(parts)
-        parts.append(comp_rep_1)
-    if comp_rep_2 is not None:
-        offsets["second"] = len(parts)
-        parts.append(comp_rep_2)
-    amalgam = DirectSum(parts)
-
-    pi_basis_in_amalgam = [embed(amalgam, 0, b) for b in pi.canonical_basis()]
-
-    def factor_embedding(emb, comp_basis, part_key):
-        # complement parts are single-leaf atoms, so their keys are coordinates
-        off = amalgam.part_offset(offsets[part_key]) if part_key in offsets else None
-        images = []
-        for b in emb.target.canonical_basis():
-            img = SparseVector(amalgam, {})
-            for k, w in enumerate(emb.images):
-                c = inner(b, w)
-                if c != 0:
-                    img = img + c * pi_basis_in_amalgam[k]
-            for i, q in enumerate(comp_basis):
-                c = inner(b, q)
-                if c != 0:
-                    img = img + c * delta(amalgam, off, i)
-            images.append(img)
-        return Embedding(emb.target, amalgam, images, validate=False)
-
-    emb1 = factor_embedding(into_first, comp_basis_1, "first")
-    emb2 = factor_embedding(into_second, comp_basis_2, "second")
-    return Amalgam(amalgam, emb1, emb2)
+    factors = [(emb, *_complement_rep(emb.target, emb.images, oracle, tol))
+               for emb in (into_first, into_second)]
+    amalgam = DirectSum([pi] + [comp for _emb, comp, _coords in factors if comp is not None])
+    # columns of the amalgam's canonical basis: pi's, then each complement's in turn
+    index = KeyIndex(amalgam.canonical_basis())
+    n = pi.total_dim()
+    start = n
+    embeddings = []
+    for emb, _comp, coords in factors:
+        X = np.zeros((len(coords), len(index)), dtype=complex)
+        X[:, :n] = coords[:, :n]
+        X[:, start:start + coords.shape[1] - n] = coords[:, n:]
+        start += coords.shape[1] - n
+        embeddings.append(Embedding(emb.target, amalgam, from_dense(amalgam, index, X),
+                                    validate=False))
+    return Amalgam(amalgam, *embeddings)

@@ -11,9 +11,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .containment import GramFunction
+from .amenability import DEFAULT_SUPPORT_CAP
+from .containment import DEFAULT_FRESH_CAP, GramFunction
 from .errors import ConfigError, PreconditionError
 from .groups import (
+    DEFAULT_BALL_CAP,
     FgAbelianOracle,
     FiniteTableOracle,
     FreeGroupOracle,
@@ -28,13 +30,14 @@ from .reps import (
     Representation,
     Trivial,
 )
+from .stability import DEFAULT_DIM_CAP
 from .vectors import SparseVector
 
 DEFAULT_CAPS = {
-    "ball": 100_000,
-    "dimension": 2000,
-    "support": 100_000,
-    "fresh-copies": 256,
+    "ball": DEFAULT_BALL_CAP,
+    "dimension": DEFAULT_DIM_CAP,
+    "support": DEFAULT_SUPPORT_CAP,
+    "fresh-copies": DEFAULT_FRESH_CAP,
 }
 
 
@@ -249,13 +252,16 @@ def parse_config(obj) -> WorkbenchConfig:
     oracle = parse_group(_require(obj, "group", dict, "config"), "config.group")
     rep = parse_representation(obj.get("representation"), oracle, "config.representation")
     seed = obj.get("seed", 0)
-    if not isinstance(seed, int):
+    if isinstance(seed, bool) or not isinstance(seed, int):
         raise ConfigError("seed must be an integer", field="config.seed")
+    raw_caps = obj.get("caps", {})
+    if not isinstance(raw_caps, dict):
+        raise ConfigError("caps must be an object", field="config.caps")
     caps = dict(DEFAULT_CAPS)
-    for k, v in obj.get("caps", {}).items():
+    for k, v in raw_caps.items():
         if k not in DEFAULT_CAPS:
             raise ConfigError(f"unknown cap '{k}'", field="config.caps")
-        if not isinstance(v, int) or v <= 0:
+        if isinstance(v, bool) or not isinstance(v, int) or v <= 0:
             raise ConfigError("caps must be positive integers", field=f"config.caps.{k}")
         caps[k] = v
     task = obj.get("task", {})

@@ -331,6 +331,42 @@ def test_non_numeric_vector_amplitude_exits_2_with_field(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("task, config, key", [
+    ("canonical-base", {"group": Z, "task": {
+        "closure": {"vectors": [[[0, "0", 1.0, 0.0]]], "radius": 1},
+        "a": [[[0, "0", 1.0, 0.0]]]}}, "base"),
+    ("contain", _stability_configs()["contain"], "witnesses"),
+])
+def test_malformed_report_vector_exits_2_at_its_field(tmp_path, capsys, task, config, key):
+    code, out = run_task(tmp_path, task, config)
+    assert code == 0
+    report = json.loads(out.read_text())
+    report["outputs"][key][0][0][2] = "x"  # the real part of the first amplitude
+    out.write_text(json.dumps(report))
+    capsys.readouterr()
+    assert main(["verify", "--report", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"config field 'report.outputs.{key}[0][0]'" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("config, flags, field", [
+    ({}, ["--cap-support", "-5"], "config.caps.support"),
+    ({}, ["--cap-ball", "0"], "config.caps.ball"),
+    ({"caps": [1]}, [], "config.caps"),
+    ({"caps": {"ball": True}}, [], "config.caps.ball"),
+    ({"seed": True}, [], "config.seed"),
+])
+def test_bad_seed_or_cap_exits_2_with_field(tmp_path, capsys, config, flags, field):
+    """A seed or cap is checked in one place, whether it comes from the config or a flag."""
+    config = {"group": F2, "task": {"nmax": 4, "radius": 2}, **config}
+    code, _out = run_task(tmp_path, "probe-amenability", config, *flags)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"config field '{field}'" in err
+    assert "Traceback" not in err
+
+
 def test_convergence_error_exits_4_with_best(tmp_path, capsys, monkeypatch):
     def no_convergence(*args, **kwargs):
         raise ConvergenceError("Lanczos did not converge", best=0.123456)

@@ -321,6 +321,20 @@ def test_transfer_copy_relabel():
         assert leaf >= 3
 
 
+def test_transfer_is_a_function_of_its_inputs():
+    """Two calls on one rho put the frame in the same copies: right after the touched ones."""
+    Z = z_oracle()
+    rho = transfer_space(Z)
+    p = delta(rho, 1, (0,))
+    t = delta(rho, 2, (5,))
+    F = [(0,), (1,), (-1,)]
+    first = transfer_witness(rho, [p], [t], F, eps=0.05)
+    second = transfer_witness(rho, [p], [t], F, eps=0.05)
+    assert [w.entries for w in second.witnesses] == [w.entries for w in first.witnesses]
+    leaves = {leaf for (leaf, _k) in second.witnesses[1].entries}
+    assert min(leaves) == 3  # stack copies 0 and 1 are touched; leaf 0 is the common part
+
+
 def test_transfer_mixed_parts_cross_terms_vanish():
     Z = z_oracle()
     comp = Trivial(1)

@@ -135,9 +135,6 @@ def test_infinite_multiple_is_lazy():
     v = delta(stack, 1000, (7,))
     w = stack.apply((1,), v)
     assert w.entries == {(1000, (8,)): 1.0 + 0j}
-    assert stack.fresh_copy() == 0
-    stack.note_used(1000)
-    assert stack.fresh_copy() == 1001
 
 
 def test_infinite_part_must_come_last():
@@ -281,6 +278,11 @@ def test_embedding_isometry_check():
     pi = Trivial(1)
     with pytest.raises(PreconditionError):
         Embedding(pi, reg, [2 * delta(reg, 0, (0,))])
+    # two unit images that are not orthogonal
+    d0 = delta(reg, 0, (0,))
+    tilted = (d0 + delta(reg, 0, (1,))) * (1 / math.sqrt(2))
+    with pytest.raises(PreconditionError, match=r"pair \(1, 0\)"):
+        Embedding(Trivial(2), reg, [d0, tilted])
 
 
 def amalgam_gram_defect(oracle, rep, emb, amalgam, radius=3):
