@@ -39,7 +39,7 @@ from .amenability import (
     min_defect,
     return_probabilities,
 )
-from .containment import discrepancy, folner_witness, gram, search_witness, transfer_witness
+from .containment import folner_witness, gram, search_witness, transfer_witness
 from .errors import (
     ConfigError,
     ConvergenceError,
@@ -319,19 +319,34 @@ def run_contain(cfg, radius, tol, budget, restarts):
     return {"inputs": inputs, "outputs": outputs, "headline": report_data.discrepancy}
 
 
-def _discrepancy_checks(report, target, space):
-    """The stored witnesses' discrepancy from ``target`` in ``space``, recomputed."""
+def _witness_checks(report, target, space, tol):
+    """Checks of the stored witnesses against ``target``, and their Gram matrices on its F.
+
+    The matrices are computed once; the recomputed discrepancy, the headline
+    and the ``converged`` flag (``discrepancy <= tolerances[tol]``) are
+    checked from them.
+    """
     witnesses = _vectors(report["outputs"], "witnesses", space, "report.outputs", required=False)
+    M = containment.witness_matrices(target, space, witnesses)
+    outputs = report["outputs"]
     return [
-        ("discrepancy", discrepancy(target, space, witnesses), report["outputs"]["discrepancy"]),
-        ("headline", report["outputs"]["discrepancy"], report["headline"]),
-    ]
+        ("discrepancy", containment.deviation(target, M), outputs["discrepancy"]),
+        ("headline", outputs["discrepancy"], report["headline"]),
+        ("converged", outputs["discrepancy"] <= report["tolerances"][tol], outputs["converged"]),
+    ], M
 
 
 def verify_contain(report):
     oracle, pi = _report_inputs(report, "representation")
     target = parse_gram(report["inputs"]["target"], oracle, "report.inputs.target")
-    return _discrepancy_checks(report, target, pi)
+    checks, M = _witness_checks(report, target, pi, "tol")
+    where = "report.outputs.witness-gram"
+    stored = parse_gram(report["outputs"]["witness-gram"], oracle, where)
+    if stored.F != target.F:
+        raise ConfigError("witness Gram data must be over the target's element set",
+                          field=f"{where}.F")
+    checks.append(("witness-gram", containment.deviation(stored, M), 0.0))
+    return checks
 
 
 def run_folner(cfg, eps):
@@ -412,7 +427,7 @@ def verify_transfer(report):
     oracle = _report_inputs(report)[0]
     rho = _transfer_space(oracle, report["inputs"], "report.inputs")
     target = parse_gram(report["outputs"]["target-gram"], oracle, "report.outputs.target-gram")
-    return _discrepancy_checks(report, target, rho)
+    return _witness_checks(report, target, rho, "eps")[0]
 
 
 def _build_closure(cfg, pi, radius):
@@ -531,11 +546,11 @@ def verify_superstable(report):
     _oracle, pi = _report_inputs(report, "representation")
     a_vec = _vectors(report["inputs"], "a", pi, "report.inputs", required=False)
     b_vec = _vectors(report["outputs"], "b", pi, "report.outputs", required=False)
-    checks = []
-    for i, (a, b) in enumerate(zip(a_vec, b_vec)):
-        checks.append((f"gap-{i}", (a - b).norm(), report["outputs"]["gaps"][i]))
-    recomputed = max(((a - b).norm() for a, b in zip(a_vec, b_vec)), default=0.0)
-    checks.append(("headline", recomputed, report["headline"]))
+    gaps = report["outputs"]["gaps"]
+    recomputed = [(a - b).norm() for a, b in zip(a_vec, b_vec)]
+    checks = [("b-count", len(a_vec), len(b_vec)), ("gaps-count", len(a_vec), len(gaps))]
+    checks += [(f"gap-{i}", r, stored) for i, (r, stored) in enumerate(zip(recomputed, gaps))]
+    checks.append(("headline", max(recomputed, default=0.0), report["headline"]))
     return checks
 
 

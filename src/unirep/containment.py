@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 import itertools
+from typing import NamedTuple
 
 import numpy as np
 
@@ -101,32 +102,60 @@ def gram(rep: Representation, vectors, F, oracle=None) -> GramFunction:
                         _gram_matrices(rep, vectors, F))
 
 
-def _gram_tensor(rep: Representation, vectors, F) -> np.ndarray:
-    """``(|F|, n, n)`` stack of T_g[i, j] = <rep(g)v_i, v_j>, one product ``Moved_g @ V^H`` per g.
+class GramNonzeros(NamedTuple):
+    """The nonzeros ``T[g, i, j] = value`` of a ``(|F|, K, K)`` Gram tensor, g-major."""
 
-    The dense-block form of ``gram`` for the witness search. ``gram`` and
+    g: np.ndarray
+    i: np.ndarray
+    j: np.ndarray
+    value: np.ndarray
+    shape: tuple
+
+
+def _gram_tensor(rep: Representation, vectors, F) -> GramNonzeros:
+    """Nonzeros of T_g[i, j] = <rep(g)v_i, v_j>, one product ``Moved_g @ V^H`` per g.
+
+    The block form of ``gram`` for the witness search. Each g-slice is built,
+    reduced to its nonzeros and dropped, so the ``(|F|, K, K)`` stack is never
+    held; for a delta basis of a regular representation each slice is a
+    partial permutation with at most K unit entries. ``gram`` and
     ``discrepancy`` keep the sparse ``inner`` formula (``_gram_matrices``),
-    so ``verify`` stays independent of the dense kernel.
+    so ``verify`` stays independent of the block kernel.
     Moved vectors are stacked over the columns of the vectors' own support;
     entries off it pair with zero and are left out.
     """
     index = KeyIndex(vectors)
     Vh = to_dense(vectors, index).conj().T
-    return np.array([to_dense([rep.apply(g, v) for v in vectors], index) @ Vh for g in F],
-                    dtype=complex)
+    parts = []
+    for t, g in enumerate(F):
+        T = to_dense([rep.apply(g, v) for v in vectors], index) @ Vh
+        i, j = np.nonzero(T)
+        parts.append((np.full(len(i), t), i, j, T[i, j]))
+    g, i, j, value = (np.concatenate(c) for c in zip(*parts))
+    K = len(vectors)
+    return GramNonzeros(g, i, j, value, (len(F), K, K))
 
 
-def discrepancy(target: GramFunction, rep: Representation, witnesses) -> float:
-    """Max-abs deviation of the witnesses' Gram function from the target."""
+def witness_matrices(target: GramFunction, rep: Representation, witnesses) -> dict:
+    """Gram matrices of the witnesses over ``target.F``; one witness per target vector."""
     witnesses = list(witnesses)
     if len(witnesses) != target.n:
         raise PreconditionError(
             f"expected {target.n} witnesses, got {len(witnesses)}"
         )
-    M = _gram_matrices(rep, witnesses, target.F)
+    return _gram_matrices(rep, witnesses, target.F)
+
+
+def deviation(target: GramFunction, M: dict) -> float:
+    """Max-abs entry of ``target.M[g] - M[g]`` over ``target.F``."""
     D = np.array([target.M[g] - M[g] for g in target.F])
     # hypot rounds as Python's abs(complex) does; np.abs can differ in the last bit
     return float(np.max(np.hypot(D.real, D.imag)))
+
+
+def discrepancy(target: GramFunction, rep: Representation, witnesses) -> float:
+    """Max-abs deviation of the witnesses' Gram function from the target."""
+    return deviation(target, witness_matrices(target, rep, witnesses))
 
 
 def trivial_target(oracle: GroupOracle, F=None) -> GramFunction:
@@ -150,21 +179,51 @@ class WitnessReport:
     converged: bool
 
 
-def _objective_and_gradient(C, tensors, targets):
-    """Sum of squared deviations and its matrix gradient for coefficients C.
+def _bincount_complex(bins, weights, size):
+    """``np.bincount`` of complex weights, the real and imaginary parts summed apart."""
+    out = np.empty(size, dtype=complex)
+    out.real = np.bincount(bins, weights.real, size)
+    out.imag = np.bincount(bins, weights.imag, size)
+    return out
 
-    ``tensors`` and ``targets`` stack to ``(|F|, K, K)`` and ``(|F|, n, n)``;
-    every g is one slice of a batched product. With D_g = C T_g C^H - M_g the
-    gradient is 2 sum_g (D_g^H C T_g + D_g C T_g^H), and the second term is
-    taken as the adjoint of T_g C^H D_g^H, so T is never conjugated.
+
+def _objective_and_gradient(tensor: GramNonzeros, targets):
+    """The search objective on the nonzeros of ``tensor``: ``C -> (f, G, worst)``.
+
+    With D_g = C T_g C^H - M_g (``targets`` stacks the M_g to ``(|F|, n, n)``),
+    f = sum_g |D_g|^2, worst = max |D_g| and G = 2 sum_g (D_g^H C T_g + D_g C
+    T_g^H) is its matrix gradient. ``C T_g`` is a scatter: each nonzero
+    T_g[i, j] adds ``C[:, i] * value`` to bin ``(g, row, j)``. The second term
+    is the adjoint of ``sum_g T_g X_g`` with X_g = C^H D_g^H, a gather: each
+    nonzero adds ``value * X_g[j]`` to bin i, so T is never conjugated. The bin indices
+    are computed here once; the returned function evaluates one C.
+
+    On a monomial T_g (a partial permutation with unit entries, as for a
+    delta basis of a regular representation) each bin takes one exact
+    product ``c * (1 + 0j)`` per g, and the sum over g runs in g order, so the
+    values equal the dense batched products ``C @ T`` and
+    ``sum(T @ (C^H D^H), axis=0)`` bit for bit.
     """
-    T = np.asarray(tensors)
-    CT = C @ T
-    D = CT @ C.conj().T - np.asarray(targets)
-    absD = np.abs(D)
-    Dh = D.conj().transpose(0, 2, 1)
-    G = np.sum(Dh @ CT, axis=0) + np.sum(T @ (C.conj().T @ Dh), axis=0).conj().T
-    return float(np.sum(absD ** 2)), 2.0 * G, float(np.max(absD))
+    nF, K, _ = tensor.shape
+    targets = np.asarray(targets)
+    n = targets.shape[1]
+    rows = np.arange(n)[:, None]
+    scatter = (tensor.g * (n * K) + rows * K + tensor.j).ravel()
+    gather = (tensor.i[:, None] * n + rows.T).ravel()
+
+    def evaluate(C):
+        CT = _bincount_complex(scatter, (C[:, tensor.i] * tensor.value).ravel(), nF * n * K)
+        CT = CT.reshape(nF, n, K)
+        D = CT @ C.conj().T - targets
+        absD = np.abs(D)
+        Dh = D.conj().transpose(0, 2, 1)
+        X = C.conj().T @ Dh
+        TX = _bincount_complex(gather, (tensor.value[:, None] * X[tensor.g, tensor.j]).ravel(),
+                               K * n)
+        G = np.sum(Dh @ CT, axis=0) + TX.reshape(K, n).conj().T
+        return float(np.sum(absD ** 2)), 2.0 * G, float(np.max(absD))
+
+    return evaluate
 
 
 def search_witness(target: GramFunction, pi: Representation, basis: Subspace,
@@ -175,8 +234,12 @@ def search_witness(target: GramFunction, pi: Representation, basis: Subspace,
     Minimizes the smooth sum-of-squares surrogate of the max-abs deviation
     by gradient descent with backtracking line search, restarting from
     seeded random coefficient matrices; the best restart wins, ties going
-    to the earliest. The reported discrepancy is always the recomputed
-    max-abs deviation of the returned witnesses.
+    to the earliest. The objective reads only the nonzeros of the basis's
+    Gram tensor (``_gram_tensor``), with its scatter and gather indices built
+    once per search; on a ball delta basis it takes O(|F| n K) per
+    evaluation and its values are those of the dense batched products, bit
+    for bit. The reported discrepancy is always the recomputed max-abs
+    deviation of the returned witnesses.
     """
     if tol <= 0:
         raise PreconditionError("tolerance must be positive")
@@ -184,14 +247,14 @@ def search_witness(target: GramFunction, pi: Representation, basis: Subspace,
     if K == 0:
         raise PreconditionError("witness search needs a nonempty basis")
     n = target.n
-    tensors = _gram_tensor(pi, basis.basis, target.F)
-    targets = np.array([target.M[g] for g in target.F])
+    objective = _objective_and_gradient(_gram_tensor(pi, basis.basis, target.F),
+                                        np.array([target.M[g] for g in target.F]))
     rng = np.random.default_rng(seed)
     scale = max(target.max_abs(), 1e-6) ** 0.5 / max(K, 1) ** 0.5
     best_C, best_disc, total_iters = None, float("inf"), 0
     for _ in range(max(1, restarts)):
         C = scale * (rng.standard_normal((n, K)) + 1j * rng.standard_normal((n, K)))
-        f, G, worst = _objective_and_gradient(C, tensors, targets)
+        f, G, worst = objective(C)
         step = 1.0
         for _ in range(max(1, budget)):
             total_iters += 1
@@ -203,7 +266,7 @@ def search_witness(target: GramFunction, pi: Representation, basis: Subspace,
             accepted = False
             while step > 1e-18:
                 C_new = C - step * G
-                f_new, G_new, worst_new = _objective_and_gradient(C_new, tensors, targets)
+                f_new, G_new, worst_new = objective(C_new)
                 if f_new <= f - 1e-4 * step * gnorm2:
                     C, f, G, worst = C_new, f_new, G_new, worst_new
                     step *= 1.5

@@ -25,6 +25,10 @@ Z2 = {"kind": "fg-abelian", "rank": 2, "torsion": []}
 C3 = {"kind": "finite-table", "table": [[(i + j) % 3 for j in range(3)] for i in range(3)],
       "generators": [1]}
 
+TRANSFER = {"group": Z, "task": {
+    "pi": {"kind": "trivial", "dim": 1}, "F": ["0", "1", "-1"],
+    "params": [[[1, "0", 1, 0]]], "targets": [[[2, "5", 1, 0]]], "eps": 0.05}}
+
 
 def run_task(tmp_path, task, config, *flags, name="report"):
     cfg = tmp_path / f"{name}.config.json"
@@ -142,9 +146,7 @@ def test_stability_and_witness_round_trips(tmp_path, task):
 @pytest.mark.parametrize("task, config, check", [
     ("folner-witness", {"group": Z2, "task": {"eps": 0.3}},
      lambda out: out["max-defect"] <= 0.3 and len(out["defects"]) == 2),
-    ("transfer", {"group": Z, "task": {
-        "pi": {"kind": "trivial", "dim": 1}, "F": ["0", "1", "-1"],
-        "params": [[[1, "0", 1, 0]]], "targets": [[[2, "5", 1, 0]]], "eps": 0.05}},
+    ("transfer", TRANSFER,
      lambda out: out["converged"] and out["discrepancy"] <= 0.05),
     ("amalgamate", {"group": C3, "task": {
         "pi": {"kind": "regular"},
@@ -347,6 +349,42 @@ def test_malformed_report_vector_exits_2_at_its_field(tmp_path, capsys, task, co
     assert main(["verify", "--report", str(out)]) == 2
     err = capsys.readouterr().err
     assert f"config field 'report.outputs.{key}[0][0]'" in err
+    assert "Traceback" not in err
+
+
+def _empty_b_and_gaps(report):
+    report["outputs"].update({"b": [], "gaps": []})
+    report["headline"] = 0.0
+
+
+def _flip_converged(report):
+    report["outputs"]["converged"] = not report["outputs"]["converged"]
+
+
+def _raise_witness_gram_entry(report):
+    report["outputs"]["witness-gram"]["matrices"][0][0][0] = [5.0, 0.0]
+
+
+@pytest.mark.parametrize("task, config, tamper, failed", [
+    ("superstable", _stability_configs()["superstable"], _empty_b_and_gaps,
+     ["b-count", "gaps-count"]),
+    ("contain", _stability_configs()["contain"], _flip_converged, ["converged"]),
+    ("contain", _stability_configs()["contain"], _raise_witness_gram_entry, ["witness-gram"]),
+    ("transfer", TRANSFER, _flip_converged, ["converged"]),
+])
+def test_verify_rejects_tampered_witness_reports(tmp_path, capsys, task, config, tamper, failed):
+    """Each stored output is recomputed: a consistent-looking edit still fails its check."""
+    code, out = run_task(tmp_path, task, config)
+    assert code == 0
+    assert main(["verify", "--report", str(out)]) == 0
+    report = json.loads(out.read_text())
+    tamper(report)
+    out.write_text(json.dumps(report))
+    capsys.readouterr()
+    assert main(["verify", "--report", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert [line.split(":")[0] for line in err.splitlines()] == [
+        f"verify FAILED {check}" for check in failed]
     assert "Traceback" not in err
 
 

@@ -30,7 +30,7 @@ from unirep import (
     transfer_witness,
     trivial_target,
 )
-from unirep.containment import _gram_tensor, _objective_and_gradient
+from unirep.containment import GramNonzeros, _gram_tensor, _objective_and_gradient
 from util import (
     f2_oracle,
     random_elements,
@@ -139,6 +139,29 @@ def test_direct_sum_monotonicity():
         assert abs(d_small - d_big) < 1e-12
 
 
+def _dense(tensor):
+    """The ``(|F|, K, K)`` array of a Gram tensor's nonzeros."""
+    T = np.zeros(tensor.shape, dtype=complex)
+    T[tensor.g, tensor.i, tensor.j] = tensor.value
+    return T
+
+
+def _nonzeros(T):
+    """A dense ``(|F|, K, K)`` stack as the nonzeros the search reads."""
+    g, i, j = np.nonzero(T)
+    return GramNonzeros(g, i, j, T[g, i, j], T.shape)
+
+
+def _dense_objective_and_gradient(C, T, targets):
+    """Reference: the objective as batched products over the dense ``(|F|, K, K)`` stack."""
+    CT = C @ T
+    D = CT @ C.conj().T - targets
+    absD = np.abs(D)
+    Dh = D.conj().transpose(0, 2, 1)
+    G = np.sum(Dh @ CT, axis=0) + np.sum(T @ (C.conj().T @ Dh), axis=0).conj().T
+    return float(np.sum(absD ** 2)), 2.0 * G, float(np.max(absD))
+
+
 @pytest.mark.parametrize("kind", ["regular", "matrix"])
 def test_gram_tensor_matches_inner_formula(kind):
     rng = np.random.default_rng(6)
@@ -151,8 +174,10 @@ def test_gram_tensor_matches_inner_formula(kind):
         keys = [(0, i) for i in range(5)]
     vectors = [random_sparse(rng, rep, keys, 3) for _ in range(4)]
     F = ball(F2, 1).elements
-    T = _gram_tensor(rep, vectors, F)
-    assert T.shape == (len(F), 4, 4)
+    tensor = _gram_tensor(rep, vectors, F)
+    assert tensor.shape == (len(F), 4, 4)
+    assert np.all(tensor.value != 0) and np.all(np.diff(tensor.g) >= 0)
+    T = _dense(tensor)
     for t, g in enumerate(F):
         moved = [rep.apply(g, v) for v in vectors]
         ref = np.array([[inner(mv, w) for w in vectors] for mv in moved])
@@ -165,18 +190,55 @@ def test_gradient_matches_finite_differences():
     tensors = [rng.standard_normal((K, K)) + 1j * rng.standard_normal((K, K)) for _ in range(2)]
     tensors = [(T + T.conj().T) / 2 for T in tensors]
     targets = [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) for _ in range(2)]
+    objective = _objective_and_gradient(_nonzeros(np.array(tensors)), targets)
     C = rng.standard_normal((n, K)) + 1j * rng.standard_normal((n, K))
-    f0, G, _ = _objective_and_gradient(C, tensors, targets)
+    f0, G, _ = objective(C)
     h = 1e-7
     for i in range(n):
         for k in range(K):
             for direction in (1.0, 1.0j):
                 E = np.zeros_like(C)
                 E[i, k] = direction
-                f_plus, _, _ = _objective_and_gradient(C + h * E, tensors, targets)
+                f_plus, _, _ = objective(C + h * E)
                 numeric = (f_plus - f0) / h
                 analytic = float(np.real(np.sum(G.conj() * E)))
                 assert abs(numeric - analytic) < 1e-4 * (1 + abs(analytic))
+
+
+def _objective_pair(rep, basis, targets, F, rng):
+    """Sparse and dense objective values at one random C over ``basis``."""
+    tensor = _gram_tensor(rep, basis, F)
+    n, K = targets.shape[1], len(basis)
+    C = rng.standard_normal((n, K)) + 1j * rng.standard_normal((n, K))
+    return (_objective_and_gradient(tensor, targets)(C),
+            _dense_objective_and_gradient(C, _dense(tensor), targets))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_objective_equals_dense_reference_on_delta_basis(n):
+    """Each T_g of a ball delta basis is a partial permutation: the values agree bit for bit."""
+    rng = np.random.default_rng(7)
+    F2 = f2_oracle()
+    reg = Regular(F2)
+    F = trivial_target(F2).F
+    targets = rng.standard_normal((len(F), n, n)) + 1j * rng.standard_normal((len(F), n, n))
+    (f, G, worst), (f_ref, G_ref, worst_ref) = _objective_pair(
+        reg, ball_delta_basis(reg, 3).basis, targets, F, rng)
+    assert f == f_ref and worst == worst_ref
+    assert np.array_equal(G, G_ref)
+
+
+def test_objective_matches_dense_reference_on_matrix_basis():
+    """On a matrix representation every T_g is dense; the sums agree to rounding."""
+    rng = np.random.default_rng(8)
+    F2 = f2_oracle()
+    rep = random_matrix_rep(rng, F2, 5)
+    F = ball(F2, 1).elements
+    targets = rng.standard_normal((len(F), 2, 2)) + 1j * rng.standard_normal((len(F), 2, 2))
+    (f, G, worst), (f_ref, G_ref, worst_ref) = _objective_pair(
+        rep, rep.canonical_basis(), targets, F, rng)
+    assert abs(f - f_ref) <= 1e-12 * f_ref and abs(worst - worst_ref) <= 1e-12
+    assert np.max(np.abs(G - G_ref)) <= 1e-12 * np.max(np.abs(G_ref))
 
 
 def test_search_realizable_target():
