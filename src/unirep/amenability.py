@@ -1,8 +1,8 @@
 """Random-walk and almost-invariant-vector probes of amenability.
 
-The probes are one-sided numerical certificates: return probabilities of
-the symmetric walk (exact rational convolution up to a configurable
-step), the smallest eigenvalue of the averaged shift-defect form on
+The probes are one-sided numerical certificates: exact return
+probabilities of the symmetric walk (integer walk counts on a Cayley
+ball), the smallest eigenvalue of the averaged shift-defect form on
 Cayley balls, and a certified interval for the walk's spectral radius.
 The last two are one number (Kesten): the minimum defect on a ball is
 2(1 - lambda_max(M)) for the ball-compressed walk operator M, so both come
@@ -13,17 +13,17 @@ below and the Collatz-Wielandt bound of its positive final vector bounds
 it from above; the solve stops only once the two are within the
 tolerance, which certifies the defect from both sides.
 
-The operator is read off the ball's neighbour table: the edges of M are
-x -> s x for the ball's ``left`` entries, with no product recomputed.
+The operator and the walk are read off the ball's neighbour table: their
+edges are x -> s x for the ball's ``left`` entries, with no product recomputed.
 ``defect_table`` gives the defect for every radius 1..r from one ball:
 the ball enumerates in breadth-first order, so the radius-rho ball is a
 prefix of the radius-r ball and its edges are the radius-r edges with
 both ends in that prefix, in the same order. Each radius therefore
-solves the same arrays as a ball built for it alone, and the probe
-builds one ball per run. Each minimizer is kept as its amplitudes in
-ball order. For the free kinds on their standard generators the walk
-distribution is constant on spheres, so the convolution runs on the
-exact radial chain instead of the full (exponentially growing) support.
+solves the same arrays as a ball built for it alone, and the defect
+probe builds one ball per run. Each minimizer is kept as its amplitudes
+in ball order. For the free kinds on their standard generators the walk
+distribution is constant on spheres, so the walks are counted per
+distance instead of on the full (exponentially growing) ball.
 """
 
 from __future__ import annotations
@@ -33,25 +33,24 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ConvergenceError, PreconditionError, ResourceLimitError
+from .errors import ConvergenceError, PreconditionError
 from .groups import DEFAULT_BALL_CAP, FreeGroupOracle, GroupOracle, ball, symmetric_generators
 from .reps import Regular
 from .vectors import SparseVector
 
-DEFAULT_EXACT_STEPS = 40
 DEFAULT_SUPPORT_CAP = 100_000
 RATIO_SLACK = 1e-12
 RESTART = 24       # Krylov vectors per Lanczos cycle
 BREAKDOWN = 1e-14  # a Lanczos beta this small (|M| <= 1) ends the cycle
+EIGEN_TOL = 1e-9   # the defect solve's residual and certified gap
 
 
 @dataclass
 class ReturnProbabilityTable:
-    """Return probabilities p_{2n}(e) of the symmetric walk with estimator traces."""
+    """Exact return probabilities p_{2n}(e) of the symmetric walk, with estimator traces."""
 
     n_max: int
-    p: dict            # even step -> Fraction (exact) or float
-    exact_through: int
+    p: dict            # even step -> Fraction
     root_estimates: dict = field(default_factory=dict)   # 2n -> p^{1/(2n)}
     ratio_estimates: dict = field(default_factory=dict)  # 2n -> sqrt(p_{2n+2}/p_{2n})
 
@@ -76,76 +75,51 @@ class ReturnProbabilityTable:
         return self.ratio_estimates[max(self.ratio_estimates)]
 
 
-def _free_radial_returns(rank: int, n_max: int) -> dict:
-    """Exact distances-to-identity chain of the walk on a free group.
+def _walk_returns(rows, cols, n: int, deg: int, n_max: int) -> dict:
+    """Exact p_{2n}(e) from integer counts of the walks along the edges ``rows[i] <- cols[i]``.
 
-    The step distribution is uniform on the unit sphere and convolution
-    preserves constancy on spheres, so tracking per-sphere mass is exact.
+    Vertex 0 is e, and an edge listed k times carries k of the deg steps.
     """
-    d = Fraction(2 * rank)
-    out_frac = Fraction(2 * rank - 1) / d
-    in_frac = Fraction(1) / d
-    mass = {0: Fraction(1)}
+    count = np.zeros(n, dtype=object)  # Python integers: no overflow
+    count[0] = 1
     p = {0: Fraction(1)}
     for step in range(1, n_max + 1):
-        new: dict = {}
-        for k, m in mass.items():
-            if k == 0:
-                new[1] = new.get(1, Fraction(0)) + m
-            else:
-                new[k + 1] = new.get(k + 1, Fraction(0)) + m * out_frac
-                new[k - 1] = new.get(k - 1, Fraction(0)) + m * in_frac
-        mass = new
+        new = np.zeros(n, dtype=object)
+        np.add.at(new, rows, count[cols])
+        count = new
         if step % 2 == 0:
-            p[step] = mass.get(0, Fraction(0))
+            p[step] = Fraction(count[0], deg ** step)
     return p
 
 
-def return_probabilities(oracle: GroupOracle, S=None, n_max: int = DEFAULT_EXACT_STEPS,
-                         exact_steps: int = DEFAULT_EXACT_STEPS,
+def return_probabilities(oracle: GroupOracle, S=None, n_max: int = 40,
                          support_cap: int = DEFAULT_SUPPORT_CAP) -> ReturnProbabilityTable:
-    """p_{2n}(e) for the uniform walk on S union S^-1, exact up to ``exact_steps``.
+    """Exact p_{2n}(e), 2n <= n_max, for the uniform walk on S union S^-1.
 
-    The walk distribution is convolved on explicit group elements with no
-    truncation; rational arithmetic is used through ``exact_steps`` and
-    double precision beyond. Exceeding ``support_cap`` raises a resource
-    error naming the step reached.
+    The walks are counted in integers on the ball of radius n_max // 2, one
+    scatter-add over its edges x -> s x per step, and p_{2n}(e) is the count
+    at e over deg^(2n). The truncation is exact: a walk back at e by step
+    2n <= n_max never leaves the radius-n ball. A ball of more than
+    ``support_cap`` elements raises ``ResourceLimitError`` naming the radius
+    reached. The free kinds on their standard generators count the walks
+    per distance to e instead: from e all deg steps move out, from d > 0
+    one moves in and deg - 1 move out.
     """
-    if n_max < 1:
-        raise PreconditionError("n_max must be at least 1")
+    if n_max < 2:
+        raise PreconditionError("n_max must be at least 2, the first return step")
     steps = symmetric_generators(oracle, S)
     if not steps:
-        p = {s: Fraction(1) for s in range(0, n_max + 1, 2)}
-        return ReturnProbabilityTable(n_max, p, n_max)
+        return ReturnProbabilityTable(n_max, {s: Fraction(1) for s in range(0, n_max + 1, 2)})
+    deg = len(steps)
     if isinstance(oracle, FreeGroupOracle) and set(steps) == set(
         symmetric_generators(oracle)
     ):
-        p = _free_radial_returns(oracle.rank, n_max)
-        return ReturnProbabilityTable(n_max, p, n_max)
-    e = oracle.identity()
-    weight = Fraction(1, len(steps))
-    dist = {e: Fraction(1)}
-    exact = True
-    p = {0: Fraction(1)}
-    for step in range(1, n_max + 1):
-        if exact and step > exact_steps:
-            dist = {x: float(m) for x, m in dist.items()}
-            exact = False
-        new: dict = {}
-        w = weight if exact else float(weight)
-        for x, m in dist.items():
-            mw = m * w
-            for s in steps:
-                y = oracle._mul(s, x)
-                new[y] = new.get(y, 0) + mw
-        if len(new) > support_cap:
-            raise ResourceLimitError(
-                f"walk support {len(new)} exceeds cap {support_cap} at step {step}"
-            )
-        dist = new
-        if step % 2 == 0:
-            p[step] = dist.get(e, Fraction(0) if exact else 0.0)
-    return ReturnProbabilityTable(n_max, p, min(n_max, exact_steps))
+        d = np.arange(1, n_max // 2 + 1)  # a walk past distance n_max // 2 cannot return
+        rows = np.concatenate([np.ones(deg, np.intp), np.repeat(d + 1, deg - 1), d - 1])
+        cols = np.concatenate([np.zeros(deg, np.intp), np.repeat(d, deg - 1), d])
+        return ReturnProbabilityTable(n_max, _walk_returns(rows, cols, len(d) + 2, deg, n_max))
+    B = ball(oracle, n_max // 2, support_cap, S)
+    return ReturnProbabilityTable(n_max, _walk_returns(*B.edges(len(B)), len(B), deg, n_max))
 
 
 def _perron_solve(rows, cols, dim, deg, tol, max_iter):
@@ -253,7 +227,7 @@ def _defects(oracle, S, r, radii, tol, max_iter, ball_cap):
     return reports
 
 
-def min_defect(oracle: GroupOracle, S=None, r: int = 4, tol: float = 1e-9,
+def min_defect(oracle: GroupOracle, S=None, r: int = 4, tol: float = EIGEN_TOL,
                max_iter: int = 500_000, ball_cap: int = DEFAULT_BALL_CAP) -> DefectReport:
     """Minimum of (1/|S+S^-1|) sum_s ||shift_s(w) - w||^2 over unit w on the ball.
 
@@ -273,7 +247,7 @@ def min_defect(oracle: GroupOracle, S=None, r: int = 4, tol: float = 1e-9,
     return _defects(oracle, S, r, [r], tol, max_iter, ball_cap)[0]
 
 
-def defect_table(oracle: GroupOracle, S=None, r: int = 4, tol: float = 1e-9,
+def defect_table(oracle: GroupOracle, S=None, r: int = 4, tol: float = EIGEN_TOL,
                  max_iter: int = 500_000,
                  ball_cap: int = DEFAULT_BALL_CAP) -> list[DefectReport]:
     """``min_defect`` at every radius 1..r, from one radius-r ball and edge list.
@@ -295,7 +269,6 @@ class SpectralRadiusInterval:
     lower: float
     upper: float
     defect: DefectReport
-    table: ReturnProbabilityTable | None = None
 
     @property
     def iterations(self) -> int:
@@ -309,12 +282,11 @@ class SpectralRadiusInterval:
         return self.lower <= x <= self.upper
 
     @classmethod
-    def from_defect(cls, oracle: GroupOracle, S, defect: DefectReport,
-                    table: ReturnProbabilityTable | None = None) -> SpectralRadiusInterval:
+    def from_defect(cls, oracle: GroupOracle, S, defect: DefectReport) -> SpectralRadiusInterval:
         """The interval whose lower end is 1 - d/2 for the defect solve ``defect``."""
         lower = 1.0 - defect.min_avg_sq_defect / 2.0
         upper = min(1.0, max(certified_upper(oracle, S), lower))
-        return cls(defect.radius, lower, upper, defect, table)
+        return cls(defect.radius, lower, upper, defect)
 
 
 def certified_upper(oracle: GroupOracle, S=None) -> float:
@@ -334,11 +306,9 @@ def certified_upper(oracle: GroupOracle, S=None) -> float:
     return 1.0
 
 
-def spectral_radius_bound(oracle: GroupOracle, S=None, r: int = 6, n_max: int | None = None,
-                          tol: float = 1e-9, max_iter: int = 500_000,
-                          ball_cap: int = DEFAULT_BALL_CAP,
-                          exact_steps: int = DEFAULT_EXACT_STEPS,
-                          support_cap: int = DEFAULT_SUPPORT_CAP) -> SpectralRadiusInterval:
+def spectral_radius_bound(oracle: GroupOracle, S=None, r: int = 6, tol: float = EIGEN_TOL,
+                          max_iter: int = 500_000,
+                          ball_cap: int = DEFAULT_BALL_CAP) -> SpectralRadiusInterval:
     """Certified spectral-radius interval from ball compression and norm bounds.
 
     The lower end is 1 - d/2 for the defect d = ``min_defect(oracle, S, r,
@@ -347,12 +317,8 @@ def spectral_radius_bound(oracle: GroupOracle, S=None, r: int = 6, n_max: int | 
     Rayleigh quotient is a true lower bound. ``tol`` is therefore the
     defect-form residual and certified gap, and ``max_iter`` the budget of
     products with the operator. The upper end is a certified norm bound.
-    The defect solve is attached as ``defect``. Optionally attaches the
-    return-probability table with its monotone ratio trace for ``n_max``
-    steps.
+    The defect solve is attached as ``defect``; the walk's return
+    probabilities are ``return_probabilities``.
     """
-    table = None
-    if n_max is not None:
-        table = return_probabilities(oracle, S, n_max, exact_steps, support_cap)
     defect = min_defect(oracle, S, r, tol, max_iter, ball_cap)
-    return SpectralRadiusInterval.from_defect(oracle, S, defect, table)
+    return SpectralRadiusInterval.from_defect(oracle, S, defect)

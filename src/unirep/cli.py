@@ -28,11 +28,13 @@ import json
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from fractions import Fraction
 
 import numpy as np
 
 from . import containment, stability
 from .amenability import (
+    EIGEN_TOL,
     SpectralRadiusInterval,
     certified_upper,
     defect_table,
@@ -178,10 +180,8 @@ def _report_inputs(report, *reps):
 # handlers
 
 
-def run_probe(cfg, nmax, radius, exact_steps):
-    table = return_probabilities(
-        cfg.oracle, None, nmax, exact_steps=exact_steps, support_cap=cfg.caps["support"]
-    )
+def run_probe(cfg, nmax, radius):
+    table = return_probabilities(cfg.oracle, None, nmax, support_cap=cfg.caps["support"])
     steps = sorted(table.p)
     defects = defect_table(cfg.oracle, None, radius, ball_cap=cfg.caps["ball"])
     # the spectral bound's lower end is the last row's defect; radius 0 has no row
@@ -192,9 +192,7 @@ def run_probe(cfg, nmax, radius, exact_steps):
         "return-probabilities": {
             "steps": steps,
             "p": [float(table.p[s]) for s in steps],
-            "p-exact": [
-                str(table.p[s]) if s <= table.exact_through else None for s in steps
-            ],
+            "p-exact": [str(table.p[s]) for s in steps],
             "root-estimates": [table.root_estimates.get(s) for s in steps],
             "ratio-estimates": [table.ratio_estimates.get(s) for s in steps],
         },
@@ -211,7 +209,7 @@ def run_probe(cfg, nmax, radius, exact_steps):
         ],
         "spectral": {"radius": interval.radius, "lower": interval.lower, "upper": interval.upper},
     }
-    return {"outputs": outputs, "tolerances": {"eigen-residual": 1e-9},
+    return {"outputs": outputs, "tolerances": {"eigen-residual": EIGEN_TOL},
             "headline": table.final_ratio}
 
 
@@ -253,12 +251,33 @@ def _row_amplitudes(row, i, radius):
     raise ConfigError("expected a list of numbers", field=f"{where}.argmin")
 
 
+def _walk_checks(report):
+    """Checks of the return-probability block in O(nmax): steps, ``p`` and estimates.
+
+    Each ``p`` is its ``p-exact`` rounded, and each estimate is recomputed from
+    ``p`` as ``ReturnProbabilityTable`` does; None stands where there is none
+    (the root at step 0, the ratio at the last step).
+    """
+    out = report["outputs"]
+    rp = out["return-probabilities"]
+    steps, p = rp["steps"], rp["p"]
+    roots = [None] + [x ** (1.0 / s) for s, x in zip(steps[1:], p[1:])]
+    ratios = [(b / a) ** 0.5 for a, b in zip(p, p[1:])] + [None]
+    checks = [("steps", steps == list(range(0, report["inputs"]["nmax"] + 1, 2)), True)]
+    for name, recomputed, stored in (
+        ("p", [float(Fraction(x)) for x in rp["p-exact"]], p),
+        ("root-estimate", roots, rp["root-estimates"]),
+        ("ratio-estimate", ratios, rp["ratio-estimates"]),
+    ):
+        for s, r, x in zip(steps, recomputed, stored, strict=True):
+            checks.append((f"{name}-{s}", x is None, True) if r is None else (f"{name}-{s}", r, x))
+    checks.append(("final-ratio", ratios[-2], out["final-ratio"]))
+    return checks
+
+
 def verify_probe(report):
     out = report["outputs"]
-    p = out["return-probabilities"]["p"]
-    checks = []
-    if len(p) >= 2:
-        checks.append(("final-ratio", (p[-1] / p[-2]) ** 0.5, out["final-ratio"]))
+    checks = _walk_checks(report)
     oracle = _report_inputs(report)[0]
     radius = report["inputs"]["radius"]
     table = out["defect-table"]
@@ -378,12 +397,20 @@ def run_folner(cfg, eps):
 def verify_folner(report):
     oracle = _report_inputs(report)[0]
     space = Regular(oracle)
-    w = parse_vector(report["outputs"]["witness"], space, "report.outputs.witness")
-    checks = []
-    for row in report["outputs"]["defects"]:
+    outputs = report["outputs"]
+    w = parse_vector(outputs["witness"], space, "report.outputs.witness")
+    support = [k for (_c, k) in w.entries]
+    checks = [("support-size", len(w.entries), outputs["support-size"])]
+    worst = 0.0
+    for row in outputs["defects"]:
         g = oracle.element_from_str(row["element"])
-        checks.append((f"defect-{row['element']}", (space.apply(g, w) - w).norm2(), row["value"]))
-    checks.append(("headline", report["outputs"]["max-defect"], report["headline"]))
+        value = (space.apply(g, w) - w).norm2()
+        worst = max(worst, value)
+        checks.append((f"defect-{row['element']}", value, row["value"]))
+        exact = containment.shift_defect_exact(oracle, support, g) == Fraction(row["value-exact"])
+        checks.append((f"defect-exact-{row['element']}", exact, True))
+    checks.append(("max-defect", worst, outputs["max-defect"]))
+    checks.append(("headline", worst, report["headline"]))
     return checks
 
 
@@ -473,12 +500,15 @@ def verify_nondividing(report):
     _oracle, pi = _report_inputs(report, "representation")
     worst = report["outputs"]["worst"]
     if worst is None:
-        return [("headline", 0.0, report["headline"])]
+        return [("independent", True, report["outputs"]["independent"]),
+                ("headline", 0.0, report["headline"])]
     ra = parse_vector(worst["residual-a"], pi, "report.outputs.worst.residual-a")
     rb = parse_vector(worst["residual-b"], pi, "report.outputs.worst.residual-b")
     val = inner(ra, rb)
+    stored = abs(complex(worst["value"][0], worst["value"][1]))
     return [
-        ("worst-value", abs(val), abs(complex(worst["value"][0], worst["value"][1]))),
+        ("worst-value", abs(val), stored),
+        ("independent", stored <= report["tolerances"]["tol"], report["outputs"]["independent"]),
         ("headline", abs(val), report["headline"]),
     ]
 
@@ -550,6 +580,9 @@ def verify_superstable(report):
     recomputed = [(a - b).norm() for a, b in zip(a_vec, b_vec)]
     checks = [("b-count", len(a_vec), len(b_vec)), ("gaps-count", len(a_vec), len(gaps))]
     checks += [(f"gap-{i}", r, stored) for i, (r, stored) in enumerate(zip(recomputed, gaps))]
+    outputs = report["outputs"]
+    checks.append(("independent", outputs["independence-worst"] <= report["tolerances"]["eps"],
+                   outputs["independent"]))
     checks.append(("headline", max(recomputed, default=0.0), report["headline"]))
     return checks
 
@@ -648,7 +681,7 @@ def _declare(name, help, run, verify, *params, files=None):
 
 
 _declare("probe-amenability", "Random-walk and defect probes.", run_probe, verify_probe,
-         Param("nmax", int, 50), Param("radius", int, 6), Param("exact-steps", int, 40),
+         Param("nmax", int, 50), Param("radius", int, 6),
          files={"csv": "Also export estimator traces as CSV."})
 _declare("contain", "Witness search for finite containment data.", run_contain, verify_contain,
          Param("radius", int, 4), Param("tol", float, 1e-2), Param("budget", int, 1500),
@@ -680,7 +713,7 @@ def run_verify(args):
         checks = VERIFIERS[task](report)
     except KeyError as exc:
         raise ConfigError("missing field", field=f"report.{exc.args[0]}") from None
-    except (IndexError, TypeError, ValueError) as exc:
+    except (ArithmeticError, IndexError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed value: {exc}", field="report") from None
     failures = []
     for name, recomputed, stored in checks:

@@ -5,6 +5,7 @@ import copy
 import csv
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -24,6 +25,8 @@ Z2_REWRITING = {"kind": "rewriting-presented", "num_generators": 2, "rules": [
 Z2 = {"kind": "fg-abelian", "rank": 2, "torsion": []}
 C3 = {"kind": "finite-table", "table": [[(i + j) % 3 for j in range(3)] for i in range(3)],
       "generators": [1]}
+
+FOLNER = {"group": Z2, "task": {"eps": 0.3}}
 
 TRANSFER = {"group": Z, "task": {
     "pi": {"kind": "trivial", "dim": 1}, "F": ["0", "1", "-1"],
@@ -144,7 +147,7 @@ def test_stability_and_witness_round_trips(tmp_path, task):
 
 
 @pytest.mark.parametrize("task, config, check", [
-    ("folner-witness", {"group": Z2, "task": {"eps": 0.3}},
+    ("folner-witness", FOLNER,
      lambda out: out["max-defect"] <= 0.3 and len(out["defects"]) == 2),
     ("transfer", TRANSFER,
      lambda out: out["converged"] and out["discrepancy"] <= 0.05),
@@ -250,6 +253,29 @@ def test_malformed_report_exits_2_with_field(tmp_path, capsys, tamper):
     assert "Traceback" not in err
 
 
+def _zero_denominator(rp):
+    rp["p-exact"][1] = "1/0"
+
+
+def _zero_p0(rp):
+    rp["p"][0] = 0.0
+
+
+@pytest.mark.parametrize("tamper", [_zero_denominator, _zero_p0])
+def test_verify_probe_zero_division_exits_2(tmp_path, capsys, tamper):
+    code, out = run_task(tmp_path, "probe-amenability",
+                         {"group": Z, "task": {"nmax": 4, "radius": 2}})
+    assert code == 0
+    report = json.loads(out.read_text())
+    tamper(report["outputs"]["return-probabilities"])
+    out.write_text(json.dumps(report))
+    capsys.readouterr()
+    assert main(["verify", "--report", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config field 'report'" in err
+    assert "Traceback" not in err
+
+
 def _raise_certified_lower(out):
     out["defect-table"][0]["certified-lower"] = 5.0  # above the row's value
 
@@ -272,16 +298,41 @@ def _zero_argmin(out):
     argmin[:] = [0.0] * len(argmin)
 
 
+def _raise_p(out):
+    out["return-probabilities"]["p"][1] += 0.01
+
+
+def _change_p_exact(out):
+    out["return-probabilities"]["p-exact"][2] = "3/7"
+
+
+def _raise_root_estimate(out):
+    out["return-probabilities"]["root-estimates"][1] += 0.01
+
+
+def _raise_ratio_estimate(out):
+    out["return-probabilities"]["ratio-estimates"][0] += 0.01
+
+
+def _skip_a_step(out):
+    out["return-probabilities"]["steps"][1] = 3
+
+
 @pytest.mark.parametrize("tamper, check", [
     (_raise_certified_lower, "certified-lower-r1"),
     (_lower_spectral_lower, "spectral-lower"),
     (_negate_argmin_entry, "certified-lower-r1"),
     (_truncate_argmin, "argmin-length-r1"),
     (_zero_argmin, "defect-r1"),
+    (_raise_p, "p-2"),
+    (_change_p_exact, "p-4"),
+    (_raise_root_estimate, "root-estimate-2"),
+    (_raise_ratio_estimate, "ratio-estimate-0"),
+    (_skip_a_step, "steps"),
 ])
 def test_verify_probe_rejects_tampered_certificates(tmp_path, capsys, tamper, check):
     code, out = run_task(tmp_path, "probe-amenability",
-                         {"group": Z, "task": {"nmax": 4, "radius": 2}})
+                         {"group": Z, "task": {"nmax": 8, "radius": 2}})
     assert code == 0
     report = json.loads(out.read_text())
     tamper(report["outputs"])
@@ -365,9 +416,36 @@ def _raise_witness_gram_entry(report):
     report["outputs"]["witness-gram"]["matrices"][0][0][0] = [5.0, 0.0]
 
 
+def _flip_independent(report):
+    report["outputs"]["independent"] = not report["outputs"]["independent"]
+
+
+def _raise_independence_worst(report):
+    report["outputs"]["independence-worst"] = 7.0
+
+
+def _halve_value_exact(report):
+    report["outputs"]["defects"][0]["value-exact"] = "1/2"
+
+
+def _shrink_support_size(report):
+    report["outputs"]["support-size"] = 3
+
+
+def _zero_max_defect_and_headline(report):
+    report["outputs"]["max-defect"] = report["headline"] = 0.0
+
+
 @pytest.mark.parametrize("task, config, tamper, failed", [
     ("superstable", _stability_configs()["superstable"], _empty_b_and_gaps,
      ["b-count", "gaps-count"]),
+    ("superstable", _stability_configs()["superstable"], _flip_independent, ["independent"]),
+    ("superstable", _stability_configs()["superstable"], _raise_independence_worst,
+     ["independent"]),
+    ("nondividing", _stability_configs()["nondividing"], _flip_independent, ["independent"]),
+    ("folner-witness", FOLNER, _halve_value_exact, ["defect-exact-1,0"]),
+    ("folner-witness", FOLNER, _shrink_support_size, ["support-size"]),
+    ("folner-witness", FOLNER, _zero_max_defect_and_headline, ["max-defect", "headline"]),
     ("contain", _stability_configs()["contain"], _flip_converged, ["converged"]),
     ("contain", _stability_configs()["contain"], _raise_witness_gram_entry, ["witness-gram"]),
     ("transfer", TRANSFER, _flip_converged, ["converged"]),
@@ -386,6 +464,27 @@ def test_verify_rejects_tampered_witness_reports(tmp_path, capsys, task, config,
     assert [line.split(":")[0] for line in err.splitlines()] == [
         f"verify FAILED {check}" for check in failed]
     assert "Traceback" not in err
+
+
+CAPS = [1, 3, 10, 30, 100, 300, 1000]
+PROBE_GROUPS = [Z, Z2, {"kind": "fg-abelian", "rank": 1, "torsion": [3]},
+                {"kind": "fg-abelian", "rank": 0, "torsion": [2]},
+                {"kind": "fg-abelian", "rank": 0, "torsion": []}, C3, F2,
+                {"kind": "free", "rank": 3}, Z2_REWRITING]
+
+
+def test_probe_fuzz_exits_cleanly_and_verifies(tmp_path, capsys):
+    """Random small probe configs exit 0, 2, 3 or 4 without a traceback; each report verifies."""
+    rng = random.Random(0)
+    for i in range(60):
+        config = {"group": rng.choice(PROBE_GROUPS),
+                  "caps": {"support": rng.choice(CAPS), "ball": rng.choice(CAPS)},
+                  "task": {"nmax": rng.randint(-1, 24), "radius": rng.randint(-1, 4)}}
+        code, out = run_task(tmp_path, "probe-amenability", config, name=f"fuzz-{i}")
+        assert code in (0, 2, 3, 4), config
+        if code == 0:
+            assert main(["verify", "--report", str(out)]) == 0, config
+    assert "Traceback" not in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("config, flags, field", [
@@ -421,7 +520,6 @@ def test_convergence_error_exits_4_with_best(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize("task, block, field", [
     ("probe-amenability", {"nmax": "abc"}, "task.nmax"),
-    ("probe-amenability", {"exact-steps": "x"}, "task.exact-steps"),
     ("probe-amenability", {"nmax": 4.7}, "task.nmax"),
     ("probe-amenability", {"radius": 2.9}, "task.radius"),
     ("probe-amenability", {"radius": True}, "task.radius"),
