@@ -92,6 +92,11 @@ def _walk_returns(rows, cols, n: int, deg: int, n_max: int) -> dict:
     return p
 
 
+def _free_on_standard_steps(oracle: GroupOracle, steps) -> bool:
+    """Whether ``steps`` is a free group's standard symmetric generating set."""
+    return isinstance(oracle, FreeGroupOracle) and set(steps) == set(symmetric_generators(oracle))
+
+
 def return_probabilities(oracle: GroupOracle, S=None, n_max: int = 40,
                          support_cap: int = DEFAULT_SUPPORT_CAP) -> ReturnProbabilityTable:
     """Exact p_{2n}(e), 2n <= n_max, for the uniform walk on S union S^-1.
@@ -111,9 +116,7 @@ def return_probabilities(oracle: GroupOracle, S=None, n_max: int = 40,
     if not steps:
         return ReturnProbabilityTable(n_max, {s: Fraction(1) for s in range(0, n_max + 1, 2)})
     deg = len(steps)
-    if isinstance(oracle, FreeGroupOracle) and set(steps) == set(
-        symmetric_generators(oracle)
-    ):
+    if _free_on_standard_steps(oracle, steps):
         d = np.arange(1, n_max // 2 + 1)  # a walk past distance n_max // 2 cannot return
         rows = np.concatenate([np.ones(deg, np.intp), np.repeat(d + 1, deg - 1), d - 1])
         cols = np.concatenate([np.zeros(deg, np.intp), np.repeat(d, deg - 1), d])
@@ -298,9 +301,7 @@ def certified_upper(oracle: GroupOracle, S=None) -> float:
     Schur-test bound sqrt(2k-1)/k.
     """
     steps = symmetric_generators(oracle, S)
-    if steps and isinstance(oracle, FreeGroupOracle) and set(steps) == set(
-        symmetric_generators(oracle)
-    ):
+    if _free_on_standard_steps(oracle, steps):
         k = oracle.rank
         return (2 * k - 1) ** 0.5 / k
     return 1.0

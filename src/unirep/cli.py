@@ -488,8 +488,12 @@ def run_nondividing(cfg, tol, closure_radius):
             "residual-b": vector_to_json(worst.residual_b),
         },
     }
-    return {"inputs": inputs, "outputs": outputs,
-            "headline": 0.0 if worst is None else abs(worst.value)}
+    return {"inputs": inputs, "outputs": outputs, "headline": _worst_value(verdict)}
+
+
+def _worst_value(verdict):
+    """|<r_a, r_b>| of a nondividing verdict's worst pair, 0.0 when it has none."""
+    return 0.0 if verdict.worst is None else abs(verdict.worst.value)
 
 
 def _elem_str(cfg, g):
@@ -566,23 +570,29 @@ def run_superstable(cfg, eps, radius):
         "b": [vector_to_json(v) for v in result.b_vec],
         "gaps": result.gaps,
         "independent": verdict.independent,
-        "independence-worst": 0.0 if verdict.worst is None else abs(verdict.worst.value),
+        "independence-worst": _worst_value(verdict),
     }
     return {"inputs": inputs, "outputs": outputs,
             "headline": max(result.gaps) if result.gaps else 0.0}
 
 
 def verify_superstable(report):
-    _oracle, pi = _report_inputs(report, "representation")
+    oracle, pi = _report_inputs(report, "representation")
+    A = _vectors(report["inputs"], "A", pi, "report.inputs", required=False)
     a_vec = _vectors(report["inputs"], "a", pi, "report.inputs", required=False)
     b_vec = _vectors(report["outputs"], "b", pi, "report.outputs", required=False)
-    gaps = report["outputs"]["gaps"]
+    outputs = report["outputs"]
+    gaps = outputs["gaps"]
     recomputed = [(a - b).norm() for a, b in zip(a_vec, b_vec)]
     checks = [("b-count", len(a_vec), len(b_vec)), ("gaps-count", len(a_vec), len(gaps))]
     checks += [(f"gap-{i}", r, stored) for i, (r, stored) in enumerate(zip(recomputed, gaps))]
-    outputs = report["outputs"]
-    checks.append(("independent", outputs["independence-worst"] <= report["tolerances"]["eps"],
-                   outputs["independent"]))
+    eps = report["tolerances"]["eps"]
+    orbit = [A[i] if g is None else pi.apply(oracle.element_from_str(g), A[i])
+             for g, i in outputs["selected"]]
+    core = stability.ClosureSpec.from_subspace(Subspace(pi, orthonormalize(orbit), validate=False))
+    verdict = stability.nondividing(pi, b_vec, A, core, tol=eps)
+    checks.append(("independence-worst", _worst_value(verdict), outputs["independence-worst"]))
+    checks.append(("independent", verdict.independent, outputs["independent"]))
     checks.append(("headline", max(recomputed, default=0.0), report["headline"]))
     return checks
 

@@ -13,6 +13,10 @@ Group elements are plain hashable payloads in canonical form:
 An oracle interprets payloads of its own kind only; feeding it a payload
 that is not canonical for that kind raises ``KindMismatchError``.
 
+``ball`` is the one Cayley-graph search: words with no closed form and a
+table's generation check read its breadth-first tree. An oracle holds no
+state beyond what its construction sets.
+
 Validation happens at the boundary. The public operations (``multiply``,
 ``invert``, ``check_element``, ``element_from_str`` and the rewriting
 oracle's ``normalize``) check every payload they are given. Each oracle's
@@ -41,9 +45,6 @@ from .errors import (
 
 DEFAULT_BALL_CAP = 100_000
 DEFAULT_REWRITE_STEPS = 100_000
-
-Element = object  # int | tuple[int, ...]
-Word = tuple
 
 
 class GroupOracle:
@@ -81,9 +82,33 @@ class GroupOracle:
         """Canonical enumeration of a finite group; error when infinite."""
         raise PreconditionError(f"{self.kind} oracle is not finitely enumerable")
 
-    def as_word(self, a, cap: int = DEFAULT_BALL_CAP) -> Word:
-        """Express ``a`` as a word in this oracle's generators (signed 1-based letters)."""
-        return self._bfs_word(a, cap)
+    def word_ball(self, a, cap: int = DEFAULT_BALL_CAP) -> Optional[Ball]:
+        """The first ball of radius 1, 2, 4, ... holding ``a``; None where ``as_word`` has a closed form.
+
+        At distance d >= 1, ceil(log2 d) + 1 ball builds in O(|ball|) memory,
+        nothing kept on the oracle. Raises ``ball``'s ResourceLimitError past
+        ``cap`` elements, naming the radius, and PreconditionError once a ball
+        closes under its steps without ``a``.
+        """
+        self.check_element(a)
+        r = 1
+        while a not in (B := ball(self, r, cap)):
+            if (B.right >= 0).all():
+                raise PreconditionError("element is not generated by the oracle's generating set")
+            r *= 2
+        return B
+
+    def as_word(self, a, cap: int = DEFAULT_BALL_CAP) -> tuple:
+        """Express ``a`` as a shortest word in this oracle's generators (signed 1-based letters).
+
+        Read off the tree of ``word_ball(a, cap)``, at its cost and with its errors.
+        """
+        B = self.word_ball(a, cap)
+        letters, word, i = list(generator_letters(self).values()), [], B.index[a]
+        while i:
+            word.append(letters[B.letter[i]])
+            i = B.parent[i]
+        return tuple(reversed(word))
 
     # -- serialization ----------------------------------------------------
     def element_to_str(self, a) -> str:
@@ -102,44 +127,6 @@ class GroupOracle:
             self.check_element(g)
             if g == e:
                 raise PreconditionError("generating set must not contain the identity")
-
-    def _bfs_word(self, a, cap):
-        """Breadth-first word lookup over the generating set, cached and resumable."""
-        self.check_element(a)
-        cache = getattr(self, "_word_cache", None)
-        if cache is None:
-            e = self.identity()
-            cache = {e: ()}
-            self._word_cache = cache
-            self._word_frontier = [e]
-        if a in cache:
-            return cache[a]
-        letters = []
-        for i, g in enumerate(self.generators, start=1):
-            letters.append((i, g))
-            letters.append((-i, self.invert(g)))
-        frontier = self._word_frontier
-        while frontier:
-            new_frontier = []
-            for x in frontier:
-                wx = cache[x]
-                for letter, g in letters:
-                    y = self._mul(x, g)
-                    if y not in cache:
-                        cache[y] = wx + (letter,)
-                        new_frontier.append(y)
-                        if len(cache) > cap:
-                            self._word_frontier = new_frontier
-                            raise ResourceLimitError(
-                                f"word search cap {cap} exceeded while expressing an element"
-                            )
-            frontier = new_frontier
-            self._word_frontier = frontier
-            if a in cache:
-                return cache[a]
-        raise PreconditionError(
-            "element is not generated by the oracle's generating set"
-        )
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.to_json()}>"
@@ -190,6 +177,9 @@ class FreeGroupOracle(GroupOracle):
 
     def check_element(self, a):
         _check_word(a, self.rank)
+
+    def word_ball(self, a, cap: int = DEFAULT_BALL_CAP):
+        return None
 
     def as_word(self, a, cap: int = DEFAULT_BALL_CAP):
         self.check_element(a)
@@ -242,9 +232,27 @@ class FgAbelianOracle(GroupOracle):
         if self.dim > 0 and not self.generators:
             raise PreconditionError("a nontrivial abelian oracle needs generators")
         self._validate_generators()
+        if rank == 0:
+            self._check_spanning()
 
     def _reduce(self, vec):
         return tuple(c % m if m else c for c, m in zip(vec, self.moduli))
+
+    def _check_spanning(self):
+        """Raise unless the generators and the m_i e_i span Z^dim, i.e. generate prod Z/m_i.
+
+        Extended Euclid folds each column into one pivot row, which must be +-1.
+        """
+        rows = [list(g) for g in self.generators]
+        for col, m in enumerate(self.moduli):
+            pivot = [m if k == col else 0 for k in range(self.dim)]
+            for i, r in enumerate(rows):
+                while r[col]:
+                    q = pivot[col] // r[col]
+                    pivot, r = r, [a - q * b for a, b in zip(pivot, r)]
+                rows[i] = [c % mk for c, mk in zip(r, self.moduli)]
+            if abs(pivot[col]) != 1:
+                raise PreconditionError("generators do not generate the whole group")
 
     def identity(self):
         return (0,) * self.dim
@@ -295,10 +303,13 @@ class FgAbelianOracle(GroupOracle):
         ords = [m // math.gcd(m, c) for c, m in zip(g, self.moduli) if m]
         return math.lcm(*ords) if ords else 1
 
+    def word_ball(self, a, cap: int = DEFAULT_BALL_CAP):
+        return None if self._standard_generators() else super().word_ball(a, cap)
+
     def as_word(self, a, cap: int = DEFAULT_BALL_CAP):
-        self.check_element(a)
         if not self._standard_generators():
-            return self._bfs_word(a, cap)
+            return super().as_word(a, cap)
+        self.check_element(a)
         word = []
         for i, (c, m) in enumerate(zip(a, self.moduli), start=1):
             if m and c > m // 2:
@@ -360,7 +371,7 @@ class FiniteTableOracle(GroupOracle):
             self._inverse[a] = self.table[a].index(self._identity)
         self.generators = [int(g) for g in generators]
         self._validate_generators()
-        if not self._generates():
+        if len(ball(self, n - 1, n)) != n:
             raise PreconditionError("generators do not generate the whole table group")
 
     def _find_identity(self):
@@ -379,23 +390,6 @@ class FiniteTableOracle(GroupOracle):
         for a, b, c in triples:
             if self.table[self.table[a][b]][c] != self.table[a][self.table[b][c]]:
                 raise PreconditionError(f"multiplication table is not associative at {(a, b, c)}")
-
-    def _generates(self):
-        seen = {self._identity}
-        frontier = [self._identity]
-        steps = list(dict.fromkeys(list(self.generators) + [self._inverse[g] for g in self.generators]))
-        if self.n == 1:
-            return True
-        while frontier:
-            new = []
-            for x in frontier:
-                for s in steps:
-                    y = self.table[x][s]
-                    if y not in seen:
-                        seen.add(y)
-                        new.append(y)
-            frontier = new
-        return len(seen) == self.n
 
     def identity(self):
         return self._identity
@@ -539,6 +533,9 @@ class RewritingOracle(GroupOracle):
         if self._rewrite((), a) != a:
             raise KindMismatchError(f"word {a} is not in rewriting normal form")
 
+    def word_ball(self, a, cap: int = DEFAULT_BALL_CAP):
+        return None
+
     def as_word(self, a, cap: int = DEFAULT_BALL_CAP):
         self.check_element(a)
         return a
@@ -574,11 +571,20 @@ class RewritingOracle(GroupOracle):
 
 def symmetric_generators(oracle: GroupOracle, steps=None) -> list:
     """The step set S union S^-1 with duplicates removed, order preserved."""
+    return list(generator_letters(oracle, steps))
+
+
+def generator_letters(oracle: GroupOracle, steps=None) -> dict:
+    """Each step of ``symmetric_generators(oracle, steps)``, in order, to its signed 1-based letter.
+
+    Letter i stands for S[i - 1] and -i for its inverse; S is the generators by default.
+    """
     base = list(oracle.generators) if steps is None else list(steps)
-    out = dict.fromkeys(base)
-    for s in base:
-        out.setdefault(oracle.invert(s))
-    return list(out)
+    out = {}
+    for sign in (1, -1):
+        for i, s in enumerate(base, start=1):
+            out.setdefault(s if sign > 0 else oracle.invert(s), sign * i)
+    return out
 
 
 @dataclass
@@ -592,6 +598,8 @@ class Ball:
     tables are ``(len(elements), len(steps))`` intp arrays: ``right[i, j]``
     is the position of ``elements[i] * steps[j]`` and ``left[i, j]`` that of
     ``steps[j] * elements[i]``, or -1 where the product lies outside the ball.
+    ``parent`` and ``letter`` are the breadth-first tree: element i > 0 was
+    found as ``elements[parent[i]] * steps[letter[i]]``, one sphere closer.
     """
 
     radius: int
@@ -601,6 +609,8 @@ class Ball:
     sizes: np.ndarray
     right: np.ndarray
     left: np.ndarray
+    parent: np.ndarray
+    letter: np.ndarray
 
     def __len__(self):
         return len(self.elements)
@@ -670,4 +680,5 @@ def ball(oracle: GroupOracle, r: int, cap: int = DEFAULT_BALL_CAP, S=None) -> Ba
     left[0] = right[0]
     for a, b in zip(sizes, sizes[1:]):
         left[a:b] = right[left[parent[a:b]], letter[a:b, None]]
-    return Ball(r, elements, index, steps, np.array(sizes), right, left)
+    return Ball(r, elements, index, steps, np.array(sizes), right, left, parent, letter)
+

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import KindMismatchError, PreconditionError
-from .groups import GroupOracle
+from .groups import GroupOracle, ball, generator_letters
 # inner and orthonormalize are kept bound here: the benchmark tracer checks every
 # module binding of them
 from .vectors import (  # noqa: F401
@@ -235,9 +235,11 @@ class MatrixRep(_FiniteAtom):
         return rels
 
     def _table_spot_check(self, tol):
+        """Check sampled table products on the matrices of one saturated ball."""
         if self.oracle.kind != "finite-table":
             return
         n = self.oracle.n
+        self._cache_tree(ball(self.oracle, n - 1, n))
         if n <= 32:
             pairs = [(a, b) for a in range(n) for b in range(n)]
         else:
@@ -258,9 +260,21 @@ class MatrixRep(_FiniteAtom):
             out = out @ (U if letter > 0 else U.conj().T)
         return out
 
+    def _cache_tree(self, B):
+        """Cache the matrix of each element of ``B``: its tree parent's times one step's."""
+        steps = [self.evaluate_word((letter,)) for letter in generator_letters(self.oracle).values()]
+        M = [np.eye(self.dim, dtype=complex)]
+        for p, j in zip(B.parent[1:], B.letter[1:]):
+            M.append(M[p] @ steps[j])
+        self._element_cache.update(zip(B.elements, M))
+
     def matrix_of(self, g) -> np.ndarray:
         if g not in self._element_cache:
-            self._element_cache[g] = self.evaluate_word(self.oracle.as_word(g))
+            B = self.oracle.word_ball(g)
+            if B is None:
+                self._element_cache[g] = self.evaluate_word(self.oracle.as_word(g))
+            else:
+                self._cache_tree(B)
         return self._element_cache[g]
 
     def leaf_apply(self, g, local):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import KindMismatchError, PreconditionError, ResourceLimitError
-from .groups import GroupOracle, ball
+from .groups import ball
 from .reps import Representation, Subspace
 # inner is kept bound here: the benchmark tracer checks every module binding of it
 from .vectors import (  # noqa: F401
@@ -53,16 +53,11 @@ class ClosureSpec:
     ball_elements: list
 
     @classmethod
-    def from_subspace(cls, subspace: Subspace, radius: int = 0, oracle: GroupOracle | None = None):
-        """Wrap an existing subspace as a closure at the given orbit radius."""
-        if radius > 0 and oracle is None:
-            oracle = subspace.ambient.oracle
-        if radius > 0:
-            elements = ball(oracle, radius).elements
-        else:
-            o = oracle if oracle is not None else subspace.ambient.oracle
-            elements = [o.identity()] if o is not None else [None]
-        return cls(list(subspace.basis), radius, subspace, [], elements)
+    def from_subspace(cls, subspace: Subspace):
+        """Wrap an existing subspace as a closure at orbit radius 0."""
+        oracle = subspace.ambient.oracle
+        elements = [oracle.identity()] if oracle is not None else [None]
+        return cls(list(subspace.basis), 0, subspace, [], elements)
 
     @property
     def dim(self):
@@ -212,10 +207,9 @@ def canonical_base(pi: Representation, a_vec, C: ClosureSpec,
 
 @dataclass
 class SuperstableResult:
-    """Finite support certificate: selected orbit vectors and perturbed tuple."""
+    """Finite support certificate: selected orbit labels, their span and the perturbed tuple."""
 
     selected: list          # (translate, generator_index) labels in greedy order
-    selected_vectors: list
     core: Subspace
     b_vec: list
     gaps: list              # ||P_C a_i - P_core a_i|| per tuple entry
@@ -293,7 +287,6 @@ def superstable_approx(pi: Representation, a_vec, A, eps: float, r: int,
         b_vec.append(a - p_full + p_core)
     return SuperstableResult(
         [labels[j] for j in selected],
-        [orbit[j] for j in selected],
         core,
         b_vec,
         gaps,

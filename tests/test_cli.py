@@ -424,6 +424,10 @@ def _raise_independence_worst(report):
     report["outputs"]["independence-worst"] = 7.0
 
 
+def _independence_worst_half_eps(report):
+    report["outputs"]["independence-worst"] = report["tolerances"]["eps"] / 2
+
+
 def _halve_value_exact(report):
     report["outputs"]["defects"][0]["value-exact"] = "1/2"
 
@@ -441,7 +445,7 @@ def _zero_max_defect_and_headline(report):
      ["b-count", "gaps-count"]),
     ("superstable", _stability_configs()["superstable"], _flip_independent, ["independent"]),
     ("superstable", _stability_configs()["superstable"], _raise_independence_worst,
-     ["independent"]),
+     ["independence-worst"]),
     ("nondividing", _stability_configs()["nondividing"], _flip_independent, ["independent"]),
     ("folner-witness", FOLNER, _halve_value_exact, ["defect-exact-1,0"]),
     ("folner-witness", FOLNER, _shrink_support_size, ["support-size"]),
@@ -449,6 +453,8 @@ def _zero_max_defect_and_headline(report):
     ("contain", _stability_configs()["contain"], _flip_converged, ["converged"]),
     ("contain", _stability_configs()["contain"], _raise_witness_gram_entry, ["witness-gram"]),
     ("transfer", TRANSFER, _flip_converged, ["converged"]),
+    ("superstable", _stability_configs()["superstable"], _independence_worst_half_eps,
+     ["independence-worst"]),
 ])
 def test_verify_rejects_tampered_witness_reports(tmp_path, capsys, task, config, tamper, failed):
     """Each stored output is recomputed: a consistent-looking edit still fails its check."""
@@ -540,6 +546,21 @@ def test_malformed_number_exits_2_with_field(tmp_path, capsys, task, block, fiel
     err = capsys.readouterr().err
     assert code == 2
     assert f"'{field}'" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("group", [
+    {"kind": "fg-abelian", "rank": 0, "torsion": [4], "generators": [[2]]},
+    {"kind": "finite-table", "table": [[(i + j) % 4 for j in range(4)] for i in range(4)],
+     "generators": [2]},
+])
+def test_non_generating_group_exits_2_at_group(tmp_path, capsys, group):
+    """Generators of a proper subgroup of a finite group are rejected at the group block."""
+    code, _out = run_task(tmp_path, "probe-amenability",
+                          {"group": group, "task": {"nmax": 4, "radius": 2}})
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "config field 'config.group'" in err and "do not generate" in err
     assert "Traceback" not in err
 
 

@@ -1,5 +1,7 @@
 """Group arithmetic and Cayley-ball enumeration."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -29,6 +31,8 @@ def all_oracles():
         cyclic_table(7),
         z2_rewriting(),
         z3_rewriting(),
+        FgAbelianOracle(2, [], [(1, 0), (1, 1)]),
+        FgAbelianOracle(0, [6], [(2,), (3,)]),
     ]
 
 
@@ -189,6 +193,33 @@ def test_generators_must_generate_and_exclude_identity():
     table4 = [[(i + j) % 4 for j in range(4)] for i in range(4)]
     with pytest.raises(PreconditionError):
         FiniteTableOracle(table4, [2])  # <2> is a proper subgroup of Z/4
+    with pytest.raises(PreconditionError, match="do not generate"):
+        FgAbelianOracle(0, [4], [(2,)])  # the same subgroup, as exponent vectors
+    assert FgAbelianOracle(0, [6], [(2,), (3,)]).order() == 6  # 2 and 3 generate Z/6
+    # decided by arithmetic, not by a search: orders far past the ball cap build at once
+    assert FgAbelianOracle(0, [10**12], [(3,)]).order() == 10**12
+    assert FgAbelianOracle(0, [1000003, 1000003], [(1, 0), (1, 1)]).order() == 1000003**2
+    with pytest.raises(PreconditionError, match="do not generate"):
+        FgAbelianOracle(0, [10**12], [(2,)])
+
+
+@pytest.mark.parametrize("torsion", [(4,), (6,), (2, 2), (2, 4), (3, 3)])
+def test_finite_abelian_generation_matches_the_closure(torsion):
+    """Explicit generators are accepted exactly when their closure is the whole group."""
+    group = list(itertools.product(*(range(m) for m in torsion)))
+    zero = group[0]
+    for k in (1, 2):
+        for gens in itertools.combinations(group[1:], k):
+            closure, grown = set(), {zero}
+            while grown != closure:
+                closure = grown
+                grown = closure | {tuple((a + b) % m for a, b, m in zip(x, g, torsion))
+                                   for x in closure for g in gens}
+            if len(closure) == len(group):
+                assert FgAbelianOracle(0, torsion, gens).order() == len(group)
+            else:
+                with pytest.raises(PreconditionError, match="do not generate"):
+                    FgAbelianOracle(0, torsion, gens)
 
 
 def test_bad_table_rejected():
@@ -197,15 +228,25 @@ def test_bad_table_rejected():
 
 
 def test_as_word_roundtrip():
-    for oracle in (z_oracle(), z2_oracle(), cyclic_table(5), f2_oracle(), z2_rewriting()):
-        pool = ball(oracle, 3).elements
-        for x in pool:
+    """Each word multiplies back to its element, and looking it up leaves the oracle as it was."""
+    for oracle in all_oracles():
+        state = dict(vars(oracle))
+        for x in ball(oracle, 3).elements:
             word = oracle.as_word(x)
             rebuilt = oracle.identity()
             for letter in word:
                 g = oracle.generators[abs(letter) - 1]
                 rebuilt = oracle.multiply(rebuilt, g if letter > 0 else oracle.invert(g))
             assert rebuilt == x
+        assert vars(oracle) == state
+
+
+def test_as_word_outside_the_generated_subgroup():
+    """An infinite search stops at the cap and names its radius; a finite one saturates."""
+    with pytest.raises(ResourceLimitError, match="cap 1000 exceeded at radius"):
+        FgAbelianOracle(1, [], [(2,)]).as_word((1,), cap=1000)
+    with pytest.raises(PreconditionError, match="not generated"):
+        FgAbelianOracle(1, [2], [(0, 1)]).as_word((1, 0))
 
 
 def test_element_string_roundtrip():

@@ -8,6 +8,8 @@ import pytest
 from unirep import (
     DirectSum,
     Embedding,
+    FgAbelianOracle,
+    FiniteTableOracle,
     KindMismatchError,
     MatrixRep,
     Multiple,
@@ -171,6 +173,28 @@ def test_matrix_rep_finite_table_check():
     MatrixRep(Z3, [np.array([[w]])])  # cube root of unity respects the table
     with pytest.raises(PreconditionError):
         MatrixRep(Z3, [np.array([[1j]])])  # i has order 4
+
+
+def test_table_matrices_built_along_the_ball_match_words():
+    """Past 32 elements the spot check samples pairs; every matrix still equals its word's product."""
+    n = 40
+    table = [[(i + j) % n for j in range(n)] for i in range(n)]
+    oracle = FiniteTableOracle(table, [1, 3])
+    w = np.exp(2j * math.pi * np.array([1, 7]) / n)
+    rep = MatrixRep(oracle, [np.diag(w), np.diag(w ** 3)])
+    for x in range(n):
+        word = oracle.as_word(x)
+        np.testing.assert_allclose(rep.matrix_of(x), rep.evaluate_word(word), atol=1e-12)
+        np.testing.assert_allclose(rep.matrix_of(x), np.diag(w ** x), atol=1e-12)
+
+
+def test_matrix_of_on_explicit_generators_matches_words():
+    """With no closed-form words, a search ball's tree gives every element's matrix."""
+    oracle = FgAbelianOracle(2, [], [(1, 0), (1, 1)])
+    rep = MatrixRep(oracle, [np.diag([1j, 1]), np.diag([np.exp(0.3j), -1])])
+    for x in ball(oracle, 6).elements:
+        word = oracle.as_word(x)
+        np.testing.assert_allclose(rep.matrix_of(x), rep.evaluate_word(word), atol=1e-12)
 
 
 def test_vector_space_mismatch():

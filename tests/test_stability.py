@@ -168,7 +168,7 @@ def test_nondividing_b_inside_closure():
 def test_nondividing_zero_closure_dependent():
     Z = z_oracle()
     reg = Regular(Z)
-    C = ClosureSpec.from_subspace(Subspace(reg, []), 0, Z)
+    C = ClosureSpec.from_subspace(Subspace(reg, []))
     verdict = nondividing(reg, [dz(reg, 0)], [dz(reg, 0)], C, tol=1e-6)
     assert not verdict.independent
     assert abs(verdict.worst.value - 1.0) < 1e-15
@@ -352,7 +352,7 @@ def test_canonical_base_postcondition():
         A = [random_sparse(rng, reg, keys, 2)]
         C = closure(reg, A, 2)
         base = canonical_base(reg, [a], C)
-        core = ClosureSpec.from_subspace(Subspace(reg, base, validate=False), 0, Z)
+        core = ClosureSpec.from_subspace(Subspace(reg, base, validate=False))
         # orbit tuple over the closure ball stays independent from C over the base
         orbit = [reg.apply(g, a) for g in C.ball_elements]
         B = list(C.realized.basis)[:3]
