@@ -27,7 +27,6 @@ from .errors import (
     KindMismatchError,
     PreconditionError,
     ResourceLimitError,
-    UnsupportedKindError,
     WorkbenchError,
 )
 from .groups import (

@@ -375,9 +375,7 @@ def run_folner(cfg, eps):
     space = Regular(cfg.oracle)
     defects = []
     for g in F:
-        exact = containment.shift_defect_exact(
-            cfg.oracle, [k for (_c, k) in w.entries.keys()], g
-        )
+        exact = containment.shift_defect_exact(cfg.oracle, w, g)
         defects.append({
             "element": cfg.oracle.element_to_str(g),
             "value": (space.apply(g, w) - w).norm2(),
@@ -399,16 +397,18 @@ def verify_folner(report):
     space = Regular(oracle)
     outputs = report["outputs"]
     w = parse_vector(outputs["witness"], space, "report.outputs.witness")
-    support = [k for (_c, k) in w.entries]
     checks = [("support-size", len(w.entries), outputs["support-size"])]
+    eps = Fraction(report["tolerances"]["eps"])
     worst = 0.0
     for row in outputs["defects"]:
         g = oracle.element_from_str(row["element"])
         value = (space.apply(g, w) - w).norm2()
         worst = max(worst, value)
         checks.append((f"defect-{row['element']}", value, row["value"]))
-        exact = containment.shift_defect_exact(oracle, support, g) == Fraction(row["value-exact"])
-        checks.append((f"defect-exact-{row['element']}", exact, True))
+        exact = Fraction(row["value-exact"])
+        checks.append((f"defect-exact-{row['element']}",
+                       containment.shift_defect_exact(oracle, w, g) == exact, True))
+        checks.append((f"within-eps-{row['element']}", exact <= eps, True))
     checks.append(("max-defect", worst, outputs["max-defect"]))
     checks.append(("headline", worst, report["headline"]))
     return checks
@@ -697,7 +697,7 @@ _declare("contain", "Witness search for finite containment data.", run_contain, 
          Param("radius", int, 4), Param("tol", float, 1e-2), Param("budget", int, 1500),
          Param("restarts", int, 8),
          files={"target": "Target Gram data JSON path; overrides task.target."})
-_declare("folner-witness", "Certified almost-invariant box vector.", run_folner, verify_folner,
+_declare("folner-witness", "Certified almost-invariant Perron vector.", run_folner, verify_folner,
          Param("eps", float))
 _declare("transfer", "Realize extension data in fresh shift copies.", run_transfer,
          verify_transfer, Param("eps", float))

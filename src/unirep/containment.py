@@ -5,16 +5,15 @@ v_1..v_n, the matrices M[g]_{ij} = <rep(g) v_i, v_j>. One representation
 approximately contains another's finite data when witnesses in it
 reproduce the target Gram function entrywise within a tolerance; this
 module searches for such witnesses over explicit finite-dimensional
-subspaces, builds almost-invariant box vectors for the amenable group
-kinds with a certified defect, and transfers witnesses from an explicit
-extension back into a stack of shift copies.
+subspaces, takes the defect probe's Perron vector as an almost-invariant
+vector with an exactly counted defect, and transfers witnesses from an
+explicit extension back into a stack of shift copies.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-import itertools
 from typing import NamedTuple
 
 import numpy as np
@@ -23,10 +22,8 @@ from .errors import (
     KindMismatchError,
     PreconditionError,
     ResourceLimitError,
-    UnsupportedKindError,
-    WorkbenchError,
 )
-from .amenability import DEFAULT_SUPPORT_CAP
+from .amenability import DEFAULT_SUPPORT_CAP, min_defect
 from .groups import DEFAULT_BALL_CAP, GroupOracle, ball, symmetric_generators
 from .reps import (
     DirectSum,
@@ -294,40 +291,41 @@ def ball_delta_basis(rep: Representation, r: int, copy: int = 0,
     return Subspace(rep, [delta(rep, copy, x) for x in B.elements], validate=False)
 
 
-def _box_support(oracle, N):
-    """Box over the free coordinates, full range over torsion coordinates."""
-    ranges = [range(N) if m == 0 else range(m) for m in oracle.moduli]
-    return [tuple(t) for t in itertools.product(*ranges)]
+def shift_defect_exact(oracle, w: SparseVector, g) -> Fraction:
+    """Exact ``||lambda(g)w - w||^2 / ||w||^2`` for a vector w of the regular representation.
 
+    Float amplitudes are dyadic rationals n / 2^k: scaled by the largest
+    2^k they are integers, and the ratio of integer sums is w's own defect,
+    with no rounding.
+    """
+    ratios = {key: (a.real.as_integer_ratio(), a.imag.as_integer_ratio())
+              for key, a in w.entries.items()}
+    scale = max(d for pair in ratios.values() for _n, d in pair)
+    amps = {key: tuple(n * (scale // d) for n, d in pair) for key, pair in ratios.items()}
+    diff = {(c, oracle.multiply(g, x)): a for (c, x), a in amps.items()}  # lambda(g)w
+    for key, (re, im) in amps.items():
+        moved_re, moved_im = diff.get(key, (0, 0))
+        diff[key] = (moved_re - re, moved_im - im)
 
-def _box_defect_sq(oracle, g, N) -> Fraction:
-    """Exact squared shift defect of the normalized box indicator."""
-    overlap = Fraction(1)
-    for c, m in zip(g, oracle.moduli):
-        if m == 0:
-            if abs(c) >= N:
-                return Fraction(2)
-            overlap *= Fraction(N - abs(c), N)
-        # torsion coordinates wrap, so they never lose overlap
-    return 2 * (1 - overlap)
+    def norm2(parts):
+        return sum(re * re + im * im for re, im in parts)
 
-
-def shift_defect_exact(oracle, support, g) -> Fraction:
-    """Exact squared defect of a normalized indicator under one shift."""
-    support = set(support)
-    shifted = {oracle.multiply(g, x) for x in support}
-    return Fraction(len(shifted ^ support), len(support))
+    return Fraction(norm2(diff.values()), norm2(amps.values()))
 
 
 def folner_witness(oracle: GroupOracle, F, eps: float,
                    support_cap: int = DEFAULT_SUPPORT_CAP) -> SparseVector:
-    """Normalized indicator of an almost-invariant finite set, certified.
+    """Almost-invariant unit vector of the regular representation, certified exactly.
 
-    Finite-table oracles return the whole group (defect exactly zero).
-    Abelian oracles return a box over the free coordinates, with the
-    smallest side length whose exact squared shift defect is at most
-    ``eps`` for every element of F; the defect is re-derived by exact
-    counting before the vector is returned.
+    Returns the defect probe's Perron vector ``min_defect(oracle, None, r,
+    ball_cap=support_cap).argmin`` at the smallest radius r = 1, 2, ... whose
+    exact defect ``shift_defect_exact`` is at most ``eps`` for every element
+    of F. Each radius is screened with the float defect first; only a radius
+    that passes is recounted exactly. On a finite group the ball saturates
+    and its Perron vector is constant, with defect exactly 0. A ball past
+    ``support_cap`` elements raises ``ResourceLimitError`` naming the
+    smallest max-over-F defect reached and its radius; on a non-amenable
+    group Kesten's bound keeps that defect away from 0.
     """
     if eps <= 0:
         raise PreconditionError("eps must be positive")
@@ -335,47 +333,22 @@ def folner_witness(oracle: GroupOracle, F, eps: float,
     for g in F:
         oracle.check_element(g)
     space = Regular(oracle)
-    if oracle.kind == "finite-table":
-        n = oracle.n
-        amp = 1.0 / n ** 0.5
-        return SparseVector(space, {(0, x): amp for x in range(n)})
-    if oracle.kind != "fg-abelian":
-        raise UnsupportedKindError(
-            f"no almost-invariant set construction for kind '{oracle.kind}'"
-        )
-    free_dims = sum(1 for m in oracle.moduli if m == 0)
-    torsion_size = 1
-    for m in oracle.moduli:
-        if m:
-            torsion_size *= m
-    if free_dims == 0:
-        support = _box_support(oracle, 1)
-        amp = 1.0 / len(support) ** 0.5
-        return SparseVector(space, {(0, x): amp for x in support})
-    eps_frac = Fraction(eps).limit_denominator(10**12)
-    N = 1
-    for g in F:
-        for c, m in zip(g, oracle.moduli):
-            if m == 0:
-                N = max(N, abs(c) + 1)
+    best = None  # (max float defect over F, radius)
+    r = 0
     while True:
-        if N ** free_dims * torsion_size > support_cap:
+        r += 1
+        try:
+            w = min_defect(oracle, None, r, ball_cap=support_cap).argmin
+        except ResourceLimitError as exc:
+            if best is None:
+                raise
             raise ResourceLimitError(
-                f"box support {N ** free_dims * torsion_size} exceeds cap {support_cap}"
-            )
-        if all(_box_defect_sq(oracle, g, N) <= eps_frac for g in F):
-            break
-        N += 1
-    support = _box_support(oracle, N)
-    # certify by exact counting on the realized support
-    for g in F:
-        exact = shift_defect_exact(oracle, support, g)
-        closed = _box_defect_sq(oracle, g, N)
-        if exact != closed or exact > eps_frac:
-            raise WorkbenchError(f"counted box defect {exact} for {g!r} disagrees with "
-                                 f"the closed form {closed} or exceeds eps {eps_frac}")
-    amp = 1.0 / len(support) ** 0.5
-    return SparseVector(space, {(0, x): amp for x in support})
+                f"{exc}; best max defect over F {best[0]!r} at radius {best[1]}") from None
+        worst = max(((space.apply(g, w) - w).norm2() for g in F), default=0.0) / w.norm2()
+        if best is None or worst < best[0]:
+            best = (worst, r)
+        if worst <= eps and all(shift_defect_exact(oracle, w, g) <= Fraction(eps) for g in F):
+            return w
 
 
 def _tail_structure(rho):
@@ -404,9 +377,10 @@ def transfer_witness(rho: Representation, params, targets, F, eps: float,
     common part plus finitely many stack copies. Each target splits into
     its projection onto that subspace (kept verbatim) and a remainder
     whose Gram data is reproduced in fresh stack copies by tensoring with
-    an almost-invariant box vector; the per-entry error is exactly
-    max|M| * defect^2 / 2, which the box size is chosen to keep below
-    ``eps``.
+    the almost-invariant unit vector f of ``folner_witness``. For real f,
+    <lambda(g)f, f> = ||f||^2 - ||lambda(g)f - f||^2 / 2, so the per-entry
+    error is max|M| * ||lambda(g)f - f||^2 / 2, which f is chosen to keep
+    below ``eps``.
 
     The fresh copies are the stack copies right after the highest one that
     a parameter or target touches, one per vector of the orthonormal frame
@@ -417,10 +391,6 @@ def transfer_witness(rho: Representation, params, targets, F, eps: float,
         raise PreconditionError("eps must be positive")
     tail = _tail_structure(rho)
     oracle = tail.base.oracle
-    if oracle.kind not in ("finite-table", "fg-abelian"):
-        raise UnsupportedKindError(
-            f"transfer needs an amenable oracle kind, got '{oracle.kind}'"
-        )
     params = list(params)
     targets = list(targets)
     for v in params + targets:
@@ -470,19 +440,17 @@ def transfer_witness(rho: Representation, params, targets, F, eps: float,
         m = len(targets)
         rem_gram = gram(rho, remainders, F, oracle=oracle)
         max_m = max(rem_gram.max_abs(), 1e-12)
-        eps_box = eps / max(1.0, max_m)
-        f_vec = folner_witness(oracle, F, eps_box, support_cap=support_cap)
-        phi = [x for (_c, x) in f_vec.entries.keys()]
-        f_amp = 1.0 / len(phi) ** 0.5
+        f = folner_witness(oracle, F, eps / max(1.0, max_m), support_cap=support_cap)
+        phi = [x for (_c, x) in f.entries]
         shifted = [rho.apply(oracle.invert(h), w) for w in remainders for h in phi]
         frame = orthonormalize(shifted, drop_tol=1e-10)
         K = len(frame)
         if K > fresh_cap:
             raise ResourceLimitError(f"transfer needs {K} fresh copies, cap is {fresh_cap}")
-        # amps[i, j, k] = f_amp <lambda(phi_j)^-1 w_i, e_k>, the amplitude at (fresh copy k, phi_j)
+        # amps[i, j, k] = f(phi_j) <lambda(phi_j)^-1 w_i, e_k>, at (fresh copy k, phi_j)
         index = KeyIndex(shifted)
-        amps = f_amp * (to_dense(shifted, index) @ to_dense(frame, index).conj().T)
-        amps = amps.reshape(m, len(phi), K)
+        amps = to_dense(shifted, index) @ to_dense(frame, index).conj().T
+        amps = amps.reshape(m, len(phi), K) * np.real(list(f.entries.values()))[:, None]
         first = tail_offset + max_touched + 1
         witnesses = list(params) + [
             kept[i] + SparseVector(rho, {(first + k, h): amps[i, j, k]

@@ -20,10 +20,6 @@ class KindMismatchError(PreconditionError):
     """An element, vector, or representation was used with the wrong oracle or space."""
 
 
-class UnsupportedKindError(PreconditionError):
-    """The requested operation is not implemented for this oracle kind."""
-
-
 class ResourceLimitError(WorkbenchError):
     """A configured resource cap (ball size, dimension, support, copies) was exceeded."""
 

@@ -4,22 +4,34 @@ import argparse
 import copy
 import csv
 import json
+import math
 import os
 import random
+import re
 import subprocess
 import sys
+import tempfile
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from unirep import ConvergenceError
+from unirep import ConvergenceError, ball
 from unirep.cli import HANDLERS, TASKS, VERIFIERS, build_parser, main
+from unirep.serialize import parse_group
 from util import random_unitary
 
 Z = {"kind": "fg-abelian", "rank": 1, "torsion": []}
 F2 = {"kind": "free", "rank": 2}
 Z2_REWRITING = {"kind": "rewriting-presented", "num_generators": 2, "rules": [
     [[2, 1], [1, 2]], [[2, -1], [-1, 2]], [[-2, 1], [1, -2]], [[-2, -1], [-1, -2]]]}
+# the Heisenberg group on x, y, z = [x, y]: normal forms x^a y^b z^c (12 rules)
+H3 = {"kind": "rewriting-presented", "num_generators": 3, "rules": [
+    [[2, 1], [1, 2, -3]], [[2, -1], [-1, 2, 3]], [[-2, 1], [1, -2, 3]],
+    [[-2, -1], [-1, -2, -3]]] + [[[z, x], [x, z]] for z in (3, -3) for x in (1, -1, 2, -2)]}
 
 
 Z2 = {"kind": "fg-abelian", "rank": 2, "torsion": []}
@@ -429,7 +441,18 @@ def _independence_worst_half_eps(report):
 
 
 def _halve_value_exact(report):
-    report["outputs"]["defects"][0]["value-exact"] = "1/2"
+    row = report["outputs"]["defects"][0]
+    row["value-exact"] = str(Fraction(row["value-exact"]) / 2)
+
+
+def _swap_in_a_two_by_two_box(report):
+    """A consistent report for the normalized 2x2 box, whose defect 1 exceeds eps 0.3."""
+    out = report["outputs"]
+    out["witness"] = [[0, f"{i},{j}", 0.5, 0.0] for i in range(2) for j in range(2)]
+    out["support-size"] = 4
+    for row in out["defects"]:
+        row.update({"value": 1.0, "value-exact": "1"})
+    out["max-defect"] = report["headline"] = 1.0
 
 
 def _shrink_support_size(report):
@@ -455,6 +478,7 @@ def _zero_max_defect_and_headline(report):
     ("transfer", TRANSFER, _flip_converged, ["converged"]),
     ("superstable", _stability_configs()["superstable"], _independence_worst_half_eps,
      ["independence-worst"]),
+    ("folner-witness", FOLNER, _swap_in_a_two_by_two_box, ["within-eps-1,0", "within-eps-0,1"]),
 ])
 def test_verify_rejects_tampered_witness_reports(tmp_path, capsys, task, config, tamper, failed):
     """Each stored output is recomputed: a consistent-looking edit still fails its check."""
@@ -571,3 +595,85 @@ def test_cli_import_leaves_scipy_out():
     result = subprocess.run([sys.executable, "-c", probe], env=env,
                             capture_output=True, text=True, check=True)
     assert result.stdout.strip() == "False"
+
+
+def _report_bytes_without_timestamp(path):
+    return re.sub(rb'"timestamp":"[^"]*",', b"", path.read_bytes())
+
+
+@pytest.mark.parametrize("group", [Z2_REWRITING, H3], ids=["z2-rewriting", "heisenberg"])
+@pytest.mark.parametrize("task, block", [
+    ("folner-witness", {"eps": 0.3}),
+    ("transfer", {"pi": {"kind": "trivial", "dim": 1}, "F": ["e", "1", "-2"],
+                  "params": [[[1, "e", 1, 0]]], "targets": [[[2, "1 2", 1, 0]]], "eps": 0.3}),
+])
+def test_folner_and_transfer_round_trip_beyond_abelian_kinds(tmp_path, task, block, group):
+    """Both tasks run and verify on rewriting oracles; two runs give the same report bytes."""
+    reports = []
+    for name in ("first", "second"):
+        code, out = run_task(tmp_path, task, {"group": group, "task": block}, name=name)
+        assert code == 0
+        assert main(["verify", "--report", str(out)]) == 0
+        reports.append(_report_bytes_without_timestamp(out))
+    assert reports[0] == reports[1]
+    outputs = json.loads(reports[0])["outputs"]
+    if task == "folner-witness":
+        assert max(Fraction(row["value-exact"]) for row in outputs["defects"]) <= Fraction(0.3)
+    else:
+        assert outputs["converged"]
+
+
+def test_folner_cap_names_the_best_defect_above_kesten_floor(tmp_path, capsys):
+    """F2 at eps 0.1 exits 3; the message names the best max defect, at least 2 - sqrt(3)."""
+    code, _out = run_task(tmp_path, "folner-witness", {"group": F2, "task": {"eps": 0.1}},
+                          "--cap-support", "2000")
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "Traceback" not in err
+    match = re.search(r"best max defect over F (\S+) at radius (\d+)", err)
+    assert match and int(match.group(2)) == 6
+    assert float(match.group(1)) >= 2 - math.sqrt(3)
+
+
+WITNESS_GROUPS = [Z, Z2, {"kind": "fg-abelian", "rank": 1, "torsion": [3]},
+                  {"kind": "fg-abelian", "rank": 0, "torsion": [2]},
+                  {"kind": "fg-abelian", "rank": 0, "torsion": []}, C3, F2, Z2_REWRITING, H3]
+
+
+def _element_pool(group):
+    oracle = parse_group(group)
+    return [oracle.element_to_str(x) for x in ball(oracle, 2).elements]
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(st.sampled_from(["folner-witness", "transfer"]),
+       st.sampled_from(WITNESS_GROUPS), st.data(),
+       st.sampled_from([0.5, 0.2, 1.5, 0.05, 0.0]),
+       st.sampled_from(CAPS[::-1]), st.sampled_from([300, 30, 3]))
+def test_witness_fuzz_exits_cleanly_and_verifies(task, group, data, eps, support, fresh):
+    """Small folner-witness and transfer configs exit 0, 2, 3 or 4; each report verifies.
+
+    An exit-0 folner report's exact defects are at most eps, and an exit-0
+    transfer report has converged.
+    """
+    pool = _element_pool(group)
+    elements = st.sampled_from(pool)
+    F = data.draw(st.lists(elements, min_size=1, max_size=3, unique=True))
+    block = {"eps": eps, "F": F}
+    if task == "transfer":
+        block.update({"pi": {"kind": "trivial", "dim": 1},
+                      "params": [[[1, pool[0], 1, 0]]],
+                      "targets": [[[2, data.draw(elements), 1, 0]]]})
+    config = {"group": group, "caps": {"support": support, "fresh-copies": fresh},
+              "task": block}
+    with tempfile.TemporaryDirectory() as tmp:
+        code, out = run_task(Path(tmp), task, config)
+        assert code in (0, 2, 3, 4), config
+        if code == 0:
+            assert main(["verify", "--report", str(out)]) == 0, config
+            report = json.loads(out.read_text())
+            if task == "folner-witness":
+                assert all(Fraction(row["value-exact"]) <= Fraction(eps)
+                           for row in report["outputs"]["defects"]), config
+            else:
+                assert report["outputs"]["converged"], config

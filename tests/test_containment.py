@@ -1,6 +1,7 @@
-"""Gram functions, discrepancy, witness search, box witnesses, and transfer."""
+"""Gram functions, discrepancy, witness search, Perron witnesses, and transfer."""
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -16,7 +17,6 @@ from unirep import (
     SparseVector,
     Subspace,
     Trivial,
-    UnsupportedKindError,
     ball,
     ball_delta_basis,
     delta,
@@ -25,6 +25,7 @@ from unirep import (
     folner_witness,
     gram,
     inner,
+    min_defect,
     search_witness,
     shift_defect_exact,
     transfer_witness,
@@ -37,6 +38,7 @@ from util import (
     random_matrix_rep,
     random_sparse,
     z2_oracle,
+    z2_rewriting,
     z_oracle,
 )
 
@@ -309,26 +311,43 @@ def test_folner_finite_group_exact():
         assert (reg.apply(g, w) - w).norm2() == 0.0
 
 
+def _support(w):
+    return {x for (_c, x) in w.entries}
+
+
 def test_folner_z_example():
+    """The radius-r ball of Z is the path P_(2r+1): Perron defect 2(1 - cos(pi/(2r+2)))."""
     Z = z_oracle()
     w = folner_witness(Z, [(1,)], eps=0.2)
-    assert len(w.entries) == 10
-    support = [k for (_c, k) in w.entries.keys()]
-    assert shift_defect_exact(Z, support, (1,)) == Fraction(1, 5)
-    reg = Regular(Z)
-    assert abs((reg.apply((1,), w) - w).norm2() - 0.2) < 1e-15
+    assert _support(w) == set(ball(Z, 3).elements) and len(w.entries) == 7
+    assert abs(float(shift_defect_exact(Z, w, (1,))) - 2 * (1 - math.cos(math.pi / 8))) < 1e-9
+    # radius 2 is 2(1 - cos(pi/6)) = 0.268 > 0.2
+    assert shift_defect_exact(Z, min_defect(Z, None, 2).argmin, (1,)) > Fraction(0.2)
 
 
 def test_folner_z2_example():
+    """At eps 0.02 the Z^2 witness is the radius-15 Perron vector; radius 14 fails eps."""
     Z2 = z2_oracle()
     F = [(1, 0), (0, 1)]
-    w = folner_witness(Z2, F, eps=0.1)
+    w = folner_witness(Z2, F, eps=0.02)
+    assert _support(w) == set(ball(Z2, 15).elements) and len(w.entries) == 481
     reg = Regular(Z2)
-    N = round(math.sqrt(len(w.entries)))
-    support = [k for (_c, k) in w.entries.keys()]
     for g in F:
-        assert shift_defect_exact(Z2, support, g) == Fraction(2, N)
-        assert (reg.apply(g, w) - w).norm2() <= 0.1 + 1e-12
+        assert shift_defect_exact(Z2, w, g) <= Fraction(0.02)
+        assert (reg.apply(g, w) - w).norm2() <= 0.02
+    below = min_defect(Z2, None, 14).argmin
+    assert max(shift_defect_exact(Z2, below, g) for g in F) > Fraction(0.02)
+
+
+def test_shift_defect_exact_is_normalized_and_reads_complex_amplitudes():
+    Z = z_oracle()
+    reg = Regular(Z)
+    box = SparseVector(reg, {(0, (k,)): 3.0 for k in range(4)})
+    assert shift_defect_exact(Z, box, (1,)) == Fraction(1, 2)
+    assert shift_defect_exact(Z, box, (0,)) == 0
+    w = SparseVector(reg, {(0, (0,)): 1j, (0, (1,)): 0.5})
+    # lambda(1)w - w = -1j d0 + (1j - 0.5) d1 - 0.5 d2: squared norm 1 + 1.25 + 0.25 over 1.25
+    assert shift_defect_exact(Z, w, (1,)) == Fraction(2)
 
 
 def test_folner_longer_shifts_and_torsion():
@@ -341,9 +360,21 @@ def test_folner_longer_shifts_and_torsion():
         assert (reg.apply(g, w) - w).norm2() <= 0.05 + 1e-12
 
 
-def test_folner_unsupported_kind():
-    with pytest.raises(UnsupportedKindError):
-        folner_witness(f2_oracle(), [(1,)], eps=0.5)
+def test_folner_free_group_stops_above_kesten_floor():
+    """F2 has a Perron witness at eps 0.5; at eps 0.1 the ball cap stops the search.
+
+    Kesten: the average of <lambda(s)f, f> over the four steps is at most sqrt(3)/2, so
+    the max-over-F defect named at the cap is at least 2 - sqrt(3).
+    """
+    F2 = f2_oracle()
+    F = [(1,), (2,)]
+    w = folner_witness(F2, F, eps=0.5)
+    assert _support(w) == set(ball(F2, 4).elements)
+    assert all(shift_defect_exact(F2, w, g) <= Fraction(0.5) for g in F)
+    with pytest.raises(ResourceLimitError, match="at radius 6$") as err:
+        folner_witness(F2, F, eps=0.1, support_cap=2000)
+    best = float(re.search(r"best max defect over F (\S+) at", str(err.value)).group(1))
+    assert 2 - math.sqrt(3) <= best <= 0.5
 
 
 def test_folner_support_cap():
@@ -418,12 +449,30 @@ def test_transfer_mixed_parts_cross_terms_vanish():
         assert abs(inner(rho.apply(g, fresh), kept)) == 0.0
 
 
-def test_transfer_unsupported_kind():
+def test_transfer_free_group_hits_the_support_cap():
+    """On F2 no vector is 0.1-invariant (Kesten), so the witness search stops at the cap."""
     F2 = f2_oracle()
     rho = transfer_space(F2)
     t = delta(rho, 2, (1,))
-    with pytest.raises(UnsupportedKindError):
-        transfer_witness(rho, [], [t], [()], eps=0.1)
+    with pytest.raises(ResourceLimitError, match="best max defect over F"):
+        transfer_witness(rho, [], [t], [(), (1,), (-1,)], eps=0.1, support_cap=2000)
+
+
+def test_transfer_on_rewriting_oracle_tensors_with_the_perron_vector():
+    """The Z^2 rewriting oracle transfers; each fresh copy carries f's own amplitudes."""
+    G = z2_rewriting()
+    rho = transfer_space(G)
+    p = delta(rho, 1, ())
+    t = delta(rho, 2, (1,))
+    F = [(), (1,), (-2,)]
+    report = transfer_witness(rho, [p], [t], F, eps=0.1)
+    assert report.converged and report.discrepancy <= 0.1
+    f = folner_witness(G, F, eps=0.1)
+    fresh = report.witnesses[1].entries
+    assert len(fresh) == len(f.entries) == len({leaf for (leaf, _x) in fresh})
+    for (leaf, x), amp in fresh.items():
+        assert leaf >= 3
+        assert abs(abs(amp) - f.entries[(0, x)].real) < 1e-12
 
 
 def test_transfer_fresh_cap():
