@@ -8,6 +8,7 @@ from .amenability import (
     min_defect,
     return_probabilities,
     spectral_radius_bound,
+    walk_radius,
 )
 from .containment import (
     GramFunction,

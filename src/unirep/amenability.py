@@ -13,17 +13,15 @@ below and the Collatz-Wielandt bound of its positive final vector bounds
 it from above; the solve stops only once the two are within the
 tolerance, which certifies the defect from both sides.
 
-The operator and the walk are read off the ball's neighbour table: their
-edges are x -> s x for the ball's ``left`` entries, with no product recomputed.
-``defect_table`` gives the defect for every radius 1..r from one ball:
-the ball enumerates in breadth-first order, so the radius-rho ball is a
-prefix of the radius-r ball and its edges are the radius-r edges with
-both ends in that prefix, in the same order. Each radius therefore
-solves the same arrays as a ball built for it alone, and the defect
-probe builds one ball per run. Each minimizer is kept as its amplitudes
-in ball order. For the free kinds on their standard generators the walk
-distribution is constant on spheres, so the walks are counted per
-distance instead of on the full (exponentially growing) ball.
+Every probe reads a prefix of a ``Ball`` from ``groups.ball``, which alone
+decides the steps and the element cap. The radius-rho ball is the prefix
+``elements[:sizes[rho]]`` of any larger breadth-first ball, and its edges
+x -> s x are the larger ball's ``left`` entries with both ends in that
+prefix, in the same order: a walk or a defect row read off a larger ball
+solves the same arrays as on a ball of its own radius. Each minimizer is
+kept as its amplitudes in ball order. For the free kinds on their standard
+generators the walk distribution is constant on spheres, so the walks are
+counted per distance instead of on the full (exponentially growing) ball.
 """
 
 from __future__ import annotations
@@ -34,11 +32,11 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ConvergenceError, PreconditionError
-from .groups import DEFAULT_BALL_CAP, FreeGroupOracle, GroupOracle, ball, symmetric_generators
+# ball is kept bound here: the benchmark tracer checks every module binding of it
+from .groups import Ball, FreeGroupOracle, GroupOracle, ball, symmetric_generators  # noqa: F401
 from .reps import Regular
 from .vectors import SparseVector
 
-DEFAULT_SUPPORT_CAP = 100_000
 RATIO_SLACK = 1e-12
 RESTART = 24       # Krylov vectors per Lanczos cycle
 BREAKDOWN = 1e-14  # a Lanczos beta this small (|M| <= 1) ends the cycle
@@ -97,32 +95,41 @@ def _free_on_standard_steps(oracle: GroupOracle, steps) -> bool:
     return isinstance(oracle, FreeGroupOracle) and set(steps) == set(symmetric_generators(oracle))
 
 
-def return_probabilities(oracle: GroupOracle, S=None, n_max: int = 40,
-                         support_cap: int = DEFAULT_SUPPORT_CAP) -> ReturnProbabilityTable:
-    """Exact p_{2n}(e), 2n <= n_max, for the uniform walk on S union S^-1.
+def walk_radius(oracle: GroupOracle, n_max: int, S=None) -> int:
+    """Radius of the ball ``return_probabilities`` needs for steps up to ``n_max``.
 
-    The walks are counted in integers on the ball of radius n_max // 2, one
-    scatter-add over its edges x -> s x per step, and p_{2n}(e) is the count
-    at e over deg^(2n). The truncation is exact: a walk back at e by step
-    2n <= n_max never leaves the radius-n ball. A ball of more than
-    ``support_cap`` elements raises ``ResourceLimitError`` naming the radius
-    reached. The free kinds on their standard generators count the walks
-    per distance to e instead: from e all deg steps move out, from d > 0
-    one moves in and deg - 1 move out.
+    A walk back at e by step 2n <= n_max never leaves the radius-n ball, so
+    the radius is n_max // 2, except 0 for a free group's standard steps,
+    whose walks are counted per distance with no ball.
     """
     if n_max < 2:
         raise PreconditionError("n_max must be at least 2, the first return step")
-    steps = symmetric_generators(oracle, S)
-    if not steps:
+    return 0 if _free_on_standard_steps(oracle, symmetric_generators(oracle, S)) else n_max // 2
+
+
+def return_probabilities(B: Ball, n_max: int = 40) -> ReturnProbabilityTable:
+    """Exact p_{2n}(e), 2n <= n_max, for the uniform walk on the steps of ``B``.
+
+    The walks are counted in integers on the prefix of radius
+    ``walk_radius``, one scatter-add over its edges x -> s x per step, and
+    p_{2n}(e) is the count at e over deg^(2n); a shorter ``B`` raises
+    ``PreconditionError``. The free kinds on their standard generators
+    count the walks per distance to e instead: from e all deg steps move
+    out, from d > 0 one moves in and deg - 1 move out.
+    """
+    r = walk_radius(B.oracle, n_max, B.steps)
+    if B.radius < r:
+        raise PreconditionError(f"walks to step {n_max} need radius {r}, not {B.radius}")
+    deg = len(B.steps)
+    if not deg:
         return ReturnProbabilityTable(n_max, {s: Fraction(1) for s in range(0, n_max + 1, 2)})
-    deg = len(steps)
-    if _free_on_standard_steps(oracle, steps):
+    if not r:  # a free group's standard steps
         d = np.arange(1, n_max // 2 + 1)  # a walk past distance n_max // 2 cannot return
         rows = np.concatenate([np.ones(deg, np.intp), np.repeat(d + 1, deg - 1), d - 1])
         cols = np.concatenate([np.zeros(deg, np.intp), np.repeat(d, deg - 1), d])
         return ReturnProbabilityTable(n_max, _walk_returns(rows, cols, len(d) + 2, deg, n_max))
-    B = ball(oracle, n_max // 2, support_cap, S)
-    return ReturnProbabilityTable(n_max, _walk_returns(*B.edges(len(B)), len(B), deg, n_max))
+    n = int(B.sizes[r])
+    return ReturnProbabilityTable(n_max, _walk_returns(*B.edges(n), n, deg, n_max))
 
 
 def _perron_solve(rows, cols, dim, deg, tol, max_iter):
@@ -189,8 +196,8 @@ class DefectReport:
     """Smallest averaged squared shift defect over unit vectors on a Cayley ball.
 
     ``amplitudes`` is the minimizer in ball order: entry i is its amplitude
-    at ``elements[i]``, a prefix of the ball's enumeration. ``argmin`` is the
-    same vector as a ``SparseVector`` of the regular representation.
+    at ``ball.elements[i]``, a prefix of the ball's enumeration. ``argmin``
+    is the same vector as a ``SparseVector`` of the regular representation.
     """
 
     radius: int
@@ -199,40 +206,43 @@ class DefectReport:
     residual: float
     certified_lower_bound: float
     iterations: int  # products with the ball operator
-    space: Regular = field(repr=False)
-    elements: list = field(repr=False)
+    ball: Ball = field(repr=False)
 
     @property
     def argmin(self) -> SparseVector:
-        entries = {(0, x): a for x, a in zip(self.elements, self.amplitudes)}
-        return SparseVector(self.space, entries)
+        entries = {(0, x): a for x, a in zip(self.ball.elements, self.amplitudes)}
+        return SparseVector(Regular(self.ball.oracle), entries)
 
 
-def _defects(oracle, S, r, radii, tol, max_iter, ball_cap):
-    """DefectReports for ``radii`` (each at most r), from one radius-r ball."""
-    if r < 0:
-        raise PreconditionError("radius must be non-negative")
-    space = Regular(oracle)
-    B = ball(oracle, r, ball_cap, S)
+def defect_table(B: Ball, radii=None, tol: float = EIGEN_TOL,
+                 max_iter: int = 500_000) -> list[DefectReport]:
+    """``min_defect`` on the radius-rho prefix of ``B`` for each rho in ``radii`` (default 1..r).
+
+    Each row equals ``min_defect(ball(B.oracle, rho, S=B.steps), tol,
+    max_iter)`` exactly: the prefix's operator is the one a ball of radius
+    rho alone gives. Radius 0 is the one-point ball.
+    """
+    radii = range(1, B.radius + 1) if radii is None else radii
     deg = len(B.steps)
-    if not deg:  # no steps: every vector is invariant
-        return [DefectReport(rho, 0.0, np.ones(1), 0.0, 0.0, 0, space, B.elements)
-                for rho in radii]
     reports = []
     for rho in radii:
+        if not 0 <= rho <= B.radius:
+            raise PreconditionError(f"defect radius {rho} outside 0..{B.radius}")
+        if not deg:  # no steps: every vector is invariant
+            reports.append(DefectReport(rho, 0.0, np.ones(1), 0.0, 0.0, 0, B))
+            continue
         n = int(B.sizes[rho])
         rows, cols = B.edges(n)
         mu, cw_upper, residual, vec, iters = _perron_solve(rows, cols, n, deg, tol, max_iter)
         # the form is PSD: a Rayleigh quotient a rounding step past the top clamps to 0
         value = max(0.0, 2.0 * (1.0 - mu))
         lower = max(0.0, 2.0 * (1.0 - cw_upper))
-        reports.append(DefectReport(rho, value, vec, residual, lower, iters, space, B.elements))
+        reports.append(DefectReport(rho, value, vec, residual, lower, iters, B))
     return reports
 
 
-def min_defect(oracle: GroupOracle, S=None, r: int = 4, tol: float = EIGEN_TOL,
-               max_iter: int = 500_000, ball_cap: int = DEFAULT_BALL_CAP) -> DefectReport:
-    """Minimum of (1/|S+S^-1|) sum_s ||shift_s(w) - w||^2 over unit w on the ball.
+def min_defect(B: Ball, tol: float = EIGEN_TOL, max_iter: int = 500_000) -> DefectReport:
+    """Minimum of (1/|S+S^-1|) sum_s ||shift_s(w) - w||^2 over unit w on the ball ``B``.
 
     The quadratic form equals 2(I - M) with M the ball-compressed averaged
     shift operator, assembled exactly from ball adjacency, so the minimum
@@ -247,18 +257,7 @@ def min_defect(oracle: GroupOracle, S=None, r: int = 4, tol: float = EIGEN_TOL,
     them. A solve that does not converge within it raises
     ``ConvergenceError`` whose ``best`` is the last defect value.
     """
-    return _defects(oracle, S, r, [r], tol, max_iter, ball_cap)[0]
-
-
-def defect_table(oracle: GroupOracle, S=None, r: int = 4, tol: float = EIGEN_TOL,
-                 max_iter: int = 500_000,
-                 ball_cap: int = DEFAULT_BALL_CAP) -> list[DefectReport]:
-    """``min_defect`` at every radius 1..r, from one radius-r ball and edge list.
-
-    Each row equals ``min_defect(oracle, S, rho, tol, max_iter, ball_cap)``
-    exactly: the radius-rho operator is read off the radius-r one.
-    """
-    return _defects(oracle, S, r, range(1, r + 1), tol, max_iter, ball_cap)
+    return defect_table(B, [B.radius], tol, max_iter)[0]
 
 
 @dataclass
@@ -285,10 +284,10 @@ class SpectralRadiusInterval:
         return self.lower <= x <= self.upper
 
     @classmethod
-    def from_defect(cls, oracle: GroupOracle, S, defect: DefectReport) -> SpectralRadiusInterval:
+    def from_defect(cls, defect: DefectReport) -> SpectralRadiusInterval:
         """The interval whose lower end is 1 - d/2 for the defect solve ``defect``."""
         lower = 1.0 - defect.min_avg_sq_defect / 2.0
-        upper = min(1.0, max(certified_upper(oracle, S), lower))
+        upper = min(1.0, max(certified_upper(defect.ball.oracle, defect.ball.steps), lower))
         return cls(defect.radius, lower, upper, defect)
 
 
@@ -307,19 +306,17 @@ def certified_upper(oracle: GroupOracle, S=None) -> float:
     return 1.0
 
 
-def spectral_radius_bound(oracle: GroupOracle, S=None, r: int = 6, tol: float = EIGEN_TOL,
-                          max_iter: int = 500_000,
-                          ball_cap: int = DEFAULT_BALL_CAP) -> SpectralRadiusInterval:
+def spectral_radius_bound(B: Ball, tol: float = EIGEN_TOL,
+                          max_iter: int = 500_000) -> SpectralRadiusInterval:
     """Certified spectral-radius interval from ball compression and norm bounds.
 
-    The lower end is 1 - d/2 for the defect d = ``min_defect(oracle, S, r,
-    tol, max_iter, ball_cap)``: the Rayleigh quotient of the final Lanczos
-    vector for the ball-compressed averaged shift operator, and any
-    Rayleigh quotient is a true lower bound. ``tol`` is therefore the
-    defect-form residual and certified gap, and ``max_iter`` the budget of
-    products with the operator. The upper end is a certified norm bound.
-    The defect solve is attached as ``defect``; the walk's return
-    probabilities are ``return_probabilities``.
+    The lower end is 1 - d/2 for the defect d = ``min_defect(B, tol,
+    max_iter)``: the Rayleigh quotient of the final Lanczos vector for the
+    ball-compressed averaged shift operator, and any Rayleigh quotient is a
+    true lower bound. ``tol`` is therefore the defect-form residual and
+    certified gap, and ``max_iter`` the budget of products with the
+    operator. The upper end is a certified norm bound. The defect solve is
+    attached as ``defect``; the walk's return probabilities are
+    ``return_probabilities``.
     """
-    defect = min_defect(oracle, S, r, tol, max_iter, ball_cap)
-    return SpectralRadiusInterval.from_defect(oracle, S, defect)
+    return SpectralRadiusInterval.from_defect(min_defect(B, tol, max_iter))

@@ -17,7 +17,12 @@ entries, except the probe's minimizers: each ``defect-table`` row's
 ``verify`` rebuilds. Exit codes:
 0 success, 2 precondition or config error, 3 resource cap exceeded,
 4 an iterative solver did not converge (its best value goes to stderr),
-1 internal error.
+1 internal error. The caps and the tasks that read them:
+``ball`` bounds the probe's one Cayley ball, the ``contain`` basis, the
+closures of ``nondividing``, ``canonical-base`` and ``superstable``, and
+``amalgamate``'s check ball; ``support`` bounds the ``folner-witness`` and
+``transfer`` witness; ``dimension`` bounds the closures; ``fresh-copies``
+bounds ``transfer``.
 """
 
 from __future__ import annotations
@@ -38,8 +43,8 @@ from .amenability import (
     SpectralRadiusInterval,
     certified_upper,
     defect_table,
-    min_defect,
     return_probabilities,
+    walk_radius,
 )
 from .containment import folner_witness, gram, search_witness, transfer_witness
 from .errors import (
@@ -181,13 +186,15 @@ def _report_inputs(report, *reps):
 
 
 def run_probe(cfg, nmax, radius):
-    table = return_probabilities(cfg.oracle, None, nmax, support_cap=cfg.caps["support"])
+    if radius < 0:
+        raise PreconditionError("radius must be non-negative")
+    # one ball: the walk and the defect rows 0..radius read its prefixes; rows 1..radius
+    # are reported, and the last row (at radius 0 the one-point ball's) is the spectral end
+    B = ball(cfg.oracle, max(radius, walk_radius(cfg.oracle, nmax)), cfg.caps["ball"])
+    table = return_probabilities(B, nmax)
     steps = sorted(table.p)
-    defects = defect_table(cfg.oracle, None, radius, ball_cap=cfg.caps["ball"])
-    # the spectral bound's lower end is the last row's defect; radius 0 has no row
-    last = defects[-1] if defects else min_defect(cfg.oracle, None, radius,
-                                                  ball_cap=cfg.caps["ball"])
-    interval = SpectralRadiusInterval.from_defect(cfg.oracle, None, last)
+    defects = defect_table(B, range(radius + 1))
+    interval = SpectralRadiusInterval.from_defect(defects[-1])
     outputs = {
         "return-probabilities": {
             "steps": steps,
@@ -205,7 +212,7 @@ def run_probe(cfg, nmax, radius):
                 "residual": d.residual,
                 "argmin": d.amplitudes.tolist(),
             }
-            for d in defects
+            for d in defects[1:]
         ],
         "spectral": {"radius": interval.radius, "lower": interval.lower, "upper": interval.upper},
     }
@@ -460,7 +467,7 @@ def verify_transfer(report):
 def _build_closure(cfg, pi, radius):
     """The closure of ``task.closure.vectors``; ``Param("closure.radius")`` checked the block."""
     vectors = _vectors(cfg.task["closure"], "vectors", pi, "task.closure")
-    return stability.closure(pi, vectors, radius, dim_cap=cfg.caps["dimension"])
+    return stability.closure(pi, vectors, radius, cfg.caps["dimension"], cfg.caps["ball"])
 
 
 def run_nondividing(cfg, tol, closure_radius):
@@ -557,7 +564,7 @@ def run_superstable(cfg, eps, radius):
     A = _vectors(cfg.task, "A", pi, "task")
     a_vec = _vectors(cfg.task, "a", pi, "task")
     result = stability.superstable_approx(pi, a_vec, A, eps, radius,
-                                          dim_cap=cfg.caps["dimension"])
+                                          cfg.caps["dimension"], cfg.caps["ball"])
     core_closure = stability.ClosureSpec.from_subspace(result.core)
     verdict = stability.nondividing(pi, result.b_vec, A, core_closure, tol=eps)
     inputs = {

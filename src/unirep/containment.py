@@ -23,7 +23,7 @@ from .errors import (
     PreconditionError,
     ResourceLimitError,
 )
-from .amenability import DEFAULT_SUPPORT_CAP, min_defect
+from .amenability import min_defect
 from .groups import DEFAULT_BALL_CAP, GroupOracle, ball, symmetric_generators
 from .reps import (
     DirectSum,
@@ -36,6 +36,7 @@ from .vectors import KeyIndex, SparseVector, delta, inner, orthonormalize, same_
 
 GRAM_SYMMETRY_TOL = 1e-8
 DEFAULT_FRESH_CAP = 256
+DEFAULT_SUPPORT_CAP = 100_000
 
 
 @dataclass
@@ -317,8 +318,8 @@ def folner_witness(oracle: GroupOracle, F, eps: float,
                    support_cap: int = DEFAULT_SUPPORT_CAP) -> SparseVector:
     """Almost-invariant unit vector of the regular representation, certified exactly.
 
-    Returns the defect probe's Perron vector ``min_defect(oracle, None, r,
-    ball_cap=support_cap).argmin`` at the smallest radius r = 1, 2, ... whose
+    Returns the defect probe's Perron vector ``min_defect(ball(oracle, r,
+    support_cap)).argmin`` at the smallest radius r = 1, 2, ... whose
     exact defect ``shift_defect_exact`` is at most ``eps`` for every element
     of F. Each radius is screened with the float defect first; only a radius
     that passes is recounted exactly. On a finite group the ball saturates
@@ -338,7 +339,7 @@ def folner_witness(oracle: GroupOracle, F, eps: float,
     while True:
         r += 1
         try:
-            w = min_defect(oracle, None, r, ball_cap=support_cap).argmin
+            w = min_defect(ball(oracle, r, support_cap)).argmin
         except ResourceLimitError as exc:
             if best is None:
                 raise

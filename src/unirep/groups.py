@@ -591,17 +591,19 @@ def generator_letters(oracle: GroupOracle, steps=None) -> dict:
 class Ball:
     """Cayley ball: breadth-first enumeration of all products of at most ``radius`` steps.
 
-    ``steps`` is the step list S union S^-1 the search walks, ``index`` maps
-    each element to its position in ``elements``, and ``sizes[k]`` is the
-    number of elements of word length at most k, for k = 0..radius: the
-    radius-k ball is the prefix ``elements[:sizes[k]]``. The neighbour
-    tables are ``(len(elements), len(steps))`` intp arrays: ``right[i, j]``
-    is the position of ``elements[i] * steps[j]`` and ``left[i, j]`` that of
-    ``steps[j] * elements[i]``, or -1 where the product lies outside the ball.
+    ``oracle`` is the group searched, ``steps`` is the step list S union
+    S^-1 the search walks, ``index`` maps each element to its position in
+    ``elements``, and ``sizes[k]`` is the number of elements of word length
+    at most k, for k = 0..radius: the radius-k ball is the prefix
+    ``elements[:sizes[k]]``. The neighbour tables are ``(len(elements),
+    len(steps))`` intp arrays: ``right[i, j]`` is the position of
+    ``elements[i] * steps[j]`` and ``left[i, j]`` that of ``steps[j] *
+    elements[i]``, or -1 where the product lies outside the ball.
     ``parent`` and ``letter`` are the breadth-first tree: element i > 0 was
     found as ``elements[parent[i]] * steps[letter[i]]``, one sphere closer.
     """
 
+    oracle: GroupOracle
     radius: int
     elements: list
     index: dict
@@ -680,5 +682,5 @@ def ball(oracle: GroupOracle, r: int, cap: int = DEFAULT_BALL_CAP, S=None) -> Ba
     left[0] = right[0]
     for a, b in zip(sizes, sizes[1:]):
         left[a:b] = right[left[parent[a:b]], letter[a:b, None]]
-    return Ball(r, elements, index, steps, np.array(sizes), right, left, parent, letter)
+    return Ball(oracle, r, elements, index, steps, np.array(sizes), right, left, parent, letter)
 

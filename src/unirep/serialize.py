@@ -11,8 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .amenability import DEFAULT_SUPPORT_CAP
-from .containment import DEFAULT_FRESH_CAP, GramFunction
+from .containment import DEFAULT_FRESH_CAP, DEFAULT_SUPPORT_CAP, GramFunction
 from .errors import ConfigError, PreconditionError
 from .groups import (
     DEFAULT_BALL_CAP,

@@ -2,11 +2,10 @@
 
 The closed subspace generated by a set A under the group action is
 approached along the Cayley-ball filtration: ``closure`` orthonormalizes
-the orbit vectors over a ball of explicit radius, one sphere at a time,
-and records how the projections of probe vectors grow with the radius, so
-callers can pick a radius where the trace has stabilized. Independence of
-tuples over a closure is the orthogonality of their residuals, checked
-for every pair of ball translates with an explicit tolerance.
+the orbit vectors over a ball of explicit radius and element cap, one
+sphere at a time. Independence of tuples over a closure is the
+orthogonality of their residuals, checked for every pair of ball
+translates with an explicit tolerance.
 
 All of it runs on the dense block kernel of ``vectors``: orbit vectors are
 stacked as rows over a ``KeyIndex``, orthonormalized by ``gram_schmidt``,
@@ -20,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import KindMismatchError, PreconditionError, ResourceLimitError
-from .groups import ball
+from .groups import DEFAULT_BALL_CAP, ball
 from .reps import Representation, Subspace
 # inner is kept bound here: the benchmark tracer checks every module binding of it
 from .vectors import (  # noqa: F401
@@ -40,16 +39,11 @@ DEFAULT_DIM_CAP = 2000
 
 @dataclass
 class ClosureSpec:
-    """Realized orbit span of A at a finite radius, with its convergence trace.
-
-    ``trace[k][i]`` is the projection norm of the i-th probe vector onto
-    the span realized at radius k; the probes default to A itself.
-    """
+    """Realized orbit span of A at a finite radius, and the ball it was taken over."""
 
     generators: list
     radius: int
     realized: Subspace
-    trace: list
     ball_elements: list
 
     @classmethod
@@ -57,7 +51,7 @@ class ClosureSpec:
         """Wrap an existing subspace as a closure at orbit radius 0."""
         oracle = subspace.ambient.oracle
         elements = [oracle.identity()] if oracle is not None else [None]
-        return cls(list(subspace.basis), 0, subspace, [], elements)
+        return cls(list(subspace.basis), 0, subspace, elements)
 
     @property
     def dim(self):
@@ -67,31 +61,29 @@ class ClosureSpec:
         return self.realized.project(v)
 
 
-def closure(pi: Representation, A, r: int, probes=None,
-            dim_cap: int = DEFAULT_DIM_CAP) -> ClosureSpec:
+def closure(pi: Representation, A, r: int, dim_cap: int = DEFAULT_DIM_CAP,
+            cap: int = DEFAULT_BALL_CAP) -> ClosureSpec:
     """Orthonormal basis of span{pi(g)a : |g| <= r, a in A}.
 
     Orbit vectors are stacked one sphere at a time and ``gram_schmidt``
     extends the basis so far with them, in enumeration order; a vector
     whose residual norm falls below ``DROP_TOL`` is linearly dependent and
     dropped. The dimension cap raises ``ResourceLimitError`` in the sphere
-    where it is hit, and later spheres are never applied.
+    where it is hit, and later spheres are never applied; a ball of more
+    than ``cap`` elements raises it before any orbit vector is formed.
     """
     A = list(A)
     if not A:
         raise PreconditionError("closure needs at least one generating vector")
-    probes = list(probes) if probes is not None else A
-    _check_space(pi, A + probes, "closure vector")
+    _check_space(pi, A, "closure vector")
     if r < 0:
         raise PreconditionError("closure radius must be non-negative")
-    acc = np.zeros(len(probes))
-    trace = []
 
     if pi.oracle is None:
         elements = [None]
         shells = [[None]]
     else:
-        B = ball(pi.oracle, r)
+        B = ball(pi.oracle, r, cap)
         elements = B.elements
         shells = [B.sphere(k) for k in range(r + 1)]
 
@@ -104,13 +96,10 @@ def closure(pi: Representation, A, r: int, probes=None,
     for shell in shells:
         orbit = _orbit(pi, A, shell)
         index.add(orbit)
-        start = len(Q)
         Q = gram_schmidt(to_dense(orbit, index), DROP_TOL, seed=Q, on_keep=check_cap)
-        acc += np.sum(np.abs(to_dense(probes, index) @ Q[start:].conj().T) ** 2, axis=1)
-        trace.append(np.sqrt(acc).tolist())
 
     realized = Subspace(pi, from_dense(pi, index, Q), validate=False)
-    return ClosureSpec(A, r, realized, trace, elements)
+    return ClosureSpec(A, r, realized, elements)
 
 
 def _check_space(pi, vectors, what):
@@ -216,21 +205,23 @@ class SuperstableResult:
 
 
 def superstable_approx(pi: Representation, a_vec, A, eps: float, r: int,
-                       dim_cap: int = DEFAULT_DIM_CAP) -> SuperstableResult:
+                       dim_cap: int = DEFAULT_DIM_CAP,
+                       cap: int = DEFAULT_BALL_CAP) -> SuperstableResult:
     """Perturb the tuple to depend on only finitely many orbit vectors.
 
     Greedily picks orbit vectors of A (largest projection gain first,
     ties to the earliest in enumeration order) until the projections of
     every a_i onto the selected span and onto the full closure differ by
     less than ``eps``; returns b_i = a_i - P_C(a_i) + P_core(a_i), whose
-    distance to a_i is exactly that projection gap.
+    distance to a_i is exactly that projection gap. ``dim_cap`` and ``cap``
+    bound the closure as in ``closure``.
     """
     if eps <= 0:
         raise PreconditionError("eps must be positive")
     a_vec = list(a_vec)
     _check_space(pi, a_vec, "tuple vector")
     A = list(A)
-    C = closure(pi, A, r, dim_cap=dim_cap)
+    C = closure(pi, A, r, dim_cap, cap)
     D = C.dim
 
     labels = [(g, ai) for g in C.ball_elements for ai in range(len(A))]

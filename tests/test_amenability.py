@@ -15,26 +15,33 @@ from unirep import (
     PreconditionError,
     Regular,
     ResourceLimitError,
+    SpectralRadiusInterval,
     ball,
     defect_table,
     min_defect,
     return_probabilities,
     spectral_radius_bound,
     symmetric_generators,
+    walk_radius,
 )
-from util import cyclic_table, f2_oracle, z2_oracle, z2_rewriting, z_oracle
+from util import cyclic_table, f2_oracle, h3_rewriting, z2_oracle, z2_rewriting, z_oracle
+
+
+def walk_table(oracle, S, n_max):
+    """Return probabilities read off the smallest ball the walk needs."""
+    return return_probabilities(ball(oracle, walk_radius(oracle, n_max, S), S=S), n_max)
 
 
 def test_z_binomial_closed_form_exact():
     Z = z_oracle()
-    table = return_probabilities(Z, None, 40)
+    table = walk_table(Z, None, 40)
     for n in range(0, 21):
         assert table.p[2 * n] == Fraction(math.comb(2 * n, n), 4**n)
 
 
 def test_z_tail_matches_binomial_exactly():
     Z = z_oracle()
-    table = return_probabilities(Z, None, 60)
+    table = walk_table(Z, None, 60)
     for n in range(21, 31):
         assert table.p[2 * n] == Fraction(math.comb(2 * n, n), 4**n)
 
@@ -96,20 +103,20 @@ WALKS = st.one_of(
 @example((f2_oracle(), None, 5))
 def test_walk_counts_match_fraction_convolution(walk):
     oracle, S, n_max = walk
-    assert return_probabilities(oracle, S, n_max).p == reference_return_probabilities(
+    assert walk_table(oracle, S, n_max).p == reference_return_probabilities(
         oracle, S, n_max)
 
 
 def test_finite_group_returns_to_uniform():
     Z3 = cyclic_table(3)
-    table = return_probabilities(Z3, None, 60)
+    table = walk_table(Z3, None, 60)
     assert abs(float(table.p[60]) - Fraction(1, 3)) < 1e-9
     assert abs(table.final_ratio - 1.0) < 1e-9
 
 
 def test_ratio_trace_monotone_and_bounded():
     for oracle in (z_oracle(), f2_oracle(), cyclic_table(4)):
-        table = return_probabilities(oracle, None, 30)
+        table = walk_table(oracle, None, 30)
         ratios = [table.ratio_estimates[k] for k in sorted(table.ratio_estimates)]
         assert all(r <= 1 + 1e-12 for r in ratios)
         assert all(b >= a - 1e-12 for a, b in zip(ratios, ratios[1:]))
@@ -117,25 +124,34 @@ def test_ratio_trace_monotone_and_bounded():
 
 def test_f2_radial_agrees_with_generic_convolution():
     F2 = f2_oracle()
-    assert return_probabilities(F2, None, 8).p == reference_return_probabilities(F2, None, 8)
+    assert walk_table(F2, None, 8).p == reference_return_probabilities(F2, None, 8)
 
 
 def test_f2_ratio_near_kesten_value():
     F2 = f2_oracle()
-    table = return_probabilities(F2, None, 50)
+    table = walk_table(F2, None, 50)
     assert abs(table.final_ratio - math.sqrt(3) / 2) <= 0.03
 
 
 def test_trivial_group_walk():
     triv = FgAbelianOracle(0, [])
-    table = return_probabilities(triv, None, 10)
+    table = walk_table(triv, None, 10)
     assert all(table.p[s] == 1 for s in table.p)
 
 
-def test_support_cap_resource_error():
+def test_walk_ball_cap_resource_error():
+    """The walk's ball is capped by ``ball``'s element cap, which names the radius reached."""
     Z2 = z2_oracle()
     with pytest.raises(ResourceLimitError, match="radius"):
-        return_probabilities(Z2, None, 30, support_cap=10)
+        return_probabilities(ball(Z2, walk_radius(Z2, 30), 10), 30)
+
+
+def test_walk_on_a_shorter_ball_is_refused():
+    with pytest.raises(PreconditionError, match="need radius 5"):
+        return_probabilities(ball(z_oracle(), 4), 10)
+    # a free group's standard steps count walks per distance, on any ball
+    assert walk_radius(f2_oracle(), 10) == 0
+    assert return_probabilities(ball(f2_oracle(), 0), 10).p == walk_table(f2_oracle(), None, 10).p
 
 
 def tridiagonal_min_defect(m):
@@ -148,7 +164,7 @@ def tridiagonal_min_defect(m):
 
 def test_min_defect_path_closed_form():
     Z = z_oracle()
-    report = min_defect(Z, None, 5)
+    report = min_defect(ball(Z, 5))
     m = 11  # ball of radius 5 is a path of 11 points
     expected = 2 - 2 * math.cos(math.pi / (m + 1))
     assert abs(report.min_avg_sq_defect - expected) < 1e-9
@@ -157,37 +173,48 @@ def test_min_defect_path_closed_form():
 
 def test_min_defect_finite_group_zero():
     Z5 = cyclic_table(5)
-    report = min_defect(Z5, None, 4)
+    report = min_defect(ball(Z5, 4))
     assert report.min_avg_sq_defect < 1e-12
     assert 0 <= report.certified_lower_bound <= report.min_avg_sq_defect
 
 
 @pytest.mark.parametrize("n", [3, 5, 7])
 def test_finite_group_defect_clamped_at_zero(n):
-    report = min_defect(cyclic_table(n), None, 4)
+    report = min_defect(ball(cyclic_table(n), 4))
     assert report.min_avg_sq_defect >= 0
-    interval = spectral_radius_bound(cyclic_table(n), None, 4)
+    interval = spectral_radius_bound(ball(cyclic_table(n), 4))
     assert interval.lower in interval
 
 
-@pytest.mark.parametrize("make", [z_oracle, f2_oracle, z2_rewriting])
+@pytest.mark.parametrize("make", [z_oracle, z2_oracle, f2_oracle, z2_rewriting, h3_rewriting])
 def test_defect_table_rows_equal_min_defect(make):
+    """Rows and walks read off one larger ball equal those of a ball of their own radius."""
     oracle = make()
-    table = defect_table(oracle, None, 5)
+    big = ball(oracle, 5)
+    table = defect_table(big)
     assert [row.radius for row in table] == [1, 2, 3, 4, 5]
-    for row in table:
-        single = min_defect(oracle, None, row.radius)
+    assert [row.radius for row in defect_table(big, [0, 2])] == [0, 2]
+    for row in defect_table(big, range(6)):
+        single = min_defect(ball(oracle, row.radius))
         assert row.min_avg_sq_defect == single.min_avg_sq_defect
         assert row.certified_lower_bound == single.certified_lower_bound
         assert row.residual == single.residual
         assert row.iterations == single.iterations
         assert row.argmin.entries == single.argmin.entries
+        interval = SpectralRadiusInterval.from_defect(row)
+        alone = spectral_radius_bound(ball(oracle, row.radius))
+        assert (interval.radius, interval.lower, interval.upper) == (
+            alone.radius, alone.lower, alone.upper)
+    for n_max in range(2, 11):
+        assert return_probabilities(big, n_max).p == walk_table(oracle, None, n_max).p
+    with pytest.raises(PreconditionError):
+        defect_table(big, [6])
 
 
 def test_min_defect_argmin_rayleigh_matches():
     Z = z_oracle()
     reg = Regular(Z)
-    report = min_defect(Z, None, 4)
+    report = min_defect(ball(Z, 4))
     w = report.argmin
     steps = symmetric_generators(Z)
     rayleigh = sum((reg.apply(s, w) - w).norm2() for s in steps) / (len(steps) * w.norm2())
@@ -196,11 +223,11 @@ def test_min_defect_argmin_rayleigh_matches():
 
 def test_min_defect_with_custom_steps_walks_its_own_ball():
     F2 = f2_oracle()
-    path = min_defect(F2, [(1,)], 3)  # the ball of one free generator is a path of 7 points
+    path = min_defect(ball(F2, 3, S=[(1,)]))  # one free generator's ball: a path of 7 points
     assert abs(path.min_avg_sq_defect - (2 - 2 * math.cos(math.pi / 8))) < 1e-9
     assert 0 <= path.certified_lower_bound <= path.min_avg_sq_defect
-    square = min_defect(F2, [(1, 1), (2,)], 3)  # a^2 and b freely generate a copy of F2
-    standard = min_defect(F2, None, 3)
+    square = min_defect(ball(F2, 3, S=[(1, 1), (2,)]))  # a^2 and b freely generate a copy of F2
+    standard = min_defect(ball(F2, 3))
     assert abs(square.min_avg_sq_defect - standard.min_avg_sq_defect) < 1e-12
     assert 0 <= square.certified_lower_bound <= square.min_avg_sq_defect
     assert square.min_avg_sq_defect - square.certified_lower_bound <= 1e-9
@@ -208,16 +235,16 @@ def test_min_defect_with_custom_steps_walks_its_own_ball():
 
 def test_min_defect_monotone_in_radius():
     for oracle in (z_oracle(), f2_oracle()):
-        values = [min_defect(oracle, None, r).min_avg_sq_defect for r in range(1, 6)]
+        values = [min_defect(ball(oracle, r)).min_avg_sq_defect for r in range(1, 6)]
         assert all(b <= a + 1e-9 for a, b in zip(values, values[1:]))
 
 
 def test_min_defect_amenable_decays_nonamenable_floors():
-    assert min_defect(z_oracle(), None, 10).min_avg_sq_defect < 0.05
-    assert min_defect(z2_oracle(), None, 6).min_avg_sq_defect < 0.2
+    assert min_defect(ball(z_oracle(), 10)).min_avg_sq_defect < 0.05
+    assert min_defect(ball(z2_oracle(), 6)).min_avg_sq_defect < 0.2
     floor = 2 - math.sqrt(3)
     for r in range(1, 6):
-        report = min_defect(f2_oracle(), None, r)
+        report = min_defect(ball(f2_oracle(), r))
         assert report.certified_lower_bound >= floor - 1e-9
 
 
@@ -234,7 +261,7 @@ def test_min_defect_dense_oracle_small_radius():
                 if iy is not None:
                     M[iy, ix] += 1 / len(steps)
         dense = float(np.linalg.eigvalsh(2 * (np.eye(len(B)) - M))[0])
-        report = min_defect(F2, None, r)
+        report = min_defect(ball(F2, r))
         assert abs(report.min_avg_sq_defect - dense) < 1e-9
         # Collatz-Wielandt: a proven lower bound, and a tight one
         assert report.certified_lower_bound <= dense
@@ -269,7 +296,7 @@ SOLVER_CASES = (
 def test_lanczos_matches_dense_with_certified_gap(make, r):
     oracle = make()
     tol = 1e-9
-    report = min_defect(oracle, None, r, tol=tol)
+    report = min_defect(ball(oracle, r), tol=tol)
     value, lower = report.min_avg_sq_defect, report.certified_lower_bound
     assert abs(value - dense_min_defect(oracle, r)) <= 1e-9
     assert 0 <= lower <= value
@@ -279,18 +306,18 @@ def test_lanczos_matches_dense_with_certified_gap(make, r):
 
 def test_lanczos_products_on_amenable_ball():
     # power iteration needs 3,132 products with the ball operator here
-    assert min_defect(z2_oracle(), None, 30).iterations <= 3132 // 4
+    assert min_defect(ball(z2_oracle(), 30)).iterations <= 3132 // 4
 
 
 def test_lanczos_below_rounding_raises_instead_of_looping():
     with pytest.raises(ConvergenceError) as info:
-        min_defect(z2_oracle(), None, 20, tol=1e-16)
+        min_defect(ball(z2_oracle(), 20), tol=1e-16)
     assert 0 < info.value.best < 0.02
 
 
 def test_min_defect_nonconvergence_reports_best():
     with pytest.raises(ConvergenceError) as info:
-        min_defect(z_oracle(), None, 5, max_iter=1)
+        min_defect(ball(z_oracle(), 5), max_iter=1)
     # one step leaves the constant vector on the 11-point path, whose
     # defect Rayleigh quotient is 2(1 - 10/11)
     assert abs(info.value.best - 2 / 11) < 1e-12
@@ -299,14 +326,14 @@ def test_min_defect_nonconvergence_reports_best():
 def test_consistency_defect_vs_compression():
     for oracle in (z_oracle(), f2_oracle()):
         for r in (2, 4):
-            d = min_defect(oracle, None, r).min_avg_sq_defect
-            mu = spectral_radius_bound(oracle, None, r).lower
+            d = min_defect(ball(oracle, r)).min_avg_sq_defect
+            mu = spectral_radius_bound(ball(oracle, r)).lower
             assert 1 - d <= mu + 1e-9
 
 
 def test_spectral_z_path_bounds():
     Z = z_oracle()
-    interval = spectral_radius_bound(Z, None, 50)
+    interval = spectral_radius_bound(ball(Z, 50))
     assert interval.lower >= math.cos(math.pi / 52)
     # exact compressed value for a path of 101 vertices
     assert abs(interval.lower - math.cos(math.pi / 102)) < 1e-9
@@ -324,7 +351,7 @@ def radial_jacobi_top(rank, r):
 
 def test_spectral_f2_interval():
     F2 = f2_oracle()
-    interval = spectral_radius_bound(F2, None, 8)
+    interval = spectral_radius_bound(ball(F2, 8))
     rho = math.sqrt(3) / 2
     assert rho in interval
     assert interval.width <= 0.05
@@ -334,17 +361,19 @@ def test_spectral_f2_interval():
 
 def test_spectral_lower_nondecreasing_in_radius():
     for oracle in (z_oracle(), f2_oracle()):
-        lows = [spectral_radius_bound(oracle, None, r).lower for r in range(1, 6)]
+        lows = [spectral_radius_bound(ball(oracle, r)).lower for r in range(1, 6)]
         assert all(b >= a - 1e-9 for a, b in zip(lows, lows[1:]))
 
 
 def test_spectral_trivial_group():
     triv = FgAbelianOracle(0, [])
-    interval = spectral_radius_bound(triv, None, 3)
+    interval = spectral_radius_bound(ball(triv, 3))
     assert interval.lower == interval.upper == 1.0
 
 
 @pytest.mark.parametrize("n_max", [0, 1])
 def test_nmax_validation(n_max):
     with pytest.raises(PreconditionError):
-        return_probabilities(z_oracle(), None, n_max)
+        walk_radius(z_oracle(), n_max)
+    with pytest.raises(PreconditionError):
+        return_probabilities(ball(z_oracle(), 3), n_max)

@@ -1,8 +1,10 @@
 """Command-line round trips, config error reporting, and import cost."""
 
 import argparse
+import contextlib
 import copy
 import csv
+import io
 import json
 import math
 import os
@@ -22,16 +24,13 @@ from hypothesis import strategies as st
 from unirep import ConvergenceError, ball
 from unirep.cli import HANDLERS, TASKS, VERIFIERS, build_parser, main
 from unirep.serialize import parse_group
-from util import random_unitary
+from util import H3_RULES, random_unitary
 
 Z = {"kind": "fg-abelian", "rank": 1, "torsion": []}
 F2 = {"kind": "free", "rank": 2}
 Z2_REWRITING = {"kind": "rewriting-presented", "num_generators": 2, "rules": [
     [[2, 1], [1, 2]], [[2, -1], [-1, 2]], [[-2, 1], [1, -2]], [[-2, -1], [-1, -2]]]}
-# the Heisenberg group on x, y, z = [x, y]: normal forms x^a y^b z^c (12 rules)
-H3 = {"kind": "rewriting-presented", "num_generators": 3, "rules": [
-    [[2, 1], [1, 2, -3]], [[2, -1], [-1, 2, 3]], [[-2, 1], [1, -2, 3]],
-    [[-2, -1], [-1, -2, -3]]] + [[[z, x], [x, z]] for z in (3, -3) for x in (1, -1, 2, -2)]}
+H3 = {"kind": "rewriting-presented", "num_generators": 3, "rules": H3_RULES}
 
 
 Z2 = {"kind": "fg-abelian", "rank": 2, "torsion": []}
@@ -88,6 +87,44 @@ def test_probe_round_trip_on_finite_groups(tmp_path, group, radius, sizes):
     table = json.loads(out.read_text())["outputs"]["defect-table"]
     assert [len(row["argmin"]) for row in table] == sizes
     assert all(row["value"] <= 1e-9 for row in table)
+
+
+@pytest.mark.parametrize("group, nmax, radius, built", [
+    (Z2, 4, 3, 3),    # the walk's radius nmax // 2 below the defect radius
+    (Z2, 12, 3, 6),   # and above it
+    (F2, 12, 3, 3),   # free walks are counted per distance, on no ball
+    (Z2, 6, 0, 3),    # the spectral end of the one-point ball
+])
+def test_probe_builds_one_ball(tmp_path, monkeypatch, group, nmax, radius, built):
+    """The walk, the defect rows and the spectral end read prefixes of one ball."""
+    radii = []
+
+    def counted(*args, **kwargs):
+        B = ball(*args, **kwargs)
+        radii.append(B.radius)
+        return B
+
+    for module in ("cli", "amenability"):
+        monkeypatch.setattr(f"unirep.{module}.ball", counted)
+    code, out = run_task(tmp_path, "probe-amenability",
+                         {"group": group, "task": {"nmax": nmax, "radius": radius}})
+    assert code == 0
+    assert radii == [built]
+    report = json.loads(out.read_text())
+    assert [row["radius"] for row in report["outputs"]["defect-table"]] == list(
+        range(1, radius + 1))
+    assert report["outputs"]["spectral"]["radius"] == radius
+    assert main(["verify", "--report", str(out)]) == 0
+
+
+def test_probe_walk_ball_stops_at_the_ball_cap(tmp_path, capsys):
+    """The walk reads the probe's one ball: ``caps.ball`` bounds it, ``caps.support`` does not."""
+    config = {"group": Z2, "task": {"nmax": 12, "radius": 1}}
+    code, _out = run_task(tmp_path, "probe-amenability", config, "--cap-ball", "30")
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "ball element cap 30 exceeded at radius 4" in err
+    assert run_task(tmp_path, "probe-amenability", config, "--cap-support", "1")[0] == 0
 
 
 def test_report_is_written_compact(tmp_path):
@@ -156,6 +193,25 @@ def test_stability_and_witness_round_trips(tmp_path, task):
     else:
         assert max(outputs["gaps"]) < report["tolerances"]["eps"]
         assert outputs["independent"]
+
+
+@pytest.mark.parametrize("task", ["nondividing", "canonical-base", "superstable"])
+def test_closure_tasks_honour_the_ball_cap(tmp_path, capsys, task):
+    """The closure ball (53 elements of F2 at radius 3) stops at ``caps.ball``."""
+    config = _stability_configs()[task]
+    block = config["task"]
+    if task == "superstable":
+        block["radius"] = 3
+    else:
+        block["closure"] = {**block["closure"], "radius": 3}
+    code, out = run_task(tmp_path, task, config, "--cap-ball", "10")
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "ball element cap 10 exceeded at radius 2" in err
+    assert "Traceback" not in err
+    code, out = run_task(tmp_path, task, config)
+    assert code == 0
+    assert main(["verify", "--report", str(out)]) == 0
 
 
 @pytest.mark.parametrize("task, config, check", [
@@ -677,3 +733,63 @@ def test_witness_fuzz_exits_cleanly_and_verifies(task, group, data, eps, support
                            for row in report["outputs"]["defects"]), config
             else:
                 assert report["outputs"]["converged"], config
+
+
+STABILITY_GROUPS = [Z, Z2, F2, Z2_REWRITING]
+# a 2-dimensional action of F2: any pair of unitaries is one
+MATRIX_F2 = {"kind": "matrix", "matrices": [
+    _matrix_json(U) for U in (random_unitary(np.random.default_rng(5), 2) for _ in range(2))]}
+
+
+@st.composite
+def _stability_fuzz_config(draw):
+    """A small nondividing, canonical-base or superstable config and its closure radius."""
+    task = draw(st.sampled_from(["nondividing", "canonical-base", "superstable"]))
+    group = draw(st.sampled_from(STABILITY_GROUPS))
+    kind = draw(st.sampled_from(["regular", "trivial"] + (["matrix"] if group is F2 else [])))
+    if kind == "regular":
+        rep, keys = {"kind": "regular"}, _element_pool(group)
+    elif kind == "trivial":
+        dim = draw(st.integers(1, 3))
+        rep, keys = {"kind": "trivial", "dim": dim}, [str(k) for k in range(dim)]
+    else:
+        rep, keys = MATRIX_F2, ["0", "1"]
+    amplitude = st.sampled_from([1.0, -0.5, 0.25])
+    entry = st.tuples(st.sampled_from(keys), amplitude, amplitude).map(lambda e: [0, *e])
+    vectors = st.lists(st.lists(entry, min_size=1, max_size=3, unique_by=lambda e: e[1]),
+                       min_size=1, max_size=2)
+    radius = draw(st.integers(0, 3))
+    block = {"a": draw(vectors)}
+    if task == "superstable":
+        block.update({"A": draw(vectors), "eps": draw(st.sampled_from([1e-3, 0.3])),
+                      "radius": radius})
+    else:
+        block["closure"] = {"vectors": draw(vectors), "radius": radius}
+        if task == "nondividing":
+            block["B"] = draw(vectors)
+    caps = {"ball": draw(st.sampled_from([1, 5, 20, 1000])),
+            "dimension": draw(st.sampled_from([1, 3, 10, 2000]))}
+    return task, {"group": group, "representation": rep, "caps": caps, "task": block}, radius
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(_stability_fuzz_config())
+def test_stability_fuzz_exits_cleanly_and_verifies(case):
+    """Small closure-task configs exit 0, 2, 3 or 4 with no traceback; each report verifies.
+
+    A representation that has the group exits 3 whenever its closure ball
+    holds more elements than ``caps.ball``.
+    """
+    task, config, radius = case
+    with tempfile.TemporaryDirectory() as tmp:
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            code, out = run_task(Path(tmp), task, config)
+            if code == 0:
+                assert main(["verify", "--report", str(out)]) == 0, config
+        assert code in (0, 2, 3, 4), config
+        assert "Traceback" not in stderr.getvalue()
+    if config["representation"]["kind"] != "trivial":
+        size = len(ball(parse_group(config["group"]), radius))
+        if size > config["caps"]["ball"]:
+            assert code == 3, config

@@ -322,7 +322,7 @@ def test_folner_z_example():
     assert _support(w) == set(ball(Z, 3).elements) and len(w.entries) == 7
     assert abs(float(shift_defect_exact(Z, w, (1,))) - 2 * (1 - math.cos(math.pi / 8))) < 1e-9
     # radius 2 is 2(1 - cos(pi/6)) = 0.268 > 0.2
-    assert shift_defect_exact(Z, min_defect(Z, None, 2).argmin, (1,)) > Fraction(0.2)
+    assert shift_defect_exact(Z, min_defect(ball(Z, 2)).argmin, (1,)) > Fraction(0.2)
 
 
 def test_folner_z2_example():
@@ -335,7 +335,7 @@ def test_folner_z2_example():
     for g in F:
         assert shift_defect_exact(Z2, w, g) <= Fraction(0.02)
         assert (reg.apply(g, w) - w).norm2() <= 0.02
-    below = min_defect(Z2, None, 14).argmin
+    below = min_defect(ball(Z2, 14)).argmin
     assert max(shift_defect_exact(Z2, below, g) for g in F) > Fraction(0.02)
 
 

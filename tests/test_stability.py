@@ -76,16 +76,6 @@ def test_closure_monotone_in_radius():
         assert big.realized.residual(b).norm() < 1e-8
 
 
-def test_closure_trace_monotone():
-    Z = z_oracle()
-    reg = Regular(Z)
-    probe = dz(reg, 2) + 0.5 * dz(reg, 5)
-    C = closure(reg, [dz(reg, 0)], 5, probes=[probe])
-    norms = [row[0] for row in C.trace]
-    assert all(b >= a - 1e-12 for a, b in zip(norms, norms[1:]))
-    assert abs(norms[-1] - probe.norm()) < 1e-12  # fully captured at radius 5
-
-
 def test_closure_dim_cap():
     Z = z_oracle()
     reg = Regular(Z)
@@ -121,7 +111,7 @@ def test_vectors_outside_the_space_are_rejected():
     foreign = delta(Trivial(2), 0, 0)
     C = closure(reg, [dz(reg, 0)], 1)
     with pytest.raises(KindMismatchError):
-        closure(reg, [dz(reg, 0)], 1, probes=[foreign])
+        closure(reg, [foreign], 1)
     with pytest.raises(KindMismatchError):
         nondividing(reg, [dz(reg, 0)], [foreign], C)
     with pytest.raises(KindMismatchError):

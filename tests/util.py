@@ -40,6 +40,15 @@ def z2_rewriting():
     return RewritingOracle(2, rules)
 
 
+# the Heisenberg group on x, y, z = [x, y]: normal forms x^a y^b z^c (12 rules)
+H3_RULES = [[[2, 1], [1, 2, -3]], [[2, -1], [-1, 2, 3]], [[-2, 1], [1, -2, 3]],
+            [[-2, -1], [-1, -2, -3]]] + [[[z, x], [x, z]] for z in (3, -3) for x in (1, -1, 2, -2)]
+
+
+def h3_rewriting():
+    return RewritingOracle(3, H3_RULES)
+
+
 def z3_rewriting():
     return RewritingOracle(1, [[[1, 1], [-1]], [[-1, -1], [1]]])
 
