@@ -41,6 +41,7 @@ RATIO_SLACK = 1e-12
 RESTART = 24       # Krylov vectors per Lanczos cycle
 BREAKDOWN = 1e-14  # a Lanczos beta this small (|M| <= 1) ends the cycle
 EIGEN_TOL = 1e-9   # the defect solve's residual and certified gap
+MAX_PRODUCTS = 500_000  # the defect solve's budget of products with the ball operator
 
 
 @dataclass
@@ -132,7 +133,7 @@ def return_probabilities(B: Ball, n_max: int = 40) -> ReturnProbabilityTable:
     return ReturnProbabilityTable(n_max, _walk_returns(*B.edges(n), n, deg, n_max))
 
 
-def _perron_solve(rows, cols, dim, deg, tol, max_iter):
+def _perron_solve(rows, cols, dim, deg):
     """Restarted Lanczos solve for the Perron eigenpair of the ball-compressed operator M.
 
     M has entries 1/deg on the edges ``rows[i] <- cols[i]``. It is
@@ -140,14 +141,15 @@ def _perron_solve(rows, cols, dim, deg, tol, max_iter):
     top eigenvector is positive. Each cycle checks the unit vector v (first
     the constant vector) and stops once v is positive and both the
     defect-form residual 2|Mv - mu v| and the certified gap 2(cw - mu) are
-    at most ``tol``, for the Rayleigh quotient mu and the Collatz-Wielandt
-    bound cw = max(max_i (Mv)_i / v_i, mu) (mu bounds the top eigenvalue
-    from below, so it only lifts a ratio rounded under it). Otherwise the
-    cycle builds a Krylov block of at most ``RESTART`` vectors from v with
-    two-pass full reorthogonalization, ending early where the block spans an
-    invariant subspace, and restarts from the top Ritz vector signed to a
-    positive sum. Returns mu, cw, the residual, v and the number of products
-    with M, at most ``max_iter``.
+    at most ``EIGEN_TOL``, for the Rayleigh quotient mu and the
+    Collatz-Wielandt bound cw = max(max_i (Mv)_i / v_i, mu) (mu bounds the
+    top eigenvalue from below, so it only lifts a ratio rounded under it).
+    Otherwise the cycle builds a Krylov block of at most ``RESTART`` vectors
+    from v with two-pass full reorthogonalization, ending early where the
+    block spans an invariant subspace, and restarts from the top Ritz vector
+    signed to a positive sum. Returns mu, cw, the residual, v and the number
+    of products with M, at most ``MAX_PRODUCTS``. Both constants are read at
+    each call.
     """
     def matvec(x):
         return np.bincount(rows, weights=x[cols], minlength=dim) / deg
@@ -160,17 +162,17 @@ def _perron_solve(rows, cols, dim, deg, tol, max_iter):
         mu = float(np.dot(v, mv))
         w = mv - mu * v
         residual = 2.0 * float(np.linalg.norm(w))
-        if residual <= tol and np.all(v > 0):
+        if residual <= EIGEN_TOL and np.all(v > 0):
             cw = max(float(np.max(mv / v)), mu)
-            if 2.0 * (cw - mu) <= tol:
+            if 2.0 * (cw - mu) <= EIGEN_TOL:
                 return mu, cw, residual, v, products
         # a cycle needs one product past v and one to check its restart vector
-        if stalled or products + 2 > max_iter:
+        if stalled or products + 2 > MAX_PRODUCTS:
             raise ConvergenceError(
-                f"Lanczos did not reach residual and gap {tol} in {products} products",
+                f"Lanczos did not reach residual and gap {EIGEN_TOL} in {products} products",
                 best=2.0 * (1.0 - mu),
             )
-        Q = np.empty((min(RESTART, dim, max_iter - products), dim))
+        Q = np.empty((min(RESTART, dim, MAX_PRODUCTS - products), dim))
         Q[0] = v
         alpha, beta = [mu], []
         for j in range(1, len(Q)):
@@ -214,13 +216,12 @@ class DefectReport:
         return SparseVector(Regular(self.ball.oracle), entries)
 
 
-def defect_table(B: Ball, radii=None, tol: float = EIGEN_TOL,
-                 max_iter: int = 500_000) -> list[DefectReport]:
+def defect_table(B: Ball, radii=None) -> list[DefectReport]:
     """``min_defect`` on the radius-rho prefix of ``B`` for each rho in ``radii`` (default 1..r).
 
-    Each row equals ``min_defect(ball(B.oracle, rho, S=B.steps), tol,
-    max_iter)`` exactly: the prefix's operator is the one a ball of radius
-    rho alone gives. Radius 0 is the one-point ball.
+    Each row equals ``min_defect(ball(B.oracle, rho, S=B.steps))`` exactly:
+    the prefix's operator is the one a ball of radius rho alone gives.
+    Radius 0 is the one-point ball.
     """
     radii = range(1, B.radius + 1) if radii is None else radii
     deg = len(B.steps)
@@ -233,7 +234,7 @@ def defect_table(B: Ball, radii=None, tol: float = EIGEN_TOL,
             continue
         n = int(B.sizes[rho])
         rows, cols = B.edges(n)
-        mu, cw_upper, residual, vec, iters = _perron_solve(rows, cols, n, deg, tol, max_iter)
+        mu, cw_upper, residual, vec, iters = _perron_solve(rows, cols, n, deg)
         # the form is PSD: a Rayleigh quotient a rounding step past the top clamps to 0
         value = max(0.0, 2.0 * (1.0 - mu))
         lower = max(0.0, 2.0 * (1.0 - cw_upper))
@@ -241,23 +242,24 @@ def defect_table(B: Ball, radii=None, tol: float = EIGEN_TOL,
     return reports
 
 
-def min_defect(B: Ball, tol: float = EIGEN_TOL, max_iter: int = 500_000) -> DefectReport:
+def min_defect(B: Ball) -> DefectReport:
     """Minimum of (1/|S+S^-1|) sum_s ||shift_s(w) - w||^2 over unit w on the ball ``B``.
 
     The quadratic form equals 2(I - M) with M the ball-compressed averaged
     shift operator, assembled exactly from ball adjacency, so the minimum
     is 2(1 - lambda_max(M)) (Kesten). A restarted Lanczos solve returns a
     positive unit vector v whose defect-form residual and certified gap are
-    both at most ``tol``. The value is max(0, 2(1 - mu)) for the Rayleigh
-    quotient mu of v; the form is positive semidefinite, so it bounds the
-    minimum from above. The certified lower bound is max(0, 2(1 - cw)) for
-    the Collatz-Wielandt bound cw = max(max_i (Mv)_i / v_i, mu) >=
-    lambda_max(M) (Wielandt 1950), so value - certified lower bound <= tol.
-    ``max_iter`` is a budget of products with M, and ``iterations`` counts
-    them. A solve that does not converge within it raises
-    ``ConvergenceError`` whose ``best`` is the last defect value.
+    both at most ``EIGEN_TOL``. The value is max(0, 2(1 - mu)) for the
+    Rayleigh quotient mu of v; the form is positive semidefinite, so it
+    bounds the minimum from above. The certified lower bound is
+    max(0, 2(1 - cw)) for the Collatz-Wielandt bound
+    cw = max(max_i (Mv)_i / v_i, mu) >= lambda_max(M) (Wielandt 1950), so
+    value - certified lower bound <= ``EIGEN_TOL``. ``MAX_PRODUCTS`` is the
+    budget of products with M, and ``iterations`` counts them. A solve that
+    does not converge within it raises ``ConvergenceError`` whose ``best``
+    is the last defect value.
     """
-    return defect_table(B, [B.radius], tol, max_iter)[0]
+    return defect_table(B, [B.radius])[0]
 
 
 @dataclass
@@ -306,17 +308,16 @@ def certified_upper(oracle: GroupOracle, S=None) -> float:
     return 1.0
 
 
-def spectral_radius_bound(B: Ball, tol: float = EIGEN_TOL,
-                          max_iter: int = 500_000) -> SpectralRadiusInterval:
+def spectral_radius_bound(B: Ball) -> SpectralRadiusInterval:
     """Certified spectral-radius interval from ball compression and norm bounds.
 
-    The lower end is 1 - d/2 for the defect d = ``min_defect(B, tol,
-    max_iter)``: the Rayleigh quotient of the final Lanczos vector for the
-    ball-compressed averaged shift operator, and any Rayleigh quotient is a
-    true lower bound. ``tol`` is therefore the defect-form residual and
-    certified gap, and ``max_iter`` the budget of products with the
-    operator. The upper end is a certified norm bound. The defect solve is
+    The lower end is 1 - d/2 for the defect d = ``min_defect(B)``: the
+    Rayleigh quotient of the final Lanczos vector for the ball-compressed
+    averaged shift operator, and any Rayleigh quotient is a true lower
+    bound. ``EIGEN_TOL`` is therefore the defect-form residual and certified
+    gap, and ``MAX_PRODUCTS`` the budget of products with the operator. The
+    upper end is a certified norm bound. The defect solve is
     attached as ``defect``; the walk's return probabilities are
     ``return_probabilities``.
     """
-    return SpectralRadiusInterval.from_defect(min_defect(B, tol, max_iter))
+    return SpectralRadiusInterval.from_defect(min_defect(B))

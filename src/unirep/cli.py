@@ -18,11 +18,11 @@ entries, except the probe's minimizers: each ``defect-table`` row's
 0 success, 2 precondition or config error, 3 resource cap exceeded,
 4 an iterative solver did not converge (its best value goes to stderr),
 1 internal error. The caps and the tasks that read them:
-``ball`` bounds the probe's one Cayley ball, the ``contain`` basis, the
-closures of ``nondividing``, ``canonical-base`` and ``superstable``, and
-``amalgamate``'s check ball; ``support`` bounds the ``folner-witness`` and
-``transfer`` witness; ``dimension`` bounds the closures; ``fresh-copies``
-bounds ``transfer``.
+``ball`` bounds every Cayley ball a task builds: the probe's one ball, the
+``contain`` basis, the ``folner-witness`` and ``transfer`` witness's ball,
+the closures of ``nondividing``, ``canonical-base`` and ``superstable``,
+and ``amalgamate``'s check ball; ``dimension`` bounds the closures;
+``fresh-copies`` bounds ``transfer``.
 """
 
 from __future__ import annotations
@@ -362,23 +362,28 @@ def _witness_checks(report, target, space, tol):
     ], M
 
 
+def _stored_gram_check(report, key, oracle, F, M):
+    """The check that the Gram data ``outputs[key]`` over ``F`` has the matrices ``M``."""
+    where = f"report.outputs.{key}"
+    stored = parse_gram(report["outputs"][key], oracle, where)
+    if stored.F != F:
+        raise ConfigError("stored Gram data must be over the recomputed element set",
+                          field=f"{where}.F")
+    return (key, containment.deviation(stored, M), 0.0)
+
+
 def verify_contain(report):
     oracle, pi = _report_inputs(report, "representation")
     target = parse_gram(report["inputs"]["target"], oracle, "report.inputs.target")
     checks, M = _witness_checks(report, target, pi, "tol")
-    where = "report.outputs.witness-gram"
-    stored = parse_gram(report["outputs"]["witness-gram"], oracle, where)
-    if stored.F != target.F:
-        raise ConfigError("witness Gram data must be over the target's element set",
-                          field=f"{where}.F")
-    checks.append(("witness-gram", containment.deviation(stored, M), 0.0))
+    checks.append(_stored_gram_check(report, "witness-gram", oracle, target.F, M))
     return checks
 
 
 def run_folner(cfg, eps):
     raw_f = cfg.task.get("F")
     F = parse_elements(raw_f, cfg.oracle, "task.F") if raw_f else list(cfg.oracle.generators)
-    w = folner_witness(cfg.oracle, F, eps, support_cap=cfg.caps["support"])
+    w = folner_witness(cfg.oracle, F, eps, cfg.caps["ball"])
     space = Regular(cfg.oracle)
     defects = []
     for g in F:
@@ -404,7 +409,9 @@ def verify_folner(report):
     space = Regular(oracle)
     outputs = report["outputs"]
     w = parse_vector(outputs["witness"], space, "report.outputs.witness")
-    checks = [("support-size", len(w.entries), outputs["support-size"])]
+    checks = [("support-size", len(w.entries), outputs["support-size"]),
+              ("defect-elements",
+               [row["element"] for row in outputs["defects"]] == report["inputs"]["F"], True)]
     eps = Fraction(report["tolerances"]["eps"])
     worst = 0.0
     for row in outputs["defects"]:
@@ -438,8 +445,7 @@ def run_transfer(cfg, eps):
     params = _vectors(cfg.task, "params", rho, "task", required=False)
     targets = _vectors(cfg.task, "targets", rho, "task")
     result = transfer_witness(rho, params, targets, F, eps,
-                              fresh_cap=cfg.caps["fresh-copies"],
-                              support_cap=cfg.caps["support"])
+                              fresh_cap=cfg.caps["fresh-copies"], cap=cfg.caps["ball"])
     target_gram = gram(rho, params + targets, F, oracle=cfg.oracle)
     inputs = {
         "pi": cfg.task.get("pi"),
@@ -458,10 +464,17 @@ def run_transfer(cfg, eps):
 
 
 def verify_transfer(report):
+    """The witnesses against the Gram data of ``inputs.params + inputs.targets`` on ``inputs.F``."""
     oracle = _report_inputs(report)[0]
-    rho = _transfer_space(oracle, report["inputs"], "report.inputs")
-    target = parse_gram(report["outputs"]["target-gram"], oracle, "report.outputs.target-gram")
-    return _witness_checks(report, target, rho, "eps")[0]
+    inputs = report["inputs"]
+    rho = _transfer_space(oracle, inputs, "report.inputs")
+    F = parse_elements(inputs["F"], oracle, "report.inputs.F")
+    vectors = (_vectors(inputs, "params", rho, "report.inputs", required=False)
+               + _vectors(inputs, "targets", rho, "report.inputs"))
+    target = gram(rho, vectors, F, oracle=oracle)
+    checks = _witness_checks(report, target, rho, "eps")[0]
+    checks.append(_stored_gram_check(report, "target-gram", oracle, F, target.M))
+    return checks
 
 
 def _build_closure(cfg, pi, radius):

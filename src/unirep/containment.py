@@ -36,7 +36,6 @@ from .vectors import KeyIndex, SparseVector, delta, inner, orthonormalize, same_
 
 GRAM_SYMMETRY_TOL = 1e-8
 DEFAULT_FRESH_CAP = 256
-DEFAULT_SUPPORT_CAP = 100_000
 
 
 @dataclass
@@ -282,14 +281,13 @@ def search_witness(target: GramFunction, pi: Representation, basis: Subspace,
     return WitnessReport(witnesses, disc, total_iters, bool(disc <= tol))
 
 
-def ball_delta_basis(rep: Representation, r: int, copy: int = 0,
-                     cap: int = DEFAULT_BALL_CAP) -> Subspace:
-    """Delta vectors on the Cayley ball of one shift copy; exactly orthonormal."""
-    atom = rep.resolve(copy)
+def ball_delta_basis(rep: Representation, r: int, cap: int = DEFAULT_BALL_CAP) -> Subspace:
+    """Delta vectors on the Cayley ball of shift copy 0; exactly orthonormal."""
+    atom = rep.resolve(0)
     if not isinstance(atom, Regular):
-        raise PreconditionError("ball basis requires a shift copy at the given index")
+        raise PreconditionError("ball basis requires a shift copy at index 0")
     B = ball(atom.oracle, r, cap)
-    return Subspace(rep, [delta(rep, copy, x) for x in B.elements], validate=False)
+    return Subspace(rep, [delta(rep, 0, x) for x in B.elements], validate=False)
 
 
 def shift_defect_exact(oracle, w: SparseVector, g) -> Fraction:
@@ -315,18 +313,19 @@ def shift_defect_exact(oracle, w: SparseVector, g) -> Fraction:
 
 
 def folner_witness(oracle: GroupOracle, F, eps: float,
-                   support_cap: int = DEFAULT_SUPPORT_CAP) -> SparseVector:
+                   cap: int = DEFAULT_BALL_CAP) -> SparseVector:
     """Almost-invariant unit vector of the regular representation, certified exactly.
 
-    Returns the defect probe's Perron vector ``min_defect(ball(oracle, r,
-    support_cap)).argmin`` at the smallest radius r = 1, 2, ... whose
-    exact defect ``shift_defect_exact`` is at most ``eps`` for every element
-    of F. Each radius is screened with the float defect first; only a radius
-    that passes is recounted exactly. On a finite group the ball saturates
-    and its Perron vector is constant, with defect exactly 0. A ball past
-    ``support_cap`` elements raises ``ResourceLimitError`` naming the
-    smallest max-over-F defect reached and its radius; on a non-amenable
-    group Kesten's bound keeps that defect away from 0.
+    Returns the defect probe's Perron vector
+    ``min_defect(ball(oracle, r, cap)).argmin`` at the smallest radius
+    r = 1, 2, ... whose exact defect ``shift_defect_exact`` is at most
+    ``eps`` for every element of F. Each radius is screened with the float
+    defect first; only a radius that passes is recounted exactly. On a
+    finite group the ball saturates and its Perron vector is constant, with
+    defect exactly 0. A ball past ``cap`` elements raises
+    ``ResourceLimitError`` naming the smallest max-over-F defect reached and
+    its radius; on a non-amenable group Kesten's bound keeps that defect
+    away from 0.
     """
     if eps <= 0:
         raise PreconditionError("eps must be positive")
@@ -339,7 +338,7 @@ def folner_witness(oracle: GroupOracle, F, eps: float,
     while True:
         r += 1
         try:
-            w = min_defect(ball(oracle, r, support_cap)).argmin
+            w = min_defect(ball(oracle, r, cap)).argmin
         except ResourceLimitError as exc:
             if best is None:
                 raise
@@ -369,7 +368,7 @@ def _tail_structure(rho):
 
 def transfer_witness(rho: Representation, params, targets, F, eps: float,
                      fresh_cap: int = DEFAULT_FRESH_CAP,
-                     support_cap: int = DEFAULT_SUPPORT_CAP) -> WitnessReport:
+                     cap: int = DEFAULT_BALL_CAP) -> WitnessReport:
     """Realize extension data inside untouched shift copies.
 
     ``rho`` must be a direct sum whose last summand is an infinite stack
@@ -381,7 +380,8 @@ def transfer_witness(rho: Representation, params, targets, F, eps: float,
     the almost-invariant unit vector f of ``folner_witness``. For real f,
     <lambda(g)f, f> = ||f||^2 - ||lambda(g)f - f||^2 / 2, so the per-entry
     error is max|M| * ||lambda(g)f - f||^2 / 2, which f is chosen to keep
-    below ``eps``.
+    below ``eps``. ``cap`` bounds f's Cayley ball as in ``folner_witness``,
+    and ``fresh_cap`` the number of fresh copies.
 
     The fresh copies are the stack copies right after the highest one that
     a parameter or target touches, one per vector of the orthonormal frame
@@ -441,10 +441,10 @@ def transfer_witness(rho: Representation, params, targets, F, eps: float,
         m = len(targets)
         rem_gram = gram(rho, remainders, F, oracle=oracle)
         max_m = max(rem_gram.max_abs(), 1e-12)
-        f = folner_witness(oracle, F, eps / max(1.0, max_m), support_cap=support_cap)
+        f = folner_witness(oracle, F, eps / max(1.0, max_m), cap)
         phi = [x for (_c, x) in f.entries]
         shifted = [rho.apply(oracle.invert(h), w) for w in remainders for h in phi]
-        frame = orthonormalize(shifted, drop_tol=1e-10)
+        frame = orthonormalize(shifted)
         K = len(frame)
         if K > fresh_cap:
             raise ResourceLimitError(f"transfer needs {K} fresh copies, cap is {fresh_cap}")

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -82,28 +81,28 @@ class GroupOracle:
         """Canonical enumeration of a finite group; error when infinite."""
         raise PreconditionError(f"{self.kind} oracle is not finitely enumerable")
 
-    def word_ball(self, a, cap: int = DEFAULT_BALL_CAP) -> Optional[Ball]:
+    def word_ball(self, a) -> Optional[Ball]:
         """The first ball of radius 1, 2, 4, ... holding ``a``; None where ``as_word`` has a closed form.
 
         At distance d >= 1, ceil(log2 d) + 1 ball builds in O(|ball|) memory,
         nothing kept on the oracle. Raises ``ball``'s ResourceLimitError past
-        ``cap`` elements, naming the radius, and PreconditionError once a ball
-        closes under its steps without ``a``.
+        ``DEFAULT_BALL_CAP`` elements (read at each call), naming the radius,
+        and PreconditionError once a ball closes under its steps without ``a``.
         """
         self.check_element(a)
         r = 1
-        while a not in (B := ball(self, r, cap)):
+        while a not in (B := ball(self, r, DEFAULT_BALL_CAP)):
             if (B.right >= 0).all():
                 raise PreconditionError("element is not generated by the oracle's generating set")
             r *= 2
         return B
 
-    def as_word(self, a, cap: int = DEFAULT_BALL_CAP) -> tuple:
+    def as_word(self, a) -> tuple:
         """Express ``a`` as a shortest word in this oracle's generators (signed 1-based letters).
 
-        Read off the tree of ``word_ball(a, cap)``, at its cost and with its errors.
+        Read off the tree of ``word_ball(a)``, at its cost and with its errors.
         """
-        B = self.word_ball(a, cap)
+        B = self.word_ball(a)
         letters, word, i = list(generator_letters(self).values()), [], B.index[a]
         while i:
             word.append(letters[B.letter[i]])
@@ -178,10 +177,10 @@ class FreeGroupOracle(GroupOracle):
     def check_element(self, a):
         _check_word(a, self.rank)
 
-    def word_ball(self, a, cap: int = DEFAULT_BALL_CAP):
+    def word_ball(self, a):
         return None
 
-    def as_word(self, a, cap: int = DEFAULT_BALL_CAP):
+    def as_word(self, a):
         self.check_element(a)
         return a
 
@@ -303,12 +302,12 @@ class FgAbelianOracle(GroupOracle):
         ords = [m // math.gcd(m, c) for c, m in zip(g, self.moduli) if m]
         return math.lcm(*ords) if ords else 1
 
-    def word_ball(self, a, cap: int = DEFAULT_BALL_CAP):
-        return None if self._standard_generators() else super().word_ball(a, cap)
+    def word_ball(self, a):
+        return None if self._standard_generators() else super().word_ball(a)
 
-    def as_word(self, a, cap: int = DEFAULT_BALL_CAP):
+    def as_word(self, a):
         if not self._standard_generators():
-            return super().as_word(a, cap)
+            return super().as_word(a)
         self.check_element(a)
         word = []
         for i, (c, m) in enumerate(zip(a, self.moduli), start=1):
@@ -365,7 +364,6 @@ class FiniteTableOracle(GroupOracle):
             if len(col) != n:
                 raise PreconditionError("multiplication table columns must be permutations")
         self._identity = self._find_identity()
-        self._check_associativity()
         self._inverse = [0] * n
         for a in range(n):
             self._inverse[a] = self.table[a].index(self._identity)
@@ -373,6 +371,7 @@ class FiniteTableOracle(GroupOracle):
         self._validate_generators()
         if len(ball(self, n - 1, n)) != n:
             raise PreconditionError("generators do not generate the whole table group")
+        self._check_associativity()
 
     def _find_identity(self):
         for e in range(self.n):
@@ -381,15 +380,18 @@ class FiniteTableOracle(GroupOracle):
         raise PreconditionError("multiplication table has no identity element")
 
     def _check_associativity(self):
-        n = self.n
-        if n <= 40:
-            triples = itertools.product(range(n), repeat=3)
-        else:
-            rng = random.Random(12345)
-            triples = ((rng.randrange(n), rng.randrange(n), rng.randrange(n)) for _ in range(2000))
-        for a, b, c in triples:
-            if self.table[self.table[a][b]][c] != self.table[a][self.table[b][c]]:
-                raise PreconditionError(f"multiplication table is not associative at {(a, b, c)}")
+        """Light's test on the steps: (x s) y = x (s y) for every step s and all x, y.
+
+        The middle elements b with (x b) y = x (b y) for all x, y are closed
+        under products, and the steps generate the table (checked first), so
+        this proves associativity for every triple in O(n^2 |S|).
+        """
+        T = np.array(self.table, dtype=np.intp)
+        for s in symmetric_generators(self):
+            bad = np.argwhere(T[T[:, s]] != T[:, T[s]])
+            if len(bad):
+                x, y = (int(t) for t in bad[0])
+                raise PreconditionError(f"multiplication table is not associative at {(x, s, y)}")
 
     def identity(self):
         return self._identity
@@ -453,18 +455,17 @@ class RewritingOracle(GroupOracle):
     match pops the left-hand side and pushes the right-hand side back onto
     the input. For a complete system every reduction strategy reaches the
     same normal form. Each rewrite counts one step against
-    ``max_rewrite_steps``; rewriting that does not terminate within that cap
-    raises ResourceLimitError naming it.
+    ``DEFAULT_REWRITE_STEPS`` (read at each normal form); rewriting that
+    does not terminate within that cap raises ResourceLimitError naming it.
     """
 
     kind = "rewriting-presented"
 
-    def __init__(self, num_generators: int, rules, max_rewrite_steps: int = DEFAULT_REWRITE_STEPS):
+    def __init__(self, num_generators: int, rules):
         super().__init__()
         if not isinstance(num_generators, int) or num_generators < 1:
             raise PreconditionError("rewriting oracle needs at least one generator")
         self.num_generators = num_generators
-        self.max_rewrite_steps = max_rewrite_steps
         norm_rules = []
         for lhs, rhs in rules:
             lhs = tuple(int(x) for x in lhs)
@@ -501,9 +502,9 @@ class RewritingOracle(GroupOracle):
                     del out[n - k:]
                     todo.extend(reversed(rhs))
                     steps += 1
-                    if steps > self.max_rewrite_steps:
+                    if steps > DEFAULT_REWRITE_STEPS:
                         raise ResourceLimitError(
-                            f"rewriting step cap {self.max_rewrite_steps} exceeded"
+                            f"rewriting step cap {DEFAULT_REWRITE_STEPS} exceeded"
                         )
                     break
         return tuple(out)
@@ -533,10 +534,10 @@ class RewritingOracle(GroupOracle):
         if self._rewrite((), a) != a:
             raise KindMismatchError(f"word {a} is not in rewriting normal form")
 
-    def word_ball(self, a, cap: int = DEFAULT_BALL_CAP):
+    def word_ball(self, a):
         return None
 
-    def as_word(self, a, cap: int = DEFAULT_BALL_CAP):
+    def as_word(self, a):
         self.check_element(a)
         return a
 

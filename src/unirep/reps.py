@@ -179,14 +179,13 @@ class MatrixRep(_FiniteAtom):
 
     Generator matrices must be unitary to ``unitary_tol``; every word in
     ``relations`` (signed generator letters) must evaluate to the identity
-    within ``relation_tol``. Kind-specific relations are checked
+    within ``RELATION_TOL``. Kind-specific relations are checked
     automatically: commutators and torsion powers for abelian oracles,
     the rewriting rules for presented oracles, and sampled table products
     for finite-table oracles.
     """
 
-    def __init__(self, oracle, matrices, relations=(), unitary_tol=UNITARY_TOL,
-                 relation_tol=RELATION_TOL):
+    def __init__(self, oracle, matrices, relations=(), unitary_tol=UNITARY_TOL):
         if oracle is None:
             raise PreconditionError("matrix representation needs a group oracle")
         self.oracle = oracle
@@ -210,11 +209,11 @@ class MatrixRep(_FiniteAtom):
         for word in self._automatic_relations() + [tuple(w) for w in relations]:
             E = self.evaluate_word(word)
             defect = np.max(np.abs(E - np.eye(d)))
-            if defect > relation_tol:
+            if defect > RELATION_TOL:
                 raise PreconditionError(
                     f"relation {word} violated: defect {defect:.3g}"
                 )
-        self._table_spot_check(relation_tol)
+        self._table_spot_check()
 
     def _automatic_relations(self):
         rels = []
@@ -234,7 +233,7 @@ class MatrixRep(_FiniteAtom):
                 rels.append(lhs + inv_rhs)
         return rels
 
-    def _table_spot_check(self, tol):
+    def _table_spot_check(self):
         """Check sampled table products on the matrices of one saturated ball."""
         if self.oracle.kind != "finite-table":
             return
@@ -248,7 +247,7 @@ class MatrixRep(_FiniteAtom):
         for a, b in pairs:
             lhs = self.matrix_of(a) @ self.matrix_of(b)
             rhs = self.matrix_of(self.oracle.multiply(a, b))
-            if np.max(np.abs(lhs - rhs)) > tol:
+            if np.max(np.abs(lhs - rhs)) > RELATION_TOL:
                 raise PreconditionError(
                     f"generator matrices do not respect the table at pair {(a, b)}"
                 )
@@ -446,7 +445,7 @@ class Subspace:
     and ``from_coords(c)`` is ``c @ Q``. The basis must not be mutated.
     """
 
-    def __init__(self, ambient: Representation, basis, *, validate=True, tol=1e-10):
+    def __init__(self, ambient: Representation, basis, *, validate=True):
         self.ambient = ambient
         self.basis = list(basis)
         self._block = None
@@ -455,7 +454,7 @@ class Subspace:
                 raise KindMismatchError("basis vector lives outside the ambient space")
         if validate:
             _index, Q, Qc = self.block()
-            defect = np.tril(np.abs(Q @ Qc.T - np.eye(self.dim)) > tol)
+            defect = np.tril(np.abs(Q @ Qc.T - np.eye(self.dim)) > UNITARY_TOL)
             if defect.any():
                 i, j = (int(t) for t in np.argwhere(defect)[0])
                 raise PreconditionError(f"subspace basis not orthonormal at pair ({i}, {j})")
@@ -496,12 +495,12 @@ class Embedding:
 
     ``images`` are the images of the source's canonical basis; they span a
     ``Subspace`` of the target, so they must be orthonormal there (checked
-    to ``tol``), and a vector maps to the combination of the images by its
+    to ``UNITARY_TOL``), and a vector maps to the combination of the images by its
     coordinates. Equivariance is a separate check used as a precondition
     by amalgamation.
     """
 
-    def __init__(self, source, target, images, *, validate=True, tol=1e-10):
+    def __init__(self, source, target, images, *, validate=True):
         if source.total_dim() is None:
             raise PreconditionError("embedding source must be finite-dimensional")
         images = list(images)
@@ -511,7 +510,7 @@ class Embedding:
             )
         self.source = source
         self.target = target
-        self._span = Subspace(target, images, validate=validate, tol=tol)
+        self._span = Subspace(target, images, validate=validate)
         self.images = self._span.basis
         self._index = KeyIndex(source.canonical_basis())
 
@@ -554,7 +553,7 @@ class Amalgam:
     embed_second: Embedding
 
 
-def _complement_rep(big: Representation, images, oracle, tol):
+def _complement_rep(big: Representation, images, oracle):
     """Orthocomplement of the embedded subspace, compressed to a matrix action.
 
     The frame is the images followed by an orthonormal basis of their
@@ -576,15 +575,14 @@ def _complement_rep(big: Representation, images, oracle, tol):
     # U[i, j] = <pi(s) q_j, q_i>
     mats = [Q.conj() @ to_dense([big.apply(s, q) for q in comp], index).T
             for s in oracle.generators]
-    return MatrixRep(oracle, mats, unitary_tol=max(UNITARY_TOL, 10 * tol)), coords
+    return MatrixRep(oracle, mats, unitary_tol=10 * RELATION_TOL), coords
 
 
-def amalgamate(pi: Representation, into_first: Embedding, into_second: Embedding,
-               tol: float = 1e-8) -> Amalgam:
+def amalgamate(pi: Representation, into_first: Embedding, into_second: Embedding) -> Amalgam:
     """Glue two extensions of ``pi`` over their common copy of ``pi``.
 
     Both embeddings must be isometries of ``pi`` onto generator-invariant
-    subspaces, intertwining the actions within ``tol``; the result acts as
+    subspaces, intertwining the actions within ``RELATION_TOL``; the result acts as
     ``pi`` on the common part and by the compressed complement actions on
     the rest, together with isometric equivariant inclusions of both
     factors.
@@ -595,13 +593,13 @@ def amalgamate(pi: Representation, into_first: Embedding, into_second: Embedding
         if emb.target.total_dim() is None:
             raise PreconditionError("amalgamation requires finite-dimensional factors")
         s, d = emb.equivariance_defect()
-        if d > tol:
+        if d > RELATION_TOL:
             raise PreconditionError(
                 f"embedded copy is not invariant in the {label} factor: "
                 f"worst generator {s} with defect {d:.3g}"
             )
     oracle = _common_oracle([pi, into_first.target, into_second.target])
-    factors = [(emb, *_complement_rep(emb.target, emb.images, oracle, tol))
+    factors = [(emb, *_complement_rep(emb.target, emb.images, oracle))
                for emb in (into_first, into_second)]
     amalgam = DirectSum([pi] + [comp for _emb, comp, _coords in factors if comp is not None])
     # columns of the amalgam's canonical basis: pi's, then each complement's in turn

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .containment import DEFAULT_FRESH_CAP, DEFAULT_SUPPORT_CAP, GramFunction
+from .containment import DEFAULT_FRESH_CAP, GramFunction
 from .errors import ConfigError, PreconditionError
 from .groups import (
     DEFAULT_BALL_CAP,
@@ -35,7 +35,6 @@ from .vectors import SparseVector
 DEFAULT_CAPS = {
     "ball": DEFAULT_BALL_CAP,
     "dimension": DEFAULT_DIM_CAP,
-    "support": DEFAULT_SUPPORT_CAP,
     "fresh-copies": DEFAULT_FRESH_CAP,
 }
 

@@ -96,7 +96,7 @@ def closure(pi: Representation, A, r: int, dim_cap: int = DEFAULT_DIM_CAP,
     for shell in shells:
         orbit = _orbit(pi, A, shell)
         index.add(orbit)
-        Q = gram_schmidt(to_dense(orbit, index), DROP_TOL, seed=Q, on_keep=check_cap)
+        Q = gram_schmidt(to_dense(orbit, index), seed=Q, on_keep=check_cap)
 
     realized = Subspace(pi, from_dense(pi, index, Q), validate=False)
     return ClosureSpec(A, r, realized, elements)
@@ -188,10 +188,9 @@ def projected_orbit(pi: Representation, a_vec, C: ClosureSpec) -> list:
     return from_dense(pi, index, (X @ Qc.T) @ Q)
 
 
-def canonical_base(pi: Representation, a_vec, C: ClosureSpec,
-                   drop_tol: float = DROP_TOL) -> list:
+def canonical_base(pi: Representation, a_vec, C: ClosureSpec) -> list:
     """Orthonormal spanning set of the projected orbit {P_C pi(g) a_i}."""
-    return orthonormalize(projected_orbit(pi, a_vec, C), drop_tol)
+    return orthonormalize(projected_orbit(pi, a_vec, C))
 
 
 @dataclass

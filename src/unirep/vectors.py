@@ -186,13 +186,13 @@ def from_dense(space, index: KeyIndex, X) -> list:
     return out
 
 
-def gram_schmidt(X, drop_tol: float = DROP_TOL, seed=None, on_keep=None) -> np.ndarray:
+def gram_schmidt(X, seed=None, on_keep=None) -> np.ndarray:
     """Orthonormal rows spanning ``seed`` and the rows of ``X``, kept in order.
 
     Row-wise classical Gram-Schmidt with one reorthogonalization pass
     ("twice is enough"): each row of ``X`` in turn loses its components
     along the rows kept so far, twice, and is kept, normalized, unless the
-    norm left is below ``drop_tol`` (the row is then linearly dependent on
+    norm left is below ``DROP_TOL`` (the row is then linearly dependent on
     the kept ones). The orthonormal rows of ``seed`` come first, verbatim;
     a seed narrower than ``X`` was built before the index grew and is
     padded with zero columns. ``on_keep(k)`` is called before a row is kept
@@ -211,7 +211,7 @@ def gram_schmidt(X, drop_tol: float = DROP_TOL, seed=None, on_keep=None) -> np.n
         w = x - (Qc[:k] @ x) @ Q[:k]
         w -= (Qc[:k] @ w) @ Q[:k]
         norm = np.sqrt(np.vdot(w, w).real)
-        if norm < drop_tol:
+        if norm < DROP_TOL:
             continue
         if on_keep is not None:
             on_keep(k)
@@ -221,7 +221,7 @@ def gram_schmidt(X, drop_tol: float = DROP_TOL, seed=None, on_keep=None) -> np.n
     return Q[:k]
 
 
-def orthonormalize(vectors, drop_tol: float = DROP_TOL) -> list:
+def orthonormalize(vectors) -> list:
     """Orthonormal basis of the span of ``vectors``, kept in order.
 
     One ``gram_schmidt`` pass over the stacked block; linearly dependent
@@ -235,4 +235,4 @@ def orthonormalize(vectors, drop_tol: float = DROP_TOL) -> list:
         if not same_space(v.space, space):
             raise KindMismatchError("vectors live in different ambient spaces")
     index = KeyIndex(vectors)
-    return from_dense(space, index, gram_schmidt(to_dense(vectors, index), drop_tol))
+    return from_dense(space, index, gram_schmidt(to_dense(vectors, index)))

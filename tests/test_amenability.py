@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from unirep import amenability
 from unirep import (
     ConvergenceError,
     FgAbelianOracle,
@@ -296,7 +297,7 @@ SOLVER_CASES = (
 def test_lanczos_matches_dense_with_certified_gap(make, r):
     oracle = make()
     tol = 1e-9
-    report = min_defect(ball(oracle, r), tol=tol)
+    report = min_defect(ball(oracle, r))
     value, lower = report.min_avg_sq_defect, report.certified_lower_bound
     assert abs(value - dense_min_defect(oracle, r)) <= 1e-9
     assert 0 <= lower <= value
@@ -309,15 +310,17 @@ def test_lanczos_products_on_amenable_ball():
     assert min_defect(ball(z2_oracle(), 30)).iterations <= 3132 // 4
 
 
-def test_lanczos_below_rounding_raises_instead_of_looping():
+def test_lanczos_below_rounding_raises_instead_of_looping(monkeypatch):
+    monkeypatch.setattr(amenability, "EIGEN_TOL", 1e-16)
     with pytest.raises(ConvergenceError) as info:
-        min_defect(ball(z2_oracle(), 20), tol=1e-16)
+        min_defect(ball(z2_oracle(), 20))
     assert 0 < info.value.best < 0.02
 
 
-def test_min_defect_nonconvergence_reports_best():
+def test_min_defect_nonconvergence_reports_best(monkeypatch):
+    monkeypatch.setattr(amenability, "MAX_PRODUCTS", 1)
     with pytest.raises(ConvergenceError) as info:
-        min_defect(ball(z_oracle(), 5), max_iter=1)
+        min_defect(ball(z_oracle(), 5))
     # one step leaves the constant vector on the 11-point path, whose
     # defect Rayleigh quotient is 2(1 - 10/11)
     assert abs(info.value.best - 2 / 11) < 1e-12

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from unirep import ConvergenceError, ball
 from unirep.cli import HANDLERS, TASKS, VERIFIERS, build_parser, main
 from unirep.serialize import parse_group
-from util import H3_RULES, random_unitary
+from util import H3_RULES, random_unitary, swapped_intercalate_table
 
 Z = {"kind": "fg-abelian", "rank": 1, "torsion": []}
 F2 = {"kind": "free", "rank": 2}
@@ -118,13 +118,12 @@ def test_probe_builds_one_ball(tmp_path, monkeypatch, group, nmax, radius, built
 
 
 def test_probe_walk_ball_stops_at_the_ball_cap(tmp_path, capsys):
-    """The walk reads the probe's one ball: ``caps.ball`` bounds it, ``caps.support`` does not."""
+    """The walk reads the probe's one ball, so ``caps.ball`` bounds it."""
     config = {"group": Z2, "task": {"nmax": 12, "radius": 1}}
     code, _out = run_task(tmp_path, "probe-amenability", config, "--cap-ball", "30")
     err = capsys.readouterr().err
     assert code == 3
     assert "ball element cap 30 exceeded at radius 4" in err
-    assert run_task(tmp_path, "probe-amenability", config, "--cap-support", "1")[0] == 0
 
 
 def test_report_is_written_compact(tmp_path):
@@ -281,8 +280,7 @@ def test_registry_declares_each_subcommand_once():
                        if isinstance(a, argparse._SubParsersAction)).choices
     assert set(subcommands) == set(HANDLERS) | {"verify"}
     assert HANDLERS.keys() == VERIFIERS.keys() == TASKS.keys()
-    common = {"--config", "--out", "--seed", "--cap-ball", "--cap-dimension", "--cap-support",
-              "--cap-fresh-copies"}
+    common = {"--config", "--out", "--seed", "--cap-ball", "--cap-dimension", "--cap-fresh-copies"}
     for name, task in TASKS.items():
         flags = {s for a in subcommands[name]._actions for s in a.option_strings}
         declared = {f"--{p.name}" for p in task.params if "." not in p.name}
@@ -519,6 +517,15 @@ def _zero_max_defect_and_headline(report):
     report["outputs"]["max-defect"] = report["headline"] = 0.0
 
 
+def _delete_a_defect_row(report):
+    del report["outputs"]["defects"][1]
+
+
+def _move_target_to_common_part(report):
+    """Targets that the stored witnesses and target Gram data do not belong to."""
+    report["inputs"]["targets"] = [[[0, "0", 1, 0]]]
+
+
 @pytest.mark.parametrize("task, config, tamper, failed", [
     ("superstable", _stability_configs()["superstable"], _empty_b_and_gaps,
      ["b-count", "gaps-count"]),
@@ -535,6 +542,8 @@ def _zero_max_defect_and_headline(report):
     ("superstable", _stability_configs()["superstable"], _independence_worst_half_eps,
      ["independence-worst"]),
     ("folner-witness", FOLNER, _swap_in_a_two_by_two_box, ["within-eps-1,0", "within-eps-0,1"]),
+    ("folner-witness", FOLNER, _delete_a_defect_row, ["defect-elements"]),
+    ("transfer", TRANSFER, _move_target_to_common_part, ["discrepancy", "target-gram"]),
 ])
 def test_verify_rejects_tampered_witness_reports(tmp_path, capsys, task, config, tamper, failed):
     """Each stored output is recomputed: a consistent-looking edit still fails its check."""
@@ -560,25 +569,30 @@ PROBE_GROUPS = [Z, Z2, {"kind": "fg-abelian", "rank": 1, "torsion": [3]},
 
 
 def test_probe_fuzz_exits_cleanly_and_verifies(tmp_path, capsys):
-    """Random small probe configs exit 0, 2, 3 or 4 without a traceback; each report verifies."""
+    """Random small probe configs exit 0, 2, 3 or 4 without a traceback; each report verifies.
+
+    Exit 2 comes exactly from an nmax below the first return step or a negative radius.
+    """
     rng = random.Random(0)
     for i in range(60):
-        config = {"group": rng.choice(PROBE_GROUPS),
-                  "caps": {"support": rng.choice(CAPS), "ball": rng.choice(CAPS)},
-                  "task": {"nmax": rng.randint(-1, 24), "radius": rng.randint(-1, 4)}}
+        nmax, radius = rng.randint(-1, 24), rng.randint(-1, 4)
+        config = {"group": rng.choice(PROBE_GROUPS), "caps": {"ball": rng.choice(CAPS)},
+                  "task": {"nmax": nmax, "radius": radius}}
         code, out = run_task(tmp_path, "probe-amenability", config, name=f"fuzz-{i}")
         assert code in (0, 2, 3, 4), config
+        assert (code == 2) == (nmax < 2 or radius < 0), config
         if code == 0:
             assert main(["verify", "--report", str(out)]) == 0, config
     assert "Traceback" not in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("config, flags, field", [
-    ({}, ["--cap-support", "-5"], "config.caps.support"),
+    ({}, ["--cap-fresh-copies", "-5"], "config.caps.fresh-copies"),
     ({}, ["--cap-ball", "0"], "config.caps.ball"),
     ({"caps": [1]}, [], "config.caps"),
     ({"caps": {"ball": True}}, [], "config.caps.ball"),
     ({"seed": True}, [], "config.seed"),
+    ({"caps": {"support": 10}}, [], "config.caps"),
 ])
 def test_bad_seed_or_cap_exits_2_with_field(tmp_path, capsys, config, flags, field):
     """A seed or cap is checked in one place, whether it comes from the config or a flag."""
@@ -644,6 +658,16 @@ def test_non_generating_group_exits_2_at_group(tmp_path, capsys, group):
     assert "Traceback" not in err
 
 
+def test_non_associative_table_exits_2_at_group(tmp_path, capsys):
+    group = {"kind": "finite-table", "table": swapped_intercalate_table(), "generators": [1]}
+    code, _out = run_task(tmp_path, "probe-amenability",
+                          {"group": group, "task": {"nmax": 4, "radius": 2}})
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "config field 'config.group'" in err and "not associative" in err
+    assert "Traceback" not in err
+
+
 def test_cli_import_leaves_scipy_out():
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
@@ -682,7 +706,7 @@ def test_folner_and_transfer_round_trip_beyond_abelian_kinds(tmp_path, task, blo
 def test_folner_cap_names_the_best_defect_above_kesten_floor(tmp_path, capsys):
     """F2 at eps 0.1 exits 3; the message names the best max defect, at least 2 - sqrt(3)."""
     code, _out = run_task(tmp_path, "folner-witness", {"group": F2, "task": {"eps": 0.1}},
-                          "--cap-support", "2000")
+                          "--cap-ball", "2000")
     err = capsys.readouterr().err
     assert code == 3
     assert "Traceback" not in err
@@ -706,11 +730,11 @@ def _element_pool(group):
        st.sampled_from(WITNESS_GROUPS), st.data(),
        st.sampled_from([0.5, 0.2, 1.5, 0.05, 0.0]),
        st.sampled_from(CAPS[::-1]), st.sampled_from([300, 30, 3]))
-def test_witness_fuzz_exits_cleanly_and_verifies(task, group, data, eps, support, fresh):
+def test_witness_fuzz_exits_cleanly_and_verifies(task, group, data, eps, cap, fresh):
     """Small folner-witness and transfer configs exit 0, 2, 3 or 4; each report verifies.
 
-    An exit-0 folner report's exact defects are at most eps, and an exit-0
-    transfer report has converged.
+    Exit 2 comes exactly from eps 0. An exit-0 folner report's exact defects
+    are at most eps, and an exit-0 transfer report has converged.
     """
     pool = _element_pool(group)
     elements = st.sampled_from(pool)
@@ -720,11 +744,11 @@ def test_witness_fuzz_exits_cleanly_and_verifies(task, group, data, eps, support
         block.update({"pi": {"kind": "trivial", "dim": 1},
                       "params": [[[1, pool[0], 1, 0]]],
                       "targets": [[[2, data.draw(elements), 1, 0]]]})
-    config = {"group": group, "caps": {"support": support, "fresh-copies": fresh},
-              "task": block}
+    config = {"group": group, "caps": {"ball": cap, "fresh-copies": fresh}, "task": block}
     with tempfile.TemporaryDirectory() as tmp:
         code, out = run_task(Path(tmp), task, config)
         assert code in (0, 2, 3, 4), config
+        assert (code == 2) == (eps == 0), config
         if code == 0:
             assert main(["verify", "--report", str(out)]) == 0, config
             report = json.loads(out.read_text())
@@ -775,7 +799,7 @@ def _stability_fuzz_config(draw):
 @settings(derandomize=True, database=None, max_examples=80, deadline=None)
 @given(_stability_fuzz_config())
 def test_stability_fuzz_exits_cleanly_and_verifies(case):
-    """Small closure-task configs exit 0, 2, 3 or 4 with no traceback; each report verifies.
+    """Small closure-task configs exit 0, 3 or 4 with no traceback; each report verifies.
 
     A representation that has the group exits 3 whenever its closure ball
     holds more elements than ``caps.ball``.
@@ -787,7 +811,7 @@ def test_stability_fuzz_exits_cleanly_and_verifies(case):
             code, out = run_task(Path(tmp), task, config)
             if code == 0:
                 assert main(["verify", "--report", str(out)]) == 0, config
-        assert code in (0, 2, 3, 4), config
+        assert code in (0, 3, 4), config
         assert "Traceback" not in stderr.getvalue()
     if config["representation"]["kind"] != "trivial":
         size = len(ball(parse_group(config["group"]), radius))

@@ -372,7 +372,7 @@ def test_folner_free_group_stops_above_kesten_floor():
     assert _support(w) == set(ball(F2, 4).elements)
     assert all(shift_defect_exact(F2, w, g) <= Fraction(0.5) for g in F)
     with pytest.raises(ResourceLimitError, match="at radius 6$") as err:
-        folner_witness(F2, F, eps=0.1, support_cap=2000)
+        folner_witness(F2, F, eps=0.1, cap=2000)
     best = float(re.search(r"best max defect over F (\S+) at", str(err.value)).group(1))
     assert 2 - math.sqrt(3) <= best <= 0.5
 
@@ -380,7 +380,7 @@ def test_folner_free_group_stops_above_kesten_floor():
 def test_folner_support_cap():
     Z2 = z2_oracle()
     with pytest.raises(ResourceLimitError):
-        folner_witness(Z2, [(1, 0)], eps=1e-6, support_cap=100)
+        folner_witness(Z2, [(1, 0)], eps=1e-6, cap=100)
 
 
 def transfer_space(oracle, pi=None, complement=None):
@@ -455,7 +455,7 @@ def test_transfer_free_group_hits_the_support_cap():
     rho = transfer_space(F2)
     t = delta(rho, 2, (1,))
     with pytest.raises(ResourceLimitError, match="best max defect over F"):
-        transfer_witness(rho, [], [t], [(), (1,), (-1,)], eps=0.1, support_cap=2000)
+        transfer_witness(rho, [], [t], [(), (1,), (-1,)], eps=0.1, cap=2000)
 
 
 def test_transfer_on_rewriting_oracle_tensors_with_the_perron_vector():

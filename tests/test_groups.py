@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from unirep import groups
 from unirep import (
     FgAbelianOracle,
     FiniteTableOracle,
@@ -18,7 +19,15 @@ from unirep import (
     ball,
     symmetric_generators,
 )
-from util import cyclic_table, f2_oracle, z2_oracle, z2_rewriting, z3_rewriting, z_oracle
+from util import (
+    cyclic_table,
+    f2_oracle,
+    swapped_intercalate_table,
+    z2_oracle,
+    z2_rewriting,
+    z3_rewriting,
+    z_oracle,
+)
 
 
 def all_oracles():
@@ -159,8 +168,9 @@ def test_neighbour_tables_match_multiply(oracle):
             assert B.left[i, j] == position.get(oracle.multiply(s, x), -1)
 
 
-def test_rewriting_step_cap_names_the_cap():
-    looping = RewritingOracle(2, [[[1], [2]], [[2], [1]]], max_rewrite_steps=50)
+def test_rewriting_step_cap_names_the_cap(monkeypatch):
+    monkeypatch.setattr(groups, "DEFAULT_REWRITE_STEPS", 50)
+    looping = RewritingOracle(2, [[[1], [2]], [[2], [1]]])
     with pytest.raises(ResourceLimitError, match="step cap 50"):
         looping.normalize((1,))
 
@@ -227,6 +237,16 @@ def test_bad_table_rejected():
         FiniteTableOracle([[0, 1], [0, 1]], [1])  # rows not permutations
 
 
+def test_associativity_is_checked_on_every_triple():
+    """Light's test on the steps decides associativity exactly, also past 40 elements."""
+    assert cyclic_table(200).order() == 200
+    perms = list(itertools.permutations(range(4)))
+    S4 = [[perms.index(tuple(p[q[i]] for i in range(4))) for q in perms] for p in perms]
+    assert FiniteTableOracle(S4, [perms.index((1, 0, 2, 3)), perms.index((1, 2, 3, 0))]).n == 24
+    with pytest.raises(PreconditionError, match=r"not associative at \(2, 1, 5\)"):
+        FiniteTableOracle(swapped_intercalate_table(), [1])
+
+
 def test_as_word_roundtrip():
     """Each word multiplies back to its element, and looking it up leaves the oracle as it was."""
     for oracle in all_oracles():
@@ -241,10 +261,11 @@ def test_as_word_roundtrip():
         assert vars(oracle) == state
 
 
-def test_as_word_outside_the_generated_subgroup():
+def test_as_word_outside_the_generated_subgroup(monkeypatch):
     """An infinite search stops at the cap and names its radius; a finite one saturates."""
+    monkeypatch.setattr(groups, "DEFAULT_BALL_CAP", 1000)
     with pytest.raises(ResourceLimitError, match="cap 1000 exceeded at radius"):
-        FgAbelianOracle(1, [], [(2,)]).as_word((1,), cap=1000)
+        FgAbelianOracle(1, [], [(2,)]).as_word((1,))
     with pytest.raises(PreconditionError, match="not generated"):
         FgAbelianOracle(1, [2], [(0, 1)]).as_word((1, 0))
 

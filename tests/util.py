@@ -30,6 +30,19 @@ def cyclic_table(n):
     return FiniteTableOracle(table, [1] if n > 1 else [])
 
 
+def swapped_intercalate_table():
+    """Z/200's table with the intercalate at rows 3, 103 and columns 5, 105 swapped.
+
+    It is still a Latin square with identity 0, but 3,152 of its 8,000,000
+    triples are not associative, (2, 1, 5) the first: in the table
+    (2 * 1) * 5 = 3 * 5 = 108 but 2 * (1 * 5) = 2 * 6 = 8.
+    """
+    table = [[(i + j) % 200 for j in range(200)] for i in range(200)]
+    for i in (3, 103):
+        table[i][5], table[i][105] = table[i][105], table[i][5]
+    return table
+
+
 def z2_rewriting():
     rules = [
         [[2, 1], [1, 2]],
