@@ -2,10 +2,12 @@
 
 from .amenability import (
     DefectReport,
+    DistanceChain,
     ReturnProbabilityTable,
     SpectralRadiusInterval,
     defect_table,
     min_defect,
+    probe_ball,
     return_probabilities,
     spectral_radius_bound,
     walk_radius,

@@ -13,15 +13,19 @@ below and the Collatz-Wielandt bound of its positive final vector bounds
 it from above; the solve stops only once the two are within the
 tolerance, which certifies the defect from both sides.
 
-Every probe reads a prefix of a ``Ball`` from ``groups.ball``, which alone
-decides the steps and the element cap. The radius-rho ball is the prefix
+Every probe reads a prefix of the space ``probe_ball`` gives. On most
+groups that is a ``Ball`` from ``groups.ball``, which alone decides the
+steps and the element cap. The radius-rho ball is the prefix
 ``elements[:sizes[rho]]`` of any larger breadth-first ball, and its edges
 x -> s x are the larger ball's ``left`` entries with both ends in that
 prefix, in the same order: a walk or a defect row read off a larger ball
-solves the same arrays as on a ball of its own radius. Each minimizer is
-kept as its amplitudes in ball order. For the free kinds on their standard
-generators the walk distribution is constant on spheres, so the walks are
-counted per distance instead of on the full (exponentially growing) ball.
+solves the same arrays as on a ball of its own radius, and each minimizer
+is kept as its amplitudes in ball order. A free group on its standard
+generators builds no ball: its Cayley graph is the 2k-regular tree, whose
+automorphisms fixing e act transitively on each sphere and commute with
+the walk and with M. So the walk from e and M's Perron vector are radial,
+and both run on the (r + 1)-point distance chain (``DistanceChain``),
+whose minimizers are kept as one amplitude per sphere.
 """
 
 from __future__ import annotations
@@ -31,9 +35,16 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ConvergenceError, PreconditionError
+from .errors import ConvergenceError, PreconditionError, ResourceLimitError
 # ball is kept bound here: the benchmark tracer checks every module binding of it
-from .groups import Ball, FreeGroupOracle, GroupOracle, ball, symmetric_generators  # noqa: F401
+from .groups import (  # noqa: F401
+    DEFAULT_BALL_CAP,
+    Ball,
+    FreeGroupOracle,
+    GroupOracle,
+    ball,
+    symmetric_generators,
+)
 from .reps import Regular
 from .vectors import SparseVector
 
@@ -96,27 +107,103 @@ def _free_on_standard_steps(oracle: GroupOracle, steps) -> bool:
     return isinstance(oracle, FreeGroupOracle) and set(steps) == set(symmetric_generators(oracle))
 
 
+def _distance_chain(deg: int, n: int):
+    """Edges ``rows[i] <- cols[i]`` and multiplicities of the free ball of radius n, by distance.
+
+    Point d stands for the sphere of radius d about e in the deg-regular
+    tree, d = 0..n. From e all deg steps move out; from d > 0 one step moves
+    in and deg - 1 move out, and steps out of the ball are dropped. The
+    first n edges move out (d - 1 -> d), the last n move back (d -> d - 1).
+    """
+    d = np.arange(1, n + 1)
+    mult = np.concatenate([np.where(d == 1, deg, deg - 1), np.ones(n, np.intp)])
+    return np.concatenate([d, d - 1]), np.concatenate([d - 1, d]), mult
+
+
+@dataclass
+class DistanceChain:
+    """A free group's Cayley ball on its standard steps, lumped by distance to e.
+
+    Point d of the radius-``radius`` chain is the unit radial vector
+    1_{S_d} / sqrt(|S_d|) on the sphere S_d, so ``sizes[k] = k + 1`` points
+    make up the radius-k prefix, as ``Ball.sizes`` counts elements. The
+    probes read only ``oracle``, ``steps``, ``radius`` and ``sizes``; there
+    are no elements, and |S_d| = deg (deg - 1)^(d - 1) is never formed.
+    """
+
+    oracle: FreeGroupOracle
+    radius: int
+    steps: list = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.steps = symmetric_generators(self.oracle)
+
+    @property
+    def sizes(self) -> range:
+        return range(1, self.radius + 2)
+
+
+def probe_ball(oracle: GroupOracle, r: int, cap: int = DEFAULT_BALL_CAP) -> Ball | DistanceChain:
+    """The radius-r space the probes read on ``oracle``'s generators.
+
+    A free group's is its ``DistanceChain``, whose r + 1 points ``cap``
+    bounds as it bounds a ball's elements; any other group's is
+    ``ball(oracle, r, cap)``.
+    """
+    if isinstance(oracle, FreeGroupOracle):
+        if not isinstance(r, int) or r < 0:
+            raise PreconditionError("ball radius must be a non-negative integer")
+        if r >= cap:
+            raise ResourceLimitError(f"ball element cap {cap} exceeded at radius {cap} "
+                                     "of the distance chain")
+        return DistanceChain(oracle, r)
+    return ball(oracle, r, cap)
+
+
+def averaged_shift(B: Ball | DistanceChain, n: int):
+    """The operator M, the average of the shifts compressed to the first n points of ``B``.
+
+    On a ``Ball`` point i is the delta at ``elements[i]``, and each edge
+    x -> s x of ``B.edges(n)`` carries 1/deg. On a ``DistanceChain`` M
+    maps radial vectors to radial vectors, and there it is the symmetric
+    tridiagonal matrix T with sqrt(out * back)/deg between d and d + 1, for
+    the multiplicities of ``_distance_chain``: sqrt(deg)/deg between e and
+    the first sphere, sqrt(deg - 1)/deg beyond. For the radial v with
+    sphere amplitudes u, M v is the radial vector with amplitudes T u, so
+    each ratio (Mv)(x)/v(x) on S_d is (Tu)_d/u_d. Returns M as a function
+    of a length-n vector.
+    """
+    deg = len(B.steps)
+    if isinstance(B, DistanceChain):
+        rows, cols, mult = _distance_chain(deg, n - 1)
+        half = np.sqrt(mult[:n - 1] * mult[n - 1:]) / deg
+        weights = np.concatenate([half, half])
+        return lambda x: np.bincount(rows, weights=weights * x[cols], minlength=n)
+    rows, cols = B.edges(n)
+    return lambda x: np.bincount(rows, weights=x[cols], minlength=n) / deg
+
+
 def walk_radius(oracle: GroupOracle, n_max: int, S=None) -> int:
     """Radius of the ball ``return_probabilities`` needs for steps up to ``n_max``.
 
     A walk back at e by step 2n <= n_max never leaves the radius-n ball, so
     the radius is n_max // 2, except 0 for a free group's standard steps,
-    whose walks are counted per distance with no ball.
+    whose walks are counted on their own distance chain.
     """
     if n_max < 2:
         raise PreconditionError("n_max must be at least 2, the first return step")
     return 0 if _free_on_standard_steps(oracle, symmetric_generators(oracle, S)) else n_max // 2
 
 
-def return_probabilities(B: Ball, n_max: int = 40) -> ReturnProbabilityTable:
+def return_probabilities(B: Ball | DistanceChain, n_max: int = 40) -> ReturnProbabilityTable:
     """Exact p_{2n}(e), 2n <= n_max, for the uniform walk on the steps of ``B``.
 
     The walks are counted in integers on the prefix of radius
     ``walk_radius``, one scatter-add over its edges x -> s x per step, and
     p_{2n}(e) is the count at e over deg^(2n); a shorter ``B`` raises
     ``PreconditionError``. The free kinds on their standard generators
-    count the walks per distance to e instead: from e all deg steps move
-    out, from d > 0 one moves in and deg - 1 move out.
+    count the walks on the radius-(n_max // 2) ``_distance_chain`` instead,
+    each edge listed as often as its multiplicity, whatever ``B`` is.
     """
     r = walk_radius(B.oracle, n_max, B.steps)
     if B.radius < r:
@@ -124,21 +211,21 @@ def return_probabilities(B: Ball, n_max: int = 40) -> ReturnProbabilityTable:
     deg = len(B.steps)
     if not deg:
         return ReturnProbabilityTable(n_max, {s: Fraction(1) for s in range(0, n_max + 1, 2)})
-    if not r:  # a free group's standard steps
-        d = np.arange(1, n_max // 2 + 1)  # a walk past distance n_max // 2 cannot return
-        rows = np.concatenate([np.ones(deg, np.intp), np.repeat(d + 1, deg - 1), d - 1])
-        cols = np.concatenate([np.zeros(deg, np.intp), np.repeat(d, deg - 1), d])
-        return ReturnProbabilityTable(n_max, _walk_returns(rows, cols, len(d) + 2, deg, n_max))
+    if not r:  # a free group's standard steps: a walk past n_max // 2 cannot return
+        rows, cols, mult = _distance_chain(deg, n_max // 2)
+        return ReturnProbabilityTable(n_max, _walk_returns(
+            np.repeat(rows, mult), np.repeat(cols, mult), n_max // 2 + 1, deg, n_max))
     n = int(B.sizes[r])
     return ReturnProbabilityTable(n_max, _walk_returns(*B.edges(n), n, deg, n_max))
 
 
-def _perron_solve(rows, cols, dim, deg):
-    """Restarted Lanczos solve for the Perron eigenpair of the ball-compressed operator M.
+def _perron_solve(matvec, dim):
+    """Restarted Lanczos solve for the Perron eigenpair of the compressed operator M.
 
-    M has entries 1/deg on the edges ``rows[i] <- cols[i]``. It is
-    symmetric, nonnegative and irreducible (the ball is connected), so its
-    top eigenvector is positive. Each cycle checks the unit vector v (first
+    ``matvec`` is M as a function on length-``dim`` vectors, from
+    ``averaged_shift``. M is symmetric, nonnegative and irreducible (the
+    ball and its distance chain are connected), so its top eigenvector is
+    positive. Each cycle checks the unit vector v (first
     the constant vector) and stops once v is positive and both the
     defect-form residual 2|Mv - mu v| and the certified gap 2(cw - mu) are
     at most ``EIGEN_TOL``, for the Rayleigh quotient mu and the
@@ -151,9 +238,6 @@ def _perron_solve(rows, cols, dim, deg):
     of products with M, at most ``MAX_PRODUCTS``. Both constants are read at
     each call.
     """
-    def matvec(x):
-        return np.bincount(rows, weights=x[cols], minlength=dim) / deg
-
     v = np.full(dim, dim ** -0.5)
     products, stalled = 0, False
     while True:
@@ -197,9 +281,13 @@ def _perron_solve(rows, cols, dim, deg):
 class DefectReport:
     """Smallest averaged squared shift defect over unit vectors on a Cayley ball.
 
-    ``amplitudes`` is the minimizer in ball order: entry i is its amplitude
-    at ``ball.elements[i]``, a prefix of the ball's enumeration. ``argmin``
-    is the same vector as a ``SparseVector`` of the regular representation.
+    ``amplitudes`` is the minimizer on the first ``ball.sizes[radius]``
+    points of ``ball``. On a ``Ball`` entry i is its amplitude at
+    ``ball.elements[i]``, and ``argmin`` is the same vector as a
+    ``SparseVector`` of the regular representation. On a ``DistanceChain``
+    entry d is u_d, the minimizer's norm on the sphere S_d, and its
+    amplitude at each element of S_d is u_d / sqrt(|S_d|); such a row has
+    no ``argmin``.
     """
 
     radius: int
@@ -208,20 +296,23 @@ class DefectReport:
     residual: float
     certified_lower_bound: float
     iterations: int  # products with the ball operator
-    ball: Ball = field(repr=False)
+    ball: Ball | DistanceChain = field(repr=False)
 
     @property
     def argmin(self) -> SparseVector:
+        if isinstance(self.ball, DistanceChain):
+            raise PreconditionError("a distance-chain row holds sphere amplitudes, not a vector")
         entries = {(0, x): a for x, a in zip(self.ball.elements, self.amplitudes)}
         return SparseVector(Regular(self.ball.oracle), entries)
 
 
-def defect_table(B: Ball, radii=None) -> list[DefectReport]:
+def defect_table(B: Ball | DistanceChain, radii=None) -> list[DefectReport]:
     """``min_defect`` on the radius-rho prefix of ``B`` for each rho in ``radii`` (default 1..r).
 
     Each row equals ``min_defect(ball(B.oracle, rho, S=B.steps))`` exactly:
     the prefix's operator is the one a ball of radius rho alone gives.
-    Radius 0 is the one-point ball.
+    Radius 0 is the one-point ball. On a ``DistanceChain`` each row solves
+    the (rho + 1)-point chain, whose top eigenvalue is the ball operator's.
     """
     radii = range(1, B.radius + 1) if radii is None else radii
     deg = len(B.steps)
@@ -233,8 +324,7 @@ def defect_table(B: Ball, radii=None) -> list[DefectReport]:
             reports.append(DefectReport(rho, 0.0, np.ones(1), 0.0, 0.0, 0, B))
             continue
         n = int(B.sizes[rho])
-        rows, cols = B.edges(n)
-        mu, cw_upper, residual, vec, iters = _perron_solve(rows, cols, n, deg)
+        mu, cw_upper, residual, vec, iters = _perron_solve(averaged_shift(B, n), n)
         # the form is PSD: a Rayleigh quotient a rounding step past the top clamps to 0
         value = max(0.0, 2.0 * (1.0 - mu))
         lower = max(0.0, 2.0 * (1.0 - cw_upper))
@@ -242,7 +332,7 @@ def defect_table(B: Ball, radii=None) -> list[DefectReport]:
     return reports
 
 
-def min_defect(B: Ball) -> DefectReport:
+def min_defect(B: Ball | DistanceChain) -> DefectReport:
     """Minimum of (1/|S+S^-1|) sum_s ||shift_s(w) - w||^2 over unit w on the ball ``B``.
 
     The quadratic form equals 2(I - M) with M the ball-compressed averaged
@@ -308,7 +398,7 @@ def certified_upper(oracle: GroupOracle, S=None) -> float:
     return 1.0
 
 
-def spectral_radius_bound(B: Ball) -> SpectralRadiusInterval:
+def spectral_radius_bound(B: Ball | DistanceChain) -> SpectralRadiusInterval:
     """Certified spectral-radius interval from ball compression and norm bounds.
 
     The lower end is 1 - d/2 for the defect d = ``min_defect(B)``: the

@@ -14,11 +14,17 @@ number independently. Vectors are written as ``[copy, element, re, im]``
 entries, except the probe's minimizers: each ``defect-table`` row's
 ``argmin`` is the list of its real amplitudes in ball order, the first
 ``sizes[radius]`` elements of the breadth-first Cayley ball, which
-``verify`` rebuilds. Exit codes:
+``verify`` rebuilds. On a free group (standard generators) the probe
+builds no ball, and a radius-rho row's ``argmin`` is the rho + 1 sphere
+amplitudes u_0..u_rho of its radial minimizer: u_d is its norm on the
+sphere S_d, so its amplitude at each element of S_d is u_d / sqrt(|S_d|)
+(|S_d| itself overflows a double near d = 650 on F2). ``verify`` checks
+them on the distance chain in O(rho). Exit codes:
 0 success, 2 precondition or config error, 3 resource cap exceeded,
 4 an iterative solver did not converge (its best value goes to stderr),
 1 internal error. The caps and the tasks that read them:
-``ball`` bounds every Cayley ball a task builds: the probe's one ball, the
+``ball`` bounds every Cayley ball a task builds: the probe's one ball
+(on a free group, the radius + 1 points of its distance chain), the
 ``contain`` basis, the ``folner-witness`` and ``transfer`` witness's ball,
 the closures of ``nondividing``, ``canonical-base`` and ``superstable``,
 and ``amalgamate``'s check ball; ``dimension`` bounds the closures;
@@ -41,8 +47,10 @@ from . import containment, stability
 from .amenability import (
     EIGEN_TOL,
     SpectralRadiusInterval,
+    averaged_shift,
     certified_upper,
     defect_table,
+    probe_ball,
     return_probabilities,
     walk_radius,
 )
@@ -188,9 +196,10 @@ def _report_inputs(report, *reps):
 def run_probe(cfg, nmax, radius):
     if radius < 0:
         raise PreconditionError("radius must be non-negative")
-    # one ball: the walk and the defect rows 0..radius read its prefixes; rows 1..radius
-    # are reported, and the last row (at radius 0 the one-point ball's) is the spectral end
-    B = ball(cfg.oracle, max(radius, walk_radius(cfg.oracle, nmax)), cfg.caps["ball"])
+    # one ball (a free group's distance chain): the walk and the defect rows 0..radius read
+    # its prefixes; rows 1..radius are reported, and the last row (at radius 0 the one-point
+    # ball's) is the spectral end
+    B = probe_ball(cfg.oracle, max(radius, walk_radius(cfg.oracle, nmax)), cfg.caps["ball"])
     table = return_probabilities(B, nmax)
     steps = sorted(table.p)
     defects = defect_table(B, range(radius + 1))
@@ -221,26 +230,24 @@ def run_probe(cfg, nmax, radius):
 
 
 def _defect_rayleigh(B, w):
-    """Average squared shift defect of w on the first len(w) elements of B, and its bound.
+    """Average squared shift defect of w on the first len(w) points of B, and its bound.
 
-    ``w`` holds real amplitudes in ball order. Summing the shifts of w over
-    the ball's left table gives deg * Mw, for M the average of the shifts.
-    They are unitary, so the defect is 2(1 - <Mw, w>/|w|^2). The bound is
+    ``w`` holds real amplitudes in ball order, or per sphere on a distance
+    chain, and M is the average of the shifts (``averaged_shift``). The
+    shifts are unitary, so the defect is 2(1 - <Mw, w>/|w|^2). The bound is
     max(0, 2(1 - cw)) for the Collatz-Wielandt bound cw = max_x Mw(x)/w(x),
     which holds only for a positive w: otherwise the bound is nan.
     """
-    deg = len(B.steps)
-    if not deg:
+    if not B.steps:
         return 0.0, 0.0
     n2 = float(np.dot(w, w))
     if n2 == 0:
         return float("nan"), float("nan")
-    rows, cols = B.edges(len(w))
-    shifted = np.bincount(rows, weights=w[cols], minlength=len(w))
-    defect = 2.0 * (1.0 - float(np.dot(shifted, w)) / (deg * n2))
+    mw = averaged_shift(B, len(w))(w)
+    defect = 2.0 * (1.0 - float(np.dot(mw, w)) / n2)
     if not np.all(w > 0):
         return defect, float("nan")
-    cw = float(np.max(shifted / w)) / deg
+    cw = float(np.max(mw / w))
     return defect, max(0.0, 2.0 * (1.0 - cw))
 
 
@@ -290,7 +297,7 @@ def verify_probe(report):
     table = out["defect-table"]
     amplitudes = [_row_amplitudes(row, i, radius) for i, row in enumerate(table)]
     # the run's ball held its longest row, also under a raised cap
-    B = ball(oracle, radius, max([DEFAULT_BALL_CAP] + [len(w) for w in amplitudes]))
+    B = probe_ball(oracle, radius, max([DEFAULT_BALL_CAP] + [len(w) for w in amplitudes]))
     value = None
     for rho, (row, w) in enumerate(zip(table, amplitudes), start=1):
         n = int(B.sizes[rho])

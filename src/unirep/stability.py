@@ -35,6 +35,7 @@ from .vectors import (  # noqa: F401
 )
 
 DEFAULT_DIM_CAP = 2000
+GAIN_TIE = 1e-12  # superstable gains within this relative distance of the best are tied
 
 
 @dataclass
@@ -209,11 +210,13 @@ def superstable_approx(pi: Representation, a_vec, A, eps: float, r: int,
     """Perturb the tuple to depend on only finitely many orbit vectors.
 
     Greedily picks orbit vectors of A (largest projection gain first,
-    ties to the earliest in enumeration order) until the projections of
-    every a_i onto the selected span and onto the full closure differ by
-    less than ``eps``; returns b_i = a_i - P_C(a_i) + P_core(a_i), whose
-    distance to a_i is exactly that projection gap. ``dim_cap`` and ``cap``
-    bound the closure as in ``closure``.
+    ties to the earliest in enumeration order; a gain of at least
+    (1 - ``GAIN_TIE``) times the largest ties with it, so rounding decides
+    no pick) until the projections of every a_i onto the selected span and
+    onto the full closure differ by less than ``eps``; returns
+    b_i = a_i - P_C(a_i) + P_core(a_i), whose distance to a_i is exactly
+    that projection gap. ``dim_cap`` and ``cap`` bound the closure as in
+    ``closure``.
     """
     if eps <= 0:
         raise PreconditionError("eps must be positive")
@@ -241,9 +244,10 @@ def superstable_approx(pi: Representation, a_vec, A, eps: float, r: int,
             unit = np.where(norms[:, None] > DROP_TOL, R / np.maximum(norms, DROP_TOL)[:, None], 0)
         gains = np.sum(np.abs(Tres @ unit.conj().T) ** 2, axis=0)
         gains[norms <= DROP_TOL] = -1.0
-        j = int(np.argmax(gains))
-        if gains[j] <= 0:
+        best = float(np.max(gains))
+        if best <= 0:
             break
+        j = int(np.flatnonzero(gains >= best * (1.0 - GAIN_TIE))[0])
         q = unit[j]
         # re-orthogonalize against the picked directions for stability
         for prev in q_rows:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from unirep import amenability
 from unirep import (
     ConvergenceError,
+    DistanceChain,
     FgAbelianOracle,
     FreeGroupOracle,
     PreconditionError,
@@ -20,6 +21,7 @@ from unirep import (
     ball,
     defect_table,
     min_defect,
+    probe_ball,
     return_probabilities,
     spectral_radius_bound,
     symmetric_generators,
@@ -291,6 +293,64 @@ SOLVER_CASES = (
     # saturated balls: the Krylov block breaks down
     + [pytest.param(lambda n=n: cyclic_table(n), 4, id=f"Z{n}-r4") for n in (3, 5, 7)]
 )
+
+
+@pytest.mark.parametrize("rank, r", [(1, 20), (2, 9), (3, 5)])
+def test_distance_chain_rows_equal_the_ball(rank, r):
+    """Each chain row is its ball row: value and certificate within 1e-12, u_d the sphere norms."""
+    oracle = FreeGroupOracle(rank)
+    chain = probe_ball(oracle, r)
+    assert isinstance(chain, DistanceChain)
+    B = ball(oracle, r)
+    for lumped, full in zip(defect_table(chain), defect_table(B), strict=True):
+        assert lumped.radius == full.radius
+        assert abs(lumped.min_avg_sq_defect - full.min_avg_sq_defect) <= 1e-12
+        assert abs(lumped.certified_lower_bound - full.certified_lower_bound) <= 1e-12
+        spheres = np.split(full.amplitudes, B.sizes[:lumped.radius])
+        norms = [np.linalg.norm(sphere) for sphere in spheres]
+        assert np.allclose(lumped.amplitudes, norms, rtol=0, atol=1e-9)
+    with pytest.raises(PreconditionError, match="sphere amplitudes"):
+        lumped.argmin
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_distance_chain_certificate_bounds_the_ball_operator(rank):
+    """The chain's Collatz-Wielandt bound is at least the top eigenvalue of the whole ball's M.
+
+    ``eigvalsh`` is backward stable, so its top eigenvalue of the n-point M
+    may lie up to about n * eps from the true one (on F1 at radius 1 it is one
+    ulp above sqrt(2)/2 rounded); the defects are compared with that allowance.
+    """
+    oracle = FreeGroupOracle(rank)
+    for row in defect_table(probe_ball(oracle, 4)):
+        assert 0 <= row.certified_lower_bound <= row.min_avg_sq_defect
+        rounding = 2 * len(ball(oracle, row.radius)) * np.finfo(float).eps
+        assert row.certified_lower_bound <= dense_min_defect(oracle, row.radius) + rounding
+
+
+def test_walk_and_defect_read_one_distance_chain(monkeypatch):
+    calls = []
+
+    def counted(deg, n):
+        calls.append((deg, n))
+        return chain_edges(deg, n)
+
+    chain_edges = amenability._distance_chain
+    monkeypatch.setattr(amenability, "_distance_chain", counted)
+    F2 = f2_oracle()
+    chain = probe_ball(F2, 3)
+    assert return_probabilities(chain, 8).p == reference_return_probabilities(F2, None, 8)
+    assert calls == [(4, 4)]
+    defect_table(chain, [3])
+    assert calls[1:] and all(call == (4, 3) for call in calls[1:])
+
+
+def test_kesten_constant_as_a_measured_rate():
+    """On F2 the defect falls to 2 - sqrt(3) as about 8.4 / r^2 (8.06 at r = 100, 8.50 at 1000)."""
+    r = 300
+    row = min_defect(probe_ball(f2_oracle(), r))
+    assert 8 <= (row.min_avg_sq_defect - (2 - math.sqrt(3))) * r ** 2 <= 9
+    assert 0 <= row.certified_lower_bound <= row.min_avg_sq_defect
 
 
 @pytest.mark.parametrize("make, r", SOLVER_CASES)

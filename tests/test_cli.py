@@ -92,11 +92,14 @@ def test_probe_round_trip_on_finite_groups(tmp_path, group, radius, sizes):
 @pytest.mark.parametrize("group, nmax, radius, built", [
     (Z2, 4, 3, 3),    # the walk's radius nmax // 2 below the defect radius
     (Z2, 12, 3, 6),   # and above it
-    (F2, 12, 3, 3),   # free walks are counted per distance, on no ball
+    (F2, 12, 3, None),  # free walks and defects run on the distance chain, with no ball
     (Z2, 6, 0, 3),    # the spectral end of the one-point ball
 ])
 def test_probe_builds_one_ball(tmp_path, monkeypatch, group, nmax, radius, built):
-    """The walk, the defect rows and the spectral end read prefixes of one ball."""
+    """The walk, the defect rows and the spectral end read prefixes of one ball.
+
+    ``verify`` builds at most that ball again, and a free group neither.
+    """
     radii = []
 
     def counted(*args, **kwargs):
@@ -109,12 +112,15 @@ def test_probe_builds_one_ball(tmp_path, monkeypatch, group, nmax, radius, built
     code, out = run_task(tmp_path, "probe-amenability",
                          {"group": group, "task": {"nmax": nmax, "radius": radius}})
     assert code == 0
-    assert radii == [built]
+    assert radii == ([] if built is None else [built])
     report = json.loads(out.read_text())
     assert [row["radius"] for row in report["outputs"]["defect-table"]] == list(
         range(1, radius + 1))
     assert report["outputs"]["spectral"]["radius"] == radius
+    if built is None:  # one amplitude per sphere
+        assert [len(row["argmin"]) for row in report["outputs"]["defect-table"]] == [2, 3, 4]
     assert main(["verify", "--report", str(out)]) == 0
+    assert radii == ([] if built is None else [built, radius])
 
 
 def test_probe_walk_ball_stops_at_the_ball_cap(tmp_path, capsys):
@@ -124,6 +130,17 @@ def test_probe_walk_ball_stops_at_the_ball_cap(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 3
     assert "ball element cap 30 exceeded at radius 4" in err
+
+
+def test_free_probe_chain_stops_at_the_ball_cap(tmp_path, capsys):
+    """``caps.ball`` bounds a free group's distance chain, radius + 1 points, as it bounds a ball."""
+    config = {"group": F2, "task": {"nmax": 12, "radius": 29}}
+    code, _out = run_task(tmp_path, "probe-amenability", config, "--cap-ball", "30")
+    assert code == 0
+    code, _out = run_task(tmp_path, "probe-amenability", config, "--cap-ball", "29")
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "ball element cap 29 exceeded at radius 29 of the distance chain" in err
 
 
 def test_report_is_written_compact(tmp_path):
@@ -384,7 +401,7 @@ def _skip_a_step(out):
     out["return-probabilities"]["steps"][1] = 3
 
 
-@pytest.mark.parametrize("tamper, check", [
+PROBE_TAMPERS = [
     (_raise_certified_lower, "certified-lower-r1"),
     (_lower_spectral_lower, "spectral-lower"),
     (_negate_argmin_entry, "certified-lower-r1"),
@@ -395,10 +412,12 @@ def _skip_a_step(out):
     (_raise_root_estimate, "root-estimate-2"),
     (_raise_ratio_estimate, "ratio-estimate-0"),
     (_skip_a_step, "steps"),
-])
-def test_verify_probe_rejects_tampered_certificates(tmp_path, capsys, tamper, check):
+]
+
+
+def _tampered_probe_fails(tmp_path, capsys, group, tamper, check):
     code, out = run_task(tmp_path, "probe-amenability",
-                         {"group": Z, "task": {"nmax": 8, "radius": 2}})
+                         {"group": group, "task": {"nmax": 8, "radius": 2}})
     assert code == 0
     report = json.loads(out.read_text())
     tamper(report["outputs"])
@@ -408,6 +427,17 @@ def test_verify_probe_rejects_tampered_certificates(tmp_path, capsys, tamper, ch
     err = capsys.readouterr().err
     assert f"FAILED {check}:" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("tamper, check", PROBE_TAMPERS)
+def test_verify_probe_rejects_tampered_certificates(tmp_path, capsys, tamper, check):
+    _tampered_probe_fails(tmp_path, capsys, Z, tamper, check)
+
+
+@pytest.mark.parametrize("tamper, check", PROBE_TAMPERS)
+def test_verify_free_probe_rejects_tampered_certificates(tmp_path, capsys, tamper, check):
+    """F2 rows hold one amplitude per sphere, checked on the distance chain."""
+    _tampered_probe_fails(tmp_path, capsys, F2, tamper, check)
 
 
 def _claim_radius_seven(out):

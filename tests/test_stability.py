@@ -409,6 +409,15 @@ def test_superstable_gap_identity_and_independence():
     assert verdict.independent
 
 
+def test_superstable_exact_tie_picks_the_earlier_label():
+    """The translates by 1 and -1 gain 1.09 each in exact arithmetic; rounding splits them."""
+    reg = Regular(z_oracle())
+    v = SparseVector(reg, {(0, (0,)): 1.0, (0, (1,)): 0.3})
+    a = reg.apply((1,), v) + reg.apply((-1,), v)
+    result = superstable_approx(reg, [a], [v], eps=1e-6, r=2)
+    assert result.selected[0] == ((1,), 0)
+
+
 def test_superstable_needs_positive_eps():
     Z = z_oracle()
     reg = Regular(Z)
