@@ -27,8 +27,10 @@ them on the distance chain in O(rho). Exit codes:
 (on a free group, the radius + 1 points of its distance chain), the
 ``contain`` basis, the ``folner-witness`` and ``transfer`` witness's ball,
 the closures of ``nondividing``, ``canonical-base`` and ``superstable``,
-and ``amalgamate``'s check ball; ``dimension`` bounds the closures;
-``fresh-copies`` bounds ``transfer``.
+and ``amalgamate``'s check ball; ``dimension`` bounds every orthonormal
+span a task grows: those closures (and so the canonical base and the
+superstable core inside them) and the ``transfer`` frame (one fresh copy
+per frame vector).
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -121,7 +124,8 @@ def _task_value(cfg, args, param):
     """The value of ``param``: its flag, else its config key, else its default; cast.
 
     The one place task values are cast: a bad value is a config error at its field.
-    An ``int`` field takes no bool and no number with a fractional part.
+    An ``int`` field takes no bool and no number with a fractional part, and a
+    ``float`` field no infinity or NaN.
     """
     field = f"task.{param.name}"
     block_name, _, key = param.name.rpartition(".")
@@ -137,9 +141,12 @@ def _task_value(cfg, args, param):
         if param.cast is int and (isinstance(value, bool)
                                   or isinstance(value, float) and not value.is_integer()):
             raise ValueError(value)
-        return param.cast(value)
+        value = param.cast(value)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"expected {param.cast.__name__}, got {value!r}", field=field) from None
+    if param.cast is float and not math.isfinite(value):
+        raise ConfigError(f"expected a finite float, got {value!r}", field=field)
+    return value
 
 
 def _with_flags(raw, args):
@@ -452,7 +459,7 @@ def run_transfer(cfg, eps):
     params = _vectors(cfg.task, "params", rho, "task", required=False)
     targets = _vectors(cfg.task, "targets", rho, "task")
     result = transfer_witness(rho, params, targets, F, eps,
-                              fresh_cap=cfg.caps["fresh-copies"], cap=cfg.caps["ball"])
+                              dim_cap=cfg.caps["dimension"], cap=cfg.caps["ball"])
     target_gram = gram(rho, params + targets, F, oracle=cfg.oracle)
     inputs = {
         "pi": cfg.task.get("pi"),

@@ -32,10 +32,20 @@ from .reps import (
     Representation,
     Subspace,
 )
-from .vectors import KeyIndex, SparseVector, delta, inner, orthonormalize, same_space, to_dense
+# orthonormalize is kept bound here: the benchmark tracer checks every module binding of it
+from .vectors import (  # noqa: F401
+    DEFAULT_DIM_CAP,
+    KeyIndex,
+    SparseVector,
+    delta,
+    gram_schmidt,
+    inner,
+    orthonormalize,
+    same_space,
+    to_dense,
+)
 
 GRAM_SYMMETRY_TOL = 1e-8
-DEFAULT_FRESH_CAP = 256
 
 
 @dataclass
@@ -56,6 +66,8 @@ class GramFunction:
             A = np.asarray(self.M[g], dtype=complex)
             if A.shape != (self.n, self.n):
                 raise PreconditionError(f"Gram matrix at {g!r} has wrong shape {A.shape}")
+            if not np.all(np.isfinite(A)):
+                raise PreconditionError(f"Gram matrix at {g!r} has a non-finite entry")
             self.M[g] = A
         if self.oracle is not None:
             e = self.oracle.identity()
@@ -367,7 +379,7 @@ def _tail_structure(rho):
 
 
 def transfer_witness(rho: Representation, params, targets, F, eps: float,
-                     fresh_cap: int = DEFAULT_FRESH_CAP,
+                     dim_cap: int = DEFAULT_DIM_CAP,
                      cap: int = DEFAULT_BALL_CAP) -> WitnessReport:
     """Realize extension data inside untouched shift copies.
 
@@ -380,13 +392,14 @@ def transfer_witness(rho: Representation, params, targets, F, eps: float,
     the almost-invariant unit vector f of ``folner_witness``. For real f,
     <lambda(g)f, f> = ||f||^2 - ||lambda(g)f - f||^2 / 2, so the per-entry
     error is max|M| * ||lambda(g)f - f||^2 / 2, which f is chosen to keep
-    below ``eps``. ``cap`` bounds f's Cayley ball as in ``folner_witness``,
-    and ``fresh_cap`` the number of fresh copies.
+    below ``eps``. ``cap`` bounds f's Cayley ball as in ``folner_witness``.
 
     The fresh copies are the stack copies right after the highest one that
     a parameter or target touches, one per vector of the orthonormal frame
-    of the shifted remainders. They depend on the inputs only, so repeated
-    calls on the same ``rho`` return the same witnesses.
+    that ``gram_schmidt`` builds from the shifted remainders; ``dim_cap``
+    bounds that frame, and so the number of fresh copies. The copies depend
+    on the inputs only, so repeated calls on the same ``rho`` return the
+    same witnesses.
     """
     if eps <= 0:
         raise PreconditionError("eps must be positive")
@@ -444,13 +457,11 @@ def transfer_witness(rho: Representation, params, targets, F, eps: float,
         f = folner_witness(oracle, F, eps / max(1.0, max_m), cap)
         phi = [x for (_c, x) in f.entries]
         shifted = [rho.apply(oracle.invert(h), w) for w in remainders for h in phi]
-        frame = orthonormalize(shifted)
+        X = to_dense(shifted, KeyIndex(shifted))
+        frame = gram_schmidt(X, cap=dim_cap)
         K = len(frame)
-        if K > fresh_cap:
-            raise ResourceLimitError(f"transfer needs {K} fresh copies, cap is {fresh_cap}")
         # amps[i, j, k] = f(phi_j) <lambda(phi_j)^-1 w_i, e_k>, at (fresh copy k, phi_j)
-        index = KeyIndex(shifted)
-        amps = to_dense(shifted, index) @ to_dense(frame, index).conj().T
+        amps = X @ frame.conj().T
         amps = amps.reshape(m, len(phi), K) * np.real(list(f.entries.values()))[:, None]
         first = tail_offset + max_touched + 1
         witnesses = list(params) + [

@@ -177,12 +177,12 @@ class Trivial(_FiniteAtom):
 class MatrixRep(_FiniteAtom):
     """Finite-dimensional representation given by one unitary matrix per generator.
 
-    Generator matrices must be unitary to ``unitary_tol``; every word in
-    ``relations`` (signed generator letters) must evaluate to the identity
-    within ``RELATION_TOL``. Kind-specific relations are checked
-    automatically: commutators and torsion powers for abelian oracles,
-    the rewriting rules for presented oracles, and sampled table products
-    for finite-table oracles.
+    Generator matrices must have finite entries and be unitary to
+    ``unitary_tol``; every word in ``relations`` (signed generator letters)
+    must evaluate to the identity within ``RELATION_TOL``. Kind-specific
+    relations are checked automatically: commutators and torsion powers
+    for abelian oracles, the rewriting rules for presented oracles, and
+    sampled table products for finite-table oracles.
     """
 
     def __init__(self, oracle, matrices, relations=(), unitary_tol=UNITARY_TOL):
@@ -200,6 +200,8 @@ class MatrixRep(_FiniteAtom):
         for U in mats:
             if U.shape != (d, d):
                 raise PreconditionError("generator matrices must be square and same size")
+            if not np.all(np.isfinite(U)):
+                raise PreconditionError("generator matrix has a non-finite entry")
             defect = np.max(np.abs(U.conj().T @ U - np.eye(d)))
             if defect > unitary_tol:
                 raise PreconditionError(f"generator matrix not unitary: defect {defect:.3g}")

@@ -7,11 +7,12 @@ serialized document reproduces the original objects bit for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .containment import DEFAULT_FRESH_CAP, GramFunction
+from .containment import GramFunction
 from .errors import ConfigError, PreconditionError
 from .groups import (
     DEFAULT_BALL_CAP,
@@ -29,14 +30,9 @@ from .reps import (
     Representation,
     Trivial,
 )
-from .stability import DEFAULT_DIM_CAP
-from .vectors import SparseVector
+from .vectors import DEFAULT_DIM_CAP, SparseVector
 
-DEFAULT_CAPS = {
-    "ball": DEFAULT_BALL_CAP,
-    "dimension": DEFAULT_DIM_CAP,
-    "fresh-copies": DEFAULT_FRESH_CAP,
-}
+DEFAULT_CAPS = {"ball": DEFAULT_BALL_CAP, "dimension": DEFAULT_DIM_CAP}
 
 
 def _require(obj, key, kind, where):
@@ -182,11 +178,16 @@ def parse_vector(raw, space, where="vector") -> SparseVector:
             raise ConfigError("copy index must be a non-negative integer", field=f"{where}[{i}]")
         try:
             key = _key_from_str(space, copy, str(elem), f"{where}[{i}]")
-            entries[(copy, key)] = complex(float(re), float(im))
+            amp = complex(float(re), float(im))
         except ConfigError:
             raise
         except Exception as exc:
             raise ConfigError(str(exc), field=f"{where}[{i}]") from exc
+        if not (math.isfinite(amp.real) and math.isfinite(amp.imag)):
+            raise ConfigError("amplitude must be finite", field=f"{where}[{i}]")
+        if (copy, key) in entries:
+            raise ConfigError("repeated entry", field=f"{where}[{i}]")
+        entries[(copy, key)] = amp
     return SparseVector(space, entries)
 
 

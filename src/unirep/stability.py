@@ -23,6 +23,7 @@ from .groups import DEFAULT_BALL_CAP, ball
 from .reps import Representation, Subspace
 # inner is kept bound here: the benchmark tracer checks every module binding of it
 from .vectors import (  # noqa: F401
+    DEFAULT_DIM_CAP,
     DROP_TOL,
     KeyIndex,
     SparseVector,
@@ -34,7 +35,6 @@ from .vectors import (  # noqa: F401
     to_dense,
 )
 
-DEFAULT_DIM_CAP = 2000
 GAIN_TIE = 1e-12  # superstable gains within this relative distance of the best are tied
 
 
@@ -69,9 +69,9 @@ def closure(pi: Representation, A, r: int, dim_cap: int = DEFAULT_DIM_CAP,
     Orbit vectors are stacked one sphere at a time and ``gram_schmidt``
     extends the basis so far with them, in enumeration order; a vector
     whose residual norm falls below ``DROP_TOL`` is linearly dependent and
-    dropped. The dimension cap raises ``ResourceLimitError`` in the sphere
-    where it is hit, and later spheres are never applied; a ball of more
-    than ``cap`` elements raises it before any orbit vector is formed.
+    dropped. ``gram_schmidt`` raises ``ResourceLimitError`` at ``dim_cap`` in
+    the sphere where it is hit, and later spheres are never applied; a ball
+    of more than ``cap`` elements raises it before any orbit vector is formed.
     """
     A = list(A)
     if not A:
@@ -88,16 +88,12 @@ def closure(pi: Representation, A, r: int, dim_cap: int = DEFAULT_DIM_CAP,
         elements = B.elements
         shells = [B.sphere(k) for k in range(r + 1)]
 
-    def check_cap(kept):
-        if kept >= dim_cap:
-            raise ResourceLimitError(f"closure dimension cap {dim_cap} exceeded")
-
     index = KeyIndex()
     Q = np.zeros((0, 0), dtype=complex)
     for shell in shells:
         orbit = _orbit(pi, A, shell)
         index.add(orbit)
-        Q = gram_schmidt(to_dense(orbit, index), seed=Q, on_keep=check_cap)
+        Q = gram_schmidt(to_dense(orbit, index), seed=Q, cap=dim_cap)
 
     realized = Subspace(pi, from_dense(pi, index, Q), validate=False)
     return ClosureSpec(A, r, realized, elements)
@@ -215,8 +211,9 @@ def superstable_approx(pi: Representation, a_vec, A, eps: float, r: int,
     no pick) until the projections of every a_i onto the selected span and
     onto the full closure differ by less than ``eps``; returns
     b_i = a_i - P_C(a_i) + P_core(a_i), whose distance to a_i is exactly
-    that projection gap. ``dim_cap`` and ``cap`` bound the closure as in
-    ``closure``.
+    that projection gap. Each pick is orthonormalized against the earlier
+    ones by ``gram_schmidt`` in the closure's coordinates, so the picks are
+    at most C.dim; ``dim_cap`` and ``cap`` bound the closure as in ``closure``.
     """
     if eps <= 0:
         raise PreconditionError("eps must be positive")
@@ -230,14 +227,11 @@ def superstable_approx(pi: Representation, a_vec, A, eps: float, r: int,
     orbit = _orbit(pi, A, C.ball_elements)
 
     # all work happens in coordinates over the realized closure basis
-    index, _Q, Qc = C.realized.block()
-    X = to_dense(orbit, index) @ Qc.T
-    T = to_dense(a_vec, index) @ Qc.T
-
-    R = X.copy()
-    Tres = T.copy()
+    index, Qclos, Qc = C.realized.block()
+    R = to_dense(orbit, index) @ Qc.T
+    Tres = to_dense(a_vec, index) @ Qc.T
+    Q = np.zeros((0, D), dtype=complex)  # the picked directions, orthonormal in C^D
     selected = []
-    q_rows = []
     while D and bool(np.any(np.linalg.norm(Tres, axis=1) >= eps)):
         norms = np.linalg.norm(R, axis=1)
         with np.errstate(invalid="ignore", divide="ignore"):
@@ -248,40 +242,21 @@ def superstable_approx(pi: Representation, a_vec, A, eps: float, r: int,
         if best <= 0:
             break
         j = int(np.flatnonzero(gains >= best * (1.0 - GAIN_TIE))[0])
-        q = unit[j]
-        # re-orthogonalize against the picked directions for stability
-        for prev in q_rows:
-            q = q - np.vdot(prev, q) * prev
-        nq = np.linalg.norm(q)
-        if nq <= DROP_TOL:
+        kept = gram_schmidt(unit[j:j + 1], seed=Q)
+        if len(kept) == len(Q):
             R[j] = 0
             continue
-        q = q / nq
-        q_rows.append(q)
+        Q, q = kept, kept[-1]
         selected.append(j)
         R = R - np.outer(R @ q.conj(), q)
         Tres = Tres - np.outer(Tres @ q.conj(), q)
-        if len(selected) > dim_cap:
-            raise ResourceLimitError(
-                f"support selection exceeded dimension cap {dim_cap}; "
-                f"best achieved gap {float(np.max(np.linalg.norm(Tres, axis=1))):.3g}"
-            )
     gaps = [float(np.linalg.norm(Tres[i])) for i in range(len(a_vec))]
     if any(gap >= eps for gap in gaps):
         raise ResourceLimitError(
             f"could not reach eps={eps}; best achieved gap {max(gaps):.3g}"
         )
 
-    core_vectors = [C.realized.from_coords(q) for q in q_rows]
-    core = Subspace(pi, core_vectors, validate=False)
-    b_vec = []
-    for i, a in enumerate(a_vec):
-        p_full = C.realized.from_coords(T[i])
-        p_core = C.realized.from_coords(T[i] - Tres[i])
-        b_vec.append(a - p_full + p_core)
-    return SuperstableResult(
-        [labels[j] for j in selected],
-        core,
-        b_vec,
-        gaps,
-    )
+    core = Subspace(pi, from_dense(pi, index, Q @ Qclos), validate=False)
+    # P_C a_i - P_core a_i has closure coordinates Tres_i
+    b_vec = [a - C.realized.from_coords(Tres[i]) for i, a in enumerate(a_vec)]
+    return SuperstableResult([labels[j] for j in selected], core, b_vec, gaps)

@@ -10,18 +10,19 @@ Linear algebra over many vectors runs on one dense block kernel: a
 ``KeyIndex`` maps the ``(copy, key)`` entries of a family of vectors to
 columns, ``to_dense`` and ``from_dense`` convert between vector lists and
 ``(rows x keys)`` complex arrays, and ``gram_schmidt`` orthonormalizes the
-rows of a block in order. Inner products of whole families are then one
-matrix product, ``X @ Y.conj().T``; ``inner`` remains the sparse formula
-for a single pair.
+rows of a block in order, under an optional dimension cap. Inner products
+of whole families are then one matrix product, ``X @ Y.conj().T``;
+``inner`` remains the sparse formula for a single pair.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import KindMismatchError
+from .errors import KindMismatchError, ResourceLimitError
 
 DROP_TOL = 1e-10
+DEFAULT_DIM_CAP = 2000
 
 
 class SparseVector:
@@ -186,19 +187,19 @@ def from_dense(space, index: KeyIndex, X) -> list:
     return out
 
 
-def gram_schmidt(X, seed=None, on_keep=None) -> np.ndarray:
+def gram_schmidt(X, seed=None, cap=None) -> np.ndarray:
     """Orthonormal rows spanning ``seed`` and the rows of ``X``, kept in order.
 
+    The one place a task's span is orthonormalized and its dimension capped.
     Row-wise classical Gram-Schmidt with one reorthogonalization pass
     ("twice is enough"): each row of ``X`` in turn loses its components
     along the rows kept so far, twice, and is kept, normalized, unless the
     norm left is below ``DROP_TOL`` (the row is then linearly dependent on
     the kept ones). The orthonormal rows of ``seed`` come first, verbatim;
     a seed narrower than ``X`` was built before the index grew and is
-    padded with zero columns. ``on_keep(k)`` is called before a row is kept
-    with the number ``k`` of rows kept so far, seed included, so it can
-    enforce a dimension cap by raising. Returns the ``(kept x columns)``
-    block, seed rows first.
+    padded with zero columns. With ``cap`` rows already kept, seed
+    included, keeping another raises ``ResourceLimitError``; dropped rows
+    never count. Returns the ``(kept x columns)`` block, seed rows first.
     """
     X = np.asarray(X, dtype=complex)
     n = X.shape[1]
@@ -213,8 +214,8 @@ def gram_schmidt(X, seed=None, on_keep=None) -> np.ndarray:
         norm = np.sqrt(np.vdot(w, w).real)
         if norm < DROP_TOL:
             continue
-        if on_keep is not None:
-            on_keep(k)
+        if cap is not None and k >= cap:
+            raise ResourceLimitError(f"dimension cap {cap} exceeded")
         Q[k] = w / norm
         Qc[k] = Q[k].conj()
         k += 1

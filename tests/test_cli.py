@@ -230,6 +230,33 @@ def test_closure_tasks_honour_the_ball_cap(tmp_path, capsys, task):
     assert main(["verify", "--report", str(out)]) == 0
 
 
+@pytest.mark.parametrize("task", ["nondividing", "canonical-base", "superstable"])
+def test_closure_tasks_honour_the_dimension_cap(tmp_path, capsys, task):
+    """The closure (the whole 8-dim summand) stops at ``caps.dimension``."""
+    code, _out = run_task(tmp_path, task, _stability_configs()[task], "--cap-dimension", "5")
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "dimension cap 5 exceeded" in err
+    assert "Traceback" not in err
+
+
+def test_transfer_frame_honours_the_dimension_cap(tmp_path, capsys):
+    """On Z^2 at eps 0.02 the frame has 481 vectors: it fits the default cap, not cap 100."""
+    config = {"group": Z2, "task": {
+        "pi": {"kind": "trivial", "dim": 1}, "F": ["1,0", "0,1"],
+        "params": [[[1, "0,0", 1, 0]]], "targets": [[[2, "0,0", 1, 0]]], "eps": 0.02}}
+    code, out = run_task(tmp_path, "transfer", config)
+    assert code == 0
+    assert main(["verify", "--report", str(out)]) == 0
+    assert json.loads(out.read_text())["outputs"]["converged"]
+    capsys.readouterr()
+    code, _out = run_task(tmp_path, "transfer", config, "--cap-dimension", "100")
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "dimension cap 100 exceeded" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("task, config, check", [
     ("folner-witness", FOLNER,
      lambda out: out["max-defect"] <= 0.3 and len(out["defects"]) == 2),
@@ -297,7 +324,7 @@ def test_registry_declares_each_subcommand_once():
                        if isinstance(a, argparse._SubParsersAction)).choices
     assert set(subcommands) == set(HANDLERS) | {"verify"}
     assert HANDLERS.keys() == VERIFIERS.keys() == TASKS.keys()
-    common = {"--config", "--out", "--seed", "--cap-ball", "--cap-dimension", "--cap-fresh-copies"}
+    common = {"--config", "--out", "--seed", "--cap-ball", "--cap-dimension"}
     for name, task in TASKS.items():
         flags = {s for a in subcommands[name]._actions for s in a.option_strings}
         declared = {f"--{p.name}" for p in task.params if "." not in p.name}
@@ -499,6 +526,31 @@ def test_malformed_report_vector_exits_2_at_its_field(tmp_path, capsys, task, co
     assert "Traceback" not in err
 
 
+def _nan_amplitude(entries):
+    entries[0][2] = math.nan
+    return 0, "amplitude must be finite"
+
+
+def _repeated_entry(entries):
+    entries.append(list(entries[0]))
+    return len(entries) - 1, "repeated entry"
+
+
+@pytest.mark.parametrize("tamper", [_nan_amplitude, _repeated_entry])
+def test_report_vector_entry_is_checked_under_verify(tmp_path, capsys, tamper):
+    """A stored witness with a NaN amplitude or a repeated entry exits 2 at that entry."""
+    code, out = run_task(tmp_path, "transfer", TRANSFER)
+    assert code == 0
+    report = json.loads(out.read_text())
+    i, message = tamper(report["outputs"]["witnesses"][1])
+    out.write_text(json.dumps(report))
+    capsys.readouterr()
+    assert main(["verify", "--report", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"config field 'report.outputs.witnesses[1][{i}]': {message}" in err
+    assert "Traceback" not in err
+
+
 def _empty_b_and_gaps(report):
     report["outputs"].update({"b": [], "gaps": []})
     report["headline"] = 0.0
@@ -617,12 +669,13 @@ def test_probe_fuzz_exits_cleanly_and_verifies(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("config, flags, field", [
-    ({}, ["--cap-fresh-copies", "-5"], "config.caps.fresh-copies"),
+    ({}, ["--cap-dimension", "-5"], "config.caps.dimension"),
     ({}, ["--cap-ball", "0"], "config.caps.ball"),
     ({"caps": [1]}, [], "config.caps"),
     ({"caps": {"ball": True}}, [], "config.caps.ball"),
     ({"seed": True}, [], "config.seed"),
     ({"caps": {"support": 10}}, [], "config.caps"),
+    ({"caps": {"fresh-copies": 10}}, [], "config.caps"),
 ])
 def test_bad_seed_or_cap_exits_2_with_field(tmp_path, capsys, config, flags, field):
     """A seed or cap is checked in one place, whether it comes from the config or a flag."""
@@ -663,13 +716,39 @@ def test_convergence_error_exits_4_with_best(tmp_path, capsys, monkeypatch):
     ("contain", {"target": {"F": ["0", "x"], "n": 1, "matrices": [[[[1.0, 0.0]]]] * 2}},
      "target.F[1]"),
     ("superstable", {"eps": 1e-3, "A": [[[0, "0", 1.0, 0.0]]]}, "task.a"),
+    ("folner-witness", {"eps": math.inf, "F": ["1"]}, "task.eps"),
+    ("folner-witness", {"eps": math.nan, "F": ["1"]}, "task.eps"),
+    ("transfer", {"eps": "inf"}, "task.eps"),
+    ("contain", {"target": {}, "tol": math.nan}, "task.tol"),
+    ("canonical-base", {"closure": {"vectors": [[[0, "0", "nan", 0]]]}},
+     "task.closure.vectors[0][0]"),
+    ("nondividing", {"closure": {"vectors": [[[0, "0", 1, 0]]]}, "a": [[[0, "0", 0, -math.inf]]]},
+     "task.a[0][0]"),
+    ("canonical-base", {"closure": {"vectors": [[[0, "1", 1, 0], [0, " 1 ", -1, 0]]]}},
+     "task.closure.vectors[0][1]"),
+    ("contain", {"target": {"F": ["0"], "n": 1, "matrices": [[[[math.nan, 0.0]]]]}}, "target"),
+    ("amalgamate", {"pi": {"kind": "matrix", "matrices": [[[[math.nan, 0.0]]]]}}, "task.pi"),
 ])
 def test_malformed_number_exits_2_with_field(tmp_path, capsys, task, block, field):
-    """A malformed number or element string, or a missing vector list, exits 2 at its field."""
+    """A malformed or non-finite number, a bad element string, a repeated vector entry or a
+    missing vector list exits 2 at its field."""
     code, _out = run_task(tmp_path, task, {"group": Z, "task": block})
     err = capsys.readouterr().err
     assert code == 2
     assert f"'{field}'" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("task, flags", [
+    ("folner-witness", ["--eps", "inf"]),
+    ("contain", ["--tol", "nan"]),
+])
+def test_non_finite_flag_exits_2_with_field(tmp_path, capsys, task, flags):
+    """A flag's value is checked as its config value is: infinity and NaN exit 2."""
+    code, _out = run_task(tmp_path, task, {"group": Z, "task": {"F": ["1"], "eps": 0.1}}, *flags)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"config field 'task.{flags[0][2:]}': expected a finite float" in err
     assert "Traceback" not in err
 
 
@@ -760,7 +839,7 @@ def _element_pool(group):
        st.sampled_from(WITNESS_GROUPS), st.data(),
        st.sampled_from([0.5, 0.2, 1.5, 0.05, 0.0]),
        st.sampled_from(CAPS[::-1]), st.sampled_from([300, 30, 3]))
-def test_witness_fuzz_exits_cleanly_and_verifies(task, group, data, eps, cap, fresh):
+def test_witness_fuzz_exits_cleanly_and_verifies(task, group, data, eps, cap, dim_cap):
     """Small folner-witness and transfer configs exit 0, 2, 3 or 4; each report verifies.
 
     Exit 2 comes exactly from eps 0. An exit-0 folner report's exact defects
@@ -774,7 +853,7 @@ def test_witness_fuzz_exits_cleanly_and_verifies(task, group, data, eps, cap, fr
         block.update({"pi": {"kind": "trivial", "dim": 1},
                       "params": [[[1, pool[0], 1, 0]]],
                       "targets": [[[2, data.draw(elements), 1, 0]]]})
-    config = {"group": group, "caps": {"ball": cap, "fresh-copies": fresh}, "task": block}
+    config = {"group": group, "caps": {"ball": cap, "dimension": dim_cap}, "task": block}
     with tempfile.TemporaryDirectory() as tmp:
         code, out = run_task(Path(tmp), task, config)
         assert code in (0, 2, 3, 4), config

@@ -479,8 +479,8 @@ def test_transfer_fresh_cap():
     Z = z_oracle()
     rho = transfer_space(Z)
     t = delta(rho, 2, (5,))
-    with pytest.raises(ResourceLimitError):
-        transfer_witness(rho, [], [t], [(0,), (1,), (-1,)], eps=0.05, fresh_cap=3)
+    with pytest.raises(ResourceLimitError, match="dimension cap 3"):
+        transfer_witness(rho, [], [t], [(0,), (1,), (-1,)], eps=0.05, dim_cap=3)
 
 
 def test_transfer_rejects_bad_shape():

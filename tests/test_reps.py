@@ -15,6 +15,7 @@ from unirep import (
     Multiple,
     PreconditionError,
     Regular,
+    ResourceLimitError,
     SparseVector,
     Subspace,
     Trivial,
@@ -26,6 +27,7 @@ from unirep import (
     inner,
     orthonormalize,
 )
+from unirep.vectors import gram_schmidt
 from util import (
     cyclic_table,
     f2_oracle,
@@ -265,6 +267,21 @@ def test_orthonormalize_matches_svd_span_on_rank_deficient_families(seed):
     assert len(basis) == dim_ref
     assert np.max(np.abs(Q.conj() @ Q.T - np.eye(len(basis)))) < 1e-12
     assert np.max(np.abs(Q.T @ Q.conj() - P_ref)) < 1e-12
+
+
+def test_gram_schmidt_cap_counts_kept_rows_only():
+    """Keeping a (cap + 1)-th row raises; seed rows count, dropped rows do not."""
+    e = np.eye(3, dtype=complex)
+    X = np.array([e[0], 2 * e[0], e[1], e[0] + e[1], e[2]])
+    assert len(gram_schmidt(X[:4], cap=2)) == 2  # the two dependent rows are dropped
+    assert len(gram_schmidt(X, cap=3)) == 3
+    with pytest.raises(ResourceLimitError, match="dimension cap 2 exceeded"):
+        gram_schmidt(X, cap=2)
+    seed = e[:2]
+    assert np.array_equal(gram_schmidt(X[:4], seed=seed, cap=2), seed)
+    assert len(gram_schmidt(X, seed=seed, cap=3)) == 3
+    with pytest.raises(ResourceLimitError, match="dimension cap 2 exceeded"):
+        gram_schmidt(X, seed=seed, cap=2)
 
 
 def _subspace_cases():
