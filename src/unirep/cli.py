@@ -70,7 +70,6 @@ from .reps import DirectSum, Embedding, Multiple, Regular, Subspace, amalgamate
 from .serialize import (
     DEFAULT_CAPS,
     gram_to_json,
-    group_to_json,
     parse_config,
     parse_elements,
     parse_gram,
@@ -170,7 +169,7 @@ def _report(task, cfg, own, values):
     """A run's report: the handler's own parts, the group, the seed and the echoed parameters."""
     report = {"task": task, "timestamp": datetime.now(timezone.utc).isoformat(),
               "seed": cfg.seed, "tolerances": {}, **own}
-    report["inputs"] = {"group": group_to_json(cfg.oracle), **own.get("inputs", {})}
+    report["inputs"] = {"group": cfg.oracle.to_json(), **own.get("inputs", {})}
     for param, value in values.items():
         if "." not in param.name:
             report["inputs" if param.cast is int else "tolerances"][param.name] = value

@@ -250,8 +250,8 @@ def search_witness(target: GramFunction, pi: Representation, basis: Subspace,
     for bit. The reported discrepancy is always the recomputed max-abs
     deviation of the returned witnesses.
     """
-    if tol <= 0:
-        raise PreconditionError("tolerance must be positive")
+    if not 0 < tol < np.inf:
+        raise PreconditionError(f"tol must be finite and positive, got {tol!r}")
     K = basis.dim
     if K == 0:
         raise PreconditionError("witness search needs a nonempty basis")
@@ -339,8 +339,8 @@ def folner_witness(oracle: GroupOracle, F, eps: float,
     its radius; on a non-amenable group Kesten's bound keeps that defect
     away from 0.
     """
-    if eps <= 0:
-        raise PreconditionError("eps must be positive")
+    if not 0 < eps < np.inf:
+        raise PreconditionError(f"eps must be finite and positive, got {eps!r}")
     F = list(F)
     for g in F:
         oracle.check_element(g)
@@ -401,8 +401,8 @@ def transfer_witness(rho: Representation, params, targets, F, eps: float,
     on the inputs only, so repeated calls on the same ``rho`` return the
     same witnesses.
     """
-    if eps <= 0:
-        raise PreconditionError("eps must be positive")
+    if not 0 < eps < np.inf:
+        raise PreconditionError(f"eps must be finite and positive, got {eps!r}")
     tail = _tail_structure(rho)
     oracle = tail.base.oracle
     params = list(params)

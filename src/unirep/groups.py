@@ -11,7 +11,9 @@ Group elements are plain hashable payloads in canonical form:
   user-supplied complete (terminating and confluent) rewriting system.
 
 An oracle interprets payloads of its own kind only; feeding it a payload
-that is not canonical for that kind raises ``KindMismatchError``.
+that is not canonical for that kind raises ``KindMismatchError``. Each
+oracle also presents its group: ``relations`` lists word pairs that,
+with the free cancellations, define it on the oracle's generators.
 
 ``ball`` is the one Cayley-graph search: words with no closed form and a
 table's generation check read its breadth-first tree. An oracle holds no
@@ -73,6 +75,13 @@ class GroupOracle:
         raise NotImplementedError
 
     # -- structure --------------------------------------------------------
+    def relations(self) -> list:
+        """Pairs (u, v) of words equal in the group that, with free cancellation, present it.
+
+        Letter i is generator i and -i its inverse. Built on each call.
+        """
+        raise NotImplementedError
+
     def order(self) -> Optional[int]:
         """Group order, or None when infinite (or not known to be finite)."""
         return None
@@ -177,6 +186,9 @@ class FreeGroupOracle(GroupOracle):
     def check_element(self, a):
         _check_word(a, self.rank)
 
+    def relations(self):
+        return []
+
     def word_ball(self, a):
         return None
 
@@ -231,27 +243,32 @@ class FgAbelianOracle(GroupOracle):
         if self.dim > 0 and not self.generators:
             raise PreconditionError("a nontrivial abelian oracle needs generators")
         self._validate_generators()
-        if rank == 0:
-            self._check_spanning()
+        # with no free part, the generators and the m_i e_i must span Z^dim: every pivot is +-1
+        if rank == 0 and any(abs(p) != 1 for p in self._eliminate()[0]):
+            raise PreconditionError("generators do not generate the whole group")
 
     def _reduce(self, vec):
         return tuple(c % m if m else c for c, m in zip(vec, self.moduli))
 
-    def _check_spanning(self):
-        """Raise unless the generators and the m_i e_i span Z^dim, i.e. generate prod Z/m_i.
+    def _eliminate(self):
+        """Integer row reduction of the rows (g_i | e_i) and (m_t e_t | 0), one column at a time.
 
-        Extended Euclid folds each column into one pivot row, which must be +-1.
+        Extended Euclid folds each column into one pivot row, set aside.
+        Returns the pivot entries and the right parts c of the rows left with
+        a zero left part: a basis of the integer relations sum c_i g_i = 0.
         """
-        rows = [list(g) for g in self.generators]
+        k = len(self.generators)
+        rows = [list(g) + [int(i == j) for j in range(k)] for i, g in enumerate(self.generators)]
+        pivots = []
         for col, m in enumerate(self.moduli):
-            pivot = [m if k == col else 0 for k in range(self.dim)]
+            pivot = [m if j == col else 0 for j in range(self.dim + k)]
             for i, r in enumerate(rows):
                 while r[col]:
                     q = pivot[col] // r[col]
                     pivot, r = r, [a - q * b for a, b in zip(pivot, r)]
-                rows[i] = [c % mk for c, mk in zip(r, self.moduli)]
-            if abs(pivot[col]) != 1:
-                raise PreconditionError("generators do not generate the whole group")
+                rows[i] = r
+            pivots.append(pivot[col])
+        return pivots, [r[self.dim:] for r in rows if any(r)]
 
     def identity(self):
         return (0,) * self.dim
@@ -294,13 +311,14 @@ class FgAbelianOracle(GroupOracle):
             tuple(1 if j == i else 0 for j in range(self.dim)) for i in range(self.dim)
         ]
 
-    def generator_order(self, g):
-        """Order of a single element, or None when infinite."""
-        self.check_element(g)
-        if any(c != 0 for c, m in zip(g, self.moduli) if m == 0):
-            return None
-        ords = [m // math.gcd(m, c) for c, m in zip(g, self.moduli) if m]
-        return math.lcm(*ords) if ords else 1
+    def relations(self):
+        """The generators commute, and each relation c of ``_eliminate`` is a word equal to e."""
+        letters = range(1, len(self.generators) + 1)
+        pairs = [((i, j), (j, i)) for i, j in itertools.combinations(letters, 2)]
+        for c in self._eliminate()[1]:
+            word = [i if ci > 0 else -i for i, ci in enumerate(c, 1) for _ in range(abs(ci))]
+            pairs.append((tuple(word), ()))
+        return pairs
 
     def word_ball(self, a):
         return None if self._standard_generators() else super().word_ball(a)
@@ -364,9 +382,7 @@ class FiniteTableOracle(GroupOracle):
             if len(col) != n:
                 raise PreconditionError("multiplication table columns must be permutations")
         self._identity = self._find_identity()
-        self._inverse = [0] * n
-        for a in range(n):
-            self._inverse[a] = self.table[a].index(self._identity)
+        self._inverse = [row.index(self._identity) for row in self.table]
         self.generators = [int(g) for g in generators]
         self._validate_generators()
         if len(ball(self, n - 1, n)) != n:
@@ -392,6 +408,20 @@ class FiniteTableOracle(GroupOracle):
             if len(bad):
                 x, y = (int(t) for t in bad[0])
                 raise PreconditionError(f"multiplication table is not associative at {(x, s, y)}")
+
+    def relations(self):
+        """w_x a = w_xa for each element x and letter a = +-i, w_x the path to x in the ball's tree.
+
+        The saturated ball's breadth-first tree gives this Reidemeister-Schreier
+        presentation; x runs in tree order, so each w_x is a right side before a prefix.
+        """
+        B = ball(self, self.n - 1, self.n)
+        letters = list(generator_letters(self).values())
+        words = {self._identity: ()}
+        for x, p, j in zip(B.elements[1:], B.parent[1:], B.letter[1:]):
+            words[x] = words[B.elements[p]] + (letters[j],)
+        return [(words[x] + (a,), words[self.table[x][g if a > 0 else self._inverse[g]]])
+                for x in B.elements for i, g in enumerate(self.generators, 1) for a in (i, -i)]
 
     def identity(self):
         return self._identity
@@ -508,6 +538,10 @@ class RewritingOracle(GroupOracle):
                         )
                     break
         return tuple(out)
+
+    def relations(self):
+        """Each user rule's left side equals the right side it rewrites to."""
+        return [(lhs, self._rhs[lhs]) for lhs, _ in self.user_rules]
 
     def normalize(self, word):
         word = tuple(word)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import KindMismatchError, PreconditionError
-from .groups import GroupOracle, ball, generator_letters
+from .groups import GroupOracle, generator_letters
 # inner and orthonormalize are kept bound here: the benchmark tracer checks every
 # module binding of them
 from .vectors import (  # noqa: F401
@@ -178,14 +178,13 @@ class MatrixRep(_FiniteAtom):
     """Finite-dimensional representation given by one unitary matrix per generator.
 
     Generator matrices must have finite entries and be unitary to
-    ``unitary_tol``; every word in ``relations`` (signed generator letters)
-    must evaluate to the identity within ``RELATION_TOL``. Kind-specific
-    relations are checked automatically: commutators and torsion powers
-    for abelian oracles, the rewriting rules for presented oracles, and
-    sampled table products for finite-table oracles.
+    ``unitary_tol``, and every pair (u, v) of ``oracle.relations()`` must
+    hold within ``RELATION_TOL``: the oracle's presentation, checked whole.
+    Words are read letter by letter, -i as matrix i's adjoint; a side one
+    letter past a right side already evaluated costs one product.
     """
 
-    def __init__(self, oracle, matrices, relations=(), unitary_tol=UNITARY_TOL):
+    def __init__(self, oracle, matrices, unitary_tol=UNITARY_TOL):
         if oracle is None:
             raise PreconditionError("matrix representation needs a group oracle")
         self.oracle = oracle
@@ -206,76 +205,42 @@ class MatrixRep(_FiniteAtom):
             if defect > unitary_tol:
                 raise PreconditionError(f"generator matrix not unitary: defect {defect:.3g}")
         self.matrices = mats
+        self._letters = {a * i: U if a > 0 else U.conj().T
+                         for i, U in enumerate(mats, 1) for a in (1, -1)}
         self.dim = d
         self._element_cache: dict = {}
-        for word in self._automatic_relations() + [tuple(w) for w in relations]:
-            E = self.evaluate_word(word)
-            defect = np.max(np.abs(E - np.eye(d)))
+        right = {(): np.eye(d, dtype=complex)}  # the right sides evaluated so far
+        for u, v in oracle.relations():
+            rhs = right[v] = self._side(v, right)
+            defect = abs(self._side(u, right) - rhs).max()
             if defect > RELATION_TOL:
-                raise PreconditionError(
-                    f"relation {word} violated: defect {defect:.3g}"
-                )
-        self._table_spot_check()
+                raise PreconditionError(f"relation {u} = {v} violated: defect {defect:.3g}")
 
-    def _automatic_relations(self):
-        rels = []
-        kind = self.oracle.kind
-        if kind == "fg-abelian":
-            k = len(self.oracle.generators)
-            for i in range(1, k + 1):
-                for j in range(i + 1, k + 1):
-                    rels.append((i, j, -i, -j))
-            for i, g in enumerate(self.oracle.generators, start=1):
-                order = self.oracle.generator_order(g)
-                if order:
-                    rels.append((i,) * order)
-        elif kind == "rewriting-presented":
-            for lhs, rhs in self.oracle.user_rules:
-                inv_rhs = tuple(-x for x in reversed(rhs))
-                rels.append(lhs + inv_rhs)
-        return rels
-
-    def _table_spot_check(self):
-        """Check sampled table products on the matrices of one saturated ball."""
-        if self.oracle.kind != "finite-table":
-            return
-        n = self.oracle.n
-        self._cache_tree(ball(self.oracle, n - 1, n))
-        if n <= 32:
-            pairs = [(a, b) for a in range(n) for b in range(n)]
-        else:
-            rng = np.random.default_rng(12345)
-            pairs = [(int(rng.integers(n)), int(rng.integers(n))) for _ in range(500)]
-        for a, b in pairs:
-            lhs = self.matrix_of(a) @ self.matrix_of(b)
-            rhs = self.matrix_of(self.oracle.multiply(a, b))
-            if np.max(np.abs(lhs - rhs)) > RELATION_TOL:
-                raise PreconditionError(
-                    f"generator matrices do not respect the table at pair {(a, b)}"
-                )
+    def _side(self, word, right):
+        """The matrix of ``word``, one product past ``right[word[:-1]]`` when that is known."""
+        if word in right:
+            return right[word]
+        head = right.get(word[:-1])
+        return self.evaluate_word(word) if head is None else head @ self._letters[word[-1]]
 
     def evaluate_word(self, word) -> np.ndarray:
         out = np.eye(self.dim, dtype=complex)
         for letter in word:
-            U = self.matrices[abs(letter) - 1]
-            out = out @ (U if letter > 0 else U.conj().T)
+            out = out @ self._letters[letter]
         return out
 
-    def _cache_tree(self, B):
-        """Cache the matrix of each element of ``B``: its tree parent's times one step's."""
-        steps = [self.evaluate_word((letter,)) for letter in generator_letters(self.oracle).values()]
-        M = [np.eye(self.dim, dtype=complex)]
-        for p, j in zip(B.parent[1:], B.letter[1:]):
-            M.append(M[p] @ steps[j])
-        self._element_cache.update(zip(B.elements, M))
-
     def matrix_of(self, g) -> np.ndarray:
+        """The matrix of ``g``, from its word or from ``word_ball(g)``'s tree, cached whole."""
         if g not in self._element_cache:
             B = self.oracle.word_ball(g)
             if B is None:
                 self._element_cache[g] = self.evaluate_word(self.oracle.as_word(g))
             else:
-                self._cache_tree(B)
+                steps = [self._letters[a] for a in generator_letters(self.oracle).values()]
+                M = [np.eye(self.dim, dtype=complex)]
+                for p, j in zip(B.parent[1:], B.letter[1:]):
+                    M.append(M[p] @ steps[j])
+                self._element_cache.update(zip(B.elements, M))
         return self._element_cache[g]
 
     def leaf_apply(self, g, local):

@@ -75,10 +75,6 @@ def parse_group(obj, where="group") -> GroupOracle:
     raise ConfigError(f"unknown group kind '{kind}'", field=f"{where}.kind")
 
 
-def group_to_json(oracle: GroupOracle) -> dict:
-    return oracle.to_json()
-
-
 def _matrix_to_json(U: np.ndarray) -> list:
     return [[[float(z.real), float(z.imag)] for z in row] for row in U]
 
@@ -105,9 +101,11 @@ def parse_representation(obj, oracle, where="representation") -> Representation:
             _matrix_from_json(m, f"{where}.matrices[{i}]")
             for i, m in enumerate(_require(obj, "matrices", list, where))
         ]
-        relations = [tuple(wd) for wd in obj.get("relations", [])]
+        if "relations" in obj:  # the oracle presents its group; no relation is taken here
+            raise ConfigError("a matrix representation takes no relations",
+                              field=f"{where}.relations")
         try:
-            return MatrixRep(oracle, mats, relations)
+            return MatrixRep(oracle, mats)
         except ConfigError:
             raise
         except Exception as exc:

@@ -146,6 +146,8 @@ def nondividing(pi: Representation, a_vec, B, C: ClosureSpec,
     i, g, j, h) is reported with both residuals. The residuals are stacked
     as rows and every pair is one entry of ``Ra @ Rb^H``.
     """
+    if not 0 < tol < np.inf:
+        raise PreconditionError(f"tol must be finite and positive, got {tol!r}")
     a_vec = list(a_vec)
     B = list(B)
     _check_space(pi, a_vec + B, "nondividing vector")
@@ -215,8 +217,8 @@ def superstable_approx(pi: Representation, a_vec, A, eps: float, r: int,
     ones by ``gram_schmidt`` in the closure's coordinates, so the picks are
     at most C.dim; ``dim_cap`` and ``cap`` bound the closure as in ``closure``.
     """
-    if eps <= 0:
-        raise PreconditionError("eps must be positive")
+    if not 0 < eps < np.inf:
+        raise PreconditionError(f"eps must be finite and positive, got {eps!r}")
     a_vec = list(a_vec)
     _check_space(pi, a_vec, "tuple vector")
     A = list(A)

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from unirep import ConvergenceError, ball
 from unirep.cli import HANDLERS, TASKS, VERIFIERS, build_parser, main
 from unirep.serialize import parse_group
-from util import H3_RULES, random_unitary, swapped_intercalate_table
+from util import H3_RULES, character_action, phase, random_unitary, swapped_intercalate_table
 
 Z = {"kind": "fg-abelian", "rank": 1, "torsion": []}
 F2 = {"kind": "free", "rank": 2}
@@ -777,6 +777,50 @@ def test_non_associative_table_exits_2_at_group(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+Z_ON_2_3 = {"kind": "fg-abelian", "rank": 1, "torsion": [], "generators": [[2], [3]]}
+Z4_ON_1_2 = {"kind": "fg-abelian", "rank": 0, "torsion": [4], "generators": [[1], [2]]}
+CANONICAL_BASE = {"closure": {"vectors": [[[0, "0", 1, 0]]]}, "a": [[[0, "1", 1, 0]]]}
+
+
+@pytest.mark.parametrize("group, matrices", [
+    (Z_ON_2_3, [np.diag([1j, 1]), np.diag([1, -1])]),  # A^3 B^-2 = diag(-i, 1)
+    (Z4_ON_1_2, [np.array([[1j]]), np.array([[1]])]),  # A^2 = -1, B = 1
+])
+def test_matrices_off_the_presentation_exit_2_at_representation(tmp_path, capsys, group,
+                                                                   matrices):
+    """Each oracle's presentation is checked whole; a genuine action on the group still runs."""
+    rep = {"kind": "matrix", "matrices": [_matrix_json(U) for U in matrices]}
+    config = {"group": group, "representation": rep, "task": CANONICAL_BASE}
+    code, _out = run_task(tmp_path, "canonical-base", config)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "config field 'config.representation'" in err and "violated" in err
+    assert "Traceback" not in err
+    w = random_unitary(np.random.default_rng(3), 2)
+    genuine = [w @ w, w @ w @ w] if group is Z_ON_2_3 else [1j * np.eye(2), -np.eye(2)]
+    rep["matrices"] = [_matrix_json(U) for U in genuine]
+    code, out = run_task(tmp_path, "canonical-base", config, name="genuine")
+    assert code == 0
+    assert main(["verify", "--report", str(out)]) == 0
+
+
+@pytest.mark.parametrize("task, config, field", [
+    ("canonical-base", {"representation": {"kind": "matrix", "matrices": [[[[1.0, 0.0]]]] * 2,
+                                           "relations": []}, "task": CANONICAL_BASE},
+     "config.representation.relations"),
+    ("amalgamate", {"task": {"pi": {"kind": "matrix", "matrices": [[[[1.0, 0.0]]]] * 2,
+                                    "relations": [[1, 2, -1, -2]]}}},
+     "task.pi.relations"),
+])
+def test_matrix_relations_key_exits_2_at_its_field(tmp_path, capsys, task, config, field):
+    """A matrix block takes no relations: the group's oracle presents the group."""
+    code, _out = run_task(tmp_path, task, {"group": F2, **config})
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"config field '{field}'" in err
+    assert "Traceback" not in err
+
+
 def test_cli_import_leaves_scipy_out():
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
@@ -926,3 +970,80 @@ def test_stability_fuzz_exits_cleanly_and_verifies(case):
         size = len(ball(parse_group(config["group"]), radius))
         if size > config["caps"]["ball"]:
             assert code == 3, config
+
+
+def _cyclic(n):
+    return {"kind": "finite-table", "table": [[(i + j) % n for j in range(n)] for i in range(n)],
+            "generators": [1]}
+
+
+# name -> (group, genuine d-dimensional actions, whether random unitaries can break a relation)
+AMALGAM_GROUPS = {
+    **{f"Z/{n}": (_cyclic(n), lambda rng, d, n=n: character_action(rng, d, lambda r: [phase(r, n)]),
+                  True) for n in (2, 3, 5)},
+    "Z": (Z, lambda rng, d: [random_unitary(rng, d)], False),
+    "F2": (F2, lambda rng, d: [random_unitary(rng, d) for _ in range(2)], False),
+    "Z2-rewriting": (Z2_REWRITING,
+                     lambda rng, d: character_action(rng, d, lambda r: [phase(r), phase(r)]), True),
+}
+
+
+@st.composite
+def _amalgamate_fuzz_config(draw, name):
+    """An amalgamate config on group ``name``, whether some factor breaks a relation or
+    cannot be embedded, and the size of its check ball."""
+    group, genuine, breakable = AMALGAM_GROUPS[name]
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    broken = []
+
+    def atom():
+        kind = draw(st.sampled_from(["trivial", "matrix", "matrix"] + ["broken"] * breakable))
+        d = draw(st.integers(1, 2))
+        if kind == "trivial":
+            return {"kind": "trivial", "dim": d}
+        broken.append(kind == "broken")
+        # random 2 x 2 unitaries: a generic one has no finite order, a generic pair does not commute
+        mats = (genuine(rng, d) if kind == "matrix" else
+                [random_unitary(rng, 2) for _ in parse_group(group).generators])
+        return {"kind": "matrix", "matrices": [_matrix_json(U) for U in mats]}
+
+    pi = atom()
+    stranded = False
+
+    def extension():
+        nonlocal stranded
+        shape = draw(st.sampled_from(["pi", "sum", "sum", "other"]))
+        stranded |= shape == "other"
+        if shape == "pi":
+            return pi
+        if shape == "other":
+            return {"kind": "trivial", "dim": 3}
+        return {"kind": "direct-sum", "parts": [pi, atom()]}
+
+    radius = draw(st.integers(0, 3))
+    config = {"group": group, "caps": {"ball": draw(st.sampled_from([3, 1000]))},
+              "task": {"pi": pi, "rho": extension(), "eta": extension(), "check-radius": radius}}
+    return config, any(broken) or stranded, len(ball(parse_group(group), radius))
+
+
+@pytest.mark.parametrize("name", sorted(AMALGAM_GROUPS))
+@settings(derandomize=True, database=None, max_examples=25, deadline=None)
+@given(data=st.data())
+def test_amalgamate_fuzz_exits_cleanly_and_verifies(name, data):
+    """Small amalgamate configs exit 0, 2 or 3 with no traceback; each report verifies.
+
+    Exit 2 comes exactly from a factor whose matrices break one of the group's
+    relations or an extension that is neither pi nor a direct sum led by pi;
+    otherwise a check ball past ``caps.ball`` exits 3. The complements are
+    built as matrix representations under each oracle's relations.
+    """
+    config, refused, size = data.draw(_amalgamate_fuzz_config(name))
+    with tempfile.TemporaryDirectory() as tmp:
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            code, out = run_task(Path(tmp), "amalgamate", config)
+            if code == 0:
+                assert main(["verify", "--report", str(out)]) == 0, config
+                assert json.loads(out.read_text())["outputs"]["gram-defect"] <= 1e-8, config
+        assert "Traceback" not in stderr.getvalue()
+    assert code == (2 if refused else 3 if size > config["caps"]["ball"] else 0), config

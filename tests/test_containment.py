@@ -301,6 +301,27 @@ def test_search_empty_basis_rejected():
         search_witness(trivial_target(Z), reg, Subspace(reg, []), tol=0.1)
 
 
+def _transfer_with_eps(eps):
+    rho = transfer_space(z_oracle())
+    return transfer_witness(rho, [delta(rho, 1, (0,))], [delta(rho, 1, (3,))], [(1,)], eps)
+
+
+def _search_with_tol(tol):
+    reg = Regular(z_oracle())
+    return search_witness(trivial_target(z_oracle()), reg, ball_delta_basis(reg, 2), tol)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda eps: folner_witness(z_oracle(), [(1,)], eps), "eps"),  # inf once: OverflowError
+    (_transfer_with_eps, "eps"),
+    (_search_with_tol, "tol"),  # inf once: "converged" at discrepancy 1.32
+], ids=["folner_witness", "transfer_witness", "search_witness"])
+@pytest.mark.parametrize("value", [math.inf, math.nan, 0.0, -1.0])
+def test_witness_tolerance_must_be_finite_and_positive(call, name, value):
+    with pytest.raises(PreconditionError, match=f"{name} must be finite and positive"):
+        call(value)
+
+
 def test_folner_finite_group_exact():
     from util import cyclic_table
 

@@ -22,10 +22,13 @@ from unirep import (
 from util import (
     cyclic_table,
     f2_oracle,
+    psl2z_rewriting,
+    s4_table,
     swapped_intercalate_table,
     z2_oracle,
     z2_rewriting,
     z3_rewriting,
+    z_on_2_3,
     z_oracle,
 )
 
@@ -42,7 +45,19 @@ def all_oracles():
         z3_rewriting(),
         FgAbelianOracle(2, [], [(1, 0), (1, 1)]),
         FgAbelianOracle(0, [6], [(2,), (3,)]),
+        z_on_2_3(),
+        psl2z_rewriting(),
+        s4_table(),
     ]
+
+
+def _evaluate(oracle, word):
+    """The element a signed-letter word names: letter i is generator i, -i its inverse."""
+    x = oracle.identity()
+    for letter in word:
+        g = oracle.generators[abs(letter) - 1]
+        x = oracle.multiply(x, g if letter > 0 else oracle.invert(g))
+    return x
 
 
 def test_free_reduction_examples():
@@ -240,9 +255,7 @@ def test_bad_table_rejected():
 def test_associativity_is_checked_on_every_triple():
     """Light's test on the steps decides associativity exactly, also past 40 elements."""
     assert cyclic_table(200).order() == 200
-    perms = list(itertools.permutations(range(4)))
-    S4 = [[perms.index(tuple(p[q[i]] for i in range(4))) for q in perms] for p in perms]
-    assert FiniteTableOracle(S4, [perms.index((1, 0, 2, 3)), perms.index((1, 2, 3, 0))]).n == 24
+    assert s4_table().n == 24
     with pytest.raises(PreconditionError, match=r"not associative at \(2, 1, 5\)"):
         FiniteTableOracle(swapped_intercalate_table(), [1])
 
@@ -252,13 +265,37 @@ def test_as_word_roundtrip():
     for oracle in all_oracles():
         state = dict(vars(oracle))
         for x in ball(oracle, 3).elements:
-            word = oracle.as_word(x)
-            rebuilt = oracle.identity()
-            for letter in word:
-                g = oracle.generators[abs(letter) - 1]
-                rebuilt = oracle.multiply(rebuilt, g if letter > 0 else oracle.invert(g))
-            assert rebuilt == x
+            assert _evaluate(oracle, oracle.as_word(x)) == x
         assert vars(oracle) == state
+
+
+@pytest.mark.parametrize("oracle", all_oracles(), ids=lambda o: o.kind)
+def test_relations_hold_in_the_oracle(oracle):
+    """Both sides of every relation name the same element, and listing them keeps no state."""
+    state = dict(vars(oracle))
+    for u, v in oracle.relations():
+        assert _evaluate(oracle, u) == _evaluate(oracle, v), (u, v)
+    assert vars(oracle) == state
+
+
+@pytest.mark.parametrize("torsion", [(4,), (6,), (2, 2), (2, 4), (3, 3)])
+def test_finite_abelian_relations_span_every_relation(torsion):
+    """The exponent vectors c of the relation words w = e have |det| = |G|.
+
+    Every c lies in the lattice L of sum c_i g_i = 0, whose index in Z^k is |G|,
+    so they span L: with the commutators they present G.
+    """
+    group = list(itertools.product(*(range(m) for m in torsion)))
+    for k in (1, 2):
+        for gens in itertools.combinations(group[1:], k):
+            try:
+                oracle = FgAbelianOracle(0, torsion, gens)
+            except PreconditionError:
+                continue  # a proper subgroup
+            rows = [[u.count(i) - u.count(-i) for i in range(1, k + 1)]
+                    for u, v in oracle.relations() if v == ()]
+            assert len(rows) == k
+            assert round(abs(np.linalg.det(np.array(rows, dtype=float)))) == len(group)
 
 
 def test_as_word_outside_the_generated_subgroup(monkeypatch):

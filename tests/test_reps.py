@@ -31,10 +31,13 @@ from unirep.vectors import gram_schmidt
 from util import (
     cyclic_table,
     f2_oracle,
+    psl2z_rewriting,
     random_elements,
     random_matrix_rep,
     random_sparse,
     random_unitary,
+    s4_table,
+    z_on_2_3,
     z_oracle,
 )
 
@@ -161,12 +164,6 @@ def test_matrix_rep_validation():
     Z = z_oracle()
     with pytest.raises(PreconditionError):
         MatrixRep(Z, [np.array([[2.0]])])  # not unitary
-    # explicit relation check
-    F2 = f2_oracle()
-    U = random_unitary(np.random.default_rng(0), 2)
-    V = random_unitary(np.random.default_rng(1), 2)
-    with pytest.raises(PreconditionError):
-        MatrixRep(F2, [U, V], relations=[(1, 2, -1, -2)])  # generic pair never commutes
 
 
 def test_matrix_rep_finite_table_check():
@@ -177,8 +174,96 @@ def test_matrix_rep_finite_table_check():
         MatrixRep(Z3, [np.array([[1j]])])  # i has order 4
 
 
+@pytest.mark.parametrize("oracle, matrices", [
+    # g1 = 2 and g2 = 3 satisfy 3 g1 = 2 g2 in Z, yet A^3 = diag(-i, 1) and B^2 = 1
+    (z_on_2_3(), [np.diag([1j, 1]), np.diag([1, -1])]),
+    # g1 = 1 and g2 = 2 satisfy g2 = 2 g1 in Z/4, yet A^2 = -1 and B = 1
+    (FgAbelianOracle(0, [4], [(1,), (2,)]), [np.array([[1j]]), np.array([[1]])]),
+])
+def test_matrix_rep_rejects_matrices_off_the_presentation(oracle, matrices):
+    """Commutators and generator orders alone let these through; the full presentation does not."""
+    with pytest.raises(PreconditionError, match="relation .* violated"):
+        MatrixRep(oracle, matrices)
+
+
+def test_matrix_rep_accepts_actions_through_the_presentation():
+    """A = w^2, B = w^3 for a unitary w acts as Z on {2, 3}, and g -> w^g everywhere."""
+    w = random_unitary(np.random.default_rng(2), 3)
+    rep = MatrixRep(z_on_2_3(), [w @ w, w @ w @ w])
+    for k in range(-4, 5):
+        np.testing.assert_allclose(rep.matrix_of((k,)), np.linalg.matrix_power(w, k), atol=1e-12)
+    MatrixRep(FgAbelianOracle(0, [4], [(1,), (2,)]), [np.array([[1j]]), np.array([[-1]])])
+
+
+def _permutations(oracle, act):
+    """The permutation matrix of x -> act(g, x) on the table's basis, for each element g."""
+    n = oracle.n
+    mats = []
+    for g in range(n):
+        P = np.zeros((n, n), dtype=complex)
+        P[[act(g, x) for x in range(n)], range(n)] = 1
+        mats.append(P)
+    return mats
+
+
+@pytest.mark.parametrize("oracle", [cyclic_table(2), cyclic_table(7), s4_table(),
+                                    FiniteTableOracle(cyclic_table(12).table, [3, 4, 4])],
+                         ids=["Z2", "Z7", "S4", "Z12-on-3-4-4"])
+def test_table_left_regular_matrices_are_accepted(oracle):
+    """The left-regular action is a representation; each element's matrix is its permutation."""
+    left = _permutations(oracle, lambda g, x: oracle.table[g][x])
+    rep = MatrixRep(oracle, [left[g] for g in oracle.generators])
+    for x in range(oracle.n):
+        assert np.array_equal(rep.matrix_of(x), left[x])
+
+
+def test_table_rejects_matrices_off_the_table():
+    """Matrices of the right orders are refused once a product of them has the wrong one.
+
+    S4's transposition t and 4-cycle c have t c of order 3. A 4-cycle d with t d of
+    order 2 keeps t^2 = d^4 = e and breaks the rest. A repeated generator must
+    repeat its matrix too.
+    """
+    S4 = s4_table()
+    left = _permutations(S4, lambda g, x: S4.table[g][x])
+
+    def order(g):
+        x, k = g, 1
+        while x != S4.identity():
+            x, k = S4.table[x][g], k + 1
+        return k
+
+    t, c = S4.generators
+    d = next(g for g in range(S4.n) if order(g) == 4 and order(S4.table[t][g]) == 2)
+    assert order(S4.table[t][c]) == 3
+    with pytest.raises(PreconditionError, match="violated"):
+        MatrixRep(S4, [left[t], left[d]])
+    Z12 = FiniteTableOracle(cyclic_table(12).table, [3, 4, 4])
+    left = _permutations(Z12, lambda g, x: Z12.table[g][x])
+    with pytest.raises(PreconditionError, match="violated"):
+        MatrixRep(Z12, [left[3], left[4], left[3]])
+
+
+def test_psl2z_matrices_follow_the_rewriting_rules():
+    """On a -> A, b -> B, PSL(2, Z) takes an involution A and a B of order 3, not of order 4.
+
+    The rule A -> a has the left side (-1,), a letter the generator map never uses; it
+    is read as the adjoint of A.
+    """
+    oracle = psl2z_rewriting()
+    A = np.array([[0, 1], [1, 0]])
+    w = np.exp(2j * math.pi / 3)
+    B = np.diag([1, w])
+    rep = MatrixRep(oracle, [A, B])
+    np.testing.assert_allclose(rep.matrix_of((1, 2, 1, -2)), A @ B @ A @ B.conj(), atol=1e-12)
+    with pytest.raises(PreconditionError, match="violated"):
+        MatrixRep(oracle, [A, np.diag([1, 1j])])
+    with pytest.raises(PreconditionError, match="violated"):
+        MatrixRep(oracle, [np.diag([1, 1j]), B])
+
+
 def test_table_matrices_built_along_the_ball_match_words():
-    """Past 32 elements the spot check samples pairs; every matrix still equals its word's product."""
+    """Every element's matrix, built along its ball's tree, equals its word's product."""
     n = 40
     table = [[(i + j) % n for j in range(n)] for i in range(n)]
     oracle = FiniteTableOracle(table, [1, 3])

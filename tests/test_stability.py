@@ -418,8 +418,18 @@ def test_superstable_exact_tie_picks_the_earlier_label():
     assert result.selected[0] == ((1,), 0)
 
 
-def test_superstable_needs_positive_eps():
-    Z = z_oracle()
-    reg = Regular(Z)
-    with pytest.raises(PreconditionError):
-        superstable_approx(reg, [dz(reg, 0)], [dz(reg, 0)], eps=0.0, r=1)
+@pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+def test_superstable_needs_finite_positive_eps(value):
+    """A nan eps once returned gap 1.0 here, with no pick and no error."""
+    reg = Regular(z_oracle())
+    with pytest.raises(PreconditionError, match="eps must be finite and positive"):
+        superstable_approx(reg, [dz(reg, 0)], [dz(reg, 1)], eps=value, r=1)
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+def test_nondividing_needs_finite_positive_tol(value):
+    """A nan tol once made every verdict dependent, with no error."""
+    reg = Regular(z_oracle())
+    C = closure(reg, [dz(reg, 0)], 1)
+    with pytest.raises(PreconditionError, match="tol must be finite and positive"):
+        nondividing(reg, [dz(reg, 2)], [dz(reg, 2)], C, tol=value)

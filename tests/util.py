@@ -1,5 +1,7 @@
 """Shared helpers for the test suite: oracle builders, random data, dense references."""
 
+import itertools
+
 import numpy as np
 
 from unirep import (
@@ -28,6 +30,13 @@ def f2_oracle():
 def cyclic_table(n):
     table = [[(i + j) % n for j in range(n)] for i in range(n)]
     return FiniteTableOracle(table, [1] if n > 1 else [])
+
+
+def s4_table():
+    """S4 on a transposition and a 4-cycle; row p, column q holds the composite p o q."""
+    perms = list(itertools.permutations(range(4)))
+    table = [[perms.index(tuple(p[q[i]] for i in range(4))) for q in perms] for p in perms]
+    return FiniteTableOracle(table, [perms.index((1, 0, 2, 3)), perms.index((1, 2, 3, 0))])
 
 
 def swapped_intercalate_table():
@@ -62,6 +71,19 @@ def h3_rewriting():
     return RewritingOracle(3, H3_RULES)
 
 
+# PSL(2, Z) = Z/2 * Z/3 on an involution a and b of order 3: normal forms alternate a with b or B
+PSL2Z_RULES = [[[1, 1], []], [[-1], [1]], [[2, 2], [-2]], [[-2, -2], [2]]]
+
+
+def psl2z_rewriting():
+    return RewritingOracle(2, PSL2Z_RULES)
+
+
+def z_on_2_3():
+    """Z generated by 2 and 3: its words come from a search ball, and g1 g1 g1 = g2 g2."""
+    return FgAbelianOracle(1, [], [(2,), (3,)])
+
+
 def z3_rewriting():
     return RewritingOracle(1, [[[1, 1], [-1]], [[-1, -1], [1]]])
 
@@ -70,6 +92,19 @@ def random_unitary(rng, d):
     z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     q, r = np.linalg.qr(z)
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def phase(rng, m=0):
+    """A random unit complex number; an m-th root of unity when m > 0."""
+    return np.exp(2j * np.pi * (rng.integers(m) / m if m else rng.random()))
+
+
+def character_action(rng, d, character):
+    """One unitary Q diag(...) Q^H per generator: d draws of ``character(rng)``, each a phase
+    per generator, conjugated by one random unitary Q. It acts whenever each draw is a character."""
+    Q = random_unitary(rng, d)
+    phases = np.array([character(rng) for _ in range(d)], dtype=complex).reshape(d, -1)
+    return [Q @ np.diag(column) @ Q.conj().T for column in phases.T]
 
 
 def random_matrix_rep(rng, oracle, dim):
