@@ -335,25 +335,43 @@ def _parse_target(cfg, obj):
 
 
 def run_contain(cfg, radius, tol, budget, restarts):
+    """Search for witnesses of the target's Gram data in the span of ``task.basis``.
+
+    Without a ``basis`` the span is the delta basis of shift copy 0 on the
+    radius-``radius`` Cayley ball, built once for the basis and the search.
+    On a trivial target (n = 1, every M_g = [[1]], F holding e and the steps), the
+    search starts from the ball's Perron vector scaled to c^2 = 2/(1 + mu),
+    and the report carries two lower bounds for the discrepancy:
+    ``certified-lower`` = (1 - cw)/(1 + cw) for the Collatz-Wielandt ratio cw
+    of the witness's moduli on the ball, for every vector of the span, and
+    ``certified-floor`` = (1 - u)/(1 + u) for u = ``certified_upper``, for
+    every vector of lambda^infinity (7 - 4 sqrt(3) on F2). A ``tol`` below
+    ``certified-lower`` is out of reach, and the start is reported at once
+    with 0 iterations. Any other search reports both bounds as null. An
+    explicit basis is echoed in ``inputs.basis``.
+    """
     target_obj = cfg.task.get("target")
     if target_obj is None:
         raise ConfigError("missing target", field="task.target")
     target = _parse_target(cfg, target_obj)
     pi = cfg.representation
+    inputs = {"representation": rep_to_json(pi), "target": gram_to_json(target)}
     if "basis" in cfg.task:
         vectors = _vectors(cfg.task, "basis", pi, "task", required=False)
         basis = Subspace(pi, orthonormalize(vectors), validate=False)
+        inputs["basis"] = [vector_to_json(v) for v in vectors]
     else:
         basis = containment.ball_delta_basis(pi, radius, cap=cfg.caps["ball"])
     report_data = search_witness(target, pi, basis, tol, budget=budget,
                                  seed=cfg.seed, restarts=restarts)
-    inputs = {"representation": rep_to_json(pi), "target": gram_to_json(target)}
     outputs = {
         "witnesses": [vector_to_json(w) for w in report_data.witnesses],
         "witness-gram": gram_to_json(gram(pi, report_data.witnesses, target.F, oracle=cfg.oracle)),
         "discrepancy": report_data.discrepancy,
         "iterations": report_data.iterations,
         "converged": report_data.converged,
+        "certified-lower": report_data.certified_lower,
+        "certified-floor": report_data.certified_floor,
     }
     return {"inputs": inputs, "outputs": outputs, "headline": report_data.discrepancy}
 
@@ -363,7 +381,7 @@ def _witness_checks(report, target, space, tol):
 
     The matrices are computed once; the recomputed discrepancy, the headline
     and the ``converged`` flag (``discrepancy <= tolerances[tol]``) are
-    checked from them.
+    checked from them. Returns the checks, the matrices and the witnesses.
     """
     witnesses = _vectors(report["outputs"], "witnesses", space, "report.outputs", required=False)
     M = containment.witness_matrices(target, space, witnesses)
@@ -372,7 +390,7 @@ def _witness_checks(report, target, space, tol):
         ("discrepancy", containment.deviation(target, M), outputs["discrepancy"]),
         ("headline", outputs["discrepancy"], report["headline"]),
         ("converged", outputs["discrepancy"] <= report["tolerances"][tol], outputs["converged"]),
-    ], M
+    ], M, witnesses
 
 
 def _stored_gram_check(report, key, oracle, F, M):
@@ -385,11 +403,41 @@ def _stored_gram_check(report, key, oracle, F, M):
     return (key, containment.deviation(stored, M), 0.0)
 
 
+def _contain_bounds(inputs, oracle, pi, target, witnesses):
+    """``certified-lower`` and ``certified-floor`` recomputed, or None where they do not apply.
+
+    They apply to a ball delta basis (no ``inputs.basis``, a shift copy at
+    index 0) and a trivial target. The lower bound reads the witness's
+    moduli on one radius-``inputs.radius`` ball, with no eigen solve; a ball
+    larger than the witness's support has a point of modulus 0, so there it
+    is None.
+    """
+    if ("basis" in inputs or not isinstance(pi.resolve(0), Regular)
+            or not containment.is_trivial_on(target, oracle)):
+        return None, None
+    w = witnesses[0].entries
+    try:
+        B = ball(oracle, inputs["radius"], max(DEFAULT_BALL_CAP, len(w)))
+    except ResourceLimitError:
+        lower = None
+    else:
+        lower = containment.certified_lower(B, np.array([abs(w.get((0, x), 0))
+                                                         for x in B.elements]))
+    return lower, containment.certified_floor(oracle)
+
+
 def verify_contain(report):
     oracle, pi = _report_inputs(report, "representation")
     target = parse_gram(report["inputs"]["target"], oracle, "report.inputs.target")
-    checks, M = _witness_checks(report, target, pi, "tol")
+    checks, M, witnesses = _witness_checks(report, target, pi, "tol")
     checks.append(_stored_gram_check(report, "witness-gram", oracle, target.F, M))
+    bounds = _contain_bounds(report["inputs"], oracle, pi, target, witnesses)
+    for name, recomputed in zip(("certified-lower", "certified-floor"), bounds):
+        stored = report["outputs"][name]
+        if recomputed is None or stored is None:  # null where the bound does not apply
+            checks.append((name, recomputed is None, stored is None))
+        else:
+            checks.append((name, recomputed, stored))
     return checks
 
 
@@ -726,7 +774,11 @@ def _declare(name, help, run, verify, *params, files=None):
 _declare("probe-amenability", "Random-walk and defect probes.", run_probe, verify_probe,
          Param("nmax", int, 50), Param("radius", int, 6),
          files={"csv": "Also export estimator traces as CSV."})
-_declare("contain", "Witness search for finite containment data.", run_contain, verify_contain,
+_declare("contain", "Witness search for finite containment data. Without task.basis the span "
+         "is the radius-r Cayley ball's deltas; on a trivial target the search starts from the "
+         "ball's scaled Perron vector and reports certified-lower (Collatz-Wielandt, for the span) "
+         "and certified-floor (for lambda^infinity, 7 - 4 sqrt(3) on F2), and stops at once when "
+         "tol is below certified-lower.", run_contain, verify_contain,
          Param("radius", int, 4), Param("tol", float, 1e-2), Param("budget", int, 1500),
          Param("restarts", int, 8),
          files={"target": "Target Gram data JSON path; overrides task.target."})
@@ -797,7 +849,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     for name, task in TASKS.items():
-        p = sub.add_parser(name, help=task.help)
+        p = sub.add_parser(name, help=task.help, description=task.help)
         p.add_argument("--config", required=True, help="Workbench config JSON path.")
         p.add_argument("--out", required=True, help="Report JSON output path.")
         p.add_argument("--seed", type=int, default=None, help="Override the config seed.")

@@ -8,6 +8,14 @@ module searches for such witnesses over explicit finite-dimensional
 subspaces, takes the defect probe's Perron vector as an almost-invariant
 vector with an exactly counted defect, and transfers witnesses from an
 explicit extension back into a stack of shift copies.
+
+On the trivial target (one invariant unit vector) over a Cayley ball the
+same Perron vector is the search's start, and Kesten's bound (Kesten 1959)
+with a Collatz-Wielandt ratio (Wielandt 1950) proves how close any witness
+can come: if a vector v on the ball matches [[1]] within delta at e and at
+every step s, then 1 - delta <= Re<Mv, v> <= lambda(1 + delta) for the
+ball-compressed averaged shift M and any bound lambda on its norm, so
+delta >= (1 - lambda)/(1 + lambda).
 """
 
 from __future__ import annotations
@@ -23,8 +31,8 @@ from .errors import (
     PreconditionError,
     ResourceLimitError,
 )
-from .amenability import min_defect
-from .groups import DEFAULT_BALL_CAP, GroupOracle, ball, symmetric_generators
+from .amenability import averaged_shift, certified_upper, min_defect
+from .groups import DEFAULT_BALL_CAP, Ball, GroupOracle, ball, symmetric_generators
 from .reps import (
     DirectSum,
     Multiple,
@@ -182,10 +190,20 @@ def trivial_target(oracle: GroupOracle, F=None) -> GramFunction:
 
 @dataclass
 class WitnessReport:
+    """A search's witnesses and their discrepancy, with two lower bounds for it.
+
+    On a trivial target over a ball delta basis ``certified_lower`` (of the
+    witness's moduli) bounds the discrepancy of every witness in the span,
+    and ``certified_floor`` that of every vector of a multiple of the
+    regular representation; any other search leaves both None.
+    """
+
     witnesses: list
     discrepancy: float
     iterations: int
     converged: bool
+    certified_lower: float | None = None
+    certified_floor: float | None = None
 
 
 def _bincount_complex(bins, weights, size):
@@ -235,6 +253,42 @@ def _objective_and_gradient(tensor: GramNonzeros, targets):
     return evaluate
 
 
+def is_trivial_on(target: GramFunction, oracle: GroupOracle) -> bool:
+    """Whether ``target`` is the trivial data: n = 1 and M_g = [[1]] exactly, on F holding e and S.
+
+    S is ``oracle``'s symmetric generating set, the steps of its Cayley balls.
+    """
+    return (target.n == 1 and all(target.M[g][0, 0] == 1 for g in target.F)
+            and {oracle.identity(), *symmetric_generators(oracle)} <= set(target.F))
+
+
+def certified_lower(B: Ball, moduli) -> float | None:
+    """Lower bound for the trivial-target discrepancy of every witness on the ball ``B``.
+
+    ``moduli`` are a vector's moduli in ball order. For their Collatz-Wielandt
+    ratio cw = max_x (M|w|)(x)/|w|(x), which bounds the top eigenvalue of the
+    ball's averaged shift M from above (Wielandt 1950), the bound is
+    max(0, (1 - cw)/(1 + cw)); it is None unless every modulus is positive.
+    With no steps only the norm is constrained, and the bound is 0.
+    """
+    if not B.steps:
+        return 0.0
+    if not np.all(moduli > 0):
+        return None
+    cw = float(np.max(averaged_shift(B, len(B))(moduli) / moduli))
+    return max(0.0, (1.0 - cw) / (1.0 + cw))
+
+
+def certified_floor(oracle: GroupOracle) -> float:
+    """Lower bound for the trivial-target discrepancy of every vector of a multiple of lambda.
+
+    (1 - u)/(1 + u) for the norm bound u = ``certified_upper(oracle)`` of
+    the averaged shift: 7 - 4 sqrt(3) on F2 (Kesten 1959), 0 where u = 1.
+    """
+    u = certified_upper(oracle)
+    return (1.0 - u) / (1.0 + u)
+
+
 def search_witness(target: GramFunction, pi: Representation, basis: Subspace,
                    tol: float, budget: int = 1500, seed: int = 0,
                    restarts: int = 8) -> WitnessReport:
@@ -244,11 +298,24 @@ def search_witness(target: GramFunction, pi: Representation, basis: Subspace,
     by gradient descent with backtracking line search, restarting from
     seeded random coefficient matrices; the best restart wins, ties going
     to the earliest. The objective reads only the nonzeros of the basis's
-    Gram tensor (``_gram_tensor``), with its scatter and gather indices built
-    once per search; on a ball delta basis it takes O(|F| n K) per
-    evaluation and its values are those of the dense batched products, bit
-    for bit. The reported discrepancy is always the recomputed max-abs
-    deviation of the returned witnesses.
+    Gram tensor (``_gram_tensor``), built once per search and only when a
+    descent runs; on a ball delta basis it takes O(|F| n K) per evaluation
+    and its values are those of the dense batched products, bit for bit.
+    The reported discrepancy is always the recomputed max-abs deviation of
+    the returned witnesses.
+
+    On a ball delta basis (``ball_delta_basis``) and a target trivial on the
+    ball's steps (``is_trivial_on``) restart 0 is the ball's Perron vector v
+    from ``min_defect``, scaled to c v with c^2 = 2/(1 + mu) for its Rayleigh
+    quotient mu: its deviation is (1 - mu)/(1 + mu) at e and, where the
+    correlations <lambda(s)v, v> are equal (F2, Z^2), at every step, which
+    the span cannot beat. The report then carries ``certified_lower`` of the
+    returned witness's moduli and ``certified_floor`` (7 - 4 sqrt(3) on F2).
+    The start is returned at once, with 0 iterations, when its discrepancy
+    is at most ``tol`` or ``tol`` lies below its certified lower bound, which
+    proves that no witness of the span reaches ``tol``; otherwise it is
+    descended, and the random restarts 1.. follow. Any other target or basis
+    draws every restart at random, and its bounds are None.
     """
     if not 0 < tol < np.inf:
         raise PreconditionError(f"tol must be finite and positive, got {tol!r}")
@@ -256,13 +323,28 @@ def search_witness(target: GramFunction, pi: Representation, basis: Subspace,
     if K == 0:
         raise PreconditionError("witness search needs a nonempty basis")
     n = target.n
+    start = floor = None
+    if isinstance(basis, BallBasis) and is_trivial_on(target, basis.ball.oracle):
+        B = basis.ball
+        row = min_defect(B)
+        mu = 1.0 - row.min_avg_sq_defect / 2.0  # the Rayleigh quotient of v
+        start = (2.0 / (1.0 + mu)) ** 0.5 * row.amplitudes[None, :]
+        floor = certified_floor(B.oracle)
+        lower = certified_lower(B, start[0])
+        witnesses = [basis.from_coords(start[0])]
+        disc = discrepancy(target, pi, witnesses)
+        if disc <= tol or (lower is not None and tol < lower):
+            return WitnessReport(witnesses, disc, 0, bool(disc <= tol), lower, floor)
     objective = _objective_and_gradient(_gram_tensor(pi, basis.basis, target.F),
                                         np.array([target.M[g] for g in target.F]))
     rng = np.random.default_rng(seed)
     scale = max(target.max_abs(), 1e-6) ** 0.5 / max(K, 1) ** 0.5
     best_C, best_disc, total_iters = None, float("inf"), 0
-    for _ in range(max(1, restarts)):
-        C = scale * (rng.standard_normal((n, K)) + 1j * rng.standard_normal((n, K)))
+    for k in range(max(1, restarts)):
+        if k == 0 and start is not None:
+            C = start.astype(complex)
+        else:
+            C = scale * (rng.standard_normal((n, K)) + 1j * rng.standard_normal((n, K)))
         f, G, worst = objective(C)
         step = 1.0
         for _ in range(max(1, budget)):
@@ -290,16 +372,24 @@ def search_witness(target: GramFunction, pi: Representation, basis: Subspace,
             break
     witnesses = [basis.from_coords(best_C[i]) for i in range(n)]
     disc = discrepancy(target, pi, witnesses)
-    return WitnessReport(witnesses, disc, total_iters, bool(disc <= tol))
+    lower = None if start is None else certified_lower(basis.ball, np.abs(best_C[0]))
+    return WitnessReport(witnesses, disc, total_iters, bool(disc <= tol), lower, floor)
 
 
-def ball_delta_basis(rep: Representation, r: int, cap: int = DEFAULT_BALL_CAP) -> Subspace:
+class BallBasis(Subspace):
+    """The delta vectors of shift copy 0 on the Cayley ball ``ball``, in ball order."""
+
+    def __init__(self, rep: Representation, B: Ball):
+        super().__init__(rep, [delta(rep, 0, x) for x in B.elements], validate=False)
+        self.ball = B
+
+
+def ball_delta_basis(rep: Representation, r: int, cap: int = DEFAULT_BALL_CAP) -> BallBasis:
     """Delta vectors on the Cayley ball of shift copy 0; exactly orthonormal."""
     atom = rep.resolve(0)
     if not isinstance(atom, Regular):
         raise PreconditionError("ball basis requires a shift copy at index 0")
-    B = ball(atom.oracle, r, cap)
-    return Subspace(rep, [delta(rep, 0, x) for x in B.elements], validate=False)
+    return BallBasis(rep, ball(atom.oracle, r, cap))
 
 
 def shift_defect_exact(oracle, w: SparseVector, g) -> Fraction:

@@ -174,6 +174,22 @@ def test_min_defect_path_closed_form():
     assert abs(report.min_avg_sq_defect - tridiagonal_min_defect(m)) < 1e-9
 
 
+def test_defect_table_z2_sine_closed_form():
+    """Probe-abelian's Z^2 rows: the diamond ball is a product of two path walks.
+
+    In the rotated coordinates u = x + y, v = x - y the radius-rho ball is
+    |u|, |v| <= rho with u = v (mod 2), and the averaged shift there is the
+    product of the two path walks on -rho..rho, whose top eigenvalue is
+    cos(pi/(2rho+2)) each; so row rho is 2(1 - cos^2) = 2 sin^2(pi/(2rho+2)).
+    """
+    rows = defect_table(probe_ball(z2_oracle(), 30))
+    assert [row.radius for row in rows] == list(range(1, 31))
+    for row in rows:
+        exact = 2 * math.sin(math.pi / (2 * row.radius + 2)) ** 2
+        assert abs(row.min_avg_sq_defect - exact) <= 1e-12
+        assert abs(row.certified_lower_bound - exact) <= amenability.EIGEN_TOL
+
+
 def test_min_defect_finite_group_zero():
     Z5 = cyclic_table(5)
     report = min_defect(ball(Z5, 4))

@@ -21,9 +21,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unirep import ConvergenceError, ball
+from unirep import ConvergenceError, Regular, amenability, ball, gram, symmetric_generators
 from unirep.cli import HANDLERS, TASKS, VERIFIERS, build_parser, main
-from unirep.serialize import parse_group
+from unirep.containment import deviation
+from unirep.serialize import gram_to_json, parse_gram, parse_group, parse_vector
 from util import H3_RULES, character_action, phase, random_unitary, swapped_intercalate_table
 
 Z = {"kind": "fg-abelian", "rank": 1, "torsion": []}
@@ -38,6 +39,11 @@ C3 = {"kind": "finite-table", "table": [[(i + j) % 3 for j in range(3)] for i in
       "generators": [1]}
 
 FOLNER = {"group": Z2, "task": {"eps": 0.3}}
+
+# the trivial F2 target on a radius-2 ball basis: the scaled Perron start, with both bounds
+TRIVIAL_F2 = {"target": {"F": ["e", "1", "-1", "2", "-2"], "n": 1,
+                         "matrices": [[[[1.0, 0.0]]]] * 5}}
+CONTAIN_F2 = {"group": F2, "task": {**TRIVIAL_F2, "radius": 2, "tol": 1e-2}}
 
 TRANSFER = {"group": Z, "task": {
     "pi": {"kind": "trivial", "dim": 1}, "F": ["0", "1", "-1"],
@@ -121,6 +127,33 @@ def test_probe_builds_one_ball(tmp_path, monkeypatch, group, nmax, radius, built
         assert [len(row["argmin"]) for row in report["outputs"]["defect-table"]] == [2, 3, 4]
     assert main(["verify", "--report", str(out)]) == 0
     assert radii == ([] if built is None else [built, radius])
+
+
+def test_contain_builds_one_ball(tmp_path, monkeypatch):
+    """The delta basis and the Perron start share one ball; ``verify`` builds one, no solve."""
+    radii, solves = [], []
+
+    def counted(*args, **kwargs):
+        B = ball(*args, **kwargs)
+        radii.append(B.radius)
+        return B
+
+    solve = amenability._perron_solve
+
+    def counted_solve(matvec, dim):
+        solves.append(dim)
+        return solve(matvec, dim)
+
+    for module in ("cli", "containment", "amenability"):
+        monkeypatch.setattr(f"unirep.{module}.ball", counted)
+    monkeypatch.setattr(amenability, "_perron_solve", counted_solve)
+    code, out = run_task(tmp_path, "contain", CONTAIN_F2)
+    assert code == 0
+    assert radii == [2] and solves == [17]  # the Lanczos solve on the 17-element ball
+    report = json.loads(out.read_text())
+    assert report["outputs"]["iterations"] == 0 and report["outputs"]["certified-lower"] > 0
+    assert main(["verify", "--report", str(out)]) == 0
+    assert radii == [2, 2] and solves == [17]
 
 
 def test_probe_walk_ball_stops_at_the_ball_cap(tmp_path, capsys):
@@ -564,6 +597,31 @@ def _raise_witness_gram_entry(report):
     report["outputs"]["witness-gram"]["matrices"][0][0][0] = [5.0, 0.0]
 
 
+def _raise_certified_lower(report):
+    report["outputs"]["certified-lower"] += 1e-6
+
+
+def _raise_certified_floor(report):
+    report["outputs"]["certified-floor"] += 1e-6
+
+
+def _claim_certified_lower(report):
+    """A bound on an explicit-basis report, whose span no ball bound covers."""
+    report["outputs"]["certified-lower"] = 0.0
+
+
+def _zero_a_ball_point(report):
+    """The witness with its last ball point dropped; its Gram data and discrepancy follow."""
+    out = report["outputs"]
+    del out["witnesses"][0][-1]
+    oracle = parse_group(report["inputs"]["group"])
+    target = parse_gram(report["inputs"]["target"], oracle)
+    reg = Regular(oracle)
+    witness_gram = gram(reg, [parse_vector(out["witnesses"][0], reg)], target.F, oracle=oracle)
+    out["witness-gram"] = gram_to_json(witness_gram)
+    out["discrepancy"] = report["headline"] = deviation(target, witness_gram.M)
+
+
 def _flip_independent(report):
     report["outputs"]["independent"] = not report["outputs"]["independent"]
 
@@ -620,6 +678,10 @@ def _move_target_to_common_part(report):
     ("folner-witness", FOLNER, _zero_max_defect_and_headline, ["max-defect", "headline"]),
     ("contain", _stability_configs()["contain"], _flip_converged, ["converged"]),
     ("contain", _stability_configs()["contain"], _raise_witness_gram_entry, ["witness-gram"]),
+    ("contain", CONTAIN_F2, _raise_certified_lower, ["certified-lower"]),
+    ("contain", CONTAIN_F2, _raise_certified_floor, ["certified-floor"]),
+    ("contain", _stability_configs()["contain"], _claim_certified_lower, ["certified-lower"]),
+    ("contain", CONTAIN_F2, _zero_a_ball_point, ["certified-lower"]),
     ("transfer", TRANSFER, _flip_converged, ["converged"]),
     ("superstable", _stability_configs()["superstable"], _independence_worst_half_eps,
      ["independence-worst"]),
@@ -1047,3 +1109,63 @@ def test_amalgamate_fuzz_exits_cleanly_and_verifies(name, data):
                 assert json.loads(out.read_text())["outputs"]["gram-defect"] <= 1e-8, config
         assert "Traceback" not in stderr.getvalue()
     assert code == (2 if refused else 3 if size > config["caps"]["ball"] else 0), config
+
+
+@st.composite
+def _contain_fuzz_config(draw):
+    """A small ball-basis contain config on a trivial target, and whether its bounds apply.
+
+    F is {e} and the steps, less e or one step at times, plus at times one
+    more element of the radius-2 ball.
+    """
+    group = draw(st.sampled_from([Z, F2, Z2_REWRITING]))
+    oracle = parse_group(group)
+    e, *steps = [oracle.element_to_str(x) for x in [oracle.identity()]
+                 + symmetric_generators(oracle)]
+    F = ([e] if draw(st.sampled_from([True, True, False])) else []) + steps
+    applies = F[0] == e
+    if draw(st.sampled_from([False, False, True])):
+        F.remove(draw(st.sampled_from(steps)))
+        applies = False
+    extra = draw(st.sampled_from(_element_pool(group)))
+    if draw(st.booleans()) and extra not in F:
+        F.append(extra)
+    block = {"target": {"F": F, "n": 1, "matrices": [[[[1.0, 0.0]]]] * len(F)},
+             "radius": draw(st.integers(-1, 4)),
+             "tol": draw(st.sampled_from([0.5, 0.2, 0.05, 1e-3, 0.0, -1.0])),
+             "budget": draw(st.sampled_from([1, 5, 30])),
+             "restarts": draw(st.sampled_from([0, 1, 2]))}
+    caps = {"ball": draw(st.sampled_from([5, 200, 1000]))}
+    return {"group": group, "seed": draw(st.integers(0, 3)), "caps": caps, "task": block}, applies
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(_contain_fuzz_config())
+def test_contain_fuzz_exits_cleanly_and_verifies(case):
+    """Small contain configs exit 0, 2, 3 or 4 with no traceback; each report verifies.
+
+    The basis is checked before tol: exit 2 comes exactly from a negative
+    radius, or from tol <= 0 on a ball within ``caps.ball``, and exit 3 from a
+    ball past it. An exit-0 report has both bounds exactly when F holds e and
+    every step, and a bound never exceeds the discrepancy.
+    """
+    config, applies = case
+    block = config["task"]
+    radius, tol = block["radius"], block["tol"]
+    oracle = parse_group(config["group"])
+    fits = radius >= 0 and len(ball(oracle, radius)) <= config["caps"]["ball"]
+    with tempfile.TemporaryDirectory() as tmp:
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code, out = run_task(Path(tmp), "contain", config)
+        assert code in (0, 2, 3, 4), config
+        assert (code == 2) == (radius < 0 or tol <= 0 and fits), config
+        assert (code == 3) == (radius >= 0 and not fits), config
+        assert "Traceback" not in err.getvalue()
+        if code == 0:
+            assert main(["verify", "--report", str(out)]) == 0, config
+            outputs = json.loads(out.read_text())["outputs"]
+            assert (outputs["certified-floor"] is not None) == applies, config
+            for bound in ("certified-lower", "certified-floor"):
+                if outputs[bound] is not None:
+                    assert outputs[bound] <= outputs["discrepancy"] + 1e-9, config

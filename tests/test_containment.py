@@ -10,6 +10,7 @@ import pytest
 from unirep import (
     DirectSum,
     FreeGroupOracle,
+    GramFunction,
     Multiple,
     PreconditionError,
     Regular,
@@ -292,6 +293,81 @@ def test_search_free_group_floor():
                                 tol=0.05, budget=300, seed=seed, restarts=2)
         assert report.discrepancy >= floor
         assert not report.converged
+
+
+F2_STARTS = {1: 0.33333, 2: 0.20378, 3: 0.15381, 4: 0.12852, 5: 0.11369}
+Z2_STARTS = {2: 0.14286, 4: 0.05014, 8: 0.01531, 12: 0.00732}
+
+
+@pytest.mark.parametrize("group, r, expected", [
+    *(("F2", r, d) for r, d in F2_STARTS.items()),
+    *(("Z2", r, d) for r, d in Z2_STARTS.items()),
+])
+def test_search_trivial_target_starts_from_the_perron_vector(group, r, expected):
+    """At a tol below the span's certified lower bound the scaled Perron start is the answer.
+
+    Its discrepancy is (1 - mu)/(1 + mu), the least on the span: at least the
+    radial eigvalsh floor on F2, and sin^2/(1 + cos^2) at pi/(2r+2) on Z^2.
+    """
+    G = f2_oracle() if group == "F2" else z2_oracle()
+    reg = Regular(G)
+    report = search_witness(trivial_target(G), reg, ball_delta_basis(reg, r), tol=1e-3)
+    assert report.iterations == 0 and not report.converged
+    assert round(report.discrepancy, 5) == expected
+    assert report.certified_floor <= report.certified_lower <= report.discrepancy
+    assert report.discrepancy - report.certified_lower <= 1e-9
+    if group == "F2":
+        assert report.discrepancy - certified_search_floor(2, r) >= 0
+        assert abs(report.certified_floor - (7 - 4 * math.sqrt(3))) <= 1e-15
+    else:
+        s2 = math.sin(math.pi / (2 * r + 2)) ** 2
+        assert abs(report.discrepancy - s2 / (2 - s2)) <= 1e-9
+        assert report.certified_floor == 0.0
+
+
+def test_search_perron_start_within_tol_converges_without_a_gram_tensor(monkeypatch):
+    """A start within tol is returned at once; the Gram tensor is built only for a descent."""
+    def no_tensor(*args):
+        raise AssertionError("the Gram tensor was built")
+
+    monkeypatch.setattr("unirep.containment._gram_tensor", no_tensor)
+    Z = z_oracle()
+    reg = Regular(Z)
+    report = search_witness(trivial_target(Z), reg, ball_delta_basis(reg, 40), tol=1e-3)
+    assert report.converged and report.iterations == 0
+    # the path of 81 points: mu = cos(pi/82), and (1 - mu)/(1 + mu) = tan^2(pi/164)
+    assert abs(report.discrepancy - math.tan(math.pi / 164) ** 2) <= 1e-9
+
+
+def test_search_descends_the_perron_start_when_tol_is_not_ruled_out():
+    """With (1,)^2 in F the start matches [[1]] worse than the span allows; it is descended."""
+    Z = z_oracle()
+    reg = Regular(Z)
+    target = trivial_target(Z, F=[(0,), (1,), (-1,), (2,)])
+    basis = ball_delta_basis(reg, 6)
+    start = search_witness(target, reg, basis, tol=1e-3)  # below the span's bound: no descent
+    assert start.iterations == 0
+    assert start.certified_lower < 0.7 * start.discrepancy
+    tol = 0.7 * start.discrepancy
+    report = search_witness(target, reg, basis, tol=tol, budget=200, restarts=1)
+    assert report.iterations > 0 and report.converged and report.discrepancy <= tol
+    assert 0 < report.certified_lower <= report.discrepancy
+    assert report.certified_floor == 0.0
+
+
+def test_search_other_targets_and_bases_keep_the_random_restarts():
+    """An explicit copy of the ball's deltas, or a non-trivial target, draws every restart."""
+    F2 = f2_oracle()
+    reg = Regular(F2)
+    basis = ball_delta_basis(reg, 2)
+    explicit = Subspace(reg, basis.basis, validate=False)
+    report = search_witness(trivial_target(F2), reg, explicit, tol=1e-3, budget=20, restarts=2)
+    assert report.iterations > 0
+    assert report.certified_lower is None and report.certified_floor is None
+    half = GramFunction(F2, [(), (1,)], 1, {(): np.array([[1.0]]), (1,): np.array([[0.5]])})
+    for target in (trivial_target(F2, F=[(), (1,), (-1,)]), half):  # a step left out; M != 1
+        report = search_witness(target, reg, basis, tol=1e-3, budget=20, restarts=2)
+        assert report.certified_lower is None and report.certified_floor is None
 
 
 def test_search_empty_basis_rejected():
