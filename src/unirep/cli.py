@@ -79,7 +79,7 @@ from .serialize import (
     rep_to_json,
     vector_to_json,
 )
-from .vectors import inner, orthonormalize
+from .vectors import KeyIndex, from_dense, gram_schmidt, inner, orthonormalize, residual, to_dense
 
 VERIFY_TOL = 1e-9
 
@@ -598,22 +598,26 @@ def verify_nondividing(report):
     ]
 
 
+def _worst_residual(P, Q):
+    """The largest norm of a row of ``P`` off the span of the orthonormal rows of ``Q``, or 0.0."""
+    return max(np.linalg.norm(residual(P, Q), axis=1).tolist(), default=0.0)
+
+
 def run_canonical_base(cfg, closure_radius):
     pi = cfg.representation
     C = _build_closure(cfg, pi, closure_radius)
     a_vec = _vectors(cfg.task, "a", pi, "task")
-    projected = stability.projected_orbit(pi, a_vec, C)
-    base = orthonormalize(projected)
-    base_sub = Subspace(pi, base, validate=False)
-    worst = max((base_sub.residual(p).norm() for p in projected), default=0.0)
+    index, projected = stability.projected_orbit_block(pi, a_vec, C)
+    base = gram_schmidt(projected)
     inputs = {
         "representation": rep_to_json(pi),
         "closure": cfg.task.get("closure"),
         "a": [vector_to_json(v) for v in a_vec],
     }
+    worst = _worst_residual(projected, base)
     outputs = {
-        "base": [vector_to_json(b) for b in base],
-        "projected-orbit": [vector_to_json(p) for p in projected],
+        "base": [vector_to_json(b) for b in from_dense(pi, index, base)],
+        "projected-orbit": [vector_to_json(p) for p in from_dense(pi, index, projected)],
         "worst-residual": worst,
     }
     return {"inputs": inputs, "outputs": outputs, "tolerances": {"reproduction": 1e-8},
@@ -625,8 +629,8 @@ def verify_canonical_base(report):
     base = _vectors(report["outputs"], "base", pi, "report.outputs", required=False)
     projected = _vectors(report["outputs"], "projected-orbit", pi, "report.outputs",
                          required=False)
-    base_sub = Subspace(pi, base, validate=False)
-    worst = max((base_sub.residual(p).norm() for p in projected), default=0.0)
+    index = KeyIndex(base + projected)
+    worst = _worst_residual(to_dense(projected, index), to_dense(base, index))
     return [
         ("worst-residual", worst, report["outputs"]["worst-residual"]),
         ("headline", worst, report["headline"]),
@@ -639,8 +643,7 @@ def run_superstable(cfg, eps, radius):
     a_vec = _vectors(cfg.task, "a", pi, "task")
     result = stability.superstable_approx(pi, a_vec, A, eps, radius,
                                           cfg.caps["dimension"], cfg.caps["ball"])
-    core_closure = stability.ClosureSpec.from_subspace(result.core)
-    verdict = stability.nondividing(pi, result.b_vec, A, core_closure, tol=eps)
+    verdict = stability.nondividing(pi, result.b_vec, A, result.core, tol=eps)
     inputs = {
         "representation": rep_to_json(pi),
         "A": [vector_to_json(v) for v in A],
@@ -670,7 +673,7 @@ def verify_superstable(report):
     eps = report["tolerances"]["eps"]
     orbit = [A[i] if g is None else pi.apply(oracle.element_from_str(g), A[i])
              for g, i in outputs["selected"]]
-    core = stability.ClosureSpec.from_subspace(Subspace(pi, orthonormalize(orbit), validate=False))
+    core = Subspace(pi, orthonormalize(orbit), validate=False)
     verdict = stability.nondividing(pi, b_vec, A, core, tol=eps)
     checks.append(("independence-worst", _worst_value(verdict), outputs["independence-worst"]))
     checks.append(("independent", verdict.independent, outputs["independent"]))
@@ -841,7 +844,12 @@ def _export_csv(report, path):
             writer.writerow([row["radius"], row["value"], row["certified-lower"]])
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The ``unirep`` parser; given ``command``, only the task of that name gets its arguments.
+
+    Every subcommand is listed either way, so ``unirep --help`` names them all,
+    and ``verify``'s one argument is always added.
+    """
     parser = argparse.ArgumentParser(
         prog="unirep",
         description="Numerical workbench for unitary representations of discrete groups.",
@@ -850,6 +858,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name, task in TASKS.items():
         p = sub.add_parser(name, help=task.help, description=task.help)
+        if command not in (None, name):
+            continue
         p.add_argument("--config", required=True, help="Workbench config JSON path.")
         p.add_argument("--out", required=True, help="Report JSON output path.")
         p.add_argument("--seed", type=int, default=None, help="Override the config seed.")
@@ -867,18 +877,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _run_task(args):
+    """Parse the config ``args`` names, run its task and return the report.
+
+    The parsed config, and all the task built on it, is released on return:
+    before the report is encoded, the step where a run's memory peaks.
+    """
+    cfg = parse_config(_with_flags(_load_json(args.config, "config"), args))
+    if getattr(args, "target", None):
+        cfg.task["target"] = _load_json(args.target, "target")
+    values = {param: _task_value(cfg, args, param) for param in TASKS[args.command].params}
+    own = HANDLERS[args.command](cfg, **{p.kwarg: v for p, v in values.items()})
+    return _report(args.command, cfg, own, values)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv[0] if argv else None)  # the subcommand comes first
     args = parser.parse_args(argv)
     try:
         if args.command == "verify":
             return run_verify(args)
-        cfg = parse_config(_with_flags(_load_json(args.config, "config"), args))
-        if getattr(args, "target", None):
-            cfg.task["target"] = _load_json(args.target, "target")
-        values = {param: _task_value(cfg, args, param) for param in TASKS[args.command].params}
-        own = HANDLERS[args.command](cfg, **{p.kwarg: v for p, v in values.items()})
-        report = _report(args.command, cfg, own, values)
+        report = _run_task(args)
         _write_report(report, args.out)
         if getattr(args, "csv", None):
             _export_csv(report, args.csv)

@@ -34,6 +34,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from operator import add
 from typing import Optional, Sequence
 
 import numpy as np
@@ -279,7 +280,13 @@ class FgAbelianOracle(GroupOracle):
         return self._mul(a, b)
 
     def _mul(self, a, b):
-        return self._reduce(tuple(x + y for x, y in zip(a, b)))
+        # one tuple build; only the torsion coordinates are reduced
+        if not self.torsion:
+            return tuple(map(add, a, b))
+        c = list(map(add, a, b))
+        for i, m in enumerate(self.torsion, self.rank):
+            c[i] %= m
+        return tuple(c)
 
     def invert(self, a):
         self.check_element(a)

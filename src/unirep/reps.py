@@ -14,6 +14,15 @@ Vector entries are addressed by the global leaf index ("copy index") of
 the atom they belong to, obtained by depth-first enumeration of the
 tree. A part with infinitely many leaves is only allowed in the last
 position of every enclosing direct sum so all other offsets stay finite.
+
+``Representation.apply(g, v)`` acts on one sparse vector. An
+``OrbitBlock`` acts by every element of a Cayley ball at once, on dense
+rows: on a finite tree of ``MatrixRep`` and ``Trivial`` leaves its columns
+are the tree's canonical keys, and each ``MatrixRep`` leaf contributes its
+``ball_stack``, the ``(|B|, d, d)`` matrices of the ball's elements built
+along the ball's tree, bit for bit those of ``matrix_of``. The stack of the
+largest ball is all a ``MatrixRep`` keeps. A tree with a ``Regular`` leaf
+keeps the ``apply`` path, one vector and one element at a time.
 """
 
 from __future__ import annotations
@@ -208,7 +217,7 @@ class MatrixRep(_FiniteAtom):
         self._letters = {a * i: U if a > 0 else U.conj().T
                          for i, U in enumerate(mats, 1) for a in (1, -1)}
         self.dim = d
-        self._element_cache: dict = {}
+        self._kept = None  # (ball, ball_stack) of the largest ball stacked so far
         right = {(): np.eye(d, dtype=complex)}  # the right sides evaluated so far
         for u, v in oracle.relations():
             rhs = right[v] = self._side(v, right)
@@ -229,19 +238,56 @@ class MatrixRep(_FiniteAtom):
             out = out @ self._letters[letter]
         return out
 
+    def ball_stack(self, B) -> np.ndarray:
+        """``(len(B), dim, dim)``: the matrix of each element of ``B``, bit for bit ``matrix_of``'s.
+
+        ``B`` is a ball over the oracle's generators. Each matrix is one
+        product past an earlier one: where ``as_word`` reads a ball's tree
+        (``word_ball`` is not None), its parent's in ``B``'s tree times the
+        step's matrix; otherwise the matrix of its word less the last letter
+        times that letter's, or the whole word's product where that shorter
+        word is not an earlier element. The stack of the largest ball so far
+        is kept in place of a per-element cache: a smaller ball's stack is a
+        prefix of it.
+        """
+        kept = self._kept
+        if kept is not None and len(kept[0]) >= len(B):
+            return kept[1][:len(B)]
+        oracle = self.oracle
+        M = np.empty((len(B), self.dim, self.dim), dtype=complex)
+        M[0] = np.eye(self.dim)
+        if oracle.word_ball(B.elements[0]) is None:
+            gens = oracle.generators
+            undo = {a: oracle.invert(gens[a - 1]) if a > 0 else gens[-a - 1] for a in self._letters}
+            words = [()]
+            for i, g in enumerate(B.elements[1:], 1):
+                w = oracle.as_word(g)
+                j = B.index.get(oracle._mul(g, undo[w[-1]]))
+                if j is not None and j < i and words[j] == w[:-1]:
+                    np.matmul(M[j], self._letters[w[-1]], out=M[i])
+                else:
+                    M[i] = self.evaluate_word(w)
+                words.append(w)
+        else:
+            steps = [self._letters[a] for a in generator_letters(oracle).values()]
+            for i, (p, j) in enumerate(zip(B.parent[1:], B.letter[1:]), 1):
+                np.matmul(M[p], steps[j], out=M[i])
+        self._kept = (B, M)
+        return M
+
     def matrix_of(self, g) -> np.ndarray:
-        """The matrix of ``g``, from its word or from ``word_ball(g)``'s tree, cached whole."""
-        if g not in self._element_cache:
+        """The matrix of ``g``: its word's product, read off the kept ball stack when ``g`` is in it.
+
+        Otherwise the stack of ``word_ball(g)`` is built and kept, or where
+        ``as_word`` has a closed form the word is evaluated, uncached.
+        """
+        kept = self._kept
+        if kept is None or g not in kept[0]:
             B = self.oracle.word_ball(g)
             if B is None:
-                self._element_cache[g] = self.evaluate_word(self.oracle.as_word(g))
-            else:
-                steps = [self._letters[a] for a in generator_letters(self.oracle).values()]
-                M = [np.eye(self.dim, dtype=complex)]
-                for p, j in zip(B.parent[1:], B.letter[1:]):
-                    M.append(M[p] @ steps[j])
-                self._element_cache.update(zip(B.elements, M))
-        return self._element_cache[g]
+                return self.evaluate_word(self.oracle.as_word(g))
+            kept = (B, self.ball_stack(B))
+        return kept[1][kept[0].index[g]]
 
     def leaf_apply(self, g, local):
         vec = np.zeros(self.dim, dtype=complex)
@@ -404,19 +450,81 @@ def embed(rep: Representation, index: int, v: SparseVector) -> SparseVector:
     return SparseVector(rep, {(c + offset, k): amp for (c, k), amp in v.entries.items()})
 
 
+class OrbitBlock:
+    """pi(g) for every element g of a Cayley ball ``B``, acting on dense rows.
+
+    On a finite tree whose leaves are all ``MatrixRep`` or ``Trivial``
+    atoms, ``index`` is the tree's canonical keys and ``rows`` forms every
+    orbit vector at once: each ``MatrixRep`` leaf's columns are one product
+    with its ``ball_stack``, built on first use, and a trivial leaf's, or
+    one no vector touches, are copied. A tree with a
+    ``Regular`` leaf, the only kind that can be infinite-dimensional, keeps
+    ``apply``: each orbit vector is ``pi.apply(g, v)``, and ``index``, a copy
+    of ``seed``, grows by the keys the rows reach. ``B`` None stands for the
+    identity alone.
+    """
+
+    def __init__(self, pi: Representation, B=None, seed: KeyIndex | None = None):
+        self.pi = pi
+        self.ball = B
+        self.size = 1 if B is None else len(B)
+        n = pi.leaf_count()
+        leaves = [None] if n is None else [pi.resolve(c) for c in range(n)]
+        if not all(isinstance(a, _FiniteAtom) for a in leaves):
+            self.leaves = None
+            self.index = KeyIndex.of_keys(() if seed is None else seed.keys)
+            return
+        self.index = KeyIndex.of_keys((c, k) for c, a in enumerate(leaves) for k in range(a.dim))
+        self.leaves, start = [], 0  # (columns, the MatrixRep acting there or None for identity)
+        for a in leaves:
+            acting = a if B is not None and isinstance(a, MatrixRep) else None
+            self.leaves.append((slice(start, start + a.dim), acting))
+            start += a.dim
+
+    def rows(self, vectors, lo=0, hi=None) -> np.ndarray:
+        """``(hi - lo, len(vectors), len(index))``: pi(g)v, g the ball elements lo..hi-1 (outer)."""
+        hi = self.size if hi is None else hi
+        vectors = list(vectors)
+        if self.leaves is None:
+            elements = [None] if self.ball is None else self.ball.elements[lo:hi]
+            orbit = [v if g is None else self.pi.apply(g, v) for g in elements for v in vectors]
+            self.index.add(orbit)
+            return to_dense(orbit, self.index).reshape(hi - lo, len(vectors), len(self.index))
+        column = self.index.column
+        for v in vectors:
+            for k in v.entries:
+                if k not in column:
+                    raise KindMismatchError(f"key {k!r} is not a coordinate of the representation")
+        X = to_dense(vectors, self.index)
+        Y = np.empty((hi - lo, len(X), len(self.index)), dtype=complex)
+        for cols, leaf in self.leaves:
+            x = X[:, cols]
+            if leaf is None or not x.any():  # a leaf no vector touches needs no stack
+                Y[:, :, cols] = x
+            else:
+                d = cols.stop - cols.start
+                # every (g, i) row of the stack against every vector, as one product
+                stack = leaf.ball_stack(self.ball)[lo:hi].reshape(-1, d)
+                Y[:, :, cols] = (stack @ x.T).reshape(hi - lo, d, len(X)).transpose(0, 2, 1)
+        return Y
+
+
 class Subspace:
     """Finite-dimensional closed subspace given by an orthonormal basis.
 
-    The basis is stacked once, on first use, into a ``(dim x keys)`` block
-    ``Q`` over a ``KeyIndex`` of its support: coordinates are ``Q.conj() @ v``
-    and ``from_coords(c)`` is ``c @ Q``. The basis must not be mutated.
+    The basis is held as a ``(dim x keys)`` block ``Q`` over a ``KeyIndex``
+    of its support, stacked on first use from basis vectors or kept as given
+    by ``from_block``: coordinates are ``Q.conj() @ v`` and
+    ``from_coords(c)`` is ``c @ Q``. A subspace made from a block makes its
+    sparse basis vectors only when ``basis`` is read. The basis must not be
+    mutated.
     """
 
     def __init__(self, ambient: Representation, basis, *, validate=True):
         self.ambient = ambient
-        self.basis = list(basis)
+        self._basis = list(basis)
         self._block = None
-        for b in self.basis:
+        for b in self._basis:
             if not same_space(b.space, ambient):
                 raise KindMismatchError("basis vector lives outside the ambient space")
         if validate:
@@ -426,17 +534,40 @@ class Subspace:
                 i, j = (int(t) for t in np.argwhere(defect)[0])
                 raise PreconditionError(f"subspace basis not orthonormal at pair ({i}, {j})")
 
+    @classmethod
+    def from_block(cls, ambient: Representation, index: KeyIndex, Q: np.ndarray) -> "Subspace":
+        """The span of the orthonormal rows of ``Q`` over ``index``, kept as given."""
+        sub = cls.__new__(cls)
+        sub.ambient, sub._basis, sub._block = ambient, None, (index, Q, Q.conj())
+        return sub
+
+    @property
+    def basis(self) -> list:
+        if self._basis is None:
+            index, Q, _Qc = self._block
+            self._basis = from_dense(self.ambient, index, Q)
+        return self._basis
+
     @property
     def dim(self):
-        return len(self.basis)
+        return len(self._basis) if self._block is None else len(self._block[1])
 
     def block(self):
         """``(index, Q, Q.conj())`` for the stacked basis, built once."""
         if self._block is None:
-            index = KeyIndex(self.basis)
-            Q = to_dense(self.basis, index)
+            index = KeyIndex(self._basis)
+            Q = to_dense(self._basis, index)
             self._block = (index, Q, Q.conj())
         return self._block
+
+    def block_on(self, index: KeyIndex) -> np.ndarray:
+        """``Q`` with its columns moved onto ``index``, which holds every key of the basis."""
+        own, Q, _Qc = self.block()
+        if own.keys == index.keys:
+            return Q
+        out = np.zeros((len(Q), len(index)), dtype=complex)
+        out[:, [index.column[k] for k in own.keys]] = Q
+        return out
 
     def coords(self, v: SparseVector) -> np.ndarray:
         if not same_space(v.space, self.ambient):

@@ -7,9 +7,16 @@ sphere at a time. Independence of tuples over a closure is the
 orthogonality of their residuals, checked for every pair of ball
 translates with an explicit tolerance.
 
-All of it runs on the dense block kernel of ``vectors``: orbit vectors are
-stacked as rows over a ``KeyIndex``, orthonormalized by ``gram_schmidt``,
-and projected or paired by matrix products.
+All of it runs on dense blocks. Orbit vectors are the rows of a
+``reps.OrbitBlock`` over the closure's ball. On a finite tree of
+``MatrixRep`` and ``Trivial`` leaves it builds pi(g) once per ``MatrixRep``
+leaf for every ball element, along the ball's tree, and every orbit,
+translate and projection is one batched product over the tree's canonical
+keys; a tree with a ``Regular`` leaf forms each orbit vector with
+``Representation.apply``. The rows are orthonormalized by ``gram_schmidt``
+and projected or paired by matrix products. A closure keeps its orbit rows
+and its realized span as a block; sparse vectors are made from blocks only
+where a caller reads them.
 """
 
 from __future__ import annotations
@@ -19,18 +26,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import KindMismatchError, PreconditionError, ResourceLimitError
-from .groups import DEFAULT_BALL_CAP, ball
-from .reps import Representation, Subspace
-# inner is kept bound here: the benchmark tracer checks every module binding of it
+from .groups import DEFAULT_BALL_CAP, Ball, ball
+from .reps import OrbitBlock, Representation, Subspace
+# inner and orthonormalize are kept bound here: the benchmark tracer checks every
+# module binding of them
 from .vectors import (  # noqa: F401
     DEFAULT_DIM_CAP,
     DROP_TOL,
-    KeyIndex,
     SparseVector,
     from_dense,
     gram_schmidt,
     inner,
     orthonormalize,
+    residual,
     same_space,
     to_dense,
 )
@@ -40,23 +48,26 @@ GAIN_TIE = 1e-12  # superstable gains within this relative distance of the best 
 
 @dataclass
 class ClosureSpec:
-    """Realized orbit span of A at a finite radius, and the ball it was taken over."""
+    """Realized orbit span of A at a finite radius, the ball it was taken over, and the orbit.
+
+    ``orbit`` holds the rows pi(g)a over the realized span's columns, g in
+    ball order (outer) and a in ``generators``. ``ball`` is None when the
+    representation has no group; the orbit is then A itself.
+    """
 
     generators: list
     radius: int
     realized: Subspace
-    ball_elements: list
-
-    @classmethod
-    def from_subspace(cls, subspace: Subspace):
-        """Wrap an existing subspace as a closure at orbit radius 0."""
-        oracle = subspace.ambient.oracle
-        elements = [oracle.identity()] if oracle is not None else [None]
-        return cls(list(subspace.basis), 0, subspace, elements)
+    ball: Ball | None
+    orbit: np.ndarray
 
     @property
     def dim(self):
         return self.realized.dim
+
+    @property
+    def ball_elements(self) -> list:
+        return [None] if self.ball is None else self.ball.elements
 
     def project(self, v):
         return self.realized.project(v)
@@ -66,12 +77,12 @@ def closure(pi: Representation, A, r: int, dim_cap: int = DEFAULT_DIM_CAP,
             cap: int = DEFAULT_BALL_CAP) -> ClosureSpec:
     """Orthonormal basis of span{pi(g)a : |g| <= r, a in A}.
 
-    Orbit vectors are stacked one sphere at a time and ``gram_schmidt``
+    Orbit vectors are formed one sphere at a time and ``gram_schmidt``
     extends the basis so far with them, in enumeration order; a vector
     whose residual norm falls below ``DROP_TOL`` is linearly dependent and
     dropped. ``gram_schmidt`` raises ``ResourceLimitError`` at ``dim_cap`` in
-    the sphere where it is hit, and later spheres are never applied; a ball
-    of more than ``cap`` elements raises it before any orbit vector is formed.
+    the sphere where it is hit, and later spheres' orbit vectors are never
+    formed; a ball of more than ``cap`` elements raises it before any is.
     """
     A = list(A)
     if not A:
@@ -80,23 +91,19 @@ def closure(pi: Representation, A, r: int, dim_cap: int = DEFAULT_DIM_CAP,
     if r < 0:
         raise PreconditionError("closure radius must be non-negative")
 
-    if pi.oracle is None:
-        elements = [None]
-        shells = [[None]]
-    else:
-        B = ball(pi.oracle, r, cap)
-        elements = B.elements
-        shells = [B.sphere(k) for k in range(r + 1)]
-
-    index = KeyIndex()
+    B = None if pi.oracle is None else ball(pi.oracle, r, cap)
+    block = OrbitBlock(pi, B)
     Q = np.zeros((0, 0), dtype=complex)
-    for shell in shells:
-        orbit = _orbit(pi, A, shell)
-        index.add(orbit)
-        Q = gram_schmidt(to_dense(orbit, index), seed=Q, cap=dim_cap)
-
-    realized = Subspace(pi, from_dense(pi, index, Q), validate=False)
-    return ClosureSpec(A, r, realized, elements)
+    spheres, lo = [], 0
+    for hi in [1] if B is None else B.sizes:
+        X = block.rows(A, lo, hi).reshape(-1, len(block.index))
+        Q = gram_schmidt(X, seed=Q, cap=dim_cap)
+        spheres.append(X)
+        lo = hi
+    # the index grows sphere by sphere on the apply path: earlier rows are narrower
+    n = len(block.index)
+    orbit = np.concatenate([np.pad(X, ((0, 0), (0, n - X.shape[1]))) for X in spheres])
+    return ClosureSpec(A, r, Subspace.from_block(pi, block.index, Q), B, orbit)
 
 
 def _check_space(pi, vectors, what):
@@ -105,9 +112,13 @@ def _check_space(pi, vectors, what):
             raise KindMismatchError(f"{what} lives outside the representation space")
 
 
-def _orbit(pi, vectors, elements) -> list:
-    """pi(g)v for g in ``elements`` (outer) and v in ``vectors``; None is the identity."""
-    return [v if g is None else pi.apply(g, v) for g in elements for v in vectors]
+def _orbit_block(pi, C) -> tuple:
+    """``(subspace, orbit block, ball elements)`` of a closure, or of a subspace at radius 0."""
+    if isinstance(C, ClosureSpec):
+        sub, B, elements = C.realized, C.ball, C.ball_elements
+    else:
+        sub, B, elements = C, None, [None if pi.oracle is None else pi.oracle.identity()]
+    return sub, OrbitBlock(pi, B, sub.block()[0]), elements
 
 
 def project(v: SparseVector, C) -> SparseVector:
@@ -136,60 +147,61 @@ class IndependenceVerdict:
     tolerance: float
 
 
-def nondividing(pi: Representation, a_vec, B, C: ClosureSpec,
-                tol: float = 1e-6) -> IndependenceVerdict:
+def nondividing(pi: Representation, a_vec, B, C, tol: float = 1e-6) -> IndependenceVerdict:
     """Residual-orthogonality check of the tuple against B over the closure.
 
-    For every ball translate g, h recorded in C and every pair (a_i, b),
-    the inner product of the residuals of pi(g)a_i and pi(h)b over C must
-    stay within ``tol``; the worst pair (the first largest in the order
-    i, g, j, h) is reported with both residuals. The residuals are stacked
-    as rows and every pair is one entry of ``Ra @ Rb^H``.
+    ``C`` is a ``ClosureSpec``, or a ``Subspace`` standing for its own
+    closure at radius 0 (the identity alone). For every ball translate g,
+    h recorded in C and every pair (a_i, b), the inner product of the
+    residuals of pi(g)a_i and pi(h)b over C must stay within ``tol``; the
+    worst pair (the first largest in the order i, g, j, h) is reported with
+    both residuals. The translates are the rows of one orbit block, and
+    every pair is one entry of ``Ra @ Rb^H``.
     """
     if not 0 < tol < np.inf:
         raise PreconditionError(f"tol must be finite and positive, got {tol!r}")
     a_vec = list(a_vec)
     B = list(B)
     _check_space(pi, a_vec + B, "nondividing vector")
-    sub = C.realized
-    elements = C.ball_elements if pi.oracle is not None else [None]
-
-    def translates(vectors):
-        labels = [(i, g) for i in range(len(vectors)) for g in elements]
-        return labels, [v if g is None else pi.apply(g, v) for v in vectors for g in elements]
-
-    labels_a, xa = translates(a_vec)
-    labels_b, xb = translates(B)
-    if not xa or not xb:
+    if not a_vec or not B:
         return IndependenceVerdict(True, None, tol)
-    index = KeyIndex(sub.basis + xa + xb)
-    Q = to_dense(sub.basis, index)
+    sub, block, elements = _orbit_block(pi, C)
+    X = block.rows(a_vec + B)
+    Q = sub.block_on(block.index)
 
-    def residuals(xs):
-        X = to_dense(xs, index)
-        return X - (X @ Q.conj().T) @ Q
+    def residuals(Y):
+        """Residual rows of the translates in the order (vector, translate)."""
+        return residual(Y.transpose(1, 0, 2).reshape(-1, Y.shape[2]), Q)
 
-    Ra, Rb = residuals(xa), residuals(xb)
+    Ra, Rb = residuals(X[:, :len(a_vec)]), residuals(X[:, len(a_vec):])
     values = Ra @ Rb.conj().T
     p, q = np.unravel_index(int(np.argmax(np.abs(values))), values.shape)
-    (i, g), (j, h) = labels_a[p], labels_b[q]
-    ra, rb = from_dense(pi, index, [Ra[p], Rb[q]])
-    worst = WorstPair(i, g, j, h, complex(values[p, q]), ra, rb)
+    n = len(elements)
+    ra, rb = from_dense(pi, block.index, [Ra[p], Rb[q]])
+    worst = WorstPair(int(p) // n, elements[p % n], int(q) // n, elements[q % n],
+                      complex(values[p, q]), ra, rb)
     return IndependenceVerdict(abs(worst.value) <= tol, worst, tol)
 
 
-def projected_orbit(pi: Representation, a_vec, C: ClosureSpec) -> list:
-    """P_C pi(g) a_i for g in the ball recorded in C (outer) and each a_i."""
+def projected_orbit_block(pi: Representation, a_vec, C) -> tuple:
+    """``(index, P)``: the rows P_C pi(g) a_i over ``index``, g in C's ball (outer) and each a_i."""
     a_vec = list(a_vec)
     _check_space(pi, a_vec, "tuple vector")
-    index, Q, Qc = C.realized.block()
-    X = to_dense(_orbit(pi, a_vec, C.ball_elements), index)
-    return from_dense(pi, index, (X @ Qc.T) @ Q)
+    sub, block, _elements = _orbit_block(pi, C)
+    X = block.rows(a_vec).reshape(-1, len(block.index))
+    Q = sub.block_on(block.index)
+    return block.index, (X @ Q.conj().T) @ Q
 
 
-def canonical_base(pi: Representation, a_vec, C: ClosureSpec) -> list:
+def projected_orbit(pi: Representation, a_vec, C) -> list:
+    """P_C pi(g) a_i for g in the ball recorded in C (outer) and each a_i."""
+    return from_dense(pi, *projected_orbit_block(pi, a_vec, C))
+
+
+def canonical_base(pi: Representation, a_vec, C) -> list:
     """Orthonormal spanning set of the projected orbit {P_C pi(g) a_i}."""
-    return orthonormalize(projected_orbit(pi, a_vec, C))
+    index, P = projected_orbit_block(pi, a_vec, C)
+    return from_dense(pi, index, gram_schmidt(P))
 
 
 @dataclass
@@ -226,11 +238,10 @@ def superstable_approx(pi: Representation, a_vec, A, eps: float, r: int,
     D = C.dim
 
     labels = [(g, ai) for g in C.ball_elements for ai in range(len(A))]
-    orbit = _orbit(pi, A, C.ball_elements)
 
     # all work happens in coordinates over the realized closure basis
     index, Qclos, Qc = C.realized.block()
-    R = to_dense(orbit, index) @ Qc.T
+    R = C.orbit @ Qc.T
     Tres = to_dense(a_vec, index) @ Qc.T
     Q = np.zeros((0, D), dtype=complex)  # the picked directions, orthonormal in C^D
     selected = []
@@ -258,7 +269,7 @@ def superstable_approx(pi: Representation, a_vec, A, eps: float, r: int,
             f"could not reach eps={eps}; best achieved gap {max(gaps):.3g}"
         )
 
-    core = Subspace(pi, from_dense(pi, index, Q @ Qclos), validate=False)
+    core = Subspace.from_block(pi, index, Q @ Qclos)
     # P_C a_i - P_core a_i has closure coordinates Tres_i
     b_vec = [a - C.realized.from_coords(Tres[i]) for i, a in enumerate(a_vec)]
     return SuperstableResult([labels[j] for j in selected], core, b_vec, gaps)

@@ -145,6 +145,14 @@ class KeyIndex:
     def __len__(self):
         return len(self.keys)
 
+    @classmethod
+    def of_keys(cls, keys) -> "KeyIndex":
+        """An index whose columns are ``keys``, in order."""
+        index = cls()
+        index.keys = list(keys)
+        index.column = {k: j for j, k in enumerate(index.keys)}
+        return index
+
     def add(self, vectors):
         """Give every entry key of ``vectors`` not yet indexed the next column."""
         keys, column = self.keys, self.column
@@ -220,6 +228,11 @@ def gram_schmidt(X, seed=None, cap=None) -> np.ndarray:
         Qc[k] = Q[k].conj()
         k += 1
     return Q[:k]
+
+
+def residual(X, Q) -> np.ndarray:
+    """The rows of ``X`` less their projections onto the span of the orthonormal rows of ``Q``."""
+    return X - (X @ Q.conj().T) @ Q
 
 
 def orthonormalize(vectors) -> list:

@@ -364,6 +364,35 @@ def test_registry_declares_each_subcommand_once():
         assert flags - {"-h", "--help"} == common | declared | {f"--{f}" for f in task.files}
 
 
+@pytest.mark.parametrize("argv", [["--help"], ["contain", "--help"]], ids=["top", "contain"])
+def test_help_lists_the_subcommands_and_the_task_flags(argv):
+    """``main`` gives only the subcommand it runs its arguments; help still shows everything."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    result = subprocess.run([sys.executable, "-m", "unirep.cli", *argv], env=env,
+                            capture_output=True, text=True)
+    assert result.returncode == 0
+    assert "Traceback" not in result.stderr
+    if argv == ["--help"]:
+        for name in [*TASKS, "verify"]:
+            assert name in result.stdout
+    else:
+        for flag in ["--config", "--out", "--seed", "--cap-ball", "--cap-dimension", "--radius",
+                     "--tol", "--budget", "--restarts", "--target"]:
+            assert flag in result.stdout
+
+
+def test_main_parses_a_subcommand_with_only_its_own_arguments(tmp_path, capsys):
+    """A flag of another task is refused, as with the full parser."""
+    cfg = tmp_path / "probe.config.json"
+    cfg.write_text(json.dumps({"group": Z, "task": {"nmax": 4, "radius": 2}}))
+    with pytest.raises(SystemExit) as exc:
+        main(["probe-amenability", "--config", str(cfg), "--out", str(tmp_path / "r.json"),
+              "--tol", "0.1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tol" in capsys.readouterr().err
+
+
 def _set_spectral_radius_to_string(report):
     report["outputs"]["spectral"]["radius"] = "x"
 

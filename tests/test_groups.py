@@ -163,6 +163,30 @@ def test_unchecked_product_matches_multiply(oracle):
             assert oracle._mul(a, b) == oracle.multiply(a, b)
 
 
+@st.composite
+def abelian_pairs(draw):
+    """An abelian oracle of rank 0-3 with up to three torsion factors, and two of its elements."""
+    rank = draw(st.integers(0, 3))
+    torsion = draw(st.lists(st.integers(2, 9), max_size=3))
+    oracle = FgAbelianOracle(rank, torsion)
+
+    def element():
+        free = [draw(st.integers(-50, 50)) for _ in range(rank)]
+        return tuple(free + [draw(st.integers(0, m - 1)) for m in torsion])
+
+    return oracle, element(), element()
+
+
+@settings(derandomize=True, database=None, max_examples=300)
+@given(abelian_pairs())
+def test_abelian_unchecked_product_reduces_only_the_torsion(case):
+    oracle, a, b = case
+    product = oracle._mul(a, b)
+    assert product == oracle.multiply(a, b)
+    assert product == tuple((x + y) % m if m else x + y for x, y, m in zip(a, b, oracle.moduli))
+    oracle.check_element(product)
+
+
 @pytest.mark.parametrize("oracle", all_oracles(), ids=lambda o: o.kind)
 def test_smaller_ball_is_a_prefix(oracle):
     big = ball(oracle, 4)

@@ -27,16 +27,21 @@ from unirep import (
     inner,
     orthonormalize,
 )
-from unirep.vectors import gram_schmidt
+from unirep.reps import OrbitBlock
+from unirep.vectors import gram_schmidt, to_dense
 from util import (
+    character_action,
     cyclic_table,
     f2_oracle,
+    phase,
     psl2z_rewriting,
     random_elements,
     random_matrix_rep,
     random_sparse,
     random_unitary,
     s4_table,
+    z2_oracle,
+    z2_rewriting,
     z_on_2_3,
     z_oracle,
 )
@@ -282,6 +287,56 @@ def test_matrix_of_on_explicit_generators_matches_words():
     for x in ball(oracle, 6).elements:
         word = oracle.as_word(x)
         np.testing.assert_allclose(rep.matrix_of(x), rep.evaluate_word(word), atol=1e-12)
+
+
+def _commuting_pair(rng, d):
+    return character_action(rng, d, lambda r: (phase(r), phase(r)))
+
+
+ORBIT_GROUPS = {
+    "F2": (f2_oracle, lambda rng, d: [random_unitary(rng, d) for _ in range(2)]),
+    "Z2-abelian": (z2_oracle, _commuting_pair),
+    "Z2-rewriting": (z2_rewriting, _commuting_pair),
+    "Z6-table": (lambda: cyclic_table(6),
+                 lambda rng, d: character_action(rng, d, lambda r: (phase(r, 6),))),
+}
+ORBIT_TREES = {
+    "matrix": lambda leaf: leaf(),
+    "sum": lambda leaf: DirectSum([leaf(), Trivial(2), leaf()]),
+    "multiple": lambda leaf: Multiple(leaf(), 2),
+}
+
+
+@pytest.mark.parametrize("tree", ORBIT_TREES)
+@pytest.mark.parametrize("group", ORBIT_GROUPS)
+def test_orbit_block_matches_apply(group, tree):
+    """Each stacked matrix is a fresh leaf's ``matrix_of``, bit for bit; each row is ``apply``'s."""
+    make_oracle, make_matrices = ORBIT_GROUPS[group]
+    oracle = make_oracle()
+    rng = np.random.default_rng(11)
+    pi = ORBIT_TREES[tree](lambda: MatrixRep(oracle, make_matrices(rng, 3)))
+    B = ball(oracle, 3)
+    block = OrbitBlock(pi, B)
+    leaves = {id(leaf): leaf for leaf in map(pi.resolve, range(pi.leaf_count()))}
+    for leaf in leaves.values():
+        if isinstance(leaf, MatrixRep):
+            fresh = MatrixRep(oracle, leaf.matrices)
+            stack = leaf.ball_stack(B)
+            for i, g in enumerate(B.elements):
+                assert np.array_equal(stack[i], fresh.matrix_of(g)), g
+    vectors = [random_sparse(rng, pi, pi.basis_keys(), 5) for _ in range(2)]
+    rows = block.rows(vectors)
+    assert rows.shape == (len(B), 2, pi.total_dim())
+    for i, g in enumerate(B.elements):
+        expected = to_dense([pi.apply(g, v) for v in vectors], block.index)
+        np.testing.assert_allclose(rows[i], expected, rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(OrbitBlock(pi).rows(vectors)[0], to_dense(vectors, block.index))
+
+
+def test_orbit_block_rejects_a_key_off_the_coordinates():
+    rep = random_matrix_rep(np.random.default_rng(0), f2_oracle(), 3)
+    with pytest.raises(KindMismatchError, match="not a coordinate"):
+        OrbitBlock(rep, ball(f2_oracle(), 1)).rows([delta(rep, 0, 3)])
 
 
 def test_vector_space_mismatch():

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from unirep import (
-    ClosureSpec,
     KindMismatchError,
     PreconditionError,
     Regular,
@@ -158,7 +157,7 @@ def test_nondividing_b_inside_closure():
 def test_nondividing_zero_closure_dependent():
     Z = z_oracle()
     reg = Regular(Z)
-    C = ClosureSpec.from_subspace(Subspace(reg, []))
+    C = Subspace(reg, [])
     verdict = nondividing(reg, [dz(reg, 0)], [dz(reg, 0)], C, tol=1e-6)
     assert not verdict.independent
     assert abs(verdict.worst.value - 1.0) < 1e-15
@@ -342,7 +341,7 @@ def test_canonical_base_postcondition():
         A = [random_sparse(rng, reg, keys, 2)]
         C = closure(reg, A, 2)
         base = canonical_base(reg, [a], C)
-        core = ClosureSpec.from_subspace(Subspace(reg, base, validate=False))
+        core = Subspace(reg, base, validate=False)
         # orbit tuple over the closure ball stays independent from C over the base
         orbit = [reg.apply(g, a) for g in C.ball_elements]
         B = list(C.realized.basis)[:3]
@@ -404,8 +403,7 @@ def test_superstable_gap_identity_and_independence():
         direct = (C.project(a) - result.core.project(a)).norm()
         assert abs(gap - direct) < 1e-10
         assert abs(gap - result.gaps[i]) < 1e-10
-    core_closure = ClosureSpec.from_subspace(result.core)
-    verdict = nondividing(reg, result.b_vec, A, core_closure, tol=eps)
+    verdict = nondividing(reg, result.b_vec, A, result.core, tol=eps)
     assert verdict.independent
 
 
