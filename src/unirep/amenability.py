@@ -9,9 +9,9 @@ The last two are one number (Kesten): the minimum defect on a ball is
 from one Perron solve, a restarted Lanczos iteration (Lanczos 1950) that
 needs about O(r) products with M on an amenable ball where power
 iteration needs O(r^2). Its Rayleigh quotient bounds lambda_max(M) from
-below and the Collatz-Wielandt bound of its positive final vector bounds
-it from above; the solve stops only once the two are within the
-tolerance, which certifies the defect from both sides.
+below and the Collatz-Wielandt bound of its positive final vector
+(``collatz_wielandt``) bounds it from above; the solve stops only once the
+two are within the tolerance, which certifies the defect from both sides.
 
 Every probe reads a prefix of the space ``probe_ball`` gives. On most
 groups that is a ``Ball`` from ``groups.ball``, which alone decides the
@@ -26,6 +26,12 @@ automorphisms fixing e act transitively on each sphere and commute with
 the walk and with M. So the walk from e and M's Perron vector are radial,
 and both run on the (r + 1)-point distance chain (``DistanceChain``),
 whose minimizers are kept as one amplitude per sphere.
+
+``verify`` recomputes a report with the functions that made it:
+``walk_estimates`` (root and ratio estimates, which tend to the spectral
+radius), ``defect_certificate`` (a vector's defect, which bounds the
+minimum from above, with a Collatz-Wielandt bound from below) and
+``spectral_ends`` (an interval that holds the walk operator's norm).
 """
 
 from __future__ import annotations
@@ -59,7 +65,6 @@ MAX_PRODUCTS = 500_000  # the defect solve's budget of products with the ball op
 class ReturnProbabilityTable:
     """Exact return probabilities p_{2n}(e) of the symmetric walk, with estimator traces."""
 
-    n_max: int
     p: dict            # even step -> Fraction
     root_estimates: dict = field(default_factory=dict)   # 2n -> p^{1/(2n)}
     ratio_estimates: dict = field(default_factory=dict)  # 2n -> sqrt(p_{2n+2}/p_{2n})
@@ -68,21 +73,30 @@ class ReturnProbabilityTable:
         steps = sorted(self.p)
         if steps[0] != 0 or self.p[0] != 1:
             raise PreconditionError("return probabilities must start at p_0 = 1")
-        for s in steps:
-            value = float(self.p[s])
+        p = [float(self.p[s]) for s in steps]
+        for s, value in zip(steps, p):
             if not (0 < value <= 1):
                 raise PreconditionError(f"return probability out of range at step {s}")
-            if s > 0:
-                self.root_estimates[s] = value ** (1.0 / s)
-        for a, b in zip(steps, steps[1:]):
-            ratio = (float(self.p[b]) / float(self.p[a])) ** 0.5
+        roots, ratios = walk_estimates(steps, p)
+        for a, ratio in zip(steps, ratios):
             if ratio > 1 + RATIO_SLACK:
                 raise PreconditionError(f"ratio estimator exceeds 1 at step {a}")
-            self.ratio_estimates[a] = ratio
+        self.root_estimates = dict(zip(steps[1:], roots))
+        self.ratio_estimates = dict(zip(steps, ratios))
 
     @property
     def final_ratio(self) -> float:
         return self.ratio_estimates[max(self.ratio_estimates)]
+
+
+def walk_estimates(steps, p) -> tuple[list, list]:
+    """Root estimates p_s^(1/s) at ``steps[1:]``; ratio estimates sqrt(p_b / p_a), a < b adjacent.
+
+    ``p`` holds Python floats, so a p_a of 0 raises ``ZeroDivisionError``.
+    """
+    roots = [x ** (1.0 / s) for s, x in zip(steps[1:], p[1:])]
+    ratios = [(b / a) ** 0.5 for a, b in zip(p, p[1:])]
+    return roots, ratios
 
 
 def _walk_returns(rows, cols, n: int, deg: int, n_max: int) -> dict:
@@ -170,10 +184,13 @@ def averaged_shift(B: Ball | DistanceChain, n: int):
     the multiplicities of ``_distance_chain``: sqrt(deg)/deg between e and
     the first sphere, sqrt(deg - 1)/deg beyond. For the radial v with
     sphere amplitudes u, M v is the radial vector with amplitudes T u, so
-    each ratio (Mv)(x)/v(x) on S_d is (Tu)_d/u_d. Returns M as a function
-    of a length-n vector.
+    each ratio (Mv)(x)/v(x) on S_d is (Tu)_d/u_d. With no steps every vector
+    is invariant, and M is the identity. Returns M as a function of a
+    length-n vector.
     """
     deg = len(B.steps)
+    if not deg:
+        return lambda x: x
     if isinstance(B, DistanceChain):
         rows, cols, mult = _distance_chain(deg, n - 1)
         half = np.sqrt(mult[:n - 1] * mult[n - 1:]) / deg
@@ -210,13 +227,20 @@ def return_probabilities(B: Ball | DistanceChain, n_max: int = 40) -> ReturnProb
         raise PreconditionError(f"walks to step {n_max} need radius {r}, not {B.radius}")
     deg = len(B.steps)
     if not deg:
-        return ReturnProbabilityTable(n_max, {s: Fraction(1) for s in range(0, n_max + 1, 2)})
+        return ReturnProbabilityTable({s: Fraction(1) for s in range(0, n_max + 1, 2)})
     if not r:  # a free group's standard steps: a walk past n_max // 2 cannot return
         rows, cols, mult = _distance_chain(deg, n_max // 2)
-        return ReturnProbabilityTable(n_max, _walk_returns(
+        return ReturnProbabilityTable(_walk_returns(
             np.repeat(rows, mult), np.repeat(cols, mult), n_max // 2 + 1, deg, n_max))
     n = int(B.sizes[r])
-    return ReturnProbabilityTable(n_max, _walk_returns(*B.edges(n), n, deg, n_max))
+    return ReturnProbabilityTable(_walk_returns(*B.edges(n), n, deg, n_max))
+
+
+def collatz_wielandt(v, mv) -> float | None:
+    """max_i (Mv)_i / v_i >= lambda_max(M) for M >= 0 and ``mv`` = M v; None unless v > 0."""
+    if not np.all(v > 0):
+        return None
+    return float(np.max(mv / v))
 
 
 def _perron_solve(matvec, dim):
@@ -228,9 +252,9 @@ def _perron_solve(matvec, dim):
     positive. Each cycle checks the unit vector v (first
     the constant vector) and stops once v is positive and both the
     defect-form residual 2|Mv - mu v| and the certified gap 2(cw - mu) are
-    at most ``EIGEN_TOL``, for the Rayleigh quotient mu and the
-    Collatz-Wielandt bound cw = max(max_i (Mv)_i / v_i, mu) (mu bounds the
-    top eigenvalue from below, so it only lifts a ratio rounded under it).
+    at most ``EIGEN_TOL``, for the Rayleigh quotient mu and
+    cw = max(``collatz_wielandt(v, Mv)``, mu) (mu bounds the top eigenvalue
+    from below, so it only lifts a ratio rounded under it).
     Otherwise the cycle builds a Krylov block of at most ``RESTART`` vectors
     from v with two-pass full reorthogonalization, ending early where the
     block spans an invariant subspace, and restarts from the top Ritz vector
@@ -246,10 +270,9 @@ def _perron_solve(matvec, dim):
         mu = float(np.dot(v, mv))
         w = mv - mu * v
         residual = 2.0 * float(np.linalg.norm(w))
-        if residual <= EIGEN_TOL and np.all(v > 0):
-            cw = max(float(np.max(mv / v)), mu)
-            if 2.0 * (cw - mu) <= EIGEN_TOL:
-                return mu, cw, residual, v, products
+        cw = collatz_wielandt(v, mv) if residual <= EIGEN_TOL else None
+        if cw is not None and 2.0 * (max(cw, mu) - mu) <= EIGEN_TOL:
+            return mu, max(cw, mu), residual, v, products
         # a cycle needs one product past v and one to check its restart vector
         if stalled or products + 2 > MAX_PRODUCTS:
             raise ConvergenceError(
@@ -315,14 +338,10 @@ def defect_table(B: Ball | DistanceChain, radii=None) -> list[DefectReport]:
     the (rho + 1)-point chain, whose top eigenvalue is the ball operator's.
     """
     radii = range(1, B.radius + 1) if radii is None else radii
-    deg = len(B.steps)
     reports = []
     for rho in radii:
         if not 0 <= rho <= B.radius:
             raise PreconditionError(f"defect radius {rho} outside 0..{B.radius}")
-        if not deg:  # no steps: every vector is invariant
-            reports.append(DefectReport(rho, 0.0, np.ones(1), 0.0, 0.0, 0, B))
-            continue
         n = int(B.sizes[rho])
         mu, cw_upper, residual, vec, iters = _perron_solve(averaged_shift(B, n), n)
         # the form is PSD: a Rayleigh quotient a rounding step past the top clamps to 0
@@ -342,8 +361,7 @@ def min_defect(B: Ball | DistanceChain) -> DefectReport:
     both at most ``EIGEN_TOL``. The value is max(0, 2(1 - mu)) for the
     Rayleigh quotient mu of v; the form is positive semidefinite, so it
     bounds the minimum from above. The certified lower bound is
-    max(0, 2(1 - cw)) for the Collatz-Wielandt bound
-    cw = max(max_i (Mv)_i / v_i, mu) >= lambda_max(M) (Wielandt 1950), so
+    max(0, 2(1 - cw)) for cw = max(``collatz_wielandt(v, Mv)``, mu), so
     value - certified lower bound <= ``EIGEN_TOL``. ``MAX_PRODUCTS`` is the
     budget of products with M, and ``iterations`` counts them. A solve that
     does not converge within it raises ``ConvergenceError`` whose ``best``
@@ -375,12 +393,27 @@ class SpectralRadiusInterval:
     def __contains__(self, x) -> bool:
         return self.lower <= x <= self.upper
 
-    @classmethod
-    def from_defect(cls, defect: DefectReport) -> SpectralRadiusInterval:
-        """The interval whose lower end is 1 - d/2 for the defect solve ``defect``."""
-        lower = 1.0 - defect.min_avg_sq_defect / 2.0
-        upper = min(1.0, max(certified_upper(defect.ball.oracle, defect.ball.steps), lower))
-        return cls(defect.radius, lower, upper, defect)
+
+def spectral_ends(B: Ball | DistanceChain, d: float) -> tuple[float, float]:
+    """1 - d/2 and min(1, max(u, 1 - d/2)) for a defect d on ``B`` and u = ``certified_upper``."""
+    lower = 1.0 - d / 2.0
+    return lower, min(1.0, max(certified_upper(B.oracle, B.steps), lower))
+
+
+def defect_certificate(B: Ball | DistanceChain, w) -> tuple[float, float]:
+    """The averaged squared shift defect of w on the first len(w) points of ``B``, and its bound.
+
+    ``w`` holds real amplitudes in ball order, or per sphere on a distance
+    chain. The shifts are unitary, so the defect is 2(1 - <Mw, w>/|w|^2). The
+    bound is max(0, 2(1 - ``collatz_wielandt(w, Mw)``)), nan unless w > 0.
+    """
+    n2 = float(np.dot(w, w))
+    if n2 == 0:
+        return float("nan"), float("nan")
+    mw = averaged_shift(B, len(w))(w)
+    defect = 2.0 * (1.0 - float(np.dot(mw, w)) / n2)
+    cw = collatz_wielandt(w, mw)
+    return defect, float("nan") if cw is None else max(0.0, 2.0 * (1.0 - cw))
 
 
 def certified_upper(oracle: GroupOracle, S=None) -> float:
@@ -399,15 +432,12 @@ def certified_upper(oracle: GroupOracle, S=None) -> float:
 
 
 def spectral_radius_bound(B: Ball | DistanceChain) -> SpectralRadiusInterval:
-    """Certified spectral-radius interval from ball compression and norm bounds.
+    """Certified spectral-radius interval: ``spectral_ends`` of the defect ``min_defect(B)``.
 
-    The lower end is 1 - d/2 for the defect d = ``min_defect(B)``: the
-    Rayleigh quotient of the final Lanczos vector for the ball-compressed
-    averaged shift operator, and any Rayleigh quotient is a true lower
-    bound. ``EIGEN_TOL`` is therefore the defect-form residual and certified
-    gap, and ``MAX_PRODUCTS`` the budget of products with the operator. The
-    upper end is a certified norm bound. The defect solve is
+    That defect comes from the Rayleigh quotient of the final Lanczos vector,
+    so ``EIGEN_TOL`` and ``MAX_PRODUCTS`` are its solve's. The defect solve is
     attached as ``defect``; the walk's return probabilities are
     ``return_probabilities``.
     """
-    return SpectralRadiusInterval.from_defect(min_defect(B))
+    d = min_defect(B)
+    return SpectralRadiusInterval(d.radius, *spectral_ends(B, d.min_avg_sq_defect), d)

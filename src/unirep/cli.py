@@ -6,6 +6,9 @@ parameters (``Param``), run function and verify function. The subcommand's
 flags, each parameter's config lookup and cast, and the echo of the cast
 values into the report all come from that declaration. A run function
 receives the cast values and returns only its own report parts.
+Each certified number of a probe, ``contain`` or ``folner-witness`` report
+comes from the one library function that derives it, which the run and
+``verify`` both call: this module holds no formula of its own for them.
 
 Every run writes a compact JSON report (sorted keys, no indentation or
 spaces, UTF-8) echoing its inputs, outputs, tolerances, and enough
@@ -49,12 +52,12 @@ import numpy as np
 from . import containment, stability
 from .amenability import (
     EIGEN_TOL,
-    SpectralRadiusInterval,
-    averaged_shift,
-    certified_upper,
+    defect_certificate,
     defect_table,
     probe_ball,
     return_probabilities,
+    spectral_ends,
+    walk_estimates,
     walk_radius,
 )
 from .containment import folner_witness, gram, search_witness, transfer_witness
@@ -209,7 +212,7 @@ def run_probe(cfg, nmax, radius):
     table = return_probabilities(B, nmax)
     steps = sorted(table.p)
     defects = defect_table(B, range(radius + 1))
-    interval = SpectralRadiusInterval.from_defect(defects[-1])
+    lower, upper = spectral_ends(B, defects[-1].min_avg_sq_defect)
     outputs = {
         "return-probabilities": {
             "steps": steps,
@@ -229,32 +232,10 @@ def run_probe(cfg, nmax, radius):
             }
             for d in defects[1:]
         ],
-        "spectral": {"radius": interval.radius, "lower": interval.lower, "upper": interval.upper},
+        "spectral": {"radius": radius, "lower": lower, "upper": upper},
     }
     return {"outputs": outputs, "tolerances": {"eigen-residual": EIGEN_TOL},
             "headline": table.final_ratio}
-
-
-def _defect_rayleigh(B, w):
-    """Average squared shift defect of w on the first len(w) points of B, and its bound.
-
-    ``w`` holds real amplitudes in ball order, or per sphere on a distance
-    chain, and M is the average of the shifts (``averaged_shift``). The
-    shifts are unitary, so the defect is 2(1 - <Mw, w>/|w|^2). The bound is
-    max(0, 2(1 - cw)) for the Collatz-Wielandt bound cw = max_x Mw(x)/w(x),
-    which holds only for a positive w: otherwise the bound is nan.
-    """
-    if not B.steps:
-        return 0.0, 0.0
-    n2 = float(np.dot(w, w))
-    if n2 == 0:
-        return float("nan"), float("nan")
-    mw = averaged_shift(B, len(w))(w)
-    defect = 2.0 * (1.0 - float(np.dot(mw, w)) / n2)
-    if not np.all(w > 0):
-        return defect, float("nan")
-    cw = float(np.max(mw / w))
-    return defect, max(0.0, 2.0 * (1.0 - cw))
 
 
 def _row_amplitudes(row, i, radius):
@@ -275,23 +256,22 @@ def _walk_checks(report):
     """Checks of the return-probability block in O(nmax): steps, ``p`` and estimates.
 
     Each ``p`` is its ``p-exact`` rounded, and each estimate is recomputed from
-    ``p`` as ``ReturnProbabilityTable`` does; None stands where there is none
-    (the root at step 0, the ratio at the last step).
+    ``p`` by ``walk_estimates``; None stands where there is none (the root at
+    step 0, the ratio at the last step).
     """
     out = report["outputs"]
     rp = out["return-probabilities"]
     steps, p = rp["steps"], rp["p"]
-    roots = [None] + [x ** (1.0 / s) for s, x in zip(steps[1:], p[1:])]
-    ratios = [(b / a) ** 0.5 for a, b in zip(p, p[1:])] + [None]
+    roots, ratios = walk_estimates(steps, p)
     checks = [("steps", steps == list(range(0, report["inputs"]["nmax"] + 1, 2)), True)]
     for name, recomputed, stored in (
         ("p", [float(Fraction(x)) for x in rp["p-exact"]], p),
-        ("root-estimate", roots, rp["root-estimates"]),
-        ("ratio-estimate", ratios, rp["ratio-estimates"]),
+        ("root-estimate", [None] + roots, rp["root-estimates"]),
+        ("ratio-estimate", ratios + [None], rp["ratio-estimates"]),
     ):
         for s, r, x in zip(steps, recomputed, stored, strict=True):
             checks.append((f"{name}-{s}", x is None, True) if r is None else (f"{name}-{s}", r, x))
-    checks.append(("final-ratio", ratios[-2], out["final-ratio"]))
+    checks.append(("final-ratio", ratios[-1], out["final-ratio"]))
     return checks
 
 
@@ -304,22 +284,19 @@ def verify_probe(report):
     amplitudes = [_row_amplitudes(row, i, radius) for i, row in enumerate(table)]
     # the run's ball held its longest row, also under a raised cap
     B = probe_ball(oracle, radius, max([DEFAULT_BALL_CAP] + [len(w) for w in amplitudes]))
-    value = None
+    value = defect_certificate(B, np.ones(1))[0]  # radius 0 has no row: the one-point ball
     for rho, (row, w) in enumerate(zip(table, amplitudes), start=1):
         n = int(B.sizes[rho])
         checks.append((f"argmin-length-r{rho}", n, len(w)))
-        value, certified = _defect_rayleigh(B, w) if len(w) == n else (float("nan"),) * 2
+        value, certified = defect_certificate(B, w) if len(w) == n else (float("nan"),) * 2
         checks.append((f"defect-r{rho}", value, row["value"]))
         checks.append((f"certified-lower-r{rho}", certified, row["certified-lower"]))
     checks.append(("defect-rows", len(table), radius))
     spectral = out["spectral"]
     checks.append(("spectral-radius", radius, spectral["radius"]))
-    if value is None:  # radius 0 has no row: the one-point ball
-        value = _defect_rayleigh(B, np.ones(1))[0]
-    lower = 1.0 - value / 2.0
+    lower, upper = spectral_ends(B, value)
     checks.append(("spectral-lower", lower, spectral["lower"]))
-    checks.append(("spectral-upper", min(1.0, max(certified_upper(oracle), lower)),
-                   spectral["upper"]))
+    checks.append(("spectral-upper", upper, spectral["upper"]))
     checks.append(("headline", out["final-ratio"], report["headline"]))
     return checks
 
@@ -339,16 +316,11 @@ def run_contain(cfg, radius, tol, budget, restarts):
 
     Without a ``basis`` the span is the delta basis of shift copy 0 on the
     radius-``radius`` Cayley ball, built once for the basis and the search.
-    On a trivial target (n = 1, every M_g = [[1]], F holding e and the steps), the
-    search starts from the ball's Perron vector scaled to c^2 = 2/(1 + mu),
-    and the report carries two lower bounds for the discrepancy:
-    ``certified-lower`` = (1 - cw)/(1 + cw) for the Collatz-Wielandt ratio cw
-    of the witness's moduli on the ball, for every vector of the span, and
-    ``certified-floor`` = (1 - u)/(1 + u) for u = ``certified_upper``, for
-    every vector of lambda^infinity (7 - 4 sqrt(3) on F2). A ``tol`` below
-    ``certified-lower`` is out of reach, and the start is reported at once
-    with 0 iterations. Any other search reports both bounds as null. An
-    explicit basis is echoed in ``inputs.basis``.
+    On a trivial target the search starts from the ball's Perron vector and
+    the report carries ``certified-lower`` (for the span) and
+    ``certified-floor`` (for lambda^infinity) from ``search_witness``; any
+    other search reports both as null. An explicit basis is echoed in
+    ``inputs.basis``.
     """
     target_obj = cfg.task.get("target")
     if target_obj is None:
@@ -366,7 +338,7 @@ def run_contain(cfg, radius, tol, budget, restarts):
                                  seed=cfg.seed, restarts=restarts)
     outputs = {
         "witnesses": [vector_to_json(w) for w in report_data.witnesses],
-        "witness-gram": gram_to_json(gram(pi, report_data.witnesses, target.F, oracle=cfg.oracle)),
+        "witness-gram": gram_to_json(report_data.gram),
         "discrepancy": report_data.discrepancy,
         "iterations": report_data.iterations,
         "converged": report_data.converged,
@@ -445,13 +417,12 @@ def run_folner(cfg, eps):
     raw_f = cfg.task.get("F")
     F = parse_elements(raw_f, cfg.oracle, "task.F") if raw_f else list(cfg.oracle.generators)
     w = folner_witness(cfg.oracle, F, eps, cfg.caps["ball"])
-    space = Regular(cfg.oracle)
     defects = []
     for g in F:
         exact = containment.shift_defect_exact(cfg.oracle, w, g)
         defects.append({
             "element": cfg.oracle.element_to_str(g),
-            "value": (space.apply(g, w) - w).norm2(),
+            "value": containment.shift_defect(w, g),
             "value-exact": str(exact),
         })
     worst = max((d["value"] for d in defects), default=0.0)
@@ -477,7 +448,7 @@ def verify_folner(report):
     worst = 0.0
     for row in outputs["defects"]:
         g = oracle.element_from_str(row["element"])
-        value = (space.apply(g, w) - w).norm2()
+        value = containment.shift_defect(w, g)
         worst = max(worst, value)
         checks.append((f"defect-{row['element']}", value, row["value"]))
         exact = Fraction(row["value-exact"])
@@ -845,21 +816,18 @@ def _export_csv(report, path):
 
 
 def build_parser(command=None) -> argparse.ArgumentParser:
-    """The ``unirep`` parser; given ``command``, only the task of that name gets its arguments.
-
-    Every subcommand is listed either way, so ``unirep --help`` names them all,
-    and ``verify``'s one argument is always added.
-    """
+    """The ``unirep`` parser: only the subcommand ``command`` names, else all of them."""
     parser = argparse.ArgumentParser(
         prog="unirep",
         description="Numerical workbench for unitary representations of discrete groups.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    known = command == "verify" or command in TASKS
 
     for name, task in TASKS.items():
-        p = sub.add_parser(name, help=task.help, description=task.help)
-        if command not in (None, name):
+        if known and name != command:
             continue
+        p = sub.add_parser(name, help=task.help, description=task.help)
         p.add_argument("--config", required=True, help="Workbench config JSON path.")
         p.add_argument("--out", required=True, help="Report JSON output path.")
         p.add_argument("--seed", type=int, default=None, help="Override the config seed.")
@@ -872,8 +840,9 @@ def build_parser(command=None) -> argparse.ArgumentParser:
         for flag, flag_help in task.files.items():
             p.add_argument(f"--{flag}", default=None, help=flag_help)
 
-    p = sub.add_parser("verify", help="Recompute a report's headline from its witness data.")
-    p.add_argument("--report", required=True, help="Report JSON path.")
+    if not known or command == "verify":
+        p = sub.add_parser("verify", help="Recompute a report's headline from its witness data.")
+        p.add_argument("--report", required=True, help="Report JSON path.")
     return parser
 
 

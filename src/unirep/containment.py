@@ -31,7 +31,8 @@ from .errors import (
     PreconditionError,
     ResourceLimitError,
 )
-from .amenability import averaged_shift, certified_upper, min_defect
+from .amenability import (averaged_shift, certified_upper, collatz_wielandt, min_defect,
+                          spectral_ends)
 from .groups import DEFAULT_BALL_CAP, Ball, GroupOracle, ball, symmetric_generators
 from .reps import (
     DirectSum,
@@ -204,6 +205,7 @@ class WitnessReport:
     converged: bool
     certified_lower: float | None = None
     certified_floor: float | None = None
+    gram: GramFunction | None = None  # the witnesses' Gram data over F, from search_witness
 
 
 def _bincount_complex(bins, weights, size):
@@ -266,17 +268,12 @@ def certified_lower(B: Ball, moduli) -> float | None:
     """Lower bound for the trivial-target discrepancy of every witness on the ball ``B``.
 
     ``moduli`` are a vector's moduli in ball order. For their Collatz-Wielandt
-    ratio cw = max_x (M|w|)(x)/|w|(x), which bounds the top eigenvalue of the
-    ball's averaged shift M from above (Wielandt 1950), the bound is
+    ratio cw = ``collatz_wielandt(|w|, M|w|)``, which bounds the top
+    eigenvalue of the ball's averaged shift M from above, the bound is
     max(0, (1 - cw)/(1 + cw)); it is None unless every modulus is positive.
-    With no steps only the norm is constrained, and the bound is 0.
     """
-    if not B.steps:
-        return 0.0
-    if not np.all(moduli > 0):
-        return None
-    cw = float(np.max(averaged_shift(B, len(B))(moduli) / moduli))
-    return max(0.0, (1.0 - cw) / (1.0 + cw))
+    cw = collatz_wielandt(moduli, averaged_shift(B, len(B))(moduli))
+    return None if cw is None else max(0.0, (1.0 - cw) / (1.0 + cw))
 
 
 def certified_floor(oracle: GroupOracle) -> float:
@@ -324,17 +321,22 @@ def search_witness(target: GramFunction, pi: Representation, basis: Subspace,
         raise PreconditionError("witness search needs a nonempty basis")
     n = target.n
     start = floor = None
+
+    def scored(witnesses, iterations, lower):
+        G = GramFunction(target.oracle, target.F, n, witness_matrices(target, pi, witnesses))
+        disc = deviation(target, G.M)
+        return WitnessReport(witnesses, disc, iterations, bool(disc <= tol), lower, floor, G)
+
     if isinstance(basis, BallBasis) and is_trivial_on(target, basis.ball.oracle):
         B = basis.ball
         row = min_defect(B)
-        mu = 1.0 - row.min_avg_sq_defect / 2.0  # the Rayleigh quotient of v
+        mu = spectral_ends(B, row.min_avg_sq_defect)[0]  # the Rayleigh quotient of v
         start = (2.0 / (1.0 + mu)) ** 0.5 * row.amplitudes[None, :]
         floor = certified_floor(B.oracle)
         lower = certified_lower(B, start[0])
-        witnesses = [basis.from_coords(start[0])]
-        disc = discrepancy(target, pi, witnesses)
-        if disc <= tol or (lower is not None and tol < lower):
-            return WitnessReport(witnesses, disc, 0, bool(disc <= tol), lower, floor)
+        report = scored([basis.from_coords(start[0])], 0, lower)
+        if report.converged or (lower is not None and tol < lower):
+            return report
     objective = _objective_and_gradient(_gram_tensor(pi, basis.basis, target.F),
                                         np.array([target.M[g] for g in target.F]))
     rng = np.random.default_rng(seed)
@@ -370,10 +372,8 @@ def search_witness(target: GramFunction, pi: Representation, basis: Subspace,
             best_disc, best_C = worst, C
         if best_disc <= tol:
             break
-    witnesses = [basis.from_coords(best_C[i]) for i in range(n)]
-    disc = discrepancy(target, pi, witnesses)
     lower = None if start is None else certified_lower(basis.ball, np.abs(best_C[0]))
-    return WitnessReport(witnesses, disc, total_iters, bool(disc <= tol), lower, floor)
+    return scored([basis.from_coords(best_C[i]) for i in range(n)], total_iters, lower)
 
 
 class BallBasis(Subspace):
@@ -383,6 +383,11 @@ class BallBasis(Subspace):
         super().__init__(rep, [delta(rep, 0, x) for x in B.elements], validate=False)
         self.ball = B
 
+    def from_coords(self, c) -> SparseVector:
+        """``c @ Q`` for the identity Q: coordinate i is the amplitude at ``ball.elements[i]``."""
+        keys = ((0, x) for x in self.ball.elements)
+        return SparseVector(self.ambient, dict(zip(keys, np.asarray(c, dtype=complex).tolist())))
+
 
 def ball_delta_basis(rep: Representation, r: int, cap: int = DEFAULT_BALL_CAP) -> BallBasis:
     """Delta vectors on the Cayley ball of shift copy 0; exactly orthonormal."""
@@ -390,6 +395,11 @@ def ball_delta_basis(rep: Representation, r: int, cap: int = DEFAULT_BALL_CAP) -
     if not isinstance(atom, Regular):
         raise PreconditionError("ball basis requires a shift copy at index 0")
     return BallBasis(rep, ball(atom.oracle, r, cap))
+
+
+def shift_defect(w: SparseVector, g) -> float:
+    """``||lambda(g)w - w||^2`` in floats, for a vector w of the regular representation."""
+    return (w.space.apply(g, w) - w).norm2()
 
 
 def shift_defect_exact(oracle, w: SparseVector, g) -> Fraction:
@@ -434,7 +444,6 @@ def folner_witness(oracle: GroupOracle, F, eps: float,
     F = list(F)
     for g in F:
         oracle.check_element(g)
-    space = Regular(oracle)
     best = None  # (max float defect over F, radius)
     r = 0
     while True:
@@ -446,7 +455,7 @@ def folner_witness(oracle: GroupOracle, F, eps: float,
                 raise
             raise ResourceLimitError(
                 f"{exc}; best max defect over F {best[0]!r} at radius {best[1]}") from None
-        worst = max(((space.apply(g, w) - w).norm2() for g in F), default=0.0) / w.norm2()
+        worst = max((shift_defect(w, g) for g in F), default=0.0) / w.norm2()
         if best is None or worst < best[0]:
             best = (worst, r)
         if worst <= eps and all(shift_defect_exact(oracle, w, g) <= Fraction(eps) for g in F):

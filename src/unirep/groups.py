@@ -662,9 +662,6 @@ class Ball:
     def __contains__(self, x):
         return x in self.index
 
-    def sphere(self, k: int) -> list:
-        return self.elements[self.sizes[k - 1] if k else 0:self.sizes[k]]
-
     def edges(self, n: int):
         """``rows``, ``cols`` of the edges x -> s x with both ends among the first ``n`` elements.
 

@@ -144,7 +144,6 @@ class WorstPair:
 class IndependenceVerdict:
     independent: bool
     worst: WorstPair | None
-    tolerance: float
 
 
 def nondividing(pi: Representation, a_vec, B, C, tol: float = 1e-6) -> IndependenceVerdict:
@@ -164,7 +163,7 @@ def nondividing(pi: Representation, a_vec, B, C, tol: float = 1e-6) -> Independe
     B = list(B)
     _check_space(pi, a_vec + B, "nondividing vector")
     if not a_vec or not B:
-        return IndependenceVerdict(True, None, tol)
+        return IndependenceVerdict(True, None)
     sub, block, elements = _orbit_block(pi, C)
     X = block.rows(a_vec + B)
     Q = sub.block_on(block.index)
@@ -180,7 +179,7 @@ def nondividing(pi: Representation, a_vec, B, C, tol: float = 1e-6) -> Independe
     ra, rb = from_dense(pi, block.index, [Ra[p], Rb[q]])
     worst = WorstPair(int(p) // n, elements[p % n], int(q) // n, elements[q % n],
                       complex(values[p, q]), ra, rb)
-    return IndependenceVerdict(abs(worst.value) <= tol, worst, tol)
+    return IndependenceVerdict(abs(worst.value) <= tol, worst)
 
 
 def projected_orbit_block(pi: Representation, a_vec, C) -> tuple:
@@ -191,11 +190,6 @@ def projected_orbit_block(pi: Representation, a_vec, C) -> tuple:
     X = block.rows(a_vec).reshape(-1, len(block.index))
     Q = sub.block_on(block.index)
     return block.index, (X @ Q.conj().T) @ Q
-
-
-def projected_orbit(pi: Representation, a_vec, C) -> list:
-    """P_C pi(g) a_i for g in the ball recorded in C (outer) and each a_i."""
-    return from_dense(pi, *projected_orbit_block(pi, a_vec, C))
 
 
 def canonical_base(pi: Representation, a_vec, C) -> list:

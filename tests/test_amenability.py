@@ -17,7 +17,6 @@ from unirep import (
     PreconditionError,
     Regular,
     ResourceLimitError,
-    SpectralRadiusInterval,
     ball,
     defect_table,
     min_defect,
@@ -220,9 +219,8 @@ def test_defect_table_rows_equal_min_defect(make):
         assert row.residual == single.residual
         assert row.iterations == single.iterations
         assert row.argmin.entries == single.argmin.entries
-        interval = SpectralRadiusInterval.from_defect(row)
         alone = spectral_radius_bound(ball(oracle, row.radius))
-        assert (interval.radius, interval.lower, interval.upper) == (
+        assert (row.radius, *amenability.spectral_ends(big, row.min_avg_sq_defect)) == (
             alone.radius, alone.lower, alone.upper)
     for n_max in range(2, 11):
         assert return_probabilities(big, n_max).p == walk_table(oracle, None, n_max).p

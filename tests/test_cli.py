@@ -364,6 +364,18 @@ def test_registry_declares_each_subcommand_once():
         assert flags - {"-h", "--help"} == common | declared | {f"--{f}" for f in task.files}
 
 
+def test_contain_reports_the_gram_data_of_its_search(tmp_path, monkeypatch):
+    """``witness-gram`` is the search's own Gram function: ``contain`` forms no second one."""
+    def no_gram(*args, **kwargs):
+        raise AssertionError("gram was formed again")
+
+    monkeypatch.setattr("unirep.cli.gram", no_gram)
+    code, out = run_task(tmp_path, "contain", CONTAIN_F2)
+    assert code == 0
+    monkeypatch.undo()
+    assert main(["verify", "--report", str(out)]) == 0
+
+
 @pytest.mark.parametrize("argv", [["--help"], ["contain", "--help"]], ids=["top", "contain"])
 def test_help_lists_the_subcommands_and_the_task_flags(argv):
     """``main`` gives only the subcommand it runs its arguments; help still shows everything."""
@@ -380,6 +392,24 @@ def test_help_lists_the_subcommands_and_the_task_flags(argv):
         for flag in ["--config", "--out", "--seed", "--cap-ball", "--cap-dimension", "--radius",
                      "--tol", "--budget", "--restarts", "--target"]:
             assert flag in result.stdout
+
+
+@pytest.mark.parametrize("command", [None, "verify", *TASKS])
+def test_parser_holds_only_the_subcommand_it_runs(command):
+    """A task or ``verify`` gets its own subparser alone; no command gets all of them."""
+    subcommands = next(a for a in build_parser(command)._actions
+                       if isinstance(a, argparse._SubParsersAction)).choices
+    assert list(subcommands) == ([*TASKS, "verify"] if command is None else [command])
+
+
+def test_mistyped_command_exits_2_and_lists_every_choice(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["contian", "--config", "c.json", "--out", "r.json"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice: 'contian'" in err
+    choices = re.search(r"choose from (.*)\)", err).group(1)
+    assert sorted(re.findall(r"[\w-]+", choices)) == sorted([*TASKS, "verify"])
 
 
 def test_main_parses_a_subcommand_with_only_its_own_arguments(tmp_path, capsys):

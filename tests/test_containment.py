@@ -339,6 +339,46 @@ def test_search_perron_start_within_tol_converges_without_a_gram_tensor(monkeypa
     assert abs(report.discrepancy - math.tan(math.pi / 164) ** 2) <= 1e-9
 
 
+@pytest.mark.parametrize("group, radii", [("F2", range(4)), ("Z2", range(5))])
+def test_ball_basis_from_coords_equals_the_stacked_block(group, radii):
+    """Coordinates map to ball elements bit for bit as ``c @ Q`` over the stacked basis does."""
+    reg = Regular(f2_oracle() if group == "F2" else z2_oracle())
+    rng = np.random.default_rng(7)
+    for r in radii:
+        basis = ball_delta_basis(reg, r)
+        c = rng.standard_normal(basis.dim) + 1j * rng.standard_normal(basis.dim)
+        c[::3] = 0
+        for coords in (c, c.real, np.abs(c)):
+            direct = basis.from_coords(coords)
+            stacked = Subspace.from_coords(basis, coords)
+            assert list(direct.entries.items()) == list(stacked.entries.items())
+
+
+def test_search_perron_start_on_a_large_ball_stacks_no_block(monkeypatch):
+    """The radius-7 F2 start (4,373 deltas) is mapped to its witness without a K x K block."""
+    def no_block(self):
+        raise AssertionError("the basis was stacked")
+
+    monkeypatch.setattr(Subspace, "block", no_block)
+    reg = Regular(f2_oracle())
+    report = search_witness(trivial_target(reg.oracle), reg, ball_delta_basis(reg, 7), tol=1e-3)
+    assert report.iterations == 0 and len(report.witnesses[0].entries) == 4373
+    assert report.discrepancy >= report.certified_lower > 1e-3
+
+
+def test_search_keeps_the_gram_function_of_its_witnesses():
+    """The report's Gram data is the witnesses' own, over the target's F."""
+    Z = z_oracle()
+    reg = Regular(Z)
+    target = trivial_target(Z, F=[(0,), (1,), (-1,), (2,)])
+    for tol in (1e-3, 0.1):
+        report = search_witness(target, reg, ball_delta_basis(reg, 6), tol=tol, budget=50,
+                                restarts=1)
+        recomputed = gram(reg, report.witnesses, target.F, oracle=Z)
+        assert report.gram.F == target.F and report.gram.n == 1
+        assert all(np.array_equal(report.gram.M[g], recomputed.M[g]) for g in target.F)
+
+
 def test_search_descends_the_perron_start_when_tol_is_not_ruled_out():
     """With (1,)^2 in F the start matches [[1]] worse than the span allows; it is descended."""
     Z = z_oracle()
