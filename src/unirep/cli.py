@@ -13,16 +13,18 @@ comes from the one library function that derives it, which the run and
 Every run writes a compact JSON report (sorted keys, no indentation or
 spaces, UTF-8) echoing its inputs, outputs, tolerances, and enough
 witness data for the ``verify`` subcommand to recompute the headline
-number independently. Vectors are written as ``[copy, element, re, im]``
-entries, except the probe's minimizers: each ``defect-table`` row's
-``argmin`` is the list of its real amplitudes in ball order, the first
-``sizes[radius]`` elements of the breadth-first Cayley ball, which
-``verify`` rebuilds. On a free group (standard generators) the probe
-builds no ball, and a radius-rho row's ``argmin`` is the rho + 1 sphere
-amplitudes u_0..u_rho of its radial minimizer: u_d is its norm on the
-sphere S_d, so its amplitude at each element of S_d is u_d / sqrt(|S_d|)
-(|S_d| itself overflows a double near d = 650 on F2). ``verify`` checks
-them on the distance chain in O(rho). Exit codes:
+number independently. Every float array a report holds (echoed matrices,
+Gram data, vectors and vector lists, the probe's minimizers) is one packed
+block that round-trips bit for bit (see ``serialize``); scalars and short
+lists stay plain JSON numbers. ``verify`` also reads the list form that
+configs use. Each ``defect-table`` row's ``argmin`` is the packed array of
+its real amplitudes in ball order, the first ``sizes[radius]`` elements of
+the breadth-first Cayley ball, which ``verify`` rebuilds. On a free group
+(standard generators) the probe builds no ball, and a radius-rho row's
+``argmin`` holds the rho + 1 sphere amplitudes u_0..u_rho of its radial
+minimizer: u_d is its norm on the sphere S_d, so its amplitude at each
+element of S_d is u_d / sqrt(|S_d|) (|S_d| itself overflows a double near
+d = 650 on F2). ``verify`` checks them on the distance chain in O(rho). Exit codes:
 0 success, 2 precondition or config error, 3 resource cap exceeded,
 4 an iterative solver did not converge (its best value goes to stderr),
 1 internal error. The caps and the tasks that read them:
@@ -72,17 +74,23 @@ from .groups import DEFAULT_BALL_CAP, ball
 from .reps import DirectSum, Embedding, Multiple, Regular, Subspace, amalgamate
 from .serialize import (
     DEFAULT_CAPS,
+    block_to_json,
     gram_to_json,
+    pack_floats,
+    parse_block,
     parse_config,
     parse_elements,
+    parse_floats,
     parse_gram,
     parse_group,
     parse_representation,
     parse_vector,
+    parse_vectors,
     rep_to_json,
     vector_to_json,
+    vectors_to_json,
 )
-from .vectors import KeyIndex, from_dense, gram_schmidt, inner, orthonormalize, residual, to_dense
+from .vectors import KeyIndex, gram_schmidt, inner, orthonormalize, residual
 
 VERIFY_TOL = 1e-9
 
@@ -180,11 +188,8 @@ def _report(task, cfg, own, values):
 
 
 def _vectors(block, key, space, where, required=True):
-    """The vector list ``block[key]`` in ``space``; errors name ``<where>.<key>[i]``."""
-    raw = block.get(key, [])
-    if not isinstance(raw, list):
-        raise ConfigError("expected a list of vectors", field=f"{where}.{key}")
-    vectors = [parse_vector(r, space, f"{where}.{key}[{i}]") for i, r in enumerate(raw)]
+    """The vector list ``block[key]`` in ``space``, in either form; errors name ``<where>.<key>``."""
+    vectors = parse_vectors(block.get(key, []), space, f"{where}.{key}")
     if required and not vectors:
         raise ConfigError("missing vectors", field=f"{where}.{key}")
     return vectors
@@ -228,7 +233,7 @@ def run_probe(cfg, nmax, radius):
                 "value": d.min_avg_sq_defect,
                 "certified-lower": d.certified_lower_bound,
                 "residual": d.residual,
-                "argmin": d.amplitudes.tolist(),
+                "argmin": pack_floats(d.amplitudes),
             }
             for d in defects[1:]
         ],
@@ -243,13 +248,7 @@ def _row_amplitudes(row, i, radius):
     where = f"report.outputs.defect-table[{i}]"
     if row["radius"] != i + 1 or i + 1 > radius:
         raise ConfigError(f"expected radius {i + 1} in 1..{radius}", field=f"{where}.radius")
-    try:
-        w = np.array(row["argmin"], dtype=float)
-        if w.ndim == 1:
-            return w
-    except (TypeError, ValueError):
-        pass
-    raise ConfigError("expected a list of numbers", field=f"{where}.argmin")
+    return parse_floats(row["argmin"], f"{where}.argmin")
 
 
 def _walk_checks(report):
@@ -331,13 +330,13 @@ def run_contain(cfg, radius, tol, budget, restarts):
     if "basis" in cfg.task:
         vectors = _vectors(cfg.task, "basis", pi, "task", required=False)
         basis = Subspace(pi, orthonormalize(vectors), validate=False)
-        inputs["basis"] = [vector_to_json(v) for v in vectors]
+        inputs["basis"] = vectors_to_json(vectors)
     else:
         basis = containment.ball_delta_basis(pi, radius, cap=cfg.caps["ball"])
     report_data = search_witness(target, pi, basis, tol, budget=budget,
                                  seed=cfg.seed, restarts=restarts)
     outputs = {
-        "witnesses": [vector_to_json(w) for w in report_data.witnesses],
+        "witnesses": vectors_to_json(report_data.witnesses),
         "witness-gram": gram_to_json(report_data.gram),
         "discrepancy": report_data.discrepancy,
         "iterations": report_data.iterations,
@@ -478,17 +477,16 @@ def run_transfer(cfg, eps):
     targets = _vectors(cfg.task, "targets", rho, "task")
     result = transfer_witness(rho, params, targets, F, eps,
                               dim_cap=cfg.caps["dimension"], cap=cfg.caps["ball"])
-    target_gram = gram(rho, params + targets, F, oracle=cfg.oracle)
     inputs = {
         "pi": cfg.task.get("pi"),
         "complement": cfg.task.get("complement"),
         "F": [cfg.oracle.element_to_str(g) for g in F],
-        "params": [vector_to_json(v) for v in params],
-        "targets": [vector_to_json(v) for v in targets],
+        "params": vectors_to_json(params),
+        "targets": vectors_to_json(targets),
     }
     outputs = {
-        "witnesses": [vector_to_json(w) for w in result.witnesses],
-        "target-gram": gram_to_json(target_gram),
+        "witnesses": vectors_to_json(result.witnesses),
+        "target-gram": gram_to_json(result.target),
         "discrepancy": result.discrepancy,
         "converged": result.converged,
     }
@@ -524,8 +522,8 @@ def run_nondividing(cfg, tol, closure_radius):
     inputs = {
         "representation": rep_to_json(pi),
         "closure": cfg.task.get("closure"),
-        "a": [vector_to_json(v) for v in a_vec],
-        "B": [vector_to_json(v) for v in B],
+        "a": vectors_to_json(a_vec),
+        "B": vectors_to_json(B),
     }
     worst = verdict.worst
     outputs = {
@@ -583,25 +581,33 @@ def run_canonical_base(cfg, closure_radius):
     inputs = {
         "representation": rep_to_json(pi),
         "closure": cfg.task.get("closure"),
-        "a": [vector_to_json(v) for v in a_vec],
+        "a": vectors_to_json(a_vec),
     }
     worst = _worst_residual(projected, base)
     outputs = {
-        "base": [vector_to_json(b) for b in from_dense(pi, index, base)],
-        "projected-orbit": [vector_to_json(p) for p in from_dense(pi, index, projected)],
+        "base": block_to_json(pi, index.keys, base),
+        "projected-orbit": block_to_json(pi, index.keys, projected),
         "worst-residual": worst,
     }
     return {"inputs": inputs, "outputs": outputs, "tolerances": {"reproduction": 1e-8},
             "headline": worst}
 
 
+def _spread(X, keys, index):
+    """The rows ``X`` over ``keys`` as a block over ``index``, which holds every key; zeros elsewhere."""
+    Y = np.zeros((len(X), len(index)), dtype=complex)
+    Y[:, [index.column[k] for k in keys]] = X
+    return Y
+
+
 def verify_canonical_base(report):
+    """The worst residual of the stored projected orbit off the stored base, on dense blocks."""
     _oracle, pi = _report_inputs(report, "representation")
-    base = _vectors(report["outputs"], "base", pi, "report.outputs", required=False)
-    projected = _vectors(report["outputs"], "projected-orbit", pi, "report.outputs",
-                         required=False)
-    index = KeyIndex(base + projected)
-    worst = _worst_residual(to_dense(projected, index), to_dense(base, index))
+    blocks = [parse_block(report["outputs"][key], pi, f"report.outputs.{key}")
+              for key in ("base", "projected-orbit")]
+    index = KeyIndex.of_keys(dict.fromkeys(k for keys, _X in blocks for k in keys))
+    base, projected = (_spread(X, keys, index) for keys, X in blocks)
+    worst = _worst_residual(projected, base)
     return [
         ("worst-residual", worst, report["outputs"]["worst-residual"]),
         ("headline", worst, report["headline"]),
@@ -617,12 +623,12 @@ def run_superstable(cfg, eps, radius):
     verdict = stability.nondividing(pi, result.b_vec, A, result.core, tol=eps)
     inputs = {
         "representation": rep_to_json(pi),
-        "A": [vector_to_json(v) for v in A],
-        "a": [vector_to_json(v) for v in a_vec],
+        "A": vectors_to_json(A),
+        "a": vectors_to_json(a_vec),
     }
     outputs = {
         "selected": [[_elem_str(cfg, g), ai] for (g, ai) in result.selected],
-        "b": [vector_to_json(v) for v in result.b_vec],
+        "b": vectors_to_json(result.b_vec),
         "gaps": result.gaps,
         "independent": verdict.independent,
         "independence-worst": _worst_value(verdict),
@@ -692,13 +698,13 @@ def run_amalgamate(cfg, check_radius):
         "pi": rep_to_json(pi),
         "rho": rep_to_json(rho),
         "eta": rep_to_json(eta),
-        "rho-images": [vector_to_json(v) for v in emb_rho.images],
-        "eta-images": [vector_to_json(v) for v in emb_eta.images],
+        "rho-images": vectors_to_json(emb_rho.images),
+        "eta-images": vectors_to_json(emb_eta.images),
     }
     outputs = {
         "amalgam": rep_to_json(result.rep),
-        "rho-amalgam-images": [vector_to_json(v) for v in result.embed_first.images],
-        "eta-amalgam-images": [vector_to_json(v) for v in result.embed_second.images],
+        "rho-amalgam-images": vectors_to_json(result.embed_first.images),
+        "eta-amalgam-images": vectors_to_json(result.embed_second.images),
         "gram-defect": worst,
         "dim": result.rep.total_dim(),
     }

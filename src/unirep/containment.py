@@ -206,6 +206,7 @@ class WitnessReport:
     certified_lower: float | None = None
     certified_floor: float | None = None
     gram: GramFunction | None = None  # the witnesses' Gram data over F, from search_witness
+    target: GramFunction | None = None  # the Gram data realized, from transfer_witness
 
 
 def _bincount_complex(bins, weights, size):
@@ -568,4 +569,4 @@ def transfer_witness(rho: Representation, params, targets, F, eps: float,
                                          for j, h in enumerate(phi) for k in range(K)})
             for i in range(m)]
     disc = discrepancy(total_target, rho, witnesses)
-    return WitnessReport(witnesses, disc, 0, bool(disc <= eps))
+    return WitnessReport(witnesses, disc, 0, bool(disc <= eps), target=total_target)

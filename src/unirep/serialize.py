@@ -1,12 +1,27 @@
 """JSON schemas for groups, representations, vectors, and Gram data.
 
 Round trips are exact: elements serialize through their canonical string
-forms, floats through ``json``'s shortest-repr encoding, and parsing a
-serialized document reproduces the original objects bit for bit.
+forms, and parsing a serialized document reproduces the original objects
+bit for bit. A float array is written as one packed block,
+``{"f64": <base64 of little-endian float64>, "shape": [...]}``; a complex
+array gains a trailing axis of 2 (re, im). A matrix is a ``[rows, cols, 2]``
+block. A vector is a ``[K, 2]`` block and a list of vectors an
+``[n, K, 2]`` block, with ``"keys"``: the ``[copy, element]`` address of
+each of the K columns, in ``(copy, element string)`` order, each column
+nonzero in some row. Every parser also takes the list form that configs
+use: a matrix as rows of ``[re, im]`` pairs, a vector as a list of
+``[copy, element, re, im]`` entries, a vector list as a list of vectors
+and a real array as a list of numbers, whose floats round-trip through
+``json``'s shortest-repr encoding. A packed block is checked whole: its
+base64, its byte count against its shape, finite values and, for vectors,
+one column per key and no key twice; an error names its field.
 """
 
 from __future__ import annotations
 
+import base64
+import binascii
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -30,7 +45,7 @@ from .reps import (
     Representation,
     Trivial,
 )
-from .vectors import DEFAULT_DIM_CAP, SparseVector
+from .vectors import DEFAULT_DIM_CAP, KeyIndex, SparseVector, from_dense, to_dense
 
 DEFAULT_CAPS = {"ball": DEFAULT_BALL_CAP, "dimension": DEFAULT_DIM_CAP}
 
@@ -75,13 +90,70 @@ def parse_group(obj, where="group") -> GroupOracle:
     raise ConfigError(f"unknown group kind '{kind}'", field=f"{where}.kind")
 
 
-def _matrix_to_json(U: np.ndarray) -> list:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in U]
+def pack_floats(a) -> dict:
+    """The packed block of a real or complex array; a complex one gains a trailing axis of 2."""
+    a = np.asarray(a)
+    shape = list(a.shape)
+    if np.iscomplexobj(a):
+        a = a.astype("<c16", copy=False)
+        shape.append(2)
+    else:
+        a = a.astype("<f8", copy=False)
+    return {"f64": base64.b64encode(a.tobytes()).decode("ascii"), "shape": shape}
 
 
-def _matrix_from_json(rows, where) -> np.ndarray:
+def _unpack(obj, where, rank, complex_=False) -> np.ndarray:
+    """The array of the packed block ``obj`` with ``rank`` axes; a complex one drops its axis of 2."""
+    shape = obj.get("shape")
+    if not (isinstance(shape, list) and len(shape) == rank
+            and all(type(n) is int and n >= 0 for n in shape)):
+        raise ConfigError(f"expected a list of {rank} non-negative integers",
+                          field=f"{where}.shape")
+    if complex_ and shape[-1] != 2:
+        raise ConfigError("a complex block ends in an axis of 2 (re, im)", field=f"{where}.shape")
+    data = obj.get("f64")
+    if not isinstance(data, str):
+        raise ConfigError("expected a base64 string", field=f"{where}.f64")
     try:
-        return np.array([[complex(re, im) for re, im in row] for row in rows])
+        raw = base64.b64decode(data, validate=True)
+    except (binascii.Error, ValueError) as exc:
+        raise ConfigError(f"bad base64: {exc}", field=f"{where}.f64") from None
+    size = 8 * math.prod(shape)
+    if len(raw) != size:
+        raise ConfigError(f"{len(raw)} bytes, but shape {shape} needs {size}",
+                          field=f"{where}.f64")
+    flat = np.frombuffer(bytearray(raw), dtype="<f8")
+    bad = np.flatnonzero(~np.isfinite(flat))
+    if len(bad):
+        at = [int(i) for i in np.unravel_index(bad[0], shape)]
+        raise ConfigError(f"non-finite value at index {at}", field=f"{where}.f64")
+    a = flat.reshape(shape)
+    return a.view("<c16")[..., 0] if complex_ else a
+
+
+def parse_floats(raw, where) -> np.ndarray:
+    """A real 1-d array: a packed block or a list of numbers."""
+    if isinstance(raw, dict):
+        return _unpack(raw, where, 1)
+    try:
+        a = np.array(raw, dtype=float)
+        if a.ndim == 1:
+            return a
+    except (TypeError, ValueError):
+        pass
+    raise ConfigError("expected a packed float64 block or a list of numbers", field=where)
+
+
+def _matrix_to_json(U: np.ndarray) -> dict:
+    return pack_floats(np.asarray(U, dtype=complex))
+
+
+def _matrix_from_json(obj, where) -> np.ndarray:
+    """A complex matrix: a packed ``[rows, cols, 2]`` block or rows of ``[re, im]`` pairs."""
+    if isinstance(obj, dict):
+        return _unpack(obj, where, 3, complex_=True)
+    try:
+        return np.array([[complex(re, im) for re, im in row] for row in obj])
     except Exception as exc:
         raise ConfigError(f"bad complex matrix: {exc}", field=where) from exc
 
@@ -145,15 +217,13 @@ def rep_to_json(rep: Representation) -> dict:
     raise ConfigError(f"cannot serialize representation {type(rep).__name__}")
 
 
-def _key_to_str(space, copy, key) -> str:
-    atom = space.resolve(copy)
+def _key_to_str(atom, key) -> str:
     if isinstance(atom, Regular):
         return atom.oracle.element_to_str(key)
     return str(key)
 
 
-def _key_from_str(space, copy, s, where):
-    atom = space.resolve(copy)
+def _key_from_str(atom, s, where):
     if isinstance(atom, Regular):
         return atom.oracle.element_from_str(s)
     try:
@@ -162,9 +232,42 @@ def _key_from_str(space, copy, s, where):
         raise ConfigError(f"bad coordinate '{s}'", field=where) from exc
 
 
+def _packed_vectors(raw, space, where, rank) -> tuple:
+    """The keys and the amplitudes (``[K]`` or ``[n, K]``) of a packed vector block."""
+    raw_keys = _require(raw, "keys", list, where)
+    amps = _unpack(raw, where, rank + 1, complex_=True)
+    if len(raw_keys) != amps.shape[-1]:
+        raise ConfigError(f"{len(raw_keys)} keys for {amps.shape[-1]} columns",
+                          field=f"{where}.keys")
+    leaf = functools.cache(space.resolve)
+    keys, seen = [], set()
+    for j, item in enumerate(raw_keys):
+        at = f"{where}.keys[{j}]"
+        if not (isinstance(item, list) and len(item) == 2
+                and isinstance(item[0], int) and item[0] >= 0):
+            raise ConfigError("key must be [copy, element] with a non-negative copy index",
+                              field=at)
+        try:
+            key = (item[0], _key_from_str(leaf(item[0]), str(item[1]), at))
+        except ConfigError:
+            raise
+        except Exception as exc:
+            raise ConfigError(str(exc), field=at) from exc
+        if key in seen:
+            raise ConfigError("repeated key", field=at)
+        seen.add(key)
+        keys.append(key)
+    return keys, amps
+
+
 def parse_vector(raw, space, where="vector") -> SparseVector:
+    """A vector: a packed ``[K, 2]`` block, or a list of ``[copy, element, re, im]`` entries."""
+    if isinstance(raw, dict):
+        keys, amps = _packed_vectors(raw, space, where, 1)
+        return from_dense(space, KeyIndex.of_keys(keys), amps[None])[0]
     if not isinstance(raw, list):
         raise ConfigError("vector literal must be a list of entries", field=where)
+    leaf = functools.cache(space.resolve)  # each copy's leaf resolved once
     entries = {}
     for i, item in enumerate(raw):
         if not (isinstance(item, list) and len(item) == 4):
@@ -175,7 +278,7 @@ def parse_vector(raw, space, where="vector") -> SparseVector:
         if not isinstance(copy, int) or copy < 0:
             raise ConfigError("copy index must be a non-negative integer", field=f"{where}[{i}]")
         try:
-            key = _key_from_str(space, copy, str(elem), f"{where}[{i}]")
+            key = _key_from_str(leaf(copy), str(elem), f"{where}[{i}]")
             amp = complex(float(re), float(im))
         except ConfigError:
             raise
@@ -189,12 +292,51 @@ def parse_vector(raw, space, where="vector") -> SparseVector:
     return SparseVector(space, entries)
 
 
-def vector_to_json(v: SparseVector) -> list:
-    items = []
-    for (copy, key), amp in v.entries.items():
-        items.append([copy, _key_to_str(v.space, copy, key), float(amp.real), float(amp.imag)])
-    items.sort(key=lambda row: (row[0], row[1]))
-    return items
+def parse_vectors(raw, space, where="vectors") -> list:
+    """A list of vectors: a packed ``[n, K, 2]`` block, or a list of vectors in either form."""
+    if isinstance(raw, dict):
+        keys, X = _packed_vectors(raw, space, where, 2)
+        return from_dense(space, KeyIndex.of_keys(keys), X)
+    if not isinstance(raw, list):
+        raise ConfigError("expected a list of vectors", field=where)
+    return [parse_vector(r, space, f"{where}[{i}]") for i, r in enumerate(raw)]
+
+
+def parse_block(raw, space, where="vectors") -> tuple:
+    """A list of vectors as its keys and its ``(n x K)`` block of rows, in either form."""
+    if isinstance(raw, dict):
+        return _packed_vectors(raw, space, where, 2)
+    vectors = parse_vectors(raw, space, where)
+    index = KeyIndex(vectors)
+    return index.keys, to_dense(vectors, index)
+
+
+def block_to_json(space, keys, X) -> dict:
+    """The packed ``[n, K, 2]`` block of the rows of ``X``, vectors of ``space`` over ``keys``.
+
+    Columns that are zero in every row are left out, as the list form leaves
+    out zero entries; the rows decode to the vectors ``from_dense`` makes.
+    """
+    X = np.asarray(X, dtype=complex)
+    leaf = functools.cache(space.resolve) if keys else None  # each copy's leaf resolved once
+    live = sorted((c, _key_to_str(leaf(c), k), j)
+                  for j in np.flatnonzero(X.any(axis=0)) for c, k in [keys[j]])
+    return {"keys": [[c, s] for c, s, _j in live], **pack_floats(X[:, [j for *_, j in live]])}
+
+
+def vectors_to_json(vectors) -> dict:
+    """The packed block of a list of vectors of one space."""
+    vectors = list(vectors)
+    index = KeyIndex(vectors)
+    return block_to_json(vectors[0].space if vectors else None, index.keys,
+                         to_dense(vectors, index))
+
+
+def vector_to_json(v: SparseVector) -> dict:
+    """The packed ``[K, 2]`` block of one vector."""
+    block = vectors_to_json([v])
+    block["shape"] = block["shape"][1:]
+    return block
 
 
 def gram_to_json(gf: GramFunction) -> dict:

@@ -25,7 +25,8 @@ from unirep import ConvergenceError, Regular, amenability, ball, gram, symmetric
 from unirep.cli import HANDLERS, TASKS, VERIFIERS, build_parser, main
 from unirep.containment import deviation
 from unirep.serialize import gram_to_json, parse_gram, parse_group, parse_vector
-from util import H3_RULES, character_action, phase, random_unitary, swapped_intercalate_table
+from util import (H3_RULES, character_action, phase, random_unitary, read_report,
+                  swapped_intercalate_table)
 
 Z = {"kind": "fg-abelian", "rank": 1, "torsion": []}
 F2 = {"kind": "free", "rank": 2}
@@ -62,7 +63,7 @@ def test_probe_round_trip_one_defect_per_radius(tmp_path):
                          {"group": Z, "task": {"nmax": 10, "radius": 4}})
     assert code == 0
     assert main(["verify", "--report", str(out)]) == 0
-    report = json.loads(out.read_text())
+    report = read_report(out)
     table = report["outputs"]["defect-table"]
     assert [row["radius"] for row in table] == [1, 2, 3, 4]
     spectral = report["outputs"]["spectral"]
@@ -76,7 +77,7 @@ def test_probe_round_trip_on_rewriting_oracle(tmp_path):
                          {"group": Z2_REWRITING, "task": {"nmax": 8, "radius": 3}})
     assert code == 0
     assert main(["verify", "--report", str(out)]) == 0
-    table = json.loads(out.read_text())["outputs"]["defect-table"]
+    table = read_report(out)["outputs"]["defect-table"]
     assert [row["radius"] for row in table] == [1, 2, 3]
 
 
@@ -90,7 +91,7 @@ def test_probe_round_trip_on_finite_groups(tmp_path, group, radius, sizes):
                          {"group": group, "task": {"nmax": 6, "radius": radius}})
     assert code == 0
     assert main(["verify", "--report", str(out)]) == 0
-    table = json.loads(out.read_text())["outputs"]["defect-table"]
+    table = read_report(out)["outputs"]["defect-table"]
     assert [len(row["argmin"]) for row in table] == sizes
     assert all(row["value"] <= 1e-9 for row in table)
 
@@ -119,7 +120,7 @@ def test_probe_builds_one_ball(tmp_path, monkeypatch, group, nmax, radius, built
                          {"group": group, "task": {"nmax": nmax, "radius": radius}})
     assert code == 0
     assert radii == ([] if built is None else [built])
-    report = json.loads(out.read_text())
+    report = read_report(out)
     assert [row["radius"] for row in report["outputs"]["defect-table"]] == list(
         range(1, radius + 1))
     assert report["outputs"]["spectral"]["radius"] == radius
@@ -150,7 +151,7 @@ def test_contain_builds_one_ball(tmp_path, monkeypatch):
     code, out = run_task(tmp_path, "contain", CONTAIN_F2)
     assert code == 0
     assert radii == [2] and solves == [17]  # the Lanczos solve on the 17-element ball
-    report = json.loads(out.read_text())
+    report = read_report(out)
     assert report["outputs"]["iterations"] == 0 and report["outputs"]["certified-lower"] > 0
     assert main(["verify", "--report", str(out)]) == 0
     assert radii == [2, 2] and solves == [17]
@@ -228,7 +229,7 @@ def test_stability_and_witness_round_trips(tmp_path, task):
     code, out = run_task(tmp_path, task, _stability_configs()[task])
     assert code == 0
     assert main(["verify", "--report", str(out)]) == 0
-    report = json.loads(out.read_text())
+    report = read_report(out)
     outputs = report["outputs"]
     if task == "contain":
         assert outputs["iterations"] >= 1
@@ -281,7 +282,7 @@ def test_transfer_frame_honours_the_dimension_cap(tmp_path, capsys):
     code, out = run_task(tmp_path, "transfer", config)
     assert code == 0
     assert main(["verify", "--report", str(out)]) == 0
-    assert json.loads(out.read_text())["outputs"]["converged"]
+    assert read_report(out)["outputs"]["converged"]
     capsys.readouterr()
     code, _out = run_task(tmp_path, "transfer", config, "--cap-dimension", "100")
     err = capsys.readouterr().err
@@ -306,11 +307,11 @@ def test_folner_transfer_amalgamate_round_trips(tmp_path, task, config, check):
     code, out = run_task(tmp_path, task, config)
     assert code == 0
     assert main(["verify", "--report", str(out)]) == 0
-    assert check(json.loads(out.read_text())["outputs"])
+    assert check(read_report(out)["outputs"])
 
 
 def _without_timestamp(path):
-    report = json.loads(path.read_text())
+    report = read_report(path)
     del report["timestamp"]
     return report
 
@@ -338,7 +339,7 @@ def test_csv_export_writes_step_and_radius_tables(tmp_path):
     code, out = run_task(tmp_path, "probe-amenability",
                          {"group": Z, "task": {"nmax": 4, "radius": 2}}, "--csv", str(table))
     assert code == 0
-    outputs = json.loads(out.read_text())["outputs"]
+    outputs = read_report(out)["outputs"]
     with open(table, newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
     steps = outputs["return-probabilities"]["steps"]
@@ -372,6 +373,25 @@ def test_contain_reports_the_gram_data_of_its_search(tmp_path, monkeypatch):
     monkeypatch.setattr("unirep.cli.gram", no_gram)
     code, out = run_task(tmp_path, "contain", CONTAIN_F2)
     assert code == 0
+    monkeypatch.undo()
+    assert main(["verify", "--report", str(out)]) == 0
+
+
+def test_transfer_forms_its_target_gram_data_once(tmp_path, monkeypatch):
+    """``target-gram`` is the Gram data ``transfer_witness`` realized: a Z run passes
+    ``params + targets`` to ``gram`` once, and its remainder once."""
+    calls = []
+
+    def counted(rep, vectors, F, **kwargs):
+        calls.append([v.entries for v in vectors])
+        return gram(rep, vectors, F, **kwargs)
+
+    for module in ("cli", "containment"):
+        monkeypatch.setattr(f"unirep.{module}.gram", counted)
+    code, out = run_task(tmp_path, "transfer", TRANSFER)
+    assert code == 0
+    params_and_targets = [{(1, (0,)): 1}, {(2, (5,)): 1}]  # TRANSFER's params, then targets
+    assert calls == [params_and_targets, [{(2, (5,)): 1}]]
     monkeypatch.undo()
     assert main(["verify", "--report", str(out)]) == 0
 
@@ -445,7 +465,7 @@ def test_malformed_report_exits_2_with_field(tmp_path, capsys, tamper):
     code, out = run_task(tmp_path, "probe-amenability",
                          {"group": Z, "task": {"nmax": 4, "radius": 2}})
     assert code == 0
-    report = json.loads(out.read_text())
+    report = read_report(out)
     tamper(report)
     out.write_text(json.dumps(report))
     capsys.readouterr()
@@ -468,7 +488,7 @@ def test_verify_probe_zero_division_exits_2(tmp_path, capsys, tamper):
     code, out = run_task(tmp_path, "probe-amenability",
                          {"group": Z, "task": {"nmax": 4, "radius": 2}})
     assert code == 0
-    report = json.loads(out.read_text())
+    report = read_report(out)
     tamper(report["outputs"]["return-probabilities"])
     out.write_text(json.dumps(report))
     capsys.readouterr()
@@ -538,7 +558,7 @@ def _tampered_probe_fails(tmp_path, capsys, group, tamper, check):
     code, out = run_task(tmp_path, "probe-amenability",
                          {"group": group, "task": {"nmax": 8, "radius": 2}})
     assert code == 0
-    report = json.loads(out.read_text())
+    report = read_report(out)
     tamper(report["outputs"])
     out.write_text(json.dumps(report))
     capsys.readouterr()
@@ -577,7 +597,7 @@ def test_verify_probe_checks_radius_and_rows(tmp_path, capsys, radius, tamper, f
                          {"group": Z, "task": {"nmax": 4, "radius": radius}})
     assert code == 0
     assert main(["verify", "--report", str(out)]) == 0
-    report = json.loads(out.read_text())
+    report = read_report(out)
     assert len(report["outputs"]["defect-table"]) == radius
     tamper(report["outputs"])
     out.write_text(json.dumps(report))
@@ -608,7 +628,7 @@ def test_non_numeric_vector_amplitude_exits_2_with_field(tmp_path, capsys):
 def test_malformed_report_vector_exits_2_at_its_field(tmp_path, capsys, task, config, key):
     code, out = run_task(tmp_path, task, config)
     assert code == 0
-    report = json.loads(out.read_text())
+    report = read_report(out)
     report["outputs"][key][0][0][2] = "x"  # the real part of the first amplitude
     out.write_text(json.dumps(report))
     capsys.readouterr()
@@ -633,7 +653,7 @@ def test_report_vector_entry_is_checked_under_verify(tmp_path, capsys, tamper):
     """A stored witness with a NaN amplitude or a repeated entry exits 2 at that entry."""
     code, out = run_task(tmp_path, "transfer", TRANSFER)
     assert code == 0
-    report = json.loads(out.read_text())
+    report = read_report(out)
     i, message = tamper(report["outputs"]["witnesses"][1])
     out.write_text(json.dumps(report))
     capsys.readouterr()
@@ -753,7 +773,7 @@ def test_verify_rejects_tampered_witness_reports(tmp_path, capsys, task, config,
     code, out = run_task(tmp_path, task, config)
     assert code == 0
     assert main(["verify", "--report", str(out)]) == 0
-    report = json.loads(out.read_text())
+    report = read_report(out)
     tamper(report)
     out.write_text(json.dumps(report))
     capsys.readouterr()
@@ -1025,7 +1045,7 @@ def test_witness_fuzz_exits_cleanly_and_verifies(task, group, data, eps, cap, di
         assert (code == 2) == (eps == 0), config
         if code == 0:
             assert main(["verify", "--report", str(out)]) == 0, config
-            report = json.loads(out.read_text())
+            report = read_report(out)
             if task == "folner-witness":
                 assert all(Fraction(row["value-exact"]) <= Fraction(eps)
                            for row in report["outputs"]["defects"]), config
@@ -1165,7 +1185,7 @@ def test_amalgamate_fuzz_exits_cleanly_and_verifies(name, data):
             code, out = run_task(Path(tmp), "amalgamate", config)
             if code == 0:
                 assert main(["verify", "--report", str(out)]) == 0, config
-                assert json.loads(out.read_text())["outputs"]["gram-defect"] <= 1e-8, config
+                assert read_report(out)["outputs"]["gram-defect"] <= 1e-8, config
         assert "Traceback" not in stderr.getvalue()
     assert code == (2 if refused else 3 if size > config["caps"]["ball"] else 0), config
 
@@ -1223,7 +1243,7 @@ def test_contain_fuzz_exits_cleanly_and_verifies(case):
         assert "Traceback" not in err.getvalue()
         if code == 0:
             assert main(["verify", "--report", str(out)]) == 0, config
-            outputs = json.loads(out.read_text())["outputs"]
+            outputs = read_report(out)["outputs"]
             assert (outputs["certified-floor"] is not None) == applies, config
             for bound in ("certified-lower", "certified-floor"):
                 if outputs[bound] is not None:

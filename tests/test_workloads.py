@@ -1,15 +1,20 @@
-"""The benchmark workloads: each seed-1 task runs, verifies and meets its invariants, and the
-witness-free stability outputs of seeds 1-4 stay as recorded."""
+"""The benchmark workloads: each seed-1 task runs, verifies and meets its invariants, its
+report holds its float arrays as packed blocks, and the witness-free stability outputs of
+seeds 1-4 stay as recorded."""
 
 import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from unirep import closure
+from unirep import closure, serialize
 from unirep.cli import main
-from unirep.serialize import parse_config, parse_vector
+from unirep.serialize import (_matrix_from_json, parse_config, parse_floats, parse_vector,
+                              parse_vectors)
+from unirep.vectors import KeyIndex, from_dense
+from util import read_report
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 from workloads import MATRIX_DIM, STABILITY_RADIUS, WORKLOADS, invariant_errors  # noqa: E402
@@ -24,6 +29,83 @@ def test_workload_seed_1_runs_verifies_and_meets_invariants(tmp_path, workload):
         assert main([task, "--config", str(cfg), "--out", str(out)]) == 0, task
         assert main(["verify", "--report", str(out)]) == 0, task
         assert invariant_errors(workload, json.loads(out.read_text())) == [], task
+
+
+# JSON floats a top-level report field may hold outside packed blocks; the config echo
+# ``inputs.closure`` is the one field exempt
+LOOSE_FLOATS = 256
+
+
+def _loose_floats(node):
+    """The JSON floats in ``node`` outside packed blocks."""
+    if isinstance(node, float):
+        return 1
+    if isinstance(node, dict):
+        return 0 if "f64" in node else sum(map(_loose_floats, node.values()))
+    return sum(map(_loose_floats, node)) if isinstance(node, list) else 0
+
+
+def _packed_blocks(node, path="report"):
+    """``(path, block)`` for every packed block in ``node``."""
+    if isinstance(node, dict) and "f64" in node:
+        yield path, node
+    elif isinstance(node, dict):
+        for key, value in node.items():
+            yield from _packed_blocks(value, f"{path}.{key}")
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _packed_blocks(value, f"{path}[{i}]")
+
+
+def _bits(vectors):
+    return [{k: (a.real.hex(), a.imag.hex()) for k, a in v.entries.items()} for v in vectors]
+
+
+@pytest.mark.parametrize("workload", sorted(WORKLOADS))
+def test_workload_reports_pack_their_float_arrays(tmp_path, monkeypatch, workload):
+    """At most ``LOOSE_FLOATS`` JSON floats per top-level field of ``inputs`` and ``outputs``
+    lie outside packed blocks, and every packed block, read through ``serialize``'s parsers,
+    is bit for bit what the run packed: the array, or the vectors over their keys."""
+    arrays, vectors = {}, {}
+    pack, block_to_json = serialize.pack_floats, serialize.block_to_json
+
+    def record_array(a):
+        block = pack(a)
+        arrays[block["f64"]] = np.array(a)
+        return block
+
+    def record_vectors(space, keys, X):
+        block = block_to_json(space, keys, X)
+        vectors[block["f64"]] = (space, from_dense(space, KeyIndex.of_keys(keys), X))
+        return block
+
+    for module in ("serialize", "cli"):
+        monkeypatch.setattr(f"unirep.{module}.pack_floats", record_array)
+        monkeypatch.setattr(f"unirep.{module}.block_to_json", record_vectors)
+    for i, (task, config) in enumerate(WORKLOADS[workload](1)):
+        cfg = tmp_path / f"{i}-{task}.config.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / f"{i}-{task}.json"
+        assert main([task, "--config", str(cfg), "--out", str(out)]) == 0, task
+        report = json.loads(out.read_text())
+        for part in ("inputs", "outputs"):
+            for key, value in report[part].items():
+                if (part, key) != ("inputs", "closure"):
+                    assert _loose_floats(value) <= LOOSE_FLOATS, (task, part, key)
+        blocks = list(_packed_blocks(report))
+        assert blocks, task
+        for path, block in blocks:
+            packed = arrays[block["f64"]]
+            if "keys" in block:
+                space, expected = vectors[block["f64"]]
+                decoded = (parse_vectors(block, space, path) if len(block["shape"]) == 3
+                           else [parse_vector(block, space, path)])
+                assert _bits(decoded) == _bits(expected), path
+            else:
+                decoded = (parse_floats(block, path) if len(block["shape"]) == 1
+                           else _matrix_from_json(block, path))
+                assert decoded.dtype == packed.dtype and decoded.shape == packed.shape, path
+                assert decoded.tobytes() == packed.tobytes(), path
 
 
 # Witness-free stability outputs at seeds 1-4, recorded before closures, nondividing,
@@ -68,7 +150,7 @@ def test_witness_free_stability_outputs_are_pinned(tmp_path, seed):
         out = tmp_path / f"{i}-{task}.json"
         assert main([task, "--config", str(cfg), "--out", str(out)]) == 0, task
         assert main(["verify", "--report", str(out)]) == 0, task
-        reports[task] = json.loads(out.read_text())
+        reports[task] = read_report(out)
         if task != "contain":
             pi = parse_config(config).representation
             spec = config["task"]

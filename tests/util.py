@@ -1,6 +1,10 @@
-"""Shared helpers for the test suite: oracle builders, random data, dense references."""
+"""Shared helpers for the test suite: oracle builders, random data, dense references, and
+the one decoder of written reports."""
 
+import base64
 import itertools
+import json
+from pathlib import Path
 
 import numpy as np
 
@@ -136,3 +140,32 @@ def dense_of(v, key_index):
 def dense_inner(u, v):
     """Same convention as the sparse inner product: linear in the first slot."""
     return complex(np.vdot(v, u))
+
+
+def unpacked(node):
+    """``node``, a report or a part of one, with every packed float block in list form.
+
+    A block ``{"f64", "shape"}`` becomes nested lists of floats (a complex
+    matrix: rows of ``[re, im]`` pairs, a probe's ``argmin``: a list of
+    numbers). A vector block, one with ``keys``, becomes ``[copy, element,
+    re, im]`` entries with zero amplitudes left out, or a list of such
+    vectors; this is the list form that configs use and ``verify`` reads. The
+    base64 is decoded here with numpy alone, independently of ``serialize``.
+    """
+    if isinstance(node, list):
+        return [unpacked(x) for x in node]
+    if not isinstance(node, dict):
+        return node
+    if "f64" not in node:
+        return {k: unpacked(v) for k, v in node.items()}
+    a = np.frombuffer(base64.b64decode(node["f64"]), dtype="<f8").reshape(node["shape"])
+    if "keys" not in node:
+        return a.tolist()
+    vectors = [[[copy, elem, re, im] for (copy, elem), (re, im) in zip(node["keys"], row)
+                if re or im] for row in (a if a.ndim == 3 else a[None]).tolist()]
+    return vectors if a.ndim == 3 else vectors[0]
+
+
+def read_report(path):
+    """The report at ``path``, every packed block in list form (``unpacked``)."""
+    return unpacked(json.loads(Path(path).read_text()))
