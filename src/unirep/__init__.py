@@ -65,6 +65,6 @@ from .stability import (
     project,
     superstable_approx,
 )
-from .vectors import SparseVector, delta, inner, orthonormalize, zero
+from .vectors import SparseVector, delta, inner, orthonormalize
 
 __version__ = "0.1.0"

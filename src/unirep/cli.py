@@ -71,7 +71,7 @@ from .errors import (
     WorkbenchError,
 )
 from .groups import DEFAULT_BALL_CAP, ball
-from .reps import DirectSum, Embedding, Multiple, Regular, Subspace, amalgamate
+from .reps import DirectSum, Embedding, Multiple, OrbitBlock, Regular, Subspace, amalgamate
 from .serialize import (
     DEFAULT_CAPS,
     block_to_json,
@@ -90,7 +90,16 @@ from .serialize import (
     vector_to_json,
     vectors_to_json,
 )
-from .vectors import KeyIndex, gram_schmidt, inner, orthonormalize, residual
+# orthonormalize is kept bound here: the benchmark tracer checks every module binding of it
+from .vectors import (  # noqa: F401
+    KeyIndex,
+    gram_schmidt,
+    inner,
+    orthonormalize,
+    reindex,
+    residual,
+    to_dense,
+)
 
 VERIFY_TOL = 1e-9
 
@@ -329,7 +338,8 @@ def run_contain(cfg, radius, tol, budget, restarts):
     inputs = {"representation": rep_to_json(pi), "target": gram_to_json(target)}
     if "basis" in cfg.task:
         vectors = _vectors(cfg.task, "basis", pi, "task", required=False)
-        basis = Subspace(pi, orthonormalize(vectors), validate=False)
+        index = KeyIndex(vectors)
+        basis = Subspace.from_block(pi, index, gram_schmidt(to_dense(vectors, index)))
         inputs["basis"] = vectors_to_json(vectors)
     else:
         basis = containment.ball_delta_basis(pi, radius, cap=cfg.caps["ball"])
@@ -507,17 +517,14 @@ def verify_transfer(report):
     return checks
 
 
-def _build_closure(cfg, pi, radius):
-    """The closure of ``task.closure.vectors``; ``Param("closure.radius")`` checked the block."""
-    vectors = _vectors(cfg.task["closure"], "vectors", pi, "task.closure")
-    return stability.closure(pi, vectors, radius, cfg.caps["dimension"], cfg.caps["ball"])
-
-
 def run_nondividing(cfg, tol, closure_radius):
     pi = cfg.representation
-    C = _build_closure(cfg, pi, closure_radius)
+    # every vector is read, and its keys checked, before any work; Param("closure.radius")
+    # checked the closure block
+    A = _vectors(cfg.task["closure"], "vectors", pi, "task.closure")
     a_vec = _vectors(cfg.task, "a", pi, "task")
     B = _vectors(cfg.task, "B", pi, "task", required=False)
+    C = stability.closure(pi, A, closure_radius, cfg.caps["dimension"], cfg.caps["ball"])
     verdict = stability.nondividing(pi, a_vec, B, C, tol)
     inputs = {
         "representation": rep_to_json(pi),
@@ -574,8 +581,9 @@ def _worst_residual(P, Q):
 
 def run_canonical_base(cfg, closure_radius):
     pi = cfg.representation
-    C = _build_closure(cfg, pi, closure_radius)
+    A = _vectors(cfg.task["closure"], "vectors", pi, "task.closure")
     a_vec = _vectors(cfg.task, "a", pi, "task")
+    C = stability.closure(pi, A, closure_radius, cfg.caps["dimension"], cfg.caps["ball"])
     index, projected = stability.projected_orbit_block(pi, a_vec, C)
     base = gram_schmidt(projected)
     inputs = {
@@ -593,20 +601,13 @@ def run_canonical_base(cfg, closure_radius):
             "headline": worst}
 
 
-def _spread(X, keys, index):
-    """The rows ``X`` over ``keys`` as a block over ``index``, which holds every key; zeros elsewhere."""
-    Y = np.zeros((len(X), len(index)), dtype=complex)
-    Y[:, [index.column[k] for k in keys]] = X
-    return Y
-
-
 def verify_canonical_base(report):
     """The worst residual of the stored projected orbit off the stored base, on dense blocks."""
     _oracle, pi = _report_inputs(report, "representation")
     blocks = [parse_block(report["outputs"][key], pi, f"report.outputs.{key}")
               for key in ("base", "projected-orbit")]
     index = KeyIndex.of_keys(dict.fromkeys(k for keys, _X in blocks for k in keys))
-    base, projected = (_spread(X, keys, index) for keys, X in blocks)
+    base, projected = (reindex(X, keys, index) for keys, X in blocks)
     worst = _worst_residual(projected, base)
     return [
         ("worst-residual", worst, report["outputs"]["worst-residual"]),
@@ -637,6 +638,32 @@ def run_superstable(cfg, eps, radius):
             "headline": max(result.gaps) if result.gaps else 0.0}
 
 
+def _selected_core(report, oracle, pi, A):
+    """The span of the orbit rows pi(g) A[i] of the ``selected`` labels [g, i].
+
+    The rows are one ``OrbitBlock`` over the radius-``inputs.radius`` ball,
+    built under the default cap as ``verify_amalgamate`` builds its ball (no
+    ball when pi has no group, as in the run). A label whose g is not in that
+    ball, or whose i is not an index of A, is a config error at its field.
+    """
+    radius = report["inputs"]["radius"]
+    B = None if pi.oracle is None else ball(oracle, radius)
+    block, position = OrbitBlock(pi, B), {None: 0} if B is None else B.index
+    orbit, rows = block.rows(A), []
+    for j, label in enumerate(report["outputs"]["selected"]):
+        try:
+            g, i = label
+            at = position[None if g is None else oracle.element_from_str(g)]
+        except (AttributeError, KeyError, TypeError, ValueError, PreconditionError):
+            at = i = None
+        if at is None or type(i) is not int or not 0 <= i < len(A):
+            raise ConfigError(f"expected [element of the radius-{radius} ball, index into A]",
+                              field=f"report.outputs.selected[{j}]")
+        rows.append(orbit[at, i])
+    X = np.array(rows, dtype=complex).reshape(len(rows), len(block.index))
+    return Subspace.from_block(pi, block.index, gram_schmidt(X))
+
+
 def verify_superstable(report):
     oracle, pi = _report_inputs(report, "representation")
     A = _vectors(report["inputs"], "A", pi, "report.inputs", required=False)
@@ -648,9 +675,7 @@ def verify_superstable(report):
     checks = [("b-count", len(a_vec), len(b_vec)), ("gaps-count", len(a_vec), len(gaps))]
     checks += [(f"gap-{i}", r, stored) for i, (r, stored) in enumerate(zip(recomputed, gaps))]
     eps = report["tolerances"]["eps"]
-    orbit = [A[i] if g is None else pi.apply(oracle.element_from_str(g), A[i])
-             for g, i in outputs["selected"]]
-    core = Subspace(pi, orthonormalize(orbit), validate=False)
+    core = _selected_core(report, oracle, pi, A)
     verdict = stability.nondividing(pi, b_vec, A, core, tol=eps)
     checks.append(("independence-worst", _worst_value(verdict), outputs["independence-worst"]))
     checks.append(("independent", verdict.independent, outputs["independent"]))

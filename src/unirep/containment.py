@@ -378,10 +378,14 @@ def search_witness(target: GramFunction, pi: Representation, basis: Subspace,
 
 
 class BallBasis(Subspace):
-    """The delta vectors of shift copy 0 on the Cayley ball ``ball``, in ball order."""
+    """The delta vectors of shift copy 0 on the Cayley ball ``ball``, in ball order.
+
+    It sets up its own state: the deltas are orthonormal by construction, and
+    their ``K x K`` identity block is never stacked.
+    """
 
     def __init__(self, rep: Representation, B: Ball):
-        super().__init__(rep, [delta(rep, 0, x) for x in B.elements], validate=False)
+        self.ambient, self._basis, self._block = rep, [delta(rep, 0, x) for x in B.elements], None
         self.ball = B
 
     def from_coords(self, c) -> SparseVector:

@@ -5,6 +5,10 @@ square-summable functions of the group), ``Trivial`` (identity action on
 a finite-dimensional space), and ``MatrixRep`` (explicit unitary
 generator matrices). The atoms share one base: an atom is its own single
 leaf, and the two finite atoms also share their coordinates ``0..dim-1``.
+Each atom owns its keys: ``leaf_key_to_str`` spells one and
+``leaf_key_from_str`` reads and checks one, a regular atom's through its
+oracle's element strings, a finite atom's as a decimal coordinate checked
+by the range test ``apply`` applies.
 Composites are ``DirectSum`` and ``Multiple``; an infinite multiple is
 lazy and only ever touches finitely many copies. It carries no
 allocation state: a caller that needs untouched copies takes them past
@@ -135,6 +139,17 @@ class _FiniteAtom(_Atom):
                 raise KindMismatchError(f"coordinate {k!r} out of range for dim {dim}")
         return list(local)
 
+    def leaf_key_to_str(self, key) -> str:
+        return str(key)
+
+    def leaf_key_from_str(self, s: str) -> int:
+        """The coordinate ``s`` spells in decimal, checked to be one."""
+        try:
+            key = int(s)
+        except ValueError:
+            raise KindMismatchError(f"bad coordinate '{s}'") from None
+        return self._coordinates([key])[0]
+
 
 class Regular(_Atom):
     """Left-shift action on finitely supported functions of the group."""
@@ -156,6 +171,13 @@ class Regular(_Atom):
 
     def leaf_basis_keys(self):
         return self.oracle.elements_in_order()
+
+    def leaf_key_to_str(self, key) -> str:
+        return self.oracle.element_to_str(key)
+
+    def leaf_key_from_str(self, s: str):
+        """The group element ``s`` spells, checked by the oracle."""
+        return self.oracle.element_from_str(s)
 
     def __eq__(self, other):
         return isinstance(other, Regular) and other.oracle == self.oracle
@@ -358,13 +380,8 @@ class DirectSum(Representation):
         """Global leaf index where part ``index`` starts."""
         if not (0 <= index < len(self.parts)):
             raise PreconditionError(f"part index {index} out of range")
-        offset = 0
-        for p in self.parts[:index]:
-            c = p.leaf_count()
-            if c is None:
-                raise PreconditionError("cannot embed after an infinite part")
-            offset += c
-        return offset
+        # only the last part may be infinite, and it precedes no part
+        return sum(p.leaf_count() for p in self.parts[:index])
 
     def total_dim(self):
         total = 0
@@ -513,30 +530,31 @@ class Subspace:
     """Finite-dimensional closed subspace given by an orthonormal basis.
 
     The basis is held as a ``(dim x keys)`` block ``Q`` over a ``KeyIndex``
-    of its support, stacked on first use from basis vectors or kept as given
-    by ``from_block``: coordinates are ``Q.conj() @ v`` and
-    ``from_coords(c)`` is ``c @ Q``. A subspace made from a block makes its
-    sparse basis vectors only when ``basis`` is read. The basis must not be
-    mutated.
+    of its support, stacked from basis vectors or kept as given by
+    ``from_block``: coordinates are ``Q.conj() @ v`` and ``from_coords(c)``
+    is ``c @ Q``. ``Subspace(ambient, basis)`` is the checked entry: it
+    stacks the basis and refuses one that is not orthonormal to
+    ``UNITARY_TOL``. ``from_block`` is the trusted one, for the rows of a
+    ``gram_schmidt`` block the program built itself, and makes the sparse
+    basis vectors only when ``basis`` is read. The basis must not be mutated.
     """
 
-    def __init__(self, ambient: Representation, basis, *, validate=True):
+    def __init__(self, ambient: Representation, basis):
         self.ambient = ambient
         self._basis = list(basis)
         self._block = None
         for b in self._basis:
             if not same_space(b.space, ambient):
                 raise KindMismatchError("basis vector lives outside the ambient space")
-        if validate:
-            _index, Q, Qc = self.block()
-            defect = np.tril(np.abs(Q @ Qc.T - np.eye(self.dim)) > UNITARY_TOL)
-            if defect.any():
-                i, j = (int(t) for t in np.argwhere(defect)[0])
-                raise PreconditionError(f"subspace basis not orthonormal at pair ({i}, {j})")
+        _index, Q, Qc = self.block()
+        defect = np.tril(np.abs(Q @ Qc.T - np.eye(self.dim)) > UNITARY_TOL)
+        if defect.any():
+            i, j = (int(t) for t in np.argwhere(defect)[0])
+            raise PreconditionError(f"subspace basis not orthonormal at pair ({i}, {j})")
 
     @classmethod
     def from_block(cls, ambient: Representation, index: KeyIndex, Q: np.ndarray) -> "Subspace":
-        """The span of the orthonormal rows of ``Q`` over ``index``, kept as given."""
+        """The span of the orthonormal rows of ``Q`` over ``index``, kept as given, unchecked."""
         sub = cls.__new__(cls)
         sub.ambient, sub._basis, sub._block = ambient, None, (index, Q, Q.conj())
         return sub
@@ -559,15 +577,6 @@ class Subspace:
             Q = to_dense(self._basis, index)
             self._block = (index, Q, Q.conj())
         return self._block
-
-    def block_on(self, index: KeyIndex) -> np.ndarray:
-        """``Q`` with its columns moved onto ``index``, which holds every key of the basis."""
-        own, Q, _Qc = self.block()
-        if own.keys == index.keys:
-            return Q
-        out = np.zeros((len(Q), len(index)), dtype=complex)
-        out[:, [index.column[k] for k in own.keys]] = Q
-        return out
 
     def coords(self, v: SparseVector) -> np.ndarray:
         if not same_space(v.space, self.ambient):
@@ -592,13 +601,13 @@ class Embedding:
     """Linear isometry from a finite-dimensional representation into another.
 
     ``images`` are the images of the source's canonical basis; they span a
-    ``Subspace`` of the target, so they must be orthonormal there (checked
-    to ``UNITARY_TOL``), and a vector maps to the combination of the images by its
-    coordinates. Equivariance is a separate check used as a precondition
-    by amalgamation.
+    ``Subspace`` of the target, so they must be orthonormal there (always
+    checked, to ``UNITARY_TOL``), and a vector maps to the combination of
+    the images by its coordinates. Equivariance is a separate check used as
+    a precondition by amalgamation.
     """
 
-    def __init__(self, source, target, images, *, validate=True):
+    def __init__(self, source, target, images):
         if source.total_dim() is None:
             raise PreconditionError("embedding source must be finite-dimensional")
         images = list(images)
@@ -608,19 +617,19 @@ class Embedding:
             )
         self.source = source
         self.target = target
-        self._span = Subspace(target, images, validate=validate)
+        self._span = Subspace(target, images)
         self.images = self._span.basis
         self._index = KeyIndex(source.canonical_basis())
 
     @classmethod
     def identity(cls, rep):
-        return cls(rep, rep, rep.canonical_basis(), validate=False)
+        return cls(rep, rep, rep.canonical_basis())
 
     @classmethod
     def into_summand(cls, sum_rep: DirectSum, part_index: int):
         part = sum_rep.parts[part_index]
         images = [embed(sum_rep, part_index, b) for b in part.canonical_basis()]
-        return cls(part, sum_rep, images, validate=False)
+        return cls(part, sum_rep, images)
 
     def __call__(self, v: SparseVector) -> SparseVector:
         if not same_space(v.space, self.source):
@@ -710,6 +719,5 @@ def amalgamate(pi: Representation, into_first: Embedding, into_second: Embedding
         X[:, :n] = coords[:, :n]
         X[:, start:start + coords.shape[1] - n] = coords[:, n:]
         start += coords.shape[1] - n
-        embeddings.append(Embedding(emb.target, amalgam, from_dense(amalgam, index, X),
-                                    validate=False))
+        embeddings.append(Embedding(emb.target, amalgam, from_dense(amalgam, index, X)))
     return Amalgam(amalgam, *embeddings)

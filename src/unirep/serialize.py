@@ -15,6 +15,12 @@ and a real array as a list of numbers, whose floats round-trip through
 ``json``'s shortest-repr encoding. A packed block is checked whole: its
 base64, its byte count against its shape, finite values and, for vectors,
 one column per key and no key twice; an error names its field.
+
+Every vector key, in either form, goes through one reader, ``_read_keys``:
+the leaf its copy index addresses (resolved once per copy) spells and reads
+it, a regular leaf as its oracle's element string and a finite leaf as a
+decimal coordinate in ``0..dim-1``. A key its leaf refuses, a repeated key
+and a copy index past the tree are config errors at the key's field.
 """
 
 from __future__ import annotations
@@ -217,19 +223,33 @@ def rep_to_json(rep: Representation) -> dict:
     raise ConfigError(f"cannot serialize representation {type(rep).__name__}")
 
 
-def _key_to_str(atom, key) -> str:
-    if isinstance(atom, Regular):
-        return atom.oracle.element_to_str(key)
-    return str(key)
+def _read_keys(items, space, where, what):
+    """``(field, key, item)`` for each ``[copy, element, ...]`` item of a vector block, in order.
 
-
-def _key_from_str(atom, s, where):
-    if isinstance(atom, Regular):
-        return atom.oracle.element_from_str(s)
-    try:
-        return int(s)
-    except ValueError as exc:
-        raise ConfigError(f"bad coordinate '{s}'", field=where) from exc
+    The one key check of both forms: ``what`` is ``"key"`` (a packed block's
+    ``[copy, element]``) or ``"entry"`` (a list form's ``[copy, element, re,
+    im]``). Each copy's leaf is resolved once and reads its element, which
+    it checks; a key seen before, or any malformed item, is a config error
+    at ``<where>[j]``.
+    """
+    width, shape = (2, "[copy, element]") if what == "key" else (4, "[copy, element, re, im]")
+    leaf = functools.cache(space.resolve)
+    seen = set()
+    for j, item in enumerate(items):
+        at = f"{where}[{j}]"
+        if not (isinstance(item, list) and len(item) == width):
+            raise ConfigError(f"{what} must be {shape}", field=at)
+        copy = item[0]
+        if not isinstance(copy, int) or copy < 0:
+            raise ConfigError("copy index must be a non-negative integer", field=at)
+        try:
+            key = (copy, leaf(copy).leaf_key_from_str(str(item[1])))
+        except (PreconditionError, ValueError) as exc:
+            raise ConfigError(str(exc), field=at) from exc
+        if key in seen:
+            raise ConfigError(f"repeated {what}", field=at)
+        seen.add(key)
+        yield at, key, item
 
 
 def _packed_vectors(raw, space, where, rank) -> tuple:
@@ -239,25 +259,7 @@ def _packed_vectors(raw, space, where, rank) -> tuple:
     if len(raw_keys) != amps.shape[-1]:
         raise ConfigError(f"{len(raw_keys)} keys for {amps.shape[-1]} columns",
                           field=f"{where}.keys")
-    leaf = functools.cache(space.resolve)
-    keys, seen = [], set()
-    for j, item in enumerate(raw_keys):
-        at = f"{where}.keys[{j}]"
-        if not (isinstance(item, list) and len(item) == 2
-                and isinstance(item[0], int) and item[0] >= 0):
-            raise ConfigError("key must be [copy, element] with a non-negative copy index",
-                              field=at)
-        try:
-            key = (item[0], _key_from_str(leaf(item[0]), str(item[1]), at))
-        except ConfigError:
-            raise
-        except Exception as exc:
-            raise ConfigError(str(exc), field=at) from exc
-        if key in seen:
-            raise ConfigError("repeated key", field=at)
-        seen.add(key)
-        keys.append(key)
-    return keys, amps
+    return [key for _at, key, _item in _read_keys(raw_keys, space, f"{where}.keys", "key")], amps
 
 
 def parse_vector(raw, space, where="vector") -> SparseVector:
@@ -267,28 +269,15 @@ def parse_vector(raw, space, where="vector") -> SparseVector:
         return from_dense(space, KeyIndex.of_keys(keys), amps[None])[0]
     if not isinstance(raw, list):
         raise ConfigError("vector literal must be a list of entries", field=where)
-    leaf = functools.cache(space.resolve)  # each copy's leaf resolved once
     entries = {}
-    for i, item in enumerate(raw):
-        if not (isinstance(item, list) and len(item) == 4):
-            raise ConfigError(
-                "entry must be [copy, element, re, im]", field=f"{where}[{i}]"
-            )
-        copy, elem, re, im = item
-        if not isinstance(copy, int) or copy < 0:
-            raise ConfigError("copy index must be a non-negative integer", field=f"{where}[{i}]")
+    for at, key, (_copy, _element, re, im) in _read_keys(raw, space, where, "entry"):
         try:
-            key = _key_from_str(leaf(copy), str(elem), f"{where}[{i}]")
             amp = complex(float(re), float(im))
-        except ConfigError:
-            raise
-        except Exception as exc:
-            raise ConfigError(str(exc), field=f"{where}[{i}]") from exc
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(str(exc), field=at) from exc
         if not (math.isfinite(amp.real) and math.isfinite(amp.imag)):
-            raise ConfigError("amplitude must be finite", field=f"{where}[{i}]")
-        if (copy, key) in entries:
-            raise ConfigError("repeated entry", field=f"{where}[{i}]")
-        entries[(copy, key)] = amp
+            raise ConfigError("amplitude must be finite", field=at)
+        entries[key] = amp
     return SparseVector(space, entries)
 
 
@@ -319,7 +308,7 @@ def block_to_json(space, keys, X) -> dict:
     """
     X = np.asarray(X, dtype=complex)
     leaf = functools.cache(space.resolve) if keys else None  # each copy's leaf resolved once
-    live = sorted((c, _key_to_str(leaf(c), k), j)
+    live = sorted((c, leaf(c).leaf_key_to_str(k), j)
                   for j in np.flatnonzero(X.any(axis=0)) for c, k in [keys[j]])
     return {"keys": [[c, s] for c, s, _j in live], **pack_floats(X[:, [j for *_, j in live]])}
 

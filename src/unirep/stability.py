@@ -38,6 +38,7 @@ from .vectors import (  # noqa: F401
     gram_schmidt,
     inner,
     orthonormalize,
+    reindex,
     residual,
     same_space,
     to_dense,
@@ -112,13 +113,21 @@ def _check_space(pi, vectors, what):
             raise KindMismatchError(f"{what} lives outside the representation space")
 
 
-def _orbit_block(pi, C) -> tuple:
-    """``(subspace, orbit block, ball elements)`` of a closure, or of a subspace at radius 0."""
+def _orbit_rows(pi, C, vectors) -> tuple:
+    """``(X, index, Q, ball elements)`` over a closure, or over a subspace at radius 0.
+
+    ``X`` holds the orbit rows of ``vectors`` as ``OrbitBlock.rows`` forms
+    them and ``Q`` the span's orthonormal rows, both over ``index``, which
+    the rows may have grown.
+    """
     if isinstance(C, ClosureSpec):
         sub, B, elements = C.realized, C.ball, C.ball_elements
     else:
         sub, B, elements = C, None, [None if pi.oracle is None else pi.oracle.identity()]
-    return sub, OrbitBlock(pi, B, sub.block()[0]), elements
+    own, Q, _Qc = sub.block()
+    block = OrbitBlock(pi, B, own)
+    X = block.rows(vectors)
+    return X, block.index, reindex(Q, own.keys, block.index), elements
 
 
 def project(v: SparseVector, C) -> SparseVector:
@@ -164,9 +173,7 @@ def nondividing(pi: Representation, a_vec, B, C, tol: float = 1e-6) -> Independe
     _check_space(pi, a_vec + B, "nondividing vector")
     if not a_vec or not B:
         return IndependenceVerdict(True, None)
-    sub, block, elements = _orbit_block(pi, C)
-    X = block.rows(a_vec + B)
-    Q = sub.block_on(block.index)
+    X, index, Q, elements = _orbit_rows(pi, C, a_vec + B)
 
     def residuals(Y):
         """Residual rows of the translates in the order (vector, translate)."""
@@ -176,7 +183,7 @@ def nondividing(pi: Representation, a_vec, B, C, tol: float = 1e-6) -> Independe
     values = Ra @ Rb.conj().T
     p, q = np.unravel_index(int(np.argmax(np.abs(values))), values.shape)
     n = len(elements)
-    ra, rb = from_dense(pi, block.index, [Ra[p], Rb[q]])
+    ra, rb = from_dense(pi, index, [Ra[p], Rb[q]])
     worst = WorstPair(int(p) // n, elements[p % n], int(q) // n, elements[q % n],
                       complex(values[p, q]), ra, rb)
     return IndependenceVerdict(abs(worst.value) <= tol, worst)
@@ -186,10 +193,9 @@ def projected_orbit_block(pi: Representation, a_vec, C) -> tuple:
     """``(index, P)``: the rows P_C pi(g) a_i over ``index``, g in C's ball (outer) and each a_i."""
     a_vec = list(a_vec)
     _check_space(pi, a_vec, "tuple vector")
-    sub, block, _elements = _orbit_block(pi, C)
-    X = block.rows(a_vec).reshape(-1, len(block.index))
-    Q = sub.block_on(block.index)
-    return block.index, (X @ Q.conj().T) @ Q
+    X, index, Q, _elements = _orbit_rows(pi, C, a_vec)
+    X = X.reshape(-1, len(index))
+    return index, (X @ Q.conj().T) @ Q
 
 
 def canonical_base(pi: Representation, a_vec, C) -> list:

@@ -9,10 +9,11 @@ on these vectors is exact.
 Linear algebra over many vectors runs on one dense block kernel: a
 ``KeyIndex`` maps the ``(copy, key)`` entries of a family of vectors to
 columns, ``to_dense`` and ``from_dense`` convert between vector lists and
-``(rows x keys)`` complex arrays, and ``gram_schmidt`` orthonormalizes the
-rows of a block in order, under an optional dimension cap. Inner products
-of whole families are then one matrix product, ``X @ Y.conj().T``;
-``inner`` remains the sparse formula for a single pair.
+``(rows x keys)`` complex arrays, ``reindex`` moves a block's columns onto a
+larger index, and ``gram_schmidt`` orthonormalizes the rows of a block in
+order, under an optional dimension cap. Inner products of whole families
+are then one matrix product, ``X @ Y.conj().T``; ``inner`` remains the
+sparse formula for a single pair.
 """
 
 from __future__ import annotations
@@ -128,10 +129,6 @@ def delta(space, copy, key, amplitude=1.0) -> SparseVector:
     return SparseVector(space, {(copy, key): amplitude})
 
 
-def zero(space) -> SparseVector:
-    return SparseVector(space, {})
-
-
 class KeyIndex:
     """Columns of a dense block: ``(copy, key)`` -> column, grown as vectors are added."""
 
@@ -193,6 +190,19 @@ def from_dense(space, index: KeyIndex, X) -> list:
         amps = row.tolist()
         out.append(SparseVector(space, {keys[j]: amps[j] for j in np.flatnonzero(row).tolist()}))
     return out
+
+
+def reindex(X, keys, index: KeyIndex) -> np.ndarray:
+    """The rows ``X`` over ``keys`` as a block over ``index``, which holds every key.
+
+    Columns of ``index`` outside ``keys`` are zero; ``X`` itself is returned
+    when ``keys`` are the index's own columns, in order.
+    """
+    if keys == index.keys:
+        return X
+    Y = np.zeros((len(X), len(index)), dtype=complex)
+    Y[:, [index.column[k] for k in keys]] = X
+    return Y
 
 
 def gram_schmidt(X, seed=None, cap=None) -> np.ndarray:

@@ -638,6 +638,27 @@ def test_malformed_report_vector_exits_2_at_its_field(tmp_path, capsys, task, co
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("representation, coordinate", [
+    ("matrix", "32"), ("matrix", "-1"), ("trivial", "2")])
+def test_config_coordinate_off_its_leaf_exits_2_at_its_entry(tmp_path, capsys, representation,
+                                                              coordinate):
+    """A finite leaf's keys are its coordinates 0..dim-1, read and checked by that leaf: one
+    outside them exits 2 at its entry, on a 32-dim matrix leaf and on the trivial leaf of dim 2."""
+    if representation == "matrix":
+        config, j, dim = copy.deepcopy(_stability_configs(dim=32)["canonical-base"]), 5, 32
+    else:
+        config, j, dim = {"group": Z, "representation": {"kind": "trivial", "dim": 2}, "task": {
+            "closure": {"vectors": [[[0, "0", 1.0, 0.0]]], "radius": 1},
+            "a": [[[0, "1", 1.0, 0.0], [0, "0", 0.5, 0.0]]]}}, 1, 2
+    config["task"]["a"][0][j][1] = coordinate
+    code, _out = run_task(tmp_path, "canonical-base", config)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert (f"config field 'task.a[0][{j}]': coordinate {coordinate} out of range for dim {dim}"
+            in err)
+    assert "Traceback" not in err
+
+
 def _nan_amplitude(entries):
     entries[0][2] = math.nan
     return 0, "amplitude must be finite"
@@ -660,6 +681,25 @@ def test_report_vector_entry_is_checked_under_verify(tmp_path, capsys, tamper):
     assert main(["verify", "--report", str(out)]) == 2
     err = capsys.readouterr().err
     assert f"config field 'report.outputs.witnesses[1][{i}]': {message}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("label", [["1 1 1", 0], ["x", 0], [None, 0], ["e", 1], ["e", -1],
+                                   ["e"]])
+def test_superstable_label_off_its_ball_exits_2_at_its_field(tmp_path, capsys, label):
+    """A ``selected`` label names an element of the radius-``inputs.radius`` ball and an index
+    into A; ``verify`` reads each from that ball's orbit block, and any other exits 2 there."""
+    code, out = run_task(tmp_path, "superstable", _stability_configs()["superstable"])
+    assert code == 0
+    report = read_report(out)
+    assert report["inputs"]["radius"] == 2 and len(report["outputs"]["selected"]) > 1
+    report["outputs"]["selected"][1] = label
+    out.write_text(json.dumps(report))
+    capsys.readouterr()
+    assert main(["verify", "--report", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert ("config field 'report.outputs.selected[1]': expected [element of the radius-2 ball"
+            in err)
     assert "Traceback" not in err
 
 
@@ -1061,7 +1101,12 @@ MATRIX_F2 = {"kind": "matrix", "matrices": [
 
 @st.composite
 def _stability_fuzz_config(draw):
-    """A small nondividing, canonical-base or superstable config and its closure radius."""
+    """A small nondividing, canonical-base or superstable config, its closure radius, and the
+    field of its first coordinate off its leaf, or None.
+
+    On a finite leaf, some draws add the coordinates dim and -1 to the pool; the field is that
+    of the first entry holding one, in the order the task reads its vector lists.
+    """
     task = draw(st.sampled_from(["nondividing", "canonical-base", "superstable"]))
     group = draw(st.sampled_from(STABILITY_GROUPS))
     kind = draw(st.sampled_from(["regular", "trivial"] + (["matrix"] if group is F2 else [])))
@@ -1072,8 +1117,9 @@ def _stability_fuzz_config(draw):
         rep, keys = {"kind": "trivial", "dim": dim}, [str(k) for k in range(dim)]
     else:
         rep, keys = MATRIX_F2, ["0", "1"]
+    pool = keys + ([str(len(keys)), "-1"] if kind != "regular" and draw(st.booleans()) else [])
     amplitude = st.sampled_from([1.0, -0.5, 0.25])
-    entry = st.tuples(st.sampled_from(keys), amplitude, amplitude).map(lambda e: [0, *e])
+    entry = st.tuples(st.sampled_from(pool), amplitude, amplitude).map(lambda e: [0, *e])
     vectors = st.lists(st.lists(entry, min_size=1, max_size=3, unique_by=lambda e: e[1]),
                        min_size=1, max_size=2)
     radius = draw(st.integers(0, 3))
@@ -1081,13 +1127,20 @@ def _stability_fuzz_config(draw):
     if task == "superstable":
         block.update({"A": draw(vectors), "eps": draw(st.sampled_from([1e-3, 0.3])),
                       "radius": radius})
+        read = [("A", block["A"]), ("a", block["a"])]
     else:
         block["closure"] = {"vectors": draw(vectors), "radius": radius}
+        read = [("closure.vectors", block["closure"]["vectors"]), ("a", block["a"])]
         if task == "nondividing":
             block["B"] = draw(vectors)
+            read.append(("B", block["B"]))
     caps = {"ball": draw(st.sampled_from([1, 5, 20, 1000])),
             "dimension": draw(st.sampled_from([1, 3, 10, 2000]))}
-    return task, {"group": group, "representation": rep, "caps": caps, "task": block}, radius
+    off_leaf = next((f"task.{name}[{i}][{j}]" for name, vecs in read
+                     for i, v in enumerate(vecs) for j, e in enumerate(v) if e[1] not in keys),
+                    None)
+    config = {"group": group, "representation": rep, "caps": caps, "task": block}
+    return task, config, radius, off_leaf
 
 
 @settings(derandomize=True, database=None, max_examples=80, deadline=None)
@@ -1096,17 +1149,23 @@ def test_stability_fuzz_exits_cleanly_and_verifies(case):
     """Small closure-task configs exit 0, 3 or 4 with no traceback; each report verifies.
 
     A representation that has the group exits 3 whenever its closure ball
-    holds more elements than ``caps.ball``.
+    holds more elements than ``caps.ball``. A config with a coordinate off
+    its leaf exits 2 at that entry's field instead, whatever its caps: every
+    vector is read before any work.
     """
-    task, config, radius = case
+    task, config, radius, off_leaf = case
     with tempfile.TemporaryDirectory() as tmp:
         stderr = io.StringIO()
         with contextlib.redirect_stderr(stderr):
             code, out = run_task(Path(tmp), task, config)
             if code == 0:
                 assert main(["verify", "--report", str(out)]) == 0, config
-        assert code in (0, 3, 4), config
         assert "Traceback" not in stderr.getvalue()
+    if off_leaf is not None:
+        assert code == 2, config
+        assert f"config field '{off_leaf}': coordinate" in stderr.getvalue(), config
+        return
+    assert code in (0, 3, 4), config
     if config["representation"]["kind"] != "trivial":
         size = len(ball(parse_group(config["group"]), radius))
         if size > config["caps"]["ball"]:

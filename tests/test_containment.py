@@ -400,7 +400,7 @@ def test_search_other_targets_and_bases_keep_the_random_restarts():
     F2 = f2_oracle()
     reg = Regular(F2)
     basis = ball_delta_basis(reg, 2)
-    explicit = Subspace(reg, basis.basis, validate=False)
+    explicit = Subspace(reg, basis.basis)
     report = search_witness(trivial_target(F2), reg, explicit, tol=1e-3, budget=20, restarts=2)
     assert report.iterations > 0
     assert report.certified_lower is None and report.certified_floor is None

@@ -453,6 +453,19 @@ def test_subspace_coords_and_projection_match_inner_formula(space, basis_keys, a
     assert (S.residual(v) - (v - p_ref)).norm() < 1e-12
 
 
+def test_subspace_and_embedding_always_check_their_span():
+    """No knob skips the orthonormality check; a span the program builds itself enters
+    through ``Subspace.from_block``."""
+    reg = Regular(z_oracle())
+    d0 = delta(reg, 0, (0,))
+    with pytest.raises(PreconditionError, match=r"not orthonormal at pair \(0, 0\)"):
+        Subspace(reg, [2 * d0])
+    with pytest.raises(TypeError):
+        Subspace(reg, [d0], validate=False)
+    with pytest.raises(TypeError):
+        Embedding(Trivial(1), reg, [d0], validate=False)
+
+
 def test_embedding_isometry_check():
     Z = z_oracle()
     reg = Regular(Z)

@@ -266,12 +266,25 @@ def _extra_key(block):
     return "keys", "keys for"
 
 
+def _off_leaf_key(block):
+    """The key [0, "0"] renamed to the first coordinate past its 2-dim leaf."""
+    j = block["keys"].index([0, "0"])
+    block["keys"][j] = [0, "2"]
+    return f"keys[{j}]", "coordinate 2 out of range for dim 2"
+
+
 Z_GROUP = {"kind": "fg-abelian", "rank": 1, "torsion": []}
+# Z acting on C^2 by swapping the coordinates: the closure of delta_0 is all of C^2
+SWAP_Z = {"kind": "matrix", "matrices": [[[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]]}
+SWAP_CANONICAL_BASE = {"group": Z_GROUP, "representation": SWAP_Z, "task": {
+    "closure": {"vectors": [[[0, "0", 1.0, 0.0]]], "radius": 1},
+    "a": [[[0, "0", 1.0, 0.0], [0, "1", 0.5, 0.0]]]}}
 # (task, config, path to a packed block of the report)
 PACKED_FIELDS = {
     "vector-list": ("canonical-base", {"group": Z_GROUP, "task": {
         "closure": {"vectors": [[[0, "0", 1.0, 0.0]]], "radius": 1},
         "a": [[[0, "1", 1.0, 0.0]]]}}, ("outputs", "base")),
+    "finite-vector-list": ("canonical-base", SWAP_CANONICAL_BASE, ("outputs", "base")),
     "matrix": ("contain", {"group": {"kind": "free", "rank": 2}, "task": {
         "target": {"F": ["e", "1", "-1", "2", "-2"], "n": 1, "matrices": [[[[1.0, 0.0]]]] * 5},
         "radius": 1, "tol": 0.5}}, ("inputs", "target", "matrices", 1)),
@@ -289,10 +302,12 @@ def _pointer(path):
       for tamper in (_bad_base64, _short_payload, _nan_payload, _inf_payload, _wrong_rank)),
     ("vector-list", _repeated_key),  # only vector blocks carry keys
     ("vector-list", _extra_key),
+    ("finite-vector-list", _off_leaf_key),
 ])
 def test_malformed_packed_block_exits_2_at_its_field(tmp_path, capsys, field, tamper):
-    """Bad base64, a byte count off the shape, a non-finite value, a repeated key or a key
-    count off the columns: ``verify`` exits 2 and names the block's field."""
+    """Bad base64, a byte count off the shape, a non-finite value, a repeated key, a key
+    count off the columns or a coordinate off its leaf: ``verify`` exits 2 and names the
+    block's field."""
     task, config, path = PACKED_FIELDS[field]
     cfg, out = tmp_path / "config.json", tmp_path / "report.json"
     cfg.write_text(json.dumps(config))
@@ -308,6 +323,25 @@ def test_malformed_packed_block_exits_2_at_its_field(tmp_path, capsys, field, ta
     assert main(["verify", "--report", str(out)]) == 2
     err = capsys.readouterr().err
     assert f"config field '{_pointer(path)}.{part}': " in err and message in err
+    assert "Traceback" not in err
+
+
+def test_off_leaf_key_in_a_list_form_report_exits_2_at_its_entry(tmp_path, capsys):
+    """The list form's entries are read by the same key check as a packed block's keys."""
+    task, config, _path = PACKED_FIELDS["finite-vector-list"]
+    cfg, out = tmp_path / "config.json", tmp_path / "report.json"
+    cfg.write_text(json.dumps(config))
+    assert main([task, "--config", str(cfg), "--out", str(out)]) == 0
+    report = unpacked(json.loads(out.read_text()))
+    entries = report["outputs"]["base"][0]
+    j = [entry[:2] for entry in entries].index([0, "0"])
+    entries[j][1] = "2"
+    out.write_text(json.dumps(report))
+    capsys.readouterr()
+    assert main(["verify", "--report", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert (f"config field 'report.outputs.base[0][{j}]': coordinate 2 out of range for dim 2"
+            in err)
     assert "Traceback" not in err
 
 

@@ -341,7 +341,7 @@ def test_canonical_base_postcondition():
         A = [random_sparse(rng, reg, keys, 2)]
         C = closure(reg, A, 2)
         base = canonical_base(reg, [a], C)
-        core = Subspace(reg, base, validate=False)
+        core = Subspace(reg, base)
         # orbit tuple over the closure ball stays independent from C over the base
         orbit = [reg.apply(g, a) for g in C.ball_elements]
         B = list(C.realized.basis)[:3]
@@ -358,8 +358,8 @@ def test_canonical_base_stationary_under_shuffle():
     a = [random_sparse(rng, reg, keys, 3)]
     base1 = canonical_base(reg, a, closure(reg, A, 1))
     base2 = canonical_base(reg, a, closure(reg, list(reversed(A)), 1))
-    S1 = Subspace(reg, base1, validate=False)
-    S2 = Subspace(reg, base2, validate=False)
+    S1 = Subspace(reg, base1)
+    S2 = Subspace(reg, base2)
     for b in base1:
         assert S2.residual(b).norm() < 1e-8
     for b in base2:
