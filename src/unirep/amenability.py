@@ -36,6 +36,7 @@ minimum from above, with a Collatz-Wielandt bound from below) and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -255,14 +256,22 @@ def _perron_solve(matvec, dim):
     at most ``EIGEN_TOL``, for the Rayleigh quotient mu and
     cw = max(``collatz_wielandt(v, Mv)``, mu) (mu bounds the top eigenvalue
     from below, so it only lifts a ratio rounded under it).
-    Otherwise the cycle builds a Krylov block of at most ``RESTART`` vectors
-    from v with two-pass full reorthogonalization, ending early where the
-    block spans an invariant subspace, and restarts from the top Ritz vector
-    signed to a positive sum. Returns mu, cw, the residual, v and the number
-    of products with M, at most ``MAX_PRODUCTS``. Both constants are read at
-    each call.
+    Otherwise the cycle builds a Krylov block Q of at most ``RESTART`` rows
+    from v and restarts from the top Ritz vector signed to a positive sum.
+    Each step makes one product Mq with the newest row q and one projection
+    h = Q Mq on the block: h's last entry is the Lanczos alpha, and
+    w = Mq - h Q does the three-term recurrence and the full
+    reorthogonalization at once; |w| is the next beta. A pass that cancelled
+    (|w| < |h|/2: under 1/sqrt(5) of |Mq| is left, and the rounding error
+    of w relative to |w| grew as much) projects w once more, and twice is
+    enough (Kahan-Parlett; Daniel, Gragg, Kaufman and Stewart 1976). That
+    second pass also takes w to rounding level where the block spans an
+    invariant subspace, which ends the cycle early. Returns mu, cw, the
+    residual, v and the number of products with M, at most
+    ``MAX_PRODUCTS``. Both constants are read at each call.
     """
     v = np.full(dim, dim ** -0.5)
+    basis = np.empty((min(RESTART, dim), dim))  # every cycle's block Q, allocated once
     products, stalled = 0, False
     while True:
         mv = matvec(v)
@@ -279,21 +288,23 @@ def _perron_solve(matvec, dim):
                 f"Lanczos did not reach residual and gap {EIGEN_TOL} in {products} products",
                 best=2.0 * (1.0 - mu),
             )
-        Q = np.empty((min(RESTART, dim, MAX_PRODUCTS - products), dim))
+        Q = basis[:MAX_PRODUCTS - products]
         Q[0] = v
-        alpha, beta = [mu], []
+        alpha, beta, h = [mu], [], np.array([mu])  # w = Mv - mu v: v's step, h = Q Mv
         for j in range(1, len(Q)):
-            for _ in range(2):  # twice is enough (Kahan-Parlett)
-                w -= Q[:j].T @ (Q[:j] @ w)
-            b = float(np.linalg.norm(w))
+            b = float(np.dot(w, w)) ** 0.5
+            if b < 0.5 * float(np.dot(h, h)) ** 0.5:  # the pass cancelled: project once more
+                w -= (Q[:j] @ w) @ Q[:j]
+                b = float(np.dot(w, w)) ** 0.5
             if b <= BREAKDOWN:
                 break
             Q[j] = w / b
             mq = matvec(Q[j])
             products += 1
-            alpha.append(float(np.dot(Q[j], mq)))
+            h = Q[:j + 1] @ mq
+            alpha.append(float(h[j]))
             beta.append(b)
-            w = mq - alpha[-1] * Q[j] - b * Q[j - 1]
+            w = mq - h @ Q[:j + 1]
         stalled = not beta  # v is an eigenvector to rounding, yet fails the check
         T = np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
         v = np.linalg.eigh(T)[1][:, -1] @ Q[:len(alpha)]
@@ -416,18 +427,35 @@ def defect_certificate(B: Ball | DistanceChain, w) -> tuple[float, float]:
     return defect, float("nan") if cw is None else max(0.0, 2.0 * (1.0 - cw))
 
 
+def round_outward(x: float, holds, outward: float) -> float:
+    """The double nearest an exact bound on its safe side, found from a float ``x`` near it.
+
+    ``holds`` decides exactly, on the ``Fraction`` of a double, whether that
+    double lies on the safe side of the bound: at or past it toward
+    ``outward`` (inf for an upper bound, -inf for a lower one). ``x`` steps
+    outward until it holds, then inward while the next double still holds.
+    """
+    while not holds(Fraction(x)):
+        x = math.nextafter(x, outward)
+    while holds(Fraction(y := math.nextafter(x, -outward))):
+        x = y
+    return x
+
+
 def certified_upper(oracle: GroupOracle, S=None) -> float:
     """Upper bound for the spectral radius of the walk on S union S^-1.
 
     The operator norm of an average of unitaries is at most 1. On a free
     group with its standard generators the Cayley graph is the 2k-regular
     tree, where the weight function (2k-1)^(-|x|/2) witnesses the sharp
-    Schur-test bound sqrt(2k-1)/k.
+    Schur-test bound sqrt(2k-1)/k; the bound is the smallest double u at
+    least that, decided by the exact test u^2 k^2 >= 2k - 1.
     """
     steps = symmetric_generators(oracle, S)
     if _free_on_standard_steps(oracle, steps):
         k = oracle.rank
-        return (2 * k - 1) ** 0.5 / k
+        return round_outward((2 * k - 1) ** 0.5 / k, lambda u: u * u * k * k >= 2 * k - 1,
+                             math.inf)
     return 1.0
 
 

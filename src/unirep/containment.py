@@ -20,6 +20,7 @@ delta >= (1 - lambda)/(1 + lambda).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -32,7 +33,7 @@ from .errors import (
     ResourceLimitError,
 )
 from .amenability import (averaged_shift, certified_upper, collatz_wielandt, min_defect,
-                          spectral_ends)
+                          round_outward, spectral_ends)
 from .groups import DEFAULT_BALL_CAP, Ball, GroupOracle, ball, symmetric_generators
 from .reps import (
     DirectSum,
@@ -281,10 +282,16 @@ def certified_floor(oracle: GroupOracle) -> float:
     """Lower bound for the trivial-target discrepancy of every vector of a multiple of lambda.
 
     (1 - u)/(1 + u) for the norm bound u = ``certified_upper(oracle)`` of
-    the averaged shift: 7 - 4 sqrt(3) on F2 (Kesten 1959), 0 where u = 1.
+    the averaged shift: 0 where u = 1, and on F_k the largest double f at
+    most (k - sqrt(2k-1))/(k + sqrt(2k-1)) (7 - 4 sqrt(3) on F2, Kesten
+    1959), decided by the exact test (2k-1)(f+1)^2 <= k^2(1-f)^2.
     """
     u = certified_upper(oracle)
-    return (1.0 - u) / (1.0 + u)
+    if u == 1.0:
+        return 0.0
+    k = oracle.rank
+    return round_outward((1.0 - u) / (1.0 + u),
+                         lambda f: (2 * k - 1) * (f + 1) ** 2 <= k * k * (1 - f) ** 2, -math.inf)
 
 
 def search_witness(target: GramFunction, pi: Representation, basis: Subspace,

@@ -44,7 +44,9 @@ from .vectors import (  # noqa: F401
     to_dense,
 )
 
-GAIN_TIE = 1e-12  # superstable gains within this relative distance of the best are tied
+# superstable gains and nondividing pair values within this relative distance of the
+# largest are tied, and the first of them wins
+GAIN_TIE = 1e-12
 
 
 @dataclass
@@ -162,9 +164,11 @@ def nondividing(pi: Representation, a_vec, B, C, tol: float = 1e-6) -> Independe
     closure at radius 0 (the identity alone). For every ball translate g,
     h recorded in C and every pair (a_i, b), the inner product of the
     residuals of pi(g)a_i and pi(h)b over C must stay within ``tol``; the
-    worst pair (the first largest in the order i, g, j, h) is reported with
-    both residuals. The translates are the rows of one orbit block, and
-    every pair is one entry of ``Ra @ Rb^H``.
+    worst pair is reported with both residuals: the first in the order
+    i, g, j, h whose |value| is at least (1 - ``GAIN_TIE``) times the
+    largest. On an invariant closure (g, h) and (e, g^-1 h) tie by
+    unitarity, so rounding decides no label. The translates are the rows of
+    one orbit block, and every pair is one entry of ``Ra @ Rb^H``.
     """
     if not 0 < tol < np.inf:
         raise PreconditionError(f"tol must be finite and positive, got {tol!r}")
@@ -181,7 +185,9 @@ def nondividing(pi: Representation, a_vec, B, C, tol: float = 1e-6) -> Independe
 
     Ra, Rb = residuals(X[:, :len(a_vec)]), residuals(X[:, len(a_vec):])
     values = Ra @ Rb.conj().T
-    p, q = np.unravel_index(int(np.argmax(np.abs(values))), values.shape)
+    size = np.abs(values)
+    first = int(np.flatnonzero(size >= size.max() * (1.0 - GAIN_TIE))[0])
+    p, q = np.unravel_index(first, values.shape)
     n = len(elements)
     ra, rb = from_dense(pi, index, [Ra[p], Rb[q]])
     worst = WorstPair(int(p) // n, elements[p % n], int(q) // n, elements[q % n],

@@ -384,6 +384,27 @@ def test_lanczos_products_on_amenable_ball():
     assert min_defect(ball(z2_oracle(), 30)).iterations <= 3132 // 4
 
 
+# Products per defect row, rows 0..r, as the two-pass step took them (Gram-Schmidt
+# twice after the three-term update). The one-pass step makes each product cheaper;
+# these pin that it needs no more of them, on amenable balls and on saturated and
+# full free balls, where the Krylov block spans an invariant subspace early.
+Z2_R30_PRODUCTS = [1, 3, 4, 7, 8, 25, 25, 25, 25, 49, 49, 49, 49, 73, 73, 73, 97, 97, 97, 97,
+                   121, 121, 121, 145, 145, 145, 145, 193, 169, 193, 193]
+
+
+@pytest.mark.parametrize("make, r, products", [
+    pytest.param(z2_oracle, 30, Z2_R30_PRODUCTS, id="Z2-r30"),
+    pytest.param(lambda: FreeGroupOracle(2), 9, [1, *range(3, 12)], id="F2-ball-r9"),
+    pytest.param(lambda: FreeGroupOracle(3), 6, [1, *range(3, 9)], id="F3-ball-r6"),
+    pytest.param(lambda: cyclic_table(7), 4, [1, 3, 4, 1, 1], id="Z7-r4"),
+])
+def test_lanczos_products_per_row_do_not_grow(make, r, products):
+    rows = defect_table(ball(make(), r), range(r + 1))
+    assert [row.radius for row in rows] == list(range(r + 1))
+    got = [row.iterations for row in rows]
+    assert all(a <= b for a, b in zip(got, products, strict=True)), (got, products)
+
+
 def test_lanczos_below_rounding_raises_instead_of_looping(monkeypatch):
     monkeypatch.setattr(amenability, "EIGEN_TOL", 1e-16)
     with pytest.raises(ConvergenceError) as info:
@@ -433,7 +454,16 @@ def test_spectral_f2_interval():
     assert rho in interval
     assert interval.width <= 0.05
     assert abs(interval.lower - radial_jacobi_top(2, 8)) < 1e-9
-    assert interval.upper == rho
+    assert interval.upper == amenability.certified_upper(F2)
+    assert interval.upper == math.nextafter(rho, 1)  # sqrt(3)/2 rounds below itself
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_certified_upper_is_the_smallest_double_above_kesten(k):
+    """On F_k the upper end u is the smallest double with u^2 k^2 >= 2k - 1, exactly."""
+    u = amenability.certified_upper(FreeGroupOracle(k))
+    assert Fraction(u) ** 2 * k * k >= 2 * k - 1
+    assert Fraction(math.nextafter(u, 0)) ** 2 * k * k < 2 * k - 1
 
 
 def test_spectral_lower_nondecreasing_in_radius():

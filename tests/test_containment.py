@@ -32,7 +32,7 @@ from unirep import (
     transfer_witness,
     trivial_target,
 )
-from unirep.containment import GramNonzeros, _gram_tensor, _objective_and_gradient
+from unirep.containment import GramNonzeros, _gram_tensor, _objective_and_gradient, certified_floor
 from util import (
     f2_oracle,
     random_elements,
@@ -323,6 +323,21 @@ def test_search_trivial_target_starts_from_the_perron_vector(group, r, expected)
         s2 = math.sin(math.pi / (2 * r + 2)) ** 2
         assert abs(report.discrepancy - s2 / (2 - s2)) <= 1e-9
         assert report.certified_floor == 0.0
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_certified_floor_is_the_largest_double_below_kesten(k):
+    """On F_k the floor f is the largest double at most (k - sqrt(2k-1))/(k + sqrt(2k-1)).
+
+    f lies below that value exactly when (2k-1)(f+1)^2 <= k^2(1-f)^2.
+    """
+    def below(f):
+        f = Fraction(f)
+        return (2 * k - 1) * (f + 1) ** 2 <= k * k * (1 - f) ** 2
+
+    f = certified_floor(FreeGroupOracle(k))
+    assert below(f) and not below(math.nextafter(f, 1))
+    assert certified_floor(z2_oracle()) == 0.0
 
 
 def test_search_perron_start_within_tol_converges_without_a_gram_tensor(monkeypatch):

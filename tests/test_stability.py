@@ -7,6 +7,7 @@ import pytest
 
 from unirep import (
     KindMismatchError,
+    MatrixRep,
     PreconditionError,
     Regular,
     ResourceLimitError,
@@ -28,6 +29,7 @@ from util import (
     f2_oracle,
     random_matrix_rep,
     random_sparse,
+    random_unitary,
     z_oracle,
 )
 
@@ -161,6 +163,33 @@ def test_nondividing_zero_closure_dependent():
     verdict = nondividing(reg, [dz(reg, 0)], [dz(reg, 0)], C, tol=1e-6)
     assert not verdict.independent
     assert abs(verdict.worst.value - 1.0) < 1e-15
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_nondividing_tied_pairs_report_the_earliest_labels(seed):
+    """On an invariant closure every pair ties, and the reported one is (0, e, 0, e).
+
+    Z acts on C^3 by U = Q diag(phases) Q^H. The closure of Q_0 + Q_1 is
+    span{Q_0, Q_1}, invariant, so each residual of pi(g)x is a phase times
+    <x, Q_2> Q_2, and every pair's |value| is |<x, Q_2><y, Q_2>|; rounding
+    alone separates them.
+    """
+    rng = np.random.default_rng(seed)
+    Q = random_unitary(rng, 3)
+    rep = MatrixRep(z_oracle(), [Q @ np.diag(np.exp(2j * np.pi * rng.random(3))) @ Q.conj().T])
+
+    def vec(x):
+        return SparseVector(rep, {(0, i): complex(c) for i, c in enumerate(x)})
+
+    C = closure(rep, [vec(Q[:, 0] + Q[:, 1])], 3)
+    assert C.dim == 2
+    x, y = (rng.normal(size=3) + 1j * rng.normal(size=3) for _ in range(2))
+    worst = nondividing(rep, [vec(x)], [vec(y)], C, tol=1e-6).worst
+    e = z_oracle().identity()
+    assert (worst.tuple_index, worst.tuple_translate, worst.set_index, worst.set_translate) == (
+        0, e, 0, e)
+    exact = abs(np.vdot(Q[:, 2], x) * np.vdot(Q[:, 2], y))
+    assert abs(abs(worst.value) - exact) <= 1e-12 * exact
 
 
 def test_nondividing_distant_deltas():
