@@ -326,8 +326,9 @@ def run_contain(cfg, radius, tol, budget, restarts):
     radius-``radius`` Cayley ball, built once for the basis and the search.
     On a trivial target the search starts from the ball's Perron vector and
     the report carries ``certified-lower`` (for the span) and
-    ``certified-floor`` (for lambda^infinity) from ``search_witness``; any
-    other search reports both as null. An explicit basis is echoed in
+    ``certified-floor`` (for lambda^infinity) from
+    ``containment.span_bounds``, which ``verify`` calls too; any other
+    search reports both as null. An explicit basis is echoed in
     ``inputs.basis``.
     """
     target_obj = cfg.task.get("target")
@@ -384,35 +385,17 @@ def _stored_gram_check(report, key, oracle, F, M):
     return (key, containment.deviation(stored, M), 0.0)
 
 
-def _contain_bounds(inputs, oracle, pi, target, witnesses):
-    """``certified-lower`` and ``certified-floor`` recomputed, or None where they do not apply.
-
-    They apply to a ball delta basis (no ``inputs.basis``, a shift copy at
-    index 0) and a trivial target. The lower bound reads the witness's
-    moduli on one radius-``inputs.radius`` ball, with no eigen solve; a ball
-    larger than the witness's support has a point of modulus 0, so there it
-    is None.
-    """
-    if ("basis" in inputs or not isinstance(pi.resolve(0), Regular)
-            or not containment.is_trivial_on(target, oracle)):
-        return None, None
-    w = witnesses[0].entries
-    try:
-        B = ball(oracle, inputs["radius"], max(DEFAULT_BALL_CAP, len(w)))
-    except ResourceLimitError:
-        lower = None
-    else:
-        lower = containment.certified_lower(B, np.array([abs(w.get((0, x), 0))
-                                                         for x in B.elements]))
-    return lower, containment.certified_floor(oracle)
-
-
 def verify_contain(report):
     oracle, pi = _report_inputs(report, "representation")
-    target = parse_gram(report["inputs"]["target"], oracle, "report.inputs.target")
+    inputs = report["inputs"]
+    target = parse_gram(inputs["target"], oracle, "report.inputs.target")
     checks, M, witnesses = _witness_checks(report, target, pi, "tol")
     checks.append(_stored_gram_check(report, "witness-gram", oracle, target.F, M))
-    bounds = _contain_bounds(report["inputs"], oracle, pi, target, witnesses)
+    # caps.ball is not echoed; where the lower bound applies the witness is nonzero on the
+    # whole ball, so its support is a cap the ball fits under
+    basis = None if "basis" in inputs else containment.ball_delta_basis(
+        pi, inputs["radius"], max([DEFAULT_BALL_CAP] + [len(w.entries) for w in witnesses]))
+    bounds = containment.span_bounds(basis, target, witnesses)
     for name, recomputed in zip(("certified-lower", "certified-floor"), bounds):
         stored = report["outputs"][name]
         if recomputed is None or stored is None:  # null where the bound does not apply

@@ -294,6 +294,33 @@ def certified_floor(oracle: GroupOracle) -> float:
                          lambda f: (2 * k - 1) * (f + 1) ** 2 <= k * k * (1 - f) ** 2, -math.inf)
 
 
+def _bound_ball(basis: Subspace | None, target: GramFunction) -> Ball | None:
+    """The ball of a ball delta basis on a target trivial on its steps; None for any other span."""
+    if isinstance(basis, BallBasis) and is_trivial_on(target, basis.ball.oracle):
+        return basis.ball
+    return None
+
+
+def _ball_bounds(B: Ball | None, witnesses) -> tuple:
+    """``certified_lower`` of the moduli of ``witnesses[0]`` on ``B``, and ``certified_floor``."""
+    if B is None:
+        return None, None
+    w = witnesses[0].entries
+    moduli = np.array([abs(w.get((0, x), 0)) for x in B.elements])
+    return certified_lower(B, moduli), certified_floor(B.oracle)
+
+
+def span_bounds(basis: Subspace | None, target: GramFunction, witnesses) -> tuple:
+    """A search's ``certified-lower`` and ``certified-floor``, each None where it does not apply.
+
+    They apply to a ball delta basis (``ball_delta_basis``) and a target
+    trivial on its ball's steps (``is_trivial_on``); ``basis`` None stands
+    for any other span. The lower bound reads the moduli of the one witness
+    on the ball, with no eigen solve: a point of modulus 0 leaves it None.
+    """
+    return _ball_bounds(_bound_ball(basis, target), witnesses)
+
+
 def search_witness(target: GramFunction, pi: Representation, basis: Subspace,
                    tol: float, budget: int = 1500, seed: int = 0,
                    restarts: int = 8) -> WitnessReport:
@@ -314,8 +341,9 @@ def search_witness(target: GramFunction, pi: Representation, basis: Subspace,
     from ``min_defect``, scaled to c v with c^2 = 2/(1 + mu) for its Rayleigh
     quotient mu: its deviation is (1 - mu)/(1 + mu) at e and, where the
     correlations <lambda(s)v, v> are equal (F2, Z^2), at every step, which
-    the span cannot beat. The report then carries ``certified_lower`` of the
-    returned witness's moduli and ``certified_floor`` (7 - 4 sqrt(3) on F2).
+    the span cannot beat. The report then carries ``span_bounds`` of the
+    returned witness: ``certified_lower`` of its moduli and
+    ``certified_floor`` (7 - 4 sqrt(3) on F2).
     The start is returned at once, with 0 iterations, when its discrepancy
     is at most ``tol`` or ``tol`` lies below its certified lower bound, which
     proves that no witness of the span reaches ``tol``; otherwise it is
@@ -328,21 +356,21 @@ def search_witness(target: GramFunction, pi: Representation, basis: Subspace,
     if K == 0:
         raise PreconditionError("witness search needs a nonempty basis")
     n = target.n
-    start = floor = None
+    B = _bound_ball(basis, target)
+    start = None
 
-    def scored(witnesses, iterations, lower):
+    def scored(witnesses, iterations):
         G = GramFunction(target.oracle, target.F, n, witness_matrices(target, pi, witnesses))
         disc = deviation(target, G.M)
-        return WitnessReport(witnesses, disc, iterations, bool(disc <= tol), lower, floor, G)
+        return WitnessReport(witnesses, disc, iterations, bool(disc <= tol),
+                             *_ball_bounds(B, witnesses), G)
 
-    if isinstance(basis, BallBasis) and is_trivial_on(target, basis.ball.oracle):
-        B = basis.ball
+    if B is not None:
         row = min_defect(B)
         mu = spectral_ends(B, row.min_avg_sq_defect)[0]  # the Rayleigh quotient of v
         start = (2.0 / (1.0 + mu)) ** 0.5 * row.amplitudes[None, :]
-        floor = certified_floor(B.oracle)
-        lower = certified_lower(B, start[0])
-        report = scored([basis.from_coords(start[0])], 0, lower)
+        report = scored([basis.from_coords(start[0])], 0)
+        lower = report.certified_lower
         if report.converged or (lower is not None and tol < lower):
             return report
     objective = _objective_and_gradient(_gram_tensor(pi, basis.basis, target.F),
@@ -380,8 +408,7 @@ def search_witness(target: GramFunction, pi: Representation, basis: Subspace,
             best_disc, best_C = worst, C
         if best_disc <= tol:
             break
-    lower = None if start is None else certified_lower(basis.ball, np.abs(best_C[0]))
-    return scored([basis.from_coords(best_C[i]) for i in range(n)], total_iters, lower)
+    return scored([basis.from_coords(best_C[i]) for i in range(n)], total_iters)
 
 
 class BallBasis(Subspace):

@@ -129,6 +129,16 @@ class GroupOracle:
     def to_json(self) -> dict:
         raise NotImplementedError
 
+    def _key(self) -> tuple:
+        """The data that defines this oracle: what ``to_json`` writes, hashable."""
+        raise NotImplementedError
+
+    def __eq__(self, other):
+        return type(other) is type(self) and other._key() == self._key()
+
+    def __hash__(self):
+        return hash((type(self), self._key()))
+
     # -- shared helpers ---------------------------------------------------
     def _validate_generators(self):
         e = self.identity()
@@ -153,7 +163,36 @@ def _check_word(word, rank, reduced=True):
                 raise KindMismatchError(f"word {word} is not freely reduced")
 
 
-class FreeGroupOracle(GroupOracle):
+class _WordOracle(GroupOracle):
+    """An oracle whose elements are words over signed 1-based letters, each its own word.
+
+    The identity is the empty word, spelled ``e``; other words are spelled as
+    their letters separated by spaces.
+    """
+
+    def identity(self):
+        return ()
+
+    def word_ball(self, a):
+        return None
+
+    def as_word(self, a):
+        self.check_element(a)
+        return a
+
+    def element_to_str(self, a):
+        return "e" if not a else " ".join(str(x) for x in a)
+
+    def element_from_str(self, s):
+        s = s.strip()
+        if s in ("", "e"):
+            return ()
+        word = tuple(int(tok) for tok in s.split())
+        self.check_element(word)
+        return word
+
+
+class FreeGroupOracle(_WordOracle):
     """Free group of finite rank on the standard generating set."""
 
     kind = "free"
@@ -164,9 +203,6 @@ class FreeGroupOracle(GroupOracle):
             raise PreconditionError("free rank must be a positive integer")
         self.rank = rank
         self.generators = [(i,) for i in range(1, rank + 1)]
-
-    def identity(self):
-        return ()
 
     def multiply(self, a, b):
         self.check_element(a)
@@ -190,32 +226,11 @@ class FreeGroupOracle(GroupOracle):
     def relations(self):
         return []
 
-    def word_ball(self, a):
-        return None
-
-    def as_word(self, a):
-        self.check_element(a)
-        return a
-
-    def element_to_str(self, a):
-        return "e" if not a else " ".join(str(x) for x in a)
-
-    def element_from_str(self, s):
-        s = s.strip()
-        if s in ("", "e"):
-            return ()
-        word = tuple(int(tok) for tok in s.split())
-        self.check_element(word)
-        return word
-
     def to_json(self):
         return {"kind": "free", "rank": self.rank}
 
-    def __eq__(self, other):
-        return isinstance(other, FreeGroupOracle) and other.rank == self.rank
-
-    def __hash__(self):
-        return hash(("free", self.rank))
+    def _key(self):
+        return (self.rank,)
 
 
 class FgAbelianOracle(GroupOracle):
@@ -356,15 +371,8 @@ class FgAbelianOracle(GroupOracle):
             out["generators"] = [list(g) for g in self.generators]
         return out
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, FgAbelianOracle)
-            and other.moduli == self.moduli
-            and other.generators == self.generators
-        )
-
-    def __hash__(self):
-        return hash(("fg-abelian", self.moduli, tuple(self.generators)))
+    def _key(self):
+        return (self.rank, self.torsion, tuple(self.generators))
 
 
 class FiniteTableOracle(GroupOracle):
@@ -470,18 +478,11 @@ class FiniteTableOracle(GroupOracle):
             "generators": list(self.generators),
         }
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, FiniteTableOracle)
-            and other.table == self.table
-            and other.generators == self.generators
-        )
-
-    def __hash__(self):
-        return hash(("finite-table", tuple(self.table), tuple(self.generators)))
+    def _key(self):
+        return (tuple(self.table), tuple(self.generators))
 
 
-class RewritingOracle(GroupOracle):
+class RewritingOracle(_WordOracle):
     """Group presented by a complete rewriting system over a signed letter alphabet.
 
     The system must be supplied already terminating and confluent; the free
@@ -555,9 +556,6 @@ class RewritingOracle(GroupOracle):
         _check_word(word, self.num_generators, reduced=False)
         return self._rewrite((), word)
 
-    def identity(self):
-        return ()
-
     def multiply(self, a, b):
         self.check_element(a)
         self.check_element(b)
@@ -575,24 +573,6 @@ class RewritingOracle(GroupOracle):
         if self._rewrite((), a) != a:
             raise KindMismatchError(f"word {a} is not in rewriting normal form")
 
-    def word_ball(self, a):
-        return None
-
-    def as_word(self, a):
-        self.check_element(a)
-        return a
-
-    def element_to_str(self, a):
-        return "e" if not a else " ".join(str(x) for x in a)
-
-    def element_from_str(self, s):
-        s = s.strip()
-        if s in ("", "e"):
-            return ()
-        word = tuple(int(tok) for tok in s.split())
-        self.check_element(word)
-        return word
-
     def to_json(self):
         return {
             "kind": "rewriting-presented",
@@ -600,15 +580,8 @@ class RewritingOracle(GroupOracle):
             "rules": [[list(l), list(r)] for l, r in self.user_rules],
         }
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, RewritingOracle)
-            and other.num_generators == self.num_generators
-            and other.user_rules == self.user_rules
-        )
-
-    def __hash__(self):
-        return hash(("rewriting", self.num_generators, tuple(self.user_rules)))
+    def _key(self):
+        return (self.num_generators, tuple(self.user_rules))
 
 
 def symmetric_generators(oracle: GroupOracle, steps=None) -> list:

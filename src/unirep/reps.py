@@ -341,6 +341,16 @@ def _common_oracle(parts):
     return oracle
 
 
+def _sum_or_none(counts):
+    """The sum of ``counts``, or None at the first None (an infinite part)."""
+    total = 0
+    for c in counts:
+        if c is None:
+            return None
+        total += c
+    return total
+
+
 class DirectSum(Representation):
     """Blockwise action on the direct sum of the parts."""
 
@@ -357,13 +367,7 @@ class DirectSum(Representation):
         self.oracle = _common_oracle(parts)
 
     def leaf_count(self):
-        total = 0
-        for p in self.parts:
-            c = p.leaf_count()
-            if c is None:
-                return None
-            total += c
-        return total
+        return _sum_or_none(p.leaf_count() for p in self.parts)
 
     def resolve(self, copy):
         if copy < 0:
@@ -384,13 +388,7 @@ class DirectSum(Representation):
         return sum(p.leaf_count() for p in self.parts[:index])
 
     def total_dim(self):
-        total = 0
-        for p in self.parts:
-            d = p.total_dim()
-            if d is None:
-                return None
-            total += d
-        return total
+        return _sum_or_none(p.total_dim() for p in self.parts)
 
     def __eq__(self, other):
         return isinstance(other, DirectSum) and other.parts == self.parts

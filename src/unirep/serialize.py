@@ -29,7 +29,7 @@ import base64
 import binascii
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -371,7 +371,6 @@ class WorkbenchConfig:
     seed: int
     caps: dict
     task: dict
-    raw: dict = field(default_factory=dict)
 
 
 def parse_config(obj) -> WorkbenchConfig:
@@ -395,4 +394,4 @@ def parse_config(obj) -> WorkbenchConfig:
     task = obj.get("task", {})
     if not isinstance(task, dict):
         raise ConfigError("task block must be an object", field="config.task")
-    return WorkbenchConfig(oracle, rep, seed, caps, task, obj)
+    return WorkbenchConfig(oracle, rep, seed, caps, task)

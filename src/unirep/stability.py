@@ -99,7 +99,7 @@ def closure(pi: Representation, A, r: int, dim_cap: int = DEFAULT_DIM_CAP,
     Q = np.zeros((0, 0), dtype=complex)
     spheres, lo = [], 0
     for hi in [1] if B is None else B.sizes:
-        X = block.rows(A, lo, hi).reshape(-1, len(block.index))
+        X = block.rows(A, lo, hi).reshape((hi - lo) * len(A), len(block.index))
         Q = gram_schmidt(X, seed=Q, cap=dim_cap)
         spheres.append(X)
         lo = hi

@@ -48,10 +48,11 @@ class SparseVector:
     def is_zero(self):
         return not self.entries
 
-    def __add__(self, other):
+    def _plus(self, other, items):
+        """``self`` plus the entries ``items`` of ``other``; entries that cancel are dropped."""
         _check_same_space(self, other)
         out = dict(self.entries)
-        for k, v in other.entries.items():
+        for k, v in items:
             w = out.get(k, 0) + v
             if w == 0:
                 out.pop(k, None)
@@ -59,16 +60,12 @@ class SparseVector:
                 out[k] = w
         return SparseVector(self.space, out)
 
+    def __add__(self, other):
+        return self._plus(other, other.entries.items())
+
     def __sub__(self, other):
-        _check_same_space(self, other)
-        out = dict(self.entries)
-        for k, v in other.entries.items():
-            w = out.get(k, 0) - v
-            if w == 0:
-                out.pop(k, None)
-            else:
-                out[k] = w
-        return SparseVector(self.space, out)
+        # negation is exact, so x + (-v) has the bits of x - v
+        return self._plus(other, ((k, -v) for k, v in other.entries.items()))
 
     def __neg__(self):
         return SparseVector(self.space, {k: -v for k, v in self.entries.items()})

@@ -245,6 +245,24 @@ def test_stability_and_witness_round_trips(tmp_path, task):
         assert outputs["independent"]
 
 
+@pytest.mark.parametrize("task, block, headline", [
+    ("nondividing", {"closure": {"vectors": [[]]}, "a": [[[0, "1", 1.0, 0.0]]],
+                     "B": [[[0, "4", 1.0, 0.0]]]}, 1.0),
+    ("canonical-base", {"closure": {"vectors": [[]]}, "a": [[[0, "1", 1.0, 0.0]]]}, 0.0),
+    ("superstable", {"A": [[]], "a": [[[0, "1", 1.0, 0.0]]], "eps": 0.01, "radius": 2}, 0.0),
+])
+def test_closure_of_zero_vectors_is_the_zero_space(tmp_path, capsys, task, block, headline):
+    """On the regular representation of Z a closure of zero vectors has no column and dimension 0.
+
+    Nothing is projected away: delta_1 and delta_4 meet under the translates 2 and -1, and the
+    zero closure holds no part of a."""
+    code, out = run_task(tmp_path, task, {"group": Z, "task": block})
+    assert code == 0
+    assert "Traceback" not in capsys.readouterr().err
+    assert read_report(out)["headline"] == headline
+    assert main(["verify", "--report", str(out)]) == 0
+
+
 @pytest.mark.parametrize("task", ["nondividing", "canonical-base", "superstable"])
 def test_closure_tasks_honour_the_ball_cap(tmp_path, capsys, task):
     """The closure ball (53 elements of F2 at radius 3) stops at ``caps.ball``."""
@@ -375,6 +393,30 @@ def test_contain_reports_the_gram_data_of_its_search(tmp_path, monkeypatch):
     assert code == 0
     monkeypatch.undo()
     assert main(["verify", "--report", str(out)]) == 0
+
+
+def test_contain_target_forms_give_one_report(tmp_path):
+    """A target given by a representation and vectors, as Gram matrices, or by ``--target``
+    gives one report: the F2 action by a swap and a sign on C^2, at the coordinate vectors."""
+    swap = [[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]
+    sign = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1.0, 0.0]]]
+    eye = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+    F = ["e", "1", "-1", "2", "-2"]
+    by_rep = {"representation": {"kind": "matrix", "matrices": [swap, sign]}, "F": F,
+              "vectors": [[[0, "0", 1.0, 0.0]], [[0, "1", 1.0, 0.0]]]}
+    by_gram = {"F": F, "n": 2, "matrices": [eye, swap, swap, sign, sign]}
+    task = {"radius": 1, "tol": 1e-3, "budget": 20, "restarts": 1}
+    target_file = tmp_path / "target.json"
+    target_file.write_text(json.dumps(by_rep))
+    reports = []
+    for name, block, flags in [("rep", {**task, "target": by_rep}, []),
+                               ("gram", {**task, "target": by_gram}, []),
+                               ("file", task, ["--target", str(target_file)])]:
+        code, out = run_task(tmp_path, "contain", {"group": F2, "task": block}, *flags, name=name)
+        assert code == 0
+        assert main(["verify", "--report", str(out)]) == 0
+        reports.append(_report_bytes_without_timestamp(out))
+    assert reports[1] == reports[0] and reports[2] == reports[0]
 
 
 def test_transfer_forms_its_target_gram_data_once(tmp_path, monkeypatch):

@@ -331,6 +331,45 @@ def test_as_word_outside_the_generated_subgroup(monkeypatch):
         FgAbelianOracle(1, [2], [(0, 1)]).as_word((1, 0))
 
 
+def _defining_variants():
+    """Builders of oracles that differ in kind or in exactly one defining field of a kind."""
+    c4 = [[(i + j) % 4 for j in range(4)] for i in range(4)]
+    klein = [[i ^ j for j in range(4)] for i in range(4)]
+    return [
+        lambda: FreeGroupOracle(2),
+        lambda: FreeGroupOracle(3),
+        lambda: FgAbelianOracle(2),
+        lambda: FgAbelianOracle(1, [2]),
+        lambda: FgAbelianOracle(1, [3]),
+        lambda: FgAbelianOracle(1),
+        lambda: FgAbelianOracle(1, [], [(2,), (3,)]),
+        lambda: FgAbelianOracle(1, [], [(3,), (2,)]),
+        lambda: FiniteTableOracle(c4, [1, 2]),
+        lambda: FiniteTableOracle(c4, [1]),
+        lambda: FiniteTableOracle(klein, [1, 2]),
+        lambda: RewritingOracle(2, []),
+        lambda: RewritingOracle(1, []),
+        z3_rewriting,
+        z2_rewriting,
+    ]
+
+
+def test_oracle_equality_reads_the_defining_data():
+    """Oracles built apart from the same data are equal and hash equal; a change of kind
+    (F2 as a free oracle and as a rewriting oracle with no rules) or of any field is not."""
+    builders = _defining_variants()
+    for i, build in enumerate(builders):
+        a = build()
+        for j, other in enumerate(builders):
+            b = other()
+            assert (a == b) == (i == j), (a, b)
+            assert (a != b) == (i != j), (a, b)
+            if i == j:
+                assert hash(a) == hash(b)
+    assert len(set(build() for build in builders + builders)) == len(builders)
+    assert FreeGroupOracle(2) != (2,)  # its key alone is not an oracle
+
+
 def test_element_string_roundtrip():
     for oracle in all_oracles():
         for x in ball(oracle, 2).elements:
