@@ -62,7 +62,6 @@ from .stability import (
     canonical_base,
     closure,
     nondividing,
-    project,
     superstable_approx,
 )
 from .vectors import SparseVector, delta, inner, orthonormalize

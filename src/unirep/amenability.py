@@ -442,21 +442,23 @@ def round_outward(x: float, holds, outward: float) -> float:
     return x
 
 
-def certified_upper(oracle: GroupOracle, S=None) -> float:
-    """Upper bound for the spectral radius of the walk on S union S^-1.
+def squared_norm_bound(oracle: GroupOracle, S=None) -> Fraction:
+    """rho^2, exactly, for an upper bound rho on the norm of the walk operator on S union S^-1.
 
     The operator norm of an average of unitaries is at most 1. On a free
     group with its standard generators the Cayley graph is the 2k-regular
     tree, where the weight function (2k-1)^(-|x|/2) witnesses the sharp
-    Schur-test bound sqrt(2k-1)/k; the bound is the smallest double u at
-    least that, decided by the exact test u^2 k^2 >= 2k - 1.
+    Schur-test bound (Kesten 1959): rho^2 = (2k-1)/k^2.
     """
-    steps = symmetric_generators(oracle, S)
-    if _free_on_standard_steps(oracle, steps):
-        k = oracle.rank
-        return round_outward((2 * k - 1) ** 0.5 / k, lambda u: u * u * k * k >= 2 * k - 1,
-                             math.inf)
-    return 1.0
+    if _free_on_standard_steps(oracle, symmetric_generators(oracle, S)):
+        return Fraction(2 * oracle.rank - 1, oracle.rank ** 2)
+    return Fraction(1)
+
+
+def certified_upper(oracle: GroupOracle, S=None) -> float:
+    """The smallest double u with u^2 >= ``squared_norm_bound(oracle, S)``."""
+    rho2 = squared_norm_bound(oracle, S)
+    return round_outward(math.sqrt(rho2), lambda u: u * u >= rho2, math.inf)
 
 
 def spectral_radius_bound(B: Ball | DistanceChain) -> SpectralRadiusInterval:

@@ -35,7 +35,9 @@ the closures of ``nondividing``, ``canonical-base`` and ``superstable``,
 and ``amalgamate``'s check ball; ``dimension`` bounds every orthonormal
 span a task grows: those closures (and so the canonical base and the
 superstable core inside them) and the ``transfer`` frame (one fresh copy
-per frame vector).
+per frame vector). Each report echoes the caps of its run in ``caps``, and
+``verify`` rebuilds every ball under that ``caps.ball``; a report without the
+block reads as the default caps.
 """
 
 from __future__ import annotations
@@ -70,7 +72,7 @@ from .errors import (
     ResourceLimitError,
     WorkbenchError,
 )
-from .groups import DEFAULT_BALL_CAP, ball
+from .groups import ball
 from .reps import DirectSum, Embedding, Multiple, OrbitBlock, Regular, Subspace, amalgamate
 from .serialize import (
     DEFAULT_CAPS,
@@ -78,6 +80,7 @@ from .serialize import (
     gram_to_json,
     pack_floats,
     parse_block,
+    parse_caps,
     parse_config,
     parse_elements,
     parse_floats,
@@ -186,9 +189,9 @@ def _with_flags(raw, args):
 
 
 def _report(task, cfg, own, values):
-    """A run's report: the handler's own parts, the group, the seed and the echoed parameters."""
+    """A run's report: the handler's own parts, the group, the seed, the caps and the parameters."""
     report = {"task": task, "timestamp": datetime.now(timezone.utc).isoformat(),
-              "seed": cfg.seed, "tolerances": {}, **own}
+              "seed": cfg.seed, "caps": cfg.caps, "tolerances": {}, **own}
     report["inputs"] = {"group": cfg.oracle.to_json(), **own.get("inputs", {})}
     for param, value in values.items():
         if "." not in param.name:
@@ -289,11 +292,10 @@ def verify_probe(report):
     oracle = _report_inputs(report)[0]
     radius = report["inputs"]["radius"]
     table = out["defect-table"]
-    amplitudes = [_row_amplitudes(row, i, radius) for i, row in enumerate(table)]
-    # the run's ball held its longest row, also under a raised cap
-    B = probe_ball(oracle, radius, max([DEFAULT_BALL_CAP] + [len(w) for w in amplitudes]))
+    B = probe_ball(oracle, radius, report["caps"]["ball"])
     value = defect_certificate(B, np.ones(1))[0]  # radius 0 has no row: the one-point ball
-    for rho, (row, w) in enumerate(zip(table, amplitudes), start=1):
+    for rho, row in enumerate(table, start=1):
+        w = _row_amplitudes(row, rho - 1, radius)
         n = int(B.sizes[rho])
         checks.append((f"argmin-length-r{rho}", n, len(w)))
         value, certified = defect_certificate(B, w) if len(w) == n else (float("nan"),) * 2
@@ -391,10 +393,8 @@ def verify_contain(report):
     target = parse_gram(inputs["target"], oracle, "report.inputs.target")
     checks, M, witnesses = _witness_checks(report, target, pi, "tol")
     checks.append(_stored_gram_check(report, "witness-gram", oracle, target.F, M))
-    # caps.ball is not echoed; where the lower bound applies the witness is nonzero on the
-    # whole ball, so its support is a cap the ball fits under
     basis = None if "basis" in inputs else containment.ball_delta_basis(
-        pi, inputs["radius"], max([DEFAULT_BALL_CAP] + [len(w.entries) for w in witnesses]))
+        pi, inputs["radius"], report["caps"]["ball"])
     bounds = containment.span_bounds(basis, target, witnesses)
     for name, recomputed in zip(("certified-lower", "certified-floor"), bounds):
         stored = report["outputs"][name]
@@ -625,12 +625,12 @@ def _selected_core(report, oracle, pi, A):
     """The span of the orbit rows pi(g) A[i] of the ``selected`` labels [g, i].
 
     The rows are one ``OrbitBlock`` over the radius-``inputs.radius`` ball,
-    built under the default cap as ``verify_amalgamate`` builds its ball (no
-    ball when pi has no group, as in the run). A label whose g is not in that
-    ball, or whose i is not an index of A, is a config error at its field.
+    built under ``caps.ball`` (no ball when pi has no group, as in the run).
+    A label whose g is not in that ball, or whose i is not an index of A, is
+    a config error at its field.
     """
     radius = report["inputs"]["radius"]
-    B = None if pi.oracle is None else ball(oracle, radius)
+    B = None if pi.oracle is None else ball(oracle, radius, report["caps"]["ball"])
     block, position = OrbitBlock(pi, B), {None: 0} if B is None else B.index
     orbit, rows = block.rows(A), []
     for j, label in enumerate(report["outputs"]["selected"]):
@@ -722,7 +722,7 @@ def run_amalgamate(cfg, check_radius):
 
 def verify_amalgamate(report):
     oracle, rho, eta = _report_inputs(report, "rho", "eta")
-    F = ball(oracle, report["inputs"]["check-radius"]).elements
+    F = ball(oracle, report["inputs"]["check-radius"], report["caps"]["ball"]).elements
     amalgam = parse_representation(report["outputs"]["amalgam"], oracle)
     worst = _gram_defect(oracle, F, amalgam, [
         (rep, _vectors(report["outputs"], key, amalgam, "report.outputs", required=False))
@@ -785,13 +785,18 @@ _declare("amalgamate", "Glue two extensions over a common part.", run_amalgamate
 
 
 def run_verify(args):
-    """Recompute a report's checks; a malformed report is a config error at its field."""
+    """Recompute a report's checks; a malformed report is a config error at its field.
+
+    The report's ``caps`` block is read once, here, by the reader configs go
+    through, and the verifier finds it in ``report["caps"]``.
+    """
     report = _load_json(args.report, "report")
     if not isinstance(report, dict):
         raise ConfigError("expected a JSON object", field="report")
     task = report.get("task")
     if task not in VERIFIERS:
         raise ConfigError(f"unknown task '{task}' in report", field="report.task")
+    report["caps"] = parse_caps(report, "report")
     try:
         checks = VERIFIERS[task](report)
     except KeyError as exc:

@@ -32,8 +32,8 @@ from .errors import (
     PreconditionError,
     ResourceLimitError,
 )
-from .amenability import (averaged_shift, certified_upper, collatz_wielandt, min_defect,
-                          round_outward, spectral_ends)
+from .amenability import (averaged_shift, collatz_wielandt, min_defect, round_outward,
+                          spectral_ends, squared_norm_bound)
 from .groups import DEFAULT_BALL_CAP, Ball, GroupOracle, ball, symmetric_generators
 from .reps import (
     DirectSum,
@@ -281,17 +281,15 @@ def certified_lower(B: Ball, moduli) -> float | None:
 def certified_floor(oracle: GroupOracle) -> float:
     """Lower bound for the trivial-target discrepancy of every vector of a multiple of lambda.
 
-    (1 - u)/(1 + u) for the norm bound u = ``certified_upper(oracle)`` of
-    the averaged shift: 0 where u = 1, and on F_k the largest double f at
-    most (k - sqrt(2k-1))/(k + sqrt(2k-1)) (7 - 4 sqrt(3) on F2, Kesten
-    1959), decided by the exact test (2k-1)(f+1)^2 <= k^2(1-f)^2.
+    The largest double f with (1 + f)^2 rho^2 <= (1 - f)^2, for the norm
+    bound rho^2 = ``squared_norm_bound(oracle)`` of the averaged shift, that
+    is f <= (1 - rho)/(1 + rho): 0 where rho = 1, and 7 - 4 sqrt(3) on F2
+    (Kesten 1959).
     """
-    u = certified_upper(oracle)
-    if u == 1.0:
-        return 0.0
-    k = oracle.rank
-    return round_outward((1.0 - u) / (1.0 + u),
-                         lambda f: (2 * k - 1) * (f + 1) ** 2 <= k * k * (1 - f) ** 2, -math.inf)
+    rho2 = squared_norm_bound(oracle)
+    rho = math.sqrt(rho2)
+    return round_outward((1.0 - rho) / (1.0 + rho),
+                         lambda f: (1 + f) ** 2 * rho2 <= (1 - f) ** 2, -math.inf)
 
 
 def _bound_ball(basis: Subspace | None, target: GramFunction) -> Ball | None:

@@ -266,11 +266,14 @@ class MatrixRep(_FiniteAtom):
         ``B`` is a ball over the oracle's generators. Each matrix is one
         product past an earlier one: where ``as_word`` reads a ball's tree
         (``word_ball`` is not None), its parent's in ``B``'s tree times the
-        step's matrix; otherwise the matrix of its word less the last letter
-        times that letter's, or the whole word's product where that shorter
-        word is not an earlier element. The stack of the largest ball so far
-        is kept in place of a per-element cache: a smaller ball's stack is a
-        prefix of it.
+        step's matrix; otherwise the matrix of g * last^-1 times the last
+        letter's, or the whole word's product where g * last^-1 is not an
+        earlier element. No word is kept: there ``as_word`` gives a free or
+        rewriting normal form (normal forms are closed under prefixes) or an
+        abelian canonical word (its last coordinate loses one letter), so the
+        word of g * last^-1 is g's less its last letter. The stack of the
+        largest ball so far is kept in place of a per-element cache: a smaller
+        ball's stack is a prefix of it.
         """
         kept = self._kept
         if kept is not None and len(kept[0]) >= len(B):
@@ -281,15 +284,13 @@ class MatrixRep(_FiniteAtom):
         if oracle.word_ball(B.elements[0]) is None:
             gens = oracle.generators
             undo = {a: oracle.invert(gens[a - 1]) if a > 0 else gens[-a - 1] for a in self._letters}
-            words = [()]
             for i, g in enumerate(B.elements[1:], 1):
                 w = oracle.as_word(g)
                 j = B.index.get(oracle._mul(g, undo[w[-1]]))
-                if j is not None and j < i and words[j] == w[:-1]:
+                if j is not None and j < i:
                     np.matmul(M[j], self._letters[w[-1]], out=M[i])
                 else:
                     M[i] = self.evaluate_word(w)
-                words.append(w)
         else:
             steps = [self._letters[a] for a in generator_letters(oracle).values()]
             for i, (p, j) in enumerate(zip(B.parent[1:], B.letter[1:]), 1):

@@ -364,6 +364,26 @@ def parse_gram(obj, oracle, where="gram") -> GramFunction:
         raise ConfigError(str(exc), field=where) from exc
 
 
+def parse_caps(obj, where) -> dict:
+    """``DEFAULT_CAPS`` with each cap the block ``obj["caps"]`` names, a positive integer.
+
+    The one reader of caps: a config's block, and the block a report echoes
+    from its run. Without a block (a report written before reports echoed
+    their caps) every cap is its default.
+    """
+    raw = obj.get("caps", {})
+    if not isinstance(raw, dict):
+        raise ConfigError("caps must be an object", field=f"{where}.caps")
+    caps = dict(DEFAULT_CAPS)
+    for k, v in raw.items():
+        if k not in DEFAULT_CAPS:
+            raise ConfigError(f"unknown cap '{k}'", field=f"{where}.caps")
+        if isinstance(v, bool) or not isinstance(v, int) or v <= 0:
+            raise ConfigError("caps must be positive integers", field=f"{where}.caps.{k}")
+        caps[k] = v
+    return caps
+
+
 @dataclass
 class WorkbenchConfig:
     oracle: GroupOracle
@@ -381,16 +401,7 @@ def parse_config(obj) -> WorkbenchConfig:
     seed = obj.get("seed", 0)
     if isinstance(seed, bool) or not isinstance(seed, int):
         raise ConfigError("seed must be an integer", field="config.seed")
-    raw_caps = obj.get("caps", {})
-    if not isinstance(raw_caps, dict):
-        raise ConfigError("caps must be an object", field="config.caps")
-    caps = dict(DEFAULT_CAPS)
-    for k, v in raw_caps.items():
-        if k not in DEFAULT_CAPS:
-            raise ConfigError(f"unknown cap '{k}'", field="config.caps")
-        if isinstance(v, bool) or not isinstance(v, int) or v <= 0:
-            raise ConfigError("caps must be positive integers", field=f"config.caps.{k}")
-        caps[k] = v
+    caps = parse_caps(obj, "config")
     task = obj.get("task", {})
     if not isinstance(task, dict):
         raise ConfigError("task block must be an object", field="config.task")

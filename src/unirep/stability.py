@@ -132,12 +132,6 @@ def _orbit_rows(pi, C, vectors) -> tuple:
     return X, block.index, reindex(Q, own.keys, block.index), elements
 
 
-def project(v: SparseVector, C) -> SparseVector:
-    """Orthogonal projection onto a closure or subspace."""
-    sub = C.realized if isinstance(C, ClosureSpec) else C
-    return sub.project(v)
-
-
 @dataclass
 class WorstPair:
     """Most-correlated residual pair, kept so a verdict can be re-verified."""

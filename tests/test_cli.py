@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from unirep import ConvergenceError, Regular, amenability, ball, gram, symmetric_generators
 from unirep.cli import HANDLERS, TASKS, VERIFIERS, build_parser, main
 from unirep.containment import deviation
-from unirep.serialize import gram_to_json, parse_gram, parse_group, parse_vector
+from unirep.serialize import DEFAULT_CAPS, gram_to_json, parse_gram, parse_group, parse_vector
 from util import (H3_RULES, character_action, phase, random_unitary, read_report,
                   swapped_intercalate_table)
 
@@ -906,6 +906,61 @@ def test_bad_seed_or_cap_exits_2_with_field(tmp_path, capsys, config, flags, fie
     code, _out = run_task(tmp_path, "probe-amenability", config, *flags)
     err = capsys.readouterr().err
     assert code == 2
+    assert f"config field '{field}'" in err
+    assert "Traceback" not in err
+
+
+AMALGAMATE_Z = {"group": Z, "task": {
+    "pi": {"kind": "trivial", "dim": 1},
+    "rho": {"kind": "direct-sum", "parts": [{"kind": "trivial", "dim": 1}] * 2},
+    "eta": {"kind": "trivial", "dim": 1}, "check-radius": 2}}
+
+
+@pytest.mark.parametrize("task, config, size", [
+    ("probe-amenability", {"group": Z, "task": {"nmax": 4, "radius": 3}}, 7),
+    ("probe-amenability", {"group": F2, "task": {"nmax": 4, "radius": 3}}, 4),
+    ("contain", CONTAIN_F2, 17),
+    ("superstable", _stability_configs()["superstable"], 17),
+    ("amalgamate", AMALGAMATE_Z, 5),
+])
+def test_verify_rebuilds_each_ball_under_the_reports_caps(tmp_path, capsys, task, config, size):
+    """A run whose ball has ``size`` points fits ``caps.ball`` = size, and its report echoes
+    its caps. ``verify`` rebuilds the ball under the report's cap: one below exits 3, and a
+    report without a ``caps`` block reads as the default caps."""
+    code, out = run_task(tmp_path, task, {**config, "caps": {"ball": size}})
+    assert code == 0
+    report = read_report(out)
+    assert report["caps"] == {**DEFAULT_CAPS, "ball": size}
+    assert main(["verify", "--report", str(out)]) == 0
+    del report["caps"]
+    out.write_text(json.dumps(report))
+    assert main(["verify", "--report", str(out)]) == 0
+    report["caps"] = {"ball": size - 1}
+    out.write_text(json.dumps(report))
+    capsys.readouterr()
+    assert main(["verify", "--report", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert f"ball element cap {size - 1} exceeded" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("caps, field", [
+    ({"ball": 0}, "report.caps.ball"),
+    ({"ball": "x"}, "report.caps.ball"),
+    ({"ball": True}, "report.caps.ball"),
+    ({"support": 10}, "report.caps"),
+    ([1], "report.caps"),
+])
+def test_bad_report_cap_exits_2_with_field(tmp_path, capsys, caps, field):
+    """A report's caps go through the reader a config's caps go through."""
+    code, out = run_task(tmp_path, "amalgamate", AMALGAMATE_Z)
+    assert code == 0
+    report = read_report(out)
+    report["caps"] = caps
+    out.write_text(json.dumps(report))
+    capsys.readouterr()
+    assert main(["verify", "--report", str(out)]) == 2
+    err = capsys.readouterr().err
     assert f"config field '{field}'" in err
     assert "Traceback" not in err
 

@@ -20,7 +20,6 @@ from unirep import (
     delta,
     inner,
     nondividing,
-    project,
     superstable_approx,
 )
 from util import (
@@ -126,11 +125,11 @@ def test_project_examples():
     reg = Regular(Z)
     u = (dz(reg, 0) + dz(reg, 1)) * (1 / math.sqrt(2))
     C = Subspace(reg, [u])
-    p = project(dz(reg, 0), C)
+    p = C.project(dz(reg, 0))
     assert abs(p.amplitude(0, (0,)) - 0.5) < 1e-14
     assert abs(p.amplitude(0, (1,)) - 0.5) < 1e-14
-    assert (project(u, C) - u).norm() < 1e-12
-    assert project(dz(reg, 7), C).norm() == 0.0
+    assert (C.project(u) - u).norm() < 1e-12
+    assert C.project(dz(reg, 7)).norm() == 0.0
 
 
 def test_projection_idempotent_selfadjoint_pythagoras():
