@@ -6,12 +6,15 @@ ball), the smallest eigenvalue of the averaged shift-defect form on
 Cayley balls, and a certified interval for the walk's spectral radius.
 The last two are one number (Kesten): the minimum defect on a ball is
 2(1 - lambda_max(M)) for the ball-compressed walk operator M, so both come
-from one Perron solve, a restarted Lanczos iteration (Lanczos 1950) that
-needs about O(r) products with M on an amenable ball where power
-iteration needs O(r^2). Its Rayleigh quotient bounds lambda_max(M) from
-below and the Collatz-Wielandt bound of its positive final vector
-(``collatz_wielandt``) bounds it from above; the solve stops only once the
-two are within the tolerance, which certifies the defect from both sides.
+from one Perron solve, a thick-restart Lanczos iteration (Lanczos 1950;
+Wu and Simon 2000) that needs about O(r) products with M on an amenable
+ball where power iteration needs O(r^2). Each restart keeps the top Ritz
+vector and the next ``THICK`` ones, so a cycle goes on from the best
+directions of the Krylov space the last one built. Its Rayleigh quotient
+bounds lambda_max(M) from below and the Collatz-Wielandt bound of its
+positive final vector (``collatz_wielandt``) bounds it from above; the
+solve stops only once the two are within the tolerance, which certifies
+the defect from both sides.
 
 Every probe reads a prefix of the space ``probe_ball`` gives. On most
 groups that is a ``Ball`` from ``groups.ball``, which alone decides the
@@ -57,6 +60,7 @@ from .vectors import SparseVector
 
 RATIO_SLACK = 1e-12
 RESTART = 24       # Krylov vectors per Lanczos cycle
+THICK = 4          # Ritz vectors kept past the top one at a Lanczos restart
 BREAKDOWN = 1e-14  # a Lanczos beta this small (|M| <= 1) ends the cycle
 EIGEN_TOL = 1e-9   # the defect solve's residual and certified gap
 MAX_PRODUCTS = 500_000  # the defect solve's budget of products with the ball operator
@@ -245,7 +249,7 @@ def collatz_wielandt(v, mv) -> float | None:
 
 
 def _perron_solve(matvec, dim):
-    """Restarted Lanczos solve for the Perron eigenpair of the compressed operator M.
+    """Thick-restart Lanczos solve for the Perron eigenpair of the compressed operator M.
 
     ``matvec`` is M as a function on length-``dim`` vectors, from
     ``averaged_shift``. M is symmetric, nonnegative and irreducible (the
@@ -256,29 +260,43 @@ def _perron_solve(matvec, dim):
     at most ``EIGEN_TOL``, for the Rayleigh quotient mu and
     cw = max(``collatz_wielandt(v, Mv)``, mu) (mu bounds the top eigenvalue
     from below, so it only lifts a ratio rounded under it).
-    Otherwise the cycle builds a Krylov block Q of at most ``RESTART`` rows
-    from v and restarts from the top Ritz vector signed to a positive sum.
-    Each step makes one product Mq with the newest row q and one projection
-    h = Q Mq on the block: h's last entry is the Lanczos alpha, and
-    w = Mq - h Q does the three-term recurrence and the full
-    reorthogonalization at once; |w| is the next beta. A pass that cancelled
-    (|w| < |h|/2: under 1/sqrt(5) of |Mq| is left, and the rounding error
-    of w relative to |w| grew as much) projects w once more, and twice is
-    enough (Kahan-Parlett; Daniel, Gragg, Kaufman and Stewart 1976). That
-    second pass also takes w to rounding level where the block spans an
-    invariant subspace, which ends the cycle early. Returns mu, cw, the
-    residual, v and the number of products with M, at most
-    ``MAX_PRODUCTS``. Both constants are read at each call.
+    Otherwise the cycle builds a block Q of at most ``RESTART`` rows and
+    restarts from its top Ritz vector signed to a positive sum. The block
+    holds v, then the next ``THICK`` Ritz vectors of the last block (formed
+    only now that another cycle follows), then Krylov vectors from the
+    residual direction of v (thick restart; Wu and Simon 2000). In exact
+    arithmetic every kept Ritz vector's residual lies along v's, so the
+    projection H = Q M Q^T has the Ritz values on its kept diagonal (mu
+    first) and h = Q Mv as its first column; eigh of H gives the next
+    Ritz pairs. Each Krylov step makes one product Mq with the newest row q
+    and one projection h = Q Mq on the block: h is q's row of H, and
+    w = Mq - h Q does the recurrence and the full reorthogonalization at
+    once; |w| is the next row's norm. A pass that cancelled (|w| < |h|/2:
+    under 1/sqrt(5) of |Mq| is left, and the rounding error of w relative
+    to |w| grew as much) projects w once more, and twice is enough
+    (Kahan-Parlett; Daniel, Gragg, Kaufman and Stewart 1976). That second
+    pass also takes w to rounding level where the block spans an invariant
+    subspace, which ends the cycle early. A cycle that adds no Krylov vector
+    (Mv lies in the kept span, so v is an eigenvector to rounding, yet
+    fails the check) raises ``ConvergenceError`` at the next check, as
+    does a budget with no room for one product past v and one to check the
+    restart vector; a block the budget cuts keeps only as many Ritz vectors
+    as leave a row for a Krylov vector. With ``THICK`` = 0 each cycle
+    restarts from the top Ritz vector alone. Returns mu, cw, the residual,
+    v and the number of products with M, at most ``MAX_PRODUCTS``. The
+    module constants are read at each call.
     """
     v = np.full(dim, dim ** -0.5)
     basis = np.empty((min(RESTART, dim), dim))  # every cycle's block Q, allocated once
+    H = np.zeros((len(basis), len(basis)))     # its projection Q M Q^T, lower triangle
+    ritz = np.empty((THICK, dim))               # the kept Ritz vectors past v, formed into Q
+    theta, s = np.zeros(1), np.ones((1, 1))     # the last block's Ritz pairs, top first: v alone
     products, stalled = 0, False
     while True:
         mv = matvec(v)
         products += 1
         mu = float(np.dot(v, mv))
-        w = mv - mu * v
-        residual = 2.0 * float(np.linalg.norm(w))
+        residual = 2.0 * float(np.linalg.norm(mv - mu * v))
         cw = collatz_wielandt(v, mv) if residual <= EIGEN_TOL else None
         if cw is not None and 2.0 * (max(cw, mu) - mu) <= EIGEN_TOL:
             return mu, max(cw, mu), residual, v, products
@@ -289,9 +307,14 @@ def _perron_solve(matvec, dim):
                 best=2.0 * (1.0 - mu),
             )
         Q = basis[:MAX_PRODUCTS - products]
-        Q[0] = v
-        alpha, beta, h = [mu], [], np.array([mu])  # w = Mv - mu v: v's step, h = Q Mv
-        for j in range(1, len(Q)):
+        k = min(THICK + 1, len(theta), len(Q) - 1)  # kept rows, leaving one for a Krylov vector
+        np.matmul(s[:, 1:k].T, basis[:len(s)], out=ritz[:k - 1])
+        Q[0], Q[1:k] = v, ritz[:k - 1]
+        H[:k, :k] = np.diag(theta[:k])
+        H[:k, 0] = h = Q[:k] @ mv
+        w = mv - h @ Q[:k]
+        m = k
+        for j in range(k, len(Q)):
             b = float(np.dot(w, w)) ** 0.5
             if b < 0.5 * float(np.dot(h, h)) ** 0.5:  # the pass cancelled: project once more
                 w -= (Q[:j] @ w) @ Q[:j]
@@ -300,14 +323,13 @@ def _perron_solve(matvec, dim):
                 break
             Q[j] = w / b
             mq = matvec(Q[j])
-            products += 1
-            h = Q[:j + 1] @ mq
-            alpha.append(float(h[j]))
-            beta.append(b)
-            w = mq - h @ Q[:j + 1]
-        stalled = not beta  # v is an eigenvector to rounding, yet fails the check
-        T = np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
-        v = np.linalg.eigh(T)[1][:, -1] @ Q[:len(alpha)]
+            products, m = products + 1, j + 1
+            H[j, :m] = h = Q[:m] @ mq
+            w = mq - h @ Q[:m]
+        stalled = m == k  # no Krylov vector: v is an eigenvector to rounding, yet fails the check
+        theta, s = np.linalg.eigh(H[:m, :m])
+        theta, s = theta[::-1], s[:, ::-1]  # the top Ritz pair first
+        v = s[:, 0] @ Q[:m]
         v /= np.linalg.norm(v) if v.sum() > 0 else -np.linalg.norm(v)
 
 
@@ -367,7 +389,7 @@ def min_defect(B: Ball | DistanceChain) -> DefectReport:
 
     The quadratic form equals 2(I - M) with M the ball-compressed averaged
     shift operator, assembled exactly from ball adjacency, so the minimum
-    is 2(1 - lambda_max(M)) (Kesten). A restarted Lanczos solve returns a
+    is 2(1 - lambda_max(M)) (Kesten). A thick-restart Lanczos solve returns a
     positive unit vector v whose defect-form residual and certified gap are
     both at most ``EIGEN_TOL``. The value is max(0, 2(1 - mu)) for the
     Rayleigh quotient mu of v; the form is positive semidefinite, so it

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -294,7 +295,7 @@ def certified_floor(oracle: GroupOracle) -> float:
 
 def _bound_ball(basis: Subspace | None, target: GramFunction) -> Ball | None:
     """The ball of a ball delta basis on a target trivial on its steps; None for any other span."""
-    if isinstance(basis, BallBasis) and is_trivial_on(target, basis.ball.oracle):
+    if isinstance(basis, BallBasis) and is_trivial_on(target, basis.oracle):
         return basis.ball
     return None
 
@@ -315,6 +316,7 @@ def span_bounds(basis: Subspace | None, target: GramFunction, witnesses) -> tupl
     trivial on its ball's steps (``is_trivial_on``); ``basis`` None stands
     for any other span. The lower bound reads the moduli of the one witness
     on the ball, with no eigen solve: a point of modulus 0 leaves it None.
+    The ball is built only where the bounds apply.
     """
     return _ball_bounds(_bound_ball(basis, target), witnesses)
 
@@ -348,9 +350,9 @@ def search_witness(target: GramFunction, pi: Representation, basis: Subspace,
     descended, and the random restarts 1.. follow. Any other target or basis
     draws every restart at random, and its bounds are None.
     """
+    K = basis.dim  # a ball delta basis builds its ball here, so a ball past its cap ends first
     if not 0 < tol < np.inf:
         raise PreconditionError(f"tol must be finite and positive, got {tol!r}")
-    K = basis.dim
     if K == 0:
         raise PreconditionError("witness search needs a nonempty basis")
     n = target.n
@@ -410,15 +412,26 @@ def search_witness(target: GramFunction, pi: Representation, basis: Subspace,
 
 
 class BallBasis(Subspace):
-    """The delta vectors of shift copy 0 on the Cayley ball ``ball``, in ball order.
+    """The delta vectors of shift copy 0 on the radius-``radius`` Cayley ball of ``oracle``.
 
-    It sets up its own state: the deltas are orthonormal by construction, and
-    their ``K x K`` identity block is never stacked.
+    The deltas are in ball order. It sets up its own state: the deltas are
+    orthonormal by construction, and their ``K x K`` identity block is never
+    stacked. The ball (under the element cap ``cap``) and its deltas are
+    built when first read, so a span that is neither searched nor bounded
+    (``span_bounds``) builds no ball.
     """
 
-    def __init__(self, rep: Representation, B: Ball):
-        self.ambient, self._basis, self._block = rep, [delta(rep, 0, x) for x in B.elements], None
-        self.ball = B
+    def __init__(self, rep: Representation, oracle: GroupOracle, radius: int, cap: int):
+        self.ambient, self._block = rep, None
+        self.oracle, self.radius, self.cap = oracle, radius, cap
+
+    @cached_property
+    def ball(self) -> Ball:
+        return ball(self.oracle, self.radius, self.cap)
+
+    @cached_property
+    def _basis(self) -> list:
+        return [delta(self.ambient, 0, x) for x in self.ball.elements]
 
     def from_coords(self, c) -> SparseVector:
         """``c @ Q`` for the identity Q: coordinate i is the amplitude at ``ball.elements[i]``."""
@@ -427,11 +440,11 @@ class BallBasis(Subspace):
 
 
 def ball_delta_basis(rep: Representation, r: int, cap: int = DEFAULT_BALL_CAP) -> BallBasis:
-    """Delta vectors on the Cayley ball of shift copy 0; exactly orthonormal."""
+    """Delta vectors on the Cayley ball of shift copy 0; exactly orthonormal, built when read."""
     atom = rep.resolve(0)
     if not isinstance(atom, Regular):
         raise PreconditionError("ball basis requires a shift copy at index 0")
-    return BallBasis(rep, ball(atom.oracle, r, cap))
+    return BallBasis(rep, atom.oracle, r, cap)
 
 
 def shift_defect(w: SparseVector, g) -> float:

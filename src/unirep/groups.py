@@ -486,7 +486,9 @@ class RewritingOracle(_WordOracle):
     """Group presented by a complete rewriting system over a signed letter alphabet.
 
     The system must be supplied already terminating and confluent; the free
-    cancellation rules ``x x^-1 -> e`` are added automatically. Normal forms
+    cancellation rules ``x x^-1 -> e`` are added automatically, and a rule
+    whose left-hand side another rule (a cancellation rule included)
+    rewrites to a different right-hand side is refused. Normal forms
     are computed in one left-to-right pass: input letters are pushed one at
     a time onto an output stack, which stays irreducible, so after each push
     only the stack's suffixes of the left-hand-side lengths can match. A
@@ -520,7 +522,12 @@ class RewritingOracle(_WordOracle):
             cancel.append(((-i, i), ()))
         self._rhs = {}
         for lhs, rhs in cancel + norm_rules:
-            self._rhs.setdefault(lhs, rhs)  # the first rule for a left-hand side wins
+            first = self._rhs.setdefault(lhs, rhs)
+            if first != rhs:
+                spell = self.element_to_str
+                raise PreconditionError(
+                    f"rewriting rules {spell(lhs)} -> {spell(first)} and {spell(lhs)} -> "
+                    f"{spell(rhs)} share a left-hand side")
         # longest left-hand side first so overlapping rules fire deterministically
         self._lhs_lengths = sorted({len(lhs) for lhs in self._rhs}, reverse=True)
         self.generators = [(i,) for i in range(1, num_generators + 1)]
@@ -548,8 +555,8 @@ class RewritingOracle(_WordOracle):
         return tuple(out)
 
     def relations(self):
-        """Each user rule's left side equals the right side it rewrites to."""
-        return [(lhs, self._rhs[lhs]) for lhs, _ in self.user_rules]
+        """Each user rule's left side equals its right side."""
+        return list(self.user_rules)
 
     def normalize(self, word):
         word = tuple(word)

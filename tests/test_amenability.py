@@ -421,6 +421,55 @@ def test_min_defect_nonconvergence_reports_best(monkeypatch):
     assert abs(info.value.best - 2 / 11) < 1e-12
 
 
+def test_lanczos_without_kept_ritz_vectors_restarts_as_before(monkeypatch):
+    """THICK = 0 restarts from the top Ritz vector alone: the counts pinned above, exactly."""
+    monkeypatch.setattr(amenability, "THICK", 0)
+    rows = defect_table(ball(z2_oracle(), 30), range(31))
+    assert [row.iterations for row in rows] == Z2_R30_PRODUCTS
+
+
+# Products per defect row with the thick restart's kept Ritz vectors: 1,752 on Z2 rows
+# 1..30 (2,616 restarting from the top Ritz vector alone), 2,477 on Z rows 1..50 (5,533),
+# and 645 on the F2 chain's row 300 (2,521).
+Z2_R30_THICK_PRODUCTS = [1, 3, 4, 7, 8, 25, 25, 25, 25, 45, 45, 45, 45, 45, 65, 65, 65, 65, 65,
+                         65, 65, 85, 85, 85, 85, 85, 105, 105, 105, 105, 105]
+Z_R50_THICK_PRODUCTS = [1, *range(3, 26), 45, *[65] * 13, *[85] * 5, *[105] * 8]
+
+
+@pytest.mark.parametrize("B, radii, products", [
+    pytest.param(lambda: ball(z2_oracle(), 30), range(31), Z2_R30_THICK_PRODUCTS, id="Z2-r30"),
+    pytest.param(lambda: ball(z_oracle(), 50), range(51), Z_R50_THICK_PRODUCTS, id="Z-r50"),
+    pytest.param(lambda: probe_ball(f2_oracle(), 300), [300], [645], id="F2-chain-r300"),
+])
+def test_thick_restart_products_per_row(B, radii, products):
+    got = [row.iterations for row in defect_table(B(), radii)]
+    assert all(a <= b for a, b in zip(got, products, strict=True)), (got, products)
+
+
+@pytest.mark.parametrize("make, r", [(z_oracle, 50), (z2_oracle, 12)])
+def test_thick_restart_rows_match_dense(make, r):
+    """Every row that restarts with kept Ritz vectors is the dense minimum, certified."""
+    oracle = make()
+    rows = [row for row in defect_table(ball(oracle, r), range(r + 1))
+            if row.iterations > amenability.RESTART + 1]
+    assert rows
+    for row in rows:
+        value, lower = row.min_avg_sq_defect, row.certified_lower_bound
+        assert abs(value - dense_min_defect(oracle, row.radius)) <= 1e-9
+        assert 0 <= lower <= value
+        assert value - lower <= amenability.EIGEN_TOL
+        assert all(a.imag == 0 and a.real > 0 for a in row.argmin.entries.values())
+
+
+@pytest.mark.parametrize("budget", [26, 28, 30])
+def test_budget_that_cuts_the_kept_rows_reports_best(monkeypatch, budget):
+    """A block cut below the kept Ritz vectors keeps fewer of them and ends in ConvergenceError."""
+    monkeypatch.setattr(amenability, "MAX_PRODUCTS", budget)
+    with pytest.raises(ConvergenceError) as info:
+        min_defect(ball(z2_oracle(), 20))
+    assert 0 < info.value.best < 0.02
+
+
 def test_consistency_defect_vs_compression():
     for oracle in (z_oracle(), f2_oracle()):
         for r in (2, 4):

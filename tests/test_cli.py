@@ -157,6 +157,30 @@ def test_contain_builds_one_ball(tmp_path, monkeypatch):
     assert radii == [2, 2] and solves == [17]
 
 
+def test_contain_verify_builds_no_ball_for_a_nontrivial_target(tmp_path, monkeypatch):
+    """No bound reads a ball off a trivial target, so ``verify`` builds none; the run builds one."""
+    radii = []
+
+    def counted(*args, **kwargs):
+        B = ball(*args, **kwargs)
+        radii.append(B.radius)
+        return B
+
+    for module in ("cli", "containment", "amenability"):
+        monkeypatch.setattr(f"unirep.{module}.ball", counted)
+    swap = [[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]
+    sign = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1.0, 0.0]]]
+    eye = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+    target = {"F": ["e", "1", "-1", "2", "-2"], "n": 2, "matrices": [eye, swap, swap, sign, sign]}
+    code, out = run_task(tmp_path, "contain", {"group": F2, "task": {
+        "target": target, "radius": 3, "tol": 1e-3, "budget": 20, "restarts": 1}})
+    assert code == 0
+    assert radii == [3]
+    assert read_report(out)["outputs"]["certified-lower"] is None
+    assert main(["verify", "--report", str(out)]) == 0
+    assert radii == [3]
+
+
 def test_probe_walk_ball_stops_at_the_ball_cap(tmp_path, capsys):
     """The walk reads the probe's one ball, so ``caps.ball`` bounds it."""
     config = {"group": Z2, "task": {"nmax": 12, "radius": 1}}
@@ -1052,6 +1076,17 @@ def test_non_associative_table_exits_2_at_group(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "config field 'config.group'" in err and "not associative" in err
+    assert "Traceback" not in err
+
+
+def test_second_right_side_for_a_left_side_exits_2_at_group(tmp_path, capsys):
+    group = {"kind": "rewriting-presented", "num_generators": 2,
+             "rules": [*Z2_REWRITING["rules"], [[1, -1], [2]]]}
+    code, _out = run_task(tmp_path, "probe-amenability",
+                          {"group": group, "task": {"nmax": 4, "radius": 2}})
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "config field 'config.group'" in err and "1 -1 -> e and 1 -1 -> 2" in err
     assert "Traceback" not in err
 
 

@@ -214,6 +214,22 @@ def test_rewriting_step_cap_names_the_cap(monkeypatch):
         looping.normalize((1,))
 
 
+@pytest.mark.parametrize("rules, first, second", [
+    ([[[1, -1], [2]]], "1 -1 -> e", "1 -1 -> 2"),  # a user rule on a cancellation pair
+    ([[[2, 1], [1, 2]], [[2, 1], [1, 1]]], "2 1 -> 1 2", "2 1 -> 1 1"),
+])
+def test_rewriting_refuses_a_second_right_side(rules, first, second):
+    with pytest.raises(PreconditionError, match=f"rules {first} and {second} share a left-hand"):
+        RewritingOracle(2, rules)
+
+
+def test_rewriting_keeps_a_repeated_rule():
+    rules = [((1, -1), ()), ((2, 1), (1, 2)), ((2, 1), (1, 2))]
+    oracle = RewritingOracle(2, rules)
+    assert oracle.relations() == rules
+    assert oracle.normalize((2, 1)) == (1, 2)
+
+
 def test_rewriting_multiply_checks_normal_form():
     with pytest.raises(KindMismatchError):
         z2_rewriting().multiply((2, 1), ())  # 2 1 rewrites to 1 2
