@@ -34,10 +34,10 @@ d = 650 on F2). ``verify`` checks them on the distance chain in O(rho). Exit cod
 the closures of ``nondividing``, ``canonical-base`` and ``superstable``,
 and ``amalgamate``'s check ball; ``dimension`` bounds every orthonormal
 span a task grows: those closures (and so the canonical base and the
-superstable core inside them) and the ``transfer`` frame (one fresh copy
-per frame vector). Each report echoes the caps of its run in ``caps``, and
-``verify`` rebuilds every ball under that ``caps.ball``; a report without the
-block reads as the default caps.
+superstable core inside them), and the fresh copies of ``transfer`` (one
+fresh copy per key of the shifted remainders). Each report echoes the caps
+of its run in ``caps``, and ``verify`` rebuilds every ball under that
+``caps.ball``; a report without the block reads as the default caps.
 """
 
 from __future__ import annotations

@@ -49,7 +49,6 @@ from .vectors import (  # noqa: F401
     KeyIndex,
     SparseVector,
     delta,
-    gram_schmidt,
     inner,
     orthonormalize,
     same_space,
@@ -536,19 +535,23 @@ def transfer_witness(rho: Representation, params, targets, F, eps: float,
     of shift copies; the other summands form the explicit extension
     (common part plus complement). Parameters must be supported in the
     common part plus finitely many stack copies. Each target splits into
-    its projection onto that subspace (kept verbatim) and a remainder
+    its projection onto that subspace (kept verbatim) and a remainder w_i
     whose Gram data is reproduced in fresh stack copies by tensoring with
     the almost-invariant unit vector f of ``folner_witness``. For real f,
     <lambda(g)f, f> = ||f||^2 - ||lambda(g)f - f||^2 / 2, so the per-entry
     error is max|M| * ||lambda(g)f - f||^2 / 2, which f is chosen to keep
     below ``eps``. ``cap`` bounds f's Cayley ball as in ``folner_witness``.
 
-    The fresh copies are the stack copies right after the highest one that
-    a parameter or target touches, one per vector of the orthonormal frame
-    that ``gram_schmidt`` builds from the shifted remainders; ``dim_cap``
-    bounds that frame, and so the number of fresh copies. The copies depend
-    on the inputs only, so repeated calls on the same ``rho`` return the
-    same witnesses.
+    The tensor product is Fell's absorption, xi (x) delta_h ->
+    rho(h)^-1 xi (x) delta_h, read in the canonical basis: every key of a
+    shifted remainder rho(h)^-1 w_i (h in the support of f), in first-seen
+    ``KeyIndex`` order, is one fresh stack copy, and the witness's
+    amplitude at (copy k, h) is f(h) times the amplitude of rho(h)^-1 w_i at
+    key k. The keys span every shifted remainder, so the map is exactly
+    isometric. The fresh copies start right after the highest stack copy
+    that a parameter or target touches; ``dim_cap`` bounds their number.
+    They depend on the inputs only, so repeated calls on the same ``rho``
+    return the same witnesses.
     """
     if not 0 < eps < np.inf:
         raise PreconditionError(f"eps must be finite and positive, got {eps!r}")
@@ -560,62 +563,35 @@ def transfer_witness(rho: Representation, params, targets, F, eps: float,
         if not same_space(v.space, rho):
             raise KindMismatchError("transfer vectors must live in the extension space")
     F = list(F)
-    tail_offset = rho.part_offset(len(rho.parts) - 1)
-    common_leaf_end = rho.part_offset(1)
-
-    def tail_copy(leaf):
-        return None if leaf < tail_offset else leaf - tail_offset
-
-    # number of stack copies spanned by the parameters
-    l = 0
+    tail_start = rho.part_offset(len(rho.parts) - 1)
+    common_end = rho.part_offset(1)
+    # the kept subspace: the common part and the stack copies the parameters touch
+    kept_end = tail_start
     for v in params:
-        for (leaf, _), _amp in v.entries.items():
-            c = tail_copy(leaf)
-            if c is not None:
-                l = max(l, c + 1)
-            elif leaf >= common_leaf_end:
+        for leaf, _key in v.entries:
+            if common_end <= leaf < tail_start:
                 raise PreconditionError(
                     "parameters must be supported in the common part and the shift stack"
                 )
-
-    def in_kept_subspace(key):
-        leaf = key[0]
-        c = tail_copy(leaf)
-        if c is None:
-            return leaf < common_leaf_end
-        return c < l
-
-    kept = []
-    remainders = []
-    max_touched = l - 1
-    for v in targets:
-        for (leaf, _), _amp in v.entries.items():
-            c = tail_copy(leaf)
-            if c is not None:
-                max_touched = max(max_touched, c)
-        u = v.restrict(in_kept_subspace)
-        kept.append(u)
-        remainders.append(v - u)
-    witnesses = list(params) + list(kept)
+            kept_end = max(kept_end, leaf + 1)
+    kept = [v.restrict(lambda key: key[0] < common_end or tail_start <= key[0] < kept_end)
+            for v in targets]
+    remainders = [v - u for v, u in zip(targets, kept)]
+    witnesses = params + kept
     total_target = gram(rho, params + targets, F, oracle=oracle)
 
     if any(not w.is_zero() for w in remainders):
-        m = len(targets)
         rem_gram = gram(rho, remainders, F, oracle=oracle)
-        max_m = max(rem_gram.max_abs(), 1e-12)
-        f = folner_witness(oracle, F, eps / max(1.0, max_m), cap)
-        phi = [x for (_c, x) in f.entries]
-        shifted = [rho.apply(oracle.invert(h), w) for w in remainders for h in phi]
-        X = to_dense(shifted, KeyIndex(shifted))
-        frame = gram_schmidt(X, cap=dim_cap)
-        K = len(frame)
-        # amps[i, j, k] = f(phi_j) <lambda(phi_j)^-1 w_i, e_k>, at (fresh copy k, phi_j)
-        amps = X @ frame.conj().T
-        amps = amps.reshape(m, len(phi), K) * np.real(list(f.entries.values()))[:, None]
-        first = tail_offset + max_touched + 1
-        witnesses = list(params) + [
-            kept[i] + SparseVector(rho, {(first + k, h): amps[i, j, k]
-                                         for j, h in enumerate(phi) for k in range(K)})
-            for i in range(m)]
+        f = folner_witness(oracle, F, eps / max(1.0, rem_gram.max_abs()), cap)
+        phi = [(h, amp.real) for (_c, h), amp in f]
+        shifted = [[rho.apply(oracle.invert(h), w) for h, _a in phi] for w in remainders]
+        index = KeyIndex(s for row in shifted for s in row)
+        if len(index) > dim_cap:
+            raise ResourceLimitError(f"dimension cap {dim_cap} exceeded")
+        first = max([kept_end - 1] + [leaf for v in targets for leaf, _key in v.entries]) + 1
+        witnesses = params + [
+            u + SparseVector(rho, {(first + index.column[key], h): amp * a
+                                   for (h, a), s in zip(phi, row) for key, amp in s})
+            for u, row in zip(kept, shifted)]
     disc = discrepancy(total_target, rho, witnesses)
     return WitnessReport(witnesses, disc, 0, bool(disc <= eps), target=total_target)

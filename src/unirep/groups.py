@@ -488,7 +488,9 @@ class RewritingOracle(_WordOracle):
     The system must be supplied already terminating and confluent; the free
     cancellation rules ``x x^-1 -> e`` are added automatically, and a rule
     whose left-hand side another rule (a cancellation rule included)
-    rewrites to a different right-hand side is refused. Normal forms
+    rewrites to a different right-hand side is refused, as is a rule whose
+    left-hand side holds a cancellation pair (it never fires) and whose
+    sides have different normal forms. Normal forms
     are computed in one left-to-right pass: input letters are pushed one at
     a time onto an output stack, which stays irreducible, so after each push
     only the stack's suffixes of the left-hand-side lengths can match. A
@@ -521,15 +523,25 @@ class RewritingOracle(_WordOracle):
             cancel.append(((i, -i), ()))
             cancel.append(((-i, i), ()))
         self._rhs = {}
+        spell = self.element_to_str
         for lhs, rhs in cancel + norm_rules:
             first = self._rhs.setdefault(lhs, rhs)
             if first != rhs:
-                spell = self.element_to_str
                 raise PreconditionError(
                     f"rewriting rules {spell(lhs)} -> {spell(first)} and {spell(lhs)} -> "
                     f"{spell(rhs)} share a left-hand side")
         # longest left-hand side first so overlapping rules fire deterministically
         self._lhs_lengths = sorted({len(lhs) for lhs in self._rhs}, reverse=True)
+        # the normal-form stack never holds x x^-1, so a rule on such a pair never
+        # fires; ``relations()`` reports it, so its sides must already agree
+        for lhs, rhs in norm_rules:
+            if any(a == -b for a, b in zip(lhs, lhs[1:])):
+                lhs_nf, rhs_nf = self._rewrite((), lhs), self._rewrite((), rhs)
+                if lhs_nf != rhs_nf:
+                    raise PreconditionError(
+                        f"rewriting rule {spell(lhs)} -> {spell(rhs)} never fires, and its "
+                        f"sides have the different normal forms {spell(lhs_nf)} and "
+                        f"{spell(rhs_nf)}")
         self.generators = [(i,) for i in range(1, num_generators + 1)]
 
     def _rewrite(self, stack, word):

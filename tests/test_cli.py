@@ -21,10 +21,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unirep import ConvergenceError, Regular, amenability, ball, gram, symmetric_generators
+from unirep import (ConvergenceError, DirectSum, Multiple, Regular, Trivial, amenability, ball,
+                    discrepancy, folner_witness, gram, symmetric_generators)
 from unirep.cli import HANDLERS, TASKS, VERIFIERS, build_parser, main
 from unirep.containment import deviation
-from unirep.serialize import DEFAULT_CAPS, gram_to_json, parse_gram, parse_group, parse_vector
+from unirep.serialize import (DEFAULT_CAPS, gram_to_json, parse_gram, parse_group, parse_vector,
+                              parse_vectors)
 from util import (H3_RULES, character_action, phase, random_unitary, read_report,
                   swapped_intercalate_table)
 
@@ -317,7 +319,8 @@ def test_closure_tasks_honour_the_dimension_cap(tmp_path, capsys, task):
 
 
 def test_transfer_frame_honours_the_dimension_cap(tmp_path, capsys):
-    """On Z^2 at eps 0.02 the frame has 481 vectors: it fits the default cap, not cap 100."""
+    """On Z^2 at eps 0.02 the shifted remainders have 481 keys, one fresh copy each: they
+    fit the default cap, not cap 100."""
     config = {"group": Z2, "task": {
         "pi": {"kind": "trivial", "dim": 1}, "F": ["1,0", "0,1"],
         "params": [[[1, "0,0", 1, 0]]], "targets": [[[2, "0,0", 1, 0]]], "eps": 0.02}}
@@ -330,6 +333,51 @@ def test_transfer_frame_honours_the_dimension_cap(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 3
     assert "dimension cap 100 exceeded" in err
+    assert "Traceback" not in err
+
+
+# 0.6 delta_0 + 0.8 delta_1 in stack copy 1: its translates overlap, so they span fewer
+# dimensions than they have keys
+OVERLAPPING_TRANSFER = {"group": Z, "task": {
+    **TRANSFER["task"], "targets": [[[2, "0", 0.6, 0], [2, "1", 0.8, 0]]]}}
+
+
+def test_transfer_takes_one_fresh_copy_per_key_of_overlapping_translates(tmp_path, capsys):
+    """The translates of the target by the support of f have one key more than there are
+    translates, so more keys than any frame of them has vectors. Each key is one fresh
+    copy, the witnesses match the target Gram data within eps, and a dimension cap one
+    below the key count exits 3."""
+    code, out = run_task(tmp_path, "transfer", OVERLAPPING_TRANSFER)
+    assert code == 0
+    assert main(["verify", "--report", str(out)]) == 0
+    report = read_report(out)
+    oracle = parse_group(Z)
+    rho = DirectSum([Trivial(1), Multiple(Regular(oracle), None)])
+    F = [(0,), (1,), (-1,)]
+    vectors = (parse_vectors(report["inputs"]["params"], rho)
+               + parse_vectors(report["inputs"]["targets"], rho))
+    witnesses = parse_vectors(report["outputs"]["witnesses"], rho)
+    assert discrepancy(gram(rho, vectors, F, oracle=oracle), rho, witnesses) <= 0.05
+    f = folner_witness(oracle, F, 0.05)  # the target's Gram data has max modulus 1
+    translates = [rho.apply(oracle.invert(h), vectors[1]) for (_c, h) in f.entries]
+    keys = {key for t in translates for key in t.entries}
+    assert len(keys) == len(translates) + 1
+    assert len({leaf for (leaf, _x) in witnesses[1].entries}) == len(keys)
+    capsys.readouterr()
+    code, _out = run_task(tmp_path, "transfer", OVERLAPPING_TRANSFER,
+                          "--cap-dimension", str(len(keys) - 1), name="capped")
+    err = capsys.readouterr().err
+    assert code == 3
+    assert f"dimension cap {len(keys) - 1} exceeded" in err
+
+
+def test_transfer_parameter_in_the_complement_exits_2(tmp_path, capsys):
+    config = {"group": Z, "task": {**TRANSFER["task"], "complement": {"kind": "trivial", "dim": 1},
+                                   "params": [[[1, 0, 1, 0]]], "targets": [[[3, "5", 1, 0]]]}}
+    code, _out = run_task(tmp_path, "transfer", config)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "parameters must be supported in the common part and the shift stack" in err
     assert "Traceback" not in err
 
 
@@ -1087,6 +1135,16 @@ def test_second_right_side_for_a_left_side_exits_2_at_group(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "config field 'config.group'" in err and "1 -1 -> e and 1 -1 -> 2" in err
+    assert "Traceback" not in err
+
+
+def test_rule_that_never_fires_exits_2_at_group(tmp_path, capsys):
+    group = {"kind": "rewriting-presented", "num_generators": 3, "rules": [[[1, -1, 2], [3]]]}
+    code, _out = run_task(tmp_path, "probe-amenability",
+                          {"group": group, "task": {"nmax": 4, "radius": 2}})
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "config field 'config.group'" in err and "1 -1 2 -> 3 never fires" in err
     assert "Traceback" not in err
 
 

@@ -567,7 +567,7 @@ def test_transfer_copy_relabel():
 
 
 def test_transfer_is_a_function_of_its_inputs():
-    """Two calls on one rho put the frame in the same copies: right after the touched ones."""
+    """Two calls on one rho use the same fresh copies: right after the touched ones."""
     Z = z_oracle()
     rho = transfer_space(Z)
     p = delta(rho, 1, (0,))
@@ -599,6 +599,15 @@ def test_transfer_mixed_parts_cross_terms_vanish():
     for g in F:
         assert abs(inner(rho.apply(g, kept), fresh)) == 0.0
         assert abs(inner(rho.apply(g, fresh), kept)) == 0.0
+
+
+def test_transfer_refuses_a_parameter_in_the_complement():
+    """Leaf 1 is the explicit complement: a parameter there is outside the kept subspace."""
+    Z = z_oracle()
+    rho = transfer_space(Z, complement=Trivial(1))
+    with pytest.raises(PreconditionError, match="parameters must be supported in the common "
+                                                "part and the shift stack"):
+        transfer_witness(rho, [delta(rho, 1, 0)], [delta(rho, 3, (0,))], [(0,), (1,)], 0.05)
 
 
 def test_transfer_free_group_hits_the_support_cap():

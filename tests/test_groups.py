@@ -230,6 +230,17 @@ def test_rewriting_keeps_a_repeated_rule():
     assert oracle.normalize((2, 1)) == (1, 2)
 
 
+def test_rewriting_refuses_a_rule_that_never_fires_unless_its_sides_agree():
+    """A left side holding x x^-1 never matches the normal-form stack, so the rule
+    ``1 -1 2 -> 3`` would keep 2 and 3 apart while ``relations()`` says 2 = 3."""
+    with pytest.raises(PreconditionError,
+                       match="rule 1 -1 2 -> 3 never fires.*normal forms 2 and 3"):
+        RewritingOracle(3, [[[1, -1, 2], [3]]])
+    agreeing = RewritingOracle(3, [[[1, -1, 2], [2]]])
+    assert agreeing.relations() == [((1, -1, 2), (2,))]
+    assert agreeing.normalize((1, -1, 2)) == (2,)
+
+
 def test_rewriting_multiply_checks_normal_form():
     with pytest.raises(KindMismatchError):
         z2_rewriting().multiply((2, 1), ())  # 2 1 rewrites to 1 2
