@@ -400,9 +400,9 @@ class FiniteTableOracle(GroupOracle):
         self._inverse = [row.index(self._identity) for row in self.table]
         self.generators = [int(g) for g in generators]
         self._validate_generators()
+        self._check_associativity()  # before the first ball, which pairs each x s with (x s) s^-1
         if len(ball(self, n - 1, n)) != n:
             raise PreconditionError("generators do not generate the whole table group")
-        self._check_associativity()
 
     def _find_identity(self):
         for e in range(self.n):
@@ -414,8 +414,10 @@ class FiniteTableOracle(GroupOracle):
         """Light's test on the steps: (x s) y = x (s y) for every step s and all x, y.
 
         The middle elements b with (x b) y = x (b y) for all x, y are closed
-        under products, and the steps generate the table (checked first), so
-        this proves associativity for every triple in O(n^2 |S|).
+        under products, and the steps generate the table (checked next, before
+        the oracle is returned), so this proves associativity for every triple
+        in O(n^2 |S|). With y = s^-1 it proves (x s) s^-1 = x, which ``ball``
+        assumes.
         """
         T = np.array(self.table, dtype=np.intp)
         for s in symmetric_generators(self):
@@ -668,8 +670,17 @@ class Ball:
 def ball(oracle: GroupOracle, r: int, cap: int = DEFAULT_BALL_CAP, S=None) -> Ball:
     """Breadth-first Cayley ball of radius ``r`` over S union S^-1 (the generators by default).
 
-    The search multiplies every element on the right by every step, the
-    last sphere included, whose products only fill its rows of ``right``.
+    The search makes one product per Cayley-graph edge. A product
+    y = x * s found at position k also gives ``right[k, inverse of s] = x``,
+    since y * s^-1 = x in a group, and an entry already known is skipped with
+    no product; such an entry always names an element already found, so the
+    discovery order is that of multiplying every element by every step. That
+    the oracle is a group is the oracle's premise: a table is checked
+    associative before its first ball, and a rewriting system is trusted to
+    be complete (a non-confluent one broke the every-product ball too); a
+    step whose inverse is not a step is refused. The last sphere adds
+    nothing; its products only fill its rows of ``right``, -1 where they
+    leave the ball.
     ``left`` needs no further product: an element x found as p * steps[a]
     from its parent p one sphere closer has s * x = (s * p) * steps[a],
     where s * p lies in the ball, so each sphere's rows are one gather of
@@ -678,18 +689,30 @@ def ball(oracle: GroupOracle, r: int, cap: int = DEFAULT_BALL_CAP, S=None) -> Ba
     if not isinstance(r, int) or r < 0:
         raise PreconditionError("ball radius must be a non-negative integer")
     steps = symmetric_generators(oracle, S)
+    m = len(steps)
+    position = {s: j for j, s in enumerate(steps)}
+    inverse = [position.get(oracle.invert(s), -1) for s in steps]
+    if -1 in inverse:
+        s = steps[inverse.index(-1)]
+        raise PreconditionError(
+            f"the inverse {oracle.element_to_str(oracle.invert(s))} of step "
+            f"{oracle.element_to_str(s)} is not a step, so the oracle is not a group")
+    paired = list(zip(range(m), steps, inverse))
+    unknown = [None] * m
     mul = oracle._mul
     e = oracle.identity()
     elements, index = [e], {e: 0}
     parent, letter = [0], [0]
-    right = []  # row-major (element, step) positions
+    right = list(unknown)  # row-major (element, step) positions, None until known
     sizes = [1]
     lo = 0
     for radius in range(1, r + 1):
         hi = len(elements)
         for i in range(lo, hi):
-            x = elements[i]
-            for j, s in enumerate(steps):
+            x, row = elements[i], i * m
+            for j, s, t in paired:
+                if right[row + j] is not None:
+                    continue
                 y = mul(x, s)
                 k = index.get(y)
                 if k is None:
@@ -697,16 +720,23 @@ def ball(oracle: GroupOracle, r: int, cap: int = DEFAULT_BALL_CAP, S=None) -> Ba
                     elements.append(y)
                     parent.append(i)
                     letter.append(j)
+                    right.extend(unknown)
                     if k >= cap:
                         raise ResourceLimitError(
                             f"ball element cap {cap} exceeded at radius {radius}"
                         )
-                right.append(k)
+                right[row + j] = k
+                right[k * m + t] = i
         lo = hi
         sizes.append(len(elements))
-    for x in elements[lo:]:  # the last sphere adds nothing; its products fill its rows
-        right.extend([index.get(mul(x, s), -1) for s in steps])
-    right = np.array(right, dtype=np.intp).reshape(len(elements), len(steps))
+    for i in range(lo, len(elements)):  # the last sphere adds nothing; its products fill its rows
+        x, row = elements[i], i * m
+        for j, s, t in paired:
+            if right[row + j] is None:
+                k = right[row + j] = index.get(mul(x, s), -1)
+                if k >= 0:
+                    right[k * m + t] = i
+    right = np.array(right, dtype=np.intp).reshape(len(elements), m)
     parent = np.array(parent, dtype=np.intp)
     letter = np.array(letter, dtype=np.intp)
     left = np.empty_like(right)
@@ -714,4 +744,3 @@ def ball(oracle: GroupOracle, r: int, cap: int = DEFAULT_BALL_CAP, S=None) -> Ba
     for a, b in zip(sizes, sizes[1:]):
         left[a:b] = right[left[parent[a:b]], letter[a:b, None]]
     return Ball(oracle, r, elements, index, steps, np.array(sizes), right, left, parent, letter)
-

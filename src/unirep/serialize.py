@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .containment import GramFunction
-from .errors import ConfigError, PreconditionError
+from .errors import ConfigError, PreconditionError, ResourceLimitError
 from .groups import (
     DEFAULT_BALL_CAP,
     FgAbelianOracle,
@@ -89,7 +89,7 @@ def parse_group(obj, where="group") -> GroupOracle:
         if kind == "rewriting-presented":
             rules = [(tuple(l), tuple(r)) for l, r in _require(obj, "rules", list, where)]
             return RewritingOracle(_require(obj, "num_generators", int, where), rules)
-    except ConfigError:
+    except (ConfigError, ResourceLimitError):  # a cap hit while building exits 3, as anywhere
         raise
     except Exception as exc:  # surface oracle validation with a field pointer
         raise ConfigError(str(exc), field=where) from exc

@@ -1148,6 +1148,26 @@ def test_rule_that_never_fires_exits_2_at_group(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_step_cap_hit_while_building_the_group_exits_3(tmp_path, capsys):
+    """Checking ``1 -1 2 -> 2`` normalizes its left side, which loops on ``2 -> 3``, ``3 -> 2``."""
+    group = {"kind": "rewriting-presented", "num_generators": 3,
+             "rules": [[[1, -1, 2], [2]], [[2], [3]], [[3], [2]]]}
+    code, _out = run_task(tmp_path, "probe-amenability",
+                          {"group": group, "task": {"nmax": 4, "radius": 2}})
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "step cap" in err and "Traceback" not in err
+
+
+def test_non_confluent_rules_whose_steps_lose_their_inverses_exit_2(tmp_path, capsys):
+    group = {"kind": "rewriting-presented", "num_generators": 2, "rules": [[[-1], [1, 2]]]}
+    code, _out = run_task(tmp_path, "probe-amenability",
+                          {"group": group, "task": {"nmax": 4, "radius": 2}})
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "not a group" in err and "Traceback" not in err
+
+
 Z_ON_2_3 = {"kind": "fg-abelian", "rank": 1, "torsion": [], "generators": [[2], [3]]}
 Z4_ON_1_2 = {"kind": "fg-abelian", "rank": 0, "torsion": [4], "generators": [[1], [2]]}
 CANONICAL_BASE = {"closure": {"vectors": [[[0, "0", 1, 0]]]}, "a": [[[0, "1", 1, 0]]]}

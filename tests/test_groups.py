@@ -21,7 +21,9 @@ from unirep import (
 )
 from util import (
     cyclic_table,
+    every_product_ball,
     f2_oracle,
+    h3_rewriting,
     psl2z_rewriting,
     s4_table,
     swapped_intercalate_table,
@@ -207,6 +209,58 @@ def test_neighbour_tables_match_multiply(oracle):
             assert B.left[i, j] == position.get(oracle.multiply(s, x), -1)
 
 
+D_INFINITY_RULES = [[[1, 1], []], [[-1], [1]], [[2, 2], []], [[-2], [2]]]  # two involutions
+
+
+@pytest.mark.parametrize("oracle, r, S", [
+    (f2_oracle(), 4, None),
+    (FreeGroupOracle(3), 3, None),
+    (z2_oracle(), 5, [(1, 0), (1, 1), (0, 2)]),
+    (z2_oracle(), 3, [(0, 0), (1, 0)]),  # a step equal to the identity
+    (FgAbelianOracle(1, [4, 6]), 4, None),
+    (z2_rewriting(), 6, None),
+    (h3_rewriting(), 4, None),
+    (psl2z_rewriting(), 6, None),
+    (RewritingOracle(2, D_INFINITY_RULES), 5, None),
+    (RewritingOracle(2, D_INFINITY_RULES), 3, [(), (1,)]),
+    (cyclic_table(7), 3, None),
+    (cyclic_table(7), 3, [0, 1]),
+    (s4_table(), 3, None),
+], ids=lambda v: v.kind if isinstance(v, groups.GroupOracle) else str(v))
+def test_paired_ball_is_the_every_product_ball(oracle, r, S):
+    """Reading y s^-1 = x off each product y = x s changes no table, and pairs every inner entry."""
+    B, reference = ball(oracle, r, S=S), every_product_ball(oracle, r, S)
+    assert B.elements == reference["elements"]
+    for name in ("sizes", "right", "left", "parent", "letter"):
+        assert np.array_equal(getattr(B, name), reference[name]), name
+    inverse = [B.steps.index(oracle.invert(s)) for s in B.steps]
+    for i, j in np.argwhere(B.right >= 0):
+        assert B.right[B.right[i, j], inverse[j]] == i
+
+
+@pytest.mark.parametrize("oracle, r, products", [(z2_rewriting(), 16, 1156), (f2_oracle(), 4, 484)])
+def test_ball_makes_one_product_per_edge(monkeypatch, oracle, r, products):
+    """One product per undirected edge inside the ball plus one per edge leaving it
+    (the every-product search makes 2,180 and 644)."""
+    count = [0]
+    unchecked = oracle._mul
+
+    def counted(a, b):
+        count[0] += 1
+        return unchecked(a, b)
+
+    monkeypatch.setattr(oracle, "_mul", counted)
+    B = ball(oracle, r)
+    m, outside = len(B.steps), int((B.right < 0).sum())
+    assert count[0] == m * len(B) - (m * len(B) - outside) // 2 == products
+
+
+def test_ball_refuses_a_step_whose_inverse_is_not_a_step():
+    """``-1 -> 1 2`` is not confluent: 1 2 inverts to -2 1 2, which is not a step."""
+    with pytest.raises(PreconditionError, match="inverse -2 1 2 of step 1 2 is not a step"):
+        ball(RewritingOracle(2, [[[-1], [1, 2]]]), 2)
+
+
 def test_rewriting_step_cap_names_the_cap(monkeypatch):
     monkeypatch.setattr(groups, "DEFAULT_REWRITE_STEPS", 50)
     looping = RewritingOracle(2, [[[1], [2]], [[2], [1]]])
@@ -309,6 +363,9 @@ def test_associativity_is_checked_on_every_triple():
     assert s4_table().n == 24
     with pytest.raises(PreconditionError, match=r"not associative at \(2, 1, 5\)"):
         FiniteTableOracle(swapped_intercalate_table(), [1])
+    # checked before the generation ball, which assumes (x s) s^-1 = x
+    with pytest.raises(PreconditionError, match=r"not associative at \(1, 2, 5\)"):
+        FiniteTableOracle(swapped_intercalate_table(), [2])
 
 
 def test_as_word_roundtrip():

@@ -16,6 +16,7 @@ from unirep import (
     RewritingOracle,
     SparseVector,
     ball,
+    symmetric_generators,
 )
 
 
@@ -90,6 +91,38 @@ def z_on_2_3():
 
 def z3_rewriting():
     return RewritingOracle(1, [[[1, 1], [-1]], [[-1, -1], [1]]])
+
+
+def every_product_ball(oracle, r, S=None):
+    """The ball's tables by multiplying every element by every step, as a dict of arrays.
+
+    The reference for ``ball``: the same breadth-first order, with no product
+    read off another. Returns ``elements``, ``sizes``, ``right``, ``left``,
+    ``parent`` and ``letter``.
+    """
+    steps = symmetric_generators(oracle, S)
+    e = oracle.identity()
+    elements, index, parent, letter, sizes = [e], {e: 0}, [0], [0], [1]
+    lo = 0
+    for _ in range(r):
+        hi = len(elements)
+        for i in range(lo, hi):
+            for j, s in enumerate(steps):
+                y = oracle.multiply(elements[i], s)
+                if y not in index:
+                    index[y] = len(elements)
+                    elements.append(y)
+                    parent.append(i)
+                    letter.append(j)
+        lo = hi
+        sizes.append(len(elements))
+    right = [[index.get(oracle.multiply(x, s), -1) for s in steps] for x in elements]
+    left = [[index.get(oracle.multiply(s, x), -1) for s in steps] for x in elements]
+    shape = (len(elements), len(steps))
+    return {"elements": elements, "sizes": np.array(sizes),
+            "right": np.array(right, dtype=np.intp).reshape(shape),
+            "left": np.array(left, dtype=np.intp).reshape(shape),
+            "parent": np.array(parent, dtype=np.intp), "letter": np.array(letter, dtype=np.intp)}
 
 
 def random_unitary(rng, d):
