@@ -58,7 +58,6 @@ from .groups import (  # noqa: F401
 from .reps import Regular
 from .vectors import SparseVector
 
-RATIO_SLACK = 1e-12
 RESTART = 24       # Krylov vectors per Lanczos cycle
 THICK = 4          # Ritz vectors kept past the top one at a Lanczos restart
 BREAKDOWN = 1e-14  # a Lanczos beta this small (|M| <= 1) ends the cycle
@@ -68,7 +67,12 @@ MAX_PRODUCTS = 500_000  # the defect solve's budget of products with the ball op
 
 @dataclass
 class ReturnProbabilityTable:
-    """Exact return probabilities p_{2n}(e) of the symmetric walk, with estimator traces."""
+    """Exact return probabilities p_{2n}(e) of the symmetric walk, with estimator traces.
+
+    Built by ``return_probabilities``, whose exact counts give p_0 = 1 and
+    p_{2n+2} <= p_{2n} <= 1 (the walk is symmetric), so each ratio estimate
+    is at most 1: correctly rounded division keeps that order.
+    """
 
     p: dict            # even step -> Fraction
     root_estimates: dict = field(default_factory=dict)   # 2n -> p^{1/(2n)}
@@ -76,16 +80,10 @@ class ReturnProbabilityTable:
 
     def __post_init__(self):
         steps = sorted(self.p)
-        if steps[0] != 0 or self.p[0] != 1:
-            raise PreconditionError("return probabilities must start at p_0 = 1")
         p = [float(self.p[s]) for s in steps]
-        for s, value in zip(steps, p):
-            if not (0 < value <= 1):
-                raise PreconditionError(f"return probability out of range at step {s}")
+        if 0.0 in p:  # every count is positive, but its double can underflow
+            raise PreconditionError(f"return probability underflows at step {steps[p.index(0.0)]}")
         roots, ratios = walk_estimates(steps, p)
-        for a, ratio in zip(steps, ratios):
-            if ratio > 1 + RATIO_SLACK:
-                raise PreconditionError(f"ratio estimator exceeds 1 at step {a}")
         self.root_estimates = dict(zip(steps[1:], roots))
         self.ratio_estimates = dict(zip(steps, ratios))
 

@@ -433,13 +433,12 @@ def verify_folner(report):
     space = Regular(oracle)
     outputs = report["outputs"]
     w = parse_vector(outputs["witness"], space, "report.outputs.witness")
+    names = [row["element"] for row in outputs["defects"]]
     checks = [("support-size", len(w.entries), outputs["support-size"]),
-              ("defect-elements",
-               [row["element"] for row in outputs["defects"]] == report["inputs"]["F"], True)]
+              ("defect-elements", names == report["inputs"]["F"], True)]
     eps = Fraction(report["tolerances"]["eps"])
     worst = 0.0
-    for row in outputs["defects"]:
-        g = oracle.element_from_str(row["element"])
+    for row, g in zip(outputs["defects"], parse_elements(names, oracle, "report.outputs.defects")):
         value = containment.shift_defect(w, g)
         worst = max(worst, value)
         checks.append((f"defect-{row['element']}", value, row["value"]))
@@ -666,18 +665,22 @@ def verify_superstable(report):
     return checks
 
 
-def _gram_defect(oracle, F, amalgam, embedded):
-    """Largest change of a Gram entry on ``F`` from a factor into ``amalgam``.
+def _gram_defect(B, amalgam, embedded):
+    """Largest change of a Gram entry on the ball ``B`` from a factor into ``amalgam``.
 
     ``embedded`` holds ``(factor, images)`` pairs, the images of the factor's
-    canonical basis in ``amalgam``.
+    canonical basis in ``amalgam``. Each side's Gram tensor
+    T[g, i, j] = <rep(g)v_i, v_j> over B is one ``OrbitBlock`` product with
+    its vectors, so no element is reached through ``matrix_of``.
     """
+    def tensor(rep, vectors):
+        block = OrbitBlock(rep, B)  # rows runs first: on a regular tree it grows the index
+        return block.rows(vectors) @ to_dense(vectors, block.index).conj().T
+
     worst = 0.0
     for rep, images in embedded:
-        before = gram(rep, rep.canonical_basis(), F, oracle=oracle)
-        after = gram(amalgam, images, F, oracle=oracle)
-        for g in F:
-            worst = max(worst, float(abs(before.M[g] - after.M[g]).max()))
+        change = tensor(rep, rep.canonical_basis()) - tensor(amalgam, images)
+        worst = max(worst, float(np.abs(change).max()))
     return worst
 
 
@@ -698,8 +701,8 @@ def run_amalgamate(cfg, check_radius):
     emb_rho = build_embedding(rho, "rho-images")
     emb_eta = build_embedding(eta, "eta-images")
     result = amalgamate(pi, emb_rho, emb_eta)
-    F = ball(cfg.oracle, check_radius, cfg.caps["ball"]).elements
-    worst = _gram_defect(cfg.oracle, F, result.rep, [
+    B = ball(cfg.oracle, check_radius, cfg.caps["ball"])
+    worst = _gram_defect(B, result.rep, [
         (rep, [emb(b) for b in rep.canonical_basis()])
         for rep, emb in ((rho, result.embed_first), (eta, result.embed_second))])
     inputs = {
@@ -722,9 +725,9 @@ def run_amalgamate(cfg, check_radius):
 
 def verify_amalgamate(report):
     oracle, rho, eta = _report_inputs(report, "rho", "eta")
-    F = ball(oracle, report["inputs"]["check-radius"], report["caps"]["ball"]).elements
+    B = ball(oracle, report["inputs"]["check-radius"], report["caps"]["ball"])
     amalgam = parse_representation(report["outputs"]["amalgam"], oracle)
-    worst = _gram_defect(oracle, F, amalgam, [
+    worst = _gram_defect(B, amalgam, [
         (rep, _vectors(report["outputs"], key, amalgam, "report.outputs", required=False))
         for rep, key in ((rho, "rho-amalgam-images"), (eta, "eta-amalgam-images"))])
     return [

@@ -4,10 +4,11 @@ A Gram function records, for a finite element set F and vectors
 v_1..v_n, the matrices M[g]_{ij} = <rep(g) v_i, v_j>. One representation
 approximately contains another's finite data when witnesses in it
 reproduce the target Gram function entrywise within a tolerance; this
-module searches for such witnesses over explicit finite-dimensional
-subspaces, takes the defect probe's Perron vector as an almost-invariant
-vector with an exactly counted defect, and transfers witnesses from an
-explicit extension back into a stack of shift copies.
+module searches for such witnesses in the span of a ``reps.Subspace`` or
+of a ``BallBasis`` (the deltas of a Cayley ball, built only when read),
+takes the defect probe's Perron vector as an almost-invariant vector with
+an exactly counted defect, and transfers witnesses from an explicit
+extension back into a stack of shift copies.
 
 On the trivial target (one invariant unit vector) over a Cayley ball the
 same Perron vector is the search's start, and Kesten's bound (Kesten 1959)
@@ -34,7 +35,7 @@ from .errors import (
     ResourceLimitError,
 )
 from .amenability import (averaged_shift, collatz_wielandt, min_defect, round_outward,
-                          spectral_ends, squared_norm_bound)
+                          squared_norm_bound)
 from .groups import DEFAULT_BALL_CAP, Ball, GroupOracle, ball, symmetric_generators
 from .reps import (
     DirectSum,
@@ -266,18 +267,6 @@ def is_trivial_on(target: GramFunction, oracle: GroupOracle) -> bool:
             and {oracle.identity(), *symmetric_generators(oracle)} <= set(target.F))
 
 
-def certified_lower(B: Ball, moduli) -> float | None:
-    """Lower bound for the trivial-target discrepancy of every witness on the ball ``B``.
-
-    ``moduli`` are a vector's moduli in ball order. For their Collatz-Wielandt
-    ratio cw = ``collatz_wielandt(|w|, M|w|)``, which bounds the top
-    eigenvalue of the ball's averaged shift M from above, the bound is
-    max(0, (1 - cw)/(1 + cw)); it is None unless every modulus is positive.
-    """
-    cw = collatz_wielandt(moduli, averaged_shift(B, len(B))(moduli))
-    return None if cw is None else max(0.0, (1.0 - cw) / (1.0 + cw))
-
-
 def certified_floor(oracle: GroupOracle) -> float:
     """Lower bound for the trivial-target discrepancy of every vector of a multiple of lambda.
 
@@ -292,35 +281,37 @@ def certified_floor(oracle: GroupOracle) -> float:
                          lambda f: (1 + f) ** 2 * rho2 <= (1 - f) ** 2, -math.inf)
 
 
-def _bound_ball(basis: Subspace | None, target: GramFunction) -> Ball | None:
+def _bound_ball(basis: Subspace | BallBasis | None, target: GramFunction) -> Ball | None:
     """The ball of a ball delta basis on a target trivial on its steps; None for any other span."""
     if isinstance(basis, BallBasis) and is_trivial_on(target, basis.oracle):
         return basis.ball
     return None
 
 
-def _ball_bounds(B: Ball | None, witnesses) -> tuple:
-    """``certified_lower`` of the moduli of ``witnesses[0]`` on ``B``, and ``certified_floor``."""
-    if B is None:
-        return None, None
-    w = witnesses[0].entries
-    moduli = np.array([abs(w.get((0, x), 0)) for x in B.elements])
-    return certified_lower(B, moduli), certified_floor(B.oracle)
-
-
-def span_bounds(basis: Subspace | None, target: GramFunction, witnesses) -> tuple:
+def span_bounds(basis: Subspace | BallBasis | None, target: GramFunction, witnesses) -> tuple:
     """A search's ``certified-lower`` and ``certified-floor``, each None where it does not apply.
 
     They apply to a ball delta basis (``ball_delta_basis``) and a target
     trivial on its ball's steps (``is_trivial_on``); ``basis`` None stands
-    for any other span. The lower bound reads the moduli of the one witness
-    on the ball, with no eigen solve: a point of modulus 0 leaves it None.
-    The ball is built only where the bounds apply.
+    for any other span, and the ball is built only where the bounds apply.
+    The lower bound reads the moduli of the one witness in ball order, with
+    no eigen solve: for their Collatz-Wielandt ratio
+    cw = ``collatz_wielandt(|w|, M|w|)``, which bounds the top eigenvalue of
+    the ball's averaged shift M from above, it is max(0, (1 - cw)/(1 + cw)),
+    and None where a ball point has modulus 0. The floor is
+    ``certified_floor``.
     """
-    return _ball_bounds(_bound_ball(basis, target), witnesses)
+    B = _bound_ball(basis, target)
+    if B is None:
+        return None, None
+    w = witnesses[0].entries
+    moduli = np.array([abs(w.get((0, x), 0)) for x in B.elements])
+    cw = collatz_wielandt(moduli, averaged_shift(B, len(B))(moduli))
+    lower = None if cw is None else max(0.0, (1.0 - cw) / (1.0 + cw))
+    return lower, certified_floor(B.oracle)
 
 
-def search_witness(target: GramFunction, pi: Representation, basis: Subspace,
+def search_witness(target: GramFunction, pi: Representation, basis: Subspace | BallBasis,
                    tol: float, budget: int = 1500, seed: int = 0,
                    restarts: int = 8) -> WitnessReport:
     """Search for witness vectors in the span of ``basis``.
@@ -341,8 +332,8 @@ def search_witness(target: GramFunction, pi: Representation, basis: Subspace,
     quotient mu: its deviation is (1 - mu)/(1 + mu) at e and, where the
     correlations <lambda(s)v, v> are equal (F2, Z^2), at every step, which
     the span cannot beat. The report then carries ``span_bounds`` of the
-    returned witness: ``certified_lower`` of its moduli and
-    ``certified_floor`` (7 - 4 sqrt(3) on F2).
+    returned witness: a lower bound from its moduli and ``certified_floor``
+    (7 - 4 sqrt(3) on F2).
     The start is returned at once, with 0 iterations, when its discrepancy
     is at most ``tol`` or ``tol`` lies below its certified lower bound, which
     proves that no witness of the span reaches ``tol``; otherwise it is
@@ -362,11 +353,11 @@ def search_witness(target: GramFunction, pi: Representation, basis: Subspace,
         G = GramFunction(target.oracle, target.F, n, witness_matrices(target, pi, witnesses))
         disc = deviation(target, G.M)
         return WitnessReport(witnesses, disc, iterations, bool(disc <= tol),
-                             *_ball_bounds(B, witnesses), G)
+                             *span_bounds(basis, target, witnesses), G)
 
     if B is not None:
         row = min_defect(B)
-        mu = spectral_ends(B, row.min_avg_sq_defect)[0]  # the Rayleigh quotient of v
+        mu = 1.0 - row.min_avg_sq_defect / 2.0  # the Rayleigh quotient of v
         start = (2.0 / (1.0 + mu)) ** 0.5 * row.amplitudes[None, :]
         report = scored([basis.from_coords(start[0])], 0)
         lower = report.certified_lower
@@ -410,26 +401,29 @@ def search_witness(target: GramFunction, pi: Representation, basis: Subspace,
     return scored([basis.from_coords(best_C[i]) for i in range(n)], total_iters)
 
 
-class BallBasis(Subspace):
+class BallBasis:
     """The delta vectors of shift copy 0 on the radius-``radius`` Cayley ball of ``oracle``.
 
-    The deltas are in ball order. It sets up its own state: the deltas are
-    orthonormal by construction, and their ``K x K`` identity block is never
-    stacked. The ball (under the element cap ``cap``) and its deltas are
-    built when first read, so a span that is neither searched nor bounded
-    (``span_bounds``) builds no ball.
+    A span in ball order, read as ``Subspace`` is (``dim``, ``basis``,
+    ``from_coords``), whose deltas are orthonormal by construction. The ball
+    (under the element cap ``cap``) is built when first read, so a span that
+    is neither searched nor bounded (``span_bounds``) builds no ball, and the
+    deltas only when ``basis`` is read, by a descent's Gram tensor.
     """
 
-    def __init__(self, rep: Representation, oracle: GroupOracle, radius: int, cap: int):
-        self.ambient, self._block = rep, None
-        self.oracle, self.radius, self.cap = oracle, radius, cap
+    def __init__(self, ambient: Representation, oracle: GroupOracle, radius: int, cap: int):
+        self.ambient, self.oracle, self.radius, self.cap = ambient, oracle, radius, cap
 
     @cached_property
     def ball(self) -> Ball:
         return ball(self.oracle, self.radius, self.cap)
 
+    @property
+    def dim(self) -> int:
+        return len(self.ball)
+
     @cached_property
-    def _basis(self) -> list:
+    def basis(self) -> list:
         return [delta(self.ambient, 0, x) for x in self.ball.elements]
 
     def from_coords(self, c) -> SparseVector:

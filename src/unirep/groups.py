@@ -704,10 +704,10 @@ def ball(oracle: GroupOracle, r: int, cap: int = DEFAULT_BALL_CAP, S=None) -> Ba
     elements, index = [e], {e: 0}
     parent, letter = [0], [0]
     right = list(unknown)  # row-major (element, step) positions, None until known
-    sizes = [1]
-    lo = 0
-    for radius in range(1, r + 1):
+    sizes, lo = [], 0
+    for radius in range(1, r + 2):  # the pass at r + 1 adds nothing: it fills the last rows
         hi = len(elements)
+        sizes.append(hi)
         for i in range(lo, hi):
             x, row = elements[i], i * m
             for j, s, t in paired:
@@ -716,6 +716,9 @@ def ball(oracle: GroupOracle, r: int, cap: int = DEFAULT_BALL_CAP, S=None) -> Ba
                 y = mul(x, s)
                 k = index.get(y)
                 if k is None:
+                    if radius > r:  # the product leaves the ball
+                        right[row + j] = -1
+                        continue
                     k = index[y] = len(elements)
                     elements.append(y)
                     parent.append(i)
@@ -728,14 +731,6 @@ def ball(oracle: GroupOracle, r: int, cap: int = DEFAULT_BALL_CAP, S=None) -> Ba
                 right[row + j] = k
                 right[k * m + t] = i
         lo = hi
-        sizes.append(len(elements))
-    for i in range(lo, len(elements)):  # the last sphere adds nothing; its products fill its rows
-        x, row = elements[i], i * m
-        for j, s, t in paired:
-            if right[row + j] is None:
-                k = right[row + j] = index.get(mul(x, s), -1)
-                if k >= 0:
-                    right[k * m + t] = i
     right = np.array(right, dtype=np.intp).reshape(len(elements), m)
     parent = np.array(parent, dtype=np.intp)
     letter = np.array(letter, dtype=np.intp)

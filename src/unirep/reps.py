@@ -528,12 +528,12 @@ class OrbitBlock:
 class Subspace:
     """Finite-dimensional closed subspace given by an orthonormal basis.
 
-    The basis is held as a ``(dim x keys)`` block ``Q`` over a ``KeyIndex``
-    of its support, stacked from basis vectors or kept as given by
-    ``from_block``: coordinates are ``Q.conj() @ v`` and ``from_coords(c)``
-    is ``c @ Q``. ``Subspace(ambient, basis)`` is the checked entry: it
-    stacks the basis and refuses one that is not orthonormal to
-    ``UNITARY_TOL``. ``from_block`` is the trusted one, for the rows of a
+    Every subspace holds its basis as a ``(dim x keys)`` block ``Q`` over a
+    ``KeyIndex`` of its support, stacked from basis vectors on construction
+    or kept as given by ``from_block``: coordinates are ``Q.conj() @ v`` and
+    ``from_coords(c)`` is ``c @ Q``. ``Subspace(ambient, basis)`` is the
+    checked entry: it stacks the basis and refuses one that is not
+    orthonormal to ``UNITARY_TOL``. ``from_block`` is the trusted one, for the rows of a
     ``gram_schmidt`` block the program built itself, and makes the sparse
     basis vectors only when ``basis`` is read. The basis must not be mutated.
     """
@@ -541,12 +541,13 @@ class Subspace:
     def __init__(self, ambient: Representation, basis):
         self.ambient = ambient
         self._basis = list(basis)
-        self._block = None
         for b in self._basis:
             if not same_space(b.space, ambient):
                 raise KindMismatchError("basis vector lives outside the ambient space")
-        _index, Q, Qc = self.block()
-        defect = np.tril(np.abs(Q @ Qc.T - np.eye(self.dim)) > UNITARY_TOL)
+        index = KeyIndex(self._basis)
+        Q = to_dense(self._basis, index)
+        self._block = (index, Q, Q.conj())
+        defect = np.tril(np.abs(Q @ Q.conj().T - np.eye(len(Q))) > UNITARY_TOL)
         if defect.any():
             i, j = (int(t) for t in np.argwhere(defect)[0])
             raise PreconditionError(f"subspace basis not orthonormal at pair ({i}, {j})")
@@ -567,14 +568,10 @@ class Subspace:
 
     @property
     def dim(self):
-        return len(self._basis) if self._block is None else len(self._block[1])
+        return len(self._block[1])
 
     def block(self):
-        """``(index, Q, Q.conj())`` for the stacked basis, built once."""
-        if self._block is None:
-            index = KeyIndex(self._basis)
-            Q = to_dense(self._basis, index)
-            self._block = (index, Q, Q.conj())
+        """``(index, Q, Q.conj())`` for the stacked basis."""
         return self._block
 
     def coords(self, v: SparseVector) -> np.ndarray:

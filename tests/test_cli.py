@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from unirep import (ConvergenceError, DirectSum, Multiple, Regular, Trivial, amenability, ball,
-                    discrepancy, folner_witness, gram, symmetric_generators)
+                    discrepancy, folner_witness, gram, groups, symmetric_generators)
 from unirep.cli import HANDLERS, TASKS, VERIFIERS, build_parser, main
 from unirep.containment import deviation
 from unirep.serialize import (DEFAULT_CAPS, gram_to_json, parse_gram, parse_group, parse_vector,
@@ -1034,6 +1034,40 @@ def test_bad_report_cap_exits_2_with_field(tmp_path, capsys, caps, field):
     assert main(["verify", "--report", str(out)]) == 2
     err = capsys.readouterr().err
     assert f"config field '{field}'" in err
+    assert "Traceback" not in err
+
+
+Z_BY_2_AND_3 = {"kind": "fg-abelian", "rank": 1, "torsion": [], "generators": [[2], [3]]}
+CHARACTER_2_3 = {"kind": "matrix", "matrices": [[[[-1.0, 0.0]]], [[[0.0, -1.0]]]]}
+
+
+def test_amalgamate_check_ball_reaches_past_the_word_ball_cap(tmp_path, monkeypatch):
+    """The Gram check reads each element's matrix off the check ball's own stack, so no
+    element is looked up by ``word_ball`` under ``DEFAULT_BALL_CAP``: with that cap at 100,
+    a check ball of 241 points (Z on the steps 2 and 3, radius 40) still runs and verifies."""
+    monkeypatch.setattr(groups, "DEFAULT_BALL_CAP", 100)
+    config = {"group": Z_BY_2_AND_3, "task": {
+        "pi": CHARACTER_2_3,
+        "rho": {"kind": "direct-sum", "parts": [CHARACTER_2_3, {"kind": "trivial", "dim": 1}]},
+        "eta": CHARACTER_2_3, "check-radius": 40}}
+    code, out = run_task(tmp_path, "amalgamate", config)
+    assert code == 0
+    assert read_report(out)["outputs"]["gram-defect"] <= 1e-12
+    assert main(["verify", "--report", str(out)]) == 0
+
+
+@pytest.mark.parametrize("element", ["1,0,0", "1,x"])
+def test_folner_verify_names_the_field_of_a_bad_element(tmp_path, capsys, element):
+    """A defect row's element is read by the one element reader, which names its row."""
+    code, out = run_task(tmp_path, "folner-witness", FOLNER)
+    assert code == 0
+    report = read_report(out)
+    report["outputs"]["defects"][0]["element"] = element
+    out.write_text(json.dumps(report))
+    capsys.readouterr()
+    assert main(["verify", "--report", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config field 'report.outputs.defects[0]'" in err
     assert "Traceback" not in err
 
 

@@ -365,7 +365,7 @@ def test_ball_basis_from_coords_equals_the_stacked_block(group, radii):
         c[::3] = 0
         for coords in (c, c.real, np.abs(c)):
             direct = basis.from_coords(coords)
-            stacked = Subspace.from_coords(basis, coords)
+            stacked = Subspace(reg, basis.basis).from_coords(coords)
             assert list(direct.entries.items()) == list(stacked.entries.items())
 
 
@@ -379,6 +379,17 @@ def test_search_perron_start_on_a_large_ball_stacks_no_block(monkeypatch):
     report = search_witness(trivial_target(reg.oracle), reg, ball_delta_basis(reg, 7), tol=1e-3)
     assert report.iterations == 0 and len(report.witnesses[0].entries) == 4373
     assert report.discrepancy >= report.certified_lower > 1e-3
+
+
+def test_search_perron_start_on_a_large_ball_builds_no_delta(monkeypatch):
+    """Below the span's bound the radius-7 F2 start is returned without one delta vector."""
+    def no_delta(*args):
+        raise AssertionError("a delta vector was built")
+
+    monkeypatch.setattr("unirep.containment.delta", no_delta)
+    reg = Regular(f2_oracle())
+    report = search_witness(trivial_target(reg.oracle), reg, ball_delta_basis(reg, 7), tol=1e-3)
+    assert report.iterations == 0 and report.certified_lower > 1e-3
 
 
 def test_search_keeps_the_gram_function_of_its_witnesses():
