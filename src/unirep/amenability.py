@@ -23,7 +23,10 @@ steps and the element cap. The radius-rho ball is the prefix
 x -> s x are the larger ball's ``left`` entries with both ends in that
 prefix, in the same order: a walk or a defect row read off a larger ball
 solves the same arrays as on a ball of its own radius, and each minimizer
-is kept as its amplitudes in ball order. A free group on its standard
+is kept as its amplitudes in ball order. The walk counts scatter along
+those edges, and the ball operator gathers along them from the ball's one
+``in_neighbours`` table cut to the prefix, so every defect row and
+certificate on a ball reads the same table. A free group on its standard
 generators builds no ball: its Cayley graph is the 2k-regular tree, whose
 automorphisms fixing e act transitively on each sphere and commute with
 the walk and with M. So the walk from e and M's Perron vector are radial,
@@ -181,7 +184,12 @@ def averaged_shift(B: Ball | DistanceChain, n: int):
     """The operator M, the average of the shifts compressed to the first n points of ``B``.
 
     On a ``Ball`` point i is the delta at ``elements[i]``, and each edge
-    x -> s x of ``B.edges(n)`` carries 1/deg. On a ``DistanceChain`` M
+    x -> s x of ``B.edges(n)`` carries 1/deg: (Mx)_i is the sum of x over
+    the in-neighbours of i in the prefix, over deg. It is one gather along
+    the ball's ``in_neighbours`` table, where a neighbour past the prefix
+    reads a zero pad slot, summed down each column from 0.0 in ascending
+    neighbour order: the additions of a scatter-add over ``B.edges(n)``, in
+    its order, so the values agree bit for bit. On a ``DistanceChain`` M
     maps radial vectors to radial vectors, and there it is the symmetric
     tridiagonal matrix T with sqrt(out * back)/deg between d and d + 1, for
     the multiplicities of ``_distance_chain``: sqrt(deg)/deg between e and
@@ -189,18 +197,24 @@ def averaged_shift(B: Ball | DistanceChain, n: int):
     sphere amplitudes u, M v is the radial vector with amplitudes T u, so
     each ratio (Mv)(x)/v(x) on S_d is (Tu)_d/u_d. With no steps every vector
     is invariant, and M is the identity. Returns M as a function of a
-    length-n vector.
+    length-n vector, whose value is a new array.
     """
     deg = len(B.steps)
     if not deg:
-        return lambda x: x
+        return np.copy
     if isinstance(B, DistanceChain):
         rows, cols, mult = _distance_chain(deg, n - 1)
         half = np.sqrt(mult[:n - 1] * mult[n - 1:]) / deg
         weights = np.concatenate([half, half])
         return lambda x: np.bincount(rows, weights=weights * x[cols], minlength=n)
-    rows, cols = B.edges(n)
-    return lambda x: np.bincount(rows, weights=x[cols], minlength=n) / deg
+    into = np.minimum(B.in_neighbours[:, :n], n)
+    pad = np.zeros(n + 1)
+
+    def shift(x):
+        pad[:n] = x
+        return np.add.reduce(pad[into], axis=0, initial=0.0) / deg
+
+    return shift
 
 
 def walk_radius(oracle: GroupOracle, n_max: int, S=None) -> int:
@@ -250,9 +264,9 @@ def _perron_solve(matvec, dim):
     """Thick-restart Lanczos solve for the Perron eigenpair of the compressed operator M.
 
     ``matvec`` is M as a function on length-``dim`` vectors, from
-    ``averaged_shift``. M is symmetric, nonnegative and irreducible (the
-    ball and its distance chain are connected), so its top eigenvector is
-    positive. Each cycle checks the unit vector v (first
+    ``averaged_shift``, whose value is a new array. M is symmetric,
+    nonnegative and irreducible (the ball and its distance chain are
+    connected), so its top eigenvector is positive. Each cycle checks the unit vector v (first
     the constant vector) and stops once v is positive and both the
     defect-form residual 2|Mv - mu v| and the certified gap 2(cw - mu) are
     at most ``EIGEN_TOL``, for the Rayleigh quotient mu and
@@ -269,7 +283,8 @@ def _perron_solve(matvec, dim):
     Ritz pairs. Each Krylov step makes one product Mq with the newest row q
     and one projection h = Q Mq on the block: h is q's row of H, and
     w = Mq - h Q does the recurrence and the full reorthogonalization at
-    once; |w| is the next row's norm. A pass that cancelled (|w| < |h|/2:
+    once; |w| is the next row's norm. The step writes q, h and w into the
+    block, H and the product's own array. A pass that cancelled (|w| < |h|/2:
     under 1/sqrt(5) of |Mq| is left, and the rounding error of w relative
     to |w| grew as much) projects w once more, and twice is enough
     (Kahan-Parlett; Daniel, Gragg, Kaufman and Stewart 1976). That second
@@ -319,11 +334,11 @@ def _perron_solve(matvec, dim):
                 b = float(np.dot(w, w)) ** 0.5
             if b <= BREAKDOWN:
                 break
-            Q[j] = w / b
-            mq = matvec(Q[j])
+            np.divide(w, b, out=Q[j])
+            w = matvec(Q[j])
             products, m = products + 1, j + 1
-            H[j, :m] = h = Q[:m] @ mq
-            w = mq - h @ Q[:m]
+            h = np.matmul(Q[:m], w, out=H[j, :m])
+            w -= h @ Q[:m]
         stalled = m == k  # no Krylov vector: v is an eigenvector to rounding, yet fails the check
         theta, s = np.linalg.eigh(H[:m, :m])
         theta, s = theta[::-1], s[:, ::-1]  # the top Ritz pair first

@@ -226,7 +226,10 @@ def run_probe(cfg, nmax, radius):
     # its prefixes; rows 1..radius are reported, and the last row (at radius 0 the one-point
     # ball's) is the spectral end
     B = probe_ball(cfg.oracle, max(radius, walk_radius(cfg.oracle, nmax)), cfg.caps["ball"])
-    table = return_probabilities(B, nmax)
+    try:
+        table = return_probabilities(B, nmax)
+    except PreconditionError as exc:  # a probability under a double's range: nmax is too large
+        raise ConfigError(str(exc), field="task.nmax") from None
     steps = sorted(table.p)
     defects = defect_table(B, range(radius + 1))
     lower, upper = spectral_ends(B, defects[-1].min_avg_sq_defect)

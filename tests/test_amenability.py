@@ -26,7 +26,8 @@ from unirep import (
     symmetric_generators,
     walk_radius,
 )
-from util import cyclic_table, f2_oracle, h3_rewriting, z2_oracle, z2_rewriting, z_oracle
+from util import (cyclic_table, dinf_rewriting, f2_oracle, h3_rewriting, psl2z_rewriting,
+                  scatter_shift, z2_oracle, z2_rewriting, z_oracle)
 
 
 def walk_table(oracle, S, n_max):
@@ -226,6 +227,54 @@ def test_defect_table_rows_equal_min_defect(make):
         assert return_probabilities(big, n_max).p == walk_table(oracle, None, n_max).p
     with pytest.raises(PreconditionError):
         defect_table(big, [6])
+
+
+SHIFT_BALLS = {
+    "Z2-r30": lambda: ball(z2_oracle(), 30),
+    "Z2-rewriting-r16": lambda: ball(z2_rewriting(), 16),
+    "H3-r6": lambda: ball(h3_rewriting(), 6),
+    "PSL2Z-r10": lambda: ball(psl2z_rewriting(), 10),
+    "ZxZ4xZ6-r4": lambda: ball(FgAbelianOracle(1, [4, 6]), 4),
+    "Dinf-r8": lambda: ball(dinf_rewriting(), 8),
+    "Z7-identity-step-r4": lambda: ball(cyclic_table(7), 4, S=[0, 1]),
+    "F2-on-a2-ab-r4": lambda: ball(f2_oracle(), 4, S=[(1, 1), (1, 2)]),
+}
+
+
+@pytest.mark.parametrize("make", SHIFT_BALLS.values(), ids=SHIFT_BALLS)
+def test_averaged_shift_gathers_the_scatter_sums_bit_for_bit(make):
+    """On every prefix the in-neighbour gather makes the reference scatter's sums, signs too."""
+    B = make()
+    rng = np.random.default_rng(0)
+    for n in range(1, len(B) + 1):
+        x = rng.standard_normal(n)
+        got, want = amenability.averaged_shift(B, n)(x), scatter_shift(B, n)(x)
+        assert np.array_equal(got, want) and got.tobytes() == want.tobytes(), n
+    zeros = np.full(len(B), -0.0)
+    assert amenability.averaged_shift(B, len(B))(zeros).tobytes() == (
+        scatter_shift(B, len(B))(zeros).tobytes())
+
+
+def test_in_neighbours_are_the_left_rows_sorted():
+    """Column i holds row i of ``left``, ascending, with -1 as ``len(B)`` past the others."""
+    B = ball(cyclic_table(7), 2, S=[0, 1])
+    assert B.in_neighbours is B.in_neighbours  # built once per ball
+    expected = np.sort(np.where(B.left < 0, len(B), B.left), axis=1).T
+    assert np.array_equal(B.in_neighbours, expected)
+    assert B.in_neighbours[:, 0].tolist() == [0, 1, 2]  # e, then the steps 1 and 6
+    assert len(B) in B.in_neighbours[:, -1]  # the last sphere leaves the ball
+
+
+def test_defect_rows_equal_the_scatter_solve_bit_for_bit():
+    """Each Z2 row is the Lanczos solve on the reference scatter, number for number."""
+    B = ball(z2_oracle(), 30)
+    for row in defect_table(B, range(31)):
+        n = int(B.sizes[row.radius])
+        mu, cw, residual, v, products = amenability._perron_solve(scatter_shift(B, n), n)
+        assert row.amplitudes.tobytes() == v.tobytes()
+        assert row.min_avg_sq_defect == max(0.0, 2.0 * (1.0 - mu))
+        assert row.certified_lower_bound == max(0.0, 2.0 * (1.0 - cw))
+        assert (row.residual, row.iterations) == (residual, products)
 
 
 def test_min_defect_argmin_rayleigh_matches():

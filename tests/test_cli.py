@@ -4,6 +4,7 @@ import argparse
 import contextlib
 import copy
 import csv
+import functools
 import io
 import json
 import math
@@ -130,6 +131,35 @@ def test_probe_builds_one_ball(tmp_path, monkeypatch, group, nmax, radius, built
         assert [len(row["argmin"]) for row in report["outputs"]["defect-table"]] == [2, 3, 4]
     assert main(["verify", "--report", str(out)]) == 0
     assert radii == ([] if built is None else [built, radius])
+
+
+def test_probe_builds_one_neighbour_table_per_ball(tmp_path, monkeypatch):
+    """The defect rows share their ball's in-neighbour table, and so do verify's certificates."""
+    built = []
+    table = groups.Ball.in_neighbours.func
+
+    def counted(B):
+        built.append(len(B))
+        return table(B)
+
+    prop = functools.cached_property(counted)
+    prop.__set_name__(groups.Ball, "in_neighbours")
+    monkeypatch.setattr(groups.Ball, "in_neighbours", prop)
+    code, out = run_task(tmp_path, "probe-amenability",
+                         {"group": Z2, "task": {"nmax": 12, "radius": 3}})
+    assert code == 0 and built == [85]  # rows 0..3 on the walk's radius-6 ball
+    assert main(["verify", "--report", str(out)]) == 0
+    assert built == [85, 25]  # verify's certificates on its own radius-3 ball
+
+
+def test_probe_underflow_exits_2_at_nmax(tmp_path, capsys):
+    """A return probability under a double's range is a config error at ``task.nmax``."""
+    config = {"group": {"kind": "free", "rank": 50}, "task": {"nmax": 600, "radius": 1}}
+    code, _out = run_task(tmp_path, "probe-amenability", config)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "config field 'task.nmax': return probability underflows at step 458" in err
+    assert "Traceback" not in err
 
 
 def test_contain_builds_one_ball(tmp_path, monkeypatch):

@@ -25,8 +25,9 @@ import math
 
 import pytest
 
-from unirep import FgAbelianOracle, FreeGroupOracle, Regular, RewritingOracle
+from unirep import FgAbelianOracle, FreeGroupOracle, Regular
 from unirep.containment import ball_delta_basis, search_witness, trivial_target
+from util import dinf_rewriting
 
 TOL = 1e-13
 
@@ -48,12 +49,9 @@ def _grid(r):
     return math.sin(t) ** 2 / (1 + math.cos(t) ** 2)
 
 
-# D_inf = Z/2 * Z/2 on two involutions: aa -> e, A -> a, bb -> e, B -> b
-D_INF = [[[1, 1], []], [[-1], [1]], [[2, 2], []], [[-2], [2]]]
-
 AMENABLE = {
     "Z": (lambda: FgAbelianOracle(1), _line, (1, 2, 3, 5, 8, 13, 32)),
-    "D_inf": (lambda: RewritingOracle(2, D_INF), _line, (1, 2, 3, 5, 8, 13, 32)),
+    "D_inf": (dinf_rewriting, _line, (1, 2, 3, 5, 8, 13, 32)),
     "Z2": (lambda: FgAbelianOracle(2), _grid, (1, 2, 3, 5, 8, 13, 24)),
 }
 

@@ -84,6 +84,14 @@ def psl2z_rewriting():
     return RewritingOracle(2, PSL2Z_RULES)
 
 
+# D_inf = Z/2 * Z/2 on two involutions: aa -> e, A -> a, bb -> e, B -> b
+D_INF_RULES = [[[1, 1], []], [[-1], [1]], [[2, 2], []], [[-2], [2]]]
+
+
+def dinf_rewriting():
+    return RewritingOracle(2, D_INF_RULES)
+
+
 def z_on_2_3():
     """Z generated by 2 and 3: its words come from a search ball, and g1 g1 g1 = g2 g2."""
     return FgAbelianOracle(1, [], [(2,), (3,)])
@@ -123,6 +131,17 @@ def every_product_ball(oracle, r, S=None):
             "right": np.array(right, dtype=np.intp).reshape(shape),
             "left": np.array(left, dtype=np.intp).reshape(shape),
             "parent": np.array(parent, dtype=np.intp), "letter": np.array(letter, dtype=np.intp)}
+
+
+def scatter_shift(B, n):
+    """The reference for ``averaged_shift`` on a ``Ball``: a scatter-add over ``B.edges(n)``.
+
+    Each edge x -> s x carries 1/deg; ``np.bincount`` adds the edges in their
+    order, from 0.0, and the sums are divided by deg.
+    """
+    rows, cols = B.edges(n)
+    deg = len(B.steps)
+    return lambda x: np.bincount(rows, weights=x[cols], minlength=n) / deg
 
 
 def random_unitary(rng, d):
