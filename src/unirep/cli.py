@@ -43,13 +43,12 @@ of its run in ``caps``, and ``verify`` rebuilds every ball under that
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -123,8 +122,7 @@ def _write_report(report, out_path):
         fh.write(text)
 
 
-@dataclass(frozen=True)
-class Param:
+class Param(NamedTuple):
     """Task parameter ``task.<name>``, cast by ``cast``; ``default`` None means required.
 
     A dotted name (``closure.radius``) lies in a nested block. A top-level
@@ -673,8 +671,9 @@ def _gram_defect(B, amalgam, embedded):
 
     ``embedded`` holds ``(factor, images)`` pairs, the images of the factor's
     canonical basis in ``amalgam``. Each side's Gram tensor
-    T[g, i, j] = <rep(g)v_i, v_j> over B is one ``OrbitBlock`` product with
-    its vectors, so no element is reached through ``matrix_of``.
+    T[g, i, j] = <rep(g)v_i, v_j> over B is the ``OrbitBlock`` rows of its
+    vectors times the vectors. The rows are formed along B's left tree, so
+    only B's steps are reached through ``matrix_of``.
     """
     def tensor(rep, vectors):
         block = OrbitBlock(rep, B)  # rows runs first: on a regular tree it grows the index
@@ -743,8 +742,7 @@ def verify_amalgamate(report):
 # task registry
 
 
-@dataclass(frozen=True)
-class Task:
+class Task(NamedTuple):
     """A subcommand's declaration; its functions are in ``HANDLERS`` and ``VERIFIERS``."""
 
     help: str
@@ -828,6 +826,8 @@ def run_verify(args):
 
 
 def _export_csv(report, path):
+    import csv  # only --csv writes one
+
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         rp = report["outputs"]["return-probabilities"]

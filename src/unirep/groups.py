@@ -638,8 +638,8 @@ class Ball:
     elements[i]``, or -1 where the product lies outside the ball.
     ``parent`` and ``letter`` are the breadth-first tree: element i > 0 was
     found as ``elements[parent[i]] * steps[letter[i]]``, one sphere closer.
-    ``in_neighbours`` is the walk's in-neighbour table, built once per ball
-    when first read.
+    ``in_neighbours`` is the walk's in-neighbour table and ``left_tree``
+    the tree of left steps, each built once per ball when first read.
     """
 
     oracle: GroupOracle
@@ -687,6 +687,29 @@ class Ball:
                 pair = table[a:a + 2]  # compare-exchange rows a and a + 1
                 pair[:] = pair.min(axis=0), pair.max(axis=0)
         return table
+
+    @cached_property
+    def left_tree(self) -> list:
+        """``(stop, g, h, j)`` per (sphere, step): the elements g = steps[j] * h of one sphere.
+
+        ``stop`` is ``sizes[k]`` for the sphere k of g, ``g`` its positions
+        reached by step j, ascending, and ``h`` their first in-neighbours
+        (``in_neighbours[0]``), so ``left[h, j] = g``. The in-neighbours of an
+        element of sphere k >= 1 lie in spheres k - 1..k + 1, one at least in
+        k - 1 since the steps are closed under inverses, and the ball lists
+        spheres in order: the first lies in sphere k - 1. The groups ascend
+        by sphere, then by step.
+        """
+        g = np.arange(1, len(self))
+        if not len(g):
+            return []
+        h = self.in_neighbours[0, 1:]
+        j = np.argmax(self.left[h] == g[:, None], axis=1)
+        stop = self.sizes[np.searchsorted(self.sizes, g, side="right")]
+        order = np.lexsort((j, stop))
+        g, h, j, stop = g[order], h[order], j[order], stop[order]
+        cuts = [0, *(np.flatnonzero((np.diff(stop) != 0) | (np.diff(j) != 0)) + 1), len(g)]
+        return [(int(stop[a]), g[a:b], h[a:b], int(j[a])) for a, b in zip(cuts, cuts[1:])]
 
 
 def ball(oracle: GroupOracle, r: int, cap: int = DEFAULT_BALL_CAP, S=None) -> Ball:

@@ -22,11 +22,13 @@ position of every enclosing direct sum so all other offsets stay finite.
 ``Representation.apply(g, v)`` acts on one sparse vector. An
 ``OrbitBlock`` acts by every element of a Cayley ball at once, on dense
 rows: on a finite tree of ``MatrixRep`` and ``Trivial`` leaves its columns
-are the tree's canonical keys, and each ``MatrixRep`` leaf contributes its
-``ball_stack``, the ``(|B|, d, d)`` matrices of the ball's elements built
-along the ball's tree, bit for bit those of ``matrix_of``. The stack of the
-largest ball is all a ``MatrixRep`` keeps. A tree with a ``Regular`` leaf
-keeps the ``apply`` path, one vector and one element at a time.
+are the tree's canonical keys, and the rows at an element s h of the
+ball's left tree are those at h, one sphere closer, times each
+``MatrixRep`` leaf's step matrix sigma(s)^T, one product per (sphere,
+step). No matrix of a ball element is formed: a ``MatrixRep`` keeps only
+``matrix_of``'s cache, the ``ball_stack`` of the largest generator ball it
+has looked an element up in. A tree with a ``Regular`` leaf keeps the
+``apply`` path, one vector and one element at a time.
 """
 
 from __future__ import annotations
@@ -255,15 +257,21 @@ class MatrixRep(_FiniteAtom):
         return self.evaluate_word(word) if head is None else head @ self._letters[word[-1]]
 
     def evaluate_word(self, word) -> np.ndarray:
-        out = np.eye(self.dim, dtype=complex)
-        for letter in word:
+        """The product of ``word``'s letter matrices: a copy of the first, then one product per letter."""
+        if not word:
+            return np.eye(self.dim, dtype=complex)
+        out = self._letters[word[0]].copy()
+        for letter in word[1:]:
             out = out @ self._letters[letter]
         return out
 
     def ball_stack(self, B) -> np.ndarray:
         """``(len(B), dim, dim)``: the matrix of each element of ``B``, bit for bit ``matrix_of``'s.
 
-        ``B`` is a ball over the oracle's generators. Each matrix is one
+        ``matrix_of``'s cache; orbit rows are formed without it (``OrbitBlock``).
+        ``B`` must be a ball over the oracle's generators, whose steps are
+        ``symmetric_generators(oracle)``: its tree's letters index them, so
+        any other ball raises PreconditionError. Each matrix is one
         product past an earlier one: where ``as_word`` reads a ball's tree
         (``word_ball`` is not None), its parent's in ``B``'s tree times the
         step's matrix; otherwise the matrix of g * last^-1 times the last
@@ -275,10 +283,13 @@ class MatrixRep(_FiniteAtom):
         largest ball so far is kept in place of a per-element cache: a smaller
         ball's stack is a prefix of it.
         """
+        oracle = self.oracle
+        letters = generator_letters(oracle)
+        if B.steps != list(letters):
+            raise PreconditionError("a ball stack needs a ball over the oracle's generators")
         kept = self._kept
         if kept is not None and len(kept[0]) >= len(B):
             return kept[1][:len(B)]
-        oracle = self.oracle
         M = np.empty((len(B), self.dim, self.dim), dtype=complex)
         M[0] = np.eye(self.dim)
         if oracle.word_ball(B.elements[0]) is None:
@@ -292,7 +303,7 @@ class MatrixRep(_FiniteAtom):
                 else:
                     M[i] = self.evaluate_word(w)
         else:
-            steps = [self._letters[a] for a in generator_letters(oracle).values()]
+            steps = [self._letters[a] for a in letters.values()]
             for i, (p, j) in enumerate(zip(B.parent[1:], B.letter[1:]), 1):
                 np.matmul(M[p], steps[j], out=M[i])
         self._kept = (B, M)
@@ -470,10 +481,17 @@ class OrbitBlock:
     """pi(g) for every element g of a Cayley ball ``B``, acting on dense rows.
 
     On a finite tree whose leaves are all ``MatrixRep`` or ``Trivial``
-    atoms, ``index`` is the tree's canonical keys and ``rows`` forms every
-    orbit vector at once: each ``MatrixRep`` leaf's columns are one product
-    with its ``ball_stack``, built on first use, and a trivial leaf's, or
-    one no vector touches, are copied. A tree with a
+    atoms, ``index`` is the tree's canonical keys and ``rows`` forms the
+    orbit vectors along the ball's left tree: an element g != e of sphere k
+    is s h, with h in sphere k - 1 (``B.left_tree``). Each
+    ``MatrixRep`` leaf's rows at g are then its rows at h times sigma(s)^T,
+    sigma(s) = ``leaf.matrix_of(s)``: one ``(n k, d) @ (d, d)`` product per
+    (sphere, step) for n elements and k vectors, so O(d^2 k) flops and
+    O(d k) memory per element, and no element's matrix is formed. A trivial
+    leaf's columns, or those of one no vector touches, are copied. The rows
+    of the last vectors asked for are carried forward: a call forms only
+    the spheres through ``hi`` not formed yet, each whole, so rows asked
+    for sphere by sphere equal one call's bit for bit. A tree with a
     ``Regular`` leaf, the only kind that can be infinite-dimensional, keeps
     ``apply``: each orbit vector is ``pi.apply(g, v)``, and ``index``, a copy
     of ``seed``, grows by the keys the rows reach. ``B`` None stands for the
@@ -496,9 +514,15 @@ class OrbitBlock:
             acting = a if B is not None and isinstance(a, MatrixRep) else None
             self.leaves.append((slice(start, start + a.dim), acting))
             start += a.dim
+        self._carried = None  # (vectors, rows) of the last vectors asked for
+        self._formed = self._next = 0  # carried rows formed; next left-tree group to form
+        self._steps = {}  # id(leaf) -> sigma(s)^T for each step s of the ball
 
     def rows(self, vectors, lo=0, hi=None) -> np.ndarray:
-        """``(hi - lo, len(vectors), len(index))``: pi(g)v, g the ball elements lo..hi-1 (outer)."""
+        """``(hi - lo, len(vectors), len(index))``: pi(g)v, g the ball elements lo..hi-1 (outer).
+
+        On a finite tree the rows are a read-only view of the carried ones.
+        """
         hi = self.size if hi is None else hi
         vectors = list(vectors)
         if self.leaves is None:
@@ -512,17 +536,38 @@ class OrbitBlock:
                 if k not in column:
                     raise KindMismatchError(f"key {k!r} is not a coordinate of the representation")
         X = to_dense(vectors, self.index)
-        Y = np.empty((hi - lo, len(X), len(self.index)), dtype=complex)
+        if self._carried is None or not np.array_equal(self._carried[0], X):
+            Y = np.empty((self.size, len(X), len(self.index)), dtype=complex)
+            Y[0] = X
+            self._carried, self._formed, self._next = (X, Y), 1, 0
+        X, Y = self._carried
+        if self._formed < hi:
+            self._form(X, Y, hi)
+        out = Y[lo:hi]
+        out.flags.writeable = False
+        return out
+
+    def _form(self, X, Y, hi):
+        """Form the rows ``Y`` of ``X`` past those formed, through the sphere holding element hi - 1."""
+        B = self.ball
+        end = int(B.sizes[np.searchsorted(B.sizes, hi)])
+        acting = []
         for cols, leaf in self.leaves:
             x = X[:, cols]
-            if leaf is None or not x.any():  # a leaf no vector touches needs no stack
-                Y[:, :, cols] = x
-            else:
+            if leaf is None or not x.any():  # a leaf no vector touches is copied
+                Y[self._formed:end, :, cols] = x
+                continue
+            if id(leaf) not in self._steps:
+                self._steps[id(leaf)] = [leaf.matrix_of(s).T for s in B.steps]
+            acting.append((cols, self._steps[id(leaf)]))
+        tree = B.left_tree
+        while self._next < len(tree) and tree[self._next][0] <= end:
+            _stop, g, h, j = tree[self._next]
+            for cols, sigma_t in acting:
                 d = cols.stop - cols.start
-                # every (g, i) row of the stack against every vector, as one product
-                stack = leaf.ball_stack(self.ball)[lo:hi].reshape(-1, d)
-                Y[:, :, cols] = (stack @ x.T).reshape(hi - lo, d, len(X)).transpose(0, 2, 1)
-        return Y
+                Y[g, :, cols] = (Y[h, :, cols].reshape(-1, d) @ sigma_t[j]).reshape(len(g), -1, d)
+            self._next += 1
+        self._formed = end
 
 
 class Subspace:

@@ -9,11 +9,13 @@ translates with an explicit tolerance.
 
 All of it runs on dense blocks. Orbit vectors are the rows of a
 ``reps.OrbitBlock`` over the closure's ball. On a finite tree of
-``MatrixRep`` and ``Trivial`` leaves it builds pi(g) once per ``MatrixRep``
-leaf for every ball element, along the ball's tree, and every orbit,
-translate and projection is one batched product over the tree's canonical
-keys; a tree with a ``Regular`` leaf forms each orbit vector with
-``Representation.apply``. The rows are orthonormalized by ``gram_schmidt``
+``MatrixRep`` and ``Trivial`` leaves it forms them along the ball's left
+tree, the rows at s h from those at h one sphere closer, one product per
+(sphere, step) with each ``MatrixRep`` leaf's step matrix, and carries
+them forward, so a closure that asks sphere by sphere forms the ball once;
+every translate and projection is then a batched product over the tree's
+canonical keys. A tree with a ``Regular`` leaf forms each orbit vector
+with ``Representation.apply``. The rows are orthonormalized by ``gram_schmidt``
 and projected or paired by matrix products. A closure keeps its orbit rows
 and its realized span as a block; sparse vectors are made from blocks only
 where a caller reads them.

@@ -196,6 +196,31 @@ def test_smaller_ball_is_a_prefix(oracle):
         assert big.elements[:big.sizes[r]] == ball(oracle, r).elements
 
 
+LEFT_TREE_BALLS = {
+    "Z2-r6": lambda: ball(z2_oracle(), 6),
+    "H3-r4": lambda: ball(h3_rewriting(), 4),
+    "F2-on-ab-and-b-r3": lambda: ball(f2_oracle(), 3, S=[(1, 2), (2,)]),
+    "Z6-table-on-2-r3": lambda: ball(cyclic_table(6), 3, S=[2]),
+    "Z7-identity-step-r4": lambda: ball(cyclic_table(7), 4, S=[0, 1]),
+    "trivial-r2": lambda: ball(FgAbelianOracle(0), 2),
+}
+
+
+@pytest.mark.parametrize("make", LEFT_TREE_BALLS.values(), ids=LEFT_TREE_BALLS)
+def test_left_tree_reaches_each_element_once_from_the_sphere_before(make):
+    B = make()
+    assert B.left_tree is B.left_tree  # built once per ball
+    sphere = np.searchsorted(B.sizes, np.arange(len(B)), side="right")
+    reached, labels = [], []
+    for stop, g, h, j in B.left_tree:
+        assert np.array_equal(B.left[h, j], g)
+        assert (sphere[h] == sphere[g] - 1).all() and (B.sizes[sphere[g]] == stop).all()
+        reached.extend(g.tolist())
+        labels.append((stop, j))
+    assert sorted(reached) == list(range(1, len(B)))
+    assert labels == sorted(set(labels))  # by sphere, then by step, each once
+
+
 @pytest.mark.parametrize("oracle", all_oracles() + [FgAbelianOracle(0)], ids=lambda o: o.kind)
 def test_neighbour_tables_match_multiply(oracle):
     B = ball(oracle, 3)

@@ -29,6 +29,7 @@ from unirep import (
     orthonormalize,
 )
 from unirep.reps import OrbitBlock
+from unirep.stability import closure
 from unirep.vectors import gram_schmidt, to_dense
 from util import (
     character_action,
@@ -357,6 +358,85 @@ def test_orbit_block_rejects_a_key_off_the_coordinates():
     rep = random_matrix_rep(np.random.default_rng(0), f2_oracle(), 3)
     with pytest.raises(KindMismatchError, match="not a coordinate"):
         OrbitBlock(rep, ball(f2_oracle(), 1)).rows([delta(rep, 0, 3)])
+
+
+@pytest.mark.parametrize("tree", ORBIT_TREES)
+@pytest.mark.parametrize("group", ORBIT_GROUPS)
+def test_orbit_rows_sphere_by_sphere_equal_one_call_bit_for_bit(group, tree):
+    """Rows asked for sphere by sphere, in ``closure``'s order, are one call's, byte for byte."""
+    make_oracle, make_matrices = ORBIT_GROUPS[group]
+    oracle = make_oracle()
+    rng = np.random.default_rng(5)
+    pi = ORBIT_TREES[tree](lambda: MatrixRep(oracle, make_matrices(rng, 3)))
+    B = ball(oracle, 3)
+    vectors = [random_sparse(rng, pi, pi.basis_keys(), 4) for _ in range(2)]
+    block, spheres, lo = OrbitBlock(pi, B), [], 0
+    for hi in B.sizes:
+        spheres.append(block.rows(vectors, lo, hi).copy())
+        lo = hi
+    whole = OrbitBlock(pi, B).rows(vectors)
+    assert np.concatenate(spheres).tobytes() == whole.tobytes()
+
+
+OTHER_STEPS = {
+    "F2-on-ab-and-b": ("F2", [(1, 2), (2,)]),
+    "Z6-table-on-2": ("Z6-table", [2]),
+}
+
+
+@pytest.mark.parametrize("case", OTHER_STEPS)
+def test_orbit_block_over_other_steps_acts_by_each_element(case):
+    """On a ball over steps other than the generators each row is sigma(g) a, sigma(g) read
+    off a fresh leaf's word product (``apply`` would read the kept stack)."""
+    group, steps = OTHER_STEPS[case]
+    make_oracle, make_matrices = ORBIT_GROUPS[group]
+    oracle = make_oracle()
+    rng = np.random.default_rng(3)
+    rep = MatrixRep(oracle, make_matrices(rng, 3))
+    B = ball(oracle, 3, S=steps)
+    vectors = [random_sparse(rng, rep, rep.basis_keys(), 3) for _ in range(2)]
+    rows = OrbitBlock(rep, B).rows(vectors)
+    fresh = MatrixRep(oracle, rep.matrices)
+    X = to_dense(vectors, OrbitBlock(rep).index)
+    for i, g in enumerate(B.elements):
+        expected = X @ fresh.evaluate_word(oracle.as_word(g)).T
+        np.testing.assert_allclose(rows[i], expected, rtol=0, atol=1e-12)
+
+
+def test_ball_stack_refuses_a_ball_over_other_steps():
+    """A stack indexes its ball's steps as generator letters, so a ball over the step 2 of
+    Z/6 is refused; it once got sigma(1) and sigma(2) for 2 and 4, and ``matrix_of(2)`` then
+    returned sigma(1)."""
+    oracle = cyclic_table(6)
+    w = np.exp(2j * np.pi / 6)
+    rep = MatrixRep(oracle, [np.diag([w, w ** 2])])
+    B = ball(oracle, 3, S=[2])
+    with pytest.raises(PreconditionError, match="generators"):
+        rep.ball_stack(B)
+    a = SparseVector(rep, {(0, 0): 1.0, (0, 1): 1.0})
+    rows = OrbitBlock(rep, B).rows([a])
+    for x in (2, 4):
+        np.testing.assert_allclose(rows[B.index[x], 0], [w ** x, w ** (2 * x)], atol=1e-12)
+    np.testing.assert_allclose(rep.matrix_of(2), np.diag([w ** 2, w ** 4]), atol=1e-12)
+
+
+def test_closure_of_a_large_rep_keeps_no_matrix_per_element():
+    """The closure of one vector of a 128-dim F2 representation at radius 4 forms its 161
+    orbit vectors along the ball's left tree: its allocation peak stays under a quarter of
+    the 42 MB the ball's 161 matrices would take."""
+    rng = np.random.default_rng(2)
+    d, radius = 128, 4
+    rep = random_matrix_rep(rng, f2_oracle(), d)
+    a = SparseVector(rep, {(0, k): complex(rng.standard_normal()) for k in range(d)})
+    tracemalloc.start()
+    try:
+        C = closure(rep, [a], radius)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    stack_bytes = len(C.ball) * d * d * np.dtype(complex).itemsize
+    assert C.dim == d
+    assert peak < stack_bytes / 4
 
 
 def test_vector_space_mismatch():

@@ -22,6 +22,7 @@ from unirep import (
     nondividing,
     superstable_approx,
 )
+from unirep.reps import OrbitBlock
 from util import (
     dense_inner,
     dense_of,
@@ -104,6 +105,23 @@ def test_closure_dim_cap_raises_in_the_sphere_where_it_is_hit():
     assert reg.applied
     assert all(len(g) <= 1 for g in reg.applied)
     assert len(closure(reg, [delta(reg, 0, ())], 1, dim_cap=5).realized.basis) == 5
+
+
+def test_closure_on_a_matrix_rep_forms_no_sphere_past_the_cap(monkeypatch):
+    """The orbit block forms the rows each call asks for, whole spheres and no more: with the
+    cap hit in sphere 1, the rows of spheres 2 and 3 are never formed."""
+    formed = []
+    form = OrbitBlock._form
+
+    def spy(self, X, Y, hi):
+        form(self, X, Y, hi)
+        formed.append(self._formed)
+
+    monkeypatch.setattr(OrbitBlock, "_form", spy)
+    rep = random_matrix_rep(np.random.default_rng(4), f2_oracle(), 3)
+    with pytest.raises(ResourceLimitError, match="cap 2"):
+        closure(rep, [delta(rep, 0, 0)], 3, dim_cap=2)
+    assert formed == [ball(f2_oracle(), 1).sizes[1]]
 
 
 def test_vectors_outside_the_space_are_rejected():
