@@ -509,14 +509,15 @@ class OrbitBlock:
             self.index = KeyIndex.of_keys(() if seed is None else seed.keys)
             return
         self.index = KeyIndex.of_keys((c, k) for c, a in enumerate(leaves) for k in range(a.dim))
-        self.leaves, start = [], 0  # (columns, the MatrixRep acting there or None for identity)
+        self.leaves, start = [], 0  # (columns, sigma(s)^T for each step s, or None for identity)
         for a in leaves:
-            acting = a if B is not None and isinstance(a, MatrixRep) else None
+            acting = None
+            if B is not None and isinstance(a, MatrixRep):
+                acting = [a.matrix_of(s).T for s in B.steps]
             self.leaves.append((slice(start, start + a.dim), acting))
             start += a.dim
         self._carried = None  # (vectors, rows) of the last vectors asked for
         self._formed = self._next = 0  # carried rows formed; next left-tree group to form
-        self._steps = {}  # id(leaf) -> sigma(s)^T for each step s of the ball
 
     def rows(self, vectors, lo=0, hi=None) -> np.ndarray:
         """``(hi - lo, len(vectors), len(index))``: pi(g)v, g the ball elements lo..hi-1 (outer).
@@ -552,14 +553,12 @@ class OrbitBlock:
         B = self.ball
         end = int(B.sizes[np.searchsorted(B.sizes, hi)])
         acting = []
-        for cols, leaf in self.leaves:
+        for cols, sigma_t in self.leaves:
             x = X[:, cols]
-            if leaf is None or not x.any():  # a leaf no vector touches is copied
+            if sigma_t is None or not x.any():  # a leaf no vector touches is copied
                 Y[self._formed:end, :, cols] = x
                 continue
-            if id(leaf) not in self._steps:
-                self._steps[id(leaf)] = [leaf.matrix_of(s).T for s in B.steps]
-            acting.append((cols, self._steps[id(leaf)]))
+            acting.append((cols, sigma_t))
         tree = B.left_tree
         while self._next < len(tree) and tree[self._next][0] <= end:
             _stop, g, h, j = tree[self._next]
