@@ -361,21 +361,18 @@ def run_contain(cfg, radius, tol, budget, restarts):
     return {"inputs": inputs, "outputs": outputs, "headline": report_data.discrepancy}
 
 
-def _witness_checks(report, target, space, tol):
-    """Checks of the stored witnesses against ``target``, and their Gram matrices on its F.
+def _witness_checks(report, target, M, tol):
+    """Checks of the stored outputs against ``target`` from the witnesses' Gram matrices ``M``.
 
-    The matrices are computed once; the recomputed discrepancy, the headline
-    and the ``converged`` flag (``discrepancy <= tolerances[tol]``) are
-    checked from them. Returns the checks, the matrices and the witnesses.
+    The recomputed discrepancy, the headline and the ``converged`` flag
+    (``discrepancy <= tolerances[tol]``).
     """
-    witnesses = _vectors(report["outputs"], "witnesses", space, "report.outputs", required=False)
-    M = containment.witness_matrices(target, space, witnesses)
     outputs = report["outputs"]
     return [
         ("discrepancy", containment.deviation(target, M), outputs["discrepancy"]),
         ("headline", outputs["discrepancy"], report["headline"]),
         ("converged", outputs["discrepancy"] <= report["tolerances"][tol], outputs["converged"]),
-    ], M, witnesses
+    ]
 
 
 def _stored_gram_check(report, key, oracle, F, M):
@@ -388,14 +385,37 @@ def _stored_gram_check(report, key, oracle, F, M):
     return (key, containment.deviation(stored, M), 0.0)
 
 
+def _ball_rows(basis, witnesses):
+    """The witnesses' coordinate rows over the ball; one off the span exits 2 at its field."""
+    rows = []
+    for i, w in enumerate(witnesses):
+        try:
+            rows.append(basis.coords(w))
+        except PreconditionError as exc:
+            raise ConfigError(str(exc), field=f"report.outputs.witnesses[{i}]") from None
+    return rows
+
+
 def verify_contain(report):
+    """The run's checks, with the witnesses' Gram data recomputed as the search computed it.
+
+    Without ``inputs.basis`` the span is the ball delta basis, rebuilt first:
+    each witness is read as its coordinate row over the ball, and its Gram
+    data is ``containment.row_matrices`` on the ball's tensor. An explicit
+    basis's witnesses are read by ``containment.witness_matrices``.
+    """
     oracle, pi = _report_inputs(report, "representation")
     inputs = report["inputs"]
     target = parse_gram(inputs["target"], oracle, "report.inputs.target")
-    checks, M, witnesses = _witness_checks(report, target, pi, "tol")
+    witnesses = _vectors(report["outputs"], "witnesses", pi, "report.outputs", required=False)
+    if "basis" in inputs:
+        basis, M = None, containment.witness_matrices(target, pi, witnesses)
+    else:
+        basis = containment.ball_delta_basis(pi, inputs["radius"], report["caps"]["ball"])
+        M = containment.row_matrices(target, basis.gram_tensor(target.F),
+                                     _ball_rows(basis, witnesses))
+    checks = _witness_checks(report, target, M, "tol")
     checks.append(_stored_gram_check(report, "witness-gram", oracle, target.F, M))
-    basis = None if "basis" in inputs else containment.ball_delta_basis(
-        pi, inputs["radius"], report["caps"]["ball"])
     bounds = containment.span_bounds(basis, target, witnesses)
     for name, recomputed in zip(("certified-lower", "certified-floor"), bounds):
         stored = report["outputs"][name]
@@ -495,7 +515,9 @@ def verify_transfer(report):
     vectors = (_vectors(inputs, "params", rho, "report.inputs", required=False)
                + _vectors(inputs, "targets", rho, "report.inputs"))
     target = gram(rho, vectors, F, oracle=oracle)
-    checks = _witness_checks(report, target, rho, "eps")[0]
+    witnesses = _vectors(report["outputs"], "witnesses", rho, "report.outputs", required=False)
+    checks = _witness_checks(report, target,
+                             containment.witness_matrices(target, rho, witnesses), "eps")
     checks.append(_stored_gram_check(report, "target-gram", oracle, F, target.M))
     return checks
 

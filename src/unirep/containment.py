@@ -135,12 +135,13 @@ class GramNonzeros(NamedTuple):
 def _gram_tensor(rep: Representation, vectors, F) -> GramNonzeros:
     """Nonzeros of T_g[i, j] = <rep(g)v_i, v_j>, one product ``Moved_g @ V^H`` per g.
 
-    The block form of ``gram`` for the witness search. Each g-slice is built,
-    reduced to its nonzeros and dropped, so the ``(|F|, K, K)`` stack is never
-    held; for a delta basis of a regular representation each slice is a
-    partial permutation with at most K unit entries. ``gram`` and
-    ``discrepancy`` keep the sparse ``inner`` formula (``_gram_matrices``),
-    so ``verify`` stays independent of the block kernel.
+    The block form of ``gram`` for a descent over the span of a
+    ``Subspace``. Each g-slice is built, reduced to its nonzeros and
+    dropped, so the ``(|F|, K, K)`` stack is never held. A ball delta basis
+    reads the same arrays off its ball instead (``BallBasis.gram_tensor``),
+    with no ``apply``. ``gram`` and ``discrepancy`` keep the sparse ``inner``
+    formula (``_gram_matrices``), and so does ``verify`` of an
+    explicit-basis report.
     Moved vectors are stacked over the columns of the vectors' own support;
     entries off it pair with zero and are left out.
     """
@@ -156,14 +157,51 @@ def _gram_tensor(rep: Representation, vectors, F) -> GramNonzeros:
     return GramNonzeros(g, i, j, value, (len(F), K, K))
 
 
-def witness_matrices(target: GramFunction, rep: Representation, witnesses) -> dict:
-    """Gram matrices of the witnesses over ``target.F``; one witness per target vector."""
-    witnesses = list(witnesses)
+def _check_count(target: GramFunction, witnesses):
     if len(witnesses) != target.n:
-        raise PreconditionError(
-            f"expected {target.n} witnesses, got {len(witnesses)}"
-        )
+        raise PreconditionError(f"expected {target.n} witnesses, got {len(witnesses)}")
+
+
+def witness_matrices(target: GramFunction, rep: Representation, witnesses) -> dict:
+    """Gram matrices of the witnesses over ``target.F``; one witness per target vector.
+
+    The sparse ``inner`` formula, one ``rep.apply`` per witness and element:
+    the Gram data of witnesses in a ``Subspace`` span, in the search and in
+    ``verify``. Witnesses of a ball delta basis read theirs off the ball's
+    tensor (``row_matrices``), to the same bits where the witnesses have
+    equally many nonzeros.
+    """
+    witnesses = list(witnesses)
+    _check_count(target, witnesses)
     return _gram_matrices(rep, witnesses, target.F)
+
+
+def row_matrices(target: GramFunction, tensor: GramNonzeros, C) -> dict:
+    """Gram matrices over ``target.F`` of the witnesses with coefficient rows ``C`` on a ball basis.
+
+    ``tensor`` is the basis's ``gram_tensor(target.F)``: each T_g is a
+    partial permutation, 1 at (i, j) where g x_i = x_j. So M[g][a, b] =
+    <lambda(g)w_a, w_b> is the sum of C[a, i] conj(C[b, j]) over the
+    nonzeros of T_g. Each product is formed as Python's complex product
+    forms it, and ``np.bincount`` adds each entry's terms one at a time in
+    the tensor's (ball) order, starting from 0.0 as ``sum`` does; a zero
+    term leaves such a sum as it was. The matrices are therefore those of
+    ``witness_matrices`` on ``basis.from_coords(C[a])``, bit for bit, where
+    ``inner`` sums in the moved vector's order: whenever the witnesses have
+    equally many nonzeros, and always for one witness.
+    """
+    C = np.asarray(C, dtype=complex)
+    _check_count(target, C)
+    nF, n = tensor.shape[0], len(C)
+    x, y = C[:, tensor.i], C[:, tensor.j]
+    xr, xi = x.real[:, None], x.imag[:, None]
+    yr, yi = y.real[None], -y.imag[None]  # conj(C[b, j])
+    pairs = np.arange(n * n).reshape(n, n, 1)
+    bins = (tensor.g * (n * n) + pairs).ravel()
+    M = np.empty(nF * n * n, dtype=complex)
+    M.real = np.bincount(bins, (xr * yr - xi * yi).ravel(), len(M))
+    M.imag = np.bincount(bins, (xr * yi + xi * yr).ravel(), len(M))
+    return dict(zip(target.F, M.reshape(nF, n, n)))
 
 
 def deviation(target: GramFunction, M: dict) -> float:
@@ -320,14 +358,18 @@ def search_witness(target: GramFunction, pi: Representation, basis: Subspace | B
     by gradient descent with backtracking line search, restarting from
     seeded random coefficient matrices; the best restart wins, ties going
     to the earliest. The objective reads only the nonzeros of the basis's
-    Gram tensor (``_gram_tensor``), built once per search and only when a
-    descent runs; on a ball delta basis it takes O(|F| n K) per evaluation
-    and its values are those of the dense batched products, bit for bit.
-    The reported discrepancy is always the recomputed max-abs deviation of
-    the returned witnesses.
+    Gram tensor, built once per search. On a ball delta basis
+    (``ball_delta_basis``) that is ``BallBasis.gram_tensor``, read off the
+    ball before anything is scored: the objective takes O(|F| n K) per
+    evaluation, its values are those of the dense batched products, bit for
+    bit, and every scored witness's Gram data is ``row_matrices`` of its
+    coefficient rows on the same tensor, so no ``apply`` runs. A
+    ``Subspace`` span builds ``_gram_tensor`` only when a descent runs and
+    scores its witnesses by ``witness_matrices``. The reported discrepancy
+    is always the max-abs deviation of the returned witnesses' Gram data.
 
-    On a ball delta basis (``ball_delta_basis``) and a target trivial on the
-    ball's steps (``is_trivial_on``) restart 0 is the ball's Perron vector v
+    On a ball delta basis and a target trivial on the ball's steps
+    (``is_trivial_on``) restart 0 is the ball's Perron vector v
     from ``min_defect``, scaled to c v with c^2 = 2/(1 + mu) for its Rayleigh
     quotient mu: its deviation is (1 - mu)/(1 + mu) at e and, where the
     correlations <lambda(s)v, v> are equal (F2, Z^2), at every step, which
@@ -347,10 +389,17 @@ def search_witness(target: GramFunction, pi: Representation, basis: Subspace | B
         raise PreconditionError("witness search needs a nonempty basis")
     n = target.n
     B = _bound_ball(basis, target)
-    start = None
+    start = ball_tensor = None
+    if isinstance(basis, BallBasis):
+        if not same_space(basis.ambient, pi):
+            raise KindMismatchError("the ball basis lives outside the representation space")
+        ball_tensor = basis.gram_tensor(target.F)
 
-    def scored(witnesses, iterations):
-        G = GramFunction(target.oracle, target.F, n, witness_matrices(target, pi, witnesses))
+    def scored(C, iterations):
+        witnesses = [basis.from_coords(c) for c in C]
+        M = (witness_matrices(target, pi, witnesses) if ball_tensor is None
+             else row_matrices(target, ball_tensor, C))
+        G = GramFunction(target.oracle, target.F, n, M)
         disc = deviation(target, G.M)
         return WitnessReport(witnesses, disc, iterations, bool(disc <= tol),
                              *span_bounds(basis, target, witnesses), G)
@@ -359,12 +408,12 @@ def search_witness(target: GramFunction, pi: Representation, basis: Subspace | B
         row = min_defect(B)
         mu = 1.0 - row.min_avg_sq_defect / 2.0  # the Rayleigh quotient of v
         start = (2.0 / (1.0 + mu)) ** 0.5 * row.amplitudes[None, :]
-        report = scored([basis.from_coords(start[0])], 0)
+        report = scored(start, 0)
         lower = report.certified_lower
         if report.converged or (lower is not None and tol < lower):
             return report
-    objective = _objective_and_gradient(_gram_tensor(pi, basis.basis, target.F),
-                                        np.array([target.M[g] for g in target.F]))
+    tensor = ball_tensor if ball_tensor is not None else _gram_tensor(pi, basis.basis, target.F)
+    objective = _objective_and_gradient(tensor, np.array([target.M[g] for g in target.F]))
     rng = np.random.default_rng(seed)
     scale = max(target.max_abs(), 1e-6) ** 0.5 / max(K, 1) ** 0.5
     best_C, best_disc, total_iters = None, float("inf"), 0
@@ -398,7 +447,7 @@ def search_witness(target: GramFunction, pi: Representation, basis: Subspace | B
             best_disc, best_C = worst, C
         if best_disc <= tol:
             break
-    return scored([basis.from_coords(best_C[i]) for i in range(n)], total_iters)
+    return scored(best_C, total_iters)
 
 
 class BallBasis:
@@ -407,8 +456,10 @@ class BallBasis:
     A span in ball order, read as ``Subspace`` is (``dim``, ``basis``,
     ``from_coords``), whose deltas are orthonormal by construction. The ball
     (under the element cap ``cap``) is built when first read, so a span that
-    is neither searched nor bounded (``span_bounds``) builds no ball, and the
-    deltas only when ``basis`` is read, by a descent's Gram tensor.
+    is neither searched nor bounded (``span_bounds``) builds no ball. The
+    deltas are built only when ``basis`` is read: the search and ``verify``
+    read the span's Gram tensor off the ball (``gram_tensor``) and its
+    vectors as coordinate rows (``from_coords``, ``coords``).
     """
 
     def __init__(self, ambient: Representation, oracle: GroupOracle, radius: int, cap: int):
@@ -425,6 +476,48 @@ class BallBasis:
     @cached_property
     def basis(self) -> list:
         return [delta(self.ambient, 0, x) for x in self.ball.elements]
+
+    def gram_tensor(self, F) -> GramNonzeros:
+        """``_gram_tensor(ambient, basis, F)``, array for array, read off the ball.
+
+        T_g[i, j] = <lambda(g)delta_{x_i}, delta_{x_j}> is 1 where g x_i = x_j:
+        every i for g = e, the ball's ``left[:, s]`` for a step s, and for
+        any other g (checked once) one unchecked product g x per ball
+        element, looked up in the ball's index. No vector is built and no
+        key is checked again: each x is an element the ball built.
+        """
+        B, oracle = self.ball, self.oracle
+        e, steps = oracle.identity(), {s: j for j, s in enumerate(B.steps)}
+        parts = []
+        for t, g in enumerate(F):
+            if g == e:
+                j = np.arange(len(B))
+            elif g in steps:
+                j = B.left[:, steps[g]]
+            else:
+                oracle.check_element(g)
+                j = np.array([B.index.get(oracle._mul(g, x), -1) for x in B.elements],
+                             dtype=np.intp)
+            i = np.flatnonzero(j >= 0)
+            parts.append((np.full(len(i), t), i, j[i]))
+        g, i, j = (np.concatenate(c) for c in zip(*parts))
+        return GramNonzeros(g, i, j, np.ones(len(i), dtype=complex), (len(F), len(B), len(B)))
+
+    def coords(self, v: SparseVector) -> np.ndarray:
+        """The coordinate row of ``v`` over the ball, ``from_coords``'s inverse.
+
+        A key outside copy 0 or off the ball is not in the span: PreconditionError.
+        """
+        c = np.zeros(self.dim, dtype=complex)
+        index, oracle = self.ball.index, self.oracle
+        for (copy, x), amp in v:
+            if copy != 0 or x not in index:
+                where = oracle.element_to_str(x) if copy == 0 else f"copy {copy}"
+                raise PreconditionError(
+                    f"entry at {where} is off the span: the deltas of copy 0 on the "
+                    f"radius-{self.radius} ball")
+            c[index[x]] = amp
+        return c
 
     def from_coords(self, c) -> SparseVector:
         """``c @ Q`` for the identity Q: coordinate i is the amplitude at ``ball.elements[i]``."""

@@ -268,20 +268,15 @@ class MatrixRep(_FiniteAtom):
     def ball_stack(self, B) -> np.ndarray:
         """``(len(B), dim, dim)``: the matrix of each element of ``B``, bit for bit ``matrix_of``'s.
 
-        ``matrix_of``'s cache; orbit rows are formed without it (``OrbitBlock``).
+        ``matrix_of``'s cache where ``as_word`` reads a ball's tree (``word_ball``
+        is not None); orbit rows are formed without it (``OrbitBlock``).
         ``B`` must be a ball over the oracle's generators, whose steps are
         ``symmetric_generators(oracle)``: its tree's letters index them, so
-        any other ball raises PreconditionError. Each matrix is one
-        product past an earlier one: where ``as_word`` reads a ball's tree
-        (``word_ball`` is not None), its parent's in ``B``'s tree times the
-        step's matrix; otherwise the matrix of g * last^-1 times the last
-        letter's, or the whole word's product where g * last^-1 is not an
-        earlier element. No word is kept: there ``as_word`` gives a free or
-        rewriting normal form (normal forms are closed under prefixes) or an
-        abelian canonical word (its last coordinate loses one letter), so the
-        word of g * last^-1 is g's less its last letter. The stack of the
-        largest ball so far is kept in place of a per-element cache: a smaller
-        ball's stack is a prefix of it.
+        any other ball, or one of an oracle whose ``as_word`` has a closed
+        form, raises PreconditionError. Each matrix is one product past its
+        parent's in ``B``'s tree: the parent's times the step's matrix. The
+        stack of the largest ball so far is kept in place of a per-element
+        cache: a smaller ball's stack is a prefix of it.
         """
         oracle = self.oracle
         letters = generator_letters(oracle)
@@ -290,22 +285,13 @@ class MatrixRep(_FiniteAtom):
         kept = self._kept
         if kept is not None and len(kept[0]) >= len(B):
             return kept[1][:len(B)]
+        if oracle.word_ball(B.elements[0]) is None:
+            raise PreconditionError("a ball stack needs an oracle whose words read a ball")
         M = np.empty((len(B), self.dim, self.dim), dtype=complex)
         M[0] = np.eye(self.dim)
-        if oracle.word_ball(B.elements[0]) is None:
-            gens = oracle.generators
-            undo = {a: oracle.invert(gens[a - 1]) if a > 0 else gens[-a - 1] for a in self._letters}
-            for i, g in enumerate(B.elements[1:], 1):
-                w = oracle.as_word(g)
-                j = B.index.get(oracle._mul(g, undo[w[-1]]))
-                if j is not None and j < i:
-                    np.matmul(M[j], self._letters[w[-1]], out=M[i])
-                else:
-                    M[i] = self.evaluate_word(w)
-        else:
-            steps = [self._letters[a] for a in letters.values()]
-            for i, (p, j) in enumerate(zip(B.parent[1:], B.letter[1:]), 1):
-                np.matmul(M[p], steps[j], out=M[i])
+        steps = [self._letters[a] for a in letters.values()]
+        for i, (p, j) in enumerate(zip(B.parent[1:], B.letter[1:]), 1):
+            np.matmul(M[p], steps[j], out=M[i])
         self._kept = (B, M)
         return M
 

@@ -22,12 +22,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unirep import (ConvergenceError, DirectSum, Multiple, Regular, Trivial, amenability, ball,
-                    discrepancy, folner_witness, gram, groups, symmetric_generators)
+from unirep import (ConvergenceError, DirectSum, Multiple, Regular, Representation, Trivial,
+                    amenability, ball, discrepancy, folner_witness, gram, groups,
+                    symmetric_generators)
 from unirep.cli import HANDLERS, TASKS, VERIFIERS, build_parser, main
 from unirep.containment import deviation
-from unirep.serialize import (DEFAULT_CAPS, gram_to_json, parse_gram, parse_group, parse_vector,
-                              parse_vectors)
+from unirep.serialize import (DEFAULT_CAPS, gram_to_json, parse_gram, parse_group,
+                              parse_representation, parse_vector, parse_vectors)
 from util import (H3_RULES, character_action, phase, random_unitary, read_report,
                   swapped_intercalate_table)
 
@@ -189,8 +190,24 @@ def test_contain_builds_one_ball(tmp_path, monkeypatch):
     assert radii == [2, 2] and solves == [17]
 
 
-def test_contain_verify_builds_no_ball_for_a_nontrivial_target(tmp_path, monkeypatch):
-    """No bound reads a ball off a trivial target, so ``verify`` builds none; the run builds one."""
+def _count_applies(monkeypatch):
+    """The list each ``Representation.apply`` call appends its element to."""
+    calls = []
+    apply = Representation.apply
+
+    def counted(self, g, v):
+        calls.append(g)
+        return apply(self, g, v)
+
+    monkeypatch.setattr(Representation, "apply", counted)
+    return calls
+
+
+def test_contain_verify_builds_one_ball_and_no_apply_for_a_nontrivial_target(tmp_path,
+                                                                             monkeypatch):
+    """A descent on a non-trivial target, run and verify, each build the basis ball once and
+    read the witnesses' Gram data off it, with no ``apply``: the ball's tables replace
+    n |F| |B| = 2 * 5 * 53 checked products."""
     radii = []
 
     def counted(*args, **kwargs):
@@ -200,6 +217,7 @@ def test_contain_verify_builds_no_ball_for_a_nontrivial_target(tmp_path, monkeyp
 
     for module in ("cli", "containment", "amenability"):
         monkeypatch.setattr(f"unirep.{module}.ball", counted)
+    applies = _count_applies(monkeypatch)
     swap = [[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]
     sign = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1.0, 0.0]]]
     eye = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
@@ -207,10 +225,65 @@ def test_contain_verify_builds_no_ball_for_a_nontrivial_target(tmp_path, monkeyp
     code, out = run_task(tmp_path, "contain", {"group": F2, "task": {
         "target": target, "radius": 3, "tol": 1e-3, "budget": 20, "restarts": 1}})
     assert code == 0
-    assert radii == [3]
+    assert radii == [3] and applies == []
     assert read_report(out)["outputs"]["certified-lower"] is None
     assert main(["verify", "--report", str(out)]) == 0
-    assert radii == [3]
+    assert radii == [3, 3] and applies == []
+
+
+@pytest.mark.parametrize("config", [
+    CONTAIN_F2,  # the Perron start, returned at once
+    {"group": Z, "task": {"target": {"F": ["0", "1", "-1", "2"], "n": 1,
+                                     "matrices": [[[[1.0, 0.0]]]] * 4},
+                          "radius": 6, "tol": 0.06, "budget": 50, "restarts": 1}},  # descended
+], ids=["start", "descent"])
+def test_ball_basis_contain_run_and_verify_make_no_apply_call(tmp_path, monkeypatch, config):
+    applies = _count_applies(monkeypatch)
+    code, out = run_task(tmp_path, "contain", config)
+    assert code == 0
+    iterations = read_report(out)["outputs"]["iterations"]
+    assert (iterations == 0) == (config is CONTAIN_F2)
+    assert main(["verify", "--report", str(out)]) == 0
+    assert applies == []
+
+
+def _witness_entry_off_the_span(entry):
+    """Adds ``entry`` to the first witness, with its Gram data, discrepancy and headline as
+    ``gram`` recomputes them, so that only the span check can refuse the report."""
+    def tamper(report):
+        out = report["outputs"]
+        out["witnesses"][0].append(entry)
+        oracle = parse_group(report["inputs"]["group"])
+        space = parse_representation(report["inputs"]["representation"], oracle)
+        target = parse_gram(report["inputs"]["target"], oracle)
+        witnesses = parse_vectors(out["witnesses"], space)
+        witness_gram = gram(space, witnesses, target.F, oracle=oracle)
+        out["witness-gram"] = gram_to_json(witness_gram)
+        out["discrepancy"] = report["headline"] = deviation(target, witness_gram.M)
+    return tamper
+
+
+@pytest.mark.parametrize("representation, entry, message", [
+    ({"kind": "regular"}, [0, "1 1 1", 0.01, 0.0], "entry at 1 1 1 is off the span"),
+    ({"kind": "multiple", "base": {"kind": "regular"}, "count": 2}, [1, "e", 0.01, 0.0],
+     "entry at copy 1 is off the span"),
+], ids=["off-the-ball", "another-copy"])
+def test_contain_verify_refuses_a_witness_off_its_span(tmp_path, capsys, representation, entry,
+                                                       message):
+    """A witness of a ball-basis report lies in the deltas of copy 0 on the radius-r ball; a key
+    off that ball, or in another copy of a multiple, exits 2 at the witness, even where the
+    stored Gram data, discrepancy and headline are those ``gram`` gives."""
+    config = {**CONTAIN_F2, "representation": representation}
+    code, out = run_task(tmp_path, "contain", config)
+    assert code == 0
+    report = read_report(out)
+    _witness_entry_off_the_span(entry)(report)
+    out.write_text(json.dumps(report))
+    capsys.readouterr()
+    assert main(["verify", "--report", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"config field 'report.outputs.witnesses[0]': {message}: the deltas of copy 0" in err
+    assert "Traceback" not in err
 
 
 def test_probe_walk_ball_stops_at_the_ball_cap(tmp_path, capsys):
@@ -1072,9 +1145,10 @@ CHARACTER_2_3 = {"kind": "matrix", "matrices": [[[[-1.0, 0.0]]], [[[0.0, -1.0]]]
 
 
 def test_amalgamate_check_ball_reaches_past_the_word_ball_cap(tmp_path, monkeypatch):
-    """The Gram check reads each element's matrix off the check ball's own stack, so no
-    element is looked up by ``word_ball`` under ``DEFAULT_BALL_CAP``: with that cap at 100,
-    a check ball of 241 points (Z on the steps 2 and 3, radius 40) still runs and verifies."""
+    """``_gram_defect`` forms its rows along the check ball's left tree (``B.left_tree``), so
+    only B's steps reach ``matrix_of`` and no far element is looked up by ``word_ball`` under
+    ``DEFAULT_BALL_CAP``: with that cap at 100, a check ball of 241 points (Z on the steps 2
+    and 3, radius 40) still runs and verifies."""
     monkeypatch.setattr(groups, "DEFAULT_BALL_CAP", 100)
     config = {"group": Z_BY_2_AND_3, "task": {
         "pi": CHARACTER_2_3,

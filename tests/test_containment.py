@@ -32,7 +32,8 @@ from unirep import (
     transfer_witness,
     trivial_target,
 )
-from unirep.containment import GramNonzeros, _gram_tensor, _objective_and_gradient, certified_floor
+from unirep.containment import (GramNonzeros, _gram_tensor, _objective_and_gradient,
+                                certified_floor, row_matrices)
 from util import (
     f2_oracle,
     random_elements,
@@ -185,6 +186,54 @@ def test_gram_tensor_matches_inner_formula(kind):
         moved = [rep.apply(g, v) for v in vectors]
         ref = np.array([[inner(mv, w) for w in vectors] for mv in moved])
         assert np.max(np.abs(T[t] - ref)) < 1e-12
+
+
+TENSOR_BALLS = {"F2": (f2_oracle, 4), "Z": (z_oracle, 6), "Z2": (z2_oracle, 5),
+                "Z2-rewriting": (z2_rewriting, 4)}
+
+
+def _tensor_case(group):
+    """A ball delta basis and an F of e, the steps, a non-step in the ball, and s^(2r+1)."""
+    make_oracle, r = TENSOR_BALLS[group]
+    oracle = make_oracle()
+    reg = Regular(oracle)
+    basis = ball_delta_basis(reg, r)
+    B = basis.ball
+    far = B.steps[0]
+    for _ in range(2 * r):  # at distance 2r + 1: every product with the ball leaves it
+        far = oracle.multiply(far, B.steps[0])
+    F = [oracle.identity(), *B.steps, B.elements[int(B.sizes[1])], far]
+    return reg, basis, F
+
+
+@pytest.mark.parametrize("group", TENSOR_BALLS)
+def test_ball_gram_tensor_equals_the_apply_tensor(group):
+    """The ball's tables give ``_gram_tensor``'s arrays exactly, with no vector built."""
+    reg, basis, F = _tensor_case(group)
+    tensor = basis.gram_tensor(F)
+    reference = _gram_tensor(reg, basis.basis, F)
+    assert tensor.shape == reference.shape == (len(F), basis.dim, basis.dim)
+    for name in ("g", "i", "j", "value"):
+        got, want = getattr(tensor, name), getattr(reference, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+    assert len(F) - 1 not in tensor.g  # the far element moves every delta off the ball
+    assert np.count_nonzero(tensor.g == 0) == basis.dim
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("group", TENSOR_BALLS)
+def test_row_matrices_equal_gram_bit_for_bit(group, n):
+    """Complex witnesses' Gram data off the ball's tensor has ``gram``'s bits, signs of zero
+    included."""
+    reg, basis, F = _tensor_case(group)
+    rng = np.random.default_rng(9)
+    C = rng.standard_normal((n, basis.dim)) + 1j * rng.standard_normal((n, basis.dim))
+    target = GramFunction(reg.oracle, F, n, {g: np.zeros((n, n)) for g in F})
+    M = row_matrices(target, basis.gram_tensor(F), C)
+    reference = gram(reg, [basis.from_coords(c) for c in C], F)
+    for g in F:
+        assert M[g].tobytes() == reference.M[g].tobytes(), g
+    assert [basis.coords(basis.from_coords(c)).tobytes() for c in C] == [c.tobytes() for c in C]
 
 
 def test_gradient_matches_finite_differences():
@@ -341,7 +390,8 @@ def test_certified_floor_is_the_largest_double_below_kesten(k):
 
 
 def test_search_perron_start_within_tol_converges_without_a_gram_tensor(monkeypatch):
-    """A start within tol is returned at once; the Gram tensor is built only for a descent."""
+    """A start within tol is returned at once; no ``apply`` tensor is built: a ball basis reads
+    its Gram tensor off the ball."""
     def no_tensor(*args):
         raise AssertionError("the Gram tensor was built")
 
