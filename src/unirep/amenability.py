@@ -21,17 +21,16 @@ groups that is a ``Ball`` from ``groups.ball``, which alone decides the
 steps and the element cap. The radius-rho ball is the prefix
 ``elements[:sizes[rho]]`` of any larger breadth-first ball, and its edges
 x -> s x are the larger ball's ``left`` entries with both ends in that
-prefix, in the same order: a walk or a defect row read off a larger ball
-solves the same arrays as on a ball of its own radius, and each minimizer
-is kept as its amplitudes in ball order. The walk counts scatter along
-those edges, and the ball operator gathers along them from the ball's one
-``in_neighbours`` table cut to the prefix, so every defect row and
-certificate on a ball reads the same table. A free group on its standard
-generators builds no ball: its Cayley graph is the 2k-regular tree, whose
-automorphisms fixing e act transitively on each sphere and commute with
-the walk and with M. So the walk from e and M's Perron vector are radial,
-and both run on the (r + 1)-point distance chain (``DistanceChain``),
-whose minimizers are kept as one amplitude per sphere.
+prefix: a walk or a defect row read off a larger ball solves the same
+arrays as on a ball of its own radius, and each minimizer is kept as its
+amplitudes in ball order. A free group on its standard generators builds
+no ball: its Cayley graph is the 2k-regular tree, whose automorphisms
+fixing e act transitively on each sphere and commute with the walk and
+with M. So the walk from e and M's Perron vector are radial, and both run
+on the (r + 1)-point distance chain (``DistanceChain``), whose minimizers
+are kept as one amplitude per sphere. Each space holds one in-neighbour
+table, built once: the walk counts, every defect row and every
+certificate gather along it, cut to their prefix.
 
 ``verify`` recomputes a report with the functions that made it:
 ``walk_estimates`` (root and ratio estimates, which tend to the spectral
@@ -68,7 +67,6 @@ EIGEN_TOL = 1e-9   # the defect solve's residual and certified gap
 MAX_PRODUCTS = 500_000  # the defect solve's budget of products with the ball operator
 
 
-@dataclass
 class ReturnProbabilityTable:
     """Exact return probabilities p_{2n}(e) of the symmetric walk, with estimator traces.
 
@@ -77,18 +75,15 @@ class ReturnProbabilityTable:
     is at most 1: correctly rounded division keeps that order.
     """
 
-    p: dict            # even step -> Fraction
-    root_estimates: dict = field(default_factory=dict)   # 2n -> p^{1/(2n)}
-    ratio_estimates: dict = field(default_factory=dict)  # 2n -> sqrt(p_{2n+2}/p_{2n})
-
-    def __post_init__(self):
-        steps = sorted(self.p)
-        p = [float(self.p[s]) for s in steps]
-        if 0.0 in p:  # every count is positive, but its double can underflow
-            raise PreconditionError(f"return probability underflows at step {steps[p.index(0.0)]}")
-        roots, ratios = walk_estimates(steps, p)
-        self.root_estimates = dict(zip(steps[1:], roots))
-        self.ratio_estimates = dict(zip(steps, ratios))
+    def __init__(self, p: dict):
+        self.p = p  # even step -> Fraction
+        steps = sorted(p)
+        x = [float(p[s]) for s in steps]
+        if 0.0 in x:  # every count is positive, but its double can underflow
+            raise PreconditionError(f"return probability underflows at step {steps[x.index(0.0)]}")
+        roots, ratios = walk_estimates(steps, x)
+        self.root_estimates = dict(zip(steps[1:], roots))  # 2n -> p^{1/(2n)}
+        self.ratio_estimates = dict(zip(steps, ratios))    # 2n -> sqrt(p_{2n+2}/p_{2n})
 
     @property
     def final_ratio(self) -> float:
@@ -105,18 +100,21 @@ def walk_estimates(steps, p) -> tuple[list, list]:
     return roots, ratios
 
 
-def _walk_returns(rows, cols, n: int, deg: int, n_max: int) -> dict:
-    """Exact p_{2n}(e) from integer counts of the walks along the edges ``rows[i] <- cols[i]``.
+def _walk_returns(into, mult, deg: int, n_max: int) -> dict:
+    """Exact p_{2n}(e) from integer counts of the walks along the in-neighbour table ``into``.
 
-    Vertex 0 is e, and an edge listed k times carries k of the deg steps.
+    Column i of ``into`` lists the tails of the edges into point i of an
+    n-point prefix, and an entry n reads a zero pad slot; ``mult`` holds how
+    many of the deg steps each entry stands for, or is None for one each.
+    Point 0 is e.
     """
-    count = np.zeros(n, dtype=object)  # Python integers: no overflow
+    n = into.shape[1]
+    count = np.zeros(n + 1, dtype=object)  # Python integers: no overflow; count[n] is the pad
     count[0] = 1
     p = {0: Fraction(1)}
     for step in range(1, n_max + 1):
-        new = np.zeros(n, dtype=object)
-        np.add.at(new, rows, count[cols])
-        count = new
+        tails = count[into] if mult is None else mult * count[into]
+        count[:n] = np.add.reduce(tails, axis=0)
         if step % 2 == 0:
             p[step] = Fraction(count[0], deg ** step)
     return p
@@ -127,36 +125,32 @@ def _free_on_standard_steps(oracle: GroupOracle, steps) -> bool:
     return isinstance(oracle, FreeGroupOracle) and set(steps) == set(symmetric_generators(oracle))
 
 
-def _distance_chain(deg: int, n: int):
-    """Edges ``rows[i] <- cols[i]`` and multiplicities of the free ball of radius n, by distance.
-
-    Point d stands for the sphere of radius d about e in the deg-regular
-    tree, d = 0..n. From e all deg steps move out; from d > 0 one step moves
-    in and deg - 1 move out, and steps out of the ball are dropped. The
-    first n edges move out (d - 1 -> d), the last n move back (d -> d - 1).
-    """
-    d = np.arange(1, n + 1)
-    mult = np.concatenate([np.where(d == 1, deg, deg - 1), np.ones(n, np.intp)])
-    return np.concatenate([d, d - 1]), np.concatenate([d - 1, d]), mult
-
-
-@dataclass
 class DistanceChain:
     """A free group's Cayley ball on its standard steps, lumped by distance to e.
 
     Point d of the radius-``radius`` chain is the unit radial vector
     1_{S_d} / sqrt(|S_d|) on the sphere S_d, so ``sizes[k] = k + 1`` points
-    make up the radius-k prefix, as ``Ball.sizes`` counts elements. The
-    probes read only ``oracle``, ``steps``, ``radius`` and ``sizes``; there
+    make up the radius-k prefix, as ``Ball.sizes`` counts elements. There
     are no elements, and |S_d| = deg (deg - 1)^(d - 1) is never formed.
+    From e all deg steps move out; from d > 0 one step moves in and deg - 1
+    move out. ``in_neighbours`` is the ``(2, radius + 1)`` table whose
+    column d holds d - 1 and d + 1, the points whose steps lead into d; an
+    entry off the chain is ``radius + 1``, as on a ``Ball``.
+    ``multiplicities`` counts the steps each entry stands for (those from a
+    point of S_{d-1} into S_d, and the one back from S_{d+1}) in Python
+    integers, like the walk counts it scales, and ``weights`` is M's weight
+    on each entry, sqrt(out * back)/deg for the two multiplicities of the
+    edge it crosses. All three are built once.
     """
 
-    oracle: FreeGroupOracle
-    radius: int
-    steps: list = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self.steps = symmetric_generators(self.oracle)
+    def __init__(self, oracle: FreeGroupOracle, radius: int):
+        self.oracle, self.radius = oracle, radius
+        self.steps = symmetric_generators(oracle)
+        deg, d = len(self.steps), np.arange(radius + 1)
+        self.in_neighbours = np.stack([np.where(d > 0, d - 1, radius + 1), d + 1])
+        out = np.array([0, deg, *[deg - 1] * radius])  # steps from a point of S_{d-1} into S_d
+        self.multiplicities = np.stack([out[:-1], np.ones_like(d)]).astype(object)
+        self.weights = np.sqrt(np.stack([out[:-1], out[1:]])) / deg
 
     @property
     def sizes(self) -> range:
@@ -180,77 +174,77 @@ def probe_ball(oracle: GroupOracle, r: int, cap: int = DEFAULT_BALL_CAP) -> Ball
     return ball(oracle, r, cap)
 
 
+def _in_table(B: Ball | DistanceChain, n: int) -> np.ndarray:
+    """``B.in_neighbours`` cut to the first n points, every neighbour past them read as n."""
+    return np.minimum(B.in_neighbours[:, :n], n)
+
+
 def averaged_shift(B: Ball | DistanceChain, n: int):
     """The operator M, the average of the shifts compressed to the first n points of ``B``.
 
-    On a ``Ball`` point i is the delta at ``elements[i]``, and each edge
-    x -> s x of ``B.edges(n)`` carries 1/deg: (Mx)_i is the sum of x over
-    the in-neighbours of i in the prefix, over deg. It is one gather along
-    the ball's ``in_neighbours`` table, where a neighbour past the prefix
-    reads a zero pad slot, summed down each column from 0.0 in ascending
-    neighbour order: the additions of a scatter-add over ``B.edges(n)``, in
-    its order, so the values agree bit for bit. On a ``DistanceChain`` M
-    maps radial vectors to radial vectors, and there it is the symmetric
-    tridiagonal matrix T with sqrt(out * back)/deg between d and d + 1, for
-    the multiplicities of ``_distance_chain``: sqrt(deg)/deg between e and
-    the first sphere, sqrt(deg - 1)/deg beyond. For the radial v with
-    sphere amplitudes u, M v is the radial vector with amplitudes T u, so
-    each ratio (Mv)(x)/v(x) on S_d is (Tu)_d/u_d. With no steps every vector
-    is invariant, and M is the identity. Returns M as a function of a
-    length-n vector, whose value is a new array.
+    M is one gather along ``B.in_neighbours`` cut to the prefix, where a
+    neighbour past it reads a zero pad slot, summed down each column from
+    0.0 in table order. On a ``Ball`` point i is the delta at
+    ``elements[i]``, and each edge x -> s x carries 1/deg: (Mx)_i is the
+    sum of x over the in-neighbours of i in the prefix, over deg. Those are
+    the additions of a scatter-add over the prefix's edges in ``left`` order,
+    so the values agree with it bit for bit. On a ``DistanceChain`` M maps
+    radial vectors to radial vectors, and there it is the symmetric
+    tridiagonal matrix T with the chain's ``weights`` between d and d + 1:
+    sqrt(deg)/deg between e and the first sphere, sqrt(deg - 1)/deg beyond.
+    For the radial v with sphere amplitudes u, M v is the radial vector with
+    amplitudes T u, so each ratio (Mv)(x)/v(x) on S_d is (Tu)_d/u_d. Each
+    column adds the term from d - 1 before the one from d + 1, as a
+    scatter-add over the chain's out-edges and then its back-edges does, so
+    the values agree with that scatter bit for bit. With no steps every
+    vector is invariant, and M is the identity. Returns M as a function of
+    a length-n vector, whose value is a new array.
     """
     deg = len(B.steps)
     if not deg:
         return np.copy
-    if isinstance(B, DistanceChain):
-        rows, cols, mult = _distance_chain(deg, n - 1)
-        half = np.sqrt(mult[:n - 1] * mult[n - 1:]) / deg
-        weights = np.concatenate([half, half])
-        return lambda x: np.bincount(rows, weights=weights * x[cols], minlength=n)
-    into = np.minimum(B.in_neighbours[:, :n], n)
+    into = _in_table(B, n)
+    weights = B.weights[:, :n] if isinstance(B, DistanceChain) else None
     pad = np.zeros(n + 1)
 
     def shift(x):
         pad[:n] = x
-        return np.add.reduce(pad[into], axis=0, initial=0.0) / deg
+        if weights is None:
+            return np.add.reduce(pad[into], axis=0, initial=0.0) / deg
+        return np.add.reduce(weights * pad[into], axis=0, initial=0.0)
 
     return shift
 
 
-def walk_radius(oracle: GroupOracle, n_max: int, S=None) -> int:
-    """Radius of the ball ``return_probabilities`` needs for steps up to ``n_max``.
+def walk_radius(n_max: int) -> int:
+    """Radius of the space ``return_probabilities`` needs for steps up to ``n_max``.
 
     A walk back at e by step 2n <= n_max never leaves the radius-n ball, so
-    the radius is n_max // 2, except 0 for a free group's standard steps,
-    whose walks are counted on their own distance chain.
+    the radius is n_max // 2.
     """
     if n_max < 2:
         raise PreconditionError("n_max must be at least 2, the first return step")
-    return 0 if _free_on_standard_steps(oracle, symmetric_generators(oracle, S)) else n_max // 2
+    return n_max // 2
 
 
 def return_probabilities(B: Ball | DistanceChain, n_max: int = 40) -> ReturnProbabilityTable:
     """Exact p_{2n}(e), 2n <= n_max, for the uniform walk on the steps of ``B``.
 
     The walks are counted in integers on the prefix of radius
-    ``walk_radius``, one scatter-add over its edges x -> s x per step, and
-    p_{2n}(e) is the count at e over deg^(2n); a shorter ``B`` raises
-    ``PreconditionError``. The free kinds on their standard generators
-    count the walks on the radius-(n_max // 2) ``_distance_chain`` instead,
-    each edge listed as often as its multiplicity, whatever ``B`` is.
+    ``walk_radius``, one gather along its in-neighbour table per step (on a
+    ``DistanceChain`` each entry times its multiplicity), and p_{2n}(e) is
+    the count at e over deg^(2n); a shorter ``B`` raises
+    ``PreconditionError``.
     """
-    r = walk_radius(B.oracle, n_max, B.steps)
+    r = walk_radius(n_max)
     if B.radius < r:
         raise PreconditionError(f"walks to step {n_max} need radius {r}, not {B.radius}")
     deg = len(B.steps)
     if not deg:
         return ReturnProbabilityTable({s: Fraction(1) for s in range(0, n_max + 1, 2)})
-    if not r:  # a free group's standard steps: a walk past n_max // 2 cannot return
-        rows, cols, mult = _distance_chain(deg, n_max // 2)
-        return ReturnProbabilityTable(_walk_returns(
-            np.repeat(rows, mult), np.repeat(cols, mult), n_max // 2 + 1, deg, n_max))
     n = int(B.sizes[r])
-    return ReturnProbabilityTable(_walk_returns(*B.edges(n), n, deg, n_max))
+    mult = B.multiplicities[:, :n] if isinstance(B, DistanceChain) else None
+    return ReturnProbabilityTable(_walk_returns(_in_table(B, n), mult, deg, n_max))
 
 
 def collatz_wielandt(v, mv) -> float | None:

@@ -28,16 +28,17 @@ d = 650 on F2). ``verify`` checks them on the distance chain in O(rho). Exit cod
 0 success, 2 precondition or config error, 3 resource cap exceeded,
 4 an iterative solver did not converge (its best value goes to stderr),
 1 internal error. The caps and the tasks that read them:
-``ball`` bounds every Cayley ball a task builds: the probe's one ball
-(on a free group, the radius + 1 points of its distance chain), the
-``contain`` basis, the ``folner-witness`` and ``transfer`` witness's ball,
-the closures of ``nondividing``, ``canonical-base`` and ``superstable``,
-and ``amalgamate``'s check ball; ``dimension`` bounds every orthonormal
-span a task grows: those closures (and so the canonical base and the
-superstable core inside them), and the fresh copies of ``transfer`` (one
-fresh copy per key of the shifted remainders). Each report echoes the caps
-of its run in ``caps``, and ``verify`` rebuilds every ball under that
-``caps.ball``; a report without the block reads as the default caps.
+``ball`` bounds every Cayley ball a task builds: the probe's one ball of
+radius R = max(radius, nmax // 2) (on a free group, the R + 1 points of
+its distance chain), the ``contain`` basis, the ``folner-witness`` and
+``transfer`` witness's ball, the closures of ``nondividing``,
+``canonical-base`` and ``superstable``, and ``amalgamate``'s check
+ball; ``dimension`` bounds every orthonormal span a task grows: those
+closures (and so the canonical base and the superstable core inside
+them), and the fresh copies of ``transfer`` (one fresh copy per key of
+the shifted remainders). Each report echoes the caps of its run in
+``caps``, and ``verify`` rebuilds every ball under that ``caps.ball``; a
+report without the block reads as the default caps.
 """
 
 from __future__ import annotations
@@ -223,7 +224,7 @@ def run_probe(cfg, nmax, radius):
     # one ball (a free group's distance chain): the walk and the defect rows 0..radius read
     # its prefixes; rows 1..radius are reported, and the last row (at radius 0 the one-point
     # ball's) is the spectral end
-    B = probe_ball(cfg.oracle, max(radius, walk_radius(cfg.oracle, nmax)), cfg.caps["ball"])
+    B = probe_ball(cfg.oracle, max(radius, walk_radius(nmax)), cfg.caps["ball"])
     try:
         table = return_probabilities(B, nmax)
     except PreconditionError as exc:  # a probability under a double's range: nmax is too large

@@ -659,23 +659,13 @@ class Ball:
     def __contains__(self, x):
         return x in self.index
 
-    def edges(self, n: int):
-        """``rows``, ``cols`` of the edges x -> s x with both ends among the first ``n`` elements.
-
-        ``cols`` ascend, and the edges out of one element follow the step order.
-        """
-        rows = self.left[:n].ravel()
-        cols = np.repeat(np.arange(n), len(self.steps))
-        inside = (rows >= 0) & (rows < n)
-        return rows[inside], cols[inside]
-
     @cached_property
     def in_neighbours(self) -> np.ndarray:
         """The ``(len(steps), len(elements))`` table whose column i is row i of ``left``, ascending.
 
         The steps are closed under inverses, so column i lists the elements y
-        with s y = ``elements[i]`` for a step s: the tails of the edges into
-        i, in the order of ``edges``. An entry -1 (outside the ball) becomes
+        with s y = ``elements[i]`` for a step s: the tails of the edges
+        y -> s y into i, ascending. An entry -1 (outside the ball) becomes
         ``len(elements)``, past every index. An odd-even transposition network
         sorts the columns: len(steps) rounds of compare-exchanges of adjacent
         rows. A first ``np.sort`` call would raise the peak resident set by

@@ -26,13 +26,15 @@ from unirep import (
     symmetric_generators,
     walk_radius,
 )
-from util import (cyclic_table, dinf_rewriting, f2_oracle, h3_rewriting, psl2z_rewriting,
-                  scatter_shift, z2_oracle, z2_rewriting, z_oracle)
+from util import (chain_shift, cyclic_table, dinf_rewriting, f2_oracle, h3_rewriting,
+                  psl2z_rewriting, scatter_shift, z2_oracle, z2_rewriting, z_oracle)
 
 
 def walk_table(oracle, S, n_max):
-    """Return probabilities read off the smallest ball the walk needs."""
-    return return_probabilities(ball(oracle, walk_radius(oracle, n_max, S), S=S), n_max)
+    """Return probabilities read off the smallest space the walk needs, ``probe_ball``'s for no S."""
+    r = walk_radius(n_max)
+    B = probe_ball(oracle, r) if S is None else ball(oracle, r, S=S)
+    return return_probabilities(B, n_max)
 
 
 def test_z_binomial_closed_form_exact():
@@ -146,15 +148,17 @@ def test_walk_ball_cap_resource_error():
     """The walk's ball is capped by ``ball``'s element cap, which names the radius reached."""
     Z2 = z2_oracle()
     with pytest.raises(ResourceLimitError, match="radius"):
-        return_probabilities(ball(Z2, walk_radius(Z2, 30), 10), 30)
+        return_probabilities(ball(Z2, walk_radius(30), 10), 30)
 
 
 def test_walk_on_a_shorter_ball_is_refused():
     with pytest.raises(PreconditionError, match="need radius 5"):
         return_probabilities(ball(z_oracle(), 4), 10)
-    # a free group's standard steps count walks per distance, on any ball
-    assert walk_radius(f2_oracle(), 10) == 0
-    assert return_probabilities(ball(f2_oracle(), 0), 10).p == walk_table(f2_oracle(), None, 10).p
+    # a free group's walk reads a prefix of its distance chain, which is refused alike
+    with pytest.raises(PreconditionError, match="need radius 5, not 4"):
+        return_probabilities(probe_ball(f2_oracle(), 4), 10)
+    assert return_probabilities(probe_ball(f2_oracle(), 5), 10).p == (
+        reference_return_probabilities(f2_oracle(), None, 10))
 
 
 def tridiagonal_min_defect(m):
@@ -253,6 +257,37 @@ def test_averaged_shift_gathers_the_scatter_sums_bit_for_bit(make):
     zeros = np.full(len(B), -0.0)
     assert amenability.averaged_shift(B, len(B))(zeros).tobytes() == (
         scatter_shift(B, len(B))(zeros).tobytes())
+
+
+WALK_CHAINS = {f"F{rank}-chain-r12": lambda rank=rank: probe_ball(FreeGroupOracle(rank), 12)
+               for rank in (1, 2, 3)}
+
+
+@pytest.mark.parametrize("make", [*SHIFT_BALLS.values(), *WALK_CHAINS.values()],
+                         ids=[*SHIFT_BALLS, *WALK_CHAINS])
+def test_walk_on_a_prefix_equals_the_smallest_space(make):
+    """A neighbour past the walk's prefix reads the pad slot, so a longer space adds no walk."""
+    B = make()
+    chain = isinstance(B, DistanceChain)
+    n_maxes = range(2, 2 * B.radius + 2) if chain else sorted({2, 3, B.radius, 2 * B.radius + 1})
+    for n_max in n_maxes:
+        r = walk_radius(n_max)
+        smallest = probe_ball(B.oracle, r) if chain else ball(B.oracle, r, S=B.steps)
+        assert return_probabilities(B, n_max).p == return_probabilities(smallest, n_max).p, n_max
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_chain_shift_gathers_the_edge_list_sums_bit_for_bit(rank):
+    """On every chain prefix the gather makes the reference edge list's sums, signs too."""
+    chain = probe_ball(FreeGroupOracle(rank), 40)
+    rng = np.random.default_rng(0)
+    for n in chain.sizes:
+        x = rng.standard_normal(n)
+        got, want = amenability.averaged_shift(chain, n)(x), chain_shift(2 * rank, n)(x)
+        assert np.array_equal(got, want) and got.tobytes() == want.tobytes(), n
+        zeros = np.full(n, -0.0)
+        assert amenability.averaged_shift(chain, n)(zeros).tobytes() == (
+            chain_shift(2 * rank, n)(zeros).tobytes())
 
 
 def test_in_neighbours_are_the_left_rows_sorted():
@@ -391,21 +426,37 @@ def test_distance_chain_certificate_bounds_the_ball_operator(rank):
         assert row.certified_lower_bound <= dense_min_defect(oracle, row.radius) + rounding
 
 
+class _RecordedTable(np.ndarray):
+    """An in-neighbour table that records the number of points of each prefix cut from it."""
+
+    def __getitem__(self, key):
+        cut = np.asarray(super().__getitem__(key))
+        self.cuts.append(cut.shape[1])
+        return cut
+
+
 def test_walk_and_defect_read_one_distance_chain(monkeypatch):
-    calls = []
+    """One probe builds one chain, and its walk and every row gather along that chain's table."""
+    built = []
+    init = DistanceChain.__init__
 
-    def counted(deg, n):
-        calls.append((deg, n))
-        return chain_edges(deg, n)
+    def counted(self, *args):
+        built.append(self)
+        init(self, *args)
 
-    chain_edges = amenability._distance_chain
-    monkeypatch.setattr(amenability, "_distance_chain", counted)
+    monkeypatch.setattr(DistanceChain, "__init__", counted)
     F2 = f2_oracle()
-    chain = probe_ball(F2, 3)
+    chain = probe_ball(F2, 4)
+    chain.in_neighbours = chain.in_neighbours.view(_RecordedTable)
+    chain.in_neighbours.cuts = []
     assert return_probabilities(chain, 8).p == reference_return_probabilities(F2, None, 8)
-    assert calls == [(4, 4)]
-    defect_table(chain, [3])
-    assert calls[1:] and all(call == (4, 3) for call in calls[1:])
+    rows = defect_table(chain, range(5))
+    for row in rows:
+        value, _ = amenability.defect_certificate(chain, row.amplitudes)
+        assert abs(value - row.min_avg_sq_defect) <= 1e-12
+    assert built == [chain]
+    # the walk's radius-4 prefix, then rows 0..4, then their certificates
+    assert chain.in_neighbours.cuts == [5, *range(1, 6), *range(1, 6)]
 
 
 def test_kesten_constant_as_a_measured_rate():
@@ -579,6 +630,6 @@ def test_spectral_trivial_group():
 @pytest.mark.parametrize("n_max", [0, 1])
 def test_nmax_validation(n_max):
     with pytest.raises(PreconditionError):
-        walk_radius(z_oracle(), n_max)
+        walk_radius(n_max)
     with pytest.raises(PreconditionError):
         return_probabilities(ball(z_oracle(), 3), n_max)

@@ -306,6 +306,17 @@ def test_free_probe_chain_stops_at_the_ball_cap(tmp_path, capsys):
     assert "ball element cap 29 exceeded at radius 29 of the distance chain" in err
 
 
+def test_free_probe_walk_chain_stops_at_the_ball_cap(tmp_path, capsys):
+    """The free walk reads the probe's one chain, of max(radius, nmax // 2) + 1 points, capped."""
+    config = {"group": F2, "task": {"nmax": 60, "radius": 3}}
+    code, _out = run_task(tmp_path, "probe-amenability", config, "--cap-ball", "31")
+    assert code == 0
+    code, _out = run_task(tmp_path, "probe-amenability", config, "--cap-ball", "30")
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "ball element cap 30 exceeded at radius 30 of the distance chain" in err
+
+
 def test_report_is_written_compact(tmp_path):
     code, out = run_task(tmp_path, "probe-amenability",
                          {"group": Z, "task": {"nmax": 4, "radius": 2}})

@@ -134,14 +134,35 @@ def every_product_ball(oracle, r, S=None):
 
 
 def scatter_shift(B, n):
-    """The reference for ``averaged_shift`` on a ``Ball``: a scatter-add over ``B.edges(n)``.
+    """The reference for ``averaged_shift`` on a ``Ball``: a scatter-add over its edges.
 
-    Each edge x -> s x carries 1/deg; ``np.bincount`` adds the edges in their
-    order, from 0.0, and the sums are divided by deg.
+    The edges x -> s x with both ends among the first n elements are read off
+    ``B.left`` row by row, each row in step order. Each carries 1/deg;
+    ``np.bincount`` adds the edges in their order, from 0.0, and the sums are
+    divided by deg.
     """
-    rows, cols = B.edges(n)
     deg = len(B.steps)
+    rows, cols = B.left[:n].ravel(), np.repeat(np.arange(n), deg)
+    inside = (rows >= 0) & (rows < n)
+    rows, cols = rows[inside], cols[inside]
     return lambda x: np.bincount(rows, weights=x[cols], minlength=n) / deg
+
+
+def chain_shift(deg, n):
+    """The reference for ``averaged_shift`` on the n-point prefix of a free ``DistanceChain``.
+
+    Point d stands for the sphere of radius d in the deg-regular tree. The
+    edge list holds the n - 1 edges out (d - 1 -> d), then the n - 1 back
+    (d -> d - 1); an edge out carries deg steps from e and deg - 1 beyond, one
+    back carries one, and both directions of d - 1 <-> d weigh
+    sqrt(out * back)/deg. ``np.bincount`` adds the edges in list order, from 0.0.
+    """
+    d = np.arange(1, n)
+    rows, cols = np.concatenate([d, d - 1]), np.concatenate([d - 1, d])
+    mult = np.concatenate([np.where(d == 1, deg, deg - 1), np.ones(n - 1, np.intp)])
+    half = np.sqrt(mult[:n - 1] * mult[n - 1:]) / deg
+    weights = np.concatenate([half, half])
+    return lambda x: np.bincount(rows, weights=weights * x[cols], minlength=n)
 
 
 def random_unitary(rng, d):
