@@ -20,7 +20,7 @@ from .containment import (
     folner_witness,
     gram,
     search_witness,
-    shift_defect_exact,
+    shift_defect,
     transfer_witness,
     trivial_target,
 )

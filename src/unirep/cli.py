@@ -33,9 +33,11 @@ radius R = max(radius, nmax // 2) (on a free group, the R + 1 points of
 its distance chain), the ``contain`` basis, the ``folner-witness`` and
 ``transfer`` witness's ball, the closures of ``nondividing``,
 ``canonical-base`` and ``superstable``, and ``amalgamate``'s check
-ball; ``dimension`` bounds every orthonormal span a task grows: those
-closures (and so the canonical base and the superstable core inside
-them), and the fresh copies of ``transfer`` (one fresh copy per key of
+ball (``verify`` rebuilds the ``folner-witness`` ball, of radius
+``outputs.radius``, under ``caps.ball`` and reads the witness off it);
+``dimension`` bounds every orthonormal span a task grows: those closures
+(and so the canonical base and the superstable core inside them), and
+the fresh copies of ``transfer`` (one fresh copy per key of
 the shifted remainders). Each report echoes the caps of its run in
 ``caps``, and ``verify`` rebuilds every ball under that ``caps.ball``; a
 report without the block reads as the default caps.
@@ -386,14 +388,14 @@ def _stored_gram_check(report, key, oracle, F, M):
     return (key, containment.deviation(stored, M), 0.0)
 
 
-def _ball_rows(basis, witnesses):
-    """The witnesses' coordinate rows over the ball; one off the span exits 2 at its field."""
+def _ball_rows(basis, named):
+    """The coordinate rows over the ball of ``{field: vector}``; a vector off it exits 2 there."""
     rows = []
-    for i, w in enumerate(witnesses):
+    for field, w in named.items():
         try:
             rows.append(basis.coords(w))
         except PreconditionError as exc:
-            raise ConfigError(str(exc), field=f"report.outputs.witnesses[{i}]") from None
+            raise ConfigError(str(exc), field=field) from None
     return rows
 
 
@@ -413,8 +415,9 @@ def verify_contain(report):
         basis, M = None, containment.witness_matrices(target, pi, witnesses)
     else:
         basis = containment.ball_delta_basis(pi, inputs["radius"], report["caps"]["ball"])
-        M = containment.row_matrices(target, basis.gram_tensor(target.F),
-                                     _ball_rows(basis, witnesses))
+        rows = _ball_rows(basis, {f"report.outputs.witnesses[{i}]": w
+                                  for i, w in enumerate(witnesses)})
+        M = containment.row_matrices(target, basis.gram_tensor(target.F), rows)
     checks = _witness_checks(report, target, M, "tol")
     checks.append(_stored_gram_check(report, "witness-gram", oracle, target.F, M))
     bounds = containment.span_bounds(basis, target, witnesses)
@@ -428,21 +431,22 @@ def verify_contain(report):
 
 
 def run_folner(cfg, eps):
+    """The Perron row of ``folner_witness``: its vector, ball radius and exact defects over F.
+
+    Each defect's ``value`` is its ``value-exact`` rounded to the nearest double.
+    """
     raw_f = cfg.task.get("F")
     F = parse_elements(raw_f, cfg.oracle, "task.F") if raw_f else list(cfg.oracle.generators)
-    w = folner_witness(cfg.oracle, F, eps, cfg.caps["ball"])
-    defects = []
-    for g in F:
-        exact = containment.shift_defect_exact(cfg.oracle, w, g)
-        defects.append({
-            "element": cfg.oracle.element_to_str(g),
-            "value": containment.shift_defect(w, g),
-            "value-exact": str(exact),
-        })
+    row = folner_witness(cfg.oracle, F, eps, cfg.caps["ball"])
+    w = row.argmin
+    exact = [containment.shift_defect(row.ball, row.amplitudes, g) for g in F]
+    defects = [{"element": cfg.oracle.element_to_str(g), "value": float(x), "value-exact": str(x)}
+               for g, x in zip(F, exact)]
     worst = max((d["value"] for d in defects), default=0.0)
     inputs = {"F": [cfg.oracle.element_to_str(g) for g in F]}
     outputs = {
         "witness": vector_to_json(w),
+        "radius": row.radius,
         "defects": defects,
         "max-defect": worst,
         "support-size": len(w.entries),
@@ -451,23 +455,32 @@ def run_folner(cfg, eps):
 
 
 def verify_folner(report):
+    """The run's checks, on the witness read as its coordinate row over the rebuilt ball.
+
+    The ball of radius ``outputs.radius`` is rebuilt under ``caps.ball``; a
+    witness key off it exits 2 at ``report.outputs.witness``.
+    """
     oracle = _report_inputs(report)[0]
-    space = Regular(oracle)
     outputs = report["outputs"]
-    w = parse_vector(outputs["witness"], space, "report.outputs.witness")
+    radius = outputs.get("radius")
+    if type(radius) is not int or radius < 0:
+        raise ConfigError(f"expected a non-negative integer, got {radius!r}",
+                          field="report.outputs.radius")
+    basis = containment.ball_delta_basis(Regular(oracle), radius, report["caps"]["ball"])
+    w = parse_vector(outputs["witness"], basis.ambient, "report.outputs.witness")
+    [amplitudes] = _ball_rows(basis, {"report.outputs.witness": w})
     names = [row["element"] for row in outputs["defects"]]
     checks = [("support-size", len(w.entries), outputs["support-size"]),
               ("defect-elements", names == report["inputs"]["F"], True)]
     eps = Fraction(report["tolerances"]["eps"])
     worst = 0.0
     for row, g in zip(outputs["defects"], parse_elements(names, oracle, "report.outputs.defects")):
-        value = containment.shift_defect(w, g)
-        worst = max(worst, value)
-        checks.append((f"defect-{row['element']}", value, row["value"]))
-        exact = Fraction(row["value-exact"])
-        checks.append((f"defect-exact-{row['element']}",
-                       containment.shift_defect_exact(oracle, w, g) == exact, True))
-        checks.append((f"within-eps-{row['element']}", exact <= eps, True))
+        exact = containment.shift_defect(basis.ball, amplitudes, g)
+        worst = max(worst, float(exact))
+        stored = Fraction(row["value-exact"])
+        checks.append((f"defect-{row['element']}", float(exact), row["value"]))
+        checks.append((f"defect-exact-{row['element']}", exact == stored, True))
+        checks.append((f"within-eps-{row['element']}", stored <= eps, True))
     checks.append(("max-defect", worst, outputs["max-defect"]))
     checks.append(("headline", worst, report["headline"]))
     return checks

@@ -10,6 +10,12 @@ takes the defect probe's Perron vector as an almost-invariant vector with
 an exactly counted defect, and transfers witnesses from an explicit
 extension back into a stack of shift copies.
 
+Both ball readings go through one index map, ``Ball.left_column(g)``: the
+Gram tensor of a ball delta basis (``BallBasis.gram_tensor``) and the
+shift defect of amplitudes in ball order (``shift_defect``), which is an
+exact ``Fraction`` of integer sums, with no float path and no oracle
+product per entry.
+
 On the trivial target (one invariant unit vector) over a Cayley ball the
 same Perron vector is the search's start, and Kesten's bound (Kesten 1959)
 with a Collatz-Wielandt ratio (Wielandt 1950) proves how close any witness
@@ -21,6 +27,7 @@ delta >= (1 - lambda)/(1 + lambda).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -34,8 +41,8 @@ from .errors import (
     PreconditionError,
     ResourceLimitError,
 )
-from .amenability import (averaged_shift, collatz_wielandt, min_defect, round_outward,
-                          squared_norm_bound)
+from .amenability import (DefectReport, averaged_shift, collatz_wielandt, min_defect,
+                          round_outward, squared_norm_bound)
 from .groups import DEFAULT_BALL_CAP, Ball, GroupOracle, ball, symmetric_generators
 from .reps import (
     DirectSum,
@@ -480,28 +487,15 @@ class BallBasis:
     def gram_tensor(self, F) -> GramNonzeros:
         """``_gram_tensor(ambient, basis, F)``, array for array, read off the ball.
 
-        T_g[i, j] = <lambda(g)delta_{x_i}, delta_{x_j}> is 1 where g x_i = x_j:
-        every i for g = e, the ball's ``left[:, s]`` for a step s, and for
-        any other g (checked once) one unchecked product g x per ball
-        element, looked up in the ball's index. No vector is built and no
-        key is checked again: each x is an element the ball built.
+        T_g[i, j] = <lambda(g)delta_{x_i}, delta_{x_j}> is 1 where g x_i = x_j,
+        that is at j = ``ball.left_column(g)[i]``: no vector is built and no
+        key is checked again.
         """
-        B, oracle = self.ball, self.oracle
-        e, steps = oracle.identity(), {s: j for j, s in enumerate(B.steps)}
-        parts = []
-        for t, g in enumerate(F):
-            if g == e:
-                j = np.arange(len(B))
-            elif g in steps:
-                j = B.left[:, steps[g]]
-            else:
-                oracle.check_element(g)
-                j = np.array([B.index.get(oracle._mul(g, x), -1) for x in B.elements],
-                             dtype=np.intp)
-            i = np.flatnonzero(j >= 0)
-            parts.append((np.full(len(i), t), i, j[i]))
-        g, i, j = (np.concatenate(c) for c in zip(*parts))
-        return GramNonzeros(g, i, j, np.ones(len(i), dtype=complex), (len(F), len(B), len(B)))
+        B = self.ball
+        J = np.array([B.left_column(g) for g in F])
+        g, i = np.nonzero(J >= 0)  # g-major, each g's i ascending
+        return GramNonzeros(g, i, J[g, i], np.ones(len(i), dtype=complex),
+                            (len(F), len(B), len(B)))
 
     def coords(self, v: SparseVector) -> np.ndarray:
         """The coordinate row of ``v`` over the ball, ``from_coords``'s inverse.
@@ -533,69 +527,65 @@ def ball_delta_basis(rep: Representation, r: int, cap: int = DEFAULT_BALL_CAP) -
     return BallBasis(rep, atom.oracle, r, cap)
 
 
-def shift_defect(w: SparseVector, g) -> float:
-    """``||lambda(g)w - w||^2`` in floats, for a vector w of the regular representation."""
-    return (w.space.apply(g, w) - w).norm2()
+def shift_defect(B: Ball, w, g) -> Fraction:
+    """Exact ``||lambda(g)w - w||^2 / ||w||^2`` for amplitudes ``w`` in the ball order of ``B``.
 
-
-def shift_defect_exact(oracle, w: SparseVector, g) -> Fraction:
-    """Exact ``||lambda(g)w - w||^2 / ||w||^2`` for a vector w of the regular representation.
-
-    Float amplitudes are dyadic rationals n / 2^k: scaled by the largest
-    2^k they are integers, and the ratio of integer sums is w's own defect,
-    with no rounding.
+    ``w`` is real or complex. A double is m 2^e with m 2^53 an integer
+    (``np.frexp``), so scaled by the largest power-of-two denominator among
+    all real and imaginary parts each part is an integer vector x, and the
+    ratio of integer sums is w's own defect, with no rounding. lambda(g)
+    moves the amplitude at x_i to ``B.left_column(g)[i]``, and mass moved off
+    the ball meets nothing there, so ||lambda(g)x - x||^2 = 2(||x||^2 - sum
+    x_i x_(g x_i)) over the i that stay on the ball, part by part.
     """
-    ratios = {key: (a.real.as_integer_ratio(), a.imag.as_integer_ratio())
-              for key, a in w.entries.items()}
-    scale = max(d for pair in ratios.values() for _n, d in pair)
-    amps = {key: tuple(n * (scale // d) for n, d in pair) for key, pair in ratios.items()}
-    diff = {(c, oracle.multiply(g, x)): a for (c, x), a in amps.items()}  # lambda(g)w
-    for key, (re, im) in amps.items():
-        moved_re, moved_im = diff.get(key, (0, 0))
-        diff[key] = (moved_re - re, moved_im - im)
-
-    def norm2(parts):
-        return sum(re * re + im * im for re, im in parts)
-
-    return Fraction(norm2(diff.values()), norm2(amps.values()))
+    w = np.asarray(w)
+    if w.shape != (len(B),):
+        raise PreconditionError(f"expected {len(B)} ball amplitudes, got shape {w.shape}")
+    scaled = [np.frexp(part) for part in ((w.real, w.imag) if np.iscomplexobj(w) else (w,))]
+    low = min(int(e.min()) for _m, e in scaled)
+    parts = [np.array([n << k for n, k in zip((m * 2.0 ** 53).astype(np.int64).tolist(),
+                                               (e - low).tolist())], dtype=object)
+             for m, e in scaled]
+    column = B.left_column(g)
+    i = np.flatnonzero(column >= 0)
+    norm2 = sum(x.dot(x) for x in parts)
+    return Fraction(2 * (norm2 - sum(x[i].dot(x[column[i]]) for x in parts)), norm2)
 
 
 def folner_witness(oracle: GroupOracle, F, eps: float,
-                   cap: int = DEFAULT_BALL_CAP) -> SparseVector:
-    """Almost-invariant unit vector of the regular representation, certified exactly.
+                   cap: int = DEFAULT_BALL_CAP) -> DefectReport:
+    """The defect probe's Perron row on the first ball whose vector is almost invariant under F.
 
-    Returns the defect probe's Perron vector
-    ``min_defect(ball(oracle, r, cap)).argmin`` at the smallest radius
-    r = 1, 2, ... whose exact defect ``shift_defect_exact`` is at most
-    ``eps`` for every element of F. Each radius is screened with the float
-    defect first; only a radius that passes is recounted exactly. On a
-    finite group the ball saturates and its Perron vector is constant, with
-    defect exactly 0. A ball past ``cap`` elements raises
-    ``ResourceLimitError`` naming the smallest max-over-F defect reached and
-    its radius; on a non-amenable group Kesten's bound keeps that defect
-    away from 0.
+    Returns ``min_defect(ball(oracle, r, cap))`` at the smallest radius
+    r = 1, 2, ... where the exact ``shift_defect`` of its amplitudes is at
+    most ``Fraction(eps)`` for every element of F; its ``argmin`` is the
+    unit vector. On a finite group the ball saturates and its Perron vector
+    is constant, with defect exactly 0. On an infinite amenable group the
+    support needed grows like eps^(-d/2) for growth degree d: the radius-r
+    ball's Dirichlet gap is of order r^-2 and its size of order r^d. A ball
+    past ``cap`` elements raises ``ResourceLimitError`` naming the smallest
+    max-over-F defect reached (the nearest double) and its radius; on a
+    non-amenable group Kesten's bound keeps that defect away from 0.
     """
     if not 0 < eps < np.inf:
         raise PreconditionError(f"eps must be finite and positive, got {eps!r}")
     F = list(F)
     for g in F:
         oracle.check_element(g)
-    best = None  # (max float defect over F, radius)
-    r = 0
-    while True:
-        r += 1
+    best = None  # (max exact defect over F, radius)
+    for r in itertools.count(1):
         try:
-            w = min_defect(ball(oracle, r, cap)).argmin
+            row = min_defect(ball(oracle, r, cap))
         except ResourceLimitError as exc:
             if best is None:
                 raise
-            raise ResourceLimitError(
-                f"{exc}; best max defect over F {best[0]!r} at radius {best[1]}") from None
-        worst = max((shift_defect(w, g) for g in F), default=0.0) / w.norm2()
+            raise ResourceLimitError(f"{exc}; best max defect over F {float(best[0])!r} "
+                                     f"at radius {best[1]}") from None
+        worst = max((shift_defect(row.ball, row.amplitudes, g) for g in F), default=0)
         if best is None or worst < best[0]:
             best = (worst, r)
-        if worst <= eps and all(shift_defect_exact(oracle, w, g) <= Fraction(eps) for g in F):
-            return w
+        if worst <= Fraction(eps):
+            return row
 
 
 def _tail_structure(rho):
@@ -624,10 +614,12 @@ def transfer_witness(rho: Representation, params, targets, F, eps: float,
     common part plus finitely many stack copies. Each target splits into
     its projection onto that subspace (kept verbatim) and a remainder w_i
     whose Gram data is reproduced in fresh stack copies by tensoring with
-    the almost-invariant unit vector f of ``folner_witness``. For real f,
-    <lambda(g)f, f> = ||f||^2 - ||lambda(g)f - f||^2 / 2, so the per-entry
-    error is max|M| * ||lambda(g)f - f||^2 / 2, which f is chosen to keep
-    below ``eps``. ``cap`` bounds f's Cayley ball as in ``folner_witness``.
+    the almost-invariant unit vector f of ``folner_witness``: the positive
+    Perron amplitudes f(h) of its row, read in ball order off the row's
+    ball. For real f, <lambda(g)f, f> = ||f||^2 - ||lambda(g)f - f||^2 / 2,
+    so the per-entry error is max|M| * ||lambda(g)f - f||^2 / 2, which f is
+    chosen (by its exact defect) to keep below ``eps``. ``cap`` bounds f's
+    Cayley ball as in ``folner_witness``.
 
     The tensor product is Fell's absorption, xi (x) delta_h ->
     rho(h)^-1 xi (x) delta_h, read in the canonical basis: every key of a
@@ -670,7 +662,7 @@ def transfer_witness(rho: Representation, params, targets, F, eps: float,
     if any(not w.is_zero() for w in remainders):
         rem_gram = gram(rho, remainders, F, oracle=oracle)
         f = folner_witness(oracle, F, eps / max(1.0, rem_gram.max_abs()), cap)
-        phi = [(h, amp.real) for (_c, h), amp in f]
+        phi = list(zip(f.ball.elements, f.amplitudes.tolist()))
         shifted = [[rho.apply(oracle.invert(h), w) for h, _a in phi] for w in remainders]
         index = KeyIndex(s for row in shifted for s in row)
         if len(index) > dim_cap:

@@ -639,7 +639,8 @@ class Ball:
     ``parent`` and ``letter`` are the breadth-first tree: element i > 0 was
     found as ``elements[parent[i]] * steps[letter[i]]``, one sphere closer.
     ``in_neighbours`` is the walk's in-neighbour table and ``left_tree``
-    the tree of left steps, each built once per ball when first read.
+    the tree of left steps, each built once per ball when first read;
+    ``left_column(g)`` is the index map of left multiplication by any g.
     """
 
     oracle: GroupOracle
@@ -658,6 +659,22 @@ class Ball:
 
     def __contains__(self, x):
         return x in self.index
+
+    def left_column(self, g) -> np.ndarray:
+        """The position of g * x for each element x, in ball order; -1 where it leaves the ball.
+
+        ``arange`` for the identity and ``left[:, j]`` for a step; any other g
+        is checked once (``KindMismatchError`` if malformed), then takes one
+        unchecked product per element and an index lookup: each x is an
+        element the ball built.
+        """
+        if g == self.oracle.identity():
+            return np.arange(len(self))
+        if g in self.steps:
+            return self.left[:, self.steps.index(g)]
+        self.oracle.check_element(g)
+        mul, index = self.oracle._mul, self.index
+        return np.array([index.get(mul(g, x), -1) for x in self.elements], dtype=np.intp)
 
     @cached_property
     def in_neighbours(self) -> np.ndarray:

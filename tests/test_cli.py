@@ -472,7 +472,7 @@ def test_transfer_takes_one_fresh_copy_per_key_of_overlapping_translates(tmp_pat
                + parse_vectors(report["inputs"]["targets"], rho))
     witnesses = parse_vectors(report["outputs"]["witnesses"], rho)
     assert discrepancy(gram(rho, vectors, F, oracle=oracle), rho, witnesses) <= 0.05
-    f = folner_witness(oracle, F, 0.05)  # the target's Gram data has max modulus 1
+    f = folner_witness(oracle, F, 0.05).argmin  # the target's Gram data has max modulus 1
     translates = [rho.apply(oracle.invert(h), vectors[1]) for (_c, h) in f.entries]
     keys = {key for t in translates for key in t.entries}
     assert len(keys) == len(translates) + 1
@@ -1183,6 +1183,43 @@ def test_folner_verify_names_the_field_of_a_bad_element(tmp_path, capsys, elemen
     assert main(["verify", "--report", str(out)]) == 2
     err = capsys.readouterr().err
     assert "config field 'report.outputs.defects[0]'" in err
+    assert "Traceback" not in err
+
+
+def _witness_key_off_the_ball(report):
+    """The witness in list form, with one more entry at (radius + 1, 0), just off its ball."""
+    oracle = parse_group(report["inputs"]["group"])
+    out = report["outputs"]
+    w = parse_vector(out["witness"], Regular(oracle))
+    out["witness"] = [[c, oracle.element_to_str(x), a.real, a.imag] for (c, x), a in w]
+    out["witness"].append([0, f"{out['radius'] + 1},0", 0.5, 0.0])
+
+
+def _shrink_radius(report):
+    report["outputs"]["radius"] -= 1
+
+
+@pytest.mark.parametrize("tamper, field", [
+    (_witness_key_off_the_ball, "report.outputs.witness"),
+    (_shrink_radius, "report.outputs.witness"),
+    (lambda report: report["outputs"].update(radius=2.5), "report.outputs.radius"),
+    (lambda report: report["outputs"].pop("radius"), "report.outputs.radius"),
+], ids=["key-off-the-ball", "radius-one-smaller", "non-integer-radius", "no-radius"])
+def test_folner_verify_reads_the_witness_off_its_ball(tmp_path, capsys, tamper, field):
+    """verify rebuilds the ball of radius ``outputs.radius`` and reads the witness off it.
+
+    A witness key off that ball, or a radius that is not a non-negative integer (as in a
+    report written before the radius was reported), exits 2 at its field.
+    """
+    code, out = run_task(tmp_path, "folner-witness", FOLNER)
+    assert code == 0
+    report = read_report(out)
+    tamper(report)
+    out.write_text(json.dumps(report))
+    capsys.readouterr()
+    assert main(["verify", "--report", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"config field '{field}'" in err
     assert "Traceback" not in err
 
 

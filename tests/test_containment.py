@@ -11,6 +11,7 @@ from unirep import (
     DirectSum,
     FreeGroupOracle,
     GramFunction,
+    KindMismatchError,
     Multiple,
     PreconditionError,
     Regular,
@@ -28,14 +29,17 @@ from unirep import (
     inner,
     min_defect,
     search_witness,
-    shift_defect_exact,
+    shift_defect,
     transfer_witness,
     trivial_target,
 )
 from unirep.containment import (GramNonzeros, _gram_tensor, _objective_and_gradient,
                                 certified_floor, row_matrices)
 from util import (
+    cyclic_table,
+    dict_shift_defect,
     f2_oracle,
+    h3_rewriting,
     random_elements,
     random_matrix_rep,
     random_sparse,
@@ -515,10 +519,8 @@ def test_witness_tolerance_must_be_finite_and_positive(call, name, value):
 
 
 def test_folner_finite_group_exact():
-    from util import cyclic_table
-
     Z5 = cyclic_table(5)
-    w = folner_witness(Z5, [1, 2], eps=1e-9)
+    w = folner_witness(Z5, [1, 2], eps=1e-9).argmin
     reg = Regular(Z5)
     for g in (1, 2):
         assert (reg.apply(g, w) - w).norm2() == 0.0
@@ -528,46 +530,99 @@ def _support(w):
     return {x for (_c, x) in w.entries}
 
 
-def test_folner_z_example():
-    """The radius-r ball of Z is the path P_(2r+1): Perron defect 2(1 - cos(pi/(2r+2)))."""
+@pytest.mark.parametrize("oracle, supports", [
+    (z_oracle, [11, 15, 23, 31, 45]),
+    (z2_oracle, [113, 265, 481, 1013, 1985]),
+], ids=["Z", "Z2"])
+def test_folner_function_pins_the_witness_support(oracle, supports):
+    """The Folner function N(eps) on Z and Z^2, F the first two generators.
+
+    The witness is the Perron row of the first radius whose exact defects are all at
+    most eps, so the radius below fails eps. Halving eps multiplies the support by about
+    sqrt(2) on Z and 2 on Z^2: N(eps) grows like eps^(-d/2) for growth degree d, since the
+    radius-r ball's Dirichlet gap is of order r^-2 and its size of order r^d. On Z the
+    radius-r ball is the path P_(2r+1), whose Perron defect is 2(1 - cos(pi/(2r+2))).
+    """
+    G = oracle()
+    F = G.generators[:2]
+    for eps, support in zip([0.08, 0.04, 0.02, 0.01, 0.005], supports):
+        row = folner_witness(G, F, eps)
+        assert len(row.argmin.entries) == support
+        assert _support(row.argmin) == set(ball(G, row.radius).elements)
+        assert all(shift_defect(row.ball, row.amplitudes, g) <= Fraction(eps) for g in F)
+        below = min_defect(ball(G, row.radius - 1))
+        assert max(shift_defect(below.ball, below.amplitudes, g) for g in F) > Fraction(eps)
+        if G.rank == 1:
+            exact = 2 * (1 - math.cos(math.pi / (2 * row.radius + 2)))
+            assert abs(float(shift_defect(row.ball, row.amplitudes, (1,))) - exact) < 1e-9
+
+
+def _in_ball_order(B, amplitudes, dtype=complex):
+    w = np.zeros(len(B), dtype=dtype)
+    for x, a in amplitudes.items():
+        w[B.index[x]] = a
+    return w
+
+
+def test_shift_defect_is_normalized_and_reads_complex_amplitudes():
     Z = z_oracle()
-    w = folner_witness(Z, [(1,)], eps=0.2)
-    assert _support(w) == set(ball(Z, 3).elements) and len(w.entries) == 7
-    assert abs(float(shift_defect_exact(Z, w, (1,))) - 2 * (1 - math.cos(math.pi / 8))) < 1e-9
-    # radius 2 is 2(1 - cos(pi/6)) = 0.268 > 0.2
-    assert shift_defect_exact(Z, min_defect(ball(Z, 2)).argmin, (1,)) > Fraction(0.2)
-
-
-def test_folner_z2_example():
-    """At eps 0.02 the Z^2 witness is the radius-15 Perron vector; radius 14 fails eps."""
-    Z2 = z2_oracle()
-    F = [(1, 0), (0, 1)]
-    w = folner_witness(Z2, F, eps=0.02)
-    assert _support(w) == set(ball(Z2, 15).elements) and len(w.entries) == 481
-    reg = Regular(Z2)
-    for g in F:
-        assert shift_defect_exact(Z2, w, g) <= Fraction(0.02)
-        assert (reg.apply(g, w) - w).norm2() <= 0.02
-    below = min_defect(ball(Z2, 14)).argmin
-    assert max(shift_defect_exact(Z2, below, g) for g in F) > Fraction(0.02)
-
-
-def test_shift_defect_exact_is_normalized_and_reads_complex_amplitudes():
-    Z = z_oracle()
-    reg = Regular(Z)
-    box = SparseVector(reg, {(0, (k,)): 3.0 for k in range(4)})
-    assert shift_defect_exact(Z, box, (1,)) == Fraction(1, 2)
-    assert shift_defect_exact(Z, box, (0,)) == 0
-    w = SparseVector(reg, {(0, (0,)): 1j, (0, (1,)): 0.5})
+    B = ball(Z, 3)
+    box = _in_ball_order(B, {(k,): 3.0 for k in range(4)}, dtype=float)
+    assert shift_defect(B, box, (1,)) == Fraction(1, 2)
+    assert shift_defect(B, box, (0,)) == 0
+    w = _in_ball_order(B, {(0,): 1j, (1,): 0.5})
     # lambda(1)w - w = -1j d0 + (1j - 0.5) d1 - 0.5 d2: squared norm 1 + 1.25 + 0.25 over 1.25
-    assert shift_defect_exact(Z, w, (1,)) == Fraction(2)
+    assert shift_defect(B, w, (1,)) == Fraction(2)
+    with pytest.raises(PreconditionError, match="expected 7 ball amplitudes"):
+        shift_defect(B, box[:4], (1,))
+
+
+def _power(oracle, s, k):
+    g = oracle.identity()
+    for _ in range(k):
+        g = oracle.multiply(g, s)
+    return g
+
+
+@pytest.mark.parametrize("oracle, r, malformed", [
+    (f2_oracle, 3, (1, -1)),
+    (z2_oracle, 4, (1, 2, 3)),
+    (h3_rewriting, 3, (2, 1)),
+    (lambda: cyclic_table(6), 2, 6),
+], ids=["F2", "Z2", "H3", "Z6"])
+def test_shift_defect_matches_the_dict_reference(oracle, r, malformed):
+    """The exact defect read off ``left_column`` is the per-entry dict formula's, as a Fraction.
+
+    For e, each step, the non-step s^2 in the ball, s^(r + 1) and s^(2r + 1) (outside the
+    ball of an infinite group, where the defect is exactly 2), with real and complex
+    amplitudes over a wide range of exponents.
+    """
+    G = oracle()
+    B = ball(G, r)
+    s = B.steps[0]
+    elements = [G.identity(), *B.steps] + [_power(G, s, k) for k in (2, r + 1, 2 * r + 1)]
+    rng = np.random.default_rng(r)
+    real = rng.standard_normal(len(B))
+    real[::3] *= 2.0 ** -40
+    for w in (real, real + 1j * rng.standard_normal(len(B))):
+        amplitudes = dict(zip(B.elements, w.tolist()))
+        for g in elements:
+            column = B.left_column(g)
+            assert column.tolist() == [B.index.get(G.multiply(g, x), -1) for x in B.elements]
+            assert shift_defect(B, w, g) == dict_shift_defect(G, amplitudes, g)
+        if G.order() is None:
+            assert shift_defect(B, w, elements[-1]) == 2
+    with pytest.raises(KindMismatchError):
+        B.left_column(malformed)
+    with pytest.raises(KindMismatchError):
+        shift_defect(B, real, malformed)
 
 
 def test_folner_longer_shifts_and_torsion():
     from unirep import FgAbelianOracle
 
     G = FgAbelianOracle(1, [4])
-    w = folner_witness(G, [(3, 1), (1, 2)], eps=0.05)
+    w = folner_witness(G, [(3, 1), (1, 2)], eps=0.05).argmin
     reg = Regular(G)
     for g in ((3, 1), (1, 2)):
         assert (reg.apply(g, w) - w).norm2() <= 0.05 + 1e-12
@@ -581,9 +636,9 @@ def test_folner_free_group_stops_above_kesten_floor():
     """
     F2 = f2_oracle()
     F = [(1,), (2,)]
-    w = folner_witness(F2, F, eps=0.5)
-    assert _support(w) == set(ball(F2, 4).elements)
-    assert all(shift_defect_exact(F2, w, g) <= Fraction(0.5) for g in F)
+    row = folner_witness(F2, F, eps=0.5)
+    assert _support(row.argmin) == set(ball(F2, 4).elements)
+    assert all(shift_defect(row.ball, row.amplitudes, g) <= Fraction(0.5) for g in F)
     with pytest.raises(ResourceLimitError, match="at radius 6$") as err:
         folner_witness(F2, F, eps=0.1, cap=2000)
     best = float(re.search(r"best max defect over F (\S+) at", str(err.value)).group(1))
@@ -689,7 +744,7 @@ def test_transfer_on_rewriting_oracle_tensors_with_the_perron_vector():
     F = [(), (1,), (-2,)]
     report = transfer_witness(rho, [p], [t], F, eps=0.1)
     assert report.converged and report.discrepancy <= 0.1
-    f = folner_witness(G, F, eps=0.1)
+    f = folner_witness(G, F, eps=0.1).argmin
     fresh = report.witnesses[1].entries
     assert len(fresh) == len(f.entries) == len({leaf for (leaf, _x) in fresh})
     for (leaf, x), amp in fresh.items():

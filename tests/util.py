@@ -4,6 +4,7 @@ the one decoder of written reports."""
 import base64
 import itertools
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -146,6 +147,29 @@ def scatter_shift(B, n):
     inside = (rows >= 0) & (rows < n)
     rows, cols = rows[inside], cols[inside]
     return lambda x: np.bincount(rows, weights=x[cols], minlength=n) / deg
+
+
+def dict_shift_defect(oracle, amplitudes, g):
+    """The reference for ``containment.shift_defect``: a dict of dyadic integer pairs per element.
+
+    ``amplitudes`` maps group elements to complex amplitudes. Each part is
+    its exact ratio n / d; scaled by the largest d every part is an integer.
+    lambda(g) moves each pair to one checked product g x, the pairs at x are
+    subtracted, and the ratio of the squared norms is the exact defect.
+    """
+    ratios = {x: (a.real.as_integer_ratio(), a.imag.as_integer_ratio())
+              for x, a in ((x, complex(a)) for x, a in amplitudes.items())}
+    scale = max(d for pair in ratios.values() for _n, d in pair)
+    amps = {x: tuple(n * (scale // d) for n, d in pair) for x, pair in ratios.items()}
+    diff = {oracle.multiply(g, x): a for x, a in amps.items()}  # lambda(g)w
+    for x, (re, im) in amps.items():
+        moved_re, moved_im = diff.get(x, (0, 0))
+        diff[x] = (moved_re - re, moved_im - im)
+
+    def norm2(parts):
+        return sum(re * re + im * im for re, im in parts)
+
+    return Fraction(norm2(diff.values()), norm2(amps.values()))
 
 
 def chain_shift(deg, n):
