@@ -33,8 +33,10 @@ radius R = max(radius, nmax // 2) (on a free group, the R + 1 points of
 its distance chain), the ``contain`` basis, the ``folner-witness`` and
 ``transfer`` witness's ball, the closures of ``nondividing``,
 ``canonical-base`` and ``superstable``, and ``amalgamate``'s check
-ball (``verify`` rebuilds the ``folner-witness`` ball, of radius
-``outputs.radius``, under ``caps.ball`` and reads the witness off it);
+ball (``verify`` rebuilds the ``contain`` basis ball and the
+``folner-witness`` ball, of radius ``outputs.radius``, under ``caps.ball``,
+and reads each witness key, like each ``superstable`` label, as a position
+in the ball's spelling index);
 ``dimension`` bounds every orthonormal span a task grows: those closures
 (and so the canonical base and the superstable core inside them), and
 the fresh copies of ``transfer`` (one fresh copy per key of
@@ -208,6 +210,15 @@ def _vectors(block, key, space, where, required=True):
     return vectors
 
 
+def _report_radius(report, block, key):
+    """The ball radius ``report[block][key]``: a non-negative integer, else exit 2 at its field."""
+    radius = report[block].get(key)
+    if type(radius) is not int or radius < 0:
+        raise ConfigError(f"expected a non-negative integer, got {radius!r}",
+                          field=f"report.{block}.{key}")
+    return radius
+
+
 def _report_inputs(report, *reps):
     """Verify's preamble: the report's group oracle, then its representations ``inputs[r]``."""
     inputs = report["inputs"]
@@ -294,7 +305,7 @@ def verify_probe(report):
     out = report["outputs"]
     checks = _walk_checks(report)
     oracle = _report_inputs(report)[0]
-    radius = report["inputs"]["radius"]
+    radius = _report_radius(report, "inputs", "radius")
     table = out["defect-table"]
     B = probe_ball(oracle, radius, report["caps"]["ball"])
     value = defect_certificate(B, np.ones(1))[0]  # radius 0 has no row: the one-point ball
@@ -388,14 +399,15 @@ def _stored_gram_check(report, key, oracle, F, M):
     return (key, containment.deviation(stored, M), 0.0)
 
 
-def _ball_rows(basis, named):
-    """The coordinate rows over the ball of ``{field: vector}``; a vector off it exits 2 there."""
-    rows = []
-    for field, w in named.items():
-        try:
-            rows.append(basis.coords(w))
-        except PreconditionError as exc:
-            raise ConfigError(str(exc), field=field) from None
+def _ball_rows(raw, basis, where, rank=2):
+    """The ``(n, |B|)`` coordinate rows over a ball basis of the vectors ``raw`` (``parse_block``).
+
+    Each key is read as a ball position through the ball's spelling index; a
+    key off the span exits 2 at its own field.
+    """
+    keys, X = parse_block(raw, basis, where, rank)
+    rows = np.zeros((len(X), basis.dim), dtype=complex)
+    rows[:, [i for _copy, i in keys]] = X
     return rows
 
 
@@ -403,24 +415,26 @@ def verify_contain(report):
     """The run's checks, with the witnesses' Gram data recomputed as the search computed it.
 
     Without ``inputs.basis`` the span is the ball delta basis, rebuilt first:
-    each witness is read as its coordinate row over the ball, and its Gram
-    data is ``containment.row_matrices`` on the ball's tensor. An explicit
-    basis's witnesses are read by ``containment.witness_matrices``.
+    the witnesses are read as their coordinate rows over the ball
+    (``_ball_rows``), and their Gram data is ``containment.row_matrices`` on
+    the ball's tensor. An explicit basis's witnesses are read by
+    ``containment.witness_matrices``.
     """
     oracle, pi = _report_inputs(report, "representation")
     inputs = report["inputs"]
     target = parse_gram(inputs["target"], oracle, "report.inputs.target")
-    witnesses = _vectors(report["outputs"], "witnesses", pi, "report.outputs", required=False)
     if "basis" in inputs:
+        witnesses = _vectors(report["outputs"], "witnesses", pi, "report.outputs",
+                             required=False)
         basis, M = None, containment.witness_matrices(target, pi, witnesses)
     else:
-        basis = containment.ball_delta_basis(pi, inputs["radius"], report["caps"]["ball"])
-        rows = _ball_rows(basis, {f"report.outputs.witnesses[{i}]": w
-                                  for i, w in enumerate(witnesses)})
+        radius = _report_radius(report, "inputs", "radius")
+        basis = containment.ball_delta_basis(pi, radius, report["caps"]["ball"])
+        rows = _ball_rows(report["outputs"]["witnesses"], basis, "report.outputs.witnesses")
         M = containment.row_matrices(target, basis.gram_tensor(target.F), rows)
     checks = _witness_checks(report, target, M, "tol")
     checks.append(_stored_gram_check(report, "witness-gram", oracle, target.F, M))
-    bounds = containment.span_bounds(basis, target, witnesses)
+    bounds = containment.span_bounds(basis, target)
     for name, recomputed in zip(("certified-lower", "certified-floor"), bounds):
         stored = report["outputs"][name]
         if recomputed is None or stored is None:  # null where the bound does not apply
@@ -458,19 +472,15 @@ def verify_folner(report):
     """The run's checks, on the witness read as its coordinate row over the rebuilt ball.
 
     The ball of radius ``outputs.radius`` is rebuilt under ``caps.ball``; a
-    witness key off it exits 2 at ``report.outputs.witness``.
+    witness key off it exits 2 at its own field (``_ball_rows``).
     """
     oracle = _report_inputs(report)[0]
     outputs = report["outputs"]
-    radius = outputs.get("radius")
-    if type(radius) is not int or radius < 0:
-        raise ConfigError(f"expected a non-negative integer, got {radius!r}",
-                          field="report.outputs.radius")
+    radius = _report_radius(report, "outputs", "radius")
     basis = containment.ball_delta_basis(Regular(oracle), radius, report["caps"]["ball"])
-    w = parse_vector(outputs["witness"], basis.ambient, "report.outputs.witness")
-    [amplitudes] = _ball_rows(basis, {"report.outputs.witness": w})
+    [amplitudes] = _ball_rows(outputs["witness"], basis, "report.outputs.witness", rank=1)
     names = [row["element"] for row in outputs["defects"]]
-    checks = [("support-size", len(w.entries), outputs["support-size"]),
+    checks = [("support-size", np.count_nonzero(amplitudes), outputs["support-size"]),
               ("defect-elements", names == report["inputs"]["F"], True)]
     eps = Fraction(report["tolerances"]["eps"])
     worst = 0.0
@@ -661,19 +671,20 @@ def _selected_core(report, oracle, pi, A):
     """The span of the orbit rows pi(g) A[i] of the ``selected`` labels [g, i].
 
     The rows are one ``OrbitBlock`` over the radius-``inputs.radius`` ball,
-    built under ``caps.ball`` (no ball when pi has no group, as in the run).
-    A label whose g is not in that ball, or whose i is not an index of A, is
-    a config error at its field.
+    built under ``caps.ball`` (no ball when pi has no group, as in the run),
+    and each g is looked up in the ball's spelling index. A label whose g
+    does not spell an element of that ball, or whose i is not an index of A,
+    is a config error at its field.
     """
-    radius = report["inputs"]["radius"]
+    radius = _report_radius(report, "inputs", "radius")
     B = None if pi.oracle is None else ball(oracle, radius, report["caps"]["ball"])
-    block, position = OrbitBlock(pi, B), {None: 0} if B is None else B.index
+    block, position = OrbitBlock(pi, B), {None: 0} if B is None else B.spelling
     orbit, rows = block.rows(A), []
     for j, label in enumerate(report["outputs"]["selected"]):
         try:
             g, i = label
-            at = position[None if g is None else oracle.element_from_str(g)]
-        except (AttributeError, KeyError, TypeError, ValueError, PreconditionError):
+            at = position[g]
+        except (KeyError, TypeError, ValueError):
             at = i = None
         if at is None or type(i) is not int or not 0 <= i < len(A):
             raise ConfigError(f"expected [element of the radius-{radius} ball, index into A]",
@@ -763,7 +774,7 @@ def run_amalgamate(cfg, check_radius):
 
 def verify_amalgamate(report):
     oracle, rho, eta = _report_inputs(report, "rho", "eta")
-    B = ball(oracle, report["inputs"]["check-radius"], report["caps"]["ball"])
+    B = ball(oracle, _report_radius(report, "inputs", "check-radius"), report["caps"]["ball"])
     amalgam = parse_representation(report["outputs"]["amalgam"], oracle)
     worst = _gram_defect(B, amalgam, [
         (rep, _vectors(report["outputs"], key, amalgam, "report.outputs", required=False))
@@ -841,7 +852,7 @@ def run_verify(args):
         checks = VERIFIERS[task](report)
     except KeyError as exc:
         raise ConfigError("missing field", field=f"report.{exc.args[0]}") from None
-    except (ArithmeticError, IndexError, TypeError, ValueError) as exc:
+    except (ArithmeticError, AttributeError, IndexError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed value: {exc}", field="report") from None
     failures = []
     for name, recomputed, stored in checks:

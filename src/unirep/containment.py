@@ -56,7 +56,6 @@ from .vectors import (  # noqa: F401
     DEFAULT_DIM_CAP,
     KeyIndex,
     SparseVector,
-    delta,
     inner,
     orthonormalize,
     same_space,
@@ -241,7 +240,7 @@ class WitnessReport:
     """A search's witnesses and their discrepancy, with two lower bounds for it.
 
     On a trivial target over a ball delta basis ``certified_lower`` (of the
-    witness's moduli) bounds the discrepancy of every witness in the span,
+    span's Perron row) bounds the discrepancy of every witness in the span,
     and ``certified_floor`` that of every vector of a multiple of the
     regular representation; any other search leaves both None.
     """
@@ -326,32 +325,24 @@ def certified_floor(oracle: GroupOracle) -> float:
                          lambda f: (1 + f) ** 2 * rho2 <= (1 - f) ** 2, -math.inf)
 
 
-def _bound_ball(basis: Subspace | BallBasis | None, target: GramFunction) -> Ball | None:
-    """The ball of a ball delta basis on a target trivial on its steps; None for any other span."""
-    if isinstance(basis, BallBasis) and is_trivial_on(target, basis.oracle):
-        return basis.ball
-    return None
-
-
-def span_bounds(basis: Subspace | BallBasis | None, target: GramFunction, witnesses) -> tuple:
+def span_bounds(basis: Subspace | BallBasis | None, target: GramFunction) -> tuple:
     """A search's ``certified-lower`` and ``certified-floor``, each None where it does not apply.
 
     They apply to a ball delta basis (``ball_delta_basis``) and a target
     trivial on its ball's steps (``is_trivial_on``); ``basis`` None stands
     for any other span, and the ball is built only where the bounds apply.
-    The lower bound reads the moduli of the one witness in ball order, with
-    no eigen solve: for their Collatz-Wielandt ratio
-    cw = ``collatz_wielandt(|w|, M|w|)``, which bounds the top eigenvalue of
-    the ball's averaged shift M from above, it is max(0, (1 - cw)/(1 + cw)),
-    and None where a ball point has modulus 0. The floor is
-    ``certified_floor``.
+    Both bound every witness of the span, so neither reads a witness. The
+    lower bound reads the span's Perron row (``BallBasis.perron``, the
+    search's start): for the Collatz-Wielandt ratio cw =
+    ``collatz_wielandt(v, Mv)`` of its amplitudes v, which bounds the top
+    eigenvalue of the ball's averaged shift M from above, it is
+    max(0, (1 - cw)/(1 + cw)), and None where an amplitude is not positive.
+    The floor is ``certified_floor``.
     """
-    B = _bound_ball(basis, target)
-    if B is None:
+    if not (isinstance(basis, BallBasis) and is_trivial_on(target, basis.oracle)):
         return None, None
-    w = witnesses[0].entries
-    moduli = np.array([abs(w.get((0, x), 0)) for x in B.elements])
-    cw = collatz_wielandt(moduli, averaged_shift(B, len(B))(moduli))
+    B, v = basis.ball, basis.perron.amplitudes
+    cw = collatz_wielandt(v, averaged_shift(B, len(B))(v))
     lower = None if cw is None else max(0.0, (1.0 - cw) / (1.0 + cw))
     return lower, certified_floor(B.oracle)
 
@@ -377,14 +368,15 @@ def search_witness(target: GramFunction, pi: Representation, basis: Subspace | B
 
     On a ball delta basis and a target trivial on the ball's steps
     (``is_trivial_on``) restart 0 is the ball's Perron vector v
-    from ``min_defect``, scaled to c v with c^2 = 2/(1 + mu) for its Rayleigh
-    quotient mu: its deviation is (1 - mu)/(1 + mu) at e and, where the
-    correlations <lambda(s)v, v> are equal (F2, Z^2), at every step, which
-    the span cannot beat. The report then carries ``span_bounds`` of the
-    returned witness: a lower bound from its moduli and ``certified_floor``
-    (7 - 4 sqrt(3) on F2).
+    (``BallBasis.perron``), scaled to c v with c^2 = 2/(1 + mu) for its
+    Rayleigh quotient mu: its deviation is (1 - mu)/(1 + mu) at e and, where
+    the correlations <lambda(s)v, v> are equal (F2, Z^2), at every step,
+    which the span cannot beat. The report then carries ``span_bounds``, read
+    off the same row, so the search solves once: the span's lower bound,
+    which a descended witness keeps, and ``certified_floor`` (7 - 4 sqrt(3)
+    on F2).
     The start is returned at once, with 0 iterations, when its discrepancy
-    is at most ``tol`` or ``tol`` lies below its certified lower bound, which
+    is at most ``tol`` or ``tol`` lies below the span's lower bound, which
     proves that no witness of the span reaches ``tol``; otherwise it is
     descended, and the random restarts 1.. follow. Any other target or basis
     draws every restart at random, and its bounds are None.
@@ -395,12 +387,12 @@ def search_witness(target: GramFunction, pi: Representation, basis: Subspace | B
     if K == 0:
         raise PreconditionError("witness search needs a nonempty basis")
     n = target.n
-    B = _bound_ball(basis, target)
     start = ball_tensor = None
     if isinstance(basis, BallBasis):
         if not same_space(basis.ambient, pi):
             raise KindMismatchError("the ball basis lives outside the representation space")
         ball_tensor = basis.gram_tensor(target.F)
+    lower, floor = span_bounds(basis, target)
 
     def scored(C, iterations):
         witnesses = [basis.from_coords(c) for c in C]
@@ -408,15 +400,13 @@ def search_witness(target: GramFunction, pi: Representation, basis: Subspace | B
              else row_matrices(target, ball_tensor, C))
         G = GramFunction(target.oracle, target.F, n, M)
         disc = deviation(target, G.M)
-        return WitnessReport(witnesses, disc, iterations, bool(disc <= tol),
-                             *span_bounds(basis, target, witnesses), G)
+        return WitnessReport(witnesses, disc, iterations, bool(disc <= tol), lower, floor, G)
 
-    if B is not None:
-        row = min_defect(B)
+    if floor is not None:  # the bounds apply: the start is the span's Perron row
+        row = basis.perron
         mu = 1.0 - row.min_avg_sq_defect / 2.0  # the Rayleigh quotient of v
         start = (2.0 / (1.0 + mu)) ** 0.5 * row.amplitudes[None, :]
         report = scored(start, 0)
-        lower = report.certified_lower
         if report.converged or (lower is not None and tol < lower):
             return report
     tensor = ball_tensor if ball_tensor is not None else _gram_tensor(pi, basis.basis, target.F)
@@ -460,13 +450,16 @@ def search_witness(target: GramFunction, pi: Representation, basis: Subspace | B
 class BallBasis:
     """The delta vectors of shift copy 0 on the radius-``radius`` Cayley ball of ``oracle``.
 
-    A span in ball order, read as ``Subspace`` is (``dim``, ``basis``,
-    ``from_coords``), whose deltas are orthonormal by construction. The ball
-    (under the element cap ``cap``) is built when first read, so a span that
-    is neither searched nor bounded (``span_bounds``) builds no ball. The
-    deltas are built only when ``basis`` is read: the search and ``verify``
-    read the span's Gram tensor off the ball (``gram_tensor``) and its
-    vectors as coordinate rows (``from_coords``, ``coords``).
+    A span in ball order, orthonormal by construction, whose vectors are
+    coordinate rows over the ball (``dim``, ``from_coords``). The ball (under
+    the element cap ``cap``) is built when first read, so a span that is
+    neither searched nor bounded (``span_bounds``) builds no ball, and no
+    delta vector is ever built: the search and ``verify`` read the span's
+    Gram tensor off the ball (``gram_tensor``) and its Perron row off one
+    solve (``perron``). Read as a one-leaf space (``resolve``,
+    ``leaf_key_from_str``) it reads each vector key as the position of the
+    ball element it spells, so ``serialize.parse_block`` reads a witness
+    list in either wire form as the columns of its coordinate rows.
     """
 
     def __init__(self, ambient: Representation, oracle: GroupOracle, radius: int, cap: int):
@@ -481,11 +474,12 @@ class BallBasis:
         return len(self.ball)
 
     @cached_property
-    def basis(self) -> list:
-        return [delta(self.ambient, 0, x) for x in self.ball.elements]
+    def perron(self) -> DefectReport:
+        """``min_defect`` of the ball: the search's start and the span's bound read this one row."""
+        return min_defect(self.ball)
 
     def gram_tensor(self, F) -> GramNonzeros:
-        """``_gram_tensor(ambient, basis, F)``, array for array, read off the ball.
+        """``_gram_tensor`` of the ball's deltas over ``F``, array for array, read off the ball.
 
         T_g[i, j] = <lambda(g)delta_{x_i}, delta_{x_j}> is 1 where g x_i = x_j,
         that is at j = ``ball.left_column(g)[i]``: no vector is built and no
@@ -497,21 +491,22 @@ class BallBasis:
         return GramNonzeros(g, i, J[g, i], np.ones(len(i), dtype=complex),
                             (len(F), len(B), len(B)))
 
-    def coords(self, v: SparseVector) -> np.ndarray:
-        """The coordinate row of ``v`` over the ball, ``from_coords``'s inverse.
+    def _off_the_span(self, where) -> PreconditionError:
+        return PreconditionError(f"entry at {where} is off the span: the deltas of copy 0 on "
+                                 f"the radius-{self.radius} ball")
 
-        A key outside copy 0 or off the ball is not in the span: PreconditionError.
-        """
-        c = np.zeros(self.dim, dtype=complex)
-        index, oracle = self.ball.index, self.oracle
-        for (copy, x), amp in v:
-            if copy != 0 or x not in index:
-                where = oracle.element_to_str(x) if copy == 0 else f"copy {copy}"
-                raise PreconditionError(
-                    f"entry at {where} is off the span: the deltas of copy 0 on the "
-                    f"radius-{self.radius} ball")
-            c[index[x]] = amp
-        return c
+    def resolve(self, copy: int) -> BallBasis:
+        """The basis itself, the one leaf, at copy 0; a key of any other copy is off the span."""
+        if copy != 0:
+            raise self._off_the_span(f"copy {copy}")
+        return self
+
+    def leaf_key_from_str(self, s: str) -> int:
+        """The ball position of the element that ``s`` spells exactly as ``element_to_str`` does."""
+        try:
+            return self.ball.spelling[s]
+        except KeyError:
+            raise self._off_the_span(s) from None
 
     def from_coords(self, c) -> SparseVector:
         """``c @ Q`` for the identity Q: coordinate i is the amplitude at ``ball.elements[i]``."""

@@ -638,9 +638,10 @@ class Ball:
     elements[i]``, or -1 where the product lies outside the ball.
     ``parent`` and ``letter`` are the breadth-first tree: element i > 0 was
     found as ``elements[parent[i]] * steps[letter[i]]``, one sphere closer.
-    ``in_neighbours`` is the walk's in-neighbour table and ``left_tree``
-    the tree of left steps, each built once per ball when first read;
-    ``left_column(g)`` is the index map of left multiplication by any g.
+    ``in_neighbours`` is the walk's in-neighbour table, ``left_tree``
+    the tree of left steps and ``spelling`` the position of each element's
+    string, each built once per ball when first read; ``left_column(g)`` is
+    the index map of left multiplication by any g.
     """
 
     oracle: GroupOracle
@@ -717,6 +718,11 @@ class Ball:
         g, h, j, stop = g[order], h[order], j[order], stop[order]
         cuts = [0, *(np.flatnonzero((np.diff(stop) != 0) | (np.diff(j) != 0)) + 1), len(g)]
         return [(int(stop[a]), g[a:b], h[a:b], int(j[a])) for a, b in zip(cuts, cuts[1:])]
+
+    @cached_property
+    def spelling(self) -> dict:
+        """Each element's string, ``oracle.element_to_str(x)``, to the position of x."""
+        return {self.oracle.element_to_str(x): i for i, x in enumerate(self.elements)}
 
 
 def ball(oracle: GroupOracle, r: int, cap: int = DEFAULT_BALL_CAP, S=None) -> Ball:

@@ -19,8 +19,11 @@ one column per key and no key twice; an error names its field.
 Every vector key, in either form, goes through one reader, ``_read_keys``:
 the leaf its copy index addresses (resolved once per copy) spells and reads
 it, a regular leaf as its oracle's element string and a finite leaf as a
-decimal coordinate in ``0..dim-1``. A key its leaf refuses, a repeated key
-and a copy index past the tree are config errors at the key's field.
+decimal coordinate in ``0..dim-1``. A ``containment.BallBasis``, read as a
+one-leaf space, reads each key as the position of the ball element it
+spells (the ball's spelling index), with no oracle parse. A key its leaf
+refuses, a repeated key and a copy index past the tree are config errors at
+the key's field.
 """
 
 from __future__ import annotations
@@ -291,11 +294,15 @@ def parse_vectors(raw, space, where="vectors") -> list:
     return [parse_vector(r, space, f"{where}[{i}]") for i, r in enumerate(raw)]
 
 
-def parse_block(raw, space, where="vectors") -> tuple:
-    """A list of vectors as its keys and its ``(n x K)`` block of rows, in either form."""
+def parse_block(raw, space, where="vectors", rank=2) -> tuple:
+    """Vectors as their keys and their ``(n x K)`` block of rows, in either form.
+
+    ``rank`` 2 reads a list of vectors, ``rank`` 1 one vector (one row).
+    """
     if isinstance(raw, dict):
-        return _packed_vectors(raw, space, where, 2)
-    vectors = parse_vectors(raw, space, where)
+        keys, X = _packed_vectors(raw, space, where, rank)
+        return keys, X[None] if rank == 1 else X
+    vectors = parse_vectors(raw, space, where) if rank == 2 else [parse_vector(raw, space, where)]
     index = KeyIndex(vectors)
     return index.keys, to_dense(vectors, index)
 

@@ -164,7 +164,8 @@ def test_probe_underflow_exits_2_at_nmax(tmp_path, capsys):
 
 
 def test_contain_builds_one_ball(tmp_path, monkeypatch):
-    """The delta basis and the Perron start share one ball; ``verify`` builds one, no solve."""
+    """The delta basis and the Perron start share one ball and one solve; ``verify`` builds one
+    ball and solves once, for the span's bound."""
     radii, solves = [], []
 
     def counted(*args, **kwargs):
@@ -187,7 +188,7 @@ def test_contain_builds_one_ball(tmp_path, monkeypatch):
     report = read_report(out)
     assert report["outputs"]["iterations"] == 0 and report["outputs"]["certified-lower"] > 0
     assert main(["verify", "--report", str(out)]) == 0
-    assert radii == [2, 2] and solves == [17]
+    assert radii == [2, 2] and solves == [17, 17]
 
 
 def _count_applies(monkeypatch):
@@ -271,18 +272,20 @@ def _witness_entry_off_the_span(entry):
 def test_contain_verify_refuses_a_witness_off_its_span(tmp_path, capsys, representation, entry,
                                                        message):
     """A witness of a ball-basis report lies in the deltas of copy 0 on the radius-r ball; a key
-    off that ball, or in another copy of a multiple, exits 2 at the witness, even where the
+    off that ball, or in another copy of a multiple, exits 2 at its own entry, even where the
     stored Gram data, discrepancy and headline are those ``gram`` gives."""
     config = {**CONTAIN_F2, "representation": representation}
     code, out = run_task(tmp_path, "contain", config)
     assert code == 0
     report = read_report(out)
     _witness_entry_off_the_span(entry)(report)
+    k = len(report["outputs"]["witnesses"][0]) - 1  # the entry appended
     out.write_text(json.dumps(report))
     capsys.readouterr()
     assert main(["verify", "--report", str(out)]) == 2
     err = capsys.readouterr().err
-    assert f"config field 'report.outputs.witnesses[0]': {message}: the deltas of copy 0" in err
+    assert (f"config field 'report.outputs.witnesses[0][{k}]': {message}: the deltas of copy 0"
+            in err)
     assert "Traceback" not in err
 
 
@@ -912,8 +915,8 @@ def test_report_vector_entry_is_checked_under_verify(tmp_path, capsys, tamper):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("label", [["1 1 1", 0], ["x", 0], [None, 0], ["e", 1], ["e", -1],
-                                   ["e"]])
+@pytest.mark.parametrize("label", [["1 1 1", 0], ["x", 0], ["1  2", 0], [None, 0], ["e", 1],
+                                   ["e", -1], ["e"]])
 def test_superstable_label_off_its_ball_exits_2_at_its_field(tmp_path, capsys, label):
     """A ``selected`` label names an element of the radius-``inputs.radius`` ball and an index
     into A; ``verify`` reads each from that ball's orbit block, and any other exits 2 there."""
@@ -957,16 +960,9 @@ def _claim_certified_lower(report):
     report["outputs"]["certified-lower"] = 0.0
 
 
-def _zero_a_ball_point(report):
-    """The witness with its last ball point dropped; its Gram data and discrepancy follow."""
-    out = report["outputs"]
-    del out["witnesses"][0][-1]
-    oracle = parse_group(report["inputs"]["group"])
-    target = parse_gram(report["inputs"]["target"], oracle)
-    reg = Regular(oracle)
-    witness_gram = gram(reg, [parse_vector(out["witnesses"][0], reg)], target.F, oracle=oracle)
-    out["witness-gram"] = gram_to_json(witness_gram)
-    out["discrepancy"] = report["headline"] = deviation(target, witness_gram.M)
+def _zero_certified_lower(report):
+    """A weaker bound than the span's: 0.0, what a witness's own moduli can give after a descent."""
+    report["outputs"]["certified-lower"] = 0.0
 
 
 def _flip_independent(report):
@@ -1028,7 +1024,7 @@ def _move_target_to_common_part(report):
     ("contain", CONTAIN_F2, _raise_certified_lower, ["certified-lower"]),
     ("contain", CONTAIN_F2, _raise_certified_floor, ["certified-floor"]),
     ("contain", _stability_configs()["contain"], _claim_certified_lower, ["certified-lower"]),
-    ("contain", CONTAIN_F2, _zero_a_ball_point, ["certified-lower"]),
+    ("contain", CONTAIN_F2, _zero_certified_lower, ["certified-lower"]),
     ("transfer", TRANSFER, _flip_converged, ["converged"]),
     ("superstable", _stability_configs()["superstable"], _independence_worst_half_eps,
      ["independence-worst"]),
@@ -1199,27 +1195,114 @@ def _shrink_radius(report):
     report["outputs"]["radius"] -= 1
 
 
+def _first_entry_off_the_ball(report):
+    """The field and element of the first witness entry off the radius-``outputs.radius`` ball."""
+    oracle = parse_group(report["inputs"]["group"])
+    on = {oracle.element_to_str(x) for x in ball(oracle, report["outputs"]["radius"]).elements}
+    return next((f"report.outputs.witness[{j}]", element)
+                for j, (_copy, element, _re, _im) in enumerate(report["outputs"]["witness"])
+                if element not in on)
+
+
 @pytest.mark.parametrize("tamper, field", [
-    (_witness_key_off_the_ball, "report.outputs.witness"),
-    (_shrink_radius, "report.outputs.witness"),
+    (_witness_key_off_the_ball, None),
+    (_shrink_radius, None),
     (lambda report: report["outputs"].update(radius=2.5), "report.outputs.radius"),
     (lambda report: report["outputs"].pop("radius"), "report.outputs.radius"),
 ], ids=["key-off-the-ball", "radius-one-smaller", "non-integer-radius", "no-radius"])
 def test_folner_verify_reads_the_witness_off_its_ball(tmp_path, capsys, tamper, field):
     """verify rebuilds the ball of radius ``outputs.radius`` and reads the witness off it.
 
-    A witness key off that ball, or a radius that is not a non-negative integer (as in a
-    report written before the radius was reported), exits 2 at its field.
+    A witness key off that ball exits 2 at its own entry (``field`` None), and a radius that
+    is not a non-negative integer (as in a report written before the radius was reported) at
+    the radius.
     """
     code, out = run_task(tmp_path, "folner-witness", FOLNER)
     assert code == 0
     report = read_report(out)
     tamper(report)
+    message = "expected a non-negative integer"
+    if field is None:
+        field, element = _first_entry_off_the_ball(report)
+        radius = report["outputs"]["radius"]
+        message = (f"entry at {element} is off the span: the deltas of copy 0 on the "
+                   f"radius-{radius} ball")
     out.write_text(json.dumps(report))
     capsys.readouterr()
     assert main(["verify", "--report", str(out)]) == 2
     err = capsys.readouterr().err
-    assert f"config field '{field}'" in err
+    assert f"config field '{field}': {message}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("wire", ["packed", "list"])
+@pytest.mark.parametrize("task, config, key, spelled, element", [
+    ("contain", CONTAIN_F2, "witnesses", "1 2", "1  2"),
+    ("folner-witness", FOLNER, "witness", "1,0", "1, 0"),
+])
+def test_verify_refuses_a_ball_key_spelled_another_way(tmp_path, capsys, wire, task, config, key,
+                                                        spelled, element):
+    """A ball-basis witness key is looked up in the ball's spelling index: a key that names a
+    ball element but not as ``element_to_str`` spells it exits 2 at that key's own field, in
+    either wire form."""
+    code, out = run_task(tmp_path, task, config)
+    assert code == 0
+    if wire == "packed":
+        report = json.loads(out.read_text())
+        keys = report["outputs"][key]["keys"]
+        j = keys.index([0, spelled])
+        keys[j][1] = element
+        field = f"report.outputs.{key}.keys[{j}]"
+    else:
+        report = read_report(out)
+        entries = report["outputs"][key][0] if key == "witnesses" else report["outputs"][key]
+        j = [entry[1] for entry in entries].index(spelled)
+        entries[j][1] = element
+        field = f"report.outputs.{key}{'[0]' if key == 'witnesses' else ''}[{j}]"
+    out.write_text(json.dumps(report))
+    capsys.readouterr()
+    assert main(["verify", "--report", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"config field '{field}': entry at {element} is off the span" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("radius", [2.5, -1, "3"])
+@pytest.mark.parametrize("task, config, block, key", [
+    ("probe-amenability", {"group": Z, "task": {"nmax": 4, "radius": 2}}, "inputs", "radius"),
+    ("contain", CONTAIN_F2, "inputs", "radius"),
+    ("folner-witness", FOLNER, "outputs", "radius"),
+    ("superstable", _stability_configs()["superstable"], "inputs", "radius"),
+    ("amalgamate", AMALGAMATE_Z, "inputs", "check-radius"),
+])
+def test_verify_reads_a_report_radius_at_its_field(tmp_path, capsys, task, config, block, key,
+                                                   radius):
+    """Every verifier that rebuilds a ball reads its radius through one reader: a value that
+    is not a non-negative integer exits 2 at the radius's own field, before any ball."""
+    code, out = run_task(tmp_path, task, config)
+    assert code == 0
+    report = json.loads(out.read_text())
+    report[block][key] = radius
+    out.write_text(json.dumps(report))
+    capsys.readouterr()
+    assert main(["verify", "--report", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert (f"config field 'report.{block}.{key}': expected a non-negative integer, "
+            f"got {radius!r}") in err
+    assert "Traceback" not in err
+
+
+def test_verify_refuses_an_outputs_block_that_is_not_an_object(tmp_path, capsys):
+    """The radius reader reads ``outputs`` as an object: a list there exits 2, no traceback."""
+    code, out = run_task(tmp_path, "folner-witness", FOLNER)
+    assert code == 0
+    report = json.loads(out.read_text())
+    report["outputs"] = []
+    out.write_text(json.dumps(report))
+    capsys.readouterr()
+    assert main(["verify", "--report", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config field 'report'" in err
     assert "Traceback" not in err
 
 

@@ -33,9 +33,12 @@ from unirep import (
     transfer_witness,
     trivial_target,
 )
+from unirep.cli import _ball_rows
 from unirep.containment import (GramNonzeros, _gram_tensor, _objective_and_gradient,
                                 certified_floor, row_matrices)
+from unirep.serialize import vectors_to_json
 from util import (
+    ball_deltas,
     cyclic_table,
     dict_shift_defect,
     f2_oracle,
@@ -43,6 +46,7 @@ from util import (
     random_elements,
     random_matrix_rep,
     random_sparse,
+    unpacked,
     z2_oracle,
     z2_rewriting,
     z_oracle,
@@ -215,7 +219,7 @@ def test_ball_gram_tensor_equals_the_apply_tensor(group):
     """The ball's tables give ``_gram_tensor``'s arrays exactly, with no vector built."""
     reg, basis, F = _tensor_case(group)
     tensor = basis.gram_tensor(F)
-    reference = _gram_tensor(reg, basis.basis, F)
+    reference = _gram_tensor(reg, ball_deltas(basis), F)
     assert tensor.shape == reference.shape == (len(F), basis.dim, basis.dim)
     for name in ("g", "i", "j", "value"):
         got, want = getattr(tensor, name), getattr(reference, name)
@@ -234,10 +238,13 @@ def test_row_matrices_equal_gram_bit_for_bit(group, n):
     C = rng.standard_normal((n, basis.dim)) + 1j * rng.standard_normal((n, basis.dim))
     target = GramFunction(reg.oracle, F, n, {g: np.zeros((n, n)) for g in F})
     M = row_matrices(target, basis.gram_tensor(F), C)
-    reference = gram(reg, [basis.from_coords(c) for c in C], F)
+    witnesses = [basis.from_coords(c) for c in C]
+    reference = gram(reg, witnesses, F)
     for g in F:
         assert M[g].tobytes() == reference.M[g].tobytes(), g
-    assert [basis.coords(basis.from_coords(c)).tobytes() for c in C] == [c.tobytes() for c in C]
+    packed = vectors_to_json(witnesses)  # keyed in element-string order, not ball order
+    for raw in (packed, unpacked(packed)):  # both wire forms read to the rows, bit for bit
+        assert _ball_rows(raw, basis, "witnesses").tobytes() == C.tobytes()
 
 
 def test_gradient_matches_finite_differences():
@@ -279,7 +286,7 @@ def test_objective_equals_dense_reference_on_delta_basis(n):
     F = trivial_target(F2).F
     targets = rng.standard_normal((len(F), n, n)) + 1j * rng.standard_normal((len(F), n, n))
     (f, G, worst), (f_ref, G_ref, worst_ref) = _objective_pair(
-        reg, ball_delta_basis(reg, 3).basis, targets, F, rng)
+        reg, ball_deltas(ball_delta_basis(reg, 3)), targets, F, rng)
     assert f == f_ref and worst == worst_ref
     assert np.array_equal(G, G_ref)
 
@@ -419,7 +426,7 @@ def test_ball_basis_from_coords_equals_the_stacked_block(group, radii):
         c[::3] = 0
         for coords in (c, c.real, np.abs(c)):
             direct = basis.from_coords(coords)
-            stacked = Subspace(reg, basis.basis).from_coords(coords)
+            stacked = Subspace(reg, ball_deltas(basis)).from_coords(coords)
             assert list(direct.entries.items()) == list(stacked.entries.items())
 
 
@@ -440,7 +447,8 @@ def test_search_perron_start_on_a_large_ball_builds_no_delta(monkeypatch):
     def no_delta(*args):
         raise AssertionError("a delta vector was built")
 
-    monkeypatch.setattr("unirep.containment.delta", no_delta)
+    for module in ("unirep", "unirep.vectors", "unirep.reps"):  # every binding of ``delta``
+        monkeypatch.setattr(f"{module}.delta", no_delta)
     reg = Regular(f2_oracle())
     report = search_witness(trivial_target(reg.oracle), reg, ball_delta_basis(reg, 7), tol=1e-3)
     assert report.iterations == 0 and report.certified_lower > 1e-3
@@ -471,6 +479,7 @@ def test_search_descends_the_perron_start_when_tol_is_not_ruled_out():
     tol = 0.7 * start.discrepancy
     report = search_witness(target, reg, basis, tol=tol, budget=200, restarts=1)
     assert report.iterations > 0 and report.converged and report.discrepancy <= tol
+    assert report.certified_lower == start.certified_lower  # the span's, not the witness's
     assert 0 < report.certified_lower <= report.discrepancy
     assert report.certified_floor == 0.0
 
@@ -480,7 +489,7 @@ def test_search_other_targets_and_bases_keep_the_random_restarts():
     F2 = f2_oracle()
     reg = Regular(F2)
     basis = ball_delta_basis(reg, 2)
-    explicit = Subspace(reg, basis.basis)
+    explicit = Subspace(reg, ball_deltas(basis))
     report = search_witness(trivial_target(F2), reg, explicit, tol=1e-3, budget=20, restarts=2)
     assert report.iterations > 0
     assert report.certified_lower is None and report.certified_floor is None

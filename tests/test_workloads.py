@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from unirep import closure, serialize
+from unirep import FreeGroupOracle, closure, serialize
 from unirep.cli import main
 from unirep.serialize import (_matrix_from_json, parse_config, parse_floats, parse_vector,
                               parse_vectors)
@@ -29,6 +29,27 @@ def test_workload_seed_1_runs_verifies_and_meets_invariants(tmp_path, workload):
         assert main([task, "--config", str(cfg), "--out", str(out)]) == 0, task
         assert main(["verify", "--report", str(out)]) == 0, task
         assert invariant_errors(workload, json.loads(out.read_text())) == [], task
+
+
+def test_witness_free_contain_verify_parses_no_witness_key(tmp_path, monkeypatch):
+    """verify reads each of the seed-1 witness's 161 keys off the rebuilt ball's spelling index,
+    with no oracle parse: the oracle checks only the report's group, target and ball elements
+    (30 calls; 190 when every key was parsed and checked)."""
+    task, config = WORKLOADS["witness-free"](1)[0]
+    assert task == "contain"
+    cfg, out = tmp_path / "contain.config.json", tmp_path / "contain.json"
+    cfg.write_text(json.dumps(config))
+    assert main([task, "--config", str(cfg), "--out", str(out)]) == 0
+    calls = []
+    check = FreeGroupOracle.check_element
+
+    def counted(self, a):
+        calls.append(a)
+        return check(self, a)
+
+    monkeypatch.setattr(FreeGroupOracle, "check_element", counted)
+    assert main(["verify", "--report", str(out)]) == 0
+    assert len(calls) <= 30
 
 
 # JSON floats a top-level report field may hold outside packed blocks; the config echo

@@ -17,6 +17,7 @@ from unirep import (
     RewritingOracle,
     SparseVector,
     ball,
+    delta,
     symmetric_generators,
 )
 
@@ -187,6 +188,11 @@ def chain_shift(deg, n):
     half = np.sqrt(mult[:n - 1] * mult[n - 1:]) / deg
     weights = np.concatenate([half, half])
     return lambda x: np.bincount(rows, weights=weights * x[cols], minlength=n)
+
+
+def ball_deltas(basis):
+    """The delta vectors of a ``BallBasis``'s span in ball order: the span as an explicit basis."""
+    return [delta(basis.ambient, 0, x) for x in basis.ball.elements]
 
 
 def random_unitary(rng, d):
