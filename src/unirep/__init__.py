@@ -3,13 +3,13 @@
 from .amenability import (
     DefectReport,
     DistanceChain,
-    ReturnProbabilityTable,
     SpectralRadiusInterval,
     defect_table,
     min_defect,
     probe_ball,
     return_probabilities,
     spectral_radius_bound,
+    walk_block,
     walk_radius,
 )
 from .containment import (

@@ -33,8 +33,9 @@ table, built once: the walk counts, every defect row and every
 certificate gather along it, cut to their prefix.
 
 ``verify`` recomputes a report with the functions that made it:
-``walk_estimates`` (root and ratio estimates, which tend to the spectral
-radius), ``defect_certificate`` (a vector's defect, which bounds the
+``walk_block`` (the return-probability block of exact p_{2n}(e), with root
+and ratio estimates, which tend to the spectral radius),
+``defect_certificate`` (a vector's defect, which bounds the
 minimum from above, with a Collatz-Wielandt bound from below) and
 ``spectral_ends`` (an interval that holds the walk operator's norm).
 """
@@ -65,39 +66,6 @@ THICK = 4          # Ritz vectors kept past the top one at a Lanczos restart
 BREAKDOWN = 1e-14  # a Lanczos beta this small (|M| <= 1) ends the cycle
 EIGEN_TOL = 1e-9   # the defect solve's residual and certified gap
 MAX_PRODUCTS = 500_000  # the defect solve's budget of products with the ball operator
-
-
-class ReturnProbabilityTable:
-    """Exact return probabilities p_{2n}(e) of the symmetric walk, with estimator traces.
-
-    Built by ``return_probabilities``, whose exact counts give p_0 = 1 and
-    p_{2n+2} <= p_{2n} <= 1 (the walk is symmetric), so each ratio estimate
-    is at most 1: correctly rounded division keeps that order.
-    """
-
-    def __init__(self, p: dict):
-        self.p = p  # even step -> Fraction
-        steps = sorted(p)
-        x = [float(p[s]) for s in steps]
-        if 0.0 in x:  # every count is positive, but its double can underflow
-            raise PreconditionError(f"return probability underflows at step {steps[x.index(0.0)]}")
-        roots, ratios = walk_estimates(steps, x)
-        self.root_estimates = dict(zip(steps[1:], roots))  # 2n -> p^{1/(2n)}
-        self.ratio_estimates = dict(zip(steps, ratios))    # 2n -> sqrt(p_{2n+2}/p_{2n})
-
-    @property
-    def final_ratio(self) -> float:
-        return self.ratio_estimates[max(self.ratio_estimates)]
-
-
-def walk_estimates(steps, p) -> tuple[list, list]:
-    """Root estimates p_s^(1/s) at ``steps[1:]``; ratio estimates sqrt(p_b / p_a), a < b adjacent.
-
-    ``p`` holds Python floats, so a p_a of 0 raises ``ZeroDivisionError``.
-    """
-    roots = [x ** (1.0 / s) for s, x in zip(steps[1:], p[1:])]
-    ratios = [(b / a) ** 0.5 for a, b in zip(p, p[1:])]
-    return roots, ratios
 
 
 def _walk_returns(into, mult, deg: int, n_max: int) -> dict:
@@ -227,24 +195,48 @@ def walk_radius(n_max: int) -> int:
     return n_max // 2
 
 
-def return_probabilities(B: Ball | DistanceChain, n_max: int = 40) -> ReturnProbabilityTable:
+def return_probabilities(B: Ball | DistanceChain, n_max: int = 40) -> dict:
     """Exact p_{2n}(e), 2n <= n_max, for the uniform walk on the steps of ``B``.
 
     The walks are counted in integers on the prefix of radius
     ``walk_radius``, one gather along its in-neighbour table per step (on a
     ``DistanceChain`` each entry times its multiplicity), and p_{2n}(e) is
-    the count at e over deg^(2n); a shorter ``B`` raises
-    ``PreconditionError``.
+    the count at e over deg^(2n), an exact ``Fraction`` keyed by its step
+    2n; a shorter ``B`` raises ``PreconditionError``.
     """
     r = walk_radius(n_max)
     if B.radius < r:
         raise PreconditionError(f"walks to step {n_max} need radius {r}, not {B.radius}")
     deg = len(B.steps)
     if not deg:
-        return ReturnProbabilityTable({s: Fraction(1) for s in range(0, n_max + 1, 2)})
+        return {s: Fraction(1) for s in range(0, n_max + 1, 2)}
     n = int(B.sizes[r])
     mult = B.multiplicities[:, :n] if isinstance(B, DistanceChain) else None
-    return ReturnProbabilityTable(_walk_returns(_in_table(B, n), mult, deg, n_max))
+    return _walk_returns(_in_table(B, n), mult, deg, n_max)
+
+
+def walk_block(p: dict) -> dict:
+    """The report's ``return-probabilities`` block of the exact p_{2n}(e), keyed by step.
+
+    The block lists the steps, each p rounded to the nearest double and as
+    its exact string, the root estimates p_s^(1/s) (None at step 0) and the
+    ratio estimates sqrt(p_b / p_a) at each step a but the last (None there),
+    for b the next step. Exact counts give p_0 = 1 and p_{2n+2} <= p_{2n} <= 1
+    (the walk is symmetric), so each ratio estimate is at most 1: correctly
+    rounded division keeps that order. A p whose double is 0 (every count is
+    positive, but its double can underflow) raises ``PreconditionError``.
+    """
+    steps = sorted(p)
+    x = [float(p[s]) for s in steps]
+    if 0.0 in x:
+        raise PreconditionError(f"return probability underflows at step {steps[x.index(0.0)]}")
+    return {
+        "steps": steps,
+        "p": x,
+        "p-exact": [str(p[s]) for s in steps],
+        "root-estimates": [None] + [a ** (1.0 / s) for s, a in zip(steps[1:], x[1:])],
+        "ratio-estimates": [(b / a) ** 0.5 for a, b in zip(x, x[1:])] + [None],
+    }
 
 
 def collatz_wielandt(v, mv) -> float | None:

@@ -8,7 +8,13 @@ values into the report all come from that declaration. A run function
 receives the cast values and returns only its own report parts.
 Each certified number of a probe, ``contain`` or ``folner-witness`` report
 comes from the one library function that derives it, which the run and
-``verify`` both call: this module holds no formula of its own for them.
+``verify`` both call: this module holds no formula of its own for them. The
+probe's return-probability block is ``amenability.walk_block`` of the exact
+p_{2n}(e), recounted by the run and read from ``p-exact`` by ``verify``.
+``contain`` rebuilds its span in ``verify`` (the Cayley ball's deltas, or
+``inputs.basis`` orthonormalized as the run orthonormalized it), reads the
+witnesses back as coefficient rows over it, and forms their Gram data as the
+search did: ``containment.row_matrices`` on ``containment.span_tensor``.
 
 Every run writes a compact JSON report (sorted keys, no indentation or
 spaces, UTF-8) echoing its inputs, outputs, tolerances, and enough
@@ -65,7 +71,7 @@ from .amenability import (
     probe_ball,
     return_probabilities,
     spectral_ends,
-    walk_estimates,
+    walk_block,
     walk_radius,
 )
 from .containment import folner_witness, gram, search_witness, transfer_witness
@@ -133,11 +139,14 @@ class Param(NamedTuple):
     A dotted name (``closure.radius``) lies in a nested block. A top-level
     parameter has the flag ``--<name>``, which overrides its config value, and
     the report echoes it: an ``int`` into ``inputs``, a ``float`` into ``tolerances``.
+    An ``int`` parameter is at least ``floor``; a ``float`` one is a
+    tolerance, greater than 0.
     """
 
     name: str
     cast: type
     default: object = None
+    floor: int = 0
 
     @property
     def kwarg(self):
@@ -148,9 +157,10 @@ class Param(NamedTuple):
 def _task_value(cfg, args, param):
     """The value of ``param``: its flag, else its config key, else its default; cast.
 
-    The one place task values are cast: a bad value is a config error at its field.
-    An ``int`` field takes no bool and no number with a fractional part, and a
-    ``float`` field no infinity or NaN.
+    The one place task values are cast and ranged: a bad value is a config
+    error at its field. An ``int`` field takes no bool, no number with a
+    fractional part and none below the parameter's floor, and a ``float``
+    field only a finite number greater than 0.
     """
     field = f"task.{param.name}"
     block_name, _, key = param.name.rpartition(".")
@@ -169,8 +179,11 @@ def _task_value(cfg, args, param):
         value = param.cast(value)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"expected {param.cast.__name__}, got {value!r}", field=field) from None
-    if param.cast is float and not math.isfinite(value):
-        raise ConfigError(f"expected a finite float, got {value!r}", field=field)
+    if param.cast is float and not 0 < value < math.inf:
+        raise ConfigError(f"expected a finite float greater than 0, got {value!r}", field=field)
+    if param.cast is int and value < param.floor:
+        raise ConfigError(f"expected an integer of at least {param.floor}, got {value!r}",
+                          field=field)
     return value
 
 
@@ -232,28 +245,20 @@ def _report_inputs(report, *reps):
 
 
 def run_probe(cfg, nmax, radius):
-    if radius < 0:
-        raise PreconditionError("radius must be non-negative")
     # one ball (a free group's distance chain): the walk and the defect rows 0..radius read
     # its prefixes; rows 1..radius are reported, and the last row (at radius 0 the one-point
     # ball's) is the spectral end
     B = probe_ball(cfg.oracle, max(radius, walk_radius(nmax)), cfg.caps["ball"])
     try:
-        table = return_probabilities(B, nmax)
+        walk = walk_block(return_probabilities(B, nmax))
     except PreconditionError as exc:  # a probability under a double's range: nmax is too large
         raise ConfigError(str(exc), field="task.nmax") from None
-    steps = sorted(table.p)
     defects = defect_table(B, range(radius + 1))
     lower, upper = spectral_ends(B, defects[-1].min_avg_sq_defect)
+    final_ratio = walk["ratio-estimates"][-2]  # the last ratio, at the step before the last
     outputs = {
-        "return-probabilities": {
-            "steps": steps,
-            "p": [float(table.p[s]) for s in steps],
-            "p-exact": [str(table.p[s]) for s in steps],
-            "root-estimates": [table.root_estimates.get(s) for s in steps],
-            "ratio-estimates": [table.ratio_estimates.get(s) for s in steps],
-        },
-        "final-ratio": table.final_ratio,
+        "return-probabilities": walk,
+        "final-ratio": final_ratio,
         "defect-table": [
             {
                 "radius": d.radius,
@@ -267,7 +272,7 @@ def run_probe(cfg, nmax, radius):
         "spectral": {"radius": radius, "lower": lower, "upper": upper},
     }
     return {"outputs": outputs, "tolerances": {"eigen-residual": EIGEN_TOL},
-            "headline": table.final_ratio}
+            "headline": final_ratio}
 
 
 def _row_amplitudes(row, i, radius):
@@ -279,25 +284,26 @@ def _row_amplitudes(row, i, radius):
 
 
 def _walk_checks(report):
-    """Checks of the return-probability block in O(nmax): steps, ``p`` and estimates.
+    """Checks of the return-probability block in O(nmax), against ``walk_block`` of ``p-exact``.
 
-    Each ``p`` is its ``p-exact`` rounded, and each estimate is recomputed from
-    ``p`` by ``walk_estimates``; None stands where there is none (the root at
-    step 0, the ratio at the last step).
+    The stored ``p-exact`` strings are read as the p of the steps 0, 2, ..,
+    nmax, and every other field of the block is compared with the one
+    ``walk_block`` gives for them; None stands where there is none (the root
+    at step 0, the ratio at the last step).
     """
     out = report["outputs"]
     rp = out["return-probabilities"]
-    steps, p = rp["steps"], rp["p"]
-    roots, ratios = walk_estimates(steps, p)
-    checks = [("steps", steps == list(range(0, report["inputs"]["nmax"] + 1, 2)), True)]
-    for name, recomputed, stored in (
-        ("p", [float(Fraction(x)) for x in rp["p-exact"]], p),
-        ("root-estimate", [None] + roots, rp["root-estimates"]),
-        ("ratio-estimate", ratios + [None], rp["ratio-estimates"]),
-    ):
-        for s, r, x in zip(steps, recomputed, stored, strict=True):
+    exact = map(Fraction, rp["p-exact"])
+    try:
+        walk = walk_block(dict(zip(range(0, report["inputs"]["nmax"] + 1, 2), exact, strict=True)))
+    except PreconditionError as exc:
+        raise ConfigError(str(exc), field="report.outputs.return-probabilities.p-exact") from None
+    checks = [("steps", rp["steps"] == walk["steps"], True)]
+    for name, key in (("p", "p"), ("root-estimate", "root-estimates"),
+                      ("ratio-estimate", "ratio-estimates")):
+        for s, r, x in zip(walk["steps"], walk[key], rp[key], strict=True):
             checks.append((f"{name}-{s}", x is None, True) if r is None else (f"{name}-{s}", r, x))
-    checks.append(("final-ratio", ratios[-1], out["final-ratio"]))
+    checks.append(("final-ratio", walk["ratio-estimates"][-2], out["final-ratio"]))
     return checks
 
 
@@ -336,17 +342,23 @@ def _parse_target(cfg, obj):
     return gram(rep, _vectors(obj, "vectors", rep, "target"), F, oracle=cfg.oracle)
 
 
+def _explicit_span(pi, vectors):
+    """The span of ``vectors`` in ``pi``, orthonormalized by ``gram_schmidt`` (run and verify)."""
+    index = KeyIndex(vectors)
+    return Subspace.from_block(pi, index, gram_schmidt(to_dense(vectors, index)))
+
+
 def run_contain(cfg, radius, tol, budget, restarts):
     """Search for witnesses of the target's Gram data in the span of ``task.basis``.
 
-    Without a ``basis`` the span is the delta basis of shift copy 0 on the
-    radius-``radius`` Cayley ball, built once for the basis and the search.
-    On a trivial target the search starts from the ball's Perron vector and
-    the report carries ``certified-lower`` (for the span) and
+    The span is ``task.basis`` orthonormalized (``_explicit_span``), echoed in
+    ``inputs.basis``; without a ``basis`` it is the delta basis of shift copy
+    0 on the radius-``radius`` Cayley ball, built once for the basis and the
+    search. On a trivial target the search starts from the ball's Perron
+    vector and the report carries ``certified-lower`` (for the span) and
     ``certified-floor`` (for lambda^infinity) from
     ``containment.span_bounds``, which ``verify`` calls too; any other
-    search reports both as null. An explicit basis is echoed in
-    ``inputs.basis``.
+    search reports both as null.
     """
     target_obj = cfg.task.get("target")
     if target_obj is None:
@@ -356,8 +368,7 @@ def run_contain(cfg, radius, tol, budget, restarts):
     inputs = {"representation": rep_to_json(pi), "target": gram_to_json(target)}
     if "basis" in cfg.task:
         vectors = _vectors(cfg.task, "basis", pi, "task", required=False)
-        index = KeyIndex(vectors)
-        basis = Subspace.from_block(pi, index, gram_schmidt(to_dense(vectors, index)))
+        basis = _explicit_span(pi, vectors)
         inputs["basis"] = vectors_to_json(vectors)
     else:
         basis = containment.ball_delta_basis(pi, radius, cap=cfg.caps["ball"])
@@ -375,15 +386,15 @@ def run_contain(cfg, radius, tol, budget, restarts):
     return {"inputs": inputs, "outputs": outputs, "headline": report_data.discrepancy}
 
 
-def _witness_checks(report, target, M, tol):
-    """Checks of the stored outputs against ``target`` from the witnesses' Gram matrices ``M``.
+def _witness_checks(report, discrepancy, tol):
+    """Checks of the stored outputs against the witnesses' recomputed ``discrepancy``.
 
-    The recomputed discrepancy, the headline and the ``converged`` flag
+    The discrepancy, the headline and the ``converged`` flag
     (``discrepancy <= tolerances[tol]``).
     """
     outputs = report["outputs"]
     return [
-        ("discrepancy", containment.deviation(target, M), outputs["discrepancy"]),
+        ("discrepancy", discrepancy, outputs["discrepancy"]),
         ("headline", outputs["discrepancy"], report["headline"]),
         ("converged", outputs["discrepancy"] <= report["tolerances"][tol], outputs["converged"]),
     ]
@@ -414,25 +425,32 @@ def _ball_rows(raw, basis, where, rank=2):
 def verify_contain(report):
     """The run's checks, with the witnesses' Gram data recomputed as the search computed it.
 
-    Without ``inputs.basis`` the span is the ball delta basis, rebuilt first:
-    the witnesses are read as their coordinate rows over the ball
-    (``_ball_rows``), and their Gram data is ``containment.row_matrices`` on
-    the ball's tensor. An explicit basis's witnesses are read by
-    ``containment.witness_matrices``.
+    The span is rebuilt first: ``inputs.basis`` through ``_explicit_span``,
+    else the ball delta basis. The witnesses are read as their coordinate
+    rows over it, and their Gram data is one ``containment.row_matrices`` call
+    on the span's tensor (``containment.span_tensor``). Over a ball each
+    witness key is read as a ball position (``_ball_rows``), and a key off
+    the ball exits 2 at its own field; over an explicit span each witness is
+    read through ``Subspace.coords``, and its ``Subspace.residual`` norm is
+    checked against 0 (``witness-off-span-<a>``).
     """
     oracle, pi = _report_inputs(report, "representation")
     inputs = report["inputs"]
     target = parse_gram(inputs["target"], oracle, "report.inputs.target")
+    checks = []
     if "basis" in inputs:
+        basis = _explicit_span(pi, _vectors(inputs, "basis", pi, "report.inputs", required=False))
         witnesses = _vectors(report["outputs"], "witnesses", pi, "report.outputs",
                              required=False)
-        basis, M = None, containment.witness_matrices(target, pi, witnesses)
+        rows = np.array([basis.coords(w) for w in witnesses]).reshape(len(witnesses), basis.dim)
+        checks += [(f"witness-off-span-{a}", basis.residual(w).norm(), 0.0)
+                   for a, w in enumerate(witnesses)]
     else:
         radius = _report_radius(report, "inputs", "radius")
         basis = containment.ball_delta_basis(pi, radius, report["caps"]["ball"])
         rows = _ball_rows(report["outputs"]["witnesses"], basis, "report.outputs.witnesses")
-        M = containment.row_matrices(target, basis.gram_tensor(target.F), rows)
-    checks = _witness_checks(report, target, M, "tol")
+    M = containment.row_matrices(target, containment.span_tensor(basis, target.F), rows)
+    checks += _witness_checks(report, containment.deviation(target, M), "tol")
     checks.append(_stored_gram_check(report, "witness-gram", oracle, target.F, M))
     bounds = containment.span_bounds(basis, target)
     for name, recomputed in zip(("certified-lower", "certified-floor"), bounds):
@@ -540,8 +558,7 @@ def verify_transfer(report):
                + _vectors(inputs, "targets", rho, "report.inputs"))
     target = gram(rho, vectors, F, oracle=oracle)
     witnesses = _vectors(report["outputs"], "witnesses", rho, "report.outputs", required=False)
-    checks = _witness_checks(report, target,
-                             containment.witness_matrices(target, rho, witnesses), "eps")
+    checks = _witness_checks(report, containment.discrepancy(target, rho, witnesses), "eps")
     checks.append(_stored_gram_check(report, "target-gram", oracle, F, target.M))
     return checks
 
@@ -811,7 +828,7 @@ def _declare(name, help, run, verify, *params, files=None):
 
 
 _declare("probe-amenability", "Random-walk and defect probes.", run_probe, verify_probe,
-         Param("nmax", int, 50), Param("radius", int, 6),
+         Param("nmax", int, 50, floor=2), Param("radius", int, 6),
          files={"csv": "Also export estimator traces as CSV."})
 _declare("contain", "Witness search for finite containment data. Without task.basis the span "
          "is the radius-r Cayley ball's deltas; on a trivial target the search starts from the "

@@ -10,9 +10,12 @@ takes the defect probe's Perron vector as an almost-invariant vector with
 an exactly counted defect, and transfers witnesses from an explicit
 extension back into a stack of shift copies.
 
-Both ball readings go through one index map, ``Ball.left_column(g)``: the
-Gram tensor of a ball delta basis (``BallBasis.gram_tensor``) and the
-shift defect of amplitudes in ball order (``shift_defect``), which is an
+Every span a search reads gives its Gram tensor through one call,
+``span_tensor``, and every witness's Gram data is ``row_matrices`` of its
+coefficient rows on that tensor, in the search and in ``verify``. Both ball
+readings go through one index map, ``Ball.left_column(g)``: the Gram
+tensor of a ball delta basis (``BallBasis.gram_tensor``) and the shift
+defect of amplitudes in ball order (``shift_defect``), which is an
 exact ``Fraction`` of integer sums, with no float path and no oracle
 product per entry.
 
@@ -141,13 +144,12 @@ class GramNonzeros(NamedTuple):
 def _gram_tensor(rep: Representation, vectors, F) -> GramNonzeros:
     """Nonzeros of T_g[i, j] = <rep(g)v_i, v_j>, one product ``Moved_g @ V^H`` per g.
 
-    The block form of ``gram`` for a descent over the span of a
-    ``Subspace``. Each g-slice is built, reduced to its nonzeros and
+    The block form of ``gram`` over the basis vectors of a ``Subspace``
+    (``span_tensor``). Each g-slice is built, reduced to its nonzeros and
     dropped, so the ``(|F|, K, K)`` stack is never held. A ball delta basis
     reads the same arrays off its ball instead (``BallBasis.gram_tensor``),
     with no ``apply``. ``gram`` and ``discrepancy`` keep the sparse ``inner``
-    formula (``_gram_matrices``), and so does ``verify`` of an
-    explicit-basis report.
+    formula (``_gram_matrices``).
     Moved vectors are stacked over the columns of the vectors' own support;
     entries off it pair with zero and are left out.
     """
@@ -168,38 +170,26 @@ def _check_count(target: GramFunction, witnesses):
         raise PreconditionError(f"expected {target.n} witnesses, got {len(witnesses)}")
 
 
-def witness_matrices(target: GramFunction, rep: Representation, witnesses) -> dict:
-    """Gram matrices of the witnesses over ``target.F``; one witness per target vector.
-
-    The sparse ``inner`` formula, one ``rep.apply`` per witness and element:
-    the Gram data of witnesses in a ``Subspace`` span, in the search and in
-    ``verify``. Witnesses of a ball delta basis read theirs off the ball's
-    tensor (``row_matrices``), to the same bits where the witnesses have
-    equally many nonzeros.
-    """
-    witnesses = list(witnesses)
-    _check_count(target, witnesses)
-    return _gram_matrices(rep, witnesses, target.F)
-
-
 def row_matrices(target: GramFunction, tensor: GramNonzeros, C) -> dict:
-    """Gram matrices over ``target.F`` of the witnesses with coefficient rows ``C`` on a ball basis.
+    """Gram matrices over ``target.F`` of the witnesses with coefficient rows ``C`` on a span.
 
-    ``tensor`` is the basis's ``gram_tensor(target.F)``: each T_g is a
-    partial permutation, 1 at (i, j) where g x_i = x_j. So M[g][a, b] =
-    <lambda(g)w_a, w_b> is the sum of C[a, i] conj(C[b, j]) over the
-    nonzeros of T_g. Each product is formed as Python's complex product
-    forms it, and ``np.bincount`` adds each entry's terms one at a time in
-    the tensor's (ball) order, starting from 0.0 as ``sum`` does; a zero
-    term leaves such a sum as it was. The matrices are therefore those of
-    ``witness_matrices`` on ``basis.from_coords(C[a])``, bit for bit, where
-    ``inner`` sums in the moved vector's order: whenever the witnesses have
-    equally many nonzeros, and always for one witness.
+    ``tensor`` is the span's ``span_tensor(basis, target.F)``, so M[g][a, b] =
+    <pi(g)w_a, w_b> for w_a = ``basis.from_coords(C[a])`` is the sum of
+    (C[a, i] T_g[i, j]) conj(C[b, j]) over the nonzeros of T_g. On a ball
+    delta basis each T_g is a partial permutation, exactly 1 at (i, j) where
+    g x_i = x_j, so the first factor is C[a, i] itself. Each product is
+    formed as Python's complex product forms it, and ``np.bincount`` adds
+    each entry's terms one at a time in the tensor's (ball) order, starting
+    from 0.0 as ``sum`` does; a zero term leaves such a sum as it was. On a
+    ball the matrices are therefore those of ``gram`` of the witnesses, bit
+    for bit, where ``inner`` sums in the moved vector's order: whenever the
+    witnesses have equally many nonzeros, and always for one witness. On a
+    ``Subspace`` they agree with it to rounding.
     """
     C = np.asarray(C, dtype=complex)
     _check_count(target, C)
     nF, n = tensor.shape[0], len(C)
-    x, y = C[:, tensor.i], C[:, tensor.j]
+    x, y = C[:, tensor.i] * tensor.value, C[:, tensor.j]
     xr, xi = x.real[:, None], x.imag[:, None]
     yr, yi = y.real[None], -y.imag[None]  # conj(C[b, j])
     pairs = np.arange(n * n).reshape(n, n, 1)
@@ -218,8 +208,14 @@ def deviation(target: GramFunction, M: dict) -> float:
 
 
 def discrepancy(target: GramFunction, rep: Representation, witnesses) -> float:
-    """Max-abs deviation of the witnesses' Gram function from the target."""
-    return deviation(target, witness_matrices(target, rep, witnesses))
+    """Max-abs deviation of the witnesses' Gram function from the target, one witness per vector.
+
+    The witnesses' Gram matrices come from the sparse ``inner`` formula, one
+    ``rep.apply`` per witness and element of ``target.F``.
+    """
+    witnesses = list(witnesses)
+    _check_count(target, witnesses)
+    return deviation(target, _gram_matrices(rep, witnesses, target.F))
 
 
 def trivial_target(oracle: GroupOracle, F=None) -> GramFunction:
@@ -325,6 +321,17 @@ def certified_floor(oracle: GroupOracle) -> float:
                          lambda f: (1 + f) ** 2 * rho2 <= (1 - f) ** 2, -math.inf)
 
 
+def span_tensor(basis: Subspace | BallBasis, F) -> GramNonzeros:
+    """The Gram tensor over ``F`` of the span's orthonormal basis, which ``row_matrices`` reads.
+
+    A ball delta basis reads it off its ball (``BallBasis.gram_tensor``); a
+    ``Subspace`` forms it from its basis vectors (``_gram_tensor``).
+    """
+    if isinstance(basis, BallBasis):
+        return basis.gram_tensor(F)
+    return _gram_tensor(basis.ambient, basis.basis, F)
+
+
 def span_bounds(basis: Subspace | BallBasis | None, target: GramFunction) -> tuple:
     """A search's ``certified-lower`` and ``certified-floor``, each None where it does not apply.
 
@@ -355,16 +362,15 @@ def search_witness(target: GramFunction, pi: Representation, basis: Subspace | B
     Minimizes the smooth sum-of-squares surrogate of the max-abs deviation
     by gradient descent with backtracking line search, restarting from
     seeded random coefficient matrices; the best restart wins, ties going
-    to the earliest. The objective reads only the nonzeros of the basis's
-    Gram tensor, built once per search. On a ball delta basis
-    (``ball_delta_basis``) that is ``BallBasis.gram_tensor``, read off the
-    ball before anything is scored: the objective takes O(|F| n K) per
-    evaluation, its values are those of the dense batched products, bit for
-    bit, and every scored witness's Gram data is ``row_matrices`` of its
-    coefficient rows on the same tensor, so no ``apply`` runs. A
-    ``Subspace`` span builds ``_gram_tensor`` only when a descent runs and
-    scores its witnesses by ``witness_matrices``. The reported discrepancy
-    is always the max-abs deviation of the returned witnesses' Gram data.
+    to the earliest. The objective reads only the nonzeros of the span's
+    Gram tensor (``span_tensor``), built once per search before anything is
+    scored, and every scored witness's Gram data is ``row_matrices`` of its
+    coefficient rows on the same tensor. On a ball delta basis
+    (``ball_delta_basis``) the tensor is read off the ball: the objective
+    takes O(|F| n K) per evaluation, its values are those of the dense
+    batched products, bit for bit, and no ``apply`` runs. The reported
+    discrepancy is always the max-abs deviation of the returned witnesses'
+    Gram data.
 
     On a ball delta basis and a target trivial on the ball's steps
     (``is_trivial_on``) restart 0 is the ball's Perron vector v
@@ -386,21 +392,17 @@ def search_witness(target: GramFunction, pi: Representation, basis: Subspace | B
         raise PreconditionError(f"tol must be finite and positive, got {tol!r}")
     if K == 0:
         raise PreconditionError("witness search needs a nonempty basis")
-    n = target.n
-    start = ball_tensor = None
-    if isinstance(basis, BallBasis):
-        if not same_space(basis.ambient, pi):
-            raise KindMismatchError("the ball basis lives outside the representation space")
-        ball_tensor = basis.gram_tensor(target.F)
+    if not same_space(basis.ambient, pi):
+        raise KindMismatchError("the basis lives outside the representation space")
+    n, start = target.n, None
+    tensor = span_tensor(basis, target.F)
     lower, floor = span_bounds(basis, target)
 
     def scored(C, iterations):
-        witnesses = [basis.from_coords(c) for c in C]
-        M = (witness_matrices(target, pi, witnesses) if ball_tensor is None
-             else row_matrices(target, ball_tensor, C))
-        G = GramFunction(target.oracle, target.F, n, M)
+        G = GramFunction(target.oracle, target.F, n, row_matrices(target, tensor, C))
         disc = deviation(target, G.M)
-        return WitnessReport(witnesses, disc, iterations, bool(disc <= tol), lower, floor, G)
+        return WitnessReport([basis.from_coords(c) for c in C], disc, iterations,
+                             bool(disc <= tol), lower, floor, G)
 
     if floor is not None:  # the bounds apply: the start is the span's Perron row
         row = basis.perron
@@ -409,7 +411,6 @@ def search_witness(target: GramFunction, pi: Representation, basis: Subspace | B
         report = scored(start, 0)
         if report.converged or (lower is not None and tol < lower):
             return report
-    tensor = ball_tensor if ball_tensor is not None else _gram_tensor(pi, basis.basis, target.F)
     objective = _objective_and_gradient(tensor, np.array([target.M[g] for g in target.F]))
     rng = np.random.default_rng(seed)
     scale = max(target.max_abs(), 1e-6) ** 0.5 / max(K, 1) ** 0.5

@@ -49,6 +49,11 @@ FOLNER = {"group": Z2, "task": {"eps": 0.3}}
 TRIVIAL_F2 = {"target": {"F": ["e", "1", "-1", "2", "-2"], "n": 1,
                          "matrices": [[[[1.0, 0.0]]]] * 5}}
 CONTAIN_F2 = {"group": F2, "task": {**TRIVIAL_F2, "radius": 2, "tol": 1e-2}}
+# the trivial Z target on the explicit span of delta_0, delta_1, delta_2
+CONTAIN_Z_EXPLICIT = {"group": Z, "task": {
+    "target": {"F": ["0", "1", "-1"], "n": 1, "matrices": [[[[1.0, 0.0]]]] * 3},
+    "basis": [[[0, str(k), 1.0, 0.0]] for k in range(3)], "tol": 1e-2, "budget": 50,
+    "restarts": 1}}
 
 TRANSFER = {"group": Z, "task": {
     "pi": {"kind": "trivial", "dim": 1}, "F": ["0", "1", "-1"],
@@ -249,8 +254,9 @@ def test_ball_basis_contain_run_and_verify_make_no_apply_call(tmp_path, monkeypa
 
 
 def _witness_entry_off_the_span(entry):
-    """Adds ``entry`` to the first witness, with its Gram data, discrepancy and headline as
-    ``gram`` recomputes them, so that only the span check can refuse the report."""
+    """Adds ``entry`` to the first witness, with its Gram data, discrepancy, headline and
+    ``converged`` flag as ``gram`` recomputes them, so that only the span check can refuse the
+    report."""
     def tamper(report):
         out = report["outputs"]
         out["witnesses"][0].append(entry)
@@ -261,6 +267,7 @@ def _witness_entry_off_the_span(entry):
         witness_gram = gram(space, witnesses, target.F, oracle=oracle)
         out["witness-gram"] = gram_to_json(witness_gram)
         out["discrepancy"] = report["headline"] = deviation(target, witness_gram.M)
+        out["converged"] = out["discrepancy"] <= report["tolerances"]["tol"]
     return tamper
 
 
@@ -710,12 +717,15 @@ def _zero_denominator(rp):
     rp["p-exact"][1] = "1/0"
 
 
-def _zero_p0(rp):
-    rp["p"][0] = 0.0
+def _zero_p_exact(rp):
+    rp["p-exact"][1] = "0"
 
 
-@pytest.mark.parametrize("tamper", [_zero_denominator, _zero_p0])
-def test_verify_probe_zero_division_exits_2(tmp_path, capsys, tamper):
+@pytest.mark.parametrize("tamper, field", [
+    (_zero_denominator, "report"),
+    (_zero_p_exact, "report.outputs.return-probabilities.p-exact"),  # no ratio estimate
+])
+def test_verify_probe_zero_division_exits_2(tmp_path, capsys, tamper, field):
     code, out = run_task(tmp_path, "probe-amenability",
                          {"group": Z, "task": {"nmax": 4, "radius": 2}})
     assert code == 0
@@ -725,7 +735,7 @@ def test_verify_probe_zero_division_exits_2(tmp_path, capsys, tamper):
     capsys.readouterr()
     assert main(["verify", "--report", str(out)]) == 2
     err = capsys.readouterr().err
-    assert "config field 'report'" in err
+    assert f"config field '{field}'" in err
     assert "Traceback" not in err
 
 
@@ -755,6 +765,10 @@ def _raise_p(out):
     out["return-probabilities"]["p"][1] += 0.01
 
 
+def _zero_p0(out):
+    out["return-probabilities"]["p"][0] = 0.0
+
+
 def _change_p_exact(out):
     out["return-probabilities"]["p-exact"][2] = "3/7"
 
@@ -778,6 +792,7 @@ PROBE_TAMPERS = [
     (_truncate_argmin, "argmin-length-r1"),
     (_zero_argmin, "defect-r1"),
     (_raise_p, "p-2"),
+    (_zero_p0, "p-0"),  # the estimates come from p-exact, so a stored p of 0 divides nothing
     (_change_p_exact, "p-4"),
     (_raise_root_estimate, "root-estimate-2"),
     (_raise_ratio_estimate, "ratio-estimate-0"),
@@ -1025,6 +1040,9 @@ def _move_target_to_common_part(report):
     ("contain", CONTAIN_F2, _raise_certified_floor, ["certified-floor"]),
     ("contain", _stability_configs()["contain"], _claim_certified_lower, ["certified-lower"]),
     ("contain", CONTAIN_F2, _zero_certified_lower, ["certified-lower"]),
+    # an explicit span's witness is read by its coordinates: the part off the span is refused
+    ("contain", CONTAIN_Z_EXPLICIT, _witness_entry_off_the_span([0, "7", 0.3, 0.0]),
+     ["witness-off-span-0", "discrepancy", "witness-gram"]),
     ("transfer", TRANSFER, _flip_converged, ["converged"]),
     ("superstable", _stability_configs()["superstable"], _independence_worst_half_eps,
      ["independence-worst"]),
@@ -1355,6 +1373,43 @@ def test_malformed_number_exits_2_with_field(tmp_path, capsys, task, block, fiel
     err = capsys.readouterr().err
     assert code == 2
     assert f"'{field}'" in err
+
+
+OUT_OF_RANGE = [
+    ("probe-amenability", "nmax", 1),
+    ("probe-amenability", "radius", -1),
+    ("contain", "radius", -1),
+    ("superstable", "radius", -1),
+    ("nondividing", "closure.radius", -1),
+    ("canonical-base", "closure.radius", -1),
+    ("amalgamate", "check-radius", -1),
+    ("contain", "tol", 0.0),
+    ("nondividing", "tol", 0.0),
+    ("folner-witness", "eps", -1.0),
+    ("transfer", "eps", -1.0),
+]
+REQUIRED = {"folner-witness": {"eps": 0.1}, "transfer": {"eps": 0.1}, "superstable": {"eps": 1e-3}}
+
+
+@pytest.mark.parametrize("task, name, value, flag", [
+    *[(*case, False) for case in OUT_OF_RANGE],
+    *[(*case, True) for case in OUT_OF_RANGE if "." not in case[1]],  # nested ones have no flag
+])
+def test_out_of_range_task_value_exits_2_at_its_field(tmp_path, capsys, task, name, value, flag):
+    """An nmax below 2, a radius below 0 or a tolerance not above 0 exits 2 at its own field,
+    from the config or from its flag, before any work."""
+    block = dict(REQUIRED.get(task, {}))
+    if flag:
+        flags = (f"--{name}", str(value))
+    else:
+        outer, _, key = name.rpartition(".")
+        (block.setdefault(outer, {}) if outer else block)[key] = value
+        flags = ()
+    code, _out = run_task(tmp_path, task, {"group": Z, "task": block}, *flags)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"config field 'task.{name}'" in err
+    assert "Traceback" not in err
     assert "Traceback" not in err
 
 
@@ -1761,9 +1816,9 @@ def _contain_fuzz_config(draw):
 def test_contain_fuzz_exits_cleanly_and_verifies(case):
     """Small contain configs exit 0, 2, 3 or 4 with no traceback; each report verifies.
 
-    The basis is checked before tol: exit 2 comes exactly from a negative
-    radius, or from tol <= 0 on a ball within ``caps.ball``, and exit 3 from a
-    ball past it. An exit-0 report has both bounds exactly when F holds e and
+    Task values are ranged before any work: exit 2 comes exactly from a
+    negative radius or from tol <= 0, and exit 3 from a ball past
+    ``caps.ball``. An exit-0 report has both bounds exactly when F holds e and
     every step, and a bound never exceeds the discrepancy.
     """
     config, applies = case
@@ -1776,8 +1831,8 @@ def test_contain_fuzz_exits_cleanly_and_verifies(case):
         with contextlib.redirect_stderr(err):
             code, out = run_task(Path(tmp), "contain", config)
         assert code in (0, 2, 3, 4), config
-        assert (code == 2) == (radius < 0 or tol <= 0 and fits), config
-        assert (code == 3) == (radius >= 0 and not fits), config
+        assert (code == 2) == (radius < 0 or tol <= 0), config
+        assert (code == 3) == (radius >= 0 and tol > 0 and not fits), config
         assert "Traceback" not in err.getvalue()
         if code == 0:
             assert main(["verify", "--report", str(out)]) == 0, config

@@ -28,6 +28,7 @@ from unirep import (
     gram,
     inner,
     min_defect,
+    orthonormalize,
     search_witness,
     shift_defect,
     transfer_witness,
@@ -35,7 +36,7 @@ from unirep import (
 )
 from unirep.cli import _ball_rows
 from unirep.containment import (GramNonzeros, _gram_tensor, _objective_and_gradient,
-                                certified_floor, row_matrices)
+                                certified_floor, row_matrices, span_tensor)
 from unirep.serialize import vectors_to_json
 from util import (
     ball_deltas,
@@ -245,6 +246,30 @@ def test_row_matrices_equal_gram_bit_for_bit(group, n):
     packed = vectors_to_json(witnesses)  # keyed in element-string order, not ball order
     for raw in (packed, unpacked(packed)):  # both wire forms read to the rows, bit for bit
         assert _ball_rows(raw, basis, "witnesses").tobytes() == C.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("kind", ["matrix", "regular"])
+def test_row_matrices_read_the_values_of_an_explicit_span(kind, n):
+    """On a ``Subspace`` each T_g is dense, and ``row_matrices`` weights each pair by its value:
+    the Gram data of the rows' vectors, as ``gram`` forms it, to rounding."""
+    rng = np.random.default_rng(4)
+    F2 = f2_oracle()
+    if kind == "matrix":
+        rep = random_matrix_rep(rng, F2, 5)
+        keys = [(0, i) for i in range(5)]
+    else:
+        rep = Regular(F2)
+        keys = [(0, x) for x in ball(F2, 2).elements]
+    basis = Subspace(rep, orthonormalize(random_sparse(rng, rep, keys, 4) for _ in range(3)))
+    F = ball(F2, 1).elements
+    C = rng.standard_normal((n, basis.dim)) + 1j * rng.standard_normal((n, basis.dim))
+    target = GramFunction(F2, F, n, {g: np.zeros((n, n)) for g in F})
+    M = row_matrices(target, span_tensor(basis, F), C)
+    reference = gram(rep, [basis.from_coords(c) for c in C], F)
+    assert basis.dim == 3
+    for g in F:
+        assert np.max(np.abs(M[g] - reference.M[g])) < 1e-12, g
 
 
 def test_gradient_matches_finite_differences():
