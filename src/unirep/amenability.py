@@ -215,8 +215,9 @@ def return_probabilities(B: Ball | DistanceChain, n_max: int = 40) -> dict:
     return _walk_returns(_in_table(B, n), mult, deg, n_max)
 
 
-def walk_block(p: dict) -> dict:
-    """The report's ``return-probabilities`` block of the exact p_{2n}(e), keyed by step.
+def walk_block(p: dict) -> tuple[dict, float | None]:
+    """The report's ``return-probabilities`` block of the exact p_{2n}(e), keyed by step,
+    and its final ratio.
 
     The block lists the steps, each p rounded to the nearest double and as
     its exact string, the root estimates p_s^(1/s) (None at step 0) and the
@@ -225,18 +226,21 @@ def walk_block(p: dict) -> dict:
     (the walk is symmetric), so each ratio estimate is at most 1: correctly
     rounded division keeps that order. A p whose double is 0 (every count is
     positive, but its double can underflow) raises ``PreconditionError``.
+    The final ratio, the report's ``final-ratio`` and headline, is the last
+    ratio estimate: the one at the step before the last (None for one step).
     """
     steps = sorted(p)
     x = [float(p[s]) for s in steps]
     if 0.0 in x:
         raise PreconditionError(f"return probability underflows at step {steps[x.index(0.0)]}")
+    ratios = [(b / a) ** 0.5 for a, b in zip(x, x[1:])]
     return {
         "steps": steps,
         "p": x,
         "p-exact": [str(p[s]) for s in steps],
         "root-estimates": [None] + [a ** (1.0 / s) for s, a in zip(steps[1:], x[1:])],
-        "ratio-estimates": [(b / a) ** 0.5 for a, b in zip(x, x[1:])] + [None],
-    }
+        "ratio-estimates": ratios + [None],
+    }, ratios[-1] if ratios else None
 
 
 def collatz_wielandt(v, mv) -> float | None:

@@ -250,12 +250,11 @@ def run_probe(cfg, nmax, radius):
     # ball's) is the spectral end
     B = probe_ball(cfg.oracle, max(radius, walk_radius(nmax)), cfg.caps["ball"])
     try:
-        walk = walk_block(return_probabilities(B, nmax))
+        walk, final_ratio = walk_block(return_probabilities(B, nmax))
     except PreconditionError as exc:  # a probability under a double's range: nmax is too large
         raise ConfigError(str(exc), field="task.nmax") from None
     defects = defect_table(B, range(radius + 1))
     lower, upper = spectral_ends(B, defects[-1].min_avg_sq_defect)
-    final_ratio = walk["ratio-estimates"][-2]  # the last ratio, at the step before the last
     outputs = {
         "return-probabilities": walk,
         "final-ratio": final_ratio,
@@ -295,7 +294,8 @@ def _walk_checks(report):
     rp = out["return-probabilities"]
     exact = map(Fraction, rp["p-exact"])
     try:
-        walk = walk_block(dict(zip(range(0, report["inputs"]["nmax"] + 1, 2), exact, strict=True)))
+        walk, final_ratio = walk_block(
+            dict(zip(range(0, report["inputs"]["nmax"] + 1, 2), exact, strict=True)))
     except PreconditionError as exc:
         raise ConfigError(str(exc), field="report.outputs.return-probabilities.p-exact") from None
     checks = [("steps", rp["steps"] == walk["steps"], True)]
@@ -303,7 +303,7 @@ def _walk_checks(report):
                       ("ratio-estimate", "ratio-estimates")):
         for s, r, x in zip(walk["steps"], walk[key], rp[key], strict=True):
             checks.append((f"{name}-{s}", x is None, True) if r is None else (f"{name}-{s}", r, x))
-    checks.append(("final-ratio", walk["ratio-estimates"][-2], out["final-ratio"]))
+    checks.append(("final-ratio", final_ratio, out["final-ratio"]))
     return checks
 
 

@@ -117,13 +117,13 @@ def test_finite_group_returns_to_uniform():
     Z3 = cyclic_table(3)
     table = walk_table(Z3, None, 60)
     assert abs(float(table[60]) - Fraction(1, 3)) < 1e-9
-    assert abs(walk_block(table)["ratio-estimates"][-2] - 1.0) < 1e-9
+    assert abs(walk_block(table)[1] - 1.0) < 1e-9
 
 
 def test_ratio_trace_monotone_and_bounded():
     for oracle in (z_oracle(), f2_oracle(), cyclic_table(4)):
         table = walk_table(oracle, None, 30)
-        ratios = walk_block(table)["ratio-estimates"][:-1]
+        ratios = walk_block(table)[0]["ratio-estimates"][:-1]
         assert all(r <= 1 + 1e-12 for r in ratios)
         assert all(b >= a - 1e-12 for a, b in zip(ratios, ratios[1:]))
 
@@ -136,7 +136,7 @@ def test_f2_radial_agrees_with_generic_convolution():
 def test_f2_ratio_near_kesten_value():
     F2 = f2_oracle()
     table = walk_table(F2, None, 50)
-    assert abs(walk_block(table)["ratio-estimates"][-2] - math.sqrt(3) / 2) <= 0.03
+    assert abs(walk_block(table)[1] - math.sqrt(3) / 2) <= 0.03
 
 
 def test_trivial_group_walk():

@@ -1365,64 +1365,55 @@ def test_convergence_error_exits_4_with_best(tmp_path, capsys, monkeypatch):
      "task.closure.vectors[0][1]"),
     ("contain", {"target": {"F": ["0"], "n": 1, "matrices": [[[[math.nan, 0.0]]]]}}, "target"),
     ("amalgamate", {"pi": {"kind": "matrix", "matrices": [[[[math.nan, 0.0]]]]}}, "task.pi"),
+    ("probe-amenability", {"nmax": 1}, "task.nmax"),
+    ("probe-amenability", {"radius": -1}, "task.radius"),
+    ("contain", {"target": {}, "radius": -1}, "task.radius"),
+    ("superstable", {"eps": 1e-3, "radius": -1}, "task.radius"),
+    ("nondividing", {"closure": {"radius": -1}}, "task.closure.radius"),
+    ("canonical-base", {"closure": {"radius": -1}}, "task.closure.radius"),
+    ("amalgamate", {"check-radius": -1}, "task.check-radius"),
+    ("contain", {"target": {}, "tol": 0.0}, "task.tol"),
+    ("nondividing", {"tol": 0.0}, "task.tol"),
+    ("folner-witness", {"eps": -1.0}, "task.eps"),
+    ("transfer", {"eps": -1.0}, "task.eps"),
 ])
 def test_malformed_number_exits_2_with_field(tmp_path, capsys, task, block, field):
-    """A malformed or non-finite number, a bad element string, a repeated vector entry or a
-    missing vector list exits 2 at its field."""
+    """A malformed, non-finite or out-of-range number (an nmax below 2, a radius below 0, a
+    tolerance not above 0), a bad element string, a repeated vector entry or a missing
+    vector list exits 2 at its field."""
     code, _out = run_task(tmp_path, task, {"group": Z, "task": block})
     err = capsys.readouterr().err
     assert code == 2
-    assert f"'{field}'" in err
-
-
-OUT_OF_RANGE = [
-    ("probe-amenability", "nmax", 1),
-    ("probe-amenability", "radius", -1),
-    ("contain", "radius", -1),
-    ("superstable", "radius", -1),
-    ("nondividing", "closure.radius", -1),
-    ("canonical-base", "closure.radius", -1),
-    ("amalgamate", "check-radius", -1),
-    ("contain", "tol", 0.0),
-    ("nondividing", "tol", 0.0),
-    ("folner-witness", "eps", -1.0),
-    ("transfer", "eps", -1.0),
-]
-REQUIRED = {"folner-witness": {"eps": 0.1}, "transfer": {"eps": 0.1}, "superstable": {"eps": 1e-3}}
-
-
-@pytest.mark.parametrize("task, name, value, flag", [
-    *[(*case, False) for case in OUT_OF_RANGE],
-    *[(*case, True) for case in OUT_OF_RANGE if "." not in case[1]],  # nested ones have no flag
-])
-def test_out_of_range_task_value_exits_2_at_its_field(tmp_path, capsys, task, name, value, flag):
-    """An nmax below 2, a radius below 0 or a tolerance not above 0 exits 2 at its own field,
-    from the config or from its flag, before any work."""
-    block = dict(REQUIRED.get(task, {}))
-    if flag:
-        flags = (f"--{name}", str(value))
-    else:
-        outer, _, key = name.rpartition(".")
-        (block.setdefault(outer, {}) if outer else block)[key] = value
-        flags = ()
-    code, _out = run_task(tmp_path, task, {"group": Z, "task": block}, *flags)
-    err = capsys.readouterr().err
-    assert code == 2
-    assert f"config field 'task.{name}'" in err
+    assert f"config field '{field}'" in err
     assert "Traceback" not in err
-    assert "Traceback" not in err
+
+
+FLAG_RANGE = {"eps": "a finite float greater than 0", "tol": "a finite float greater than 0",
+              "nmax": "an integer of at least 2", "radius": "an integer of at least 0",
+              "check-radius": "an integer of at least 0"}
 
 
 @pytest.mark.parametrize("task, flags", [
     ("folner-witness", ["--eps", "inf"]),
     ("contain", ["--tol", "nan"]),
+    ("probe-amenability", ["--nmax", "1"]),
+    ("probe-amenability", ["--radius", "-1"]),
+    ("contain", ["--radius", "-1"]),
+    ("superstable", ["--radius", "-1"]),
+    ("amalgamate", ["--check-radius", "-1"]),
+    ("contain", ["--tol", "0"]),
+    ("nondividing", ["--tol", "0"]),
+    ("folner-witness", ["--eps", "-1"]),
+    ("transfer", ["--eps", "-1"]),
 ])
 def test_non_finite_flag_exits_2_with_field(tmp_path, capsys, task, flags):
-    """A flag's value is checked as its config value is: infinity and NaN exit 2."""
+    """A flag's value is checked as its config value is: infinity, NaN and a value below
+    its parameter's range exit 2 at its field."""
     code, _out = run_task(tmp_path, task, {"group": Z, "task": {"F": ["1"], "eps": 0.1}}, *flags)
     err = capsys.readouterr().err
+    name = flags[0][2:]
     assert code == 2
-    assert f"config field 'task.{flags[0][2:]}': expected a finite float" in err
+    assert f"config field 'task.{name}': expected {FLAG_RANGE[name]}" in err
     assert "Traceback" not in err
 
 
